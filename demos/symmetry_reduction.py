@@ -1,10 +1,12 @@
 """Block reduction of an SDP invariant under a cyclic permutation group.
 
 We build a random 6x6 SDP whose data commute with the order-3 permutation
-(0 1 2)(3 4 5), reduce it to the commutant algebra, and check that both
-problems return the same value.  The commutant of two regular C3 orbits
-is 12-dimensional, but its symmetric part carries only 7 free coordinates
-instead of the 21 of a generic 6x6 symmetric matrix.
+(0 1 2)(3 4 5), block-diagonalize it, and check that both problems return
+the same value.  Each irreducible of C3 appears twice, so the commutant is
+12-dimensional: a real 2x2 block for the trivial irreducible, and one
+Hermitian 2x2 block, realified to 4x4, shared by the two complex ones.
+Together they carry 7 free coordinates instead of the 21 of a generic 6x6
+symmetric matrix, and the 4 constraint rows stay as they are.
 """
 
 import numpy as np
@@ -42,8 +44,7 @@ red = reduce_sdp(model, rep)
 
 print(f"commutant algebra     dim {red.commutant_dim}, "
       f"{red.reduced_dim} symmetric coordinates")
-print(f"reduced block         {red.model.blocks[0].size} "
-      f"({'real' if red.real_mode else 'complex'} path), "
+print(f"reduced blocks        {red.block_summary()}; "
       f"{len(red.model.constraints)} constraint rows")
 
 opts = ipm.SolverOptions(tol_gap=1e-9, tol_feas=1e-9)

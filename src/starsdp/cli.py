@@ -219,8 +219,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         return EXIT_INPUT
 
     print(f"m = {red.commutant_dim}")
-    print(f"reduced block size {red.model.blocks[0].size} "
-          f"({'real' if red.real_mode else 'complex, realified'}), "
+    print(f"reduced blocks {red.block_summary()}; "
           f"{len(red.model.constraints)} constraints")
 
     out_path = args.out or (args.sdpa_file + ".reduced.dat-s")

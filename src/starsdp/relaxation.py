@@ -29,7 +29,7 @@ from .algebra import (
 from .problems import ProblemFile, word_to_str, poly_to_str
 from .sdpmodel import (
     Block, LinearConstraint, SDPModel, HermitianModel,
-    SENSE_EQ, realify, realify_matrix, to_equality_form,
+    SENSE_EQ, realify, realify_matrix, to_equality_form, unrealify_matrix,
 )
 from . import ipm
 
@@ -204,13 +204,6 @@ def _functional_norm(mats):
     return max((float(np.max(np.abs(M))) if M.size else 0.0) for M in mats)
 
 
-def _unrealify(Y: np.ndarray) -> np.ndarray:
-    n = Y.shape[0] // 2
-    P, Q = Y[:n, :n], Y[:n, n:]
-    R, S = Y[n:, :n], Y[n:, n:]
-    return (P + S) / 2 + 1j * (R - Q) / 2
-
-
 @dataclass
 class RelaxationResult:
     bound: float
@@ -255,7 +248,7 @@ class RelaxationModel:
 
     def _block_matrix(self, sol: ipm.Solution, b: int) -> np.ndarray:
         Xb = sol.X[b]
-        return _unrealify(Xb) if not self.real_mode else Xb
+        return unrealify_matrix(Xb) if not self.real_mode else Xb
 
     def moment_block(self, sol: ipm.Solution) -> np.ndarray:
         return self._block_matrix(sol, 0)

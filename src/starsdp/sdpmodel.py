@@ -134,6 +134,12 @@ def realify_matrix(A: np.ndarray) -> np.ndarray:
     return np.block([[R, -I], [I, R]])
 
 
+def unrealify_matrix(Y: np.ndarray) -> np.ndarray:
+    """Hermitian matrix whose realify_matrix image is nearest to Y."""
+    n = Y.shape[0] // 2
+    return (Y[:n, :n] + Y[n:, n:]) / 2 + 1j * (Y[n:, :n] - Y[:n, n:]) / 2
+
+
 def realify(hm: HermitianModel) -> SDPModel:
     """Double every Hermitian block into its real symmetric image.
 

@@ -1,28 +1,32 @@
 """Symmetry reduction of SDPs under a finite unitary group representation.
 
 If every data matrix commutes with the action (invariance), an optimal
-solution can be chosen inside the commutant algebra.  The commutant is
-computed by Reynolds-averaging matrix units; a Hermitian orthonormal basis
-of it turns the cone condition into positive semidefiniteness of the left
-multiplication operator, which is a faithful *-representation, so nothing
-is lost while the variable shrinks to the commutant dimension.
+solution can be chosen inside the commutant algebra.  reduce_sdp block
+diagonalizes the commutant (Murota, Kanno, Kojima and Kojima 2010): the
+eigenspaces of a generic commutant element are irreducible subspaces,
+grouped into isotypic classes by their characters, with the copies in a
+class aligned by averaged intertwiners.  A class holding m copies gives one
+m x m block, and every constraint row is kept as it is.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .sdpmodel import (
     Block, LinearConstraint, SDPModel, HermitianModel, ModelError,
-    realify, realify_matrix,
+    realify, unrealify_matrix,
 )
 from . import ipm
 
 UNITARY_TOL = 1e-8
 RANK_TOL = 1e-9
+SEED = 2010            # draws the generic commutant elements: reductions are deterministic
+CLUSTER_TOL = 1e-6     # relative gap below which eigenvalues coincide
+REBUILD_TOL = 1e-8     # data must be rebuilt from its blocks this closely
 
 
 class GroupError(Exception):
@@ -89,40 +93,20 @@ class GroupRep:
 class InvariantBasis:
     rep: GroupRep
     mats: list[np.ndarray]             # HS-orthonormal commutant basis
-    structure: np.ndarray = field(init=False)  # lambda[i, j, k]
-
-    def __post_init__(self):
-        m = len(self.mats)
-        lam = np.zeros((m, m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                P = self.mats[i] @ self.mats[j]
-                for k in range(m):
-                    lam[i, j, k] = np.trace(self.mats[k].conj().T @ P)
-        self.structure = lam
 
     @property
     def dim(self) -> int:
         return len(self.mats)
 
-    def left_mult(self, k: int) -> np.ndarray:
-        """Matrix of x -> B_k x in the basis, entries lambda[k, j, i]."""
-        m = self.dim
-        L = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                L[i, j] = self.structure[k, j, i]
-        return L
-
     def reconstruction_residual(self) -> float:
+        """Largest distance of a product B_i B_j from its projection onto
+        the basis; zero up to rounding because the commutant is an algebra."""
         worst = 0.0
-        m = self.dim
-        for i in range(m):
-            for j in range(m):
-                approx = sum(self.structure[i, j, k] * self.mats[k]
-                             for k in range(m))
-                worst = max(worst, float(np.linalg.norm(
-                    self.mats[i] @ self.mats[j] - approx)))
+        for Bi in self.mats:
+            for Bj in self.mats:
+                P = Bi @ Bj
+                approx = sum(np.vdot(Bk, P) * Bk for Bk in self.mats)
+                worst = max(worst, float(np.linalg.norm(P - approx)))
         return worst
 
 
@@ -143,48 +127,85 @@ def invariant_basis(rep: GroupRep, rank_tol: float = RANK_TOL) -> InvariantBasis
     return InvariantBasis(rep, basis)
 
 
-def _hermitian_commutant_basis(inv: InvariantBasis) -> list[np.ndarray]:
-    """Real-orthonormal Hermitian basis spanning the commutant over R."""
-    cands = []
-    for B in inv.mats:
-        cands.append((B + B.conj().T) / 2)
-        cands.append((B - B.conj().T) / (2j))
-    out: list[np.ndarray] = []
-    for M in cands:
-        for S in out:
-            M = M - np.real(np.trace(S.conj().T @ M)) * S
-        nrm = float(np.linalg.norm(M))
-        if nrm > RANK_TOL:
-            out.append(M / nrm)
-    return out
+def _same_character(a: np.ndarray, b: np.ndarray) -> bool:
+    # characters of inequivalent irreducibles are orthogonal with squared
+    # norm at least |G|, so they lie at least sqrt(2|G|) apart
+    return float(np.linalg.norm(a - b)) < 0.5 * np.sqrt(len(a))
+
+
+def _isotypic_classes(rep: GroupRep, S: np.ndarray, real: bool,
+                      rng: np.random.Generator) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """Irreducible subspaces of the invariant subspace spanned by the
+    orthonormal columns of S, grouped by character.
+
+    Each class is (character, copies) with d x k orthonormal bases Q_a
+    aligned so that U_g Q_a = Q_a rho(g) for one rho per class.  Over the
+    reals (real S and group) the copies are real-irreducible.
+    """
+    def generic_commutant() -> np.ndarray:
+        R = rng.standard_normal((S.shape[1],) * 2)
+        if not real:
+            R = R + 1j * rng.standard_normal(R.shape)
+        M = rep.average(S @ R @ S.conj().T)
+        return np.real(M) if real else M
+
+    H = S.conj().T @ generic_commutant() @ S
+    w, V = np.linalg.eigh((H + H.conj().T) / 2)
+    gaps = np.diff(w) > CLUSTER_TOL * max(1.0, float(np.max(np.abs(w))))
+    classes: list[tuple[np.ndarray, list[np.ndarray]]] = []
+    for Q in np.split(S @ V, np.flatnonzero(gaps) + 1, axis=1):
+        chi = np.array([np.trace(Q.conj().T @ U @ Q) for U in rep.elements])
+        for c, copies in classes:
+            if _same_character(c, chi):
+                copies.append(Q)
+                break
+        else:
+            classes.append((chi, [Q]))
+
+    # an averaged random matrix intertwines copy 0 with copy a as a
+    # multiple of a unitary (Schur); rescaled it carries the basis over
+    T = generic_commutant()
+    for _, copies in classes:
+        for a in range(1, len(copies)):
+            K = copies[a].conj().T @ T @ copies[0]
+            copies[a] = copies[a] @ K * (np.sqrt(K.shape[0]) / np.linalg.norm(K))
+    return classes
+
+
+def _lift(rep: GroupRep, bases: list[np.ndarray], blocks: list[np.ndarray]) -> np.ndarray:
+    """Real d x d matrix with reduced blocks `blocks` (weights included)."""
+    M = sum(P @ B @ P.conj().T for P, B in zip(bases, blocks))
+    return np.real(rep.average(M))
 
 
 @dataclass
 class ReducedSDP:
+    """Block diagonalization of an invariant SDP: block i acts on the span
+    of P_i = bases[i], one vector from each aligned copy of an irreducible,
+    and X = Re avg_g U_g (sum_i weights[i] P_i Y_i P_i*) U_g*.  The first
+    `real_blocks` blocks are real, the rest Hermitian, realified in `model`.
+    """
+
     original: SDPModel
     rep: GroupRep
-    herm_basis: list[np.ndarray]       # S_j, hermitian, real-orthonormal
-    left_mats: list[np.ndarray]        # T_j = left multiplication by S_j
-    dual_frame: list[np.ndarray]       # W_j with tr(W_j T_k) = delta_jk
+    bases: list[np.ndarray]            # P_i, d x m_i, orthonormal columns
+    weights: list[int]                 # irreducible dimension, doubled for a conjugate pair
+    real_blocks: int
     model: SDPModel                    # solver-ready reduced model
-    hermitian: HermitianModel | None
-    real_mode: bool
-    commutant_dim: int = 0             # complex dimension of the commutant
+    commutant_dim: int                 # complex dimension of the commutant
 
     @property
     def reduced_dim(self) -> int:
-        return len(self.herm_basis)
+        """Real dimension of the reduced variable."""
+        sizes = [P.shape[1] for P in self.bases]
+        return (sum(m * (m + 1) // 2 for m in sizes[:self.real_blocks])
+                + sum(m * m for m in sizes[self.real_blocks:]))
 
-    def coefficients_from(self, sol: ipm.Solution) -> np.ndarray:
-        Y = sol.X[0]
-        if not self.real_mode:
-            n = Y.shape[0] // 2
-            Y = (Y[:n, :n] + Y[n:, n:]) / 2 + 1j * (Y[n:, :n] - Y[:n, n:]) / 2
-            Y = (Y + Y.conj().T) / 2
-        u = np.empty(len(self.left_mats))
-        for j, W in enumerate(self.dual_frame):
-            u[j] = float(np.real(np.trace(W.conj().T @ Y)))
-        return u
+    def block_summary(self) -> str:
+        """Reduced block sizes with their kind, e.g. '2 real, 4 realified'."""
+        sizes = [P.shape[1] for P in self.bases]
+        return ", ".join([f"{m} real" for m in sizes[:self.real_blocks]]
+                         + [f"{2 * m} realified" for m in sizes[self.real_blocks:]])
 
     def expand(self, sol: ipm.Solution) -> np.ndarray:
         """Optimal matrix of the original SDP from a reduced solution.
@@ -192,12 +213,42 @@ class ReducedSDP:
         The real part is returned: the original data is real, so the real
         part of a Hermitian feasible point is feasible with equal value.
         """
-        u = self.coefficients_from(sol)
-        X = sum(uj * Sj for uj, Sj in zip(u, self.herm_basis))
-        return np.real((X + X.conj().T) / 2)
+        Y = [w * (X if i < self.real_blocks else unrealify_matrix(X))
+             for i, (w, X) in enumerate(zip(self.weights, sol.X))]
+        X = _lift(self.rep, self.bases, Y)
+        return (X + X.T) / 2
+
+
+def _irreducible_pieces(rep: GroupRep, rng: np.random.Generator) -> list[tuple[list[np.ndarray], int]]:
+    """(aligned copies, count) per reduced block; count 2 marks a block that
+    also stands for its complex-conjugate class."""
+    I = np.eye(rep.dim)
+    if max(float(np.max(np.abs(np.imag(U)))) for U in rep.elements) >= 1e-12:
+        return [(copies, 1) for _, copies in _isotypic_classes(rep, I, False, rng)]
+    pieces, rest = [], []
+    for chi, copies in _isotypic_classes(rep, I, True, rng):
+        # ||chi||^2 / |G| is 1, 2 or 4 for real, complex, quaternionic type
+        if np.vdot(chi, chi).real / len(rep) < 1.5:
+            pieces.append((copies, 1))
+        else:
+            rest += copies
+    if rest:
+        # Over C a complex-type class splits into a class and its conjugate,
+        # whose blocks of real data are complex conjugates: keep one, counted
+        # twice.  A quaternionic class is self-conjugate and stays whole.
+        kept: list[np.ndarray] = []
+        for chi, copies in _isotypic_classes(rep, np.hstack(rest), False, rng):
+            if any(_same_character(chi.conj(), c) for c in kept):
+                continue
+            kept.append(chi)
+            pieces.append((copies, 1 if _same_character(chi.conj(), chi) else 2))
+    return pieces
 
 
 def reduce_sdp(model: SDPModel, rep: GroupRep, tol: float = UNITARY_TOL) -> ReducedSDP:
+    """Block-diagonal SDP with the constraint rows of a one-block `model`
+    whose data commute with `rep` to `tol`.  ModelError if the blocks miss
+    the commutant dimension of the character or fail to rebuild the data."""
     model.validate()
     if len(model.blocks) != 1 or model.blocks[0].diagonal:
         raise ModelError("symmetry reduction expects a single dense block")
@@ -216,105 +267,52 @@ def reduce_sdp(model: SDPModel, rep: GroupRep, tol: float = UNITARY_TOL) -> Redu
                 f"{name} is not invariant: residual {r:.3e} "
                 f"under group element {g}", element=g, residual=r)
 
-    inv = invariant_basis(rep)
-    rep_real = max(float(np.max(np.abs(np.imag(U)))) for U in rep.elements) < 1e-12
+    pieces = _irreducible_pieces(rep, np.random.default_rng(SEED))
+    commutant_dim = sum(count * len(copies) ** 2 for copies, count in pieces)
+    expected = sum(abs(np.trace(U)) ** 2 for U in rep.elements) / len(rep)
+    if abs(commutant_dim - expected) > 1e-6:
+        raise ModelError(
+            f"symmetry reduction failed: blocks span a commutant of dimension "
+            f"{commutant_dim}, the character gives {expected:.6g}")
 
-    if rep_real:
-        # averaging real matrix units keeps them real, so the same basis
-        # spans the real commutant algebra; the variable lives in its
-        # symmetric part and everything stays over the reals
-        B = [np.real(Bi) for Bi in inv.mats]
-        S = []
-        for Bi in B:
-            M = (Bi + Bi.T) / 2
-            for Sj in S:
-                M = M - np.trace(Sj.T @ M) * Sj
-            nrm = float(np.linalg.norm(M))
-            if nrm > RANK_TOL:
-                S.append(M / nrm)
-        n_red = len(B)
-        T = []
-        for Sj in S:
-            Tj = np.empty((n_red, n_red))
-            for a in range(n_red):
-                for b in range(n_red):
-                    Tj[a, b] = np.trace(B[a].T @ Sj @ B[b])
-            T.append((Tj + Tj.T) / 2)
-    else:
-        S = _hermitian_commutant_basis(inv)
-        n_red = len(S)
-        T = []
-        for Sj in S:
-            Tj = np.empty((n_red, n_red), dtype=complex)
-            for k in range(n_red):
-                for l in range(n_red):
-                    Tj[k, l] = np.trace(S[k] @ Sj @ S[l])
-            T.append((Tj + Tj.conj().T) / 2)
+    # one block per piece, weight * P* M P for each data matrix M; a block
+    # whose data are all real keeps a real variable, which loses nothing
+    # because the real part of a Hermitian feasible block is feasible
+    blocks = []
+    for copies, count in pieces:
+        P = np.hstack([Q[:, :1] for Q in copies])
+        w = count * copies[0].shape[1]
+        Ds = [w * P.conj().T @ M @ P for _, M in data]
+        Ds = [(D + D.conj().T) / 2 for D in Ds]
+        if max(float(np.max(np.abs(D.imag))) for D in Ds) <= RANK_TOL:
+            Ds = [D.real for D in Ds]
+        blocks.append((P, w, Ds))
+    blocks.sort(key=lambda blk: np.iscomplexobj(blk[2][0]))
+    bases, weights, reduced = (list(t) for t in zip(*blocks))
 
-    m = len(S)
-    real_mode = rep_real or \
-        max(float(np.max(np.abs(np.imag(Tj)))) for Tj in T) < 1e-12
-    if real_mode:
-        T = [np.real(Tj) for Tj in T]
+    for j, (name, M) in enumerate(data):
+        r = float(np.linalg.norm(_lift(rep, bases, [Ds[j] for Ds in reduced]) - M))
+        if r > REBUILD_TOL * max(1.0, float(np.linalg.norm(M))):
+            raise ModelError(
+                f"symmetry reduction failed: {name} is rebuilt from its "
+                f"blocks with residual {r:.3e}")
 
-    G = np.empty((m, m))
-    for j in range(m):
-        for k in range(m):
-            G[j, k] = float(np.real(np.trace(np.conj(T[j]).T @ T[k])))
-    Ginv = np.linalg.inv(G)
-    W = [sum(Ginv[j, k] * T[k] for k in range(m)) for j in range(m)]
-
-    # span rows: Y must stay inside span{T_j}
-    iu = np.triu_indices(n_red, 1)
-
-    def to_vec(M: np.ndarray) -> np.ndarray:
-        parts = [np.real(np.diag(M)), np.sqrt(2.0) * np.real(M[iu])]
-        if not real_mode:
-            parts.append(np.sqrt(2.0) * np.imag(M[iu]))
-        return np.concatenate(parts)
-
-    def from_vec(v: np.ndarray) -> np.ndarray:
-        M = np.zeros((n_red, n_red), dtype=complex if not real_mode else float)
-        M[np.diag_indices(n_red)] = v[:n_red]
-        off = n_red + len(iu[0])
-        M[iu] += v[n_red:off] / np.sqrt(2.0)
-        if not real_mode:
-            M[iu] += 1j * v[off:] / np.sqrt(2.0)
-        M[(iu[1], iu[0])] = np.conj(M[iu])
-        return M
-
-    V = np.stack([to_vec(Tj) for Tj in T])
-    _, sing, Vt = np.linalg.svd(V, full_matrices=True)
-    null_rows = Vt[len([s for s in sing if s > 1e-10]):]
-
-    def functional_matrix(M_orig: np.ndarray) -> np.ndarray:
-        # tr(M X) with X = sum u_j S_j becomes tr(H Y) on the reduced block
-        coeffs = [float(np.real(np.trace(M_orig @ Sj))) for Sj in S]
-        H = sum(c * Wj for c, Wj in zip(coeffs, W))
-        return (H + H.conj().T) / 2
-
-    cost_r = functional_matrix(model.cost[0])
-    rows: list[tuple[np.ndarray, str, float]] = []
-    for con in model.constraints:
-        rows.append((functional_matrix(con.matrices[0]), con.sense, con.rhs))
-    for v in null_rows:
-        rows.append((from_vec(v), "==", 0.0))
-
-    if real_mode:
-        reduced = SDPModel(
-            [Block(n_red)], [np.real(cost_r)],
-            [LinearConstraint([np.real(M)], sense, rhs) for M, sense, rhs in rows])
-        hermitian = None
-    else:
-        hermitian = HermitianModel(
-            [n_red], [cost_r],
-            [LinearConstraint([M], sense, rhs) for M, sense, rhs in rows])
-        reduced = realify(hermitian)
-    reduced.validate()
+    n_real = sum(not np.iscomplexobj(Ds[0]) for Ds in reduced)
+    real, cplx = reduced[:n_real], reduced[n_real:]
+    doubled = realify(HermitianModel(
+        [Ds[0].shape[0] for Ds in cplx], [Ds[0] for Ds in cplx],
+        [LinearConstraint([Ds[k + 1] for Ds in cplx], con.sense, con.rhs)
+         for k, con in enumerate(model.constraints)]))
+    out = SDPModel(
+        [Block(Ds[0].shape[0]) for Ds in real] + doubled.blocks,
+        [Ds[0] for Ds in real] + doubled.cost,
+        [LinearConstraint([Ds[k + 1] for Ds in real] + dcon.matrices,
+                          con.sense, con.rhs)
+         for k, (con, dcon) in enumerate(zip(model.constraints, doubled.constraints))])
+    out.validate()
     return ReducedSDP(
-        original=model, rep=rep, herm_basis=S, left_mats=T, dual_frame=W,
-        model=reduced, hermitian=hermitian, real_mode=real_mode,
-        commutant_dim=inv.dim)
+        original=model, rep=rep, bases=bases, weights=weights,
+        real_blocks=n_real, model=out, commutant_dim=commutant_dim)
 
 
 _GROUP_TOKEN = re.compile(r"[^\s,]+")

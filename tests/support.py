@@ -24,9 +24,59 @@ def cyclic_rep(perm):
     return GroupRep(mats)
 
 
+def cyclic_two_orbits(n):
+    """An n-cycle rotating two disjoint orbits at once, on 2n coordinates."""
+    return cyclic_rep([(i + 1) % n for i in range(n)]
+                      + [n + (i + 1) % n for i in range(n)])
+
+
 def c3_rep():
     """(123)(456) acting on 6 coordinates: two regular copies of a 3-cycle."""
-    return cyclic_rep([1, 2, 0, 4, 5, 3])
+    return cyclic_two_orbits(3)
+
+
+def dihedral_rep(n):
+    """The symmetry group of the n-gon, order 2n, acting on its vertices."""
+    R = perm_matrix([(i + 1) % n for i in range(n)])
+    F = perm_matrix([(-i) % n for i in range(n)])
+    mats, power = [], np.eye(n)
+    for _ in range(n):
+        mats += [power, power @ F]
+        power = power @ R
+    return GroupRep(mats)
+
+
+def _hamilton(p, q):
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+def q8_rep():
+    """Regular representation of the quaternion group {+-1, +-i, +-j, +-k}:
+    its 2-dimensional irreducible is of quaternionic type."""
+    units = [tuple(s * int(i == k) for i in range(4))
+             for s in (1, -1) for k in range(4)]
+    return GroupRep([perm_matrix([units.index(_hamilton(g, h)) for h in units])
+                     for g in units])
+
+
+def q8_spin_twice():
+    """Two copies of the 2-dimensional complex irreducible of Q8."""
+    i, j = np.diag([1j, -1j]), np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return GroupRep([np.kron(np.eye(2), s * u)
+                     for s in (1, -1) for u in (np.eye(2), i, j, i @ j)])
+
+
+def power_rep(U):
+    """Cyclic group generated by the unitary U."""
+    d = U.shape[0]
+    mats, M = [np.eye(d)], np.asarray(U, dtype=complex)
+    while np.linalg.norm(M - np.eye(d)) > 1e-12:
+        mats.append(M)
+        M = M @ U
+    return GroupRep(mats)
 
 
 def invariant_instance(rep, n_cons, rng):

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from starsdp import ipm
 from starsdp.sdpmodel import (
-    Block, LinearConstraint, SDPModel, ModelError, to_equality_form,
+    Block, LinearConstraint, SDPModel, ModelError, export_sdpa, to_equality_form,
 )
 from starsdp.symmetry import (
     GroupRep, GroupError, InvarianceError,
@@ -11,9 +13,32 @@ from starsdp.symmetry import (
 )
 
 
-from support import c3_rep, invariant_instance, perm_matrix
+from support import (
+    c3_rep, cyclic_two_orbits, dihedral_rep, invariant_instance, perm_matrix,
+    power_rep, q8_rep, q8_spin_twice,
+)
 
 C3 = c3_rep()
+TIGHT = ipm.SolverOptions(tol_gap=1e-9, tol_feas=1e-9)
+
+
+# group -> (representation, sorted reduced block sizes)
+BLOCK_CASES = {
+    "C3x2": (c3_rep, [2, 4]),
+    "C4x2": (lambda: cyclic_two_orbits(4), [2, 2, 4]),
+    "C6x2": (lambda: cyclic_two_orbits(6), [2, 2, 4, 4]),
+    # the 2-dimensional irreducible twice: its copies must be aligned
+    "S3 on two triangles": (lambda: GroupRep(
+        [np.kron(np.eye(2), perm_matrix(p))
+         for p in itertools.permutations(range(3))]), [2, 2]),
+    "D12": (lambda: dihedral_rep(12), [1] * 7),
+    "D16": (lambda: dihedral_rep(16), [1] * 9),
+    # quaternionic irreducible of multiplicity 2 over C; real data make its
+    # Hermitian 2x2 block real
+    "Q8": (q8_rep, [1, 1, 1, 1, 2]),
+    "diag(1,i,-1,-i)": (lambda: power_rep(np.diag([1, 1j, -1, -1j])), [1] * 4),
+    "Q8 spin twice": (q8_spin_twice, [4]),
+}
 
 
 class TestGroupRep:
@@ -63,7 +88,6 @@ class TestInvariantBasis:
             assert np.linalg.norm(B - proj) < 1e-10
 
     def test_full_symmetric_group_commutant_is_two_dimensional(self):
-        import itertools
         for d in (3, 4):
             mats = [perm_matrix(p) for p in itertools.permutations(range(d))]
             inv = invariant_basis(GroupRep(mats))
@@ -92,20 +116,6 @@ class TestInvariantBasis:
         for rep in (C3, GroupRep([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])):
             inv = invariant_basis(rep)
             assert inv.reconstruction_residual() < 1e-8
-
-    def test_left_mult_is_algebra_map(self):
-        inv = invariant_basis(C3)
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal(inv.dim)
-        b = rng.standard_normal(inv.dim)
-        A = sum(ai * B for ai, B in zip(a, inv.mats))
-        Bm = sum(bi * B for bi, B in zip(b, inv.mats))
-        La = sum(ai * inv.left_mult(k) for k, ai in enumerate(a))
-        Lb = sum(bi * inv.left_mult(k) for k, bi in enumerate(b))
-        coeffs_ab = [np.trace(Bk.conj().T @ (A @ Bm)) for Bk in inv.mats]
-        direct = np.array(coeffs_ab)
-        via_left = La @ b.astype(complex)
-        assert np.linalg.norm(direct - via_left) < 1e-8
 
 
 class TestReduceSDP:
@@ -178,9 +188,9 @@ class TestReduceSDP:
         rep = GroupRep([np.eye(4)])
         model = invariant_instance(rep, 2, rng)
         red = reduce_sdp(model, rep)
-        # coordinates = symmetric 4x4 matrices, block = the full algebra
+        # one irreducible with multiplicity 4: the block is the matrix itself
         assert red.reduced_dim == 10
-        assert red.model.blocks[0].size == 16
+        assert [b.size for b in red.model.blocks] == [4]
         full = ipm.solve(to_equality_form(model))
         small = ipm.solve(to_equality_form(red.model))
         assert abs(full.primal_value - small.primal_value) < 1e-6
@@ -199,6 +209,24 @@ class TestReduceSDP:
         full = ipm.solve(to_equality_form(model))
         small = ipm.solve(to_equality_form(red.model))
         assert abs(full.primal_value - small.primal_value) < 1e-6
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_block_diagonalization(self, name):
+        make, sizes = BLOCK_CASES[name]
+        rep = make()
+        model = invariant_instance(rep, 3, np.random.default_rng(13))
+        red = reduce_sdp(model, rep)
+        assert sorted(b.size for b in red.model.blocks) == sizes
+        assert sum(sizes) <= rep.dim
+        assert len(red.model.constraints) == len(model.constraints)
+        # deterministic: a second call gives the same model to the last bit
+        assert export_sdpa(reduce_sdp(model, rep).model) == export_sdpa(red.model)
+        full = ipm.solve(model, TIGHT)
+        small = ipm.solve(red.model, TIGHT)
+        assert full.status == small.status == ipm.Status.OPTIMAL
+        assert abs(full.primal_value - small.primal_value) < 1e-6, name
+        X = red.expand(small)
+        assert ipm.feasibility_check(model, [X]).max_violation <= 1e-7
 
     def test_inequality_senses_survive(self):
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
