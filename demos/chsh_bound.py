@@ -25,7 +25,7 @@ relax = build_relaxation(problem, level=1)
 print("monomial basis:",
       ", ".join(word_to_str(w, pres) for w in relax.basis))
 print(f"moment variables: {relax.n_moment_vars}, "
-      f"structure rows: {relax.structure_rows}")
+      f"rows: {len(relax.model.constraints)}")
 
 result = relax.solve()
 print(f"\nlevel-1 bound   {result.bound:.9f}")

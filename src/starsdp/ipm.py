@@ -7,9 +7,9 @@ HKM scaling.  One Newton solve works on the Schur complement
 
 which is symmetric positive definite while X, Z stay in the cone and the
 constraints are independent.  Neither holds numerically to the end:
-realified relaxations emit dependent rows, which make M singular, and at
-a degenerate optimum X and Z lose rank together, which drives cond(M)
-past 1e16.  M is therefore never perturbed.  When its Cholesky factor
+a model written by hand or read from SDPA can have dependent rows, which
+make M singular (relaxations emit independent ones), and at a degenerate
+optimum X and Z lose rank together, which drives cond(M) past 1e16.  M is therefore never perturbed.  When its Cholesky factor
 fails, the Newton system is solved through the eigendecomposition of M
 with the eigenvalues below 1e-15 * lambda_max dropped, the least-squares
 solution on the numerical range of M.  Any residual of that solve

@@ -1,16 +1,24 @@
 """Moment relaxation: from an algebra problem to a finite block SDP.
 
-The moment matrix over a word basis (gamma_i) has entries that are normal
-forms of gamma_i * weight * gamma_j-adjoint.  Words appearing in those
+A hierarchy level is one positivity condition.  Over a word basis
+(gamma_i) the moment blocks have entries that are normal forms of
+gamma_i * weight * gamma_j-adjoint, with weight 1 for the main block and a
+declared positive for each localizing block.  Words appearing in those
 entries become shared scalar unknowns; adjoint relations between them are
-collapsed into orbits, and each orbit is pinned to one matrix slot (its
-pivot).  Every other slot yields an equality trace row against the pivots,
-so the kernel of the evaluation map is enforced without ever materializing
-a spanning set for it.
+collapsed into orbits, and each orbit carries one real parameter (a real
+line) or two (a free complex value).  The blocks are then one linear map
+
+    P p = orthonormal coordinates of every block,
+
+of the real parameters p, and the relaxation asks that the blocks lie in
+its range and be psd.  Everything else is read off P: the equality rows
+are an orthonormal basis of the complement of its range, the objective
+and scalar constraints are their least-norm representatives on its rows,
+and moments are read back by least squares.
 
 Soundness rule of thumb kept throughout: every emitted row must be implied
 by genuine moment vectors of the presented algebra, so the feasible set can
-only grow relative to the true problem and optима stay one-sided bounds.
+only grow relative to the true problem and optima stay one-sided bounds.
 """
 
 from __future__ import annotations
@@ -34,8 +42,9 @@ from .sdpmodel import (
 from . import ipm
 
 BASIS_CAP = 2000
-COEFF_TOL = 1e-9
 CONSISTENCY_TOL = 1e-9
+RANK_TOL = 1e-9        # relative to the largest singular value
+REPRESENT_TOL = 1e-8
 
 
 class RelaxationError(Exception):
@@ -169,39 +178,37 @@ class _Orbits:
         return (("conj" if f else "id"), r, c)
 
 
-# A linear functional on block entries: {(block, p, q): coeff} standing for
-# sum coeff * X_block[p, q].
+# Orthonormal coordinates of a block of size n: the upper triangle in
+# np.triu_indices order, a diagonal entry with weight 1 and an off-diagonal
+# one as sqrt(2) Re, followed in complex mode by sqrt(2) Im of the strict
+# upper triangle.  The trace pairing of two blocks is then the dot product
+# of their coordinates.
 
-def _acc(F: dict, key, v):
-    F[key] = F.get(key, 0j) + v
-
-
-def _conj_functional(F):
-    return {(b, q, p): v.conjugate() for (b, p, q), v in F.items()}
-
-
-def _sym_from_functional(F, sizes):
-    mats = [np.zeros((n, n)) for n in sizes]
-    for (b, p, q), v in F.items():
-        if p == q:
-            mats[b][p, p] += v.real
-        else:
-            mats[b][p, q] += v.real / 2
-            mats[b][q, p] += v.real / 2
-    return mats
+def _n_coords(n: int, real_mode: bool) -> int:
+    return n * (n + 1) // 2 if real_mode else n * n
 
 
-def _herm_from_functional(F, sizes):
-    # tr(H X) = Re(sum coeff X[p,q]) for hermitian X
-    mats = [np.zeros((n, n), dtype=complex) for n in sizes]
-    for (b, p, q), v in F.items():
-        mats[b][q, p] += v / 2
-        mats[b][p, q] += v.conjugate() / 2
-    return mats
+def _coords(V: np.ndarray, n: int, real_mode: bool) -> np.ndarray:
+    """Coordinates, along axis 0, of the blocks whose upper triangles run
+    along axis 0 of V."""
+    i, j = np.triu_indices(n)
+    re = (np.where(i == j, 1.0, math.sqrt(2.0)) * V.real.T).T
+    if real_mode:
+        return re
+    return np.concatenate([re, math.sqrt(2.0) * V[i != j].imag])
 
 
-def _functional_norm(mats):
-    return max((float(np.max(np.abs(M))) if M.size else 0.0) for M in mats)
+def _matrices(C: np.ndarray, n: int, real_mode: bool) -> np.ndarray:
+    """Blocks, stacked along axis 0, whose coordinates are the columns of C."""
+    i, j = np.triu_indices(n)
+    t = len(i)
+    A = np.zeros((C.shape[1], n, n), dtype=float if real_mode else complex)
+    A[:, i, j] = C[:t].T
+    if not real_mode:
+        A[:, i[i != j], j[i != j]] += 1j * C[t:].T
+    A *= np.where(np.eye(n, dtype=bool), 1.0, math.sqrt(0.5))
+    A[:, j, i] = np.conj(A[:, i, j])
+    return A
 
 
 @dataclass
@@ -225,11 +232,11 @@ class RelaxationModel:
     model: SDPModel                    # solver-ready (realified when complex)
     hermitian: HermitianModel | None
     n_moment_vars: int
-    structure_rows: int
     sense_factor: float                # +1 minimize, -1 maximize
-    _orbits: _Orbits = field(repr=False, default=None)
-    _pivots: dict = field(repr=False, default_factory=dict)
+    _P: np.ndarray = field(repr=False, default=None)   # params -> block coordinates
+    _W: np.ndarray = field(repr=False, default=None)   # params -> moments of _var_words
     _var_words: list[Word] = field(repr=False, default_factory=list)
+    _roots: list[Word] = field(repr=False, default_factory=list)  # orbit root per param
 
     @property
     def basis(self) -> list[Word]:
@@ -254,29 +261,41 @@ class RelaxationModel:
         return self._block_matrix(sol, 0)
 
     def moments_from(self, sol: ipm.Solution) -> dict[Word, complex]:
-        params: dict[Word, complex] = {}
-        for root, (b, i, j, kind, sigma) in self._pivots.items():
-            V = complex(self._block_matrix(sol, b)[i, j])
-            if kind == "real":
-                params[root] = complex((V / sigma).real)
-            elif kind == "id":
-                params[root] = V / sigma
-            else:
-                params[root] = (V / sigma).conjugate()
-        out: dict[Word, complex] = {}
-        for w in self._var_words:
-            kind, root, mu = self._orbits.resolve(w)
-            if kind == "zero":
-                out[w] = 0j
-            elif kind == "real":
-                out[w] = mu * params[root].real if root in params else 0j
-            elif root not in params:
-                out[w] = 0j
-            elif kind == "id":
-                out[w] = mu * params[root]
-            else:
-                out[w] = mu * params[root].conjugate()
-        return out
+        """Moments of the parameters that fit the solved blocks best."""
+        x = np.concatenate([
+            _coords(self._block_matrix(sol, b)[np.triu_indices(len(basis))],
+                    len(basis), self.real_mode)
+            for b, basis in enumerate(self.bases)])
+        p = np.linalg.lstsq(self._P, x, rcond=None)[0]
+        return {w: complex(y) for w, y in zip(self._var_words, self._W @ p)}
+
+    def _functional(self, p: Polynomial, what: str) -> np.ndarray:
+        """Complex f with omega(p) = f . params."""
+        index = {w: k for k, w in enumerate(self._var_words)}
+        o = np.zeros(len(index), dtype=complex)
+        for w, c in p.terms():
+            if w not in index:
+                raise NotRepresentableError(
+                    f"{what} involves {word_to_str(w, self.problem.presentation)}, "
+                    "which lies outside this moment structure; raise the level")
+            o[index[w]] += c
+        return o @ self._W
+
+    def _representative(self, p: Polynomial, what: str, n_rows: int | None = None,
+                        tol: float = REPRESENT_TOL) -> np.ndarray:
+        """Least-norm coordinates c, on the first n_rows rows of P, of the
+        trace functional worth Re omega(p) at every parameter vector."""
+        f = self._functional(p, what).real
+        P = self._P[:n_rows]
+        c = np.linalg.lstsq(P.T, f, rcond=None)[0]
+        resid = np.abs(P.T @ c - f)
+        if np.max(resid, initial=0.0) > tol:
+            root = self._roots[int(np.argmax(resid))]
+            raise NotRepresentableError(
+                f"{what} involves {word_to_str(root, self.problem.presentation)}, "
+                f"which the level-{self.level} moment blocks do not determine; "
+                "raise the level")
+        return c
 
     def blocks_from_moments(self, moments: dict[Word, complex]) -> list[np.ndarray]:
         """Candidate solver blocks from a word-moment assignment, e.g. one
@@ -428,301 +447,93 @@ def build_relaxation(problem: ProblemFile, level: int | None = None,
                 else:
                     orbits.state[r] = ("line", 1.0 + 0j)
 
-    sizes = [len(b) for b in bases]
-
-    # pivot scan: first single-term slot in block-major upper-triangle order
-    pivots: dict[Word, tuple] = {}
-    for b in range(len(bases)):
-        n = sizes[b]
-        for i in range(n):
-            for j in range(i, n):
-                terms = entries[b][i][j].terms()
-                if len(terms) != 1:
-                    continue
-                w, c = terms[0]
-                kind, root, mu = orbits.resolve(w)
-                if kind == "zero" or root in pivots:
-                    continue
-                sigma = c * mu
-                if abs(sigma) < COEFF_TOL:
-                    continue
-                pivots[root] = (b, i, j, "real" if kind == "real" else kind, sigma)
-
-    def read_param(root) -> tuple[dict, str]:
-        b, i, j, kind, sigma = pivots[root]
-        if kind == "real":
-            # s = Re(X_bij / sigma)
-            F = {}
-            _acc(F, (b, i, j), 0.5 / sigma)
-            _acc(F, (b, j, i), (0.5 / sigma).conjugate())
-            return F, "real"
-        if kind == "id":
-            return {(b, i, j): 1.0 / sigma}, "id"
-        return {(b, j, i): (1.0 / sigma).conjugate()}, "conj"
-
-    dropped: set[Word] = set()
-
-    def term_functional(w, c) -> dict | None:
-        """Functional reading c * y_w off the pivots, or None if y_w hangs
-        on an orbit that never got a pivot slot."""
-        kind, root, mu = orbits.resolve(w)
-        if kind == "zero":
-            return {}
-        if root not in pivots:
-            dropped.add(root)
-            return None
-        F, _ = read_param(root)
-        if kind == "conj":
-            F = _conj_functional(F)
-        coeff = c * mu
-        out = {}
-        for k, v in F.items():
-            _acc(out, k, coeff * v)
-        return out
-
-    def poly_functional(p: Polynomial, where: str) -> dict:
-        total = {}
-        for w, c in p.terms():
-            F = term_functional(w, c)
-            if F is None:
-                raise RelaxationError(
-                    f"{where} involves {word_to_str(w, pres)}, which the "
-                    f"level-{d} moment matrix does not pin down; raise the level")
-            for k, v in F.items():
-                _acc(total, k, v)
-        return total
-
-    constraints: list[LinearConstraint] = []
-    structure_rows = 0
-
-    def emit(F, sense, rhs, count_structure):
-        nonlocal structure_rows
-        if real_mode:
-            mats = _sym_from_functional(F, sizes)
-            if _functional_norm(mats) < 1e-12:
-                return
-            constraints.append(LinearConstraint(mats, sense, rhs))
-            if count_structure:
-                structure_rows += 1
-            return
-        re_mats = _herm_from_functional(F, sizes)
-        if _functional_norm(re_mats) >= 1e-12:
-            constraints.append(LinearConstraint(re_mats, sense, rhs))
-            if count_structure:
-                structure_rows += 1
-        im_mats = _herm_from_functional({k: -1j * v for k, v in F.items()}, sizes)
-        if _functional_norm(im_mats) >= 1e-12:
-            constraints.append(LinearConstraint(im_mats, SENSE_EQ, 0.0))
-            if count_structure:
-                structure_rows += 1
-
-    # line pivots in complex mode carry Im(X_pivot / sigma) = 0
-    if not real_mode:
-        for root, (b, i, j, kind, sigma) in sorted(
-                pivots.items(), key=lambda kv: kv[1][:3]):
-            if kind != "real":
-                continue
-            F = {(b, i, j): -1j / sigma}
-            mats = _herm_from_functional(F, sizes)
-            if _functional_norm(mats) >= 1e-12:
-                constraints.append(LinearConstraint(mats, SENSE_EQ, 0.0))
-                structure_rows += 1
-
-    for b in range(len(bases)):
-        n = sizes[b]
-        for i in range(n):
-            for j in range(i, n):
-                F = {(b, i, j): 1.0 + 0j}
-                ok = True
-                for w, c in entries[b][i][j].terms():
-                    T = term_functional(w, c)
-                    if T is None:
-                        ok = False
-                        break
-                    for k, v in T.items():
-                        _acc(F, k, -v)
-                if not ok:
-                    continue
-                emit(F, SENSE_EQ, 0.0, True)
-
-    if dropped:
-        names = ", ".join(word_to_str(orbits.find(w)[0], pres) for w in sorted(dropped)[:4])
-        warnings.warn(
-            f"{len(dropped)} moment orbit(s) have no pivot slot (e.g. {names}); "
-            "their structure rows are omitted", RelaxationWarning)
-
-    if problem.normalization:
-        Fn = term_functional(UNIT_WORD, 1.0 + 0j)
-        if not Fn:
-            raise RelaxationError("unit word is not represented; cannot normalize")
-        if real_mode:
-            constraints.append(LinearConstraint(_sym_from_functional(Fn, sizes),
-                                                SENSE_EQ, 1.0))
-        else:
-            constraints.append(LinearConstraint(_herm_from_functional(Fn, sizes),
-                                                SENSE_EQ, 1.0))
-
-    for p, sense, rhs in cons_nf:
-        F = poly_functional(p, "a scalar constraint")
-        emit(F, sense, float(rhs), False)
-
-    sense_factor = 1.0 if problem.sense == "minimize" else -1.0
-    F_obj = poly_functional(obj_nf, "the objective")
-    F_obj = {k: sense_factor * v for k, v in F_obj.items()}
-    if real_mode:
-        cost = _sym_from_functional(F_obj, sizes)
-    else:
-        cost = _herm_from_functional(F_obj, sizes)
-
-    n_vars = 0
-    for r in roots:
-        st, _ = orbits.state[r]
-        if st == "zero":
-            continue
-        n_vars += 1 if (st == "line") else 2
-
-    if real_mode:
-        model = SDPModel([Block(n) for n in sizes], cost, constraints)
-        hermitian = None
-    else:
-        hermitian = HermitianModel(sizes, cost, constraints)
-        model = realify(hermitian)
-    model.validate()
-
-    return RelaxationModel(
-        problem=problem, level=d, real_mode=real_mode,
-        bases=bases, weights=weights, entries=entries,
-        model=model, hermitian=hermitian,
-        n_moment_vars=n_vars, structure_rows=structure_rows,
-        sense_factor=sense_factor,
-        _orbits=orbits, _pivots=pivots, _var_words=sorted(var_words),
-    )
-
-
-def _moment_parameterization(relax: RelaxationModel):
-    """Main-block moment matrix as sum_k p_k H_k over real parameters p_k,
-    one (line) or two (free complex) per orbit, plus the objective's real
-    coefficient vector on the same parameters."""
-    orbits = relax._orbits
-    basis = relax.bases[0]
-    n = len(basis)
-    roots = sorted({orbits.find(w)[0] for w in relax._var_words})
+    # the moments as one linear map y = W p of the real parameters: one
+    # per line orbit, the real and imaginary parts of a free complex orbit
     index: dict[tuple[Word, int], int] = {}
     for r in roots:
         st, _ = orbits.state[r]
-        if st == "zero":
-            continue
-        index[(r, 0)] = len(index)
+        if st != "zero":
+            index[(r, 0)] = len(index)
         if st == "free":
             index[(r, 1)] = len(index)
-    K = len(index)
-    H = [np.zeros((n, n), dtype=complex) for _ in range(K)]
-
-    def contribs(w, c):
-        if w not in orbits.parent:
-            raise NotRepresentableError(
-                f"word {word_to_str(w, relax.problem.presentation)} lies outside "
-                "this moment structure; raise the level")
+    words = sorted(var_words)
+    word_index = {w: k for k, w in enumerate(words)}
+    W = np.zeros((len(words), len(index)), dtype=complex)
+    for row, w in zip(W, words):
         kind, root, mu = orbits.resolve(w)
-        if kind == "zero":
-            return []
-        if kind == "real":
-            return [(index[(root, 0)], c * mu)]
-        if kind == "id":
-            return [(index[(root, 0)], c * mu), (index[(root, 1)], 1j * c * mu)]
-        return [(index[(root, 0)], c * mu), (index[(root, 1)], -1j * c * mu)]
+        if kind != "zero":
+            row[index[(root, 0)]] = mu
+        if kind in ("id", "conj"):
+            row[index[(root, 1)]] = (1j if kind == "id" else -1j) * mu
 
-    for i in range(n):
-        for j in range(i, n):
-            for w, c in relax.entries[0][i][j].terms():
-                for k, v in contribs(w, c):
-                    H[k][i, j] += v
-                    if i != j:
-                        H[k][j, i] += v.conjugate()
+    # P: parameters to the coordinates of every block, via the upper
+    # triangles G p of the blocks
+    sizes = [len(b) for b in bases]
+    P = []
+    for mat, n in zip(entries, sizes):
+        upper = [e for i, row in enumerate(mat) for e in row[i:]]
+        slot, word, coeff = zip(*[(s, word_index[w], c) for s, e in enumerate(upper)
+                                  for w, c in e.terms()])
+        G = np.zeros((len(upper), len(index)), dtype=complex)
+        np.add.at(G, np.array(slot), np.array(coeff)[:, None] * W[list(word)])
+        P.append(_coords(G, n, real_mode))
+    P = np.vstack(P)
 
-    def functional_coeffs(p: Polynomial):
-        o = np.zeros(K)
-        for w, c in p.terms():
-            for k, v in contribs(w, c):
-                if abs(v.imag) > 1e-8:
-                    raise NotRepresentableError(
-                        "objective is not a real form in the moment parameters")
-                o[k] += v.real
-        return o
+    # equality rows: the blocks lie in range(P), with the unit moment fixed
+    # to 1 when the problem normalizes
+    unit = np.zeros(len(P))
+    free = P
+    if problem.normalization:
+        kind, root, mu = orbits.resolve(UNIT_WORD)
+        if kind != "real":
+            raise RelaxationError("unit word is not represented; cannot normalize")
+        unit = P[:, index[(root, 0)]] / mu.real
+        free = np.delete(P, index[(root, 0)], axis=1)
+    U, sv, _ = np.linalg.svd(free)
+    Q = U[:, int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0:]
 
-    return H, functional_coeffs
+    sense_factor = 1.0 if problem.sense == "minimize" else -1.0
+    relax = RelaxationModel(
+        problem=problem, level=d, real_mode=real_mode,
+        bases=bases, weights=weights, entries=entries,
+        model=None, hermitian=None,
+        n_moment_vars=len(index), sense_factor=sense_factor,
+        _P=P, _W=W, _var_words=words, _roots=[r for r, _ in index],
+    )
+    data = np.column_stack(
+        [sense_factor * relax._representative(obj_nf, "the objective"), Q]
+        + [relax._representative(p, "a scalar constraint") for p, _, _ in cons_nf])
+    offsets = np.cumsum([_n_coords(n, real_mode) for n in sizes])[:-1]
+    mats = [_matrices(C, n, real_mode) for C, n in zip(np.split(data, offsets), sizes)]
+    rows = [(SENSE_EQ, float(r)) for r in Q.T @ unit]
+    rows += [(sense, float(rhs)) for _, sense, rhs in cons_nf]
+    cost = [A[0] for A in mats]
+    constraints = [LinearConstraint([A[k] for A in mats], sense, rhs)
+                   for k, (sense, rhs) in enumerate(rows, start=1)]
+
+    if real_mode:
+        relax.model = SDPModel([Block(n) for n in sizes], cost, constraints)
+    else:
+        relax.hermitian = HermitianModel(sizes, cost, constraints)
+        relax.model = realify(relax.hermitian)
+    relax.model.validate()
+    return relax
 
 
 def gram_representative(relax: RelaxationModel, poly: Polynomial | None = None,
-                        tol: float = 1e-8) -> np.ndarray:
+                        tol: float = REPRESENT_TOL) -> np.ndarray:
     """Matrix M with tr(M Gamma) equal to the value of the polynomial for
     every admissible moment matrix Gamma.  Least Frobenius norm among all
     such representatives; raises NotRepresentableError when the polynomial
     cannot be reached from this basis."""
-    pres = relax.problem.presentation
-    p = normal_form(poly if poly is not None else relax.problem.objective, pres)
-    H, functional_coeffs = _moment_parameterization(relax)
-    try:
-        o = functional_coeffs(p)
-    except KeyError:
+    p = normal_form(poly if poly is not None else relax.problem.objective,
+                    relax.problem.presentation)
+    if np.max(np.abs(relax._functional(p, "the polynomial").imag), initial=0.0) > tol:
         raise NotRepresentableError(
-            "polynomial involves words outside this moment structure; "
-            "raise the level") from None
-    n = len(relax.bases[0])
-    K = len(H)
-
-    if relax.real_mode:
-        params = [(i, i, 1.0) for i in range(n)]
-        params += [(i, j, 0.0) for i in range(n) for j in range(i + 1, n)]
-        cols = []
-        for (i, j, _) in params:
-            col = np.empty(K)
-            for k in range(K):
-                col[k] = (H[k][i, j].real if i == j
-                          else 2.0 * H[k][i, j].real)
-            cols.append(col)
-        D = np.column_stack(cols) if cols else np.zeros((K, 0))
-        sol, *_ = np.linalg.lstsq(D, o, rcond=None)
-        M = np.zeros((n, n))
-        for (i, j, _), v in zip(params, sol):
-            if i == j:
-                M[i, i] = v
-            else:
-                M[i, j] = v
-                M[j, i] = v
-    else:
-        params = [("d", i, i) for i in range(n)]
-        params += [("re", i, j) for i in range(n) for j in range(i + 1, n)]
-        params += [("im", i, j) for i in range(n) for j in range(i + 1, n)]
-        cols = []
-        for kind, i, j in params:
-            col = np.empty(K)
-            for k in range(K):
-                if kind == "d":
-                    col[k] = H[k][i, i].real
-                elif kind == "re":
-                    col[k] = 2.0 * H[k][i, j].real
-                else:
-                    col[k] = 2.0 * H[k][i, j].imag
-            cols.append(col)
-        D = np.column_stack(cols) if cols else np.zeros((K, 0))
-        sol, *_ = np.linalg.lstsq(D, o, rcond=None)
-        M = np.zeros((n, n), dtype=complex)
-        for (kind, i, j), v in zip(params, sol):
-            if kind == "d":
-                M[i, i] = v
-            elif kind == "re":
-                M[i, j] += v
-                M[j, i] += v
-            else:
-                M[i, j] += 1j * v
-                M[j, i] += -1j * v
-    resid = float(np.max(np.abs(D @ sol - o))) if K else 0.0
-    if resid > tol:
-        raise NotRepresentableError(
-            f"no gram representative at level {relax.level} "
-            f"(residual {resid:.2e}); raise the level")
-    return M
+            "polynomial is not a real form in the moment parameters")
+    n = len(relax.basis)
+    c = relax._representative(p, "the polynomial", _n_coords(n, relax.real_mode), tol)
+    return _matrices(c[:, None], n, relax.real_mode)[0]
 
 
 def expand_gram(relax: RelaxationModel, M: np.ndarray) -> Polynomial:

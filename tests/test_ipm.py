@@ -203,6 +203,11 @@ class TestDegenerateEndgame:
         # ap = 1, ad = 0.27 and mu rises at every scale of that pair
         self.solve_tight(acceptance_draw(2, False, 4), 1, [4], 4)
 
+    def test_common_length_fallback_on_commuting_draw(self):
+        # round-35 commuting trial 14 at level 1: without the common-length
+        # fallback the solve ends NUMERICAL after 5 iterations, gap 2.6e-4
+        self.solve_tight(acceptance_draw(35, True, 14), 1, [3], 3)
+
     def test_singular_schur_matrix_is_not_perturbed(self):
         # rounding leaves a dependent direction of M slightly negative, so
         # Cholesky fails; the solve must be exact on the range of M

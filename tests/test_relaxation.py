@@ -1,5 +1,7 @@
 """Relaxation construction and end-to-end bounds on hand-solved problems."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,21 @@ u^2 = -i*1
 minimize u + u'
 """
 
+LADDER_TEXT = """
+[generators]
+x selfadjoint
+y selfadjoint
+z selfadjoint
+
+[relations]
+x^2 = 1
+y^2 = 1
+z^2 = 1
+
+[objective]
+maximize i*x*y - i*y*x + i*y*z - i*z*y + i*z*x - i*x*z
+"""
+
 TWO_SQRT2 = 2.0 * np.sqrt(2.0)
 
 
@@ -97,7 +114,7 @@ class TestCHSHStructure:
         assert relax.real_mode
         assert [b.size for b in relax.model.blocks] == [5]
         assert relax.n_moment_vars == 11
-        assert relax.structure_rows == 4
+        assert len(relax.model.constraints) == 5
 
     def test_bound_is_tsirelson(self, chsh):
         relax = rx.build_relaxation(chsh, level=1)
@@ -237,6 +254,56 @@ class TestComplexMode:
         assert res.bound <= achieved + 1e-7
 
 
+class TestParameterization:
+    def test_orbit_without_single_term_entry(self):
+        # y appears only inside the entries x^2 = y + 1 and z^2 = y + 2, so
+        # no block entry is a multiple of y alone
+        text = """
+[generators]
+x selfadjoint
+y selfadjoint
+z selfadjoint
+
+[relations]
+x^2 = y + 1
+z^2 = y + 2
+
+[objective]
+minimize y
+
+[options]
+basis = 1, x, z
+"""
+        from starsdp.oracles import ConcreteRealization
+        prob = parse_problem(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", rx.RelaxationWarning)
+            relax = rx.build_relaxation(prob)
+        res = relax.solve()
+        assert res.status == Status.OPTIMAL
+        assert abs(res.bound + 1.0) <= 1e-6
+        real = ConcreteRealization(
+            prob.presentation,
+            {"x": np.zeros((1, 1)), "y": -np.ones((1, 1)), "z": np.ones((1, 1))},
+            np.array([1.0]))
+        moments = realize_moments(real, relax._var_words)
+        rep = feasibility_check(relax.model, relax.blocks_from_moments(moments))
+        assert rep.max_violation <= 1e-9
+        assert relax.evaluate(prob.objective, moments).real == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("text, level, rows", [
+        (PHASED_TEXT, 1, 3),
+        (LADDER_TEXT, 2, 55),
+        (LASSERRE_TEXT, 2, 5),
+    ], ids=["phased", "ladder-L2", "lasserre"])
+    def test_rows_are_independent(self, text, level, rows):
+        relax = rx.build_relaxation(parse_problem(text), level=level)
+        A = np.array([np.concatenate([M.ravel() for M in con.matrices])
+                      for con in relax.model.constraints])
+        assert len(A) == rows
+        assert np.linalg.matrix_rank(A) == rows
+
+
 class TestGramRepresentative:
     def test_chsh_entries(self, chsh):
         relax = rx.build_relaxation(chsh, level=1)
@@ -267,6 +334,28 @@ class TestGramRepresentative:
         M = rx.gram_representative(relax)
         back = rx.expand_gram(relax, M)
         assert back.close_to(normal_form(prob.objective, prob.presentation), 1e-10)
+
+    def test_least_frobenius_norm(self):
+        # x^2 sits at (x, x), (1, x^2) and (x^2, 1); spreading it evenly
+        # gives the least Frobenius norm, 3 * (1/3)^2
+        text = """
+[generators]
+x selfadjoint
+
+[objective]
+minimize x^2
+
+[options]
+level = 2
+"""
+        prob = parse_problem(text)
+        relax = rx.build_relaxation(prob)
+        M = rx.gram_representative(relax)
+        idx = {w: i for i, w in enumerate(relax.basis)}
+        x, xx = prob.presentation.word("x"), prob.presentation.word("x", "x")
+        for i, j in ((x, x), (UNIT_WORD, xx), (xx, UNIT_WORD)):
+            assert M[idx[i], idx[j]] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert np.sum(M * M) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_unreachable_polynomial_rejected(self):
         text = """
