@@ -91,6 +91,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "bound": result.bound,
             "gap": result.solution.gap,
             "status": result.status.value,
+            "iterations": result.solution.iterations,
+            "timings": result.solution.timings,
             "wall_time": wall,
         })
         if result.status != ipm.Status.OPTIMAL:

@@ -1,20 +1,29 @@
 """Dense primal-dual interior point solver for block trace-form SDPs.
 
 Infeasible-start path following with a Mehrotra predictor-corrector and the
-HKM scaling.  One Newton solve works on the Schur complement
+HKM scaling.  A solve stacks each block's constraint matrices once into one
+(m, n_b, n_b) array A_b, so residuals, sum_k y_k A_kb and the certificates
+are single contractions.  One Newton solve works on the Schur complement
 
-    M[k,l] = sum_b < A_kb, sym(X_b A_lb inv(Z_b)) >,
+    M[k,l] = sum_b < A_kb, X_b A_lb inv(Z_b) >,
 
-which is symmetric positive definite while X, Z stay in the cone and the
-constraints are independent.  Neither holds numerically to the end:
-a model written by hand or read from SDPA can have dependent rows, which
-make M singular (relaxations emit independent ones), and at a degenerate
-optimum X and Z lose rank together, which drives cond(M) past 1e16.  M is therefore never perturbed.  When its Cholesky factor
-fails, the Newton system is solved through the eigendecomposition of M
-with the eigenvalues below 1e-15 * lambda_max dropped, the least-squares
-solution on the numerical range of M.  Any residual of that solve
-reappears as primal infeasibility of the direction, so it is refined away
-where it can be.
+which equals < A_kb, sym(X_b A_lb inv(Z_b)) > for symmetric A_kb.  Each
+block adds one GEMM per column panel of about PANEL elements, flat(A_b) @
+flat(X_b A_lb inv(Z_b))^T, and M is symmetrized at the end.  Beside the
+model's own data a solve keeps one (m, n_b^2) array per block, the stack:
+the products X A_l inv(Z) live one panel at a time, and the direction is
+recovered as dX = sym(G + X (sum_l dy_l A_l) inv(Z)).
+
+M is symmetric positive definite while X, Z stay in the cone and the
+constraints are independent.  Neither holds numerically to the end: a
+model written by hand or read from SDPA can have dependent rows, which make
+M singular (relaxations emit independent ones), and at a degenerate optimum
+X and Z lose rank together, which drives cond(M) past 1e16.  M is therefore
+never perturbed.  When its Cholesky factor fails, the Newton system is
+solved through the eigendecomposition of M with the eigenvalues below
+1e-15 * lambda_max dropped, the least-squares solution on the numerical
+range of M.  Any residual of that solve reappears as primal infeasibility
+of the direction, so it is refined away where it can be.
 
 Steps are damped by a boundary fraction and a backtracking acceptance that
 keeps the complementarity mu monotone.  When the boundary makes the primal
@@ -26,11 +35,15 @@ length min(ap, ad), along which mu falls to first order.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .sdpmodel import SDPModel, ModelError
+
+
+PANEL = 2 ** 17     # elements of X A_l Z^-1 formed at once in the Schur assembly
 
 
 class Status(enum.Enum):
@@ -72,6 +85,9 @@ class Solution:
     status: Status
     iterations: int
     history: list[Iterate] = field(repr=False, default_factory=list)
+    # seconds in "schur" (factor X, Z, assemble M), "newton" (Schur solves,
+    # direction recovery) and "step" (step lengths, mu backtrack)
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -96,8 +112,29 @@ def _frob(M):
     return float(np.linalg.norm(M))
 
 
-def _inner(A, B):
-    return float(np.sum(A * B))
+def _stack(model):
+    """Each block's constraint matrices as one (m, n_b, n_b) array."""
+    m = len(model.constraints)
+    return [np.array([con.matrices[i] for con in model.constraints], dtype=float)
+            .reshape(m, blk.size, blk.size) for i, blk in enumerate(model.blocks)]
+
+
+def _apply(A, X):
+    """The vector (sum_b <A_kb, X_b>)_k, one matvec per block."""
+    return sum(Ab.reshape(len(Ab), Xb.size) @ Xb.ravel() for Ab, Xb in zip(A, X))
+
+
+def _schur(A, X, Zi):
+    """M[k, l] = sum_b <A_kb, X_b A_lb Zi_b>, one GEMM per block and panel."""
+    m = len(A[0]) if A else 0
+    M = np.zeros((m, m))
+    for Ab, Xb, Zb in zip(A, X, Zi):
+        n2, flat = Xb.size, Ab.reshape(m, Xb.size)
+        width = max(1, PANEL // n2)
+        for c in range(0, m, width):
+            M[:, c:c + width] += flat @ (Xb @ Ab[c:c + width] @ Zb).reshape(-1, n2).T
+    M += M.T                            # sym(M) in place, one m x m array fewer
+    return np.multiply(M, 0.5, out=M)
 
 
 def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport:
@@ -105,24 +142,31 @@ def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport
     model.validate()
     if len(X) != len(model.blocks):
         raise ModelError("block count mismatch in feasibility check")
+    X = [np.asarray(Xb, dtype=float) for Xb in X]
     eigs = []
     for blk, Xb in zip(model.blocks, X):
         if Xb.shape != (blk.size, blk.size):
             raise ModelError("block shape mismatch in feasibility check")
-        eigs.append(float(np.linalg.eigvalsh(_sym(np.asarray(Xb, dtype=float)))[0]))
-    residuals, violations = [], []
-    for con in model.constraints:
-        val = sum(_inner(A, Xb) for A, Xb in zip(con.matrices, X))
-        r = val - con.rhs
-        residuals.append(r)
-        if con.sense == "<=":
-            violations.append(max(r, 0.0))
-        elif con.sense == ">=":
-            violations.append(max(-r, 0.0))
-        else:
-            violations.append(abs(r))
-    obj = sum(_inner(C, Xb) for C, Xb in zip(model.cost, X))
-    return FeasibilityReport(eigs, residuals, violations, obj)
+        eigs.append(float(np.linalg.eigvalsh(_sym(Xb))[0]))
+    cons = model.constraints
+    r = _apply(_stack(model), X) - np.array([con.rhs for con in cons], dtype=float)
+    # +1 for <=, -1 for >=, 0 for ==
+    s = np.array([(con.sense == "<=") - (con.sense == ">=") for con in cons], dtype=float)
+    violations = np.where(s == 0, np.abs(r), np.maximum(s * r, 0.0))
+    obj = sum(float(np.vdot(C, Xb)) for C, Xb in zip(model.cost, X))
+    return FeasibilityReport(eigs, list(map(float, r)), list(map(float, violations)), obj)
+
+
+def _timed(timings, phase):
+    """Decorator adding the seconds of each call to timings[phase]."""
+    def wrap(fn):
+        def run(*args):
+            t0 = time.perf_counter()
+            out = fn(*args)
+            timings[phase] += time.perf_counter() - t0
+            return out
+        return run
+    return wrap
 
 
 def _chol_with_jitter(M, tries=3):
@@ -170,7 +214,7 @@ def _max_step(L, dS):
     return -1.0 / lam
 
 
-def _certificate_status(A, b, C, X, y, nb, m, normsA, normC):
+def _certificate_status(A, b, C, X, y, normsA, normC):
     """Check the current iterate for a genuine infeasibility certificate.
 
     Primal infeasibility: y with sum_k y_k A_k psd-negative and b.y > 0.
@@ -180,21 +224,13 @@ def _certificate_status(A, b, C, X, y, nb, m, normsA, normC):
     anorm = 1.0 + max(normsA, default=0.0)
     ny = float(np.linalg.norm(y))
     if ny > 1e-8 and float(b @ y) / ny > 1e-6:
-        yh = y / ny
-        ok = True
-        for i in range(nb):
-            S = sum(yh[k] * A[k][i] for k in range(m))
-            if float(np.linalg.eigvalsh(_sym(S))[-1]) > 1e-6 * anorm:
-                ok = False
-                break
-        if ok:
+        if all(np.linalg.eigvalsh(_sym(np.tensordot(y / ny, Ab, 1)))[-1] <= 1e-6 * anorm
+               for Ab in A):
             return Status.INFEASIBLE
     nx = np.sqrt(sum(_frob(Xb) ** 2 for Xb in X))
     if nx > 1e-8:
-        ray_obj = sum(_inner(C[i], X[i]) for i in range(nb)) / nx
-        ray_res = np.sqrt(sum(
-            (sum(_inner(A[k][i], X[i]) for i in range(nb))) ** 2 for k in range(m)
-        )) / nx
+        ray_obj = sum(float(np.vdot(Cb, Xb)) for Cb, Xb in zip(C, X)) / nx
+        ray_res = float(np.linalg.norm(_apply(A, X))) / nx
         if ray_obj < -1e-6 * (1 + normC) and ray_res <= 1e-6 * anorm:
             return Status.UNBOUNDED
     return None
@@ -214,14 +250,13 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     N = sum(sizes)
     m = len(model.constraints)
     C = [np.asarray(Cb, dtype=float) for Cb in model.cost]
-    A = [[np.asarray(Ab, dtype=float) for Ab in con.matrices] for con in model.constraints]
+    A = _stack(model)
     b = np.array([con.rhs for con in model.constraints], dtype=float)
 
     normC = max((_frob(Cb) for Cb in C), default=0.0)
-    normsA = [np.sqrt(sum(_frob(Ab) ** 2 for Ab in A[k])) for k in range(m)]
-    xi = max(1.0, np.sqrt(max(sizes, default=1)))
-    for k in range(m):
-        xi = max(xi, (1 + abs(b[k])) / (1 + normsA[k]))
+    normsA = np.sqrt(sum((np.einsum("kij,kij->k", Ab, Ab) for Ab in A), np.zeros(m)))
+    xi = max(1.0, np.sqrt(max(sizes, default=1)),
+             np.max((1 + np.abs(b)) / (1 + normsA), initial=0.0))
     eta = max(1.0, np.sqrt(max(sizes, default=1)), normC, max(normsA, default=0.0))
 
     if start is not None:
@@ -236,21 +271,21 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     bscale = 1.0 + float(np.linalg.norm(b))
     cscale = 1.0 + normC
     history: list[Iterate] = []
+    timings = {"schur": 0.0, "newton": 0.0, "step": 0.0}
     status = Status.MAX_ITER
     pobj = dobj = relgap = pres = dres = 0.0
     centerings = 0
 
+    def mu_at(dX, dZ, ap, ad):
+        return sum(float(np.vdot(X[i] + ap * dX[i], Z[i] + ad * dZ[i]))
+                   for i in range(nb)) / max(N, 1)
+
     for it in range(opts.max_iter + 1):
-        rp = b - np.array([sum(_inner(A[k][i], X[i]) for i in range(nb)) for k in range(m)])
-        Rd = []
-        for i in range(nb):
-            acc = C[i] - Z[i]
-            for k in range(m):
-                acc = acc - y[k] * A[k][i]
-            Rd.append(acc)
-        pobj = sum(_inner(C[i], X[i]) for i in range(nb))
+        rp = b - _apply(A, X)
+        Rd = [C[i] - Z[i] - np.tensordot(y, A[i], 1) for i in range(nb)]
+        pobj = sum(float(np.vdot(C[i], X[i])) for i in range(nb))
         dobj = float(b @ y)
-        mu = sum(_inner(X[i], Z[i]) for i in range(nb)) / max(N, 1)
+        mu = sum(float(np.vdot(X[i], Z[i])) for i in range(nb)) / max(N, 1)
         pres = float(np.linalg.norm(rp)) / bscale
         dres = np.sqrt(sum(_frob(R) ** 2 for R in Rd)) / cscale
         relgap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
@@ -267,7 +302,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
                 or pobj < -1e10 * cscale
             )
             if diverging:
-                cert = _certificate_status(A, b, C, X, y, nb, m, normsA, normC)
+                cert = _certificate_status(A, b, C, X, y, normsA, normC)
                 if cert is not None:
                     status = cert
                     break
@@ -275,35 +310,20 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             status = Status.MAX_ITER
             break
 
-        Lx, Lz, Zi = [], [], []
-        failed = False
-        for i in range(nb):
-            lx = _chol_with_jitter(X[i])
-            lz = _chol_with_jitter(Z[i])
-            if lx is None or lz is None:
-                failed = True
-                break
-            Lx.append(lx)
-            Lz.append(lz)
-            li = np.linalg.inv(lz)
-            Zi.append(li.T @ li)
-        if failed:
+        t0 = time.perf_counter()
+        Lx = [_chol_with_jitter(Xb) for Xb in X]
+        Lz = [_chol_with_jitter(Zb) for Zb in Z]
+        if any(L is None for L in Lx + Lz):
             status = Status.NUMERICAL
             break
-
-        # Schur complement; T[l] also reused for the direction recovery.
-        T = [[_sym(X[i] @ A[l][i] @ Zi[i]) for i in range(nb)] for l in range(m)]
-        M = np.empty((m, m))
-        for k in range(m):
-            for l in range(k, m):
-                v = sum(_inner(A[k][i], T[l][i]) for i in range(nb))
-                M[k, l] = v
-                M[l, k] = v
-        solve_once = _psd_solver(M) if m else None
+        Zi = [li.T @ li for li in map(np.linalg.inv, Lz)]
+        M = _schur(A, X, Zi)
+        t1 = time.perf_counter()
+        timings["schur"] += t1 - t0
+        solve_once = _psd_solver(M)
+        timings["newton"] += time.perf_counter() - t1
 
         def schur_solve(rhs):
-            if m == 0:
-                return np.zeros(0)
             dy = solve_once(rhs)
             # the Schur residual reappears verbatim as primal infeasibility
             # of the recovered dX, so refine while refinement helps
@@ -317,35 +337,22 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
                 best, best_r = cand, cr
             return best
 
+        @_timed(timings, "newton")
         def newton(nu, corr):
-            G = []
-            for i in range(nb):
-                Gi = -X[i] - _sym(X[i] @ Rd[i] @ Zi[i])
-                if nu:
-                    Gi = Gi + nu * Zi[i]
-                if corr is not None:
-                    Gi = Gi - _sym(corr[i] @ Zi[i])
-                G.append(Gi)
-            rhs = rp - np.array([sum(_inner(A[k][i], G[i]) for i in range(nb)) for k in range(m)])
-            dy = schur_solve(rhs)
-            dZ, dX = [], []
-            for i in range(nb):
-                acc = Rd[i].copy()
-                g = G[i].copy()
-                for k in range(m):
-                    acc = acc - dy[k] * A[k][i]
-                    g = g + dy[k] * T[k][i]
-                dZ.append(_sym(acc))
-                dX.append(_sym(g))
+            G = [-X[i] - _sym(X[i] @ Rd[i] @ Zi[i]) + nu * Zi[i]
+                 - (0.0 if corr is None else _sym(corr[i] @ Zi[i])) for i in range(nb)]
+            dy = schur_solve(rp - _apply(A, G))
+            S = [np.tensordot(dy, Ab, 1) for Ab in A]
+            dZ = [_sym(Rd[i] - S[i]) for i in range(nb)]
+            dX = [_sym(G[i] + X[i] @ S[i] @ Zi[i]) for i in range(nb)]
             return dX, dy, dZ
 
-        def step_sizes(dX, dZ):
-            ap = min(1.0, opts.step_fraction * min(
-                (_max_step(Lx[i], dX[i]) for i in range(nb)), default=np.inf))
-            ad = min(1.0, opts.step_fraction * min(
-                (_max_step(Lz[i], dZ[i]) for i in range(nb)), default=np.inf))
-            return ap, ad
+        @_timed(timings, "step")
+        def step_sizes(dX, dZ, fraction):
+            return [min(1.0, fraction * min(map(_max_step, Ls, Ds), default=np.inf))
+                    for Ls, Ds in ((Lx, dX), (Lz, dZ))]
 
+        @_timed(timings, "step")
         def mu_backtrack(dX, dZ, ap, ad):
             """Halve both lengths until mu does not increase.
 
@@ -358,26 +365,20 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             stays level at some halving of a."""
             for ap, ad in [(ap, ad)] + ([(min(ap, ad),) * 2] if ap != ad else []):
                 for _ in range(30):
-                    mu_new = sum(
-                        _inner(X[i] + ap * dX[i], Z[i] + ad * dZ[i]) for i in range(nb)
-                    ) / max(N, 1)
-                    if mu_new <= mu * (1 + 1e-12):
+                    if mu_at(dX, dZ, ap, ad) <= mu * (1 + 1e-12):
                         return True, ap, ad
                     ap *= 0.5
                     ad *= 0.5
             return False, ap, ad
 
         dXa, dya, dZa = newton(0.0, None)
-        ap = min(1.0, min((_max_step(Lx[i], dXa[i]) for i in range(nb)), default=np.inf))
-        ad = min(1.0, min((_max_step(Lz[i], dZa[i]) for i in range(nb)), default=np.inf))
-        mu_aff = sum(
-            _inner(X[i] + ap * dXa[i], Z[i] + ad * dZa[i]) for i in range(nb)
-        ) / max(N, 1)
+        ap, ad = step_sizes(dXa, dZa, 1.0)
+        mu_aff = mu_at(dXa, dZa, ap, ad)
         sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0, 1e-8))
 
         corr = [dXa[i] @ dZa[i] for i in range(nb)]
         dX, dy, dZ = newton(sigma * mu, corr)
-        ap, ad = step_sizes(dX, dZ)
+        ap, ad = step_sizes(dX, dZ, opts.step_fraction)
         accepted, ap, ad = mu_backtrack(dX, dZ, ap, ad)
 
         if accepted and (ap >= 1e-12 or ad >= 1e-12):
@@ -388,24 +389,23 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             rescued = False
             if centerings < 5:
                 dXc, dyc, dZc = newton(mu, None)
-                apc, adc = step_sizes(dXc, dZc)
+                apc, adc = step_sizes(dXc, dZc, opts.step_fraction)
                 ok, apc, adc = mu_backtrack(dXc, dZc, apc, adc)
                 if ok and (apc >= 1e-12 or adc >= 1e-12):
                     dX, dy, dZ, ap, ad = dXc, dyc, dZc, apc, adc
                     centerings += 1
                     rescued = True
             if not rescued:
-                cert = _certificate_status(A, b, C, X, y, nb, m, normsA, normC)
+                cert = _certificate_status(A, b, C, X, y, normsA, normC)
                 status = cert if cert is not None else Status.NUMERICAL
                 break
-        for i in range(nb):
-            X[i] = _sym(X[i] + ap * dX[i])
-            Z[i] = _sym(Z[i] + ad * dZ[i])
+        X = [_sym(Xb + ap * dXb) for Xb, dXb in zip(X, dX)]
+        Z = [_sym(Zb + ad * dZb) for Zb, dZb in zip(Z, dZ)]
         y = y + ad * dy
 
     return Solution(
         X=X, y=y, Z=Z,
         primal_value=pobj, dual_value=dobj, gap=relgap,
         primal_res=pres, dual_res=dres,
-        status=status, iterations=len(history) - 1, history=history,
+        status=status, iterations=len(history) - 1, history=history, timings=timings,
     )

@@ -8,6 +8,7 @@ command line, problem files, and the exported library API.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -55,9 +56,12 @@ TIGHT = ipm.SolverOptions(tol_gap=1e-9, tol_feas=1e-9)
 
 
 def run_cli(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "starsdp", *argv],
-                          capture_output=True, text=True, cwd=ROOT)
+                          capture_output=True, text=True, cwd=ROOT, env=env)
     return proc, time.perf_counter() - t0
 
 

@@ -1,14 +1,21 @@
 """Interior point solver unit tests against hand-checked optima."""
 
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from starsdp.sdpmodel import (
-    Block, LinearConstraint, SDPModel, ModelError,
-    SENSE_LE, SENSE_EQ, to_equality_form,
+    Block, HermitianModel, LinearConstraint, SDPModel, ModelError,
+    SENSE_GE, SENSE_LE, SENSE_EQ, to_equality_form, realify,
     export_sdpa, import_sdpa,
 )
-from starsdp.ipm import solve, SolverOptions, Status, feasibility_check, _psd_solver
+from starsdp.ipm import (
+    PANEL, solve, SolverOptions, Status, feasibility_check,
+    _psd_solver, _schur, _stack,
+)
+from starsdp.problems import parse_problem_file
 from starsdp.relaxation import build_relaxation
 
 from support import random_involution_problem, reflection_realization
@@ -94,6 +101,116 @@ class TestCertificates:
         assert sol.status == Status.UNBOUNDED
 
 
+class TestMultiBlockCertificates:
+    """Certificates on models that to_equality_form gives a diagonal slack
+    block, so sum_k y_k A_k is checked on two blocks."""
+
+    def test_infeasible_detected(self):
+        # tr X <= -1 on a psd 2x2 block; y = -1 gives -I on X and -1 on the
+        # slack, with b.y = 1
+        m = to_equality_form(SDPModel(
+            [Block(2)], [np.eye(2)],
+            [LinearConstraint([np.eye(2)], SENSE_LE, -1.0)]))
+        assert [b.size for b in m.blocks] == [2, 1] and m.blocks[1].diagonal
+        assert solve(m).status == Status.INFEASIBLE
+
+    def test_unbounded_detected(self):
+        # min -X_00 with X_00 - X_11 >= 0: the ray X = E_00 has slack 1
+        m = to_equality_form(SDPModel(
+            [Block(2)], [-np.diag([1.0, 0.0])],
+            [LinearConstraint([np.diag([1.0, -1.0])], SENSE_GE, 0.0)]))
+        assert [b.size for b in m.blocks] == [2, 1] and m.blocks[1].diagonal
+        assert solve(m).status == Status.UNBOUNDED
+
+
+def random_psd(rng, n, diagonal=False):
+    if diagonal:
+        return np.diag(rng.uniform(0.5, 2.0, size=n))
+    W = rng.normal(size=(n, n))
+    return W @ W.T + n * np.eye(n)
+
+
+def random_sym(rng, n):
+    B = rng.normal(size=(n, n))
+    return (B + B.T) / 2
+
+
+def random_model(rng, sizes, m):
+    return SDPModel([Block(n) for n in sizes], [np.eye(n) for n in sizes],
+                    [LinearConstraint([random_sym(rng, n) for n in sizes], SENSE_EQ, 1.0)
+                     for _ in range(m)])
+
+
+class TestStackedAssembly:
+    """The stacked Schur assembly against the per-pair definition."""
+
+    @staticmethod
+    def per_pair_schur(model, X, Z):
+        """M[k, l] = sum_b <A_kb, sym(X_b A_lb inv(Z_b))>, pair by pair."""
+        Zi = [np.linalg.inv(Zb) for Zb in Z]
+        cons = model.constraints
+        M = np.empty((len(cons), len(cons)))
+        for k, ck in enumerate(cons):
+            for l, cl in enumerate(cons):
+                M[k, l] = 0.0
+                for Ak, Al, Xb, Zib in zip(ck.matrices, cl.matrices, X, Zi):
+                    T = Xb @ Al @ Zib
+                    M[k, l] += np.sum(Ak * (T + T.T) / 2)
+        return M
+
+    def check(self, model, seed):
+        rng = np.random.default_rng(seed)
+        X = [random_psd(rng, b.size, b.diagonal) for b in model.blocks]
+        Z = [random_psd(rng, b.size, b.diagonal) for b in model.blocks]
+        got = _schur(_stack(model), X, [np.linalg.inv(Zb) for Zb in Z])
+        want = self.per_pair_schur(model, X, Z)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_single_constraint(self):
+        self.check(random_model(np.random.default_rng(1), [5], 1), 2)
+
+    def test_panel_boundary(self):
+        # 100 rows on a 41x41 block take two column panels
+        assert PANEL // 41 ** 2 < 100
+        self.check(random_model(np.random.default_rng(3), [41], 100), 4)
+
+    def test_diagonal_slack_block(self):
+        rng = np.random.default_rng(5)
+        senses = [SENSE_LE, SENSE_EQ, SENSE_GE, SENSE_LE, SENSE_EQ]
+        model = SDPModel(
+            [Block(4), Block(3)], [np.eye(4), np.eye(3)],
+            [LinearConstraint([random_sym(rng, 4), random_sym(rng, 3)], sense, 1.0)
+             for sense in senses])
+        model = to_equality_form(model)
+        assert [(b.size, b.diagonal) for b in model.blocks] == \
+            [(4, False), (3, False), (3, True)]
+        self.check(model, 6)
+
+    def test_realified_hermitian_block(self):
+        rng = np.random.default_rng(7)
+
+        def herm(n):
+            H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            return (H + H.conj().T) / 2
+
+        hm = HermitianModel([3, 2], [herm(3), herm(2)],
+                            [LinearConstraint([herm(3), herm(2)], SENSE_EQ, 1.0)
+                             for _ in range(6)])
+        self.check(realify(hm), 8)
+
+    def test_permuted_constraints_same_bound(self):
+        # CHSH at level 2: 61 equality rows on one 13x13 block
+        chsh = Path(__file__).resolve().parent.parent / "problems" / "chsh.csdp"
+        model = build_relaxation(parse_problem_file(str(chsh)), level=2).model
+        assert len(model.constraints) == 61 and model.is_equality_only()
+        perm = np.random.default_rng(11).permutation(len(model.constraints))
+        permuted = SDPModel(model.blocks, model.cost,
+                            [model.constraints[k] for k in perm])
+        s1, s2 = solve(model, TIGHT), solve(permuted, TIGHT)
+        assert s1.status == s2.status == Status.OPTIMAL
+        assert abs(s1.primal_value - s2.primal_value) <= 1e-9
+
+
 class TestIterateInvariants:
     def test_mu_monotone(self):
         rng = np.random.default_rng(3)
@@ -136,6 +253,15 @@ class TestIterateInvariants:
                 assert h.primal_res <= 1e-9
                 assert h.dual_res <= 1e-9
                 assert h.dual <= h.primal + 1e-10 * (1 + abs(h.primal))
+
+    def test_phase_timings(self):
+        m = pin_entry_model(3, np.eye(3), 0, 1, 1.0)
+        t0 = time.perf_counter()
+        sol = solve(m)
+        wall = time.perf_counter() - t0
+        assert set(sol.timings) == {"schur", "newton", "step"}
+        assert all(t > 0.0 for t in sol.timings.values())
+        assert sum(sol.timings.values()) <= wall
 
     def test_deterministic_reruns(self):
         rng = np.random.default_rng(9)
