@@ -92,6 +92,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "gap": result.solution.gap,
             "status": result.status.value,
             "iterations": result.solution.iterations,
+            "schur_dim": len(result.solution.y),
             "timings": result.solution.timings,
             "wall_time": wall,
         })

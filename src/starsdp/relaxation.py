@@ -10,11 +10,22 @@ line) or two (a free complex value).  The blocks are then one linear map
 
     P p = orthonormal coordinates of every block,
 
-of the real parameters p, and the relaxation asks that the blocks lie in
-its range and be psd.  Everything else is read off P: the equality rows
-are an orthonormal basis of the complement of its range, the objective
-and scalar constraints are their least-norm representatives on its rows,
-and moments are read back by least squares.
+of the real parameters p, and the moments of the words are W p.
+
+The relaxation is solved as a linear matrix inequality in p, as NPA and
+Lasserre's hierarchy state it: Gamma(p) = sum_k p_k H_k psd, where the H_k
+are the blocks whose coordinates are the columns of P.  The unit moment
+and the scalar equalities are eliminated first, p = p0 + N q, and each
+scalar inequality becomes a 1x1 block.  The solver takes this LMI as its
+dual with y = q, so its Schur matrix has one row per free parameter, its
+dual slacks Z are the moment blocks at p, its X is a Gram (sum of squares)
+certificate of the bound, and the moments are read back exactly as W p.
+
+RelaxationModel.model states the same relaxation in row form, an SDP whose
+X are the moment blocks: they must lie in the range of P, with equality
+rows an orthonormal basis of its complement, and the objective and scalar
+constraints are least-norm representatives on the rows of P.  It is what
+feasibility checks of given moments and the SDPA export use.
 
 Soundness rule of thumb kept throughout: every emitted row must be implied
 by genuine moment vectors of the presented algebra, so the feasible set can
@@ -37,8 +48,10 @@ from .algebra import (
 from .problems import ProblemFile, word_to_str, poly_to_str
 from .sdpmodel import (
     Block, LinearConstraint, SDPModel, HermitianModel,
-    SENSE_EQ, realify, realify_matrix, to_equality_form, unrealify_matrix,
+    SENSE_EQ, SENSE_GE, realify, realify_matrix, unrealify_matrix,
 )
+# not called here; bench/tracing.py wraps it under this module's name
+from .sdpmodel import to_equality_form  # noqa: F401
 from . import ipm
 
 BASIS_CAP = 2000
@@ -213,12 +226,33 @@ def _matrices(C: np.ndarray, n: int, real_mode: bool) -> np.ndarray:
 
 @dataclass
 class RelaxationResult:
+    """A solved relaxation.
+
+    bound is the relaxation's optimum in the problem's sense.  status is
+    UNBOUNDED when the moments push the objective without limit and
+    INFEASIBLE when no moment blocks are feasible.
+
+    solution is the solver's record of the moment LMI, which it takes as
+    its dual: y holds the free parameters q of p = p0 + N q, Z the moment
+    blocks at p followed by one 1x1 slack per scalar inequality, and X a
+    Gram (sum of squares) certificate of the bound, all realified in
+    complex mode.  Its status is the solver's own, where INFEASIBLE and
+    UNBOUNDED are swapped.
+
+    moments and moment_matrix, the main block, are read from y and Z when
+    the solve ended OPTIMAL or MAX_ITER, and are empty otherwise."""
+
     bound: float
     status: ipm.Status
     solution: ipm.Solution
     moments: dict[Word, complex]
     moment_matrix: np.ndarray
     level: int
+
+
+# a certificate of the LMI's primal side speaks about its dual, the moments
+_DUAL_STATUS = {ipm.Status.INFEASIBLE: ipm.Status.UNBOUNDED,
+                ipm.Status.UNBOUNDED: ipm.Status.INFEASIBLE}
 
 
 @dataclass
@@ -229,7 +263,7 @@ class RelaxationModel:
     bases: list[list[Word]]            # per block, main block first
     weights: list[Polynomial]          # block weight polynomials, unit first
     entries: list[list[list[Polynomial]]]
-    model: SDPModel                    # solver-ready (realified when complex)
+    model: SDPModel                    # row form, X = moment blocks (realified when complex)
     hermitian: HermitianModel | None
     n_moment_vars: int
     sense_factor: float                # +1 minimize, -1 maximize
@@ -237,37 +271,27 @@ class RelaxationModel:
     _W: np.ndarray = field(repr=False, default=None)   # params -> moments of _var_words
     _var_words: list[Word] = field(repr=False, default_factory=list)
     _roots: list[Word] = field(repr=False, default_factory=list)  # orbit root per param
+    _p0: np.ndarray = field(repr=False, default=None)  # params = _p0 + _N q
+    _N: np.ndarray = field(repr=False, default=None)
+    _f: np.ndarray = field(repr=False, default=None)   # objective, times sense_factor
+    _lmi: SDPModel = field(repr=False, default=None)   # the LMI in q, as the solver's dual
 
     @property
     def basis(self) -> list[Word]:
         return self.bases[0]
 
     def solve(self, options: ipm.SolverOptions | None = None) -> RelaxationResult:
-        work = self.model if self.model.is_equality_only() else to_equality_form(self.model)
-        sol = ipm.solve(work, options)
-        bound = self.sense_factor * sol.primal_value
+        sol = ipm.solve(self._lmi, options)
+        # min f.p = f.p0 + min (f N).q = f.p0 - max b.y with b = -f N
+        bound = self.sense_factor * (float(self._f @ self._p0) - sol.dual_value)
         moments = {}
         gamma = np.zeros((0, 0))
         if sol.status in (ipm.Status.OPTIMAL, ipm.Status.MAX_ITER):
-            moments = self.moments_from(sol)
-            gamma = self.moment_block(sol)
-        return RelaxationResult(bound, sol.status, sol, moments, gamma, self.level)
-
-    def _block_matrix(self, sol: ipm.Solution, b: int) -> np.ndarray:
-        Xb = sol.X[b]
-        return unrealify_matrix(Xb) if not self.real_mode else Xb
-
-    def moment_block(self, sol: ipm.Solution) -> np.ndarray:
-        return self._block_matrix(sol, 0)
-
-    def moments_from(self, sol: ipm.Solution) -> dict[Word, complex]:
-        """Moments of the parameters that fit the solved blocks best."""
-        x = np.concatenate([
-            _coords(self._block_matrix(sol, b)[np.triu_indices(len(basis))],
-                    len(basis), self.real_mode)
-            for b, basis in enumerate(self.bases)])
-        p = np.linalg.lstsq(self._P, x, rcond=None)[0]
-        return {w: complex(y) for w, y in zip(self._var_words, self._W @ p)}
+            values = self._W @ (self._p0 + self._N @ sol.y)
+            moments = {w: complex(v) for w, v in zip(self._var_words, values)}
+            gamma = sol.Z[0] if self.real_mode else unrealify_matrix(sol.Z[0])
+        return RelaxationResult(bound, _DUAL_STATUS.get(sol.status, sol.status),
+                                sol, moments, gamma, self.level)
 
     def _functional(self, p: Polynomial, what: str) -> np.ndarray:
         """Complex f with omega(p) = f . params."""
@@ -281,11 +305,10 @@ class RelaxationModel:
             o[index[w]] += c
         return o @ self._W
 
-    def _representative(self, p: Polynomial, what: str, n_rows: int | None = None,
+    def _representative(self, f: np.ndarray, what: str, n_rows: int | None = None,
                         tol: float = REPRESENT_TOL) -> np.ndarray:
         """Least-norm coordinates c, on the first n_rows rows of P, of the
-        trace functional worth Re omega(p) at every parameter vector."""
-        f = self._functional(p, what).real
+        trace functional worth f . p at every parameter vector p."""
         P = self._P[:n_rows]
         c = np.linalg.lstsq(P.T, f, rcond=None)[0]
         resid = np.abs(P.T @ c - f)
@@ -339,6 +362,27 @@ def _detect_real_mode(problem: ProblemFile) -> bool:
         if not _coeffs_real(p):
             return False
     return all(_coeffs_real(p) for p in problem.positives)
+
+
+def _trace_form(mats: list[np.ndarray], rows: list[tuple[str, float]]
+                ) -> tuple[list[np.ndarray], list[LinearConstraint]]:
+    """Cost and constraints from per-block stacks whose matrix 0 is the
+    cost and matrix k the left-hand side of rows[k - 1]."""
+    return [A[0] for A in mats], [LinearConstraint([A[k] for A in mats], sense, rhs)
+                                  for k, (sense, rhs) in enumerate(rows, start=1)]
+
+
+def _restrict(E: np.ndarray, e: np.ndarray, p0: np.ndarray, N: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """p0', N' with {p0' + N' q} = {p0 + N q : E (p0 + N q) = e}, N' with
+    orthonormal columns when N has them."""
+    U, sv, Vt = np.linalg.svd(E @ N)
+    r = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0
+    rhs = e - E @ p0
+    z = Vt[:r].T @ ((U[:, :r].T @ rhs) / sv[:r])
+    if np.max(np.abs(E @ (N @ z) - rhs)) > REPRESENT_TOL * (1.0 + np.max(np.abs(rhs))):
+        raise RelaxationError("the scalar equality constraints admit no moment vector")
+    return p0 + N @ z, N @ Vt[r:].T
 
 
 def build_relaxation(problem: ProblemFile, level: int | None = None,
@@ -479,17 +523,18 @@ def build_relaxation(problem: ProblemFile, level: int | None = None,
         P.append(_coords(G, n, real_mode))
     P = np.vstack(P)
 
-    # equality rows: the blocks lie in range(P), with the unit moment fixed
-    # to 1 when the problem normalizes
-    unit = np.zeros(len(P))
-    free = P
+    # the parameters with the unit moment fixed to 1 when the problem
+    # normalizes: p = p0 + N q
+    p0, N = np.zeros(len(index)), np.eye(len(index))
     if problem.normalization:
         kind, root, mu = orbits.resolve(UNIT_WORD)
         if kind != "real":
             raise RelaxationError("unit word is not represented; cannot normalize")
-        unit = P[:, index[(root, 0)]] / mu.real
-        free = np.delete(P, index[(root, 0)], axis=1)
-    U, sv, _ = np.linalg.svd(free)
+        p0[index[(root, 0)]] = 1.0 / mu.real
+        N = np.delete(N, index[(root, 0)], axis=1)
+
+    # equality rows of the row form: the blocks lie in range(P) at that unit
+    U, sv, _ = np.linalg.svd(P @ N)
     Q = U[:, int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0:]
 
     sense_factor = 1.0 if problem.sense == "minimize" else -1.0
@@ -500,22 +545,44 @@ def build_relaxation(problem: ProblemFile, level: int | None = None,
         n_moment_vars=len(index), sense_factor=sense_factor,
         _P=P, _W=W, _var_words=words, _roots=[r for r, _ in index],
     )
+    f = sense_factor * relax._functional(obj_nf, "the objective").real
+    g = [relax._functional(p, "a scalar constraint").real for p, _, _ in cons_nf]
     data = np.column_stack(
-        [sense_factor * relax._representative(obj_nf, "the objective"), Q]
-        + [relax._representative(p, "a scalar constraint") for p, _, _ in cons_nf])
+        [relax._representative(f, "the objective"), Q]
+        + [relax._representative(gk, "a scalar constraint") for gk in g])
     offsets = np.cumsum([_n_coords(n, real_mode) for n in sizes])[:-1]
-    mats = [_matrices(C, n, real_mode) for C, n in zip(np.split(data, offsets), sizes)]
-    rows = [(SENSE_EQ, float(r)) for r in Q.T @ unit]
-    rows += [(sense, float(rhs)) for _, sense, rhs in cons_nf]
-    cost = [A[0] for A in mats]
-    constraints = [LinearConstraint([A[k] for A in mats], sense, rhs)
-                   for k, (sense, rhs) in enumerate(rows, start=1)]
 
+    def stacks(columns):
+        """Per block, the stack of matrices whose coordinates are the columns."""
+        return [_matrices(C, n, real_mode) for C, n in zip(np.split(columns, offsets), sizes)]
+
+    rows = [(SENSE_EQ, float(r)) for r in Q.T @ (P @ p0)]
+    rows += [(sense, float(rhs)) for _, sense, rhs in cons_nf]
+    cost, constraints = _trace_form(stacks(data), rows)
     if real_mode:
         relax.model = SDPModel([Block(n) for n in sizes], cost, constraints)
     else:
         relax.hermitian = HermitianModel(sizes, cost, constraints)
         relax.model = realify(relax.hermitian)
+
+    # the LMI in q, the solver's dual: its slack Z = C - sum_k q_k A_k is the
+    # moment blocks at p = p0 + N q when C = Gamma(p0), A_k = -Gamma(N e_k),
+    # and b = -f N.  Scalar equalities restrict p0 and N, and an inequality
+    # adds the 1x1 block +-(g.p - rhs).
+    eq = [k for k, (_, sense, _) in enumerate(cons_nf) if sense == SENSE_EQ]
+    if eq:
+        p0, N = _restrict(np.array([g[k] for k in eq]),
+                          np.array([cons_nf[k][2] for k in eq]), p0, N)
+    lmi = stacks(np.column_stack([P @ p0, -(P @ N)]))
+    if not real_mode:
+        lmi = [realify_matrix(A) for A in lmi]
+    for gk, (_, sense, rhs) in zip(g, cons_nf):
+        if sense != SENSE_EQ:
+            sign = 1.0 if sense == SENSE_GE else -1.0
+            lmi.append(sign * np.concatenate([[gk @ p0 - rhs], -(gk @ N)])[:, None, None])
+    cost, constraints = _trace_form(lmi, [(SENSE_EQ, float(bk)) for bk in -(f @ N)])
+    relax._lmi = SDPModel([Block(A.shape[1]) for A in lmi], cost, constraints)
+    relax._p0, relax._N, relax._f = p0, N, f
     relax.model.validate()
     return relax
 
@@ -528,11 +595,12 @@ def gram_representative(relax: RelaxationModel, poly: Polynomial | None = None,
     cannot be reached from this basis."""
     p = normal_form(poly if poly is not None else relax.problem.objective,
                     relax.problem.presentation)
-    if np.max(np.abs(relax._functional(p, "the polynomial").imag), initial=0.0) > tol:
+    f = relax._functional(p, "the polynomial")
+    if np.max(np.abs(f.imag), initial=0.0) > tol:
         raise NotRepresentableError(
             "polynomial is not a real form in the moment parameters")
     n = len(relax.basis)
-    c = relax._representative(p, "the polynomial", _n_coords(n, relax.real_mode), tol)
+    c = relax._representative(f.real, "the polynomial", _n_coords(n, relax.real_mode), tol)
     return _matrices(c[:, None], n, relax.real_mode)[0]
 
 

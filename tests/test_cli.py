@@ -51,11 +51,13 @@ class TestSolve:
         assert doc["sense"] == "minimize"
         (row,) = doc["levels"]
         assert set(row) == {"level", "basis_size", "moment_variables",
-                            "bound", "gap", "status", "iterations", "timings",
-                            "wall_time"}
+                            "bound", "gap", "status", "iterations", "schur_dim",
+                            "timings", "wall_time"}
         assert abs(row["bound"] + 0.25) < 1e-5
         assert row["status"] == "OPTIMAL"
         assert row["iterations"] >= 1
+        # the Schur matrix has one row per moment parameter but the unit
+        assert row["schur_dim"] == row["moment_variables"] - 1
         assert set(row["timings"]) == {"schur", "newton", "step"}
         assert all(0.0 <= t <= row["wall_time"] for t in row["timings"].values())
 

@@ -10,6 +10,7 @@ from starsdp.algebra import Polynomial, UNIT_WORD, normal_form
 from starsdp.problems import parse_problem
 from starsdp.oracles import chsh_tsirelson_realization, realize_moments, grid_min
 from starsdp.ipm import Status, feasibility_check
+from starsdp.sdpmodel import unrealify_matrix
 
 CHSH_TEXT = """
 [generators]
@@ -302,6 +303,72 @@ basis = 1, x, z
                       for con in relax.model.constraints])
         assert len(A) == rows
         assert np.linalg.matrix_rank(A) == rows
+
+
+INVOLUTION_TEXT = """
+[generators]
+x selfadjoint
+
+[relations]
+x^2 = 1
+
+[objective]
+minimize x
+
+[options]
+level = 1
+"""
+
+
+class TestMomentLMI:
+    @pytest.mark.parametrize("text, level, free, rows", [
+        (CHSH_TEXT, 3, 60, 265),
+        (LADDER_TEXT, 2, 45, 55),
+    ], ids=["chsh-L3", "ladder-L2"])
+    def test_solver_works_on_free_parameters(self, text, level, free, rows):
+        relax = rx.build_relaxation(parse_problem(text), level=level)
+        res = relax.solve()
+        assert res.status == Status.OPTIMAL
+        # one Schur row per parameter but the unit, against the row form's
+        # equality rows, which the model keeps
+        assert len(res.solution.y) == relax.n_moment_vars - 1 == free
+        assert len(relax.model.constraints) == rows
+        # the solver's dual slack is the main block at the moments read out
+        Z = res.solution.Z[0]
+        assert np.max(np.abs(relax.blocks_from_moments(res.moments)[0] - Z)) <= 1e-8
+        assert np.allclose(res.moment_matrix,
+                           Z if relax.real_mode else unrealify_matrix(Z), atol=1e-15)
+
+    def test_without_normalization_is_unbounded(self):
+        prob = parse_problem(INVOLUTION_TEXT + "normalization = false\n")
+        assert rx.build_relaxation(prob).solve().status == Status.UNBOUNDED
+
+    def test_inequality_is_a_one_by_one_block(self):
+        prob = parse_problem(INVOLUTION_TEXT + "[constraints]\nx >= 0.5\n")
+        res = rx.build_relaxation(prob).solve()
+        assert res.status == Status.OPTIMAL
+        assert abs(res.bound - 0.5) <= 1e-6
+        assert [Z.shape for Z in res.solution.Z] == [(2, 2), (1, 1)]
+        assert abs(res.solution.Z[1][0, 0]) <= 1e-6      # the slack x - 0.5
+
+    def test_infeasible_inequality_is_not_a_bound(self):
+        # |x| <= 1 for an involution, so x >= 2 leaves no moment matrix
+        prob = parse_problem(INVOLUTION_TEXT + "[constraints]\nx >= 2\n")
+        res = rx.build_relaxation(prob).solve()
+        assert res.status not in (Status.OPTIMAL, Status.UNBOUNDED)
+
+    def test_inconsistent_equalities_rejected(self):
+        prob = parse_problem(INVOLUTION_TEXT + "[constraints]\nx == 0.25\nx == 0.5\n")
+        with pytest.raises(rx.RelaxationError, match="equality"):
+            rx.build_relaxation(prob)
+
+    def test_dependent_equalities_are_eliminated_once(self):
+        prob = parse_problem(INVOLUTION_TEXT + "[constraints]\nx == 0.25\n2*x == 0.5\n")
+        relax = rx.build_relaxation(prob)
+        res = relax.solve()
+        assert res.status == Status.OPTIMAL
+        assert abs(res.bound - 0.25) <= 1e-9
+        assert len(res.solution.y) == relax.n_moment_vars - 2
 
 
 class TestGramRepresentative:
