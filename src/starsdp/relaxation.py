@@ -22,10 +22,11 @@ dual slacks Z are the moment blocks at p, its X is a Gram (sum of squares)
 certificate of the bound, and the moments are read back exactly as W p.
 
 RelaxationModel.model states the same relaxation in row form, an SDP whose
-X are the moment blocks: they must lie in the range of P, with equality
-rows an orthonormal basis of its complement, and the objective and scalar
-constraints are least-norm representatives on the rows of P.  It is what
-feasibility checks of given moments and the SDPA export use.
+X are the moment blocks, derived on first access from the same P, p0 and
+N: its equality rows, an orthonormal basis of the complement of range(P N),
+hold the scalar equalities folded in, and the objective and inequalities
+are least-norm representatives on the rows of P.  Feasibility checks of
+given moments and the SDPA export read it; the solve does not.
 
 Soundness rule of thumb kept throughout: every emitted row must be implied
 by genuine moment vectors of the presented algebra, so the feasible set can
@@ -35,6 +36,7 @@ only grow relative to the true problem and optima stay one-sided bounds.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -263,8 +265,6 @@ class RelaxationModel:
     bases: list[list[Word]]            # per block, main block first
     weights: list[Polynomial]          # block weight polynomials, unit first
     entries: list[list[list[Polynomial]]]
-    model: SDPModel                    # row form, X = moment blocks (realified when complex)
-    hermitian: HermitianModel | None
     n_moment_vars: int
     sense_factor: float                # +1 minimize, -1 maximize
     _P: np.ndarray = field(repr=False, default=None)   # params -> block coordinates
@@ -274,11 +274,33 @@ class RelaxationModel:
     _p0: np.ndarray = field(repr=False, default=None)  # params = _p0 + _N q
     _N: np.ndarray = field(repr=False, default=None)
     _f: np.ndarray = field(repr=False, default=None)   # objective, times sense_factor
+    _ineq: list[tuple] = field(repr=False, default_factory=list)  # (g, sense, rhs): g.p sense rhs
     _lmi: SDPModel = field(repr=False, default=None)   # the LMI in q, as the solver's dual
 
     @property
     def basis(self) -> list[Word]:
         return self.bases[0]
+
+    @functools.cached_property
+    def model(self) -> SDPModel:
+        """The row form, X = the moment blocks (realified when complex),
+        built on first access and cached; the solve does not read it."""
+        U, sv, _ = np.linalg.svd(self._P @ self._N)
+        Q = U[:, int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0:]
+        data = [self._representative(self._f, "the objective"), Q]
+        data += [self._representative(g, "a scalar constraint") for g, _, _ in self._ineq]
+        rows = [(SENSE_EQ, float(r)) for r in Q.T @ (self._P @ self._p0)]
+        rows += [(sense, float(rhs)) for _, sense, rhs in self._ineq]
+        cost, constraints = _trace_form(self._stacks(np.column_stack(data)), rows)
+        if self.real_mode:
+            return SDPModel([Block(len(b)) for b in self.bases], cost, constraints)
+        return realify(HermitianModel([len(b) for b in self.bases], cost, constraints))
+
+    def _stacks(self, columns: np.ndarray) -> list[np.ndarray]:
+        """Per block, the stack of matrices whose coordinates are the columns."""
+        sizes = [len(b) for b in self.bases]
+        offsets = np.cumsum([_n_coords(n, self.real_mode) for n in sizes])[:-1]
+        return [_matrices(C, n, self.real_mode) for C, n in zip(np.split(columns, offsets), sizes)]
 
     def solve(self, options: ipm.SolverOptions | None = None) -> RelaxationResult:
         sol = ipm.solve(self._lmi, options)
@@ -324,20 +346,17 @@ class RelaxationModel:
         """Candidate solver blocks from a word-moment assignment, e.g. one
         realized by a concrete representation.  Useful with
         ipm.feasibility_check to confirm genuine states stay feasible."""
+        def value(e: Polynomial) -> complex:
+            for w, _ in e.terms():
+                if w not in moments:
+                    raise RelaxationError(
+                        f"moment for word {word_to_str(w, self.problem.presentation)}"
+                        " missing from the assignment")
+            return sum(c * moments[w] for w, c in e.terms())
+
         out = []
-        for b, basis in enumerate(self.bases):
-            n = len(basis)
-            G = np.zeros((n, n), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    v = 0j
-                    for w, c in self.entries[b][i][j].terms():
-                        if w not in moments:
-                            raise RelaxationError(
-                                f"moment for word {word_to_str(w, self.problem.presentation)}"
-                                " missing from the assignment")
-                        v += c * moments[w]
-                    G[i, j] = v
+        for mat in self.entries:
+            G = np.array([[value(e) for e in row] for row in mat], dtype=complex)
             G = (G + G.conj().T) / 2
             out.append(np.real(G) if self.real_mode else realify_matrix(G))
         return out
@@ -533,37 +552,18 @@ def build_relaxation(problem: ProblemFile, level: int | None = None,
         p0[index[(root, 0)]] = 1.0 / mu.real
         N = np.delete(N, index[(root, 0)], axis=1)
 
-    # equality rows of the row form: the blocks lie in range(P) at that unit
-    U, sv, _ = np.linalg.svd(P @ N)
-    Q = U[:, int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0:]
-
     sense_factor = 1.0 if problem.sense == "minimize" else -1.0
     relax = RelaxationModel(
         problem=problem, level=d, real_mode=real_mode,
         bases=bases, weights=weights, entries=entries,
-        model=None, hermitian=None,
         n_moment_vars=len(index), sense_factor=sense_factor,
         _P=P, _W=W, _var_words=words, _roots=[r for r, _ in index],
     )
     f = sense_factor * relax._functional(obj_nf, "the objective").real
     g = [relax._functional(p, "a scalar constraint").real for p, _, _ in cons_nf]
-    data = np.column_stack(
-        [relax._representative(f, "the objective"), Q]
-        + [relax._representative(gk, "a scalar constraint") for gk in g])
-    offsets = np.cumsum([_n_coords(n, real_mode) for n in sizes])[:-1]
-
-    def stacks(columns):
-        """Per block, the stack of matrices whose coordinates are the columns."""
-        return [_matrices(C, n, real_mode) for C, n in zip(np.split(columns, offsets), sizes)]
-
-    rows = [(SENSE_EQ, float(r)) for r in Q.T @ (P @ p0)]
-    rows += [(sense, float(rhs)) for _, sense, rhs in cons_nf]
-    cost, constraints = _trace_form(stacks(data), rows)
-    if real_mode:
-        relax.model = SDPModel([Block(n) for n in sizes], cost, constraints)
-    else:
-        relax.hermitian = HermitianModel(sizes, cost, constraints)
-        relax.model = realify(relax.hermitian)
+    # NotRepresentableError at build, not when the row form is first read
+    for v, what in [(f, "the objective")] + [(gk, "a scalar constraint") for gk in g]:
+        relax._representative(v, what)
 
     # the LMI in q, the solver's dual: its slack Z = C - sum_k q_k A_k is the
     # moment blocks at p = p0 + N q when C = Gamma(p0), A_k = -Gamma(N e_k),
@@ -573,17 +573,16 @@ def build_relaxation(problem: ProblemFile, level: int | None = None,
     if eq:
         p0, N = _restrict(np.array([g[k] for k in eq]),
                           np.array([cons_nf[k][2] for k in eq]), p0, N)
-    lmi = stacks(np.column_stack([P @ p0, -(P @ N)]))
+    lmi = relax._stacks(np.column_stack([P @ p0, -(P @ N)]))
     if not real_mode:
         lmi = [realify_matrix(A) for A in lmi]
-    for gk, (_, sense, rhs) in zip(g, cons_nf):
-        if sense != SENSE_EQ:
-            sign = 1.0 if sense == SENSE_GE else -1.0
-            lmi.append(sign * np.concatenate([[gk @ p0 - rhs], -(gk @ N)])[:, None, None])
+    ineq = [(gk, sense, rhs) for gk, (_, sense, rhs) in zip(g, cons_nf) if sense != SENSE_EQ]
+    for gk, sense, rhs in ineq:
+        sign = 1.0 if sense == SENSE_GE else -1.0
+        lmi.append(sign * np.concatenate([[gk @ p0 - rhs], -(gk @ N)])[:, None, None])
     cost, constraints = _trace_form(lmi, [(SENSE_EQ, float(bk)) for bk in -(f @ N)])
     relax._lmi = SDPModel([Block(A.shape[1]) for A in lmi], cost, constraints)
-    relax._p0, relax._N, relax._f = p0, N, f
-    relax.model.validate()
+    relax._p0, relax._N, relax._f, relax._ineq = p0, N, f, ineq
     return relax
 
 

@@ -8,7 +8,9 @@ import pytest
 import starsdp.relaxation as rx
 from starsdp.algebra import Polynomial, UNIT_WORD, normal_form
 from starsdp.problems import parse_problem
-from starsdp.oracles import chsh_tsirelson_realization, realize_moments, grid_min
+from starsdp.oracles import (
+    ConcreteRealization, chsh_tsirelson_realization, realize_moments, grid_min,
+)
 from starsdp.ipm import Status, feasibility_check
 from starsdp.sdpmodel import unrealify_matrix
 
@@ -43,6 +45,20 @@ minimize x^4 - x^2
 level = 2
 """
 
+PINNED_TEXT = """
+[generators]
+x selfadjoint
+
+[objective]
+minimize x^2
+
+[constraints]
+x == 1
+
+[options]
+level = 1
+"""
+
 LASSERRE_TEXT = QUARTIC_TEXT + """
 [positive]
 1 - x^2
@@ -73,6 +89,20 @@ z^2 = 1
 
 [objective]
 maximize i*x*y - i*y*x + i*y*z - i*z*y + i*z*x - i*x*z
+"""
+
+INVOLUTION_TEXT = """
+[generators]
+x selfadjoint
+
+[relations]
+x^2 = 1
+
+[objective]
+minimize x
+
+[options]
+level = 1
 """
 
 TWO_SQRT2 = 2.0 * np.sqrt(2.0)
@@ -199,23 +229,23 @@ basis = 1, x, x^2
 
     def test_scalar_constraint_row(self):
         # pinning the first moment shifts the achievable minimum
-        text = """
-[generators]
-x selfadjoint
-
-[objective]
-minimize x^2
-
-[constraints]
-x == 1
-
-[options]
-level = 1
-"""
-        prob = parse_problem(text)
+        prob = parse_problem(PINNED_TEXT)
         res = rx.build_relaxation(prob).solve()
         assert res.status == Status.OPTIMAL
         assert abs(res.bound - 1.0) <= 1e-6
+
+    def test_row_form_enforces_folded_equality(self):
+        # the row form folds x == 1 into its range rows: x = 1 is feasible
+        # for it, x = -1 is not
+        prob = parse_problem(PINNED_TEXT)
+        relax = rx.build_relaxation(prob)
+        violations = []
+        for x in (1.0, -1.0):
+            real = ConcreteRealization(prob.presentation, {"x": np.array([[x]])}, np.ones(1))
+            blocks = relax.blocks_from_moments(realize_moments(real, relax._var_words))
+            violations.append(feasibility_check(relax.model, blocks).max_violation)
+        assert violations[0] <= 1e-9
+        assert violations[1] > 1e-3
 
 
 class TestComplexMode:
@@ -296,28 +326,14 @@ basis = 1, x, z
         (PHASED_TEXT, 1, 3),
         (LADDER_TEXT, 2, 55),
         (LASSERRE_TEXT, 2, 5),
-    ], ids=["phased", "ladder-L2", "lasserre"])
+        (INVOLUTION_TEXT + "[constraints]\nx == 0.25\n2*x == 0.5\n", 1, 3),
+    ], ids=["phased", "ladder-L2", "lasserre", "dependent-equalities"])
     def test_rows_are_independent(self, text, level, rows):
         relax = rx.build_relaxation(parse_problem(text), level=level)
         A = np.array([np.concatenate([M.ravel() for M in con.matrices])
                       for con in relax.model.constraints])
         assert len(A) == rows
         assert np.linalg.matrix_rank(A) == rows
-
-
-INVOLUTION_TEXT = """
-[generators]
-x selfadjoint
-
-[relations]
-x^2 = 1
-
-[objective]
-minimize x
-
-[options]
-level = 1
-"""
 
 
 class TestMomentLMI:
@@ -338,6 +354,12 @@ class TestMomentLMI:
         assert np.max(np.abs(relax.blocks_from_moments(res.moments)[0] - Z)) <= 1e-8
         assert np.allclose(res.moment_matrix,
                            Z if relax.real_mode else unrealify_matrix(Z), atol=1e-15)
+
+    def test_solve_builds_no_row_form(self, chsh):
+        relax = rx.build_relaxation(chsh, level=2)
+        relax.solve()
+        assert "model" not in vars(relax)
+        assert len(relax.model.constraints) == 61
 
     def test_without_normalization_is_unbounded(self):
         prob = parse_problem(INVOLUTION_TEXT + "normalization = false\n")
