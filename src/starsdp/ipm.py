@@ -1,18 +1,24 @@
 """Dense primal-dual interior point solver for block trace-form SDPs.
 
 Infeasible-start path following with a Mehrotra predictor-corrector and the
-HKM scaling.  A solve stacks each block's constraint matrices once into one
-(m, n_b, n_b) array A_b, so residuals, sum_k y_k A_kb and the certificates
-are single contractions.  One Newton solve works on the Schur complement
+HKM scaling.  A solve groups the blocks by size, in order of first
+appearance, and holds each group of k blocks of size n as one stack: X, Z,
+C and the other iterates as (k, n, n) arrays, and the constraint matrices
+once as an (m, k, n, n) array A_s.  Cholesky factors, inverses, eigenvalues
+and products broadcast over the leading axis, and a stack flattened to
+k n^2 entries behaves like one block for residuals, sum_k y_k A_ks and the
+certificates, so every per-iteration loop runs over the distinct sizes,
+not over the blocks.  One Newton solve works on the Schur complement
 
     M[k,l] = sum_b < A_kb, X_b A_lb inv(Z_b) >,
 
 which equals < A_kb, sym(X_b A_lb inv(Z_b)) > for symmetric A_kb.  Each
-block adds one GEMM per column panel of about PANEL elements, flat(A_b) @
-flat(X_b A_lb inv(Z_b))^T, and M is symmetrized at the end.  Beside the
-model's own data a solve keeps one (m, n_b^2) array per block, the stack:
+stack adds one GEMM per column panel of about PANEL elements, flat(A_s) @
+flat(X_s A_ls inv(Z_s))^T, and M is symmetrized at the end.  Beside the
+model's own data a solve keeps its (m, k n^2) stacks of constraint data:
 the products X A_l inv(Z) live one panel at a time, and the direction is
-recovered as dX = sym(G + X (sum_l dy_l A_l) inv(Z)).
+recovered as dX = sym(G + X (sum_l dy_l A_l) inv(Z)).  The solution lists
+X and Z per block in the model's order, as views into the stacks.
 
 M is symmetric positive definite while X, Z stay in the cone and the
 constraints are independent.  Neither holds numerically to the end: a
@@ -105,27 +111,50 @@ class FeasibilityReport:
 
 
 def _sym(M):
-    return (M + M.T) * 0.5
+    return (M + M.swapaxes(-1, -2)) * 0.5
 
 
 def _frob(M):
     return float(np.linalg.norm(M))
 
 
-def _stack(model):
-    """Each block's constraint matrices as one (m, n_b, n_b) array."""
+def _groups(sizes):
+    """Block indices grouped by size, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(sizes):
+        groups.setdefault(n, []).append(i)
+    return list(groups.values())
+
+
+def _gather(blocks, groups):
+    """Per-block (n, n) arrays as one (k, n, n) stack per group."""
+    return [np.array([blocks[i] for i in g], dtype=float) for g in groups]
+
+
+def _scatter(stacks, groups):
+    """The blocks of the stacks in model order, as views."""
+    out = [None] * sum(map(len, groups))
+    for S, g in zip(stacks, groups):
+        for j, i in enumerate(g):
+            out[i] = S[j]
+    return out
+
+
+def _stack(model, groups):
+    """The constraint matrices of each group as one (m, k, n, n) array."""
     m = len(model.constraints)
-    return [np.array([con.matrices[i] for con in model.constraints], dtype=float)
-            .reshape(m, blk.size, blk.size) for i, blk in enumerate(model.blocks)]
+    return [np.array([[con.matrices[i] for i in g] for con in model.constraints], dtype=float)
+            .reshape(m, len(g), model.blocks[g[0]].size, model.blocks[g[0]].size)
+            for g in groups]
 
 
 def _apply(A, X):
-    """The vector (sum_b <A_kb, X_b>)_k, one matvec per block."""
+    """The vector (sum_b <A_kb, X_b>)_k, one matvec per stack."""
     return sum(Ab.reshape(len(Ab), Xb.size) @ Xb.ravel() for Ab, Xb in zip(A, X))
 
 
 def _schur(A, X, Zi):
-    """M[k, l] = sum_b <A_kb, X_b A_lb Zi_b>, one GEMM per block and panel."""
+    """M[k, l] = sum_b <A_kb, X_b A_lb Zi_b>, one GEMM per stack and panel."""
     m = len(A[0]) if A else 0
     M = np.zeros((m, m))
     for Ab, Xb, Zb in zip(A, X, Zi):
@@ -143,18 +172,19 @@ def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport
     if len(X) != len(model.blocks):
         raise ModelError("block count mismatch in feasibility check")
     X = [np.asarray(Xb, dtype=float) for Xb in X]
-    eigs = []
-    for blk, Xb in zip(model.blocks, X):
-        if Xb.shape != (blk.size, blk.size):
-            raise ModelError("block shape mismatch in feasibility check")
-        eigs.append(float(np.linalg.eigvalsh(_sym(Xb))[0]))
+    if any(Xb.shape != (blk.size, blk.size) for blk, Xb in zip(model.blocks, X)):
+        raise ModelError("block shape mismatch in feasibility check")
+    groups = _groups([blk.size for blk in model.blocks])
+    Xs = _gather(X, groups)
+    eigs = _scatter([np.linalg.eigvalsh(_sym(Xg))[:, 0] for Xg in Xs], groups)
     cons = model.constraints
-    r = _apply(_stack(model), X) - np.array([con.rhs for con in cons], dtype=float)
+    r = _apply(_stack(model, groups), Xs) - np.array([con.rhs for con in cons], dtype=float)
     # +1 for <=, -1 for >=, 0 for ==
     s = np.array([(con.sense == "<=") - (con.sense == ">=") for con in cons], dtype=float)
     violations = np.where(s == 0, np.abs(r), np.maximum(s * r, 0.0))
     obj = sum(float(np.vdot(C, Xb)) for C, Xb in zip(model.cost, X))
-    return FeasibilityReport(eigs, list(map(float, r)), list(map(float, violations)), obj)
+    return FeasibilityReport(list(map(float, eigs)), list(map(float, r)),
+                             list(map(float, violations)), obj)
 
 
 def _timed(timings, phase):
@@ -186,6 +216,17 @@ def _chol_with_jitter(M, tries=3):
     return None
 
 
+def _chol_stack(S):
+    """Cholesky factors of a (k, n, n) stack, or None.  One batched call;
+    if it fails, each block is factored alone, so only the blocks whose
+    plain factor fails are perturbed."""
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        Ls = [_chol_with_jitter(Sb) for Sb in S]
+        return None if any(L is None for L in Ls) else np.array(Ls)
+
+
 def _psd_solver(M):
     """A solver x = f(r) for M x = r, M symmetric positive semidefinite.
 
@@ -204,11 +245,11 @@ def _psd_solver(M):
 
 
 def _max_step(L, dS):
-    """Largest a with S + a dS psd, where S = L L^T.  Returns np.inf if dS
-    does not push against the boundary."""
+    """Largest a with S + a dS psd on every block of a stack, where
+    S = L L^T.  Returns np.inf if dS does not push against the boundary."""
     W = np.linalg.solve(L, dS)
-    W = np.linalg.solve(L, W.T).T
-    lam = float(np.linalg.eigvalsh(_sym(W))[0])
+    W = np.linalg.solve(L, W.swapaxes(-1, -2)).swapaxes(-1, -2)
+    lam = float(np.linalg.eigvalsh(_sym(W))[:, 0].min())
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -224,8 +265,8 @@ def _certificate_status(A, b, C, X, y, normsA, normC):
     anorm = 1.0 + max(normsA, default=0.0)
     ny = float(np.linalg.norm(y))
     if ny > 1e-8 and float(b @ y) / ny > 1e-6:
-        if all(np.linalg.eigvalsh(_sym(np.tensordot(y / ny, Ab, 1)))[-1] <= 1e-6 * anorm
-               for Ab in A):
+        if all(np.linalg.eigvalsh(_sym(np.tensordot(y / ny, Ab, 1)))[:, -1].max()
+               <= 1e-6 * anorm for Ab in A):
             return Status.INFEASIBLE
     nx = np.sqrt(sum(_frob(Xb) ** 2 for Xb in X))
     if nx > 1e-8:
@@ -246,27 +287,30 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         raise ModelError("solver requires equality form; apply to_equality_form first")
 
     sizes = [b.size for b in model.blocks]
-    nb = len(sizes)
+    groups = _groups(sizes)
+    ns = len(groups)
     N = sum(sizes)
     m = len(model.constraints)
-    C = [np.asarray(Cb, dtype=float) for Cb in model.cost]
-    A = _stack(model)
+    C = _gather(model.cost, groups)
+    A = _stack(model, groups)
     b = np.array([con.rhs for con in model.constraints], dtype=float)
 
-    normC = max((_frob(Cb) for Cb in C), default=0.0)
-    normsA = np.sqrt(sum((np.einsum("kij,kij->k", Ab, Ab) for Ab in A), np.zeros(m)))
+    # per-block maxima, as the divergence test below
+    normC = max((float(np.linalg.norm(Cg, axis=(-2, -1)).max()) for Cg in C), default=0.0)
+    normsA = np.sqrt(sum((np.einsum("kbij,kbij->k", Ag, Ag) for Ag in A), np.zeros(m)))
     xi = max(1.0, np.sqrt(max(sizes, default=1)),
              np.max((1 + np.abs(b)) / (1 + normsA), initial=0.0))
     eta = max(1.0, np.sqrt(max(sizes, default=1)), normC, max(normsA, default=0.0))
 
     if start is not None:
-        X = [np.asarray(Xb, dtype=float).copy() for Xb in start[0]]
+        X = _gather(start[0], groups)
         y = np.asarray(start[1], dtype=float).copy()
-        Z = [np.asarray(Zb, dtype=float).copy() for Zb in start[2]]
+        Z = _gather(start[2], groups)
     else:
-        X = [xi * np.eye(n) for n in sizes]
+        eye = [np.broadcast_to(np.eye(Cg.shape[-1]), Cg.shape) for Cg in C]
+        X = [xi * I for I in eye]
         y = np.zeros(m)
-        Z = [eta * np.eye(n) for n in sizes]
+        Z = [eta * I for I in eye]
 
     bscale = 1.0 + float(np.linalg.norm(b))
     cscale = 1.0 + normC
@@ -278,14 +322,14 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
 
     def mu_at(dX, dZ, ap, ad):
         return sum(float(np.vdot(X[i] + ap * dX[i], Z[i] + ad * dZ[i]))
-                   for i in range(nb)) / max(N, 1)
+                   for i in range(ns)) / max(N, 1)
 
     for it in range(opts.max_iter + 1):
         rp = b - _apply(A, X)
-        Rd = [C[i] - Z[i] - np.tensordot(y, A[i], 1) for i in range(nb)]
-        pobj = sum(float(np.vdot(C[i], X[i])) for i in range(nb))
+        Rd = [C[i] - Z[i] - np.tensordot(y, A[i], 1) for i in range(ns)]
+        pobj = sum(float(np.vdot(C[i], X[i])) for i in range(ns))
         dobj = float(b @ y)
-        mu = sum(float(np.vdot(X[i], Z[i])) for i in range(nb)) / max(N, 1)
+        mu = sum(float(np.vdot(X[i], Z[i])) for i in range(ns)) / max(N, 1)
         pres = float(np.linalg.norm(rp)) / bscale
         dres = np.sqrt(sum(_frob(R) ** 2 for R in Rd)) / cscale
         relgap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
@@ -297,7 +341,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         if it >= 5:
             diverging = (
                 float(np.linalg.norm(y)) > 1e8
-                or any(_frob(Xb) > 1e8 for Xb in X)
+                or any(np.linalg.norm(Xg, axis=(-2, -1)).max() > 1e8 for Xg in X)
                 or dobj > 1e10 * bscale
                 or pobj < -1e10 * cscale
             )
@@ -311,12 +355,12 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             break
 
         t0 = time.perf_counter()
-        Lx = [_chol_with_jitter(Xb) for Xb in X]
-        Lz = [_chol_with_jitter(Zb) for Zb in Z]
+        Lx = [_chol_stack(Xg) for Xg in X]
+        Lz = [_chol_stack(Zg) for Zg in Z]
         if any(L is None for L in Lx + Lz):
             status = Status.NUMERICAL
             break
-        Zi = [li.T @ li for li in map(np.linalg.inv, Lz)]
+        Zi = [li.swapaxes(-1, -2) @ li for li in map(np.linalg.inv, Lz)]
         M = _schur(A, X, Zi)
         t1 = time.perf_counter()
         timings["schur"] += t1 - t0
@@ -340,11 +384,11 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         @_timed(timings, "newton")
         def newton(nu, corr):
             G = [-X[i] - _sym(X[i] @ Rd[i] @ Zi[i]) + nu * Zi[i]
-                 - (0.0 if corr is None else _sym(corr[i] @ Zi[i])) for i in range(nb)]
+                 - (0.0 if corr is None else _sym(corr[i] @ Zi[i])) for i in range(ns)]
             dy = schur_solve(rp - _apply(A, G))
             S = [np.tensordot(dy, Ab, 1) for Ab in A]
-            dZ = [_sym(Rd[i] - S[i]) for i in range(nb)]
-            dX = [_sym(G[i] + X[i] @ S[i] @ Zi[i]) for i in range(nb)]
+            dZ = [_sym(Rd[i] - S[i]) for i in range(ns)]
+            dX = [_sym(G[i] + X[i] @ S[i] @ Zi[i]) for i in range(ns)]
             return dX, dy, dZ
 
         @_timed(timings, "step")
@@ -376,7 +420,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         mu_aff = mu_at(dXa, dZa, ap, ad)
         sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0, 1e-8))
 
-        corr = [dXa[i] @ dZa[i] for i in range(nb)]
+        corr = [dXa[i] @ dZa[i] for i in range(ns)]
         dX, dy, dZ = newton(sigma * mu, corr)
         ap, ad = step_sizes(dX, dZ, opts.step_fraction)
         accepted, ap, ad = mu_backtrack(dX, dZ, ap, ad)
@@ -404,7 +448,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         y = y + ad * dy
 
     return Solution(
-        X=X, y=y, Z=Z,
+        X=_scatter(X, groups), y=y, Z=_scatter(Z, groups),
         primal_value=pobj, dual_value=dobj, gap=relgap,
         primal_res=pres, dual_res=dres,
         status=status, iterations=len(history) - 1, history=history, timings=timings,

@@ -13,12 +13,15 @@ from starsdp.sdpmodel import (
 )
 from starsdp.ipm import (
     PANEL, solve, SolverOptions, Status, feasibility_check,
-    _psd_solver, _schur, _stack,
+    _chol_stack, _gather, _groups, _psd_solver, _schur, _stack,
 )
 from starsdp.problems import parse_problem_file
 from starsdp.relaxation import build_relaxation
 
-from support import random_involution_problem, reflection_realization
+from starsdp.symmetry import reduce_sdp
+from support import (
+    dihedral_rep, invariant_instance, random_involution_problem, reflection_realization,
+)
 
 TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-9)
 
@@ -162,9 +165,16 @@ class TestStackedAssembly:
         rng = np.random.default_rng(seed)
         X = [random_psd(rng, b.size, b.diagonal) for b in model.blocks]
         Z = [random_psd(rng, b.size, b.diagonal) for b in model.blocks]
-        got = _schur(_stack(model), X, [np.linalg.inv(Zb) for Zb in Z])
+        groups = _groups([b.size for b in model.blocks])
+        got = _schur(_stack(model, groups), _gather(X, groups),
+                     _gather([np.linalg.inv(Zb) for Zb in Z], groups))
         want = self.per_pair_schur(model, X, Z)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_repeated_interleaved_sizes(self):
+        model = random_model(np.random.default_rng(9), [3, 1, 3, 1, 1, 2], 7)
+        assert _groups([b.size for b in model.blocks]) == [[0, 2], [1, 3, 4], [5]]
+        self.check(model, 10)
 
     def test_single_constraint(self):
         self.check(random_model(np.random.default_rng(1), [5], 1), 2)
@@ -209,6 +219,60 @@ class TestStackedAssembly:
         s1, s2 = solve(model, TIGHT), solve(permuted, TIGHT)
         assert s1.status == s2.status == Status.OPTIMAL
         assert abs(s1.primal_value - s2.primal_value) <= 1e-9
+
+
+def bounded_feasible_model(rng, sizes, m):
+    """Positive definite cost and rows satisfied by a positive definite
+    point, so the SDP has an optimum."""
+    X0 = [random_psd(rng, n) for n in sizes]
+    A = [[random_sym(rng, n) for n in sizes] for _ in range(m)]
+    return SDPModel([Block(n) for n in sizes], [random_psd(rng, n) for n in sizes],
+                    [LinearConstraint(Ak, SENSE_EQ,
+                                      float(sum(np.vdot(Akb, Xb) for Akb, Xb in zip(Ak, X0))))
+                     for Ak in A])
+
+
+class TestGroupedBlocks:
+    """Blocks of equal size share one (k, n, n) stack inside the solver."""
+
+    def test_jitter_touches_only_the_failing_block(self):
+        rng = np.random.default_rng(12)
+        S = np.array([random_psd(rng, 4) for _ in range(3)])
+        S[1] = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 5.0))   # rank one
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(S)
+        L = _chol_stack(S)
+        for j in (0, 2):
+            assert np.array_equal(L[j], np.linalg.cholesky(S[j]))
+        assert np.allclose(L[1] @ L[1].T, S[1], atol=1e-6)
+
+    def test_block_order_survives_grouping(self):
+        sizes = [3, 1, 3, 2, 1, 3]
+        model = bounded_feasible_model(np.random.default_rng(13), sizes, 8)
+        perm = [5, 1, 3, 0, 4, 2]
+        permuted = SDPModel([model.blocks[i] for i in perm], [model.cost[i] for i in perm],
+                            [LinearConstraint([con.matrices[i] for i in perm],
+                                              con.sense, con.rhs)
+                             for con in model.constraints])
+        s1, s2 = solve(model, TIGHT), solve(permuted, TIGHT)
+        assert s1.status == s2.status == Status.OPTIMAL
+        assert abs(s1.primal_value - s2.primal_value) <= 1e-9 * (1 + abs(s1.primal_value))
+        for sol, order in ((s1, sizes), (s2, [sizes[i] for i in perm])):
+            assert [X.shape for X in sol.X] == [Z.shape for Z in sol.Z] == \
+                [(n, n) for n in order]
+        for j, i in enumerate(perm):
+            assert np.allclose(s2.X[j], s1.X[i], atol=1e-6)
+            assert np.allclose(s2.Z[j], s1.Z[i], atol=1e-6)
+        assert feasibility_check(model, s1.X).max_violation <= 1e-8
+
+    def test_reduced_solve_is_deterministic(self):
+        rep = dihedral_rep(16)
+        red = reduce_sdp(invariant_instance(rep, 4, np.random.default_rng(14)), rep)
+        sizes = [b.size for b in red.model.blocks]
+        assert len(sizes) > len(set(sizes))
+        s1, s2 = solve(red.model, TIGHT), solve(red.model, TIGHT)
+        assert s1.status == Status.OPTIMAL
+        assert s1.history == s2.history
 
 
 class TestIterateInvariants:

@@ -11,8 +11,10 @@ from starsdp.problems import parse_problem
 from starsdp.oracles import (
     ConcreteRealization, chsh_tsirelson_realization, realize_moments, grid_min,
 )
-from starsdp.ipm import Status, feasibility_check
-from starsdp.sdpmodel import unrealify_matrix
+from starsdp.ipm import SolverOptions, Status, feasibility_check, solve
+from starsdp.sdpmodel import to_equality_form, unrealify_matrix
+
+TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-9)
 
 CHSH_TEXT = """
 [generators]
@@ -100,6 +102,30 @@ x^2 = 1
 
 [objective]
 minimize x
+
+[options]
+level = 1
+"""
+
+THREE_INEQUALITIES_TEXT = """
+[generators]
+x selfadjoint
+y selfadjoint
+
+[relations]
+x^2 = 1
+y^2 = 1
+
+[commute]
+{x} with {y}
+
+[objective]
+minimize x + y + x*y
+
+[constraints]
+x >= -0.5
+y >= -0.75
+x*y >= -0.5
 
 [options]
 level = 1
@@ -372,6 +398,17 @@ class TestMomentLMI:
         assert abs(res.bound - 0.5) <= 1e-6
         assert [Z.shape for Z in res.solution.Z] == [(2, 2), (1, 1)]
         assert abs(res.solution.Z[1][0, 0]) <= 1e-6      # the slack x - 0.5
+
+    def test_scalar_inequalities_share_a_stack(self):
+        # three 1x1 slack blocks, grouped into one stack by the solver
+        relax = rx.build_relaxation(parse_problem(THREE_INEQUALITIES_TEXT))
+        res = relax.solve(TIGHT)
+        assert res.status == Status.OPTIMAL
+        assert [Z.shape for Z in res.solution.Z] == [(3, 3)] + [(1, 1)] * 3
+        row = solve(to_equality_form(relax.model), TIGHT)
+        assert row.status == Status.OPTIMAL
+        assert abs(res.bound - row.primal_value) <= 1e-7
+        assert abs(res.bound + 1.5) <= 1e-7
 
     def test_infeasible_inequality_is_not_a_bound(self):
         # |x| <= 1 for an involution, so x >= 2 leaves no moment matrix
