@@ -91,12 +91,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "bound": result.bound,
             "gap": result.solution.gap,
             "status": result.status.value,
+            "reason": result.solution.reason,
             "iterations": result.solution.iterations,
             "schur_dim": len(result.solution.y),
             "timings": result.solution.timings,
             "wall_time": wall,
         })
         if result.status != ipm.Status.OPTIMAL:
+            _err(f"level {level}: {result.status.value}: {result.solution.reason}")
             failed = True
 
     if args.json:

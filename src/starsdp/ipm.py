@@ -1,12 +1,42 @@
 """Dense primal-dual interior point solver for block trace-form SDPs.
 
-Infeasible-start path following with a Mehrotra predictor-corrector and the
-HKM scaling.  A solve groups the blocks by size, in order of first
-appearance, and holds each group of k blocks of size n as one stack: X, Z,
-C and the other iterates as (k, n, n) arrays, and the constraint matrices
-once as an (m, k, n, n) array A_s.  Cholesky factors, inverses, eigenvalues
-and products broadcast over the leading axis, and a stack flattened to
-k n^2 entries behaves like one block for residuals, sum_k y_k A_ks and the
+The solver follows the central path of the simplified homogeneous self-dual
+embedding (Ye, Todd and Mizuno 1994; Xu, Hung and Ye 1996; de Klerk, Roos
+and Terlaky 1997) of min <C, X> s.t. A(X) = b, X psd and its dual
+max b.y s.t. sum_k y_k A_k + Z = C, Z psd.  Two scalars tau, kappa >= 0
+join X, y and Z, and the embedding asks for
+
+    A(X) = b tau,   sum_k y_k A_k + Z = C tau,   b.y - <C, X> = kappa,
+
+from X = xi I, Z = eta I, y = 0, tau = 1, kappa = <X, Z> / N.  Each
+iteration is one Mehrotra predictor-corrector Newton step with the HKM
+scaling; its target removes the share 1 - sigma of all three residuals and
+aims X Z and tau kappa at sigma mu, mu = (<X, Z> + tau kappa) / (N + 1),
+so residuals and mu fall together.  dtau follows from the gap row, dkappa
+from tau kappa complementarity, and all five move by one common length:
+the full step if it stays inside the cones, else STEP_FRACTION of the
+longest one that does.
+
+How a solve ends is read from the iterate alone:
+  OPTIMAL     (X, y, Z) / tau meets tol_feas on both residuals and tol_gap
+              on the relative gap.
+  INFEASIBLE  b.y > 0 and |sum_k y_k A_k + Z| <= tol_feas b.y: y is a
+              dual ray, the primal has no feasible point.
+  UNBOUNDED   <C, X> < 0 and |A(X)| <= tol_feas |<C, X>|: X is a primal
+              ray, the dual has no feasible point.
+  NUMERICAL   a Cholesky factor of X or Z fails, or the step length falls
+              below STEP_FLOOR.
+  MAX_ITER    none of these within max_iter iterations.
+On an infeasible model tau falls toward 0 while kappa stays positive, so
+b.y > 0 or <C, X> < 0 and a ray appears.  Solution.reason says which test
+ended a solve that is not OPTIMAL; the solution is X, y and Z over tau.
+
+A solve groups the blocks by size, in order of first appearance, and holds
+each group of k blocks of size n as one stack: X, Z, C and the other
+iterates as (k, n, n) arrays, and the constraint matrices once as an
+(m, k, n, n) array A_s.  Cholesky factors, inverses, eigenvalues and
+products broadcast over the leading axis, and a stack flattened to k n^2
+entries behaves like one block for residuals, sum_k y_k A_ks and the
 certificates, so every per-iteration loop runs over the distinct sizes,
 not over the blocks.  One Newton solve works on the Schur complement
 
@@ -29,13 +59,9 @@ never perturbed.  When its Cholesky factor fails, the Newton system is
 solved through the eigendecomposition of M with the eigenvalues below
 1e-15 * lambda_max dropped, the least-squares solution on the numerical
 range of M.  Any residual of that solve reappears as primal infeasibility
-of the direction, so it is refined away where it can be.
-
-Steps are damped by a boundary fraction and a backtracking acceptance that
-keeps the complementarity mu monotone.  When the boundary makes the primal
-and dual lengths unequal, the first-order change of mu can be positive at
-every common scale of the two; the backtrack then falls back to the single
-length min(ap, ad), along which mu falls to first order.
+of the direction, so it is refined away where it can be.  The step of
+tau adds a second right-hand side, solved as a second column with the
+same factor and refinement.
 """
 
 from __future__ import annotations
@@ -50,6 +76,8 @@ from .sdpmodel import SDPModel, ModelError
 
 
 PANEL = 2 ** 17     # elements of X A_l Z^-1 formed at once in the Schur assembly
+STEP_FRACTION = 0.98    # share of the distance to the cone boundary a step takes
+STEP_FLOOR = 1e-12      # a shorter step ends the solve NUMERICAL
 
 
 class Status(enum.Enum):
@@ -65,7 +93,6 @@ class SolverOptions:
     tol_gap: float = 1e-8
     tol_feas: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.98
 
 
 @dataclass
@@ -90,9 +117,10 @@ class Solution:
     dual_res: float
     status: Status
     iterations: int
+    reason: str = ""                # why the solve ended other than OPTIMAL
     history: list[Iterate] = field(repr=False, default_factory=list)
     # seconds in "schur" (factor X, Z, assemble M), "newton" (Schur solves,
-    # direction recovery) and "step" (step lengths, mu backtrack)
+    # direction recovery) and "step" (step lengths)
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -153,6 +181,12 @@ def _apply(A, X):
     return sum(Ab.reshape(len(Ab), Xb.size) @ Xb.ravel() for Ab, Xb in zip(A, X))
 
 
+def _adjoint(A, y):
+    """The stacks sum_k y_k A_k, one vector-matrix product per stack."""
+    return [(y @ Ab.reshape(len(Ab), int(np.prod(Ab.shape[1:])))).reshape(Ab.shape[1:])
+            for Ab in A]
+
+
 def _schur(A, X, Zi):
     """M[k, l] = sum_b <A_kb, X_b A_lb Zi_b>, one GEMM per stack and panel."""
     m = len(A[0]) if A else 0
@@ -199,82 +233,35 @@ def _timed(timings, phase):
     return wrap
 
 
-def _chol_with_jitter(M, tries=3):
-    """Cholesky factor of a symmetric positive definite M, or None.
-
-    If the plain factor fails, this factors M + j I instead, with j growing
-    from 1e-12 max|M| by 100 per try: the factor is then that of a
-    perturbed matrix.  Used only for the iterates X and Z, which the
-    boundary fraction keeps strictly inside the cone."""
-    scale = max(1.0, float(np.max(np.abs(M))))
-    jitter = 0.0
-    for t in range(tries + 1):
-        try:
-            return np.linalg.cholesky(M + jitter * np.eye(M.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter = scale * (1e-12 if t == 0 else jitter / scale * 100)
-    return None
-
-
-def _chol_stack(S):
-    """Cholesky factors of a (k, n, n) stack, or None.  One batched call;
-    if it fails, each block is factored alone, so only the blocks whose
-    plain factor fails are perturbed."""
-    try:
-        return np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        Ls = [_chol_with_jitter(Sb) for Sb in S]
-        return None if any(L is None for L in Ls) else np.array(Ls)
-
-
 def _psd_solver(M):
-    """A solver x = f(r) for M x = r, M symmetric positive semidefinite.
+    """A solver x = f(r) for M x = r, M symmetric positive semidefinite, and
+    r one right-hand side or a column of them.
 
-    Cholesky when it succeeds.  Otherwise M has lost rank to rounding or
-    has dependent rows, and f returns the least-squares solution of least
-    norm on the eigenvectors whose eigenvalues exceed 1e-15 * lambda_max;
-    M itself is not perturbed."""
+    Through the inverse of the Cholesky factor when that factor exists,
+    so each solve is two matrix products.  Otherwise M has lost rank to
+    rounding or has dependent rows, and f returns the least-squares
+    solution of least norm on the eigenvectors whose eigenvalues exceed
+    1e-15 * lambda_max; M itself is not perturbed."""
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         w, V = np.linalg.eigh(M)
         keep = w > 1e-15 * max(float(w[-1]), 0.0)
         V, w = V[:, keep], w[keep]
-        return lambda r: V @ ((V.T @ r) / w)
-    return lambda r: np.linalg.solve(L.T, np.linalg.solve(L, r))
+        return lambda r: (V / w) @ (V.T @ r)
+    Li = np.linalg.inv(L)
+    return lambda r: Li.T @ (Li @ r)
 
 
-def _max_step(L, dS):
+def _max_step(Li, dS):
     """Largest a with S + a dS psd on every block of a stack, where
-    S = L L^T.  Returns np.inf if dS does not push against the boundary."""
-    W = np.linalg.solve(L, dS)
-    W = np.linalg.solve(L, W.swapaxes(-1, -2)).swapaxes(-1, -2)
+    S = L L^T and Li = inv(L).  Returns np.inf if dS does not push against
+    the boundary."""
+    W = Li @ dS @ Li.swapaxes(-1, -2)
     lam = float(np.linalg.eigvalsh(_sym(W))[:, 0].min())
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
-
-
-def _certificate_status(A, b, C, X, y, normsA, normC):
-    """Check the current iterate for a genuine infeasibility certificate.
-
-    Primal infeasibility: y with sum_k y_k A_k psd-negative and b.y > 0.
-    Primal unboundedness: a psd ray R in the constraint nullspace with
-    <C, R> < 0.  Both verified to tolerance, so the status is earned, not
-    guessed."""
-    anorm = 1.0 + max(normsA, default=0.0)
-    ny = float(np.linalg.norm(y))
-    if ny > 1e-8 and float(b @ y) / ny > 1e-6:
-        if all(np.linalg.eigvalsh(_sym(np.tensordot(y / ny, Ab, 1)))[:, -1].max()
-               <= 1e-6 * anorm for Ab in A):
-            return Status.INFEASIBLE
-    nx = np.sqrt(sum(_frob(Xb) ** 2 for Xb in X))
-    if nx > 1e-8:
-        ray_obj = sum(float(np.vdot(Cb, Xb)) for Cb, Xb in zip(C, X)) / nx
-        ray_res = float(np.linalg.norm(_apply(A, X))) / nx
-        if ray_obj < -1e-6 * (1 + normC) and ray_res <= 1e-6 * anorm:
-            return Status.UNBOUNDED
-    return None
 
 
 def solve(model: SDPModel, options: SolverOptions | None = None,
@@ -295,7 +282,6 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     A = _stack(model, groups)
     b = np.array([con.rhs for con in model.constraints], dtype=float)
 
-    # per-block maxima, as the divergence test below
     normC = max((float(np.linalg.norm(Cg, axis=(-2, -1)).max()) for Cg in C), default=0.0)
     normsA = np.sqrt(sum((np.einsum("kbij,kbij->k", Ag, Ag) for Ag in A), np.zeros(m)))
     xi = max(1.0, np.sqrt(max(sizes, default=1)),
@@ -311,145 +297,153 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         X = [xi * I for I in eye]
         y = np.zeros(m)
         Z = [eta * I for I in eye]
+    tau = 1.0
+    kappa = sum(float(np.vdot(X[i], Z[i])) for i in range(ns)) / max(N, 1)
 
     bscale = 1.0 + float(np.linalg.norm(b))
     cscale = 1.0 + normC
     history: list[Iterate] = []
     timings = {"schur": 0.0, "newton": 0.0, "step": 0.0}
-    status = Status.MAX_ITER
+    status, reason = Status.MAX_ITER, ""
     pobj = dobj = relgap = pres = dres = 0.0
-    centerings = 0
-
-    def mu_at(dX, dZ, ap, ad):
-        return sum(float(np.vdot(X[i] + ap * dX[i], Z[i] + ad * dZ[i]))
-                   for i in range(ns)) / max(N, 1)
 
     for it in range(opts.max_iter + 1):
-        rp = b - _apply(A, X)
-        Rd = [C[i] - Z[i] - np.tensordot(y, A[i], 1) for i in range(ns)]
-        pobj = sum(float(np.vdot(C[i], X[i])) for i in range(ns))
-        dobj = float(b @ y)
-        mu = sum(float(np.vdot(X[i], Z[i])) for i in range(ns)) / max(N, 1)
-        pres = float(np.linalg.norm(rp)) / bscale
-        dres = np.sqrt(sum(_frob(R) ** 2 for R in Rd)) / cscale
+        yA = _adjoint(A, y)
+        AX = _apply(A, X)
+        cx = sum(float(np.vdot(C[i], X[i])) for i in range(ns))
+        by = float(b @ y)
+        rp = tau * b - AX
+        Rd = [tau * C[i] - Z[i] - yA[i] for i in range(ns)]
+        rg = kappa - by + cx
+        mu = (sum(float(np.vdot(X[i], Z[i])) for i in range(ns)) + tau * kappa) / (N + 1)
+        pobj, dobj = cx / tau, by / tau
+        pres = float(np.linalg.norm(rp)) / tau / bscale
+        dres = np.sqrt(sum(_frob(R) ** 2 for R in Rd)) / tau / cscale
         relgap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
         history.append(Iterate(it, pobj, dobj, mu, pres, dres))
 
         if pres <= opts.tol_feas and dres <= opts.tol_feas and relgap <= opts.tol_gap:
             status = Status.OPTIMAL
             break
-        if it >= 5:
-            diverging = (
-                float(np.linalg.norm(y)) > 1e8
-                or any(np.linalg.norm(Xg, axis=(-2, -1)).max() > 1e8 for Xg in X)
-                or dobj > 1e10 * bscale
-                or pobj < -1e10 * cscale
-            )
-            if diverging:
-                cert = _certificate_status(A, b, C, X, y, normsA, normC)
-                if cert is not None:
-                    status = cert
-                    break
+        dual_ray = np.sqrt(sum(_frob(yA[i] + Z[i]) ** 2 for i in range(ns)))
+        if by > 0 and dual_ray <= opts.tol_feas * by:
+            status = Status.INFEASIBLE
+            reason = (f"dual ray at iteration {it}: b.y > 0 and |sum_k y_k A_k + Z| = "
+                      f"{dual_ray / by:.1e} b.y, so the primal has no feasible point")
+            break
+        primal_ray = float(np.linalg.norm(AX))
+        if cx < 0 and primal_ray <= opts.tol_feas * -cx:
+            status = Status.UNBOUNDED
+            reason = (f"primal ray at iteration {it}: <C, X> < 0 and |A(X)| = "
+                      f"{primal_ray / -cx:.1e} |<C, X>|, so the dual has no feasible point")
+            break
         if it == opts.max_iter:
-            status = Status.MAX_ITER
+            reason = (f"iteration limit {it} reached: gap {relgap:.1e}, primal residual "
+                      f"{pres:.1e}, dual residual {dres:.1e}")
             break
 
         t0 = time.perf_counter()
-        Lx = [_chol_stack(Xg) for Xg in X]
-        Lz = [_chol_stack(Zg) for Zg in Z]
-        if any(L is None for L in Lx + Lz):
+        try:
+            name = "X"
+            Lx = [np.linalg.cholesky(Xg) for Xg in X]
+            name = "Z"
+            Lz = [np.linalg.cholesky(Zg) for Zg in Z]
+        except np.linalg.LinAlgError:
             status = Status.NUMERICAL
+            reason = f"the Cholesky factor of {name} failed at iteration {it}"
             break
-        Zi = [li.swapaxes(-1, -2) @ li for li in map(np.linalg.inv, Lz)]
+        Lxi, Lzi = [np.linalg.inv(L) for L in Lx], [np.linalg.inv(L) for L in Lz]
+        Zi = [li.swapaxes(-1, -2) @ li for li in Lzi]
         M = _schur(A, X, Zi)
         t1 = time.perf_counter()
         timings["schur"] += t1 - t0
         solve_once = _psd_solver(M)
+        XRZi = [X[i] @ Rd[i] @ Zi[i] for i in range(ns)]
+        # the gap row is written against the shifted cost Ct = (Z + Rd) / tau
+        # = C - sum_k (y_k / tau) A_k, in dv = dy - dtau y / tau: with C
+        # itself, terms of size y^T M y cancel to rounding noise once M is
+        # ill-conditioned
+        Ct = [(Z[i] + Rd[i]) / tau for i in range(ns)]
+        DCt = [(X[i] + XRZi[i]) / tau for i in range(ns)]      # X Ct inv(Z)
+        u = _apply(A, DCt)
+        bu = b - u
+        CtDCt = sum(float(np.vdot(Ct[i], DCt[i])) for i in range(ns))
+        rg_t = rg + float(y @ rp) / tau
         timings["newton"] += time.perf_counter() - t1
+        q = None
 
         def schur_solve(rhs):
             dy = solve_once(rhs)
             # the Schur residual reappears verbatim as primal infeasibility
-            # of the recovered dX, so refine while refinement helps
-            best, best_r = dy, float(np.linalg.norm(rhs - M @ dy))
+            # of the recovered dX, so refine each column while its residual
+            # norm at least halves
+            r = rhs - M @ dy
             for _ in range(3):
-                r = rhs - M @ best
-                cand = best + solve_once(r)
-                cr = float(np.linalg.norm(rhs - M @ cand))
-                if cr >= best_r * 0.5:
+                cand = dy + solve_once(r)
+                rc = rhs - M @ cand
+                better = np.sum(rc * rc, axis=0) < 0.25 * np.sum(r * r, axis=0)
+                if not better.any():
                     break
-                best, best_r = cand, cr
-            return best
+                dy, r = np.where(better, cand, dy), np.where(better, rc, r)
+            return dy
 
         @_timed(timings, "newton")
-        def newton(nu, corr):
-            G = [-X[i] - _sym(X[i] @ Rd[i] @ Zi[i]) + nu * Zi[i]
+        def newton(rho, nu, corr, nu_tk):
+            """The step that removes the share rho of the residuals, aims
+            X Z at nu I and solves tau dkappa + kappa dtau = nu_tk.  With
+            dv = p + dtau q, M p = rho rp - A(G) and M q = b + A(X Ct inv(Z));
+            q rides along with the first p as a second column."""
+            nonlocal q
+            G = [-X[i] - rho * _sym(XRZi[i]) + nu * Zi[i]
                  - (0.0 if corr is None else _sym(corr[i] @ Zi[i])) for i in range(ns)]
-            dy = schur_solve(rp - _apply(A, G))
-            S = [np.tensordot(dy, Ab, 1) for Ab in A]
-            dZ = [_sym(Rd[i] - S[i]) for i in range(ns)]
-            dX = [_sym(G[i] + X[i] @ S[i] @ Zi[i]) for i in range(ns)]
-            return dX, dy, dZ
+            r = rho * rp - _apply(A, G)
+            if q is None:
+                p, q = schur_solve(np.column_stack([r, b + u])).T
+            else:
+                p = schur_solve(r)
+            dtau = ((rho * rg_t + sum(float(np.vdot(Ct[i], G[i])) for i in range(ns))
+                     - bu @ p + nu_tk / tau)
+                    / (bu @ q + CtDCt + kappa / tau))
+            dv = p + dtau * q
+            S = _adjoint(A, dv)
+            dZ = [_sym(rho * Rd[i] - S[i] + dtau * Ct[i]) for i in range(ns)]
+            dX = [_sym(G[i] + X[i] @ S[i] @ Zi[i] - dtau * DCt[i]) for i in range(ns)]
+            return dX, dv + dtau / tau * y, dZ, dtau, (nu_tk - kappa * dtau) / tau
 
         @_timed(timings, "step")
-        def step_sizes(dX, dZ, fraction):
-            return [min(1.0, fraction * min(map(_max_step, Ls, Ds), default=np.inf))
-                    for Ls, Ds in ((Lx, dX), (Lz, dZ))]
+        def step_length(d, fraction):
+            """The full step if it stays inside the cones, else the fraction
+            of the longest step that does."""
+            dX, _, dZ, dtau, dkappa = d
+            limits = [_max_step(Li, D) for Li, D in zip(Lxi + Lzi, dX + dZ)]
+            limits += [-s / ds for s, ds in ((tau, dtau), (kappa, dkappa)) if ds < 0]
+            longest = min(limits, default=np.inf)
+            return 1.0 if longest > 1.0 else fraction * longest
 
-        @_timed(timings, "step")
-        def mu_backtrack(dX, dZ, ap, ad):
-            """Halve both lengths until mu does not increase.
-
-            Halving keeps ap/ad, and with ap != ad the first-order change
-            of mu, (ad <X,dZ> + ap <dX,Z>) / N, can be positive at every
-            scale.  Then retry with the common length a = min(ap, ad).
-            Along it the first-order change is (sigma - 1) mu a <= 0 for a
-            step without corrector, and the second-order term
-            a^2 <dX,dZ> / N shrinks faster under halving, so mu falls or
-            stays level at some halving of a."""
-            for ap, ad in [(ap, ad)] + ([(min(ap, ad),) * 2] if ap != ad else []):
-                for _ in range(30):
-                    if mu_at(dX, dZ, ap, ad) <= mu * (1 + 1e-12):
-                        return True, ap, ad
-                    ap *= 0.5
-                    ad *= 0.5
-            return False, ap, ad
-
-        dXa, dya, dZa = newton(0.0, None)
-        ap, ad = step_sizes(dXa, dZa, 1.0)
-        mu_aff = mu_at(dXa, dZa, ap, ad)
+        aff = newton(1.0, 0.0, None, -tau * kappa)
+        dXa, _, dZa, dtau_a, dkappa_a = aff
+        a = step_length(aff, 1.0)
+        mu_aff = (sum(float(np.vdot(X[i] + a * dXa[i], Z[i] + a * dZa[i])) for i in range(ns))
+                  + (tau + a * dtau_a) * (kappa + a * dkappa_a)) / (N + 1)
         sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0, 1e-8))
-
-        corr = [dXa[i] @ dZa[i] for i in range(ns)]
-        dX, dy, dZ = newton(sigma * mu, corr)
-        ap, ad = step_sizes(dX, dZ, opts.step_fraction)
-        accepted, ap, ad = mu_backtrack(dX, dZ, ap, ad)
-
-        if accepted and (ap >= 1e-12 or ad >= 1e-12):
-            centerings = 0
-        else:
-            # predictor blocked at the cone boundary; a pure centering step
-            # (sigma = 1, no corrector) keeps mu level and restores room
-            rescued = False
-            if centerings < 5:
-                dXc, dyc, dZc = newton(mu, None)
-                apc, adc = step_sizes(dXc, dZc, opts.step_fraction)
-                ok, apc, adc = mu_backtrack(dXc, dZc, apc, adc)
-                if ok and (apc >= 1e-12 or adc >= 1e-12):
-                    dX, dy, dZ, ap, ad = dXc, dyc, dZc, apc, adc
-                    centerings += 1
-                    rescued = True
-            if not rescued:
-                cert = _certificate_status(A, b, C, X, y, normsA, normC)
-                status = cert if cert is not None else Status.NUMERICAL
-                break
-        X = [_sym(Xb + ap * dXb) for Xb, dXb in zip(X, dX)]
-        Z = [_sym(Zb + ad * dZb) for Zb, dZb in zip(Z, dZ)]
-        y = y + ad * dy
+        d = newton(1.0 - sigma, sigma * mu, [dXa[i] @ dZa[i] for i in range(ns)],
+                   sigma * mu - tau * kappa - dtau_a * dkappa_a)
+        alpha = step_length(d, STEP_FRACTION)
+        if alpha < STEP_FLOOR:
+            status = Status.NUMERICAL
+            reason = f"step length {alpha:.1e} below {STEP_FLOOR:.0e} at iteration {it}"
+            break
+        dX, dy, dZ, dtau, dkappa = d
+        X = [_sym(Xb + alpha * dXb) for Xb, dXb in zip(X, dX)]
+        Z = [_sym(Zb + alpha * dZb) for Zb, dZb in zip(Z, dZ)]
+        y = y + alpha * dy
+        tau += alpha * dtau
+        kappa += alpha * dkappa
 
     return Solution(
-        X=_scatter(X, groups), y=y, Z=_scatter(Z, groups),
+        X=_scatter([Xg / tau for Xg in X], groups), y=y / tau,
+        Z=_scatter([Zg / tau for Zg in Z], groups),
         primal_value=pobj, dual_value=dobj, gap=relgap,
-        primal_res=pres, dual_res=dres,
-        status=status, iterations=len(history) - 1, history=history, timings=timings,
+        primal_res=pres, dual_res=dres, status=status, reason=reason,
+        iterations=len(history) - 1, history=history, timings=timings,
     )

@@ -51,15 +51,27 @@ class TestSolve:
         assert doc["sense"] == "minimize"
         (row,) = doc["levels"]
         assert set(row) == {"level", "basis_size", "moment_variables",
-                            "bound", "gap", "status", "iterations", "schur_dim",
-                            "timings", "wall_time"}
+                            "bound", "gap", "status", "reason", "iterations",
+                            "schur_dim", "timings", "wall_time"}
         assert abs(row["bound"] + 0.25) < 1e-5
-        assert row["status"] == "OPTIMAL"
+        assert row["status"] == "OPTIMAL" and row["reason"] == ""
         assert row["iterations"] >= 1
         # the Schur matrix has one row per moment parameter but the unit
         assert row["schur_dim"] == row["moment_variables"] - 1
         assert set(row["timings"]) == {"schur", "newton", "step"}
         assert all(0.0 <= t <= row["wall_time"] for t in row["timings"].values())
+
+    def test_infeasible_level_reports_its_reason(self, capsys, tmp_path):
+        # |x| <= 1 for an involution, so x >= 2 leaves no moment matrix
+        p = tmp_path / "infeasible.csdp"
+        p.write_text("[generators]\nx selfadjoint\n\n[relations]\nx^2 = 1\n\n"
+                     "[objective]\nminimize x\n\n[constraints]\nx >= 2\n")
+        code, out, err = run(capsys, "solve", str(p), "--level", "1", "--json")
+        assert code == 3
+        (row,) = json.loads(out)["levels"]
+        assert row["status"] == "INFEASIBLE"
+        assert row["reason"]
+        assert "level 1: INFEASIBLE: primal ray" in err
 
     def test_level_zero_not_representable(self, capsys):
         code, out, err = run(capsys, "solve", CHSH, "--level", "0")

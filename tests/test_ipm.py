@@ -13,7 +13,7 @@ from starsdp.sdpmodel import (
 )
 from starsdp.ipm import (
     PANEL, solve, SolverOptions, Status, feasibility_check,
-    _chol_stack, _gather, _groups, _psd_solver, _schur, _stack,
+    _gather, _groups, _psd_solver, _schur, _stack,
 )
 from starsdp.problems import parse_problem_file
 from starsdp.relaxation import build_relaxation
@@ -103,19 +103,50 @@ class TestCertificates:
         sol = solve(m)
         assert sol.status == Status.UNBOUNDED
 
+    def test_iteration_limit_has_a_reason(self):
+        m = pin_entry_model(2, np.eye(2), 0, 0, 1.0)
+        sol = solve(m, SolverOptions(max_iter=2))
+        assert sol.status == Status.MAX_ITER and sol.iterations == 2
+        assert sol.reason.startswith("iteration limit 2 reached")
+        assert solve(m).reason == ""
+
 
 class TestMultiBlockCertificates:
     """Certificates on models that to_equality_form gives a diagonal slack
     block, so sum_k y_k A_k is checked on two blocks."""
 
+    E00 = np.diag([1.0, 0.0])
+    I2 = np.eye(2)
+    # row sets on a psd 2x2 block that no X satisfies
+    INFEASIBLE_ROWS = {
+        "tr X <= -1": [(I2, SENSE_LE, -1.0)],
+        "X00 >= 1, tr X <= 0.5": [(E00, SENSE_GE, 1.0), (I2, SENSE_LE, 0.5)],
+        "X00 >= 1, X00 <= 0.5": [(E00, SENSE_GE, 1.0), (E00, SENSE_LE, 0.5)],
+        "X00 == 1, tr X <= 0.5": [(E00, SENSE_EQ, 1.0), (I2, SENSE_LE, 0.5)],
+        "tr X >= 2, tr X <= 1": [(I2, SENSE_GE, 2.0), (I2, SENSE_LE, 1.0)],
+    }
+
     def test_infeasible_detected(self):
-        # tr X <= -1 on a psd 2x2 block; y = -1 gives -I on X and -1 on the
-        # slack, with b.y = 1
-        m = to_equality_form(SDPModel(
-            [Block(2)], [np.eye(2)],
-            [LinearConstraint([np.eye(2)], SENSE_LE, -1.0)]))
-        assert [b.size for b in m.blocks] == [2, 1] and m.blocks[1].diagonal
-        assert solve(m).status == Status.INFEASIBLE
+        # tr X <= -1 has y = -1, which gives -I on X and -1 on the slack,
+        # with b.y = 1; the two-row models are small and strongly
+        # infeasible.  Each is solved with cost I and with zero cost, and
+        # y must satisfy b.y > 0 and sum_k y_k A_k <= 0 on every block.
+        for name, rows in self.INFEASIBLE_ROWS.items():
+            for cost in (1.0, 0.0):
+                m = to_equality_form(SDPModel(
+                    [Block(2)], [cost * np.eye(2)],
+                    [LinearConstraint([A], sense, rhs) for A, sense, rhs in rows]))
+                slacks = sum(sense != SENSE_EQ for _, sense, _ in rows)
+                assert [b.size for b in m.blocks] == [2, slacks] and m.blocks[1].diagonal
+                sol = solve(m)
+                case = f"{name} with cost {cost}"
+                assert sol.status == Status.INFEASIBLE, f"{case}: {sol.reason}"
+                assert sol.reason, case
+                by = float(sol.y @ [con.rhs for con in m.constraints])
+                assert by > 0, case
+                for i in range(len(m.blocks)):
+                    S = sum(yk * con.matrices[i] for yk, con in zip(sol.y, m.constraints))
+                    assert np.linalg.eigvalsh(S)[-1] <= 1e-6 * by, case
 
     def test_unbounded_detected(self):
         # min -X_00 with X_00 - X_11 >= 0: the ray X = E_00 has slack 1
@@ -234,17 +265,6 @@ def bounded_feasible_model(rng, sizes, m):
 
 class TestGroupedBlocks:
     """Blocks of equal size share one (k, n, n) stack inside the solver."""
-
-    def test_jitter_touches_only_the_failing_block(self):
-        rng = np.random.default_rng(12)
-        S = np.array([random_psd(rng, 4) for _ in range(3)])
-        S[1] = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 5.0))   # rank one
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(S)
-        L = _chol_stack(S)
-        for j in (0, 2):
-            assert np.array_equal(L[j], np.linalg.cholesky(S[j]))
-        assert np.allclose(L[1] @ L[1].T, S[1], atol=1e-6)
 
     def test_block_order_survives_grouping(self):
         sizes = [3, 1, 3, 2, 1, 3]
@@ -407,8 +427,14 @@ class TestDegenerateEndgame:
         x = V[:, :3] @ rng.normal(size=3)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(M)
-        got = _psd_solver(M)(M @ x)
+        solver = _psd_solver(M)
+        got = solver(M @ x)
         assert np.linalg.norm(got - x) <= 1e-7 * np.linalg.norm(x)
+        # two right-hand sides at once, as the predictor solves them
+        X2 = np.column_stack([x, V[:, :3] @ rng.normal(size=3)])
+        got = solver(M @ X2)
+        assert got.shape == (4, 2)
+        assert np.linalg.norm(got - X2) <= 1e-7 * np.linalg.norm(X2)
 
 
 class TestRoundTrips:

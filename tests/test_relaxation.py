@@ -416,6 +416,15 @@ class TestMomentLMI:
         res = rx.build_relaxation(prob).solve()
         assert res.status not in (Status.OPTIMAL, Status.UNBOUNDED)
 
+    def test_infeasible_inequality_is_reported_infeasible(self):
+        # the LMI's primal ray X = ([[1, -1], [-1, 1]], 2) certifies that no
+        # moment matrix satisfies x >= 2 at level 1
+        prob = parse_problem(INVOLUTION_TEXT + "[constraints]\nx >= 2\n")
+        res = rx.build_relaxation(prob, level=1).solve()
+        assert res.status == Status.INFEASIBLE
+        assert res.solution.status == Status.UNBOUNDED
+        assert "primal ray" in res.solution.reason
+
     def test_inconsistent_equalities_rejected(self):
         prob = parse_problem(INVOLUTION_TEXT + "[constraints]\nx == 0.25\nx == 0.5\n")
         with pytest.raises(rx.RelaxationError, match="equality"):
