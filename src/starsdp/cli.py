@@ -51,8 +51,8 @@ def _parse_levels(spec: str) -> list[int]:
     return levels
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.8f}"
+def _fmt_float(x: float | None) -> str:
+    return "-" if x is None else f"{x:.8f}"
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -88,7 +88,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "level": level,
             "basis_size": len(relax.basis),
             "moment_variables": relax.n_moment_vars,
-            "bound": result.bound,
+            # only an OPTIMAL level has a finite bound it certifies
+            "bound": result.bound if result.status == ipm.Status.OPTIMAL else None,
             "gap": result.solution.gap,
             "status": result.status.value,
             "reason": result.solution.reason,

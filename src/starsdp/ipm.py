@@ -20,16 +20,18 @@ longest one that does.
 How a solve ends is read from the iterate alone:
   OPTIMAL     (X, y, Z) / tau meets tol_feas on both residuals and tol_gap
               on the relative gap.
-  INFEASIBLE  b.y > 0 and |sum_k y_k A_k + Z| <= tol_feas b.y: y is a
-              dual ray, the primal has no feasible point.
-  UNBOUNDED   <C, X> < 0 and |A(X)| <= tol_feas |<C, X>|: X is a primal
-              ray, the dual has no feasible point.
+  INFEASIBLE  b.y > 0 and |sum_k y_k A_k + Z| / a <= tol_feas b.y / |b|:
+              y is a dual ray, the primal has no feasible point.
+  UNBOUNDED   <C, X> < 0 and |A(X)| / a <= tol_feas |<C, X>| / |C|: X is
+              a primal ray, the dual has no feasible point.
   NUMERICAL   a Cholesky factor of X or Z fails, or the step length falls
               below STEP_FLOOR.
   MAX_ITER    none of these within max_iter iterations.
-On an infeasible model tau falls toward 0 while kappa stays positive, so
-b.y > 0 or <C, X> < 0 and a ray appears.  Solution.reason says which test
-ended a solve that is not OPTIMAL; the solution is X, y and Z over tau.
+Here a = max_k |A_k|, so the ray tests do not change when A, b or C is
+scaled.  On an infeasible model tau falls toward 0 while kappa stays
+positive, so b.y > 0 or <C, X> < 0 and a ray appears.  Solution.reason
+says which test ended a solve that is not OPTIMAL; the solution is X, y
+and Z over tau.
 
 A solve groups the blocks by size, in order of first appearance, and holds
 each group of k blocks of size n as one stack: X, Z, C and the other
@@ -286,7 +288,8 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     normsA = np.sqrt(sum((np.einsum("kbij,kbij->k", Ag, Ag) for Ag in A), np.zeros(m)))
     xi = max(1.0, np.sqrt(max(sizes, default=1)),
              np.max((1 + np.abs(b)) / (1 + normsA), initial=0.0))
-    eta = max(1.0, np.sqrt(max(sizes, default=1)), normC, max(normsA, default=0.0))
+    maxA = max(normsA, default=0.0) or 1.0     # a zero A scales no ray
+    eta = max(1.0, np.sqrt(max(sizes, default=1)), normC, maxA)
 
     if start is not None:
         X = _gather(start[0], groups)
@@ -297,11 +300,10 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         X = [xi * I for I in eye]
         y = np.zeros(m)
         Z = [eta * I for I in eye]
-    tau = 1.0
-    kappa = sum(float(np.vdot(X[i], Z[i])) for i in range(ns)) / max(N, 1)
+    tau, kappa = 1.0, sum(float(np.vdot(X[i], Z[i])) for i in range(ns)) / max(N, 1)
 
-    bscale = 1.0 + float(np.linalg.norm(b))
-    cscale = 1.0 + normC
+    normb, normCF = float(np.linalg.norm(b)), np.sqrt(sum(float(np.vdot(Cg, Cg)) for Cg in C))
+    bscale, cscale = 1.0 + normb, 1.0 + normC
     history: list[Iterate] = []
     timings = {"schur": 0.0, "newton": 0.0, "step": 0.0}
     status, reason = Status.MAX_ITER, ""
@@ -325,17 +327,17 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         if pres <= opts.tol_feas and dres <= opts.tol_feas and relgap <= opts.tol_gap:
             status = Status.OPTIMAL
             break
-        dual_ray = np.sqrt(sum(_frob(yA[i] + Z[i]) ** 2 for i in range(ns)))
-        if by > 0 and dual_ray <= opts.tol_feas * by:
+        dual_ray = np.sqrt(sum(_frob(yA[i] + Z[i]) ** 2 for i in range(ns))) * normb
+        if by > 0 and dual_ray <= opts.tol_feas * by * maxA:
             status = Status.INFEASIBLE
-            reason = (f"dual ray at iteration {it}: b.y > 0 and |sum_k y_k A_k + Z| = "
-                      f"{dual_ray / by:.1e} b.y, so the primal has no feasible point")
+            reason = (f"dual ray at iteration {it}, primal infeasible: |sum_k y_k A_k + Z| "
+                      f"/ max|A_k| = {dual_ray / (by * maxA):.1e} b.y / |b| with b.y > 0")
             break
-        primal_ray = float(np.linalg.norm(AX))
-        if cx < 0 and primal_ray <= opts.tol_feas * -cx:
+        primal_ray = float(np.linalg.norm(AX)) * normCF
+        if cx < 0 and primal_ray <= opts.tol_feas * -cx * maxA:
             status = Status.UNBOUNDED
-            reason = (f"primal ray at iteration {it}: <C, X> < 0 and |A(X)| = "
-                      f"{primal_ray / -cx:.1e} |<C, X>|, so the dual has no feasible point")
+            reason = (f"primal ray at iteration {it}, dual infeasible: |A(X)| / max|A_k| "
+                      f"= {primal_ray / (-cx * maxA):.1e} |<C, X>| / |C| with <C, X> < 0")
             break
         if it == opts.max_iter:
             reason = (f"iteration limit {it} reached: gap {relgap:.1e}, primal residual "
@@ -370,13 +372,12 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         CtDCt = sum(float(np.vdot(Ct[i], DCt[i])) for i in range(ns))
         rg_t = rg + float(y @ rp) / tau
         timings["newton"] += time.perf_counter() - t1
-        q = None
 
+        @_timed(timings, "newton")
         def schur_solve(rhs):
             dy = solve_once(rhs)
-            # the Schur residual reappears verbatim as primal infeasibility
-            # of the recovered dX, so refine each column while its residual
-            # norm at least halves
+            # the Schur residual reappears as primal infeasibility of dX, so
+            # refine each column while its residual norm at least halves
             r = rhs - M @ dy
             for _ in range(3):
                 cand = dy + solve_once(r)
@@ -388,19 +389,17 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             return dy
 
         @_timed(timings, "newton")
-        def newton(rho, nu, corr, nu_tk):
-            """The step that removes the share rho of the residuals, aims
-            X Z at nu I and solves tau dkappa + kappa dtau = nu_tk.  With
-            dv = p + dtau q, M p = rho rp - A(G) and M q = b + A(X Ct inv(Z));
-            q rides along with the first p as a second column."""
-            nonlocal q
+        def target(rho, nu, corr):
+            """G and the Schur right-hand side rho rp - A(G) of the step that
+            removes the share rho of the residuals and aims X Z at nu I."""
             G = [-X[i] - rho * _sym(XRZi[i]) + nu * Zi[i]
                  - (0.0 if corr is None else _sym(corr[i] @ Zi[i])) for i in range(ns)]
-            r = rho * rp - _apply(A, G)
-            if q is None:
-                p, q = schur_solve(np.column_stack([r, b + u])).T
-            else:
-                p = schur_solve(r)
+            return G, rho * rp - _apply(A, G)
+
+        @_timed(timings, "newton")
+        def direction(rho, G, p, nu_tk):
+            """The step of target(rho, ...) that solves tau dkappa + kappa dtau
+            = nu_tk, from dv = p + dtau q with M p = rho rp - A(G)."""
             dtau = ((rho * rg_t + sum(float(np.vdot(Ct[i], G[i])) for i in range(ns))
                      - bu @ p + nu_tk / tau)
                     / (bu @ q + CtDCt + kappa / tau))
@@ -420,14 +419,19 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             longest = min(limits, default=np.inf)
             return 1.0 if longest > 1.0 else fraction * longest
 
-        aff = newton(1.0, 0.0, None, -tau * kappa)
+        # M q = b + A(X Ct inv(Z)) rides along with the predictor's p as a
+        # second column of one refined solve
+        G, r = target(1.0, 0.0, None)
+        p, q = schur_solve(np.column_stack([r, b + u])).T
+        aff = direction(1.0, G, p, -tau * kappa)
         dXa, _, dZa, dtau_a, dkappa_a = aff
         a = step_length(aff, 1.0)
         mu_aff = (sum(float(np.vdot(X[i] + a * dXa[i], Z[i] + a * dZa[i])) for i in range(ns))
                   + (tau + a * dtau_a) * (kappa + a * dkappa_a)) / (N + 1)
         sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0, 1e-8))
-        d = newton(1.0 - sigma, sigma * mu, [dXa[i] @ dZa[i] for i in range(ns)],
-                   sigma * mu - tau * kappa - dtau_a * dkappa_a)
+        G, r = target(1.0 - sigma, sigma * mu, [dXa[i] @ dZa[i] for i in range(ns)])
+        d = direction(1.0 - sigma, G, schur_solve(r),
+                      sigma * mu - tau * kappa - dtau_a * dkappa_a)
         alpha = step_length(d, STEP_FRACTION)
         if alpha < STEP_FLOOR:
             status = Status.NUMERICAL

@@ -232,7 +232,9 @@ class RelaxationResult:
 
     bound is the relaxation's optimum in the problem's sense.  status is
     UNBOUNDED when the moments push the objective without limit and
-    INFEASIBLE when no moment blocks are feasible.
+    INFEASIBLE when no moment blocks are feasible; bound is then the
+    infinite optimum, -inf and +inf for a minimization.  After MAX_ITER or
+    NUMERICAL it is the last iterate's estimate and certifies nothing.
 
     solution is the solver's record of the moment LMI, which it takes as
     its dual: y holds the free parameters q of p = p0 + N q, Z the moment
@@ -312,8 +314,10 @@ class RelaxationModel:
             values = self._W @ (self._p0 + self._N @ sol.y)
             moments = {w: complex(v) for w, v in zip(self._var_words, values)}
             gamma = sol.Z[0] if self.real_mode else unrealify_matrix(sol.Z[0])
-        return RelaxationResult(bound, _DUAL_STATUS.get(sol.status, sol.status),
-                                sol, moments, gamma, self.level)
+        status = _DUAL_STATUS.get(sol.status, sol.status)
+        if status in _DUAL_STATUS:
+            bound = self.sense_factor * np.inf * (1 if status == ipm.Status.INFEASIBLE else -1)
+        return RelaxationResult(bound, status, sol, moments, gamma, self.level)
 
     def _functional(self, p: Polynomial, what: str) -> np.ndarray:
         """Complex f with omega(p) = f . params."""

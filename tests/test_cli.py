@@ -71,6 +71,7 @@ class TestSolve:
         (row,) = json.loads(out)["levels"]
         assert row["status"] == "INFEASIBLE"
         assert row["reason"]
+        assert row["bound"] is None
         assert "level 1: INFEASIBLE: primal ray" in err
 
     def test_level_zero_not_representable(self, capsys):

@@ -91,17 +91,35 @@ class TestAnalytic:
 
 
 class TestCertificates:
+    # A, b and C each scaled alone, which changes no status
+    SCALINGS = [(1.0, 1.0, 1.0)] + [t for k in (1e-6, 1e6)
+                                    for t in ((k, 1.0, 1.0), (1.0, k, 1.0), (1.0, 1.0, k))]
+
     def test_infeasible_detected(self):
         # x >= 0 with x = -1 has no primal point
-        m = pin_entry_model(1, np.eye(1), 0, 0, -1.0)
-        sol = solve(m)
-        assert sol.status == Status.INFEASIBLE
+        for a, r, c in self.SCALINGS:
+            m = SDPModel([Block(1)], [c * np.eye(1)],
+                         [LinearConstraint([a * np.eye(1)], SENSE_EQ, -r)])
+            assert solve(m).status == Status.INFEASIBLE, (a, r, c)
 
     def test_unbounded_detected(self):
         # min -X_00 with X_01 = 0: X_00 free to grow
-        m = pin_entry_model(2, -np.eye(2) + np.diag([0.0, 1.0]), 0, 1, 0.0)
-        sol = solve(m)
-        assert sol.status == Status.UNBOUNDED
+        for a, _, c in self.SCALINGS:
+            m = SDPModel([Block(2)], [c * np.diag([-1.0, 0.0])],
+                         [LinearConstraint([a * np.fliplr(np.eye(2)) / 2], SENSE_EQ, 0.0)])
+            assert solve(m).status == Status.UNBOUNDED, (a, c)
+
+    def test_large_data_is_no_ray(self):
+        # at the start |A(X)| is 2e-9 |<C, X>| and later |sum_k y_k A_k + Z|
+        # is 1.5e-9 b.y, yet neither iterate is a ray once A, b and C are
+        # put on one scale
+        big_cost = SDPModel([Block(2)], [np.diag([-1e9, 0.0])],
+                            [LinearConstraint([np.eye(2)], SENSE_EQ, 1.0)])
+        big_rhs = pin_entry_model(2, np.eye(2), 0, 0, 1e9)
+        for m, optimum in ((big_cost, -1e9), (big_rhs, 1e9)):
+            sol = solve(m)
+            assert sol.status == Status.OPTIMAL, sol.reason
+            assert abs(sol.primal_value - optimum) <= 1e-8 * 1e9
 
     def test_iteration_limit_has_a_reason(self):
         m = pin_entry_model(2, np.eye(2), 0, 0, 1.0)

@@ -421,7 +421,7 @@ class TestMomentLMI:
         # moment matrix satisfies x >= 2 at level 1
         prob = parse_problem(INVOLUTION_TEXT + "[constraints]\nx >= 2\n")
         res = rx.build_relaxation(prob, level=1).solve()
-        assert res.status == Status.INFEASIBLE
+        assert res.status == Status.INFEASIBLE and res.bound == np.inf
         assert res.solution.status == Status.UNBOUNDED
         assert "primal ray" in res.solution.reason
 
