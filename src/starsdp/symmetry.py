@@ -6,13 +6,15 @@ diagonalizes the commutant (Murota, Kanno, Kojima and Kojima 2010): the
 eigenspaces of a generic commutant element are irreducible subspaces,
 grouped into isotypic classes by their characters, with the copies in a
 class aligned by averaged intertwiners.  A class holding m copies gives one
-m x m block, and every constraint row is kept as it is.
+m x m block, and every constraint row is kept as it is.  The decomposition
+depends only on the group, so each GroupRep computes it once and keeps it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,15 +44,17 @@ class InvarianceError(Exception):
 
 @dataclass
 class GroupRep:
-    """Finite collection of unitaries closed under multiplication."""
+    """Finite collection of unitaries closed under multiplication, given as
+    a sequence of d x d matrices or a (|G|, d, d) array and held as one
+    (|G|, d, d) complex stack."""
 
-    elements: list[np.ndarray]
+    elements: np.ndarray
     tol: float = UNITARY_TOL
 
     def __post_init__(self):
-        if not self.elements:
-            raise GroupError("empty representation")
         mats = [np.asarray(U, dtype=complex) for U in self.elements]
+        if not mats:
+            raise GroupError("empty representation")
         d = mats[0].shape[0]
         for k, U in enumerate(mats):
             if U.shape != (d, d):
@@ -66,27 +70,58 @@ class GroupRep:
                     raise GroupError(
                         f"product of elements {a} and {b} leaves the set; "
                         "representation is not closed")
-        self.elements = mats
+        self.elements = np.array(mats)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def pieces(self) -> list[tuple[list[np.ndarray], int]]:
+        """The isotypic decomposition reduce_sdp uses, computed at first use."""
+        return _irreducible_pieces(self, np.random.default_rng(SEED))
+
+    def _conjugates(self, M: np.ndarray):
+        """U M U* for a matrix or stack M (..., d, d), one chunk of elements
+        U at a time; a chunk holds at most ipm.PANEL entries unless one
+        element alone needs more."""
+        step = max(1, ipm.PANEL // M.size)
+        for s in range(0, len(self), step):
+            U = self.elements[s:s + step]
+            U = U.reshape(U.shape[:1] + (1,) * (M.ndim - 2) + U.shape[1:])
+            yield U @ M @ U.conj().swapaxes(-1, -2)
+
     def average(self, M: np.ndarray) -> np.ndarray:
-        """Reynolds projection onto the commutant."""
+        """Reynolds projection onto the commutant, of a matrix or a stack."""
         M = np.asarray(M, dtype=complex)
-        return sum(U @ M @ U.conj().T for U in self.elements) / len(self.elements)
+        return sum(UMU.sum(axis=0) for UMU in self._conjugates(M)) / len(self)
 
     def invariance_residual(self, M: np.ndarray) -> tuple[float, int]:
-        worst, arg = 0.0, 0
-        for k, U in enumerate(self.elements):
-            r = float(np.linalg.norm(U @ M @ U.conj().T - M))
-            if r > worst:
-                worst, arg = r, k
-        return worst, arg
+        """Largest ||U M U* - M|| over the group and the first element that
+        attains it; for a stack (n, d, d), one of each per matrix as arrays."""
+        M = np.asarray(M, dtype=complex)
+        r = np.concatenate([_frobenius(UMU - M) for UMU in self._conjugates(M)])
+        if M.ndim == 2:
+            return float(r.max()), int(r.argmax())
+        return r.max(axis=0), r.argmax(axis=0)
+
+    def character(self, Q: np.ndarray) -> np.ndarray:
+        """tr(Q* U Q) for every element U: the character of the action on
+        the invariant span of the orthonormal columns of Q."""
+        return self.elements.reshape(len(self), -1) @ (Q @ Q.conj().T).T.ravel()
+
+
+def _frobenius(D: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes, each summed as
+    np.linalg.norm sums one matrix.  g and its inverse have equal residuals
+    in exact arithmetic, so the first worst element depends on the rounding;
+    this keeps it the same as in a loop over the elements."""
+    v = D.reshape(D.shape[:-2] + (1, -1))
+    t = v.swapaxes(-1, -2)
+    return np.sqrt((v.real @ t.real + v.imag @ t.imag)[..., 0, 0])
 
 
 @dataclass
@@ -154,7 +189,7 @@ def _isotypic_classes(rep: GroupRep, S: np.ndarray, real: bool,
     gaps = np.diff(w) > CLUSTER_TOL * max(1.0, float(np.max(np.abs(w))))
     classes: list[tuple[np.ndarray, list[np.ndarray]]] = []
     for Q in np.split(S @ V, np.flatnonzero(gaps) + 1, axis=1):
-        chi = np.array([np.trace(Q.conj().T @ U @ Q) for U in rep.elements])
+        chi = rep.character(Q)
         for c, copies in classes:
             if _same_character(c, chi):
                 copies.append(Q)
@@ -173,7 +208,8 @@ def _isotypic_classes(rep: GroupRep, S: np.ndarray, real: bool,
 
 
 def _lift(rep: GroupRep, bases: list[np.ndarray], blocks: list[np.ndarray]) -> np.ndarray:
-    """Real d x d matrix with reduced blocks `blocks` (weights included)."""
+    """Real d x d matrix with reduced blocks `blocks` (weights included);
+    blocks that are stacks (n, m_i, m_i) give a stack (n, d, d)."""
     M = sum(P @ B @ P.conj().T for P, B in zip(bases, blocks))
     return np.real(rep.average(M))
 
@@ -223,7 +259,8 @@ def _irreducible_pieces(rep: GroupRep, rng: np.random.Generator) -> list[tuple[l
     """(aligned copies, count) per reduced block; count 2 marks a block that
     also stands for its complex-conjugate class."""
     I = np.eye(rep.dim)
-    if max(float(np.max(np.abs(np.imag(U)))) for U in rep.elements) >= 1e-12:
+    imag = rep.elements.imag
+    if max(imag.max(), -imag.min()) >= 1e-12:
         return [(copies, 1) for _, copies in _isotypic_classes(rep, I, False, rng)]
     pieces, rest = [], []
     for chi, copies in _isotypic_classes(rep, I, True, rng):
@@ -257,19 +294,21 @@ def reduce_sdp(model: SDPModel, rep: GroupRep, tol: float = UNITARY_TOL) -> Redu
         raise ModelError(
             f"representation dimension {rep.dim} does not match block size {d}")
 
-    data = [("objective", model.cost[0])]
-    data += [(f"constraint {k + 1}", con.matrices[0])
-             for k, con in enumerate(model.constraints)]
-    for name, M in data:
-        r, g = rep.invariance_residual(M)
-        if r > tol:
-            raise InvarianceError(
-                f"{name} is not invariant: residual {r:.3e} "
-                f"under group element {g}", element=g, residual=r)
+    # the objective, then every constraint, as one stack
+    data = np.array([model.cost[0]] + [con.matrices[0] for con in model.constraints])
+    names = ["objective"] + [f"constraint {k}" for k in range(1, len(data))]
+    residual, element = rep.invariance_residual(data)
+    bad = np.flatnonzero(residual > tol)
+    if bad.size:
+        j = bad[0]
+        r, g = float(residual[j]), int(element[j])
+        raise InvarianceError(
+            f"{names[j]} is not invariant: residual {r:.3e} "
+            f"under group element {g}", element=g, residual=r)
 
-    pieces = _irreducible_pieces(rep, np.random.default_rng(SEED))
+    pieces = rep.pieces
     commutant_dim = sum(count * len(copies) ** 2 for copies, count in pieces)
-    expected = sum(abs(np.trace(U)) ** 2 for U in rep.elements) / len(rep)
+    expected = np.sum(np.abs(rep.character(np.eye(d))) ** 2) / len(rep)
     if abs(commutant_dim - expected) > 1e-6:
         raise ModelError(
             f"symmetry reduction failed: blocks span a commutant of dimension "
@@ -282,22 +321,23 @@ def reduce_sdp(model: SDPModel, rep: GroupRep, tol: float = UNITARY_TOL) -> Redu
     for copies, count in pieces:
         P = np.hstack([Q[:, :1] for Q in copies])
         w = count * copies[0].shape[1]
-        Ds = [w * P.conj().T @ M @ P for _, M in data]
-        Ds = [(D + D.conj().T) / 2 for D in Ds]
-        if max(float(np.max(np.abs(D.imag))) for D in Ds) <= RANK_TOL:
-            Ds = [D.real for D in Ds]
+        Ds = w * P.conj().T @ data @ P
+        Ds = (Ds + Ds.conj().swapaxes(-1, -2)) / 2
+        if float(np.max(np.abs(Ds.imag))) <= RANK_TOL:
+            Ds = Ds.real
         blocks.append((P, w, Ds))
-    blocks.sort(key=lambda blk: np.iscomplexobj(blk[2][0]))
+    blocks.sort(key=lambda blk: np.iscomplexobj(blk[2]))
     bases, weights, reduced = (list(t) for t in zip(*blocks))
 
-    for j, (name, M) in enumerate(data):
-        r = float(np.linalg.norm(_lift(rep, bases, [Ds[j] for Ds in reduced]) - M))
-        if r > REBUILD_TOL * max(1.0, float(np.linalg.norm(M))):
-            raise ModelError(
-                f"symmetry reduction failed: {name} is rebuilt from its "
-                f"blocks with residual {r:.3e}")
+    rebuilt = np.linalg.norm(_lift(rep, bases, reduced) - data, axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(data, axis=(-2, -1)))
+    bad = np.flatnonzero(rebuilt > REBUILD_TOL * scale)
+    if bad.size:
+        raise ModelError(
+            f"symmetry reduction failed: {names[bad[0]]} is rebuilt from its "
+            f"blocks with residual {rebuilt[bad[0]]:.3e}")
 
-    n_real = sum(not np.iscomplexobj(Ds[0]) for Ds in reduced)
+    n_real = sum(not np.iscomplexobj(Ds) for Ds in reduced)
     real, cplx = reduced[:n_real], reduced[n_real:]
     doubled = realify(HermitianModel(
         [Ds[0].shape[0] for Ds in cplx], [Ds[0] for Ds in cplx],

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from starsdp import ipm
+from starsdp import ipm, symmetry
 from starsdp.sdpmodel import (
     Block, LinearConstraint, SDPModel, ModelError, export_sdpa, to_equality_form,
 )
@@ -60,6 +60,21 @@ class TestGroupRep:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(GroupError):
             GroupRep([np.eye(2), np.eye(3)])
+
+    def test_rejects_no_elements(self):
+        for empty in ([], np.zeros((0, 2, 2))):
+            with pytest.raises(GroupError, match="empty representation"):
+                GroupRep(empty)
+
+    def test_accepts_an_array_of_elements(self):
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        rep = GroupRep(np.array([np.eye(2), swap]))
+        assert len(rep) == 2 and rep.dim == 2
+        model = invariant_instance(C3, 3, np.random.default_rng(5))
+        again = GroupRep(C3.elements)
+        assert again.elements.shape == (3, 6, 6)
+        assert export_sdpa(reduce_sdp(model, again).model) \
+            == export_sdpa(reduce_sdp(model, C3).model)
 
     def test_average_is_projection(self):
         rng = np.random.default_rng(0)
@@ -219,8 +234,14 @@ class TestReduceSDP:
         assert sorted(b.size for b in red.model.blocks) == sizes
         assert sum(sizes) <= rep.dim
         assert len(red.model.constraints) == len(model.constraints)
-        # deterministic: a second call gives the same model to the last bit
-        assert export_sdpa(reduce_sdp(model, rep).model) == export_sdpa(red.model)
+        # deterministic: a second call, which reuses the kept decomposition,
+        # and a call with a fresh rep give the same reduction to the last bit
+        reused, fresh = reduce_sdp(model, rep), reduce_sdp(model, make())
+        for again in (reused, fresh):
+            assert export_sdpa(again.model) == export_sdpa(red.model)
+            assert again.weights == red.weights
+            assert len(again.bases) == len(red.bases)
+            assert all(np.array_equal(P, Q) for P, Q in zip(again.bases, red.bases))
         full = ipm.solve(model, TIGHT)
         small = ipm.solve(red.model, TIGHT)
         assert full.status == small.status == ipm.Status.OPTIMAL
@@ -237,6 +258,107 @@ class TestReduceSDP:
         red = reduce_sdp(model, rep)
         sol = ipm.solve(to_equality_form(red.model))
         assert abs(sol.primal_value - 1.0) < 1e-7
+
+
+def _loop_average(rep, M):
+    return sum(U @ M @ U.conj().T for U in rep.elements) / len(rep)
+
+
+def _loop_residual(rep, M):
+    worst, arg = 0.0, 0
+    for k, U in enumerate(rep.elements):
+        r = float(np.linalg.norm(U @ M @ U.conj().T - M))
+        if r > worst:
+            worst, arg = r, k
+    return worst, arg
+
+
+def _random_matrix(rep, rng):
+    d = rep.dim
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+class TestBatchedActions:
+    """The batched group actions against a loop over the elements."""
+
+    @staticmethod
+    def assert_average_matches_loop(rep, M):
+        ref = _loop_average(rep, M)
+        assert np.linalg.norm(rep.average(M) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @staticmethod
+    def assert_residuals_match_loop(rep, mats):
+        r, g = rep.invariance_residual(np.array(mats))
+        for M, r_stack, g_stack in zip(mats, r, g):
+            ref, ref_g = _loop_residual(rep, M)
+            assert rep.invariance_residual(M) == (float(r_stack), int(g_stack))
+            assert abs(r_stack - ref) <= 1e-12 * max(1.0, ref)
+            assert g_stack == ref_g
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_average_matches_loop(self, name):
+        rep = BLOCK_CASES[name][0]()
+        rng = np.random.default_rng(17)
+        mats = [_random_matrix(rep, rng) for _ in range(3)]
+        for M in mats:
+            self.assert_average_matches_loop(rep, M)
+        for A, M in zip(rep.average(np.array(mats)), mats):
+            assert np.array_equal(A, rep.average(M))
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_invariance_residual_matches_loop(self, name):
+        rep = BLOCK_CASES[name][0]()
+        rng = np.random.default_rng(19)
+        mats = [_random_matrix(rep, rng) for _ in range(4)]
+        mats.append(rep.average(mats[0]))          # invariant: residual near 0
+        self.assert_residuals_match_loop(rep, mats)
+
+    def test_chunked_path(self, monkeypatch):
+        rep = BLOCK_CASES["D16"][0]()
+        rng = np.random.default_rng(23)
+        M = _random_matrix(rep, rng)
+        model = invariant_instance(rep, 3, np.random.default_rng(13))
+        # three elements per chunk for one 16 x 16 matrix, one for a stack
+        # of three or for the five data matrices of the model
+        monkeypatch.setattr(ipm, "PANEL", 3 * rep.dim ** 2)
+        chunks = list(rep._conjugates(M))
+        assert len(chunks) == 11
+        assert all(UMU.size <= ipm.PANEL for UMU in chunks)
+        self.assert_average_matches_loop(rep, M)
+        self.assert_residuals_match_loop(
+            rep, [M, rep.average(M), _random_matrix(rep, rng)])
+        red = reduce_sdp(model, rep)
+        assert sorted(b.size for b in red.model.blocks) == BLOCK_CASES["D16"][1]
+
+
+class TestKeptDecomposition:
+    """reduce_sdp computes a group's isotypic decomposition once per GroupRep."""
+
+    def test_computed_once_per_rep(self, monkeypatch):
+        calls = []
+        pieces = symmetry._irreducible_pieces
+
+        def counting(rep, rng):
+            calls.append(rep)
+            return pieces(rep, rng)
+
+        monkeypatch.setattr(symmetry, "_irreducible_pieces", counting)
+        rep = c3_rep()
+        rng = np.random.default_rng(29)
+        for _ in range(3):
+            reduce_sdp(invariant_instance(rep, 2, rng), rep)
+        assert len(calls) == 1
+        reduce_sdp(invariant_instance(rep, 2, rng), GroupRep(rep.elements))
+        assert len(calls) == 2
+
+    def test_alternating_groups_keep_their_blocks(self):
+        cases = [BLOCK_CASES["C3x2"], BLOCK_CASES["D12"]]
+        reps = [make() for make, _ in cases]
+        rng = np.random.default_rng(37)
+        for _ in range(3):
+            for rep, (_, sizes) in zip(reps, cases):
+                red = reduce_sdp(invariant_instance(rep, 2, rng), rep)
+                assert sorted(b.size for b in red.model.blocks) == sizes
 
 
 class TestGroupFile:
