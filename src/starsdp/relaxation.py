@@ -4,9 +4,12 @@ A hierarchy level is one positivity condition.  Over a word basis
 (gamma_i) the moment blocks have entries that are normal forms of
 gamma_i * weight * gamma_j-adjoint, with weight 1 for the main block and a
 declared positive for each localizing block.  Words appearing in those
-entries become shared scalar unknowns; adjoint relations between them are
-collapsed into orbits, and each orbit carries one real parameter (a real
-line) or two (a free complex value).  The blocks are then one linear map
+entries become shared scalar unknowns, tied only by the adjoint pairing
+omega(w*) = conj omega(w).  When w* rewrites to a single term c u, the
+moment of w is conj(c) times the conjugate of the moment of u; a word with
+u = w carries one real parameter (a real line through a phase), the smaller
+word of a pair w, u carries two (a free complex value), and so does every
+word whose adjoint is not a single term.  The blocks are then one linear map
 
     P p = orthonormal coordinates of every block,
 
@@ -74,7 +77,7 @@ class RelaxationWarning(UserWarning):
     pass
 
 
-def generate_basis(pres: Presentation, level: int, cap: int = BASIS_CAP) -> list[Word]:
+def generate_basis(pres: Presentation, level: int) -> list[Word]:
     """All rewriting-irreducible words of degree up to level, canonically
     sorted (degree, then letters).  The level-d list is a prefix of the
     level-(d+1) list, which is what makes bounds monotone across levels."""
@@ -96,101 +99,11 @@ def generate_basis(pres: Presentation, level: int, cap: int = BASIS_CAP) -> list
                     nxt.append(cand)
         frontier = nxt
         words.extend(nxt)
-        if len(words) > cap:
+        if len(words) > BASIS_CAP:
             raise RelaxationError(
-                f"moment basis exceeds cap ({cap}) before level {level}; "
-                "lower the level or raise the cap")
+                f"moment basis exceeds cap ({BASIS_CAP}) before level {level}; "
+                "lower the level or raise relaxation.BASIS_CAP")
     return sorted(words)
-
-
-class _Orbits:
-    """Union-find over variable words with conjugation-and-scale edges.
-
-    Each non-root word stores (flag, factor) meaning
-    y_word = factor * y_parent, conjugated first when flag is set.
-    Roots carry a state: free, a real line with complex direction phi
-    (y = phi * s, s real), or identically zero."""
-
-    def __init__(self):
-        self.parent: dict[Word, Word] = {}
-        self.edge: dict[Word, tuple[bool, complex]] = {}
-        self.state: dict[Word, tuple[str, complex | None]] = {}
-
-    def add(self, w: Word):
-        if w not in self.parent:
-            self.parent[w] = w
-            self.edge[w] = (False, 1.0 + 0j)
-            self.state[w] = ("free", None)
-
-    def find(self, w: Word) -> tuple[Word, bool, complex]:
-        if self.parent[w] == w:
-            return w, False, 1.0 + 0j
-        r, f, c = self.find(self.parent[w])
-        ef, ec = self.edge[w]
-        cc = ec * (c.conjugate() if ef else c)
-        ff = f != ef
-        self.parent[w] = r
-        self.edge[w] = (ff, cc)
-        return r, ff, cc
-
-    def union_conj(self, w: Word, u: Word, c: complex) -> tuple[Word, Word, complex] | None:
-        """Record y_w = c * conj(y_u).  Returns the triple back when both
-        live in one orbit already, for the deferred consistency pass."""
-        rw, fw, cw = self.find(w)
-        ru, fu, cu = self.find(u)
-        if rw == ru:
-            return (w, u, c)
-        beta = c * cu.conjugate()
-        fb = not fu
-        K = beta / cw
-        if not fw:
-            self.parent[rw] = ru
-            self.edge[rw] = (fb, K)
-        else:
-            self.parent[rw] = ru
-            self.edge[rw] = (not fb, K.conjugate())
-        return None
-
-    def impose_zero(self, r: Word):
-        self.state[r] = ("zero", None)
-
-    def impose_line(self, r: Word, phi: complex):
-        st, old = self.state[r]
-        if st == "zero":
-            return
-        if st == "free":
-            self.state[r] = ("line", phi)
-            return
-        if min(abs(phi - old), abs(phi + old)) > 1e-8:
-            self.state[r] = ("zero", None)
-
-    def settle(self, w: Word, u: Word, c: complex):
-        """Apply a same-orbit relation y_w = c * conj(y_u) to the root."""
-        rw, fw, cw = self.find(w)
-        _, fu, cu = self.find(u)
-        alpha, fa = cw, fw
-        beta, fb = c * cu.conjugate(), not fu
-        if fa == fb:
-            if abs(alpha - beta) > CONSISTENCY_TOL * max(abs(alpha), abs(beta), 1.0):
-                self.impose_zero(rw)
-            return
-        g = alpha / beta if fa else beta / alpha
-        if abs(abs(g) - 1.0) > 1e-8:
-            self.impose_zero(rw)
-            return
-        self.impose_line(rw, cmath.sqrt(g))
-
-    def resolve(self, w: Word) -> tuple[str, Word, complex]:
-        """Kinds: zero; real (y = coeff * s, s a real parameter);
-        id / conj (y = coeff * t or coeff * conj t, t complex free)."""
-        r, f, c = self.find(w)
-        st, phi = self.state[r]
-        if st == "zero":
-            return ("zero", r, 0j)
-        if st == "line":
-            mu = c * (phi.conjugate() if f else phi)
-            return ("real", r, mu)
-        return (("conj" if f else "id"), r, c)
 
 
 # Orthonormal coordinates of a block of size n: the upper triangle in
@@ -272,7 +185,7 @@ class RelaxationModel:
     _P: np.ndarray = field(repr=False, default=None)   # params -> block coordinates
     _W: np.ndarray = field(repr=False, default=None)   # params -> moments of _var_words
     _var_words: list[Word] = field(repr=False, default_factory=list)
-    _roots: list[Word] = field(repr=False, default_factory=list)  # orbit root per param
+    _roots: list[Word] = field(repr=False, default_factory=list)  # root word per param
     _p0: np.ndarray = field(repr=False, default=None)  # params = _p0 + _N q
     _N: np.ndarray = field(repr=False, default=None)
     _f: np.ndarray = field(repr=False, default=None)   # objective, times sense_factor
@@ -331,14 +244,14 @@ class RelaxationModel:
             o[index[w]] += c
         return o @ self._W
 
-    def _representative(self, f: np.ndarray, what: str, n_rows: int | None = None,
-                        tol: float = REPRESENT_TOL) -> np.ndarray:
+    def _representative(self, f: np.ndarray, what: str, n_rows: int | None = None
+                        ) -> np.ndarray:
         """Least-norm coordinates c, on the first n_rows rows of P, of the
         trace functional worth f . p at every parameter vector p."""
         P = self._P[:n_rows]
         c = np.linalg.lstsq(P.T, f, rcond=None)[0]
         resid = np.abs(P.T @ c - f)
-        if np.max(resid, initial=0.0) > tol:
+        if np.max(resid, initial=0.0) > REPRESENT_TOL:
             root = self._roots[int(np.argmax(resid))]
             raise NotRepresentableError(
                 f"{what} involves {word_to_str(root, self.problem.presentation)}, "
@@ -387,6 +300,71 @@ def _detect_real_mode(problem: ProblemFile) -> bool:
     return all(_coeffs_real(p) for p in problem.positives)
 
 
+def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
+                       ) -> tuple[list[Word], np.ndarray, list[Word]]:
+    """The variable words closed under single-term adjoints, sorted; the map
+    W from the real parameters to their moments; and the root word of each
+    parameter.
+
+    A state has omega(w*) = conj omega(w), so nf(w*) = c u ties the moments
+    as y_w = conj(c) conj(y_u), and each word is one of:
+      - a free root, when nf(w*) is not a single term: the real and
+        imaginary parts of y_w are two parameters;
+      - a line root, when u = w: y_w = phi s with phi = sqrt(conj c) and s
+        one real parameter, or y_w = 0 when |c| != 1;
+      - one of a pair, when nf(u*) = c' w: the smaller word is a free root,
+        or zero when the two relations disagree, and the larger follows it;
+      - a follower otherwise, its row of W being conj(c) conj(row of u).
+    In real mode a free root keeps only its real part, and a line only a
+    real phi, which is then 1."""
+    adjoint: dict[Word, tuple[Word, complex] | None] = {}
+    for w in var_words:
+        while w not in adjoint:
+            terms = normal_form(Polynomial.from_word(word_adjoint(w)), pres).terms()
+            adjoint[w] = terms[0] if len(terms) == 1 else None
+            w = terms[0][0] if len(terms) == 1 else w
+    words = sorted(adjoint)
+
+    free = [1.0] if real_mode else [1.0, 1j]
+    seeds: dict[Word, list[complex]] = {}     # a root's entries in its row of W
+    for w in words:
+        if adjoint[w] is None:
+            seeds[w] = free
+            continue
+        u, c = adjoint[w]
+        if u == w:
+            phi = cmath.sqrt(c.conjugate() + 0j)     # + 0j: phi = i, not -i, at c = -1
+            seeds[w] = ([] if abs(abs(c) - 1.0) > 1e-8 or (real_mode and abs(phi.imag) > 1e-8)
+                        else [1.0 if real_mode else phi])
+        elif adjoint[u] is not None and adjoint[u][0] == w and w < u:
+            c2 = adjoint[u][1]     # y_w = conj(c) c2 y_w
+            agree = abs(c.conjugate() * c2 - 1.0) <= CONSISTENCY_TOL * max(1.0, abs(c * c2))
+            seeds[w] = free if agree else []
+    roots = [w for w, seed in seeds.items() for _ in seed]
+
+    index = {w: k for k, w in enumerate(words)}
+    W = np.zeros((len(words), len(roots)), dtype=complex)
+    W[[index[w] for w in roots], range(len(roots))] = [v for seed in seeds.values() for v in seed]
+
+    done = set(seeds)
+
+    def follow(w: Word, path: tuple[Word, ...]) -> np.ndarray:
+        if w not in done:
+            if w in path:
+                cycle = path[path.index(w):]
+                raise RelaxationError(
+                    "the adjoints of " + ", ".join(word_to_str(v, pres) for v in cycle)
+                    + " rewrite in a cycle of three or more words")
+            u, c = adjoint[w]
+            W[index[w]] = c.conjugate() * np.conj(follow(u, path + (w,)))
+            done.add(w)
+        return W[index[w]]
+
+    for w in words:
+        follow(w, ())
+    return words, W, roots
+
+
 def _trace_form(mats: list[np.ndarray], rows: list[tuple[str, float]]
                 ) -> tuple[list[np.ndarray], list[LinearConstraint]]:
     """Cost and constraints from per-block stacks whose matrix 0 is the
@@ -408,8 +386,7 @@ def _restrict(E: np.ndarray, e: np.ndarray, p0: np.ndarray, N: np.ndarray
     return p0 + N @ z, N @ Vt[r:].T
 
 
-def build_relaxation(problem: ProblemFile, level: int | None = None,
-                     cap: int = BASIS_CAP) -> RelaxationModel:
+def build_relaxation(problem: ProblemFile, level: int | None = None) -> RelaxationModel:
     pres = problem.presentation
     d = problem.level if level is None else level
     if d < 0:
@@ -429,7 +406,7 @@ def build_relaxation(problem: ProblemFile, level: int | None = None,
         if UNIT_WORD not in main_basis:
             main_basis = sorted([UNIT_WORD] + main_basis)
     else:
-        main_basis = generate_basis(pres, d, cap)
+        main_basis = generate_basis(pres, d)
 
     bases = [main_basis]
     weights = [Polynomial.unit()]
@@ -474,64 +451,9 @@ def build_relaxation(problem: ProblemFile, level: int | None = None,
         for w, _ in p.terms():
             var_words.add(w)
 
-    # close under single-term adjoints so conjugation links are never lost
-    orbits = _Orbits()
-    pending = []
-    queue = sorted(var_words)
-    seen = set(queue)
-    while queue:
-        w = queue.pop()
-        orbits.add(w)
-        adj = normal_form(Polynomial.from_word(word_adjoint(w)), pres)
-        terms = adj.terms()
-        if len(terms) != 1:
-            continue
-        u, c = terms[0]
-        orbits.add(u)
-        if u not in seen:
-            seen.add(u)
-            queue.append(u)
-        # conj(y_w) = c y_u, hence y_w = conj(c) conj(y_u)
-        rel = orbits.union_conj(w, u, c.conjugate())
-        if rel is not None:
-            pending.append(rel)
-    var_words = seen
-    for w, u, c in pending:
-        orbits.settle(w, u, c)
-
     real_mode = _detect_real_mode(problem)
-    roots = sorted({orbits.find(w)[0] for w in var_words})
-    if real_mode:
-        for r in roots:
-            st, phi = orbits.state[r]
-            if st == "free":
-                orbits.state[r] = ("line", 1.0 + 0j)
-            elif st == "line":
-                if abs(phi.imag) > 1e-8:
-                    # y must equal a purely imaginary multiple of a real
-                    # parameter and stay real: only zero does both
-                    orbits.state[r] = ("zero", None)
-                else:
-                    orbits.state[r] = ("line", 1.0 + 0j)
-
-    # the moments as one linear map y = W p of the real parameters: one
-    # per line orbit, the real and imaginary parts of a free complex orbit
-    index: dict[tuple[Word, int], int] = {}
-    for r in roots:
-        st, _ = orbits.state[r]
-        if st != "zero":
-            index[(r, 0)] = len(index)
-        if st == "free":
-            index[(r, 1)] = len(index)
-    words = sorted(var_words)
+    words, W, roots = _moment_parameters(var_words, pres, real_mode)
     word_index = {w: k for k, w in enumerate(words)}
-    W = np.zeros((len(words), len(index)), dtype=complex)
-    for row, w in zip(W, words):
-        kind, root, mu = orbits.resolve(w)
-        if kind != "zero":
-            row[index[(root, 0)]] = mu
-        if kind in ("id", "conj"):
-            row[index[(root, 1)]] = (1j if kind == "id" else -1j) * mu
 
     # P: parameters to the coordinates of every block, via the upper
     # triangles G p of the blocks
@@ -541,27 +463,26 @@ def build_relaxation(problem: ProblemFile, level: int | None = None,
         upper = [e for i, row in enumerate(mat) for e in row[i:]]
         slot, word, coeff = zip(*[(s, word_index[w], c) for s, e in enumerate(upper)
                                   for w, c in e.terms()])
-        G = np.zeros((len(upper), len(index)), dtype=complex)
+        G = np.zeros((len(upper), len(roots)), dtype=complex)
         np.add.at(G, np.array(slot), np.array(coeff)[:, None] * W[list(word)])
         P.append(_coords(G, n, real_mode))
     P = np.vstack(P)
 
     # the parameters with the unit moment fixed to 1 when the problem
     # normalizes: p = p0 + N q
-    p0, N = np.zeros(len(index)), np.eye(len(index))
+    p0, N = np.zeros(len(roots)), np.eye(len(roots))
     if problem.normalization:
-        kind, root, mu = orbits.resolve(UNIT_WORD)
-        if kind != "real":
-            raise RelaxationError("unit word is not represented; cannot normalize")
-        p0[index[(root, 0)]] = 1.0 / mu.real
-        N = np.delete(N, index[(root, 0)], axis=1)
+        # the unit word is its own adjoint, a root on the line through 1
+        k = roots.index(UNIT_WORD)
+        p0[k] = 1.0
+        N = np.delete(N, k, axis=1)
 
     sense_factor = 1.0 if problem.sense == "minimize" else -1.0
     relax = RelaxationModel(
         problem=problem, level=d, real_mode=real_mode,
         bases=bases, weights=weights, entries=entries,
-        n_moment_vars=len(index), sense_factor=sense_factor,
-        _P=P, _W=W, _var_words=words, _roots=[r for r, _ in index],
+        n_moment_vars=len(roots), sense_factor=sense_factor,
+        _P=P, _W=W, _var_words=words, _roots=roots,
     )
     f = sense_factor * relax._functional(obj_nf, "the objective").real
     g = [relax._functional(p, "a scalar constraint").real for p, _, _ in cons_nf]
@@ -590,8 +511,8 @@ def build_relaxation(problem: ProblemFile, level: int | None = None,
     return relax
 
 
-def gram_representative(relax: RelaxationModel, poly: Polynomial | None = None,
-                        tol: float = REPRESENT_TOL) -> np.ndarray:
+def gram_representative(relax: RelaxationModel, poly: Polynomial | None = None
+                        ) -> np.ndarray:
     """Matrix M with tr(M Gamma) equal to the value of the polynomial for
     every admissible moment matrix Gamma.  Least Frobenius norm among all
     such representatives; raises NotRepresentableError when the polynomial
@@ -599,11 +520,11 @@ def gram_representative(relax: RelaxationModel, poly: Polynomial | None = None,
     p = normal_form(poly if poly is not None else relax.problem.objective,
                     relax.problem.presentation)
     f = relax._functional(p, "the polynomial")
-    if np.max(np.abs(f.imag), initial=0.0) > tol:
+    if np.max(np.abs(f.imag), initial=0.0) > REPRESENT_TOL:
         raise NotRepresentableError(
             "polynomial is not a real form in the moment parameters")
     n = len(relax.basis)
-    c = relax._representative(f.real, "the polynomial", _n_coords(n, relax.real_mode), tol)
+    c = relax._representative(f.real, "the polynomial", _n_coords(n, relax.real_mode))
     return _matrices(c[:, None], n, relax.real_mode)[0]
 
 

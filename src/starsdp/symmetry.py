@@ -42,7 +42,7 @@ class InvarianceError(Exception):
         self.residual = residual
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupRep:
     """Finite collection of unitaries closed under multiplication, given as
     a sequence of d x d matrices or a (|G|, d, d) array and held as one
@@ -63,14 +63,13 @@ class GroupRep:
                 raise GroupError(f"element {k} is not unitary")
         if not any(np.linalg.norm(U - np.eye(d)) <= self.tol for U in mats):
             raise GroupError("representation does not contain the identity")
+        self.elements = np.array(mats)
         for a, Ua in enumerate(mats):
             for b, Ub in enumerate(mats):
-                P = Ua @ Ub
-                if not any(np.linalg.norm(P - U) <= self.tol for U in mats):
+                if not np.any(np.linalg.norm(self.elements - Ua @ Ub, axis=(1, 2)) <= self.tol):
                     raise GroupError(
                         f"product of elements {a} and {b} leaves the set; "
                         "representation is not closed")
-        self.elements = np.array(mats)
 
     @property
     def dim(self) -> int:
@@ -145,7 +144,7 @@ class InvariantBasis:
         return worst
 
 
-def invariant_basis(rep: GroupRep, rank_tol: float = RANK_TOL) -> InvariantBasis:
+def invariant_basis(rep: GroupRep) -> InvariantBasis:
     """HS-orthonormal basis of the commutant via averaged matrix units."""
     d = rep.dim
     basis: list[np.ndarray] = []
@@ -157,7 +156,7 @@ def invariant_basis(rep: GroupRep, rank_tol: float = RANK_TOL) -> InvariantBasis
             for B in basis:
                 M = M - np.trace(B.conj().T @ M) * B
             nrm = float(np.linalg.norm(M))
-            if nrm > rank_tol:
+            if nrm > RANK_TOL:
                 basis.append(M / nrm)
     return InvariantBasis(rep, basis)
 
@@ -282,9 +281,9 @@ def _irreducible_pieces(rep: GroupRep, rng: np.random.Generator) -> list[tuple[l
     return pieces
 
 
-def reduce_sdp(model: SDPModel, rep: GroupRep, tol: float = UNITARY_TOL) -> ReducedSDP:
+def reduce_sdp(model: SDPModel, rep: GroupRep) -> ReducedSDP:
     """Block-diagonal SDP with the constraint rows of a one-block `model`
-    whose data commute with `rep` to `tol`.  ModelError if the blocks miss
+    whose data commute with `rep` to UNITARY_TOL.  ModelError if the blocks miss
     the commutant dimension of the character or fail to rebuild the data."""
     model.validate()
     if len(model.blocks) != 1 or model.blocks[0].diagonal:
@@ -298,7 +297,7 @@ def reduce_sdp(model: SDPModel, rep: GroupRep, tol: float = UNITARY_TOL) -> Redu
     data = np.array([model.cost[0]] + [con.matrices[0] for con in model.constraints])
     names = ["objective"] + [f"constraint {k}" for k in range(1, len(data))]
     residual, element = rep.invariance_residual(data)
-    bad = np.flatnonzero(residual > tol)
+    bad = np.flatnonzero(residual > UNITARY_TOL)
     if bad.size:
         j = bad[0]
         r, g = float(residual[j]), int(element[j])

@@ -1,12 +1,13 @@
 """Relaxation construction and end-to-end bounds on hand-solved problems."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import starsdp.relaxation as rx
-from starsdp.algebra import Polynomial, UNIT_WORD, normal_form
+from starsdp.algebra import Polynomial, UNIT_WORD, normal_form, word_adjoint
 from starsdp.problems import parse_problem
 from starsdp.oracles import (
     ConcreteRealization, chsh_tsirelson_realization, realize_moments, grid_min,
@@ -130,6 +131,48 @@ x*y >= -0.5
 [options]
 level = 1
 """
+
+# u* = 2u: the moment of u is zero, since conj y_u = 2 y_u
+SCALED_ADJOINT_TEXT = """
+[generators]
+u
+
+[relations]
+u' = 2*u
+
+[objective]
+minimize u + u'
+"""
+
+# b' = a without b = a': the presentation is not closed under the adjoint
+ONE_WAY_TEXT = """
+[generators]
+a
+b
+
+[relations]
+b' = a
+
+[objective]
+minimize a*b + b'*a' + a + a'
+
+[constraints]
+a*a' <= 1
+"""
+
+PHASED_ONE_WAY_TEXT = """
+[generators]
+a
+b
+
+[relations]
+b' = i*a
+
+[objective]
+minimize a + a'
+"""
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 TWO_SQRT2 = 2.0 * np.sqrt(2.0)
 
@@ -347,6 +390,61 @@ basis = 1, x, z
         rep = feasibility_check(relax.model, relax.blocks_from_moments(moments))
         assert rep.max_violation <= 1e-9
         assert relax.evaluate(prob.objective, moments).real == pytest.approx(-1.0)
+
+    # lasserre_x4's quartic objective needs level 2
+    @pytest.mark.parametrize("text, level", [
+        pytest.param(text, level, id=f"{name}-L{level}")
+        for name, text in [(f.stem, f.read_text()) for f in sorted(PROBLEMS.glob("*.csdp"))]
+        + [("scaled", SCALED_ADJOINT_TEXT), ("one-way", ONE_WAY_TEXT),
+           ("phased-one-way", PHASED_ONE_WAY_TEXT)]
+        for level in (1, 2, 3) if (name, level) != ("lasserre_x4", 1)])
+    def test_moments_follow_the_adjoint_pairing(self, text, level):
+        relax = rx.build_relaxation(parse_problem(text), level=level)
+        pres = relax.problem.presentation
+        rows = dict(zip(relax._var_words, relax._W))
+        for w, row in rows.items():
+            terms = normal_form(Polynomial.from_word(word_adjoint(w)), pres).terms()
+            if len(terms) == 1:
+                u, c = terms[0]
+                assert np.max(np.abs(np.conj(row) - c * rows[u])) <= 1e-12
+            # a moment depends on the parameters of one root only
+            assert len({relax._roots[k] for k in np.flatnonzero(row)}) <= 1
+        for k, root in enumerate(relax._roots):
+            assert rows[root][k] != 0
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_scaled_adjoint_leaves_no_parameter(self, level):
+        relax = rx.build_relaxation(parse_problem(SCALED_ADJOINT_TEXT), level=level)
+        u = relax.problem.presentation.word("u")
+        assert u not in relax._roots
+        assert not np.any(relax._W[relax._var_words.index(u)])
+        res = relax.solve()
+        assert res.status == Status.OPTIMAL
+        assert abs(res.bound) <= 1e-9
+
+    def test_presentation_not_closed_under_the_adjoint(self):
+        for level, params in [(1, 5), (2, 19)]:
+            relax = rx.build_relaxation(parse_problem(ONE_WAY_TEXT), level=level)
+            assert relax.n_moment_vars == params
+            res = relax.solve(TIGHT)
+            assert res.status == Status.OPTIMAL
+            assert abs(res.bound + 0.5) <= 1e-8
+
+    def test_phased_one_way_parameter_count(self):
+        prob = parse_problem(PHASED_ONE_WAY_TEXT)
+        assert [rx.build_relaxation(prob, level=d).n_moment_vars for d in (1, 2)] == [7, 31]
+
+    def test_adjoint_cycle_of_three_words_is_rejected(self, monkeypatch):
+        # no presentation at hand rewrites adjoints in such a cycle, so fake
+        # the rewriting: a* -> b, b* -> c, c* -> a
+        prob = parse_problem("[generators]\na\nb\nc\n[objective]\nminimize a + a'\n")
+        pres = prob.presentation
+        a, b, c = (pres.word(g) for g in "abc")
+        nxt = {a: b, b: c, c: a}
+        monkeypatch.setattr(rx, "normal_form", lambda p, _: Polynomial.from_word(
+            nxt[word_adjoint(p.terms()[0][0])]))
+        with pytest.raises(rx.RelaxationError, match="cycle of three or more words"):
+            rx._moment_parameters({a}, pres, False)
 
     @pytest.mark.parametrize("text, level, rows", [
         (PHASED_TEXT, 1, 3),

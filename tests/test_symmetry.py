@@ -57,6 +57,19 @@ class TestGroupRep:
         with pytest.raises(GroupError, match="closed"):
             GroupRep([np.eye(2), R])
 
+    def test_rejects_open_set_naming_the_first_pair(self):
+        # D16 without element 5; the pair is the one the per-element scan named
+        elements = list(dihedral_rep(16).elements)
+        del elements[5]
+        with pytest.raises(GroupError, match="product of elements 1 and 27 leaves the set"):
+            GroupRep(elements)
+
+    def test_compares_by_identity(self):
+        rep = dihedral_rep(4)
+        assert rep == rep
+        assert GroupRep(rep.elements) != rep
+        assert rep in {rep} and GroupRep(rep.elements) not in {rep}
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(GroupError):
             GroupRep([np.eye(2), np.eye(3)])
