@@ -6,10 +6,12 @@ gamma_i * weight * gamma_j-adjoint, with weight 1 for the main block and a
 declared positive for each localizing block.  Words appearing in those
 entries become shared scalar unknowns, tied only by the adjoint pairing
 omega(w*) = conj omega(w).  When w* rewrites to a single term c u, the
-moment of w is conj(c) times the conjugate of the moment of u; a word with
-u = w carries one real parameter (a real line through a phase), the smaller
-word of a pair w, u carries two (a free complex value), and so does every
-word whose adjoint is not a single term.  The blocks are then one linear map
+moment of w is conj(c) times the conjugate of the moment of u.  Following
+these ties from word to word ends at a word whose adjoint is not a single
+term, which carries two real parameters (a free complex value), or runs
+into a cycle, u = w or a pair w, u most often, whose smallest word carries
+one (a real line through a phase, for an odd cycle) or two (for an even
+one), or none when the ties disagree.  The blocks are then one linear map
 
     P p = orthonormal coordinates of every block,
 
@@ -307,16 +309,15 @@ def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
     parameter.
 
     A state has omega(w*) = conj omega(w), so nf(w*) = c u ties the moments
-    as y_w = conj(c) conj(y_u), and each word is one of:
-      - a free root, when nf(w*) is not a single term: the real and
-        imaginary parts of y_w are two parameters;
-      - a line root, when u = w: y_w = phi s with phi = sqrt(conj c) and s
-        one real parameter, or y_w = 0 when |c| != 1;
-      - one of a pair, when nf(u*) = c' w: the smaller word is a free root,
-        or zero when the two relations disagree, and the larger follows it;
-      - a follower otherwise, its row of W being conj(c) conj(row of u).
-    In real mode a free root keeps only its real part, and a line only a
-    real phi, which is then 1."""
+    as y_w = conj(c) conj(y_u).  Following u from word to word either ends
+    at a word whose adjoint is not a single term, a free root (the real and
+    imaginary parts of its moment are two parameters), or runs into a cycle
+    of k words.  The smallest word of a cycle is its root, and composing the
+    ties around the cycle gives y_w = C conj^k(y_w): for odd k a line
+    y_w = phi s through phi = sqrt(C) with one real parameter s, or zero when
+    |C| != 1; for even k a free root when C = 1, zero otherwise.  Every other
+    word's row of W is conj(c) conj(row of u).  In real mode a free root
+    keeps only its real part, and a line only a real phi, which is then 1."""
     adjoint: dict[Word, tuple[Word, complex] | None] = {}
     for w in var_words:
         while w not in adjoint:
@@ -331,15 +332,20 @@ def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
         if adjoint[w] is None:
             seeds[w] = free
             continue
-        u, c = adjoint[w]
-        if u == w:
-            phi = cmath.sqrt(c.conjugate() + 0j)     # + 0j: phi = i, not -i, at c = -1
-            seeds[w] = ([] if abs(abs(c) - 1.0) > 1e-8 or (real_mode and abs(phi.imag) > 1e-8)
+        (u, c), cycle = adjoint[w], [w]
+        C = c.conjugate()     # y_w = C conj^k(y_u), k = len(cycle)
+        while u not in cycle and adjoint[u] is not None:
+            cycle.append(u)
+            u, c = adjoint[u]
+            C *= c.conjugate() if len(cycle) % 2 else c
+        if u != w or min(cycle) != w:
+            continue     # w follows u
+        if len(cycle) % 2:
+            phi = cmath.sqrt(C + 0j)     # + 0j: phi = i, not -i, at C = -1
+            seeds[w] = ([] if abs(abs(C) - 1.0) > 1e-8 or (real_mode and abs(phi.imag) > 1e-8)
                         else [1.0 if real_mode else phi])
-        elif adjoint[u] is not None and adjoint[u][0] == w and w < u:
-            c2 = adjoint[u][1]     # y_w = conj(c) c2 y_w
-            agree = abs(c.conjugate() * c2 - 1.0) <= CONSISTENCY_TOL * max(1.0, abs(c * c2))
-            seeds[w] = free if agree else []
+        else:
+            seeds[w] = free if abs(C - 1.0) <= CONSISTENCY_TOL * max(1.0, abs(C)) else []
     roots = [w for w, seed in seeds.items() for _ in seed]
 
     index = {w: k for k, w in enumerate(words)}
@@ -348,20 +354,15 @@ def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
 
     done = set(seeds)
 
-    def follow(w: Word, path: tuple[Word, ...]) -> np.ndarray:
+    def follow(w: Word) -> np.ndarray:
         if w not in done:
-            if w in path:
-                cycle = path[path.index(w):]
-                raise RelaxationError(
-                    "the adjoints of " + ", ".join(word_to_str(v, pres) for v in cycle)
-                    + " rewrite in a cycle of three or more words")
             u, c = adjoint[w]
-            W[index[w]] = c.conjugate() * np.conj(follow(u, path + (w,)))
+            W[index[w]] = c.conjugate() * np.conj(follow(u))
             done.add(w)
         return W[index[w]]
 
     for w in words:
-        follow(w, ())
+        follow(w)
     return words, W, roots
 
 

@@ -46,10 +46,9 @@ class InvarianceError(Exception):
 class GroupRep:
     """Finite collection of unitaries closed under multiplication, given as
     a sequence of d x d matrices or a (|G|, d, d) array and held as one
-    (|G|, d, d) complex stack."""
+    (|G|, d, d) complex stack, each check holding to UNITARY_TOL."""
 
     elements: np.ndarray
-    tol: float = UNITARY_TOL
 
     def __post_init__(self):
         mats = [np.asarray(U, dtype=complex) for U in self.elements]
@@ -59,14 +58,14 @@ class GroupRep:
         for k, U in enumerate(mats):
             if U.shape != (d, d):
                 raise GroupError(f"element {k} is not {d}x{d}")
-            if np.linalg.norm(U @ U.conj().T - np.eye(d)) > self.tol:
+            if np.linalg.norm(U @ U.conj().T - np.eye(d)) > UNITARY_TOL:
                 raise GroupError(f"element {k} is not unitary")
-        if not any(np.linalg.norm(U - np.eye(d)) <= self.tol for U in mats):
+        if not any(np.linalg.norm(U - np.eye(d)) <= UNITARY_TOL for U in mats):
             raise GroupError("representation does not contain the identity")
         self.elements = np.array(mats)
         for a, Ua in enumerate(mats):
             for b, Ub in enumerate(mats):
-                if not np.any(np.linalg.norm(self.elements - Ua @ Ub, axis=(1, 2)) <= self.tol):
+                if not np.any(np.linalg.norm(self.elements - Ua @ Ub, axis=(1, 2)) <= UNITARY_TOL):
                     raise GroupError(
                         f"product of elements {a} and {b} leaves the set; "
                         "representation is not closed")

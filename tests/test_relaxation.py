@@ -8,7 +8,7 @@ import pytest
 
 import starsdp.relaxation as rx
 from starsdp.algebra import Polynomial, UNIT_WORD, normal_form, word_adjoint
-from starsdp.problems import parse_problem
+from starsdp.problems import parse_problem, word_to_str
 from starsdp.oracles import (
     ConcreteRealization, chsh_tsirelson_realization, realize_moments, grid_min,
 )
@@ -171,6 +171,29 @@ b' = i*a
 [objective]
 minimize a + a'
 """
+
+# the adjoints of a*b, a'*b and b*a rewrite in a cycle of three words:
+# nf((a*b)*) = a'*b, nf((a'*b)*) = b*a and nf((b*a)*) = a*b
+ADJOINT_CYCLE_TEXT = """
+[generators]
+a
+b
+
+[relations]
+b'*a' = a'*b
+b'*a = b*a
+a'*b' = a*b
+
+[objective]
+minimize a*b + b'*a'
+
+[constraints]
+a'*a <= 1
+b'*b <= 1
+"""
+
+# the same cycle with nf((a'*b)*) = i b*a
+PHASED_ADJOINT_CYCLE_TEXT = ADJOINT_CYCLE_TEXT.replace("b'*a = b*a", "b'*a = i*b*a")
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -396,7 +419,8 @@ basis = 1, x, z
         pytest.param(text, level, id=f"{name}-L{level}")
         for name, text in [(f.stem, f.read_text()) for f in sorted(PROBLEMS.glob("*.csdp"))]
         + [("scaled", SCALED_ADJOINT_TEXT), ("one-way", ONE_WAY_TEXT),
-           ("phased-one-way", PHASED_ONE_WAY_TEXT)]
+           ("phased-one-way", PHASED_ONE_WAY_TEXT), ("cycle", ADJOINT_CYCLE_TEXT),
+           ("phased-cycle", PHASED_ADJOINT_CYCLE_TEXT)]
         for level in (1, 2, 3) if (name, level) != ("lasserre_x4", 1)])
     def test_moments_follow_the_adjoint_pairing(self, text, level):
         relax = rx.build_relaxation(parse_problem(text), level=level)
@@ -434,17 +458,28 @@ basis = 1, x, z
         prob = parse_problem(PHASED_ONE_WAY_TEXT)
         assert [rx.build_relaxation(prob, level=d).n_moment_vars for d in (1, 2)] == [7, 31]
 
-    def test_adjoint_cycle_of_three_words_is_rejected(self, monkeypatch):
-        # no presentation at hand rewrites adjoints in such a cycle, so fake
-        # the rewriting: a* -> b, b* -> c, c* -> a
-        prob = parse_problem("[generators]\na\nb\nc\n[objective]\nminimize a + a'\n")
-        pres = prob.presentation
-        a, b, c = (pres.word(g) for g in "abc")
-        nxt = {a: b, b: c, c: a}
-        monkeypatch.setattr(rx, "normal_form", lambda p, _: Polynomial.from_word(
-            nxt[word_adjoint(p.terms()[0][0])]))
-        with pytest.raises(rx.RelaxationError, match="cycle of three or more words"):
-            rx._moment_parameters({a}, pres, False)
+    @pytest.mark.parametrize("text, phi, params, bound", [
+        (ADJOINT_CYCLE_TEXT, 1.0, (11, 72), -2.0),
+        (PHASED_ADJOINT_CYCLE_TEXT, np.exp(0.25j * np.pi), (16, 123), -np.sqrt(2.0)),
+    ], ids=["real", "phased"])
+    def test_adjoint_cycle_of_three_words(self, text, phi, params, bound):
+        # composing the three ties gives y_ab = C conj(y_ab), with C = 1 or
+        # i: a line through phi = sqrt(C) rooted at a*b, which the other two
+        # words follow; parameter counts and bounds as the orbit union-find
+        # gave them
+        for level, n in zip((1, 2), params):
+            relax = rx.build_relaxation(parse_problem(text), level=level)
+            pres = relax.problem.presentation
+            rows = {word_to_str(w, pres): row for w, row in zip(relax._var_words, relax._W)}
+            k = relax._roots.index(pres.word("a", "b"))
+            assert relax._roots.count(pres.word("a", "b")) == 1
+            for w, value in [("a*b", phi), ("a'*b", np.conj(phi)), ("b*a", np.conj(phi))]:
+                assert np.flatnonzero(rows[w]).tolist() == [k]
+                assert abs(rows[w][k] - value) <= 1e-15
+            assert relax.n_moment_vars == n
+            res = relax.solve(TIGHT)
+            assert res.status == Status.OPTIMAL
+            assert abs(res.bound - bound) <= 1e-8
 
     @pytest.mark.parametrize("text, level, rows", [
         (PHASED_TEXT, 1, 3),
