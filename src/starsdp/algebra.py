@@ -2,9 +2,12 @@
 
 Words are finite sequences of possibly-starred generator letters, polynomials
 are finite complex combinations of words, and a presentation bundles the
-generators with a terminating rewrite system (explicit rules plus the implicit
-ones induced by self-adjointness and declared commuting pairs).  Normal forms
-are computed by leftmost-innermost rewriting to a fixpoint.
+generators with a terminating rewrite system: one table from left sides to
+right sides, holding star removal g* -> g for each selfadjoint generator, the
+swaps b a -> a b and b* a* -> a* b* for each commuting pair a < b, and the
+explicit rules.  A left side has one right side; a later rule for it must
+agree with it after rewriting.  Normal forms are computed by leftmost-innermost
+rewriting to a fixpoint: the leftmost redex, the shortest left side there.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from typing import Iterable, Iterator, Mapping
 
 COEFF_EPS = 1e-12
 REWRITE_STEP_CAP = 10_000
+# Two normal forms count as equal when their coefficients agree within this.
+EQUAL_TOL = 1e-9
 
 # A letter is (generator index, starred flag).  In the term order used
 # throughout, words compare by degree, then letter-wise by generator index
@@ -224,14 +229,28 @@ class Presentation:
                 for g, _ in w.letters:
                     if not (0 <= g < n):
                         raise AlgebraError("rule references unknown generator")
-        object.__setattr__(self, "_by_name", {g.name: i for i, g in enumerate(self.generators)})
-        # Rules grouped by left-side length; declaration order preserved within a length.
-        by_len: dict[int, list[RewriteRule]] = {}
+        self._by_name = {g.name: i for i, g in enumerate(self.generators)}
+        self._nf_cache = {}
+        # One table from left sides to right sides: implicit rules first,
+        # then the explicit ones; the first rule for a left side is kept.
+        table: dict[tuple[Letter, ...], Polynomial] = {}
+        for g, gen in enumerate(self.generators):
+            if gen.selfadjoint:
+                table[((g, True),)] = Polynomial.from_word(single(g))
+        for a, b in self.commuting:
+            for s in (False, True):
+                table[((b, s), (a, s))] = Polynomial.from_word(Word(((a, s), (b, s))))
         for rule in self.rules:
-            by_len.setdefault(rule.lhs.degree(), []).append(rule)
-        object.__setattr__(self, "_rules_by_len", by_len)
-        object.__setattr__(self, "_rule_lengths", sorted(by_len))
-        object.__setattr__(self, "_nf_cache", {})
+            table.setdefault(rule.lhs.letters, rule.rhs)
+        self._lhs = table
+        self._lhs_lengths = sorted({len(lhs) for lhs in table})
+        for rule in self.rules:
+            kept = table[rule.lhs.letters]
+            if kept is not rule.rhs and not normal_form(kept, self).close_to(
+                normal_form(rule.rhs, self), EQUAL_TOL
+            ):
+                name = "*".join(self.generators[g].name + "'" * s for g, s in rule.lhs.letters)
+                raise AlgebraError(f"left side {name} is rewritten two ways that disagree")
 
     def index(self, name: str) -> int:
         try:
@@ -239,41 +258,23 @@ class Presentation:
         except KeyError:
             raise AlgebraError(f"unknown generator {name!r}") from None
 
-    def selfadjoint(self, i: int) -> bool:
-        return self.generators[i].selfadjoint
-
-    def commutes(self, a: int, b: int) -> bool:
-        if a == b:
-            return False
-        lo, hi = (a, b) if a < b else (b, a)
-        return (lo, hi) in self.commuting
-
     def word(self, *names: str) -> Word:
         """Convenience: build an unstarred word from generator names."""
         return Word(tuple((self.index(n), False) for n in names))
 
 
 def _find_redex(letters: tuple[Letter, ...], pres: Presentation):
-    """Leftmost-innermost redex: scan positions left to right; at each
-    position try shorter matches first, implicit rules before explicit ones
-    of the same length."""
+    """Leftmost-innermost redex: scan positions left to right and, at each
+    position, the left sides from the shortest."""
+    table = pres._lhs
     n = len(letters)
-    lengths = pres._rule_lengths
-    by_len = pres._rules_by_len
-    max_len = max(lengths[-1] if lengths else 0, 2)
     for pos in range(n):
-        g, s = letters[pos]
-        remaining = n - pos
-        for length in range(1, min(max_len, remaining) + 1):
-            if length == 1 and s and pres.generators[g].selfadjoint:
-                return pos, 1, Polynomial.from_word(single(g, False))
-            if length == 2:
-                h, t = letters[pos + 1]
-                if t == s and h < g and pres.commutes(g, h):
-                    return pos, 2, Polynomial.from_word(Word(((h, t), (g, s))))
-            for rule in by_len.get(length, ()):
-                if letters[pos : pos + length] == rule.lhs.letters:
-                    return pos, length, rule.rhs
+        for length in pres._lhs_lengths:
+            if pos + length > n:
+                break
+            rhs = table.get(letters[pos : pos + length])
+            if rhs is not None:
+                return pos, length, rhs
     return None
 
 
@@ -282,7 +283,7 @@ def is_normal_form(w: Word, pres: Presentation) -> bool:
     return _find_redex(w.letters, pres) is None
 
 
-def normal_form_word(w: Word, pres: Presentation, step_cap: int = REWRITE_STEP_CAP) -> Polynomial:
+def normal_form_word(w: Word, pres: Presentation) -> Polynomial:
     """Rewrite a single word to its normal form polynomial."""
     cached = pres._nf_cache.get(w)
     if cached is not None:
@@ -302,9 +303,9 @@ def normal_form_word(w: Word, pres: Presentation, step_cap: int = REWRITE_STEP_C
             acc[word] = acc.get(word, 0j) + coeff
             continue
         steps += 1
-        if steps > step_cap:
+        if steps > REWRITE_STEP_CAP:
             raise RewriteLimitError(
-                f"rewriting exceeded {step_cap} steps on a word of degree {w.degree()}"
+                f"rewriting exceeded {REWRITE_STEP_CAP} steps on a word of degree {w.degree()}"
             )
         pos, length, repl = redex
         prefix = word.letters[:pos]
@@ -316,17 +317,17 @@ def normal_form_word(w: Word, pres: Presentation, step_cap: int = REWRITE_STEP_C
     return result
 
 
-def normal_form(p: Polynomial | Word, pres: Presentation, step_cap: int = REWRITE_STEP_CAP) -> Polynomial:
+def normal_form(p: Polynomial | Word, pres: Presentation) -> Polynomial:
     """Normal form of a polynomial (or a bare word) under the presentation."""
     if isinstance(p, Word):
-        return normal_form_word(p, pres, step_cap)
+        return normal_form_word(p, pres)
     acc: dict[Word, complex] = {}
     for w, c in p._terms.items():
-        for u, d in normal_form_word(w, pres, step_cap)._terms.items():
+        for u, d in normal_form_word(w, pres)._terms.items():
             acc[u] = acc.get(u, 0j) + c * d
     return Polynomial(acc)
 
 
-def is_selfadjoint_poly(p: Polynomial, pres: Presentation, tol: float = 1e-9) -> bool:
+def is_selfadjoint_poly(p: Polynomial, pres: Presentation) -> bool:
     """Whether p equals its adjoint up to rewriting, coefficient-wise."""
-    return normal_form(p, pres).close_to(normal_form(p.adjoint(), pres), tol)
+    return normal_form(p, pres).close_to(normal_form(p.adjoint(), pres), EQUAL_TOL)

@@ -34,7 +34,6 @@ class ConcreteRealization:
     presentation: Presentation
     matrices: dict[str, np.ndarray]
     state: np.ndarray
-    tol: float = RESIDUAL_TOL
     _mats: list[np.ndarray] = field(init=False, repr=False)
     _dim: int = field(init=False)
     _density: bool = field(init=False)
@@ -57,17 +56,17 @@ class ConcreteRealization:
         if st.ndim == 1:
             if st.shape != (dim,):
                 raise RealizationError("state vector has wrong dimension")
-            if abs(np.linalg.norm(st) - 1.0) > self.tol:
+            if abs(np.linalg.norm(st) - 1.0) > RESIDUAL_TOL:
                 raise RealizationError("state vector is not normalized")
             self._density = False
         elif st.ndim == 2:
             if st.shape != (dim, dim):
                 raise RealizationError("density matrix has wrong shape")
-            if np.linalg.norm(st - st.conj().T) > self.tol:
+            if np.linalg.norm(st - st.conj().T) > RESIDUAL_TOL:
                 raise RealizationError("density matrix is not hermitian")
             if np.linalg.eigvalsh((st + st.conj().T) / 2)[0] < -1e-12:
                 raise RealizationError("density matrix is not psd")
-            if abs(np.trace(st) - 1.0) > self.tol:
+            if abs(np.trace(st) - 1.0) > RESIDUAL_TOL:
                 raise RealizationError("density matrix trace is not one")
             self._density = True
         else:
@@ -77,19 +76,19 @@ class ConcreteRealization:
         for i, g in enumerate(pres.generators):
             if g.selfadjoint:
                 r = np.linalg.norm(mats[i] - mats[i].conj().T)
-                if r > self.tol:
+                if r > RESIDUAL_TOL:
                     raise RealizationError(
                         f"generator {g.name} declared selfadjoint, "
                         f"matrix residual {r:.3e}")
         for a, b in pres.commuting:
             r = np.linalg.norm(mats[a] @ mats[b] - mats[b] @ mats[a])
-            if r > self.tol:
+            if r > RESIDUAL_TOL:
                 raise RealizationError(
                     f"generators {names[a]}, {names[b]} declared commuting, "
                     f"residual {r:.3e}")
         for rule in pres.rules:
             r = np.linalg.norm(self.eval_word(rule.lhs) - self.eval_poly(rule.rhs))
-            if r > self.tol:
+            if r > RESIDUAL_TOL:
                 raise RealizationError(
                     f"relation residual {r:.3e} for rule on {rule.lhs.letters}")
 
@@ -136,10 +135,8 @@ def grid_min(pres: Presentation, objective: Polynomial,
     for g in pres.generators:
         if not g.selfadjoint:
             raise AlgebraError("grid oracle needs selfadjoint generators")
-    for a in range(k):
-        for b in range(a + 1, k):
-            if not pres.commutes(a, b):
-                raise AlgebraError("grid oracle needs commuting generators")
+    if any((a, b) not in pres.commuting for a in range(k) for b in range(a + 1, k)):
+        raise AlgebraError("grid oracle needs commuting generators")
 
     axes = np.meshgrid(*[np.linspace(bounds[0], bounds[1], points)] * k,
                        indexing="ij") if k else []

@@ -88,7 +88,7 @@ def generate_basis(pres: Presentation, level: int) -> list[Word]:
     alphabet = []
     for g in range(len(pres.generators)):
         alphabet.append((g, False))
-        if not pres.selfadjoint(g):
+        if not pres.generators[g].selfadjoint:
             alphabet.append((g, True))
     words: list[Word] = [UNIT_WORD]
     frontier = [UNIT_WORD]

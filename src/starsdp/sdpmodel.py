@@ -18,6 +18,8 @@ import numpy as np
 SENSE_LE = "<="
 SENSE_GE = ">="
 SENSE_EQ = "=="
+# Largest asymmetry (or off-diagonal entry of a diagonal block) validate accepts.
+VALIDATE_TOL = 1e-10
 
 
 class ModelError(ValueError):
@@ -49,18 +51,18 @@ class SDPModel:
     cost: list[np.ndarray]
     constraints: list[LinearConstraint]
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         if len(self.cost) != len(self.blocks):
             raise ModelError("cost matrix count does not match block count")
         for b, (blk, C) in enumerate(zip(self.blocks, self.cost)):
-            _check_sym(C, blk, f"cost block {b}", tol)
+            _check_sym(C, blk, f"cost block {b}")
         for k, con in enumerate(self.constraints):
             if con.sense not in (SENSE_LE, SENSE_GE, SENSE_EQ):
                 raise ModelError(f"constraint {k}: bad sense {con.sense!r}")
             if len(con.matrices) != len(self.blocks):
                 raise ModelError(f"constraint {k}: matrix count mismatch")
             for b, (blk, A) in enumerate(zip(self.blocks, con.matrices)):
-                _check_sym(A, blk, f"constraint {k} block {b}", tol)
+                _check_sym(A, blk, f"constraint {k} block {b}")
 
     def is_equality_only(self) -> bool:
         return all(c.sense == SENSE_EQ for c in self.constraints)
@@ -74,14 +76,14 @@ class SDPModel:
         )
 
 
-def _check_sym(M: np.ndarray, blk: Block, where: str, tol: float) -> None:
+def _check_sym(M: np.ndarray, blk: Block, where: str) -> None:
     if M.shape != (blk.size, blk.size):
         raise ModelError(f"{where}: shape {M.shape} does not match block size {blk.size}")
     if np.iscomplexobj(M):
         raise ModelError(f"{where}: complex entries in a real model")
-    if np.max(np.abs(M - M.T), initial=0.0) > tol:
+    if np.max(np.abs(M - M.T), initial=0.0) > VALIDATE_TOL:
         raise ModelError(f"{where}: matrix is not symmetric")
-    if blk.diagonal and np.max(np.abs(M - np.diag(np.diag(M))), initial=0.0) > tol:
+    if blk.diagonal and np.max(np.abs(M - np.diag(np.diag(M))), initial=0.0) > VALIDATE_TOL:
         raise ModelError(f"{where}: off-diagonal entries in a diagonal block")
 
 
@@ -112,18 +114,18 @@ class HermitianModel:
     cost: list[np.ndarray]
     constraints: list[LinearConstraint]
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         for b, (n, C) in enumerate(zip(self.sizes, self.cost)):
-            _check_herm(C, n, f"cost block {b}", tol)
+            _check_herm(C, n, f"cost block {b}")
         for k, con in enumerate(self.constraints):
             for b, (n, A) in enumerate(zip(self.sizes, con.matrices)):
-                _check_herm(A, n, f"constraint {k} block {b}", tol)
+                _check_herm(A, n, f"constraint {k} block {b}")
 
 
-def _check_herm(M: np.ndarray, n: int, where: str, tol: float) -> None:
+def _check_herm(M: np.ndarray, n: int, where: str) -> None:
     if M.shape != (n, n):
         raise ModelError(f"{where}: shape {M.shape} does not match block size {n}")
-    if np.max(np.abs(M - M.conj().T), initial=0.0) > tol:
+    if np.max(np.abs(M - M.conj().T), initial=0.0) > VALIDATE_TOL:
         raise ModelError(f"{where}: matrix is not Hermitian")
 
 

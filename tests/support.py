@@ -1,5 +1,6 @@
-"""Shared fixtures: permutation groups, random invariant SDP instances and
-random involution problems with concrete realizations."""
+"""Shared fixtures: permutation groups, random invariant SDP instances,
+random involution problems with concrete realizations, and a naive
+reference rewriter."""
 
 import dataclasses
 
@@ -8,6 +9,7 @@ import numpy as np
 from starsdp import (
     ConcreteRealization, Polynomial, Word, normal_form, parse_problem,
 )
+from starsdp.algebra import single
 from starsdp.sdpmodel import LinearConstraint, SDPModel, Block
 from starsdp.symmetry import GroupRep
 
@@ -161,3 +163,41 @@ def reflection_realization(pres, rng, d=4):
     psi = rng.standard_normal(d)
     psi /= np.linalg.norm(psi)
     return ConcreteRealization(pres, mats, psi)
+
+
+def _reference_redex(letters, pres):
+    """The first rule that applies, by a plain scan: each position from the
+    left, each length from 1, and at each length star removal, then the
+    commuting swap, then the explicit rules in declaration order."""
+    for pos in range(len(letters)):
+        for length in range(1, len(letters) - pos + 1):
+            window = letters[pos:pos + length]
+            if length == 1:
+                g, s = window[0]
+                if s and pres.generators[g].selfadjoint:
+                    return pos, length, Polynomial.from_word(single(g))
+            if length == 2:
+                (g, s), (h, t) = window
+                if s == t and h < g and (h, g) in pres.commuting:
+                    return pos, length, Polynomial.from_word(Word(((h, t), (g, s))))
+            for rule in pres.rules:
+                if rule.lhs.letters == window:
+                    return pos, length, rule.rhs
+    return None
+
+
+def reference_normal_form(w, pres):
+    """Normal form of the word w by rewriting the first redex of
+    _reference_redex until none is left, with no cache."""
+    acc = {}
+    stack = [(w.letters, 1.0 + 0j)]
+    while stack:
+        letters, coeff = stack.pop()
+        redex = _reference_redex(letters, pres)
+        if redex is None:
+            acc[Word(letters)] = acc.get(Word(letters), 0j) + coeff
+            continue
+        pos, length, rhs = redex
+        for u, c in rhs:
+            stack.append((letters[:pos] + u.letters + letters[pos + length:], coeff * c))
+    return Polynomial(acc)

@@ -1,10 +1,13 @@
 """Word and polynomial arithmetic plus rewriting, checked against hand
 derivations and seeded fuzzing."""
 
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from starsdp import algebra
 from starsdp.algebra import (
     AlgebraError,
     Generator,
@@ -21,6 +24,11 @@ from starsdp.algebra import (
     single,
     word_adjoint,
 )
+from starsdp.problems import parse_problem
+from support import reference_normal_form
+import test_relaxation
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def chsh_presentation():
@@ -163,11 +171,12 @@ class TestNormalFormGeneral:
         p = normal_form_word(word((0, True), (0, False)), pres)
         assert p == Polynomial.unit()
 
-    def test_step_cap_raises(self):
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(algebra, "REWRITE_STEP_CAP", 2)
         pres = chsh_presentation()
         w = Word(tuple((0, False) for _ in range(12)))
         with pytest.raises(RewriteLimitError):
-            normal_form_word(w, pres, step_cap=2)
+            normal_form_word(w, pres)
 
     def test_selfadjointness_check(self):
         pres = chsh_presentation()
@@ -179,6 +188,83 @@ class TestNormalFormGeneral:
         )
         assert is_selfadjoint_poly(chsh, pres)
         assert not is_selfadjoint_poly(Polynomial.from_word(pres.word("A0", "A1")), pres)
+
+
+class TestRedefinedLeftSide:
+    """A left side gets one right side: a later rule for it must agree
+    after rewriting, whether the first one is implicit or explicit."""
+
+    X = Generator("x", selfadjoint=True)
+    XX = word((0, False), (0, False))
+
+    def test_two_squares_disagree(self):
+        rules = (RewriteRule(self.XX, Polynomial.unit()),
+                 RewriteRule(self.XX, Polynomial.from_word(single(0))))
+        with pytest.raises(AlgebraError, match=r"x\*x"):
+            Presentation((self.X,), rules)
+
+    def test_star_of_selfadjoint_redefined(self):
+        rule = RewriteRule(single(0, True), Polynomial.from_word(single(0), 2.0))
+        with pytest.raises(AlgebraError, match="x'"):
+            Presentation((self.X,), (rule,))
+
+    def test_commuting_swap_redefined(self):
+        gens = (Generator("a", selfadjoint=True), Generator("b", selfadjoint=True))
+        rule = RewriteRule(word((1, False), (0, False)),
+                           Polynomial.from_word(word((0, False), (1, False)), -1.0))
+        with pytest.raises(AlgebraError, match=r"b\*a"):
+            Presentation(gens, (rule,), frozenset({(0, 1)}))
+
+    def test_agreeing_rules_are_accepted(self):
+        star = RewriteRule(single(0, True), Polynomial.from_word(single(0)))
+        sq = RewriteRule(self.XX, Polynomial.unit())
+        pres = Presentation((self.X,), (star, sq, sq))
+        assert normal_form_word(word((0, True), (0, False)), pres) == Polynomial.unit()
+
+
+# Overlapping left sides, so that normal forms depend on the scan order:
+# x*y*z is z (x*y first), y (longest first) or x*x (rightmost first), and
+# z*x*y is x*z*y (the swap first) or z (rightmost first).
+SCAN_ORDER_TEXT = """
+[generators]
+x selfadjoint
+y
+z
+[relations]
+x*y = 1
+y*z = x
+x*y*z = y
+x'*y = z
+[commute]
+{x} with {z}
+[objective]
+minimize x
+"""
+
+
+def presentations_under_test():
+    texts = [(f.name, f.read_text()) for f in sorted((ROOT / "problems").glob("*.csdp"))]
+    texts.append(("SCAN_ORDER_TEXT", SCAN_ORDER_TEXT))
+    texts += [(name, getattr(test_relaxation, name))
+              for name in dir(test_relaxation) if name.endswith("_TEXT")]
+    return [pytest.param(parse_problem(text).presentation, id=name) for name, text in texts]
+
+
+@pytest.mark.parametrize("pres", presentations_under_test())
+def test_normal_forms_match_reference_scan(pres):
+    """Every word up to degree 4 rewrites as the plain scan rewrites it."""
+    letters = [(g, s) for g in range(len(pres.generators)) for s in (False, True)]
+    for d in range(5):
+        for w in itertools.product(letters, repeat=d):
+            assert normal_form_word(Word(w), pres) == reference_normal_form(Word(w), pres), w
+
+
+def test_scan_order_decides_overlaps():
+    pres = parse_problem(SCAN_ORDER_TEXT).presentation
+    assert normal_form_word(pres.word("x", "y", "z"), pres) == Polynomial.from_word(pres.word("z"))
+    assert normal_form_word(pres.word("z", "x", "y"), pres) == Polynomial.from_word(
+        pres.word("x", "z", "y"))
+    assert normal_form_word(word((0, True), (1, False)), pres) == Polynomial.unit()
 
 
 def random_word(rng, n_gens, max_len, allow_star=True):

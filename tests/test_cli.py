@@ -91,6 +91,18 @@ class TestSolve:
         assert code == 1
         assert "line" in err
 
+    @pytest.mark.parametrize("relations, lhs", [
+        ("[relations]\nx^2 = 1\nx^2 = x\n", "x*x"),
+        ("[relations]\nx' = 2*x\n", "x'"),
+        ("y selfadjoint\n[relations]\ny*x = -1*x*y\n[commute]\n{x} with {y}\n", "y*x"),
+    ])
+    def test_left_side_rewritten_two_ways(self, capsys, tmp_path, relations, lhs):
+        p = tmp_path / "redefined.csdp"
+        p.write_text("[generators]\nx selfadjoint\n" + relations + "[objective]\nminimize x\n")
+        code, out, err = run(capsys, "solve", str(p))
+        assert code == 1 and not out
+        assert f"left side {lhs} " in err
+
     def test_export_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "lasserre.dat-s"
         code, _, _ = run(capsys, "solve", LASSERRE, "--export", str(out_path))
