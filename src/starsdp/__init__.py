@@ -26,7 +26,7 @@ from .relaxation import (
     jnc_family, jnc_support,
 )
 from .sdpmodel import (
-    Block, HermitianModel, LinearConstraint, ModelError, SDPAFormatError,
+    Block, LinearConstraint, ModelError, SDPAFormatError,
     SDPModel, export_sdpa, export_sdpa_file, import_sdpa, import_sdpa_file,
     realify, realify_matrix, to_equality_form,
 )
@@ -51,7 +51,7 @@ __all__ = [
     "RelaxationResult", "RelaxationWarning", "build_relaxation",
     "expand_gram", "generate_basis", "gram_representative", "jnc_family",
     "jnc_support",
-    "Block", "HermitianModel", "LinearConstraint", "ModelError",
+    "Block", "LinearConstraint", "ModelError",
     "SDPAFormatError", "SDPModel", "export_sdpa", "export_sdpa_file",
     "import_sdpa", "import_sdpa_file", "realify", "realify_matrix",
     "to_equality_form",

@@ -31,7 +31,12 @@ class RewriteLimitError(RuntimeError):
 
 
 class AlgebraError(ValueError):
-    pass
+    """An invalid presentation or rule; `rule` is the index in
+    Presentation.rules of the explicit rule at fault, when one is."""
+
+    def __init__(self, message: str, rule: int | None = None):
+        super().__init__(message)
+        self.rule = rule
 
 
 @dataclass(frozen=True)
@@ -122,9 +127,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
 
     def adjoint(self) -> "Polynomial":
         return Polynomial({w.adjoint(): c.conjugate() for w, c in self._terms.items()})
@@ -244,13 +246,13 @@ class Presentation:
             table.setdefault(rule.lhs.letters, rule.rhs)
         self._lhs = table
         self._lhs_lengths = sorted({len(lhs) for lhs in table})
-        for rule in self.rules:
+        for k, rule in enumerate(self.rules):
             kept = table[rule.lhs.letters]
             if kept is not rule.rhs and not normal_form(kept, self).close_to(
                 normal_form(rule.rhs, self), EQUAL_TOL
             ):
                 name = "*".join(self.generators[g].name + "'" * s for g, s in rule.lhs.letters)
-                raise AlgebraError(f"left side {name} is rewritten two ways that disagree")
+                raise AlgebraError(f"left side {name} is rewritten two ways that disagree", k)
 
     def index(self, name: str) -> int:
         try:

@@ -358,7 +358,13 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemFile:
             rules.append(_parse_relation_line(line, no, bare))
         elif section == "commute":
             commuting |= _parse_commute_line(line, no, by_name)
-    pres = Presentation(tuple(generators), tuple(rules), frozenset(commuting))
+    try:
+        pres = Presentation(tuple(generators), tuple(rules), frozenset(commuting))
+    except AlgebraError as exc:
+        if exc.rule is None:
+            raise
+        rule_lines = [no for section, no, _ in lines if section == "relations"]
+        raise ProblemSyntaxError(str(exc), rule_lines[exc.rule], 1) from None
 
     objective = None
     sense = None

@@ -54,8 +54,7 @@ from .algebra import (
 )
 from .problems import ProblemFile, word_to_str, poly_to_str
 from .sdpmodel import (
-    Block, LinearConstraint, SDPModel, HermitianModel,
-    SENSE_EQ, SENSE_GE, realify, realify_matrix, unrealify_matrix,
+    SDPModel, SENSE_EQ, SENSE_GE, realify, realify_matrix, unrealify_matrix,
 )
 # not called here; bench/tracing.py wraps it under this module's name
 from .sdpmodel import to_equality_form  # noqa: F401
@@ -208,10 +207,8 @@ class RelaxationModel:
         data += [self._representative(g, "a scalar constraint") for g, _, _ in self._ineq]
         rows = [(SENSE_EQ, float(r)) for r in Q.T @ (self._P @ self._p0)]
         rows += [(sense, float(rhs)) for _, sense, rhs in self._ineq]
-        cost, constraints = _trace_form(self._stacks(np.column_stack(data)), rows)
-        if self.real_mode:
-            return SDPModel([Block(len(b)) for b in self.bases], cost, constraints)
-        return realify(HermitianModel([len(b) for b in self.bases], cost, constraints))
+        stacks = self._stacks(np.column_stack(data))
+        return SDPModel.from_stacks(stacks if self.real_mode else realify(stacks), rows)
 
     def _stacks(self, columns: np.ndarray) -> list[np.ndarray]:
         """Per block, the stack of matrices whose coordinates are the columns."""
@@ -366,14 +363,6 @@ def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
     return words, W, roots
 
 
-def _trace_form(mats: list[np.ndarray], rows: list[tuple[str, float]]
-                ) -> tuple[list[np.ndarray], list[LinearConstraint]]:
-    """Cost and constraints from per-block stacks whose matrix 0 is the
-    cost and matrix k the left-hand side of rows[k - 1]."""
-    return [A[0] for A in mats], [LinearConstraint([A[k] for A in mats], sense, rhs)
-                                  for k, (sense, rhs) in enumerate(rows, start=1)]
-
-
 def _restrict(E: np.ndarray, e: np.ndarray, p0: np.ndarray, N: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """p0', N' with {p0' + N' q} = {p0 + N q : E (p0 + N q) = e}, N' with
@@ -506,8 +495,7 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
     for gk, sense, rhs in ineq:
         sign = 1.0 if sense == SENSE_GE else -1.0
         lmi.append(sign * np.concatenate([[gk @ p0 - rhs], -(gk @ N)])[:, None, None])
-    cost, constraints = _trace_form(lmi, [(SENSE_EQ, float(bk)) for bk in -(f @ N)])
-    relax._lmi = SDPModel([Block(A.shape[1]) for A in lmi], cost, constraints)
+    relax._lmi = SDPModel.from_stacks(lmi, [(SENSE_EQ, float(bk)) for bk in -(f @ N)])
     relax._p0, relax._N, relax._f, relax._ineq = p0, N, f, ineq
     return relax
 
@@ -531,20 +519,14 @@ def gram_representative(relax: RelaxationModel, poly: Polynomial | None = None
 
 def expand_gram(relax: RelaxationModel, M: np.ndarray) -> Polynomial:
     """Re-expand a representative: sum_ij M_ij gamma_j gamma_i-adjoint in
-    normal form, matching the pairing tr(M Gamma)."""
-    pres = relax.problem.presentation
-    basis = relax.bases[0]
+    normal form, matching the pairing tr(M Gamma).  The normal form of
+    gamma_j gamma_i-adjoint is the main block's entry (j, i)."""
+    gamma = relax.entries[0]
     total = Polynomial.zero()
-    n = len(basis)
-    for i in range(n):
-        for j in range(n):
-            c = complex(M[i, j])
-            if abs(c) < 1e-15:
-                continue
-            word_poly = poly_mul(Polynomial.from_word(basis[j]),
-                                 Polynomial.from_word(word_adjoint(basis[i])))
-            total = total + word_poly.scale(c)
-    return normal_form(total, pres)
+    for (i, j), c in np.ndenumerate(M):
+        if abs(c) >= 1e-15:
+            total = total + gamma[j][i].scale(complex(c))
+    return total
 
 
 def jnc_family(problem: ProblemFile) -> list[tuple[str, Polynomial]]:

@@ -5,13 +5,14 @@ A model is the trace form
     minimize   sum_b <C_b, X_b>
     subject to sum_b <A_kb, X_b>  (<=|>=|==)  b_k,   X_b psd,
 
-with real symmetric coefficient matrices throughout.  Hermitian data enters
-through HermitianModel and is doubled into real blocks by realify.
+with real symmetric coefficient matrices throughout.  A model is built from,
+and read back as, one stack per block: the cost, then each row's matrix.
+Hermitian stacks are doubled into real ones by realify.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,13 +68,22 @@ class SDPModel:
     def is_equality_only(self) -> bool:
         return all(c.sense == SENSE_EQ for c in self.constraints)
 
-    def copy(self) -> "SDPModel":
-        return SDPModel(
-            list(self.blocks),
-            [C.copy() for C in self.cost],
-            [LinearConstraint([A.copy() for A in c.matrices], c.sense, c.rhs)
-             for c in self.constraints],
-        )
+    @classmethod
+    def from_stacks(cls, stacks: list[np.ndarray], rows: list[tuple[str, float]],
+                    blocks: list[Block] | None = None) -> "SDPModel":
+        """Block b's cost is stacks[b][0] and its part of row k is
+        stacks[b][k], with rows[k - 1] = (sense, rhs).  The blocks default
+        to dense ones sized by the stacks; pass them to mark a diagonal one."""
+        if blocks is None:
+            blocks = [Block(A.shape[-1]) for A in stacks]
+        return cls(list(blocks), [A[0] for A in stacks],
+                   [LinearConstraint([A[k] for A in stacks], sense, rhs)
+                    for k, (sense, rhs) in enumerate(rows, start=1)])
+
+    def stacks(self) -> list[np.ndarray]:
+        """Per block, the cost followed by every row's matrix, as one new array."""
+        return [np.array([C] + [con.matrices[b] for con in self.constraints])
+                for b, C in enumerate(self.cost)]
 
 
 def _check_sym(M: np.ndarray, blk: Block, where: str) -> None:
@@ -89,49 +99,22 @@ def _check_sym(M: np.ndarray, blk: Block, where: str) -> None:
 
 def to_equality_form(model: SDPModel) -> SDPModel:
     """Convert inequalities to equalities with one shared diagonal slack block."""
-    idx = [k for k, c in enumerate(model.constraints) if c.sense != SENSE_EQ]
-    if not idx:
-        return model.copy()
-    ns = len(idx)
-    blocks = list(model.blocks) + [Block(ns, diagonal=True)]
-    cost = [C.copy() for C in model.cost] + [np.zeros((ns, ns))]
-    constraints = []
-    for k, con in enumerate(model.constraints):
-        mats = [A.copy() for A in con.matrices]
-        S = np.zeros((ns, ns))
-        if con.sense != SENSE_EQ:
-            j = idx.index(k)
-            S[j, j] = 1.0 if con.sense == SENSE_LE else -1.0
-        constraints.append(LinearConstraint(mats + [S], SENSE_EQ, con.rhs))
-    return SDPModel(blocks, cost, constraints)
-
-
-@dataclass
-class HermitianModel:
-    """Same trace form with complex Hermitian blocks; realify before solving."""
-
-    sizes: list[int]
-    cost: list[np.ndarray]
-    constraints: list[LinearConstraint]
-
-    def validate(self) -> None:
-        for b, (n, C) in enumerate(zip(self.sizes, self.cost)):
-            _check_herm(C, n, f"cost block {b}")
-        for k, con in enumerate(self.constraints):
-            for b, (n, A) in enumerate(zip(self.sizes, con.matrices)):
-                _check_herm(A, n, f"constraint {k} block {b}")
-
-
-def _check_herm(M: np.ndarray, n: int, where: str) -> None:
-    if M.shape != (n, n):
-        raise ModelError(f"{where}: shape {M.shape} does not match block size {n}")
-    if np.max(np.abs(M - M.conj().T), initial=0.0) > VALIDATE_TOL:
-        raise ModelError(f"{where}: matrix is not Hermitian")
+    stacks, blocks = model.stacks(), list(model.blocks)
+    ineq = [k for k, c in enumerate(model.constraints) if c.sense != SENSE_EQ]
+    if ineq:
+        j = np.arange(len(ineq))
+        S = np.zeros((1 + len(model.constraints), len(ineq), len(ineq)))
+        S[[1 + k for k in ineq], j, j] = [1.0 if model.constraints[k].sense == SENSE_LE else -1.0
+                                          for k in ineq]
+        stacks.append(S)
+        blocks.append(Block(len(ineq), diagonal=True))
+    return SDPModel.from_stacks(stacks, [(SENSE_EQ, c.rhs) for c in model.constraints], blocks)
 
 
 def realify_matrix(A: np.ndarray) -> np.ndarray:
-    """[[Re, -Im], [Im, Re]]; for Hermitian input the result is symmetric with
-    each eigenvalue doubled in multiplicity."""
+    """[[Re, -Im], [Im, Re]], of a matrix or over the last two axes of a
+    stack; for Hermitian input the result is symmetric with each eigenvalue
+    doubled in multiplicity."""
     R, I = np.real(A), np.imag(A)
     return np.block([[R, -I], [I, R]])
 
@@ -142,20 +125,19 @@ def unrealify_matrix(Y: np.ndarray) -> np.ndarray:
     return (Y[:n, :n] + Y[n:, n:]) / 2 + 1j * (Y[n:, :n] - Y[:n, n:]) / 2
 
 
-def realify(hm: HermitianModel) -> SDPModel:
-    """Double every Hermitian block into its real symmetric image.
+def realify(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """The halved real images of per-block stacks of Hermitian matrices.
 
-    Variable blocks double in size; coefficient matrices are doubled and
-    halved so that every trace value, hence the optimum, is preserved.
+    Blocks double in size and the images are halved, so that every trace
+    value, hence the optimum of a model built from them, is preserved.
     """
-    hm.validate()
-    blocks = [Block(2 * n) for n in hm.sizes]
-    cost = [realify_matrix(C) * 0.5 for C in hm.cost]
-    constraints = [
-        LinearConstraint([realify_matrix(A) * 0.5 for A in con.matrices], con.sense, con.rhs)
-        for con in hm.constraints
-    ]
-    return SDPModel(blocks, cost, constraints)
+    for b, A in enumerate(stacks):
+        asym = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+        bad = np.flatnonzero(asym > VALIDATE_TOL)
+        if bad.size:
+            where = "cost" if bad[0] == 0 else f"constraint {bad[0] - 1}"
+            raise ModelError(f"{where} block {b}: matrix is not Hermitian")
+    return [realify_matrix(A) * 0.5 for A in stacks]
 
 
 def _fmt(x: float) -> str:
@@ -227,6 +209,8 @@ def import_sdpa(text: str) -> SDPModel:
         return vals
 
     (m,) = ints(rows[0], 1)
+    if m < 0:
+        raise SDPAFormatError(f"negative constraint count {m}", rows[0][0])
     (nblocks,) = ints(rows[1], 1)
     sizes = ints(rows[2], nblocks)
     blocks = [Block(abs(s), diagonal=s < 0) for s in sizes]
@@ -246,11 +230,7 @@ def import_sdpa(text: str) -> SDPModel:
         rhs = []
         entry_rows = rows[3:]
 
-    cost = [np.zeros((b.size, b.size)) for b in blocks]
-    cons = [
-        LinearConstraint([np.zeros((b.size, b.size)) for b in blocks], SENSE_EQ, rhs[k])
-        for k in range(m)
-    ]
+    stacks = [np.zeros((1 + m, b.size, b.size)) for b in blocks]
     for no, s in entry_rows:
         toks = _clean_numbers(s)
         if len(toks) != 5:
@@ -270,10 +250,10 @@ def import_sdpa(text: str) -> SDPModel:
         if blocks[bno - 1].diagonal and i != j:
             raise SDPAFormatError(
                 f"off-diagonal entry ({i},{j}) in diagonal block {bno}", no)
-        target = cost[bno - 1] if matno == 0 else cons[matno - 1].matrices[bno - 1]
+        target = stacks[bno - 1][matno]
         target[i - 1, j - 1] = val
         target[j - 1, i - 1] = val
-    return SDPModel(blocks, cost, cons)
+    return SDPModel.from_stacks(stacks, [(SENSE_EQ, r) for r in rhs], blocks)
 
 
 def import_sdpa_file(path: str) -> SDPModel:

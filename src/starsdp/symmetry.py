@@ -18,10 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sdpmodel import (
-    Block, LinearConstraint, SDPModel, HermitianModel, ModelError,
-    realify, unrealify_matrix,
-)
+from .sdpmodel import SDPModel, ModelError, realify, unrealify_matrix
 from . import ipm
 
 UNITARY_TOL = 1e-8
@@ -293,7 +290,7 @@ def reduce_sdp(model: SDPModel, rep: GroupRep) -> ReducedSDP:
             f"representation dimension {rep.dim} does not match block size {d}")
 
     # the objective, then every constraint, as one stack
-    data = np.array([model.cost[0]] + [con.matrices[0] for con in model.constraints])
+    (data,) = model.stacks()
     names = ["objective"] + [f"constraint {k}" for k in range(1, len(data))]
     residual, element = rep.invariance_residual(data)
     bad = np.flatnonzero(residual > UNITARY_TOL)
@@ -336,17 +333,8 @@ def reduce_sdp(model: SDPModel, rep: GroupRep) -> ReducedSDP:
             f"blocks with residual {rebuilt[bad[0]]:.3e}")
 
     n_real = sum(not np.iscomplexobj(Ds) for Ds in reduced)
-    real, cplx = reduced[:n_real], reduced[n_real:]
-    doubled = realify(HermitianModel(
-        [Ds[0].shape[0] for Ds in cplx], [Ds[0] for Ds in cplx],
-        [LinearConstraint([Ds[k + 1] for Ds in cplx], con.sense, con.rhs)
-         for k, con in enumerate(model.constraints)]))
-    out = SDPModel(
-        [Block(Ds[0].shape[0]) for Ds in real] + doubled.blocks,
-        [Ds[0] for Ds in real] + doubled.cost,
-        [LinearConstraint([Ds[k + 1] for Ds in real] + dcon.matrices,
-                          con.sense, con.rhs)
-         for k, (con, dcon) in enumerate(zip(model.constraints, doubled.constraints))])
+    out = SDPModel.from_stacks(reduced[:n_real] + realify(reduced[n_real:]),
+                               [(con.sense, con.rhs) for con in model.constraints])
     out.validate()
     return ReducedSDP(
         original=model, rep=rep, bases=bases, weights=weights,

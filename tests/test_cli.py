@@ -97,11 +97,14 @@ class TestSolve:
         ("y selfadjoint\n[relations]\ny*x = -1*x*y\n[commute]\n{x} with {y}\n", "y*x"),
     ])
     def test_left_side_rewritten_two_ways(self, capsys, tmp_path, relations, lhs):
+        text = "[generators]\nx selfadjoint\n" + relations + "[objective]\nminimize x\n"
+        # in each case the disagreeing rule is the last relation
+        line = max(no for no, s in enumerate(text.splitlines(), start=1) if " = " in s)
         p = tmp_path / "redefined.csdp"
-        p.write_text("[generators]\nx selfadjoint\n" + relations + "[objective]\nminimize x\n")
+        p.write_text(text)
         code, out, err = run(capsys, "solve", str(p))
         assert code == 1 and not out
-        assert f"left side {lhs} " in err
+        assert f"line {line}, col 1: left side {lhs} " in err
 
     def test_export_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "lasserre.dat-s"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from starsdp.sdpmodel import (
-    Block, HermitianModel, LinearConstraint, SDPModel, ModelError,
+    Block, LinearConstraint, SDPModel, ModelError,
     SENSE_GE, SENSE_LE, SENSE_EQ, to_equality_form, realify,
     export_sdpa, import_sdpa,
 )
@@ -252,10 +252,10 @@ class TestStackedAssembly:
             H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             return (H + H.conj().T) / 2
 
-        hm = HermitianModel([3, 2], [herm(3), herm(2)],
-                            [LinearConstraint([herm(3), herm(2)], SENSE_EQ, 1.0)
-                             for _ in range(6)])
-        self.check(realify(hm), 8)
+        # the cost, then 6 rows, each drawn block by block
+        rows = [[herm(3), herm(2)] for _ in range(7)]
+        stacks = [np.array(mats) for mats in zip(*rows)]
+        self.check(SDPModel.from_stacks(realify(stacks), [(SENSE_EQ, 1.0)] * 6), 8)
 
     def test_permuted_constraints_same_bound(self):
         # CHSH at level 2: 61 equality rows on one 13x13 block
@@ -473,17 +473,12 @@ class TestRoundTrips:
     def test_realified_hermitian_optimum(self):
         # min <C, X> over hermitian psd with tr X = 1 picks out the smallest
         # eigenvalue of C; check through the realified real model
-        from starsdp.sdpmodel import HermitianModel, realify
         rng = np.random.default_rng(17)
         for trial in range(4):
             H = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             H = (H + H.conj().T) / 2
-            hm = HermitianModel(
-                sizes=[3], cost=[H],
-                constraints=[LinearConstraint([np.eye(3, dtype=complex)],
-                                              SENSE_EQ, 1.0)],
-            )
-            sol = solve(realify(hm))
+            stack = np.array([H, np.eye(3)])
+            sol = solve(SDPModel.from_stacks(realify([stack]), [(SENSE_EQ, 1.0)]))
             lam = float(np.linalg.eigvalsh(H)[0])
             assert sol.status == Status.OPTIMAL
             assert abs(sol.primal_value - lam) <= 1e-7

@@ -167,6 +167,18 @@ class TestFileDiagnostics:
         with pytest.raises(ProblemSyntaxError):
             parse_problem(text)
 
+    @pytest.mark.parametrize("text, line", [
+        ("[generators]\nx selfadjoint\n[relations]\nx^2 = 1\nx^2 = x\n"
+         "[objective]\nminimize x\n", 5),
+        ("[generators]\nx selfadjoint\n[relations]\nx' = 2*x\n"
+         "[objective]\nminimize x\n", 4),
+    ], ids=["two-squares", "star-of-selfadjoint"])
+    def test_disagreeing_left_side_located(self, text, line):
+        with pytest.raises(ProblemSyntaxError) as err:
+            parse_problem(text)
+        assert (err.value.line, err.value.col) == (line, 1)
+        assert "is rewritten two ways that disagree" in str(err.value)
+
     def test_malformed_commute(self):
         text = "[generators]\nx selfadjoint\ny selfadjoint\n[commute]\nx with y\n[objective]\nminimize x\n"
         with pytest.raises(ProblemSyntaxError):

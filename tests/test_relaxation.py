@@ -195,6 +195,20 @@ b'*b <= 1
 # the same cycle with nf((a'*b)*) = i b*a
 PHASED_ADJOINT_CYCLE_TEXT = ADJOINT_CYCLE_TEXT.replace("b'*a = b*a", "b'*a = i*b*a")
 
+# nf(a*) = x - a is not a single term, so the moment of a is a free root
+FREE_ROOT_TEXT = """
+[generators]
+x selfadjoint
+a
+
+[relations]
+x^2 = 1
+a' = x - a
+
+[objective]
+minimize x
+"""
+
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 TWO_SQRT2 = 2.0 * np.sqrt(2.0)
@@ -453,6 +467,17 @@ basis = 1, x, z
             res = relax.solve(TIGHT)
             assert res.status == Status.OPTIMAL
             assert abs(res.bound + 0.5) <= 1e-8
+
+    def test_adjoint_of_two_terms_is_a_free_root(self):
+        prob = parse_problem(FREE_ROOT_TEXT)
+        for level, params in [(1, 6), (2, 19)]:
+            relax = rx.build_relaxation(prob, level=level)
+            assert relax.real_mode
+            assert prob.presentation.word("a") in relax._roots
+            assert relax.n_moment_vars == params
+            res = relax.solve(TIGHT)
+            assert res.status == Status.OPTIMAL
+            assert abs(res.bound + 1.0) <= 1e-8
 
     def test_phased_one_way_parameter_count(self):
         prob = parse_problem(PHASED_ONE_WAY_TEXT)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from starsdp.sdpmodel import (
-    Block, LinearConstraint, SDPModel, HermitianModel,
+    Block, LinearConstraint, SDPModel,
     ModelError, SDPAFormatError,
     SENSE_LE, SENSE_GE, SENSE_EQ,
     realify, realify_matrix, to_equality_form,
@@ -104,26 +104,16 @@ class TestRealify:
             assert abs(lhs - rhs) < 1e-10
 
     def test_non_hermitian_rejected(self):
-        hm = HermitianModel(
-            sizes=[2],
-            cost=[np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)],
-            constraints=[],
-        )
-        with pytest.raises(ModelError):
-            realify(hm)
+        stack = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        with pytest.raises(ModelError, match="cost block 0: matrix is not Hermitian"):
+            realify([stack])
 
     def test_realified_model_structure(self):
-        hm = HermitianModel(
-            sizes=[2],
-            cost=[np.array([[1.0, 1j], [-1j, 1.0]])],
-            constraints=[
-                LinearConstraint([np.eye(2, dtype=complex)], SENSE_EQ, 1.0),
-            ],
-        )
-        m = realify(hm)
+        stack = np.array([[[1.0, 1j], [-1j, 1.0]], np.eye(2)])
+        m = SDPModel.from_stacks(realify([stack]), [(SENSE_EQ, 1.0)])
         m.validate()
         assert m.blocks[0].size == 4
-        assert np.allclose(m.cost[0], realify_matrix(hm.cost[0]) / 2)
+        assert np.allclose(m.cost[0], realify_matrix(stack[0]) / 2)
 
 
 class TestSDPAText:
@@ -203,6 +193,30 @@ class TestSDPAText:
         text = "0\n1\n-2\n0 1 1 2 1.0\n"
         with pytest.raises(SDPAFormatError):
             import_sdpa(text)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1\n1\n", 2, "file too short"),
+        ("", 0, "file too short"),
+        ("* header\n1\none\n2\n", 3, "expected integers"),
+        ("1 2\n1\n2\n", 1, "expected 1 integers, got 2"),
+        ("-1\n1\n2\n", 1, "negative constraint count -1"),
+        ("1\n2\n3\n", 3, "expected 2 integers, got 1"),
+        ("1\n1\n2\n", 3, "missing right-hand side line"),
+        ("2\n1\n2\n* rhs\n1.0\n", 5, "expected 2 right-hand sides, got 1"),
+        ("1\n1\n2\nhalf\n", 4, "bad right-hand side"),
+        ("1\n1\n2\n1.0\n0 1 1 1 1.0\n0 1 1 1\n", 6, "entry needs 5 fields, got 4"),
+        ("1\n1\n2\n1.0\n0 1 1 j 1.0\n", 5, "bad entry"),
+        ("1\n1\n2\n1.0\n0 1 1 1 x\n", 5, "bad entry"),
+        ("1\n1\n2\n1.0\n2 1 1 1 1.0\n", 5, "matrix number 2 out of range"),
+        ("1\n1\n2\n1.0\n-1 1 1 1 1.0\n", 5, "matrix number -1 out of range"),
+    ], ids=["too-short", "empty", "non-integer-header", "header-count", "negative-count",
+            "block-size-count", "missing-rhs", "rhs-count", "bad-rhs", "entry-fields",
+            "bad-entry-index", "bad-entry-value", "matno-high", "matno-negative"])
+    def test_import_rejects_malformed_input(self, text, line, message):
+        with pytest.raises(SDPAFormatError) as err:
+            import_sdpa(text)
+        assert err.value.line == line
+        assert message in str(err.value)
 
     def test_seventeen_digit_fidelity(self):
         v = 1.0 / 3.0
