@@ -1,9 +1,9 @@
 """Command-line front end: solve problem files, sample joint numerical
 cones, reduce symmetric SDPs.
 
-Exit codes: 0 success, 1 input or parse error, 2 objective or constraint
-not representable at the requested level, 3 solver failure, 4 invariance
-violation.
+Exit codes: 0 success, 1 input or parse error or an unwritable output
+path, 2 objective or constraint not representable at the requested level,
+3 solver failure, 4 invariance violation.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import ipm
-from .algebra import AlgebraError, normal_form
+from .algebra import AlgebraError
 from .problems import ProblemSyntaxError, parse_problem_file
 from .relaxation import (
     RelaxationError, build_relaxation, jnc_family, jnc_support,
@@ -33,6 +31,16 @@ EXIT_INPUT = 1
 EXIT_NOT_REPRESENTABLE = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANCE = 4
+
+# The exit code of each error class main reports with one line on standard
+# error; the most specific listed class of an exception decides, and an
+# exception of no listed class propagates.
+EXIT_CODES = {
+    InvarianceError: EXIT_INVARIANCE,
+    RelaxationError: EXIT_NOT_REPRESENTABLE,
+    OSError: EXIT_INPUT, ProblemSyntaxError: EXIT_INPUT, AlgebraError: EXIT_INPUT,
+    SDPAFormatError: EXIT_INPUT, GroupError: EXIT_INPUT, ModelError: EXIT_INPUT,
+}
 
 
 def _err(msg: str) -> None:
@@ -56,11 +64,7 @@ def _fmt_float(x: float | None) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        problem = parse_problem_file(args.file)
-    except (OSError, ProblemSyntaxError, AlgebraError) as e:
-        _err(str(e))
-        return EXIT_INPUT
+    problem = parse_problem_file(args.file)
     try:
         levels = _parse_levels(args.level) if args.level else [problem.level]
     except ValueError as e:
@@ -79,8 +83,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         try:
             relax = build_relaxation(problem, level=level)
         except RelaxationError as e:
-            _err(f"level {level}: {e}")
-            return EXIT_NOT_REPRESENTABLE
+            raise RelaxationError(f"level {level}: {e}") from e
         result = relax.solve(options)
         wall = time.perf_counter() - t0
         last_relax = relax
@@ -132,11 +135,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_jnc(args: argparse.Namespace) -> int:
-    try:
-        problem = parse_problem_file(args.file)
-    except (OSError, ProblemSyntaxError, AlgebraError) as e:
-        _err(str(e))
-        return EXIT_INPUT
+    problem = parse_problem_file(args.file)
 
     fam = dict(jnc_family(problem))
     names = [t.strip() for t in args.pair.split(",")]
@@ -155,11 +154,9 @@ def cmd_jnc(args: argparse.Namespace) -> int:
         _err("--directions must be at least 1")
         return EXIT_INPUT
 
-    pres = problem.presentation
-
     def moment_value(poly, moments):
-        p = normal_form(poly, pres)
-        return complex(sum(c * moments.get(w, 0j) for w, c in p.terms()))
+        # jnc_family returns its polynomials in normal form
+        return complex(sum(c * moments.get(w, 0j) for w, c in poly.terms()))
 
     supports = []
     for k in range(K):
@@ -168,8 +165,7 @@ def cmd_jnc(args: argparse.Namespace) -> int:
         try:
             res = jnc_support(problem, [(Fa, -ux), (Fb, -uy)], level=level)
         except RelaxationError as e:
-            _err(f"direction {k}: {e}")
-            return EXIT_NOT_REPRESENTABLE
+            raise RelaxationError(f"direction {k}: {e}") from e
         if res.status != ipm.Status.OPTIMAL:
             _err(f"direction {k}: solver status {res.status.value}")
             return EXIT_SOLVER
@@ -204,40 +200,22 @@ def cmd_jnc(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    try:
-        model = import_sdpa_file(args.sdpa_file)
-    except (OSError, SDPAFormatError) as e:
-        _err(str(e))
-        return EXIT_INPUT
-    try:
-        rep = parse_group_file(args.rep_file)
-    except (OSError, GroupError) as e:
-        _err(str(e))
-        return EXIT_INPUT
-
-    try:
-        red = reduce_sdp(model, rep)
-    except InvarianceError as e:
-        _err(str(e))
-        return EXIT_INVARIANCE
-    except (ModelError, GroupError) as e:
-        _err(str(e))
-        return EXIT_INPUT
+    # an imported model has equality rows only, and the reduction keeps them
+    model = import_sdpa_file(args.sdpa_file)
+    rep = parse_group_file(args.rep_file)
+    red = reduce_sdp(model, rep)
 
     print(f"m = {red.commutant_dim}")
     print(f"reduced blocks {red.block_summary()}; "
           f"{len(red.model.constraints)} constraints")
 
     out_path = args.out or (args.sdpa_file + ".reduced.dat-s")
-    export_model = red.model
-    if not export_model.is_equality_only():
-        export_model = to_equality_form(export_model)
-    export_sdpa_file(export_model, out_path)
+    export_sdpa_file(red.model, out_path)
     print(f"wrote {out_path}")
 
     if args.verify:
-        full = ipm.solve(to_equality_form(model))
-        small = ipm.solve(to_equality_form(red.model))
+        full = ipm.solve(model)
+        small = ipm.solve(red.model)
         if full.status != ipm.Status.OPTIMAL or small.status != ipm.Status.OPTIMAL:
             _err(f"verification solve failed: full {full.status.value}, "
                  f"reduced {small.status.value}")
@@ -298,6 +276,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
+    except tuple(EXIT_CODES) as e:
+        _err(str(e))
+        return next(EXIT_CODES[c] for c in type(e).__mro__ if c in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -210,11 +210,10 @@ def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport
     X = [np.asarray(Xb, dtype=float) for Xb in X]
     if any(Xb.shape != (blk.size, blk.size) for blk, Xb in zip(model.blocks, X)):
         raise ModelError("block shape mismatch in feasibility check")
-    groups = _groups([blk.size for blk in model.blocks])
-    Xs = _gather(X, groups)
-    eigs = _scatter([np.linalg.eigvalsh(_sym(Xg))[:, 0] for Xg in Xs], groups)
+    eigs = [np.linalg.eigvalsh(_sym(Xb))[0] for Xb in X]
     cons = model.constraints
-    r = _apply(_stack(model, groups), Xs) - np.array([con.rhs for con in cons], dtype=float)
+    r = np.array([sum(float(np.vdot(A, Xb)) for A, Xb in zip(con.matrices, X)) - con.rhs
+                  for con in cons], dtype=float)
     # +1 for <=, -1 for >=, 0 for ==
     s = np.array([(con.sense == "<=") - (con.sense == ">=") for con in cons], dtype=float)
     violations = np.where(s == 0, np.abs(r), np.maximum(s * r, 0.0))

@@ -141,20 +141,14 @@ class InvariantBasis:
 
 
 def invariant_basis(rep: GroupRep) -> InvariantBasis:
-    """HS-orthonormal basis of the commutant via averaged matrix units."""
+    """HS-orthonormal basis of the commutant: the eigenvectors of eigenvalue
+    1 of the Reynolds projection, whose matrix on the d^2 matrix units is
+    read off from one average of their stack.  Its eigenvalues are 0 or 1,
+    so 1/2 separates them; a real group gives a real basis."""
     d = rep.dim
-    basis: list[np.ndarray] = []
-    for k in range(d):
-        for l in range(d):
-            E = np.zeros((d, d), dtype=complex)
-            E[k, l] = 1.0
-            M = rep.average(E)
-            for B in basis:
-                M = M - np.trace(B.conj().T @ M) * B
-            nrm = float(np.linalg.norm(M))
-            if nrm > RANK_TOL:
-                basis.append(M / nrm)
-    return InvariantBasis(rep, basis)
+    P = rep.average(np.eye(d * d).reshape(-1, d, d)).reshape(d * d, -1).T
+    w, V = np.linalg.eigh(np.real_if_close((P + P.conj().T) / 2))
+    return InvariantBasis(rep, list(V[:, w > 0.5].T.reshape(-1, d, d)))
 
 
 def _same_character(a: np.ndarray, b: np.ndarray) -> bool:
@@ -359,16 +353,16 @@ def parse_group_file(path: str) -> GroupRep:
         lines = fh.read().splitlines()
     dim = None
     elements: list[np.ndarray] = []
-    current: list[list[complex]] = []
+    current: list[list[complex]] | None = None     # rows of the open stanza
 
     def flush(line_no):
         nonlocal current
-        if current:
+        if current is not None:
             if len(current) != dim:
                 raise GroupError(
                     f"line {line_no}: element has {len(current)} rows, expected {dim}")
             elements.append(np.array(current, dtype=complex))
-            current = []
+            current = None
 
     for no, raw in enumerate(lines, start=1):
         s = raw.strip()
@@ -387,12 +381,15 @@ def parse_group_file(path: str) -> GroupRep:
             if dim is None:
                 raise GroupError(f"line {no}: element before dim")
             flush(no)
+            current = []
             continue
         if dim is None:
             raise GroupError(f"line {no}: expected 'dim N' first")
         row = [_parse_entry(t, no) for t in _GROUP_TOKEN.findall(s)]
         if len(row) != dim:
             raise GroupError(f"line {no}: row has {len(row)} entries, expected {dim}")
+        if current is None:         # rows before the first 'element' open one
+            current = []
         current.append(row)
     flush(len(lines))
     if not elements:

@@ -189,6 +189,31 @@ class TestJnc:
         assert len(supports) == 4
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("command", ["solve", "jnc", "reduce"])
+    def test_unwritable_output_path(self, capsys, c3_inputs, tmp_path, command):
+        sdpa, grp, _ = c3_inputs
+        missing = str(tmp_path / "no_such_dir" / "out")
+        argv = {"solve": ["solve", CHSH, "--level", "1", "--export", missing],
+                "jnc": ["jnc", CHSH, "--pair", "F0,1", "--directions", "1", "--out", missing],
+                "reduce": ["reduce", sdpa, grp, "--out", missing]}[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        (line,) = err.splitlines()
+        assert line.startswith("starsdp: ") and missing in line
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["solve", CHSH, "--level", "0"], "starsdp: level 0: "),
+        (["jnc", CHSH, "--pair", "F0,1", "--level", "0"], "starsdp: direction 0: "),
+    ], ids=["solve", "jnc"])
+    def test_not_representable_keeps_its_prefix(self, capsys, argv, prefix):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith(prefix) and "raise the level" in line
+
+
 @pytest.fixture(scope="module")
 def c3_inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("c3")

@@ -503,3 +503,32 @@ class TestFeasibilityReport:
         m = SDPModel([Block(2)], [np.eye(2)], [])
         rep = feasibility_check(m, [np.diag([1.0, -0.5])])
         assert rep.max_violation == pytest.approx(0.5)
+
+    def test_several_blocks_match_a_plain_loop(self):
+        # the two size-3 blocks sit apart, so an order by size is not model order
+        rng = np.random.default_rng(5)
+        sizes = [3, 1, 3, 2]
+
+        def sym(n):
+            M = rng.standard_normal((n, n))
+            return M + M.T
+
+        rows = [LinearConstraint([sym(n) for n in sizes], sense, float(rng.standard_normal()))
+                for sense in (SENSE_LE, SENSE_EQ, SENSE_GE, SENSE_LE, SENSE_GE, SENSE_EQ)]
+        m = SDPModel([Block(n) for n in sizes], [sym(n) for n in sizes], rows)
+        # block b's smallest eigenvalue lies near 10 b, apart from the others
+        X = [sym(n) * 0.1 + 10.0 * b * np.eye(n) for b, n in enumerate(sizes)]
+        rep = feasibility_check(m, X)
+
+        assert rep.min_eigenvalues == pytest.approx(
+            [np.linalg.eigvalsh(Xb)[0] for Xb in X], abs=1e-12)
+        assert np.argsort(rep.min_eigenvalues).tolist() == [0, 1, 2, 3]
+        assert len(rep.residuals) == len(rep.violations) == len(rows)
+        for con, r, v in zip(rows, rep.residuals, rep.violations):
+            value = sum(float(np.sum(A * Xb)) for A, Xb in zip(con.matrices, X)) - con.rhs
+            violation = {SENSE_LE: max(value, 0.0), SENSE_GE: max(-value, 0.0),
+                         SENSE_EQ: abs(value)}[con.sense]
+            assert r == pytest.approx(value, abs=1e-12)
+            assert v == pytest.approx(violation, abs=1e-12)
+        assert rep.objective == pytest.approx(
+            sum(float(np.sum(C * Xb)) for C, Xb in zip(m.cost, X)), abs=1e-12)

@@ -426,13 +426,16 @@ class TestGroupFile:
         ("dim 2\nelement\n1 0\n# one row short\nelement\n1 0\n0 1\n", 5,
          "element has 1 rows, expected 2"),
         ("dim 2\nelement\n1 0\n0 1\nelement\n0 1\n", 6, "element has 1 rows"),
+        ("dim 2\nelement\nelement\n1 0\n0 1\nelement\n", 3,
+         "element has 0 rows, expected 2"),
+        ("dim 2\nelement\n1 0\n0 1\nelement\n", 5, "element has 0 rows, expected 2"),
         ("dim 2\n\ndim 2\n", 3, "duplicate dim line"),
         ("dim two\n", 1, "malformed dim line"),
         ("dim\n", 1, "malformed dim line"),
         ("# a comment\n1 0\n0 1\n", 2, "expected 'dim N' first"),
         ("dim 2\n# nothing else\n", None, "no group elements in file"),
-    ], ids=["short-element", "short-last-element", "duplicate-dim", "malformed-dim",
-            "bare-dim", "rows-before-dim", "no-elements"])
+    ], ids=["short-element", "short-last-element", "empty-element", "empty-last-element",
+            "duplicate-dim", "malformed-dim", "bare-dim", "rows-before-dim", "no-elements"])
     def test_rejected_input_located(self, tmp_path, text, line, message):
         p = tmp_path / "bad.grp"
         p.write_text(text)
