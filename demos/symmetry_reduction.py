@@ -4,7 +4,7 @@ We build a random 6x6 SDP whose data commute with the order-3 permutation
 (0 1 2)(3 4 5), block-diagonalize it, and check that both problems return
 the same value.  Each irreducible of C3 appears twice, so the commutant is
 12-dimensional: a real 2x2 block for the trivial irreducible, and one
-Hermitian 2x2 block, realified to 4x4, shared by the two complex ones.
+Hermitian 2x2 block, solved as it is, shared by the two complex ones.
 Together they carry 7 free coordinates instead of the 21 of a generic 6x6
 symmetric matrix, and the 4 constraint rows stay as they are.
 """

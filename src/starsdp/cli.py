@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from contextlib import nullcontext
 
 from . import ipm
 from .algebra import AlgebraError
@@ -22,7 +23,7 @@ from .relaxation import (
     RelaxationError, build_relaxation, jnc_family, jnc_support,
 )
 from .sdpmodel import (
-    ModelError, SDPAFormatError, export_sdpa_file, import_sdpa_file,
+    ModelError, SDPAFormatError, export_sdpa, export_sdpa_file, import_sdpa_file,
     to_equality_form,
 )
 from .symmetry import GroupError, InvarianceError, parse_group_file, reduce_sdp
@@ -76,34 +77,38 @@ def cmd_solve(args: argparse.Namespace) -> int:
         options = ipm.SolverOptions(tol_gap=args.tol, tol_feas=args.tol)
 
     rows = []
-    last_relax = None
     failed = False
-    for level in levels:
-        t0 = time.perf_counter()
-        try:
-            relax = build_relaxation(problem, level=level)
-        except RelaxationError as e:
-            raise RelaxationError(f"level {level}: {e}") from e
-        result = relax.solve(options)
-        wall = time.perf_counter() - t0
-        last_relax = relax
-        rows.append({
-            "level": level,
-            "basis_size": len(relax.basis),
-            "moment_variables": relax.n_moment_vars,
-            # only an OPTIMAL level has a finite bound it certifies
-            "bound": result.bound if result.status == ipm.Status.OPTIMAL else None,
-            "gap": result.solution.gap,
-            "status": result.status.value,
-            "reason": result.solution.reason,
-            "iterations": result.solution.iterations,
-            "schur_dim": len(result.solution.y),
-            "timings": result.solution.timings,
-            "wall_time": wall,
-        })
-        if result.status != ipm.Status.OPTIMAL:
-            _err(f"level {level}: {result.status.value}: {result.solution.reason}")
-            failed = True
+    # opened before any level is solved, so an unwritable path fails at once
+    with open(args.export, "w", encoding="utf-8") if args.export else nullcontext() as export:
+        for level in levels:
+            t0 = time.perf_counter()
+            try:
+                relax = build_relaxation(problem, level=level)
+            except RelaxationError as e:
+                raise RelaxationError(f"level {level}: {e}") from e
+            result = relax.solve(options)
+            wall = time.perf_counter() - t0
+            rows.append({
+                "level": level,
+                "basis_size": len(relax.basis),
+                "moment_variables": relax.n_moment_vars,
+                # only an OPTIMAL level has a finite bound it certifies
+                "bound": result.bound if result.status == ipm.Status.OPTIMAL else None,
+                "gap": result.solution.gap,
+                "status": result.status.value,
+                "reason": result.solution.reason,
+                "iterations": result.solution.iterations,
+                "schur_dim": len(result.solution.y),
+                "timings": result.solution.timings,
+                "wall_time": wall,
+            })
+            if result.status != ipm.Status.OPTIMAL:
+                _err(f"level {level}: {result.status.value}: {result.solution.reason}")
+                failed = True
+        if export:
+            model = relax.model
+            export.write(export_sdpa(model if model.is_equality_only()
+                                     else to_equality_form(model)))
 
     if args.json:
         print(json.dumps({
@@ -121,12 +126,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
                   f"{r['moment_variables']:>5}  {_fmt_float(r['bound']):>14}  "
                   f"{r['gap']:>9.2e}  {r['status']:<10}  "
                   f"{r['wall_time']:>7.2f}s")
-
-    if args.export:
-        model = last_relax.model
-        if not model.is_equality_only():
-            model = to_equality_form(model)
-        export_sdpa_file(model, args.export)
 
     if failed:
         _err("solver did not reach an optimal certificate at every level")
@@ -158,24 +157,25 @@ def cmd_jnc(args: argparse.Namespace) -> int:
         # jnc_family returns its polynomials in normal form
         return complex(sum(c * moments.get(w, 0j) for w, c in poly.terms()))
 
-    supports = []
-    for k in range(K):
-        theta = 2.0 * math.pi * k / K
-        ux, uy = math.cos(theta), math.sin(theta)
-        try:
-            res = jnc_support(problem, [(Fa, -ux), (Fb, -uy)], level=level)
-        except RelaxationError as e:
-            raise RelaxationError(f"direction {k}: {e}") from e
-        if res.status != ipm.Status.OPTIMAL:
-            _err(f"direction {k}: solver status {res.status.value}")
-            return EXIT_SOLVER
-        h = -res.bound
-        px = moment_value(Fa, res.moments).real
-        py = moment_value(Fb, res.moments).real
-        supports.append((theta, ux, uy, h, px, py))
+    # opened before any direction is solved, so an unwritable path fails at once
+    with (open(args.out, "w", newline="", encoding="utf-8") if args.out
+          else nullcontext(sys.stdout)) as out:
+        supports = []
+        for k in range(K):
+            theta = 2.0 * math.pi * k / K
+            ux, uy = math.cos(theta), math.sin(theta)
+            try:
+                res = jnc_support(problem, [(Fa, -ux), (Fb, -uy)], level=level)
+            except RelaxationError as e:
+                raise RelaxationError(f"direction {k}: {e}") from e
+            if res.status != ipm.Status.OPTIMAL:
+                _err(f"direction {k}: solver status {res.status.value}")
+                return EXIT_SOLVER
+            h = -res.bound
+            px = moment_value(Fa, res.moments).real
+            py = moment_value(Fb, res.moments).real
+            supports.append((theta, ux, uy, h, px, py))
 
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
         w = csv.writer(out)
         w.writerow(["kind", "angle", "dir_x", "dir_y", "support", "x", "y"])
         for theta, ux, uy, h, px, py in supports:
@@ -193,9 +193,6 @@ def cmd_jnc(args: argparse.Namespace) -> int:
                 vy = (x1 * h2 - x2 * h1) / det
                 w.writerow(["vertex", "", "", "", "",
                             f"{vx:.12g}", f"{vy:.12g}"])
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

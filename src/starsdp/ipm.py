@@ -3,7 +3,9 @@
 The solver follows the central path of the simplified homogeneous self-dual
 embedding (Ye, Todd and Mizuno 1994; Xu, Hung and Ye 1996; de Klerk, Roos
 and Terlaky 1997) of min <C, X> s.t. A(X) = b, X psd and its dual
-max b.y s.t. sum_k y_k A_k + Z = C, Z psd.  Two scalars tau, kappa >= 0
+max b.y s.t. sum_k y_k A_k + Z = C, Z psd, over real symmetric blocks and
+Hermitian ones alike: <A, X> = Re tr(A* X), and y, b and the Schur matrix
+stay real.  Two scalars tau, kappa >= 0
 join X, y and Z, and the embedding asks for
 
     A(X) = b tau,   sum_k y_k A_k + Z = C tau,   b.y - <C, X> = kappa,
@@ -36,7 +38,9 @@ and Z over tau.
 A solve groups the blocks by size, in order of first appearance, and holds
 each group of k blocks of size n as one stack: X, Z, C and the other
 iterates as (k, n, n) arrays, and the constraint matrices once as an
-(m, k, n, n) array A_s.  Cholesky factors, inverses, eigenvalues and
+(m, k, n, n) array A_s.  A stack is complex when any of its data are, and
+a real block in a complex stack keeps a real iterate, returned as the real
+part of its view.  Cholesky factors, inverses, eigenvalues and
 products broadcast over the leading axis, and a stack flattened to k n^2
 entries behaves like one block for residuals, sum_k y_k A_ks and the
 certificates, so every per-iteration loop runs over the distinct sizes,
@@ -44,9 +48,11 @@ not over the blocks.  One Newton solve works on the Schur complement
 
     M[k,l] = sum_b < A_kb, X_b A_lb inv(Z_b) >,
 
-which equals < A_kb, sym(X_b A_lb inv(Z_b)) > for symmetric A_kb.  Each
-stack adds one GEMM per column panel of about PANEL elements, flat(A_s) @
-flat(X_s A_ls inv(Z_s))^T, and M is symmetrized at the end.  Beside the
+which equals < A_kb, sym(X_b A_lb inv(Z_b)) > for Hermitian A_kb, with
+sym the Hermitian part.  Each stack adds one GEMM per column panel of about
+PANEL elements, flat(A_s) @ flat(X_s A_ls inv(Z_s))^T, on the float views
+of complex stacks, since Re <A, T> is the dot product of the interleaved
+real and imaginary parts of A and T; M is symmetrized at the end.  Beside the
 model's own data a solve keeps its (m, k n^2) stacks of constraint data:
 the products X A_l inv(Z) live one panel at a time, and the direction is
 recovered as dX = sym(G + X (sum_l dy_l A_l) inv(Z)).  The solution lists
@@ -69,6 +75,7 @@ same factor and refinement.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -140,8 +147,33 @@ class FeasibilityReport:
         return max(eig, lin, 0.0)
 
 
+def _ct(M):
+    """The conjugate transpose over the last two axes, a view when M is real."""
+    T = M.swapaxes(-1, -2)
+    return T.conj() if T.dtype.kind == "c" else T
+
+
 def _sym(M):
-    return (M + M.swapaxes(-1, -2)) * 0.5
+    """The Hermitian part over the last two axes."""
+    return (M + _ct(M)) * 0.5
+
+
+def _rv(M):
+    """The float view of a complex stack, M itself when real: Re <A, B> is
+    the dot product of _rv(A) and _rv(B)."""
+    return M.view(float) if M.dtype.kind == "c" else M
+
+
+def _flat(S):
+    """A stack (m, ...) as an (m, rest) float matrix, over the float view
+    of a complex stack."""
+    R = _rv(S)
+    return R.reshape(len(R), math.prod(R.shape[1:]))
+
+
+def _inner(A, B):
+    """Re <A, B>, summed over a whole stack."""
+    return float(np.vdot(A, B).real)
 
 
 def _frob(M):
@@ -156,37 +188,46 @@ def _groups(sizes):
     return list(groups.values())
 
 
-def _gather(blocks, groups):
+def _kinds(model, groups):
+    """Per block whether its data are all real, and per group the dtype of
+    its stacks: complex when the data of any of its blocks are."""
+    real = [not (np.iscomplexobj(C) or any(np.iscomplexobj(con.matrices[i])
+                                           for con in model.constraints))
+            for i, C in enumerate(model.cost)]
+    return real, [float if all(real[i] for i in g) else complex for g in groups]
+
+
+def _gather(blocks, groups, dtypes):
     """Per-block (n, n) arrays as one (k, n, n) stack per group."""
-    return [np.array([blocks[i] for i in g], dtype=float) for g in groups]
+    return [np.array([blocks[i] for i in g], dtype=dt) for g, dt in zip(groups, dtypes)]
 
 
-def _scatter(stacks, groups):
-    """The blocks of the stacks in model order, as views."""
+def _scatter(stacks, groups, real):
+    """The blocks of the stacks in model order, as views; the real part of
+    those marked real."""
     out = [None] * sum(map(len, groups))
     for S, g in zip(stacks, groups):
         for j, i in enumerate(g):
-            out[i] = S[j]
+            out[i] = S[j].real if real[i] else S[j]
     return out
 
 
-def _stack(model, groups):
+def _stack(model, groups, dtypes):
     """The constraint matrices of each group as one (m, k, n, n) array."""
     m = len(model.constraints)
-    return [np.array([[con.matrices[i] for i in g] for con in model.constraints], dtype=float)
+    return [np.array([[con.matrices[i] for i in g] for con in model.constraints], dtype=dt)
             .reshape(m, len(g), model.blocks[g[0]].size, model.blocks[g[0]].size)
-            for g in groups]
+            for g, dt in zip(groups, dtypes)]
 
 
 def _apply(A, X):
     """The vector (sum_b <A_kb, X_b>)_k, one matvec per stack."""
-    return sum(Ab.reshape(len(Ab), Xb.size) @ Xb.ravel() for Ab, Xb in zip(A, X))
+    return sum(_flat(Ab) @ _rv(Xb).ravel() for Ab, Xb in zip(A, X))
 
 
 def _adjoint(A, y):
     """The stacks sum_k y_k A_k, one vector-matrix product per stack."""
-    return [(y @ Ab.reshape(len(Ab), int(np.prod(Ab.shape[1:])))).reshape(Ab.shape[1:])
-            for Ab in A]
+    return [(y @ _flat(Ab)).view(Ab.dtype).reshape(Ab.shape[1:]) for Ab in A]
 
 
 def _schur(A, X, Zi):
@@ -194,10 +235,9 @@ def _schur(A, X, Zi):
     m = len(A[0]) if A else 0
     M = np.zeros((m, m))
     for Ab, Xb, Zb in zip(A, X, Zi):
-        n2, flat = Xb.size, Ab.reshape(m, Xb.size)
-        width = max(1, PANEL // n2)
+        flat, width = _flat(Ab), max(1, PANEL // Xb.size)
         for c in range(0, m, width):
-            M[:, c:c + width] += flat @ (Xb @ Ab[c:c + width] @ Zb).reshape(-1, n2).T
+            M[:, c:c + width] += flat @ _flat(Xb @ Ab[c:c + width] @ Zb).T
     M += M.T                            # sym(M) in place, one m x m array fewer
     return np.multiply(M, 0.5, out=M)
 
@@ -207,17 +247,17 @@ def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport
     model.validate()
     if len(X) != len(model.blocks):
         raise ModelError("block count mismatch in feasibility check")
-    X = [np.asarray(Xb, dtype=float) for Xb in X]
+    X = [np.asarray(Xb, dtype=complex if np.iscomplexobj(Xb) else float) for Xb in X]
     if any(Xb.shape != (blk.size, blk.size) for blk, Xb in zip(model.blocks, X)):
         raise ModelError("block shape mismatch in feasibility check")
     eigs = [np.linalg.eigvalsh(_sym(Xb))[0] for Xb in X]
     cons = model.constraints
-    r = np.array([sum(float(np.vdot(A, Xb)) for A, Xb in zip(con.matrices, X)) - con.rhs
+    r = np.array([sum(_inner(A, Xb) for A, Xb in zip(con.matrices, X)) - con.rhs
                   for con in cons], dtype=float)
     # +1 for <=, -1 for >=, 0 for ==
     s = np.array([(con.sense == "<=") - (con.sense == ">=") for con in cons], dtype=float)
     violations = np.where(s == 0, np.abs(r), np.maximum(s * r, 0.0))
-    obj = sum(float(np.vdot(C, Xb)) for C, Xb in zip(model.cost, X))
+    obj = sum(_inner(C, Xb) for C, Xb in zip(model.cost, X))
     return FeasibilityReport(list(map(float, eigs)), list(map(float, r)),
                              list(map(float, violations)), obj)
 
@@ -254,11 +294,12 @@ def _psd_solver(M):
     return lambda r: Li.T @ (Li @ r)
 
 
-def _max_step(Li, dS):
-    """Largest a with S + a dS psd on every block of a stack, where
-    S = L L^T and Li = inv(L).  Returns np.inf if dS does not push against
-    the boundary."""
-    W = Li @ dS @ Li.swapaxes(-1, -2)
+def _max_step(Lxi, dX, Lzi, dZ):
+    """Largest a with X + a dX and Z + a dZ psd on every block of a stack,
+    where X = Lx Lx* and Lxi = inv(Lx), and Z likewise, from one eigvalsh
+    call on the X and Z stacks together.  Returns np.inf if neither
+    direction pushes against the boundary."""
+    W = np.concatenate([Lxi @ dX @ _ct(Lxi), Lzi @ dZ @ _ct(Lzi)])
     lam = float(np.linalg.eigvalsh(_sym(W))[:, 0].min())
     if lam >= -1e-14:
         return np.inf
@@ -279,29 +320,31 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     ns = len(groups)
     N = sum(sizes)
     m = len(model.constraints)
-    C = _gather(model.cost, groups)
-    A = _stack(model, groups)
+    real, dtypes = _kinds(model, groups)
+    C = _gather(model.cost, groups, dtypes)
+    A = _stack(model, groups, dtypes)
     b = np.array([con.rhs for con in model.constraints], dtype=float)
 
     normC = max((float(np.linalg.norm(Cg, axis=(-2, -1)).max()) for Cg in C), default=0.0)
-    normsA = np.sqrt(sum((np.einsum("kbij,kbij->k", Ag, Ag) for Ag in A), np.zeros(m)))
+    normsA = np.sqrt(sum((np.einsum("kbij,kbij->k", _rv(Ag), _rv(Ag)) for Ag in A),
+                         np.zeros(m)))
     xi = max(1.0, np.sqrt(max(sizes, default=1)),
              np.max((1 + np.abs(b)) / (1 + normsA), initial=0.0))
     maxA = max(normsA, default=0.0) or 1.0     # a zero A scales no ray
     eta = max(1.0, np.sqrt(max(sizes, default=1)), normC, maxA)
 
     if start is not None:
-        X = _gather(start[0], groups)
+        X = _gather(start[0], groups, dtypes)
         y = np.asarray(start[1], dtype=float).copy()
-        Z = _gather(start[2], groups)
+        Z = _gather(start[2], groups, dtypes)
     else:
-        eye = [np.broadcast_to(np.eye(Cg.shape[-1]), Cg.shape) for Cg in C]
+        eye = [np.broadcast_to(np.eye(Cg.shape[-1], dtype=Cg.dtype), Cg.shape) for Cg in C]
         X = [xi * I for I in eye]
         y = np.zeros(m)
         Z = [eta * I for I in eye]
-    tau, kappa = 1.0, sum(float(np.vdot(X[i], Z[i])) for i in range(ns)) / max(N, 1)
+    tau, kappa = 1.0, sum(_inner(X[i], Z[i]) for i in range(ns)) / max(N, 1)
 
-    normb, normCF = float(np.linalg.norm(b)), np.sqrt(sum(float(np.vdot(Cg, Cg)) for Cg in C))
+    normb, normCF = float(np.linalg.norm(b)), np.sqrt(sum(_inner(Cg, Cg) for Cg in C))
     bscale, cscale = 1.0 + normb, 1.0 + normC
     history: list[Iterate] = []
     timings = {"schur": 0.0, "newton": 0.0, "step": 0.0}
@@ -311,12 +354,12 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     for it in range(opts.max_iter + 1):
         yA = _adjoint(A, y)
         AX = _apply(A, X)
-        cx = sum(float(np.vdot(C[i], X[i])) for i in range(ns))
+        cx = sum(_inner(C[i], X[i]) for i in range(ns))
         by = float(b @ y)
         rp = tau * b - AX
         Rd = [tau * C[i] - Z[i] - yA[i] for i in range(ns)]
         rg = kappa - by + cx
-        mu = (sum(float(np.vdot(X[i], Z[i])) for i in range(ns)) + tau * kappa) / (N + 1)
+        mu = (sum(_inner(X[i], Z[i]) for i in range(ns)) + tau * kappa) / (N + 1)
         pobj, dobj = cx / tau, by / tau
         pres = float(np.linalg.norm(rp)) / tau / bscale
         dres = np.sqrt(sum(_frob(R) ** 2 for R in Rd)) / tau / cscale
@@ -354,7 +397,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             reason = f"the Cholesky factor of {name} failed at iteration {it}"
             break
         Lxi, Lzi = [np.linalg.inv(L) for L in Lx], [np.linalg.inv(L) for L in Lz]
-        Zi = [li.swapaxes(-1, -2) @ li for li in Lzi]
+        Zi = [_ct(li) @ li for li in Lzi]
         M = _schur(A, X, Zi)
         t1 = time.perf_counter()
         timings["schur"] += t1 - t0
@@ -368,7 +411,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         DCt = [(X[i] + XRZi[i]) / tau for i in range(ns)]      # X Ct inv(Z)
         u = _apply(A, DCt)
         bu = b - u
-        CtDCt = sum(float(np.vdot(Ct[i], DCt[i])) for i in range(ns))
+        CtDCt = sum(_inner(Ct[i], DCt[i]) for i in range(ns))
         rg_t = rg + float(y @ rp) / tau
         timings["newton"] += time.perf_counter() - t1
 
@@ -399,7 +442,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         def direction(rho, G, p, nu_tk):
             """The step of target(rho, ...) that solves tau dkappa + kappa dtau
             = nu_tk, from dv = p + dtau q with M p = rho rp - A(G)."""
-            dtau = ((rho * rg_t + sum(float(np.vdot(Ct[i], G[i])) for i in range(ns))
+            dtau = ((rho * rg_t + sum(_inner(Ct[i], G[i]) for i in range(ns))
                      - bu @ p + nu_tk / tau)
                     / (bu @ q + CtDCt + kappa / tau))
             dv = p + dtau * q
@@ -413,7 +456,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             """The full step if it stays inside the cones, else the fraction
             of the longest step that does."""
             dX, _, dZ, dtau, dkappa = d
-            limits = [_max_step(Li, D) for Li, D in zip(Lxi + Lzi, dX + dZ)]
+            limits = [_max_step(*args) for args in zip(Lxi, dX, Lzi, dZ)]
             limits += [-s / ds for s, ds in ((tau, dtau), (kappa, dkappa)) if ds < 0]
             longest = min(limits, default=np.inf)
             return 1.0 if longest > 1.0 else fraction * longest
@@ -425,7 +468,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         aff = direction(1.0, G, p, -tau * kappa)
         dXa, _, dZa, dtau_a, dkappa_a = aff
         a = step_length(aff, 1.0)
-        mu_aff = (sum(float(np.vdot(X[i] + a * dXa[i], Z[i] + a * dZa[i])) for i in range(ns))
+        mu_aff = (sum(_inner(X[i] + a * dXa[i], Z[i] + a * dZa[i]) for i in range(ns))
                   + (tau + a * dtau_a) * (kappa + a * dkappa_a)) / (N + 1)
         sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0, 1e-8))
         G, r = target(1.0 - sigma, sigma * mu, [dXa[i] @ dZa[i] for i in range(ns)])
@@ -444,8 +487,8 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         kappa += alpha * dkappa
 
     return Solution(
-        X=_scatter([Xg / tau for Xg in X], groups), y=y / tau,
-        Z=_scatter([Zg / tau for Zg in Z], groups),
+        X=_scatter([Xg / tau for Xg in X], groups, real), y=y / tau,
+        Z=_scatter([Zg / tau for Zg in Z], groups, real),
         primal_value=pobj, dual_value=dobj, gap=relgap,
         primal_res=pres, dual_res=dres, status=status, reason=reason,
         iterations=len(history) - 1, history=history, timings=timings,

@@ -53,11 +53,9 @@ from .algebra import (
     is_normal_form, normal_form, poly_mul, word_adjoint,
 )
 from .problems import ProblemFile, word_to_str, poly_to_str
-from .sdpmodel import (
-    SDPModel, SENSE_EQ, SENSE_GE, realify, realify_matrix, unrealify_matrix,
-)
-# not called here; bench/tracing.py wraps it under this module's name
-from .sdpmodel import to_equality_form  # noqa: F401
+from .sdpmodel import SDPModel, SENSE_EQ, SENSE_GE
+# not called here; bench/tracing.py wraps them under this module's name
+from .sdpmodel import realify, to_equality_form  # noqa: F401
 from . import ipm
 
 BASIS_CAP = 2000
@@ -153,9 +151,9 @@ class RelaxationResult:
     solution is the solver's record of the moment LMI, which it takes as
     its dual: y holds the free parameters q of p = p0 + N q, Z the moment
     blocks at p followed by one 1x1 slack per scalar inequality, and X a
-    Gram (sum of squares) certificate of the bound, all realified in
-    complex mode.  Its status is the solver's own, where INFEASIBLE and
-    UNBOUNDED are swapped.
+    Gram (sum of squares) certificate of the bound, the moment and Gram
+    blocks Hermitian in complex mode.  Its status is the solver's own,
+    where INFEASIBLE and UNBOUNDED are swapped.
 
     moments and moment_matrix, the main block, are read from y and Z when
     the solve ended OPTIMAL or MAX_ITER, and are empty otherwise."""
@@ -199,7 +197,7 @@ class RelaxationModel:
 
     @functools.cached_property
     def model(self) -> SDPModel:
-        """The row form, X = the moment blocks (realified when complex),
+        """The row form, X = the moment blocks (Hermitian when complex),
         built on first access and cached; the solve does not read it."""
         U, sv, _ = np.linalg.svd(self._P @ self._N)
         Q = U[:, int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0:]
@@ -207,8 +205,7 @@ class RelaxationModel:
         data += [self._representative(g, "a scalar constraint") for g, _, _ in self._ineq]
         rows = [(SENSE_EQ, float(r)) for r in Q.T @ (self._P @ self._p0)]
         rows += [(sense, float(rhs)) for _, sense, rhs in self._ineq]
-        stacks = self._stacks(np.column_stack(data))
-        return SDPModel.from_stacks(stacks if self.real_mode else realify(stacks), rows)
+        return SDPModel.from_stacks(self._stacks(np.column_stack(data)), rows)
 
     def _stacks(self, columns: np.ndarray) -> list[np.ndarray]:
         """Per block, the stack of matrices whose coordinates are the columns."""
@@ -225,7 +222,7 @@ class RelaxationModel:
         if sol.status in (ipm.Status.OPTIMAL, ipm.Status.MAX_ITER):
             values = self._W @ (self._p0 + self._N @ sol.y)
             moments = {w: complex(v) for w, v in zip(self._var_words, values)}
-            gamma = sol.Z[0] if self.real_mode else unrealify_matrix(sol.Z[0])
+            gamma = sol.Z[0]
         status = _DUAL_STATUS.get(sol.status, sol.status)
         if status in _DUAL_STATUS:
             bound = self.sense_factor * np.inf * (1 if status == ipm.Status.INFEASIBLE else -1)
@@ -274,7 +271,7 @@ class RelaxationModel:
         for mat in self.entries:
             G = np.array([[value(e) for e in row] for row in mat], dtype=complex)
             G = (G + G.conj().T) / 2
-            out.append(np.real(G) if self.real_mode else realify_matrix(G))
+            out.append(np.real(G) if self.real_mode else G)
         return out
 
     def evaluate(self, poly: Polynomial, moments: dict[Word, complex]) -> complex:
@@ -489,8 +486,6 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
         p0, N = _restrict(np.array([g[k] for k in eq]),
                           np.array([cons_nf[k][2] for k in eq]), p0, N)
     lmi = relax._stacks(np.column_stack([P @ p0, -(P @ N)]))
-    if not real_mode:
-        lmi = [realify_matrix(A) for A in lmi]
     ineq = [(gk, sense, rhs) for gk, (_, sense, rhs) in zip(g, cons_nf) if sense != SENSE_EQ]
     for gk, sense, rhs in ineq:
         sign = 1.0 if sense == SENSE_GE else -1.0

@@ -5,9 +5,11 @@ A model is the trace form
     minimize   sum_b <C_b, X_b>
     subject to sum_b <A_kb, X_b>  (<=|>=|==)  b_k,   X_b psd,
 
-with real symmetric coefficient matrices throughout.  A model is built from,
-and read back as, one stack per block: the cost, then each row's matrix.
-Hermitian stacks are doubled into real ones by realify.
+where <A, X> = Re tr(A* X).  A block whose data are real is real
+symmetric, and one whose data are complex is Hermitian, with X_b Hermitian
+psd of the same size.  A model is built from, and read back as, one stack
+per block: the cost, then each row's matrix.  Only the SDPA export, a real
+format, doubles a Hermitian block into its real image (realify).
 """
 
 from __future__ import annotations
@@ -89,10 +91,9 @@ class SDPModel:
 def _check_sym(M: np.ndarray, blk: Block, where: str) -> None:
     if M.shape != (blk.size, blk.size):
         raise ModelError(f"{where}: shape {M.shape} does not match block size {blk.size}")
-    if np.iscomplexobj(M):
-        raise ModelError(f"{where}: complex entries in a real model")
-    if np.max(np.abs(M - M.T), initial=0.0) > VALIDATE_TOL:
-        raise ModelError(f"{where}: matrix is not symmetric")
+    if np.max(np.abs(M - M.conj().T), initial=0.0) > VALIDATE_TOL:
+        kind = "Hermitian" if np.iscomplexobj(M) else "symmetric"
+        raise ModelError(f"{where}: matrix is not {kind}")
     if blk.diagonal and np.max(np.abs(M - np.diag(np.diag(M))), initial=0.0) > VALIDATE_TOL:
         raise ModelError(f"{where}: off-diagonal entries in a diagonal block")
 
@@ -119,12 +120,6 @@ def realify_matrix(A: np.ndarray) -> np.ndarray:
     return np.block([[R, -I], [I, R]])
 
 
-def unrealify_matrix(Y: np.ndarray) -> np.ndarray:
-    """Hermitian matrix whose realify_matrix image is nearest to Y."""
-    n = Y.shape[0] // 2
-    return (Y[:n, :n] + Y[n:, n:]) / 2 + 1j * (Y[n:, :n] - Y[:n, n:]) / 2
-
-
 def realify(stacks: list[np.ndarray]) -> list[np.ndarray]:
     """The halved real images of per-block stacks of Hermitian matrices.
 
@@ -147,29 +142,30 @@ def _fmt(x: float) -> str:
 def export_sdpa(model: SDPModel) -> str:
     """Serialize to sparse SDPA (.dat-s) text.
 
-    Requires an equality-only model.  Line order: constraint count, block
-    count, block sizes (negative marks a diagonal block), right-hand sides,
-    then `matno blkno i j value` entries with matno 0 for the cost and only
-    the upper triangle stored, 1-based indices.
+    Requires an equality-only model.  SDPA is a real format, so a Hermitian
+    block is written as its realify image, twice its size.  Line order:
+    constraint count, block count, block sizes (negative marks a diagonal
+    block), right-hand sides, then `matno blkno i j value` entries with
+    matno 0 for the cost and only the upper triangle stored, 1-based indices.
     """
     model.validate()
     if not model.is_equality_only():
         raise ModelError("export requires an equality-only model; apply to_equality_form first")
+    stacks = [realify([S])[0] if np.iscomplexobj(S) else S for S in model.stacks()]
     m = len(model.constraints)
-    lines = [str(m), str(len(model.blocks))]
-    lines.append(" ".join(str(-b.size if b.diagonal else b.size) for b in model.blocks))
+    lines = [str(m), str(len(stacks))]
+    lines.append(" ".join(str(-S.shape[-1] if b.diagonal else S.shape[-1])
+                          for b, S in zip(model.blocks, stacks)))
     lines.append(" ".join(_fmt(c.rhs) for c in model.constraints) if m else "")
-    def emit(matno, mats):
-        for bno, A in enumerate(mats, start=1):
+    for matno in range(1 + m):
+        for bno, S in enumerate(stacks, start=1):
+            A = S[matno]
             n = A.shape[0]
             for i in range(n):
                 for j in range(i, n):
                     v = A[i, j]
                     if v != 0.0:
                         lines.append(f"{matno} {bno} {i + 1} {j + 1} {_fmt(v)}")
-    emit(0, model.cost)
-    for k, con in enumerate(model.constraints, start=1):
-        emit(k, con.matrices)
     return "\n".join(lines) + "\n"
 
 

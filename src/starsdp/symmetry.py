@@ -18,7 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .sdpmodel import SDPModel, ModelError, realify, unrealify_matrix
+from .sdpmodel import SDPModel, ModelError
+# not called here; bench/tracing.py wraps it under this module's name
+from .sdpmodel import realify  # noqa: F401
 from . import ipm
 
 UNITARY_TOL = 1e-8
@@ -208,7 +210,8 @@ class ReducedSDP:
     """Block diagonalization of an invariant SDP: block i acts on the span
     of P_i = bases[i], one vector from each aligned copy of an irreducible,
     and X = Re avg_g U_g (sum_i weights[i] P_i Y_i P_i*) U_g*.  The first
-    `real_blocks` blocks are real, the rest Hermitian, realified in `model`.
+    `real_blocks` blocks of `model` are real, the rest Hermitian, each of
+    the size m_i of its basis.
     """
 
     original: SDPModel
@@ -227,10 +230,10 @@ class ReducedSDP:
                 + sum(m * m for m in sizes[self.real_blocks:]))
 
     def block_summary(self) -> str:
-        """Reduced block sizes with their kind, e.g. '2 real, 4 realified'."""
+        """Reduced block sizes with their kind, e.g. '2 real, 2 Hermitian'."""
         sizes = [P.shape[1] for P in self.bases]
         return ", ".join([f"{m} real" for m in sizes[:self.real_blocks]]
-                         + [f"{2 * m} realified" for m in sizes[self.real_blocks:]])
+                         + [f"{m} Hermitian" for m in sizes[self.real_blocks:]])
 
     def expand(self, sol: ipm.Solution) -> np.ndarray:
         """Optimal matrix of the original SDP from a reduced solution.
@@ -238,9 +241,7 @@ class ReducedSDP:
         The real part is returned: the original data is real, so the real
         part of a Hermitian feasible point is feasible with equal value.
         """
-        Y = [w * (X if i < self.real_blocks else unrealify_matrix(X))
-             for i, (w, X) in enumerate(zip(self.weights, sol.X))]
-        X = _lift(self.rep, self.bases, Y)
+        X = _lift(self.rep, self.bases, [w * X for w, X in zip(self.weights, sol.X)])
         return (X + X.T) / 2
 
 
@@ -327,8 +328,7 @@ def reduce_sdp(model: SDPModel, rep: GroupRep) -> ReducedSDP:
             f"blocks with residual {rebuilt[bad[0]]:.3e}")
 
     n_real = sum(not np.iscomplexobj(Ds) for Ds in reduced)
-    out = SDPModel.from_stacks(reduced[:n_real] + realify(reduced[n_real:]),
-                               [(con.sense, con.rhs) for con in model.constraints])
+    out = SDPModel.from_stacks(reduced, [(con.sense, con.rhs) for con in model.constraints])
     out.validate()
     return ReducedSDP(
         original=model, rep=rep, bases=bases, weights=weights,

@@ -203,6 +203,20 @@ class TestExitCodes:
         assert line.startswith("starsdp: ") and missing in line
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", CHSH, "--level", "1-2", "--export"],
+        ["jnc", CHSH, "--pair", "F0,1", "--out"],
+    ], ids=["solve", "jnc"])
+    def test_unwritable_output_path_fails_before_solving(self, capsys, monkeypatch,
+                                                         tmp_path, argv):
+        calls = []
+        solve = ipm.solve
+        monkeypatch.setattr(ipm, "solve", lambda *a, **k: calls.append(a) or solve(*a, **k))
+        missing = str(tmp_path / "no_such_dir" / "out")
+        code, out, err = run(capsys, *argv, missing)
+        assert code == 1 and missing in err
+        assert calls == [] and not out
+
     @pytest.mark.parametrize("argv, prefix", [
         (["solve", CHSH, "--level", "0"], "starsdp: level 0: "),
         (["jnc", CHSH, "--pair", "F0,1", "--level", "0"], "starsdp: direction 0: "),
@@ -234,6 +248,8 @@ class TestReduce:
                            "--out", str(out_path), "--verify")
         assert code == 0
         assert "m = 12" in out
+        # the complex irreducibles of C3 share one Hermitian 2x2 block
+        assert "reduced blocks 2 real, 2 Hermitian; 3 constraints" in out
         assert "difference" in out
         diff = float([l for l in out.splitlines() if "difference" in l][0].split()[-1])
         assert diff < 1e-6

@@ -1,6 +1,7 @@
 """Interior point solver unit tests against hand-checked optima."""
 
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from starsdp.sdpmodel import (
 )
 from starsdp.ipm import (
     PANEL, solve, SolverOptions, Status, feasibility_check,
-    _gather, _groups, _psd_solver, _schur, _stack,
+    _gather, _groups, _kinds, _max_step, _psd_solver, _schur, _stack,
 )
 from starsdp.problems import parse_problem_file
 from starsdp.relaxation import build_relaxation
@@ -74,6 +75,14 @@ class TestAnalytic:
         sol = solve(m)
         assert sol.status == Status.OPTIMAL
         assert abs(sol.primal_value) <= 1e-7
+
+    def test_unconstrained_hermitian_model(self):
+        # m = 0: min <C, X> over Hermitian psd X with C positive definite is 0
+        C = hermitian_psd(np.random.default_rng(21), 3)
+        sol = solve(SDPModel([Block(3)], [C], []))
+        assert sol.status == Status.OPTIMAL
+        assert abs(sol.primal_value) <= 1e-7
+        assert len(sol.y) == 0
 
     def test_inequality_model_rejected(self):
         m = SDPModel([Block(1)], [np.eye(1)],
@@ -187,10 +196,25 @@ def random_sym(rng, n):
     return (B + B.T) / 2
 
 
-def random_model(rng, sizes, m):
+def random_herm(rng, n):
+    B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (B + B.conj().T) / 2
+
+
+def random_model(rng, sizes, m, hermitian=()):
+    """Rows drawn block by block; the blocks listed in hermitian get
+    Hermitian data, the others real symmetric data."""
+    def draw(b, n):
+        return random_herm(rng, n) if b in hermitian else random_sym(rng, n)
+
     return SDPModel([Block(n) for n in sizes], [np.eye(n) for n in sizes],
-                    [LinearConstraint([random_sym(rng, n) for n in sizes], SENSE_EQ, 1.0)
+                    [LinearConstraint([draw(b, n) for b, n in enumerate(sizes)], SENSE_EQ, 1.0)
                      for _ in range(m)])
+
+
+def hermitian_psd(rng, n):
+    W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return W @ W.conj().T + n * np.eye(n)
 
 
 class TestStackedAssembly:
@@ -198,7 +222,7 @@ class TestStackedAssembly:
 
     @staticmethod
     def per_pair_schur(model, X, Z):
-        """M[k, l] = sum_b <A_kb, sym(X_b A_lb inv(Z_b))>, pair by pair."""
+        """M[k, l] = sum_b Re <A_kb, sym(X_b A_lb inv(Z_b))>, pair by pair."""
         Zi = [np.linalg.inv(Zb) for Zb in Z]
         cons = model.constraints
         M = np.empty((len(cons), len(cons)))
@@ -207,17 +231,23 @@ class TestStackedAssembly:
                 M[k, l] = 0.0
                 for Ak, Al, Xb, Zib in zip(ck.matrices, cl.matrices, X, Zi):
                     T = Xb @ Al @ Zib
-                    M[k, l] += np.sum(Ak * (T + T.T) / 2)
+                    M[k, l] += np.sum(np.conj(Ak) * (T + T.conj().T) / 2).real
         return M
 
     def check(self, model, seed):
         rng = np.random.default_rng(seed)
-        X = [random_psd(rng, b.size, b.diagonal) for b in model.blocks]
-        Z = [random_psd(rng, b.size, b.diagonal) for b in model.blocks]
         groups = _groups([b.size for b in model.blocks])
-        got = _schur(_stack(model, groups), _gather(X, groups),
-                     _gather([np.linalg.inv(Zb) for Zb in Z], groups))
+        real, dtypes = _kinds(model, groups)
+
+        def psd(b, blk):
+            return random_psd(rng, blk.size, blk.diagonal) if real[b] else hermitian_psd(rng, blk.size)
+
+        X = [psd(b, blk) for b, blk in enumerate(model.blocks)]
+        Z = [psd(b, blk) for b, blk in enumerate(model.blocks)]
+        got = _schur(_stack(model, groups, dtypes), _gather(X, groups, dtypes),
+                     _gather([np.linalg.inv(Zb) for Zb in Z], groups, dtypes))
         want = self.per_pair_schur(model, X, Z)
+        assert got.dtype == float
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_repeated_interleaved_sizes(self):
@@ -256,6 +286,15 @@ class TestStackedAssembly:
         rows = [[herm(3), herm(2)] for _ in range(7)]
         stacks = [np.array(mats) for mats in zip(*rows)]
         self.check(SDPModel.from_stacks(realify(stacks), [(SENSE_EQ, 1.0)] * 6), 8)
+
+    def test_hermitian_blocks(self):
+        self.check(random_model(np.random.default_rng(15), [3, 2, 3], 6,
+                                hermitian=(0, 1, 2)), 16)
+
+    def test_group_mixing_real_and_hermitian_blocks(self):
+        # the two size-3 blocks share one complex stack
+        self.check(random_model(np.random.default_rng(17), [3, 2, 3], 6,
+                                hermitian=(2,)), 18)
 
     def test_permuted_constraints_same_bound(self):
         # CHSH at level 2: 61 equality rows on one 13x13 block
@@ -311,6 +350,22 @@ class TestGroupedBlocks:
         s1, s2 = solve(red.model, TIGHT), solve(red.model, TIGHT)
         assert s1.status == Status.OPTIMAL
         assert s1.history == s2.history
+
+    def test_real_and_hermitian_blocks_share_a_stack(self):
+        # min <C1, X1> + <C2, X2> with tr X1 + tr X2 = 1 over a real and a
+        # Hermitian block of one size: the smaller of the two smallest
+        # eigenvalues; the real block's X comes back real
+        rng = np.random.default_rng(19)
+        for trial in range(3):
+            C1, C2 = random_sym(rng, 3), random_herm(rng, 3)
+            m = SDPModel([Block(3), Block(3)], [C1, C2],
+                         [LinearConstraint([np.eye(3), np.eye(3)], SENSE_EQ, 1.0)])
+            sol = solve(m, TIGHT)
+            want = min(np.linalg.eigvalsh(C1)[0], np.linalg.eigvalsh(C2)[0])
+            assert sol.status == Status.OPTIMAL
+            assert abs(sol.primal_value - want) <= 1e-8
+            assert sol.X[0].dtype == float and sol.X[1].dtype == complex
+            assert feasibility_check(m, sol.X).max_violation <= 1e-8
 
 
 class TestIterateInvariants:
@@ -470,21 +525,65 @@ class TestRoundTrips:
         v2 = solve(import_sdpa(export_sdpa(m))).primal_value
         assert abs(v1 - v2) <= 1e-8
 
-    def test_realified_hermitian_optimum(self):
-        # min <C, X> over hermitian psd with tr X = 1 picks out the smallest
-        # eigenvalue of C; check through the realified real model
+    def test_hermitian_optimum(self):
+        # min <C, X> over Hermitian psd X with tr X = 1 picks out the
+        # smallest eigenvalue of C, on the Hermitian block itself; the
+        # realify image of the model, twice the size, has the same optimum
         rng = np.random.default_rng(17)
         for trial in range(4):
-            H = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            H = (H + H.conj().T) / 2
+            H = random_herm(rng, 3)
             stack = np.array([H, np.eye(3)])
-            sol = solve(SDPModel.from_stacks(realify([stack]), [(SENSE_EQ, 1.0)]))
+            sol = solve(SDPModel.from_stacks([stack], [(SENSE_EQ, 1.0)]))
             lam = float(np.linalg.eigvalsh(H)[0])
             assert sol.status == Status.OPTIMAL
             assert abs(sol.primal_value - lam) <= 1e-7
+            assert sol.X[0].dtype == complex and sol.X[0].shape == (3, 3)
+            assert np.allclose(sol.X[0], sol.X[0].conj().T)
+            if trial == 0:
+                image = solve(SDPModel.from_stacks(realify([stack]), [(SENSE_EQ, 1.0)]))
+                assert image.status == Status.OPTIMAL
+                assert abs(image.primal_value - sol.primal_value) <= 1e-7
+
+class TestStepLength:
+    def test_stacked_step_is_the_least_of_the_separate_ones(self):
+        # one eigvalsh on the X and Z stacks together gives the same float as
+        # the smaller of the two cones' steps taken one at a time
+        def separate(Li, D):
+            W = Li @ D @ np.conj(Li).swapaxes(-1, -2)
+            lam = float(np.linalg.eigvalsh((W + np.conj(W).swapaxes(-1, -2)) / 2)[:, 0].min())
+            return np.inf if lam >= -1e-14 else -1.0 / lam
+
+        rng = np.random.default_rng(23)
+        for trial in range(6):
+            draw = random_herm if trial % 2 else random_sym
+            S = [np.array([random_psd(rng, 4) for _ in range(3)]) for _ in range(2)]
+            Li = [np.linalg.inv(np.linalg.cholesky(Sk)) for Sk in S]
+            D = [np.array([draw(rng, 4) * 2.0 ** (trial - 2) for _ in range(3)])
+                 for _ in range(2)]
+            if trial == 5:
+                D[0] = np.array([np.eye(4)] * 3)      # X is not pushed out
+            want = min(separate(Li[0], D[0]), separate(Li[1], D[1]))
+            assert _max_step(Li[0], D[0], Li[1], D[1]) == want
+
+    def test_no_boundary_in_reach(self):
+        Li = np.array([np.eye(2)])
+        assert _max_step(Li, Li, Li, 2 * Li) == np.inf
 
 
 class TestFeasibilityReport:
+    def test_hermitian_candidate(self):
+        # a Hermitian candidate is read as it is, without a ComplexWarning
+        rng = np.random.default_rng(29)
+        H, A = random_herm(rng, 3), random_herm(rng, 3)
+        X = hermitian_psd(rng, 3)
+        m = SDPModel([Block(3)], [H], [LinearConstraint([A], SENSE_EQ, 0.5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = feasibility_check(m, [X])
+        assert rep.objective == pytest.approx(np.trace(H @ X).real, abs=1e-12)
+        assert rep.residuals[0] == pytest.approx(np.trace(A @ X).real - 0.5, abs=1e-12)
+        assert rep.min_eigenvalues[0] == pytest.approx(np.linalg.eigvalsh(X)[0], abs=1e-12)
+
     def test_reports_violations_by_sense(self):
         m = SDPModel(
             [Block(2)], [np.eye(2)],

@@ -49,6 +49,20 @@ class TestValidation:
         with pytest.raises(ModelError):
             m.validate()
 
+    def test_hermitian_data_pass(self):
+        H = np.array([[1.0, 2j], [-2j, 3.0]])
+        SDPModel([Block(1), Block(2)], [np.eye(1), H],
+                 [LinearConstraint([np.eye(1), H @ H], SENSE_EQ, 1.0)]).validate()
+
+    def test_non_hermitian_row_named(self):
+        # complex symmetric, not Hermitian, in block 1 of row 2
+        H, S = np.array([[1.0, 2j], [-2j, 3.0]]), np.array([[1.0, 2j], [2j, 3.0]])
+        m = SDPModel([Block(1), Block(2)], [np.eye(1), H],
+                     [LinearConstraint([np.eye(1), H], SENSE_EQ, 1.0),
+                      LinearConstraint([np.eye(1), S], SENSE_EQ, 1.0)])
+        with pytest.raises(ModelError, match="constraint 1 block 1: matrix is not Hermitian"):
+            m.validate()
+
 
 class TestEqualityForm:
     def test_inequalities_get_one_shared_slack_block(self):
@@ -114,6 +128,31 @@ class TestRealify:
         m.validate()
         assert m.blocks[0].size == 4
         assert np.allclose(m.cost[0], realify_matrix(stack[0]) / 2)
+
+
+class TestHermitianExport:
+    def test_export_is_the_realify_image(self):
+        # a Hermitian block is written as its halved real image, so the text
+        # is that of the realify model, byte for byte; real blocks as they are
+        rng = np.random.default_rng(3)
+
+        def herm(n):
+            H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            return (H + H.conj().T) / 2
+
+        def sym(n):
+            B = rng.normal(size=(n, n))
+            return B + B.T
+
+        hermitian = np.array([herm(3) for _ in range(5)])
+        real = np.array([sym(2) for _ in range(5)])
+        rows = [(SENSE_EQ, float(r)) for r in rng.normal(size=4)]
+        model = SDPModel.from_stacks([hermitian, real], rows)
+        image = SDPModel.from_stacks(realify([hermitian]) + [real], rows)
+        assert export_sdpa(model) == export_sdpa(image)
+        assert export_sdpa(model).splitlines()[2] == "6 2"
+        back = import_sdpa(export_sdpa(model))
+        assert all(np.array_equal(A, B) for A, B in zip(back.stacks(), image.stacks()))
 
 
 class TestSDPAText:

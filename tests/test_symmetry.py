@@ -22,11 +22,12 @@ C3 = c3_rep()
 TIGHT = ipm.SolverOptions(tol_gap=1e-9, tol_feas=1e-9)
 
 
-# group -> (representation, sorted reduced block sizes)
+# group -> (representation, sorted reduced block sizes; a complex
+# irreducible keeps a Hermitian block at its multiplicity)
 BLOCK_CASES = {
-    "C3x2": (c3_rep, [2, 4]),
-    "C4x2": (lambda: cyclic_two_orbits(4), [2, 2, 4]),
-    "C6x2": (lambda: cyclic_two_orbits(6), [2, 2, 4, 4]),
+    "C3x2": (c3_rep, [2, 2]),
+    "C4x2": (lambda: cyclic_two_orbits(4), [2, 2, 2]),
+    "C6x2": (lambda: cyclic_two_orbits(6), [2, 2, 2, 2]),
     # the 2-dimensional irreducible twice: its copies must be aligned
     "S3 on two triangles": (lambda: GroupRep(
         [np.kron(np.eye(2), perm_matrix(p))
@@ -37,7 +38,7 @@ BLOCK_CASES = {
     # Hermitian 2x2 block real
     "Q8": (q8_rep, [1, 1, 1, 1, 2]),
     "diag(1,i,-1,-i)": (lambda: power_rep(np.diag([1, 1j, -1, -1j])), [1] * 4),
-    "Q8 spin twice": (q8_spin_twice, [4]),
+    "Q8 spin twice": (q8_spin_twice, [2]),
 }
 
 
