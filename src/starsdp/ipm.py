@@ -46,30 +46,33 @@ entries behaves like one block for residuals, sum_k y_k A_ks and the
 certificates, so every per-iteration loop runs over the distinct sizes,
 not over the blocks.  One Newton solve works on the Schur complement
 
-    M[k,l] = sum_b < A_kb, X_b A_lb inv(Z_b) >,
+    M[k,l] = sum_b Re < A_kb, X_b A_lb inv(Z_b) >.
 
-which equals < A_kb, sym(X_b A_lb inv(Z_b)) > for Hermitian A_kb, with
-sym the Hermitian part.  Each stack adds one GEMM per column panel of about
-PANEL elements, flat(A_s) @ flat(X_s A_ls inv(Z_s))^T, on the float views
-of complex stacks, since Re <A, T> is the dot product of the interleaved
-real and imaginary parts of A and T; M is symmetrized at the end.  Beside the
-model's own data a solve keeps its (m, k n^2) stacks of constraint data:
-the products X A_l inv(Z) live one panel at a time, and the direction is
-recovered as dX = sym(G + X (sum_l dy_l A_l) inv(Z)).  The solution lists
+With the Cholesky factors X = Lx Lx* and Z = Lz Lz* that each iteration
+takes anyway, M[k,l] = sum_b Re < F_kb, F_lb > for F_kb = inv(Lz_b) A_kb Lx_b,
+so each stack adds flat(F_s) @ flat(F_s)^T, which numpy computes as one SYRK:
+half the flops of a general product, and M comes out exactly symmetric.  It
+runs on the float views of complex stacks, since Re <A, T> is the dot
+product of the interleaved real and imaginary parts of A and T.  Beside the
+model's own data a solve holds three A-shaped arrays per stack: its
+(m, k, n, n) copy of the constraint data, and two buffers, allocated once per
+solve, that receive inv(Lz) A_s and F_s in every iteration.  Fresh arrays of
+that size would be page-faulted in anew at every iteration.  The direction
+is recovered as dX = sym(G + X (sum_l dy_l A_l) inv(Z)).  The solution lists
 X and Z per block in the model's order, as views into the stacks.
 
-M is symmetric positive definite while X, Z stay in the cone and the
-constraints are independent.  Neither holds numerically to the end: a
-model written by hand or read from SDPA can have dependent rows, which make
-M singular (relaxations emit independent ones), and at a degenerate optimum
-X and Z lose rank together, which drives cond(M) past 1e16.  M is therefore
-never perturbed.  When its Cholesky factor fails, the Newton system is
-solved through the eigendecomposition of M with the eigenvalues below
-1e-15 * lambda_max dropped, the least-squares solution on the numerical
-range of M.  Any residual of that solve reappears as primal infeasibility
-of the direction, so it is refined away where it can be.  The step of
-tau adds a second right-hand side, solved as a second column with the
-same factor and refinement.
+M = F F^T is positive semidefinite by construction, and definite while X, Z
+stay in the cone and the constraints are independent.  Neither holds
+numerically to the end: a model written by hand or read from SDPA can have
+dependent rows, which make M singular (relaxations emit independent ones),
+and at a degenerate optimum X and Z lose rank together, which drives
+cond(M) past 1e16.  M is therefore never perturbed.  When its Cholesky
+factor fails, the Newton system is solved through the eigendecomposition of
+M with the eigenvalues below 1e-15 * lambda_max dropped, the least-squares
+solution on the numerical range of M.  Any residual of that solve reappears
+as primal infeasibility of the direction, so it is refined away where it
+can be.  The step of tau adds a second right-hand side, solved as a second
+column with the same factor and refinement.
 """
 
 from __future__ import annotations
@@ -84,7 +87,6 @@ import numpy as np
 from .sdpmodel import SDPModel, ModelError
 
 
-PANEL = 2 ** 17     # elements of X A_l Z^-1 formed at once in the Schur assembly
 STEP_FRACTION = 0.98    # share of the distance to the cone boundary a step takes
 STEP_FLOOR = 1e-12      # a shorter step ends the solve NUMERICAL
 
@@ -230,16 +232,17 @@ def _adjoint(A, y):
     return [(y @ _flat(Ab)).view(Ab.dtype).reshape(Ab.shape[1:]) for Ab in A]
 
 
-def _schur(A, X, Zi):
-    """M[k, l] = sum_b <A_kb, X_b A_lb Zi_b>, one GEMM per stack and panel."""
+def _schur(A, Lx, Lzi, work):
+    """M[k, l] = sum_b Re <F_kb, F_lb> with F_kb = Lzi_b A_kb Lx_b, one SYRK
+    per stack.  work holds two A-shaped buffers per stack, which receive
+    Lzi A and F."""
     m = len(A[0]) if A else 0
     M = np.zeros((m, m))
-    for Ab, Xb, Zb in zip(A, X, Zi):
-        flat, width = _flat(Ab), max(1, PANEL // Xb.size)
-        for c in range(0, m, width):
-            M[:, c:c + width] += flat @ _flat(Xb @ Ab[c:c + width] @ Zb).T
-    M += M.T                            # sym(M) in place, one m x m array fewer
-    return np.multiply(M, 0.5, out=M)
+    for Ab, Lxb, Lzib, (T, F) in zip(A, Lx, Lzi, work):
+        np.matmul(Lzib, Ab, out=T)
+        Ff = _flat(np.matmul(T, Lxb, out=F))
+        M += Ff @ Ff.T                  # numpy's SYRK: exactly symmetric
+    return M
 
 
 def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport:
@@ -274,15 +277,31 @@ def _timed(timings, phase):
     return wrap
 
 
+def _tril_inv(L):
+    """The inverse of a lower triangular L, by halves: with L = [[P, 0],
+    [Q, R]], inv(L) = [[inv(P), 0], [-inv(R) Q inv(P), inv(R)]], two GEMMs
+    per level in place of a general LU solve, down to np.linalg.inv at
+    n <= 48."""
+    n = len(L)
+    if n <= 48:
+        return np.linalg.inv(L)
+    h = n // 2
+    Li = np.zeros_like(L)
+    Pi, Ri = _tril_inv(L[:h, :h]), _tril_inv(L[h:, h:])
+    Li[:h, :h], Li[h:, h:] = Pi, Ri
+    Li[h:, :h] = -(Ri @ L[h:, :h]) @ Pi
+    return Li
+
+
 def _psd_solver(M):
     """A solver x = f(r) for M x = r, M symmetric positive semidefinite, and
     r one right-hand side or a column of them.
 
-    Through the inverse of the Cholesky factor when that factor exists,
-    so each solve is two matrix products.  Otherwise M has lost rank to
-    rounding or has dependent rows, and f returns the least-squares
-    solution of least norm on the eigenvectors whose eigenvalues exceed
-    1e-15 * lambda_max; M itself is not perturbed."""
+    When the Cholesky factor L of M exists, f applies inv(L)^T inv(L), two
+    matrix products per solve, with inv(L) from _tril_inv.  Otherwise M has
+    lost rank to rounding or has dependent rows, and f returns the
+    least-squares solution of least norm on the eigenvectors whose
+    eigenvalues exceed 1e-15 * lambda_max; M itself is not perturbed."""
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
@@ -290,7 +309,7 @@ def _psd_solver(M):
         keep = w > 1e-15 * max(float(w[-1]), 0.0)
         V, w = V[:, keep], w[keep]
         return lambda r: (V / w) @ (V.T @ r)
-    Li = np.linalg.inv(L)
+    Li = _tril_inv(L)
     return lambda r: Li.T @ (Li @ r)
 
 
@@ -324,6 +343,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     C = _gather(model.cost, groups, dtypes)
     A = _stack(model, groups, dtypes)
     b = np.array([con.rhs for con in model.constraints], dtype=float)
+    work = [(np.empty_like(Ag), np.empty_like(Ag)) for Ag in A]
 
     normC = max((float(np.linalg.norm(Cg, axis=(-2, -1)).max()) for Cg in C), default=0.0)
     normsA = np.sqrt(sum((np.einsum("kbij,kbij->k", _rv(Ag), _rv(Ag)) for Ag in A),
@@ -398,7 +418,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             break
         Lxi, Lzi = [np.linalg.inv(L) for L in Lx], [np.linalg.inv(L) for L in Lz]
         Zi = [_ct(li) @ li for li in Lzi]
-        M = _schur(A, X, Zi)
+        M = _schur(A, Lx, Lzi, work)
         t1 = time.perf_counter()
         timings["schur"] += t1 - t0
         solve_once = _psd_solver(M)

@@ -28,6 +28,7 @@ RANK_TOL = 1e-9
 SEED = 2010            # draws the generic commutant elements: reductions are deterministic
 CLUSTER_TOL = 1e-6     # relative gap below which eigenvalues coincide
 REBUILD_TOL = 1e-8     # data must be rebuilt from its blocks this closely
+PANEL = 2 ** 17        # entries of U M U* formed at once by GroupRep._conjugates
 
 
 class GroupError(Exception):
@@ -83,9 +84,9 @@ class GroupRep:
 
     def _conjugates(self, M: np.ndarray):
         """U M U* for a matrix or stack M (..., d, d), one chunk of elements
-        U at a time; a chunk holds at most ipm.PANEL entries unless one
+        U at a time; a chunk holds at most PANEL entries unless one
         element alone needs more."""
-        step = max(1, ipm.PANEL // M.size)
+        step = max(1, PANEL // M.size)
         for s in range(0, len(self), step):
             U = self.elements[s:s + step]
             U = U.reshape(U.shape[:1] + (1,) * (M.ndim - 2) + U.shape[1:])

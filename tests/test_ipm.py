@@ -13,8 +13,8 @@ from starsdp.sdpmodel import (
     export_sdpa, import_sdpa,
 )
 from starsdp.ipm import (
-    PANEL, solve, SolverOptions, Status, feasibility_check,
-    _gather, _groups, _kinds, _max_step, _psd_solver, _schur, _stack,
+    solve, SolverOptions, Status, feasibility_check,
+    _gather, _groups, _kinds, _max_step, _psd_solver, _schur, _stack, _tril_inv,
 )
 from starsdp.problems import parse_problem_file
 from starsdp.relaxation import build_relaxation
@@ -244,10 +244,15 @@ class TestStackedAssembly:
 
         X = [psd(b, blk) for b, blk in enumerate(model.blocks)]
         Z = [psd(b, blk) for b, blk in enumerate(model.blocks)]
-        got = _schur(_stack(model, groups, dtypes), _gather(X, groups, dtypes),
-                     _gather([np.linalg.inv(Zb) for Zb in Z], groups, dtypes))
+        A = _stack(model, groups, dtypes)
+        Lx = [np.linalg.cholesky(S) for S in _gather(X, groups, dtypes)]
+        Lzi = [np.linalg.inv(np.linalg.cholesky(S)) for S in _gather(Z, groups, dtypes)]
+        # the buffers' contents must not matter
+        work = [(np.full_like(Ag, np.nan), np.full_like(Ag, np.nan)) for Ag in A]
+        got = _schur(A, Lx, Lzi, work)
         want = self.per_pair_schur(model, X, Z)
         assert got.dtype == float
+        assert np.array_equal(got, got.T)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_repeated_interleaved_sizes(self):
@@ -258,9 +263,8 @@ class TestStackedAssembly:
     def test_single_constraint(self):
         self.check(random_model(np.random.default_rng(1), [5], 1), 2)
 
-    def test_panel_boundary(self):
-        # 100 rows on a 41x41 block take two column panels
-        assert PANEL // 41 ** 2 < 100
+    def test_many_rows(self):
+        # 100 rows on a 41x41 block, the size of CHSH level 4
         self.check(random_model(np.random.default_rng(3), [41], 100), 4)
 
     def test_diagonal_slack_block(self):
@@ -508,6 +512,29 @@ class TestDegenerateEndgame:
         got = solver(M @ X2)
         assert got.shape == (4, 2)
         assert np.linalg.norm(got - X2) <= 1e-7 * np.linalg.norm(X2)
+
+
+class TestTrilInv:
+    """The triangular inverse by halves against LAPACK's general inverse."""
+
+    @staticmethod
+    def check(L):
+        eye = np.eye(len(L))
+        got = np.linalg.norm(L @ _tril_inv(L) - eye)
+        want = np.linalg.norm(L @ np.linalg.inv(L) - eye)
+        assert got <= 10 * want
+
+    @pytest.mark.parametrize("n", [1, 47, 48, 49, 97, 150, 210])
+    def test_cholesky_factor(self, n):
+        W = np.random.default_rng(n).normal(size=(n, n))
+        self.check(np.linalg.cholesky(W @ W.T + n * np.eye(n)))
+
+    def test_ill_conditioned_factor(self):
+        W = np.random.default_rng(29).normal(size=(150, 150))
+        # scaling the columns of a well-conditioned factor
+        L = np.linalg.cholesky(W @ W.T + 150 * np.eye(150)) * np.logspace(0, -12, 150)
+        assert 1e11 < np.linalg.cond(L) < 1e13
+        self.check(L)
 
 
 class TestRoundTrips:

@@ -334,10 +334,10 @@ class TestBatchedActions:
         model = invariant_instance(rep, 3, np.random.default_rng(13))
         # three elements per chunk for one 16 x 16 matrix, one for a stack
         # of three or for the five data matrices of the model
-        monkeypatch.setattr(ipm, "PANEL", 3 * rep.dim ** 2)
+        monkeypatch.setattr(symmetry, "PANEL", 3 * rep.dim ** 2)
         chunks = list(rep._conjugates(M))
         assert len(chunks) == 11
-        assert all(UMU.size <= ipm.PANEL for UMU in chunks)
+        assert all(UMU.size <= symmetry.PANEL for UMU in chunks)
         self.assert_average_matches_loop(rep, M)
         self.assert_residuals_match_loop(
             rep, [M, rep.average(M), _random_matrix(rep, rng)])
