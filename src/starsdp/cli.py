@@ -1,9 +1,9 @@
 """Command-line front end: solve problem files, sample joint numerical
 cones, reduce symmetric SDPs.
 
-Exit codes: 0 success, 1 input or parse error or an unwritable output
-path, 2 objective or constraint not representable at the requested level,
-3 solver failure, 4 invariance violation.
+Exit codes: 0 success, 1 input or parse error, a bad option value or an
+unwritable output path, 2 objective or constraint not representable at the
+requested level, 3 solver failure, 4 invariance violation.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 import time
 from contextlib import nullcontext
@@ -33,6 +34,11 @@ EXIT_NOT_REPRESENTABLE = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANCE = 4
 
+
+class UsageError(ValueError):
+    """An option value the command cannot use."""
+
+
 # The exit code of each error class main reports with one line on standard
 # error; the most specific listed class of an exception decides, and an
 # exception of no listed class propagates.
@@ -41,6 +47,7 @@ EXIT_CODES = {
     RelaxationError: EXIT_NOT_REPRESENTABLE,
     OSError: EXIT_INPUT, ProblemSyntaxError: EXIT_INPUT, AlgebraError: EXIT_INPUT,
     SDPAFormatError: EXIT_INPUT, GroupError: EXIT_INPUT, ModelError: EXIT_INPUT,
+    UsageError: EXIT_INPUT,
 }
 
 
@@ -49,14 +56,11 @@ def _err(msg: str) -> None:
 
 
 def _parse_levels(spec: str) -> list[int]:
-    s = spec.strip()
-    if "-" in s[1:]:
-        lo, hi = s.split("-", 1)
-        levels = list(range(int(lo), int(hi) + 1))
-    else:
-        levels = [int(s)]
-    if not levels or any(l < 0 for l in levels):
-        raise ValueError(f"bad level specification {spec!r}")
+    """N, or A-B for the levels A to B."""
+    m = re.fullmatch(r"(\d+)(?:\s*-\s*(\d+))?", spec.strip())
+    levels = list(range(int(m[1]), int(m[2] or m[1]) + 1)) if m else []
+    if not levels:
+        raise UsageError(f"bad level specification {spec!r}")
     return levels
 
 
@@ -66,14 +70,12 @@ def _fmt_float(x: float | None) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     problem = parse_problem_file(args.file)
-    try:
-        levels = _parse_levels(args.level) if args.level else [problem.level]
-    except ValueError as e:
-        _err(str(e))
-        return EXIT_INPUT
+    levels = _parse_levels(args.level) if args.level else [problem.level]
 
     options = None
     if args.tol is not None:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise UsageError(f"--tol must be a positive finite number, got {args.tol!r}")
         options = ipm.SolverOptions(tol_gap=args.tol, tol_feas=args.tol)
 
     rows = []
@@ -106,9 +108,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 _err(f"level {level}: {result.status.value}: {result.solution.reason}")
                 failed = True
         if export:
-            model = relax.model
-            export.write(export_sdpa(model if model.is_equality_only()
-                                     else to_equality_form(model)))
+            export.write(export_sdpa(to_equality_form(relax.model)))
 
     if args.json:
         print(json.dumps({
@@ -139,19 +139,15 @@ def cmd_jnc(args: argparse.Namespace) -> int:
     fam = dict(jnc_family(problem))
     names = [t.strip() for t in args.pair.split(",")]
     if len(names) != 2:
-        _err(f"--pair wants two comma-separated names, got {args.pair!r}")
-        return EXIT_INPUT
+        raise UsageError(f"--pair wants two comma-separated names, got {args.pair!r}")
     missing = [n for n in names if n not in fam]
     if missing:
-        known = ", ".join(fam)
-        _err(f"unknown polynomial name {missing[0]!r} (have: {known})")
-        return EXIT_INPUT
+        raise UsageError(f"unknown polynomial name {missing[0]!r} (have: {', '.join(fam)})")
     Fa, Fb = fam[names[0]], fam[names[1]]
     level = args.level if args.level is not None else problem.level
     K = args.directions
     if K < 1:
-        _err("--directions must be at least 1")
-        return EXIT_INPUT
+        raise UsageError("--directions must be at least 1")
 
     def moment_value(poly, moments):
         # jnc_family returns its polynomials in normal form

@@ -35,12 +35,13 @@ positive, so b.y > 0 or <C, X> < 0 and a ray appears.  Solution.reason
 says which test ended a solve that is not OPTIMAL; the solution is X, y
 and Z over tau.
 
-A solve groups the blocks by size, in order of first appearance, and holds
-each group of k blocks of size n as one stack: X, Z, C and the other
-iterates as (k, n, n) arrays, and the constraint matrices once as an
-(m, k, n, n) array A_s.  A stack is complex when any of its data are, and
-a real block in a complex stack keeps a real iterate, returned as the real
-part of its view.  Cholesky factors, inverses, eigenvalues and
+A solve reads the model once, through SDPModel.stacks(), and groups the
+blocks by size, in order of first appearance: X, Z and the other iterates
+of k blocks of size n are (k, n, n) arrays, and their data one (1 + m, k,
+n, n) array, C and then the constraint matrices A_s, a view of the block's
+stack when k = 1.  A stack is complex when any of its data are, and a real
+block in a complex stack keeps a real iterate, returned as the real part
+of its view.  Cholesky factors, inverses, eigenvalues and
 products broadcast over the leading axis, and a stack flattened to k n^2
 entries behaves like one block for residuals, sum_k y_k A_ks and the
 certificates, so every per-iteration loop runs over the distinct sizes,
@@ -54,8 +55,8 @@ so each stack adds flat(F_s) @ flat(F_s)^T, which numpy computes as one SYRK:
 half the flops of a general product, and M comes out exactly symmetric.  It
 runs on the float views of complex stacks, since Re <A, T> is the dot
 product of the interleaved real and imaginary parts of A and T.  Beside the
-model's own data a solve holds three A-shaped arrays per stack: its
-(m, k, n, n) copy of the constraint data, and two buffers, allocated once per
+model's own data a solve holds three A-shaped arrays per stack: the copy of
+the constraint data that stacks() made, and two buffers, allocated once per
 solve, that receive inv(Lz) A_s and F_s in every iteration.  Fresh arrays of
 that size would be page-faulted in anew at every iteration.  The direction
 is recovered as dX = sym(G + X (sum_l dy_l A_l) inv(Z)).  The solution lists
@@ -190,18 +191,23 @@ def _groups(sizes):
     return list(groups.values())
 
 
-def _kinds(model, groups):
-    """Per block whether its data are all real, and per group the dtype of
-    its stacks: complex when the data of any of its blocks are."""
-    real = [not (np.iscomplexobj(C) or any(np.iscomplexobj(con.matrices[i])
-                                           for con in model.constraints))
-            for i, C in enumerate(model.cost)]
-    return real, [float if all(real[i] for i in g) else complex for g in groups]
+def _group(S, groups):
+    """Per block whether its stack in S (the cost, then the rows) is real,
+    and per group C and A, the first entry and the rest of one (1 + m, k,
+    n, n) array: float, or complex when any of its blocks is not real, and
+    a view of the block's own stack for a group of one block of that dtype."""
+    real = [not np.iscomplexobj(Sb) for Sb in S]
+    G = []
+    for g in groups:
+        dt = float if all(real[i] for i in g) else complex
+        G.append(np.asarray(S[g[0]][:, None], dtype=dt) if len(g) == 1
+                 else np.stack([S[i] for i in g], axis=1, dtype=dt))
+    return real, [Gg[0] for Gg in G], [Gg[1:] for Gg in G]
 
 
-def _gather(blocks, groups, dtypes):
-    """Per-block (n, n) arrays as one (k, n, n) stack per group."""
-    return [np.array([blocks[i] for i in g], dtype=dt) for g, dt in zip(groups, dtypes)]
+def _gather(blocks, groups, like):
+    """Per-block (n, n) arrays as one (k, n, n) stack per group, in like's dtypes."""
+    return [np.array([blocks[i] for i in g], dtype=L.dtype) for g, L in zip(groups, like)]
 
 
 def _scatter(stacks, groups, real):
@@ -212,14 +218,6 @@ def _scatter(stacks, groups, real):
         for j, i in enumerate(g):
             out[i] = S[j].real if real[i] else S[j]
     return out
-
-
-def _stack(model, groups, dtypes):
-    """The constraint matrices of each group as one (m, k, n, n) array."""
-    m = len(model.constraints)
-    return [np.array([[con.matrices[i] for i in g] for con in model.constraints], dtype=dt)
-            .reshape(m, len(g), model.blocks[g[0]].size, model.blocks[g[0]].size)
-            for g, dt in zip(groups, dtypes)]
 
 
 def _apply(A, X):
@@ -330,18 +328,15 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     """Solve an equality-form block SDP.  Deterministic: identical inputs
     give identical iterates and output."""
     opts = options or SolverOptions()
-    model.validate()
+    sizes = [b.size for b in model.blocks]
+    groups = _groups(sizes)
+    real, C, A = _group(model.stacks(), groups)
     if not model.is_equality_only():
         raise ModelError("solver requires equality form; apply to_equality_form first")
 
-    sizes = [b.size for b in model.blocks]
-    groups = _groups(sizes)
     ns = len(groups)
     N = sum(sizes)
     m = len(model.constraints)
-    real, dtypes = _kinds(model, groups)
-    C = _gather(model.cost, groups, dtypes)
-    A = _stack(model, groups, dtypes)
     b = np.array([con.rhs for con in model.constraints], dtype=float)
     work = [(np.empty_like(Ag), np.empty_like(Ag)) for Ag in A]
 
@@ -354,9 +349,9 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     eta = max(1.0, np.sqrt(max(sizes, default=1)), normC, maxA)
 
     if start is not None:
-        X = _gather(start[0], groups, dtypes)
+        X = _gather(start[0], groups, C)
         y = np.asarray(start[1], dtype=float).copy()
-        Z = _gather(start[2], groups, dtypes)
+        Z = _gather(start[2], groups, C)
     else:
         eye = [np.broadcast_to(np.eye(Cg.shape[-1], dtype=Cg.dtype), Cg.shape) for Cg in C]
         X = [xi * I for I in eye]

@@ -8,8 +8,9 @@ A model is the trace form
 where <A, X> = Re tr(A* X).  A block whose data are real is real
 symmetric, and one whose data are complex is Hermitian, with X_b Hermitian
 psd of the same size.  A model is built from, and read back as, one stack
-per block: the cost, then each row's matrix.  Only the SDPA export, a real
-format, doubles a Hermitian block into its real image (realify).
+per block: the cost, then each row's matrix; every reader of the matrices
+goes through `stacks()`, which validates first.  Only the SDPA export, a
+real format, doubles a Hermitian block into its real image (realify).
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ class SDPModel:
                     for k, (sense, rhs) in enumerate(rows, start=1)])
 
     def stacks(self) -> list[np.ndarray]:
-        """Per block, the cost followed by every row's matrix, as one new array."""
+        """Per block, the cost followed by every row's matrix, as one new
+        array, once validate has passed."""
+        self.validate()
         return [np.array([C] + [con.matrices[b] for con in self.constraints])
                 for b, C in enumerate(self.cost)]
 
@@ -127,11 +130,9 @@ def realify(stacks: list[np.ndarray]) -> list[np.ndarray]:
     value, hence the optimum of a model built from them, is preserved.
     """
     for b, A in enumerate(stacks):
-        asym = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-        bad = np.flatnonzero(asym > VALIDATE_TOL)
-        if bad.size:
-            where = "cost" if bad[0] == 0 else f"constraint {bad[0] - 1}"
-            raise ModelError(f"{where} block {b}: matrix is not Hermitian")
+        for k, M in enumerate(A):
+            _check_sym(M, Block(A.shape[-1]), f"constraint {k - 1} block {b}" if k
+                       else f"cost block {b}")
     return [realify_matrix(A) * 0.5 for A in stacks]
 
 
@@ -148,10 +149,10 @@ def export_sdpa(model: SDPModel) -> str:
     block), right-hand sides, then `matno blkno i j value` entries with
     matno 0 for the cost and only the upper triangle stored, 1-based indices.
     """
-    model.validate()
+    stacks = model.stacks()
     if not model.is_equality_only():
         raise ModelError("export requires an equality-only model; apply to_equality_form first")
-    stacks = [realify([S])[0] if np.iscomplexobj(S) else S for S in model.stacks()]
+    stacks = [realify([S])[0] if np.iscomplexobj(S) else S for S in stacks]
     m = len(model.constraints)
     lines = [str(m), str(len(stacks))]
     lines.append(" ".join(str(-S.shape[-1] if b.diagonal else S.shape[-1])
@@ -160,12 +161,8 @@ def export_sdpa(model: SDPModel) -> str:
     for matno in range(1 + m):
         for bno, S in enumerate(stacks, start=1):
             A = S[matno]
-            n = A.shape[0]
-            for i in range(n):
-                for j in range(i, n):
-                    v = A[i, j]
-                    if v != 0.0:
-                        lines.append(f"{matno} {bno} {i + 1} {j + 1} {_fmt(v)}")
+            lines += (f"{matno} {bno} {i + 1} {j + 1} {_fmt(A[i, j])}"
+                      for i, j in zip(*np.nonzero(np.triu(A))))
     return "\n".join(lines) + "\n"
 
 
@@ -176,6 +173,14 @@ def export_sdpa_file(model: SDPModel, path: str) -> None:
 
 def _clean_numbers(line: str) -> list[str]:
     return line.replace(",", " ").replace("{", " ").replace("}", " ").replace("(", " ").replace(")", " ").split()
+
+
+def _int(tok: str) -> int:
+    """An integer field, also when spelled as an integral float (2.0)."""
+    x = float(tok)
+    if not x.is_integer():
+        raise ValueError(tok)
+    return int(x)
 
 
 def import_sdpa(text: str) -> SDPModel:
@@ -197,7 +202,7 @@ def import_sdpa(text: str) -> SDPModel:
         no, s = row
         toks = _clean_numbers(s)
         try:
-            vals = [int(float(t)) for t in toks]
+            vals = [_int(t) for t in toks]
         except ValueError:
             raise SDPAFormatError(f"expected integers, got {s!r}", no) from None
         if expect is not None and len(vals) != expect:
@@ -208,7 +213,11 @@ def import_sdpa(text: str) -> SDPModel:
     if m < 0:
         raise SDPAFormatError(f"negative constraint count {m}", rows[0][0])
     (nblocks,) = ints(rows[1], 1)
+    if nblocks < 1:
+        raise SDPAFormatError(f"block count {nblocks} is below 1", rows[1][0])
     sizes = ints(rows[2], nblocks)
+    if 0 in sizes:
+        raise SDPAFormatError(f"block {sizes.index(0) + 1} has size 0", rows[2][0])
     blocks = [Block(abs(s), diagonal=s < 0) for s in sizes]
     if m > 0:
         if len(rows) < 4:
@@ -232,7 +241,7 @@ def import_sdpa(text: str) -> SDPModel:
         if len(toks) != 5:
             raise SDPAFormatError(f"entry needs 5 fields, got {len(toks)}", no)
         try:
-            matno, bno, i, j = (int(float(t)) for t in toks[:4])
+            matno, bno, i, j = (_int(t) for t in toks[:4])
             val = float(toks[4])
         except ValueError:
             raise SDPAFormatError(f"bad entry {s!r}", no) from None

@@ -277,8 +277,8 @@ def reduce_sdp(model: SDPModel, rep: GroupRep) -> ReducedSDP:
     """Block-diagonal SDP with the constraint rows of a one-block `model`
     whose data commute with `rep` to UNITARY_TOL.  ModelError if the blocks miss
     the commutant dimension of the character or fail to rebuild the data."""
-    model.validate()
-    if len(model.blocks) != 1 or model.blocks[0].diagonal:
+    stacks = model.stacks()
+    if len(stacks) != 1 or model.blocks[0].diagonal:
         raise ModelError("symmetry reduction expects a single dense block")
     d = model.blocks[0].size
     if rep.dim != d:
@@ -286,7 +286,7 @@ def reduce_sdp(model: SDPModel, rep: GroupRep) -> ReducedSDP:
             f"representation dimension {rep.dim} does not match block size {d}")
 
     # the objective, then every constraint, as one stack
-    (data,) = model.stacks()
+    (data,) = stacks
     names = ["objective"] + [f"constraint {k}" for k in range(1, len(data))]
     residual, element = rep.invariance_residual(data)
     bad = np.flatnonzero(residual > UNITARY_TOL)
@@ -330,7 +330,6 @@ def reduce_sdp(model: SDPModel, rep: GroupRep) -> ReducedSDP:
 
     n_real = sum(not np.iscomplexobj(Ds) for Ds in reduced)
     out = SDPModel.from_stacks(reduced, [(con.sense, con.rhs) for con in model.constraints])
-    out.validate()
     return ReducedSDP(
         original=model, rep=rep, bases=bases, weights=weights,
         real_blocks=n_real, model=out, commutant_dim=commutant_dim)

@@ -217,6 +217,25 @@ class TestExitCodes:
         assert code == 1 and missing in err
         assert calls == [] and not out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", CHSH, "--tol", "-1"], "--tol must be a positive finite number, got -1.0"),
+        (["solve", CHSH, "--tol", "0"], "--tol must be a positive finite number, got 0.0"),
+        (["solve", CHSH, "--tol", "nan"], "--tol must be a positive finite number, got nan"),
+        (["solve", CHSH, "--tol", "inf"], "--tol must be a positive finite number, got inf"),
+        (["solve", CHSH, "--level", "a"], "bad level specification 'a'"),
+        (["solve", CHSH, "--level", "2-"], "bad level specification '2-'"),
+        (["jnc", CHSH, "--pair", "F0"], "--pair wants two comma-separated names, got 'F0'"),
+        (["jnc", CHSH, "--pair", "F0,1", "--directions", "0"],
+         "--directions must be at least 1"),
+    ], ids=["tol-negative", "tol-zero", "tol-nan", "tol-inf", "level-word",
+            "level-open-range", "pair-one-name", "no-directions"])
+    def test_bad_option_value(self, capsys, monkeypatch, argv, message):
+        calls = []
+        monkeypatch.setattr(ipm, "solve", lambda *a, **k: calls.append(a))
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out and calls == []
+        assert err.splitlines() == [f"starsdp: {message}"]
+
     @pytest.mark.parametrize("argv, prefix", [
         (["solve", CHSH, "--level", "0"], "starsdp: level 0: "),
         (["jnc", CHSH, "--pair", "F0,1", "--level", "0"], "starsdp: direction 0: "),

@@ -14,7 +14,7 @@ from starsdp.sdpmodel import (
 )
 from starsdp.ipm import (
     solve, SolverOptions, Status, feasibility_check,
-    _gather, _groups, _kinds, _max_step, _psd_solver, _schur, _stack, _tril_inv,
+    _gather, _group, _groups, _max_step, _psd_solver, _schur, _tril_inv,
 )
 from starsdp.problems import parse_problem_file
 from starsdp.relaxation import build_relaxation
@@ -237,16 +237,15 @@ class TestStackedAssembly:
     def check(self, model, seed):
         rng = np.random.default_rng(seed)
         groups = _groups([b.size for b in model.blocks])
-        real, dtypes = _kinds(model, groups)
+        real, _, A = _group(model.stacks(), groups)
 
         def psd(b, blk):
             return random_psd(rng, blk.size, blk.diagonal) if real[b] else hermitian_psd(rng, blk.size)
 
         X = [psd(b, blk) for b, blk in enumerate(model.blocks)]
         Z = [psd(b, blk) for b, blk in enumerate(model.blocks)]
-        A = _stack(model, groups, dtypes)
-        Lx = [np.linalg.cholesky(S) for S in _gather(X, groups, dtypes)]
-        Lzi = [np.linalg.inv(np.linalg.cholesky(S)) for S in _gather(Z, groups, dtypes)]
+        Lx = [np.linalg.cholesky(S) for S in _gather(X, groups, A)]
+        Lzi = [np.linalg.inv(np.linalg.cholesky(S)) for S in _gather(Z, groups, A)]
         # the buffers' contents must not matter
         work = [(np.full_like(Ag, np.nan), np.full_like(Ag, np.nan)) for Ag in A]
         got = _schur(A, Lx, Lzi, work)
@@ -624,6 +623,16 @@ class TestFeasibilityReport:
         assert rep.violations[0] == pytest.approx(1.0)   # tr = 2 > 1
         assert rep.violations[1] == pytest.approx(1.0)   # |2 - 3|
         assert rep.objective == pytest.approx(2.0)
+
+    def test_block_count_mismatch(self):
+        m = SDPModel([Block(2), Block(1)], [np.eye(2), np.eye(1)], [])
+        with pytest.raises(ModelError, match="block count mismatch"):
+            feasibility_check(m, [np.eye(2)])
+
+    def test_block_shape_mismatch(self):
+        m = SDPModel([Block(2), Block(1)], [np.eye(2), np.eye(1)], [])
+        with pytest.raises(ModelError, match="block shape mismatch"):
+            feasibility_check(m, [np.eye(2), np.eye(2)])
 
     def test_negative_eigenvalue_counts(self):
         m = SDPModel([Block(2)], [np.eye(2)], [])

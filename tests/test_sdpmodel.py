@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from starsdp.ipm import solve
 from starsdp.sdpmodel import (
     Block, LinearConstraint, SDPModel,
     ModelError, SDPAFormatError,
@@ -167,6 +168,25 @@ class TestSDPAText:
         entries = sorted(lines[4:])
         assert entries == ["0 1 1 1 1", "1 1 1 1 1"]
 
+    def test_golden_text(self):
+        # a real, a Hermitian (written as its halved 4x4 image) and a
+        # diagonal block; upper triangles row by row, zeros skipped
+        real = np.array([[[1.0, 0.5], [0.5, 0.0]], [[0.0, -2.0], [-2.0, 3.0]]])
+        herm = np.array([[[2.0, 1j], [-1j, 0.0]],
+                         [[1.0, 0.25 - 0.5j], [0.25 + 0.5j, -1.0]]])
+        diag = np.array([np.diag([0.0, 0.1]), np.diag([-1.0, 0.0])])
+        m = SDPModel.from_stacks([real, herm, diag], [(SENSE_EQ, 1.5)],
+                                 [Block(2), Block(2), Block(2, diagonal=True)])
+        assert export_sdpa(m) == (
+            "1\n3\n2 4 -2\n1.5\n"
+            "0 1 1 1 1\n0 1 1 2 0.5\n"
+            "0 2 1 1 1\n0 2 1 4 -0.5\n0 2 2 3 0.5\n0 2 3 3 1\n"
+            "0 3 2 2 0.10000000000000001\n"
+            "1 1 1 2 -2\n1 1 2 2 3\n"
+            "1 2 1 1 0.5\n1 2 1 2 0.125\n1 2 1 4 0.25\n1 2 2 2 -0.5\n"
+            "1 2 2 3 -0.25\n1 2 3 3 0.5\n1 2 3 4 0.125\n1 2 4 4 -0.5\n"
+            "1 3 1 1 -1\n")
+
     def test_inequality_export_rejected(self):
         m = one_by_one(1.0, [(1.0, SENSE_LE, 1.0)])
         with pytest.raises(ModelError):
@@ -248,14 +268,31 @@ class TestSDPAText:
         ("1\n1\n2\n1.0\n0 1 1 1 x\n", 5, "bad entry"),
         ("1\n1\n2\n1.0\n2 1 1 1 1.0\n", 5, "matrix number 2 out of range"),
         ("1\n1\n2\n1.0\n-1 1 1 1 1.0\n", 5, "matrix number -1 out of range"),
+        ("1\n1\n2.7\n1.0\n", 3, "expected integers, got '2.7'"),
+        ("1.5\n1\n2\n1.0\n", 1, "expected integers"),
+        ("1\n1\n2\n1.0\n1.9 1 1 1 1.0\n", 5, "bad entry"),
+        ("1\n1\n2\n1.0\n0 1 1 1.5 1.0\n", 5, "bad entry"),
+        ("1\n1\n2\n1.0\n0 1 inf 1 1.0\n", 5, "bad entry"),
+        ("1\n1\n0\n1.0\n", 3, "block 1 has size 0"),
+        ("1\n2\n2 0\n1.0\n", 3, "block 2 has size 0"),
+        ("1\n-1\n2\n1.0\n", 2, "block count -1 is below 1"),
+        ("1\n0\n2\n1.0\n", 2, "block count 0 is below 1"),
     ], ids=["too-short", "empty", "non-integer-header", "header-count", "negative-count",
             "block-size-count", "missing-rhs", "rhs-count", "bad-rhs", "entry-fields",
-            "bad-entry-index", "bad-entry-value", "matno-high", "matno-negative"])
+            "bad-entry-index", "bad-entry-value", "matno-high", "matno-negative",
+            "fractional-block-size", "fractional-count", "fractional-matno",
+            "fractional-index", "infinite-index", "zero-block-size",
+            "second-block-size-zero", "negative-block-count", "zero-block-count"])
     def test_import_rejects_malformed_input(self, text, line, message):
         with pytest.raises(SDPAFormatError) as err:
             import_sdpa(text)
         assert err.value.line == line
         assert message in str(err.value)
+
+    def test_integral_float_fields_accepted(self):
+        m = import_sdpa("1.0\n1e0\n-2.0\n1.0\n0 1.0 2 2.0 1.5\n")
+        assert [(b.size, b.diagonal) for b in m.blocks] == [(2, True)]
+        assert m.cost[0][1, 1] == 1.5 and m.constraints[0].rhs == 1.0
 
     def test_seventeen_digit_fidelity(self):
         v = 1.0 / 3.0
@@ -263,3 +300,35 @@ class TestSDPAText:
         m2 = import_sdpa(export_sdpa(m))
         assert m2.cost[0][0, 0] == v
         assert m2.constraints[0].rhs == v
+
+
+def bad_sense():
+    return one_by_one(1.0, [(1.0, "<>", 1.0)])
+
+
+def matrix_count_mismatch():
+    return SDPModel([Block(1), Block(1)], [np.eye(1), np.eye(1)],
+                    [LinearConstraint([np.eye(1)], SENSE_EQ, 1.0)])
+
+
+def shape_mismatch():
+    return SDPModel([Block(2)], [np.eye(2)],
+                    [LinearConstraint([np.eye(3)], SENSE_EQ, 1.0)])
+
+
+class TestReadPathChecks:
+    """Every reader of a model's matrices rejects what validate rejects,
+    with validate's message."""
+
+    @pytest.mark.parametrize("make, message", [
+        (bad_sense, "constraint 0: bad sense '<>'"),
+        (matrix_count_mismatch, "constraint 0: matrix count mismatch"),
+        (shape_mismatch, "constraint 0 block 0: shape (3, 3) does not match block size 2"),
+    ], ids=["bad-sense", "matrix-count", "shape"])
+    @pytest.mark.parametrize("read", [
+        SDPModel.validate, SDPModel.stacks, solve, export_sdpa, to_equality_form,
+    ], ids=["validate", "stacks", "solve", "export_sdpa", "to_equality_form"])
+    def test_rejected(self, make, message, read):
+        with pytest.raises(ModelError) as err:
+            read(make())
+        assert str(err.value) == message

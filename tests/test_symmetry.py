@@ -173,6 +173,14 @@ class TestReduceSDP:
         with pytest.raises(ModelError, match="dimension"):
             reduce_sdp(model, C3)
 
+    @pytest.mark.parametrize("blocks", [[Block(6), Block(1)], [Block(6, diagonal=True)]],
+                             ids=["two-blocks", "diagonal"])
+    def test_rejects_anything_but_one_dense_block(self, blocks):
+        model = SDPModel(blocks, [np.eye(b.size) for b in blocks],
+                         [LinearConstraint([np.eye(b.size) for b in blocks], "==", 1.0)])
+        with pytest.raises(ModelError, match="single dense block"):
+            reduce_sdp(model, C3)
+
     def test_reduced_matches_full_on_c3_instances(self):
         rng = np.random.default_rng(42)
         tight = ipm.SolverOptions(tol_gap=1e-9, tol_feas=1e-9)
