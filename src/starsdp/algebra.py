@@ -87,6 +87,11 @@ class Polynomial:
 
     Coefficients with magnitude below COEFF_EPS are pruned on construction,
     so equality of polynomials is plain structural equality of the term maps.
+
+    Polynomials are shared, never copied: a presentation's normal-form
+    cache hands out the same object for every lookup of a word, and the
+    relaxation keeps those objects as its moment-block entries.  No code
+    may mutate one after construction.
     """
 
     __slots__ = ("_terms",)
@@ -115,6 +120,11 @@ class Polynomial:
     def terms(self) -> list[tuple[Word, complex]]:
         """Terms in canonical order: degree first, then letter-wise."""
         return sorted(self._terms.items(), key=lambda t: t[0].key())
+
+    def items(self):
+        """Terms in storage order, unsorted: a read-only view, cheaper than
+        terms() where the order does not matter or must be the stored one."""
+        return self._terms.items()
 
     def words(self) -> list[Word]:
         return [w for w, _ in self.terms()]

@@ -3,8 +3,12 @@
 A hierarchy level is one positivity condition.  Over a word basis
 (gamma_i) the moment blocks have entries that are normal forms of
 gamma_i * weight * gamma_j-adjoint, with weight 1 for the main block and a
-declared positive for each localizing block.  Words appearing in those
-entries become shared scalar unknowns, tied only by the adjoint pairing
+declared positive for each localizing block.  An entry is a lookup, not
+polynomial arithmetic: sum_t c_t nf(gamma_i w_t gamma_j-adjoint) over the
+weight's terms, each word's normal form taken from the presentation's
+cache, and a main-block entry is the cached Polynomial itself, shared with
+the cache and never mutated.  Words appearing in those entries become
+shared scalar unknowns, tied only by the adjoint pairing
 omega(w*) = conj omega(w).  When w* rewrites to a single term c u, the
 moment of w is conj(c) times the conjugate of the moment of u.  Following
 these ties from word to word ends at a word whose adjoint is not a single
@@ -50,11 +54,12 @@ import numpy as np
 
 from .algebra import (
     Polynomial, Presentation, Word, UNIT_WORD,
-    is_normal_form, normal_form, poly_mul, word_adjoint,
+    is_normal_form, normal_form, word_adjoint,
 )
 from .problems import ProblemFile, word_to_str, poly_to_str
 from .sdpmodel import SDPModel, SENSE_EQ, SENSE_GE
 # not called here; bench/tracing.py wraps them under this module's name
+from .algebra import poly_mul  # noqa: F401
 from .sdpmodel import realify, to_equality_form  # noqa: F401
 from . import ipm
 
@@ -62,6 +67,8 @@ BASIS_CAP = 2000
 CONSISTENCY_TOL = 1e-9
 RANK_TOL = 1e-9        # relative to the largest singular value
 REPRESENT_TOL = 1e-8
+
+_UNIT = Polynomial.unit()
 
 
 class RelaxationError(Exception):
@@ -115,10 +122,19 @@ def _n_coords(n: int, real_mode: bool) -> int:
     return n * (n + 1) // 2 if real_mode else n * n
 
 
+@functools.lru_cache(maxsize=64)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n), computed once per recently used size, and
+    read-only because every caller shares it."""
+    i, j = np.triu_indices(n)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _coords(V: np.ndarray, n: int, real_mode: bool) -> np.ndarray:
     """Coordinates, along axis 0, of the blocks whose upper triangles run
     along axis 0 of V."""
-    i, j = np.triu_indices(n)
+    i, j = _triu(n)
     re = (np.where(i == j, 1.0, math.sqrt(2.0)) * V.real.T).T
     if real_mode:
         return re
@@ -127,7 +143,7 @@ def _coords(V: np.ndarray, n: int, real_mode: bool) -> np.ndarray:
 
 def _matrices(C: np.ndarray, n: int, real_mode: bool) -> np.ndarray:
     """Blocks, stacked along axis 0, whose coordinates are the columns of C."""
-    i, j = np.triu_indices(n)
+    i, j = _triu(n)
     t = len(i)
     A = np.zeros((C.shape[1], n, n), dtype=float if real_mode else complex)
     A[:, i, j] = C[:t].T
@@ -243,9 +259,13 @@ class RelaxationModel:
     def _representative(self, f: np.ndarray, what: str, n_rows: int | None = None
                         ) -> np.ndarray:
         """Least-norm coordinates c, on the first n_rows rows of P, of the
-        trace functional worth f . p at every parameter vector p."""
+        trace functional worth f . p at every parameter vector p: c = P z
+        with P^T P z = f, solved on the eigenvectors of the Gram matrix
+        P^T P whose eigenvalues exceed RANK_TOL times the largest."""
         P = self._P[:n_rows]
-        c = np.linalg.lstsq(P.T, f, rcond=None)[0]
+        lam, V = np.linalg.eigh(P.T @ P)
+        keep = lam > RANK_TOL * lam.max(initial=0.0)
+        c = P @ (V[:, keep] @ ((V[:, keep].T @ f) / lam[keep]))
         resid = np.abs(P.T @ c - f)
         if np.max(resid, initial=0.0) > REPRESENT_TOL:
             root = self._roots[int(np.argmax(resid))]
@@ -315,7 +335,7 @@ def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
     adjoint: dict[Word, tuple[Word, complex] | None] = {}
     for w in var_words:
         while w not in adjoint:
-            terms = normal_form(Polynomial.from_word(word_adjoint(w)), pres).terms()
+            terms = normal_form(word_adjoint(w), pres).terms()
             adjoint[w] = terms[0] if len(terms) == 1 else None
             w = terms[0][0] if len(terms) == 1 else w
     words = sorted(adjoint)
@@ -358,6 +378,16 @@ def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
     for w in words:
         follow(w)
     return words, W, roots
+
+
+def _entry(left: tuple, weight: Polynomial, right: tuple, pres: Presentation) -> Polynomial:
+    """nf(left * weight * right) for the letters of a basis word and of an
+    adjoint one: for the unit weight the presentation's cached normal form
+    itself, otherwise the normal form of sum_t c_t left w_t right."""
+    if weight == _UNIT:
+        return normal_form(Word(left + right), pres)
+    return normal_form(Polynomial({Word(left + w.letters + right): c
+                                   for w, c in weight.items()}), pres)
 
 
 def _restrict(E: np.ndarray, e: np.ndarray, p0: np.ndarray, N: np.ndarray
@@ -416,18 +446,9 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
     entries = []
     var_words: set[Word] = set()
     for basis, weight in zip(bases, weights):
-        n = len(basis)
-        mat = [[None] * n for _ in range(n)]
-        for i in range(n):
-            left = Polynomial.from_word(basis[i])
-            row_base = poly_mul(left, weight)
-            for j in range(n):
-                e = normal_form(
-                    poly_mul(row_base, Polynomial.from_word(word_adjoint(basis[j]))),
-                    pres)
-                mat[i][j] = e
-                for w, _ in e.terms():
-                    var_words.add(w)
+        adjoints = [word_adjoint(b).letters for b in basis]
+        mat = [[_entry(b.letters, weight, a, pres) for a in adjoints] for b in basis]
+        var_words.update(w for row in mat for e in row for w, _ in e.items())
         entries.append(mat)
 
     obj_nf = normal_form(problem.objective, pres)
@@ -450,8 +471,11 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
         upper = [e for i, row in enumerate(mat) for e in row[i:]]
         slot, word, coeff = zip(*[(s, word_index[w], c) for s, e in enumerate(upper)
                                   for w, c in e.terms()])
+        # the terms of one slot are adjacent: sum each run, then add once
+        slot = np.array(slot)
+        starts = np.flatnonzero(np.diff(slot, prepend=-1))
         G = np.zeros((len(upper), len(roots)), dtype=complex)
-        np.add.at(G, np.array(slot), np.array(coeff)[:, None] * W[list(word)])
+        G[slot[starts]] += np.add.reduceat(np.array(coeff)[:, None] * W[list(word)], starts)
         P.append(_coords(G, n, real_mode))
     P = np.vstack(P)
 

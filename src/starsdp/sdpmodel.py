@@ -15,6 +15,7 @@ real format, doubles a Hermitian block into its real image (realify).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,15 +59,18 @@ class SDPModel:
     def validate(self) -> None:
         if len(self.cost) != len(self.blocks):
             raise ModelError("cost matrix count does not match block count")
-        for b, (blk, C) in enumerate(zip(self.blocks, self.cost)):
-            _check_sym(C, blk, f"cost block {b}")
-        for k, con in enumerate(self.constraints):
-            if con.sense not in (SENSE_LE, SENSE_GE, SENSE_EQ):
-                raise ModelError(f"constraint {k}: bad sense {con.sense!r}")
-            if len(con.matrices) != len(self.blocks):
-                raise ModelError(f"constraint {k}: matrix count mismatch")
-            for b, (blk, A) in enumerate(zip(self.blocks, con.matrices)):
-                _check_sym(A, blk, f"constraint {k} block {b}")
+        with np.errstate(invalid="ignore"):     # inf - inf in _check_sym
+            for b, (blk, C) in enumerate(zip(self.blocks, self.cost)):
+                _check_sym(C, blk, f"cost block {b}")
+            for k, con in enumerate(self.constraints):
+                if con.sense not in (SENSE_LE, SENSE_GE, SENSE_EQ):
+                    raise ModelError(f"constraint {k}: bad sense {con.sense!r}")
+                if not math.isfinite(con.rhs):
+                    raise ModelError(f"constraint {k}: right-hand side {con.rhs} is not finite")
+                if len(con.matrices) != len(self.blocks):
+                    raise ModelError(f"constraint {k}: matrix count mismatch")
+                for b, (blk, A) in enumerate(zip(self.blocks, con.matrices)):
+                    _check_sym(A, blk, f"constraint {k} block {b}")
 
     def is_equality_only(self) -> bool:
         return all(c.sense == SENSE_EQ for c in self.constraints)
@@ -92,9 +96,14 @@ class SDPModel:
 
 
 def _check_sym(M: np.ndarray, blk: Block, where: str) -> None:
+    """Shape, symmetry and finiteness of one matrix.  A NaN or infinite
+    entry makes its entry of M - M* NaN or infinite, so the symmetry test
+    catches it at no extra cost; call under np.errstate(invalid="ignore")."""
     if M.shape != (blk.size, blk.size):
         raise ModelError(f"{where}: shape {M.shape} does not match block size {blk.size}")
-    if np.max(np.abs(M - M.conj().T), initial=0.0) > VALIDATE_TOL:
+    if not np.max(np.abs(M - M.conj().T), initial=0.0) <= VALIDATE_TOL:
+        if not np.isfinite(M).all():
+            raise ModelError(f"{where}: matrix has a non-finite entry")
         kind = "Hermitian" if np.iscomplexobj(M) else "symmetric"
         raise ModelError(f"{where}: matrix is not {kind}")
     if blk.diagonal and np.max(np.abs(M - np.diag(np.diag(M))), initial=0.0) > VALIDATE_TOL:
@@ -129,10 +138,11 @@ def realify(stacks: list[np.ndarray]) -> list[np.ndarray]:
     Blocks double in size and the images are halved, so that every trace
     value, hence the optimum of a model built from them, is preserved.
     """
-    for b, A in enumerate(stacks):
-        for k, M in enumerate(A):
-            _check_sym(M, Block(A.shape[-1]), f"constraint {k - 1} block {b}" if k
-                       else f"cost block {b}")
+    with np.errstate(invalid="ignore"):
+        for b, A in enumerate(stacks):
+            for k, M in enumerate(A):
+                _check_sym(M, Block(A.shape[-1]), f"constraint {k - 1} block {b}" if k
+                           else f"cost block {b}")
     return [realify_matrix(A) * 0.5 for A in stacks]
 
 
@@ -152,7 +162,8 @@ def export_sdpa(model: SDPModel) -> str:
     stacks = model.stacks()
     if not model.is_equality_only():
         raise ModelError("export requires an equality-only model; apply to_equality_form first")
-    stacks = [realify([S])[0] if np.iscomplexobj(S) else S for S in stacks]
+    # stacks() has validated every matrix: take the image without realify's check
+    stacks = [realify_matrix(S) * 0.5 if np.iscomplexobj(S) else S for S in stacks]
     m = len(model.constraints)
     lines = [str(m), str(len(stacks))]
     lines.append(" ".join(str(-S.shape[-1] if b.diagonal else S.shape[-1])
@@ -230,6 +241,9 @@ def import_sdpa(text: str) -> SDPModel:
             rhs = [float(t) for t in toks]
         except ValueError:
             raise SDPAFormatError(f"bad right-hand side in {s!r}", no) from None
+        for t, r in zip(toks, rhs):
+            if not math.isfinite(r):
+                raise SDPAFormatError(f"right-hand side {t!r} is not finite", no)
         entry_rows = rows[4:]
     else:
         rhs = []
@@ -245,6 +259,8 @@ def import_sdpa(text: str) -> SDPModel:
             val = float(toks[4])
         except ValueError:
             raise SDPAFormatError(f"bad entry {s!r}", no) from None
+        if not math.isfinite(val):
+            raise SDPAFormatError(f"entry value {toks[4]!r} is not finite", no)
         if not (0 <= matno <= m):
             raise SDPAFormatError(f"matrix number {matno} out of range", no)
         if not (1 <= bno <= nblocks):

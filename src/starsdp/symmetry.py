@@ -376,6 +376,8 @@ def parse_group_file(path: str) -> GroupRep:
                 dim = int(s.split()[1])
             except (IndexError, ValueError):
                 raise GroupError(f"line {no}: malformed dim line") from None
+            if dim < 1:
+                raise GroupError(f"line {no}: dim {dim} is below 1")
             continue
         if low == "element":
             if dim is None:

@@ -1,13 +1,14 @@
 """Relaxation construction and end-to-end bounds on hand-solved problems."""
 
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import starsdp.relaxation as rx
-from starsdp.algebra import Polynomial, UNIT_WORD, normal_form, word_adjoint
+from starsdp.algebra import Polynomial, UNIT_WORD, Word, normal_form, poly_mul, word_adjoint
 from starsdp.problems import parse_problem, word_to_str
 from starsdp.oracles import (
     ConcreteRealization, chsh_tsirelson_realization, realize_moments, grid_min,
@@ -207,6 +208,31 @@ a' = x - a
 
 [objective]
 minimize x
+"""
+
+# the free root's multi-term adjoint, and a localizing block whose weight
+# nf(2 - a'*a) = 2 - x*a + a*a has three terms
+FREE_ROOT_LOCALIZING_TEXT = FREE_ROOT_TEXT + """
+[positive]
+2 - a'*a
+"""
+
+# y and z enter the blocks only as nf(x*x) = 2 y + z, so their columns of
+# P are parallel and P^T P is singular: 2 y + z is determined, z is not
+PARALLEL_COLUMNS_TEXT = """
+[generators]
+x selfadjoint
+y selfadjoint
+z selfadjoint
+
+[relations]
+x^2 = 2*y + z
+
+[objective]
+minimize 2*y + z
+
+[options]
+basis = 1, x
 """
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -649,6 +675,22 @@ level = 2
             assert M[idx[i], idx[j]] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert np.sum(M * M) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    def test_singular_gram_matrix(self):
+        prob = parse_problem(PARALLEL_COLUMNS_TEXT)
+        relax = rx.build_relaxation(prob)
+        pres = prob.presentation
+        P = relax._P
+        ky, kz = relax._roots.index(pres.word("y")), relax._roots.index(pres.word("z"))
+        assert np.array_equal(P[:, ky], 2.0 * P[:, kz])
+        assert np.linalg.matrix_rank(P.T @ P) == P.shape[1] - 1
+        # 2 y + z = x*x sits at (x, x) alone
+        M = rx.gram_representative(relax)
+        assert np.max(np.abs(M - np.diag([0.0, 1.0]))) <= 1e-12
+        with pytest.raises(rx.NotRepresentableError) as err:
+            rx.build_relaxation(replace(prob, objective=Polynomial.from_word(pres.word("z"))))
+        assert str(err.value) == ("the objective involves z, which the level-1 moment "
+                                  "blocks do not determine; raise the level")
+
     def test_unreachable_polynomial_rejected(self):
         text = """
 [generators]
@@ -666,6 +708,45 @@ level = 1
         quartic = x * x * x * x
         with pytest.raises(rx.NotRepresentableError):
             rx.gram_representative(relax, quartic)
+
+
+class TestEntryLookup:
+    """Each entry is nf(b_i w b_j*) looked up word by word; it must equal
+    the product formed with poly_mul and rewritten as a whole."""
+
+    @staticmethod
+    def assert_entries_match(relax):
+        pres = relax.problem.presentation
+        for basis, weight, mat in zip(relax.bases, relax.weights, relax.entries):
+            for i, bi in enumerate(basis):
+                left = poly_mul(Polynomial.from_word(bi), weight)
+                for j, bj in enumerate(basis):
+                    right = Polynomial.from_word(word_adjoint(bj))
+                    assert mat[i][j] == normal_form(poly_mul(left, right), pres)
+
+    @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.csdp")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_problem_files(self, path, level):
+        prob = parse_problem(path.read_text())
+        try:
+            relax = rx.build_relaxation(prob, level=level)
+        except rx.NotRepresentableError:    # lasserre_x4's quartic needs level 2
+            relax = rx.build_relaxation(replace(prob, objective=Polynomial.unit()), level=level)
+        self.assert_entries_match(relax)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_localizing_block_and_multi_term_relation(self, level):
+        relax = rx.build_relaxation(parse_problem(FREE_ROOT_LOCALIZING_TEXT), level=level)
+        assert len(relax.bases) == 2 and len(relax.weights[1]) == 3
+        self.assert_entries_match(relax)
+
+    def test_main_block_shares_the_cached_normal_forms(self, chsh):
+        relax = rx.build_relaxation(chsh, level=2)
+        pres = chsh.presentation
+        for i, bi in enumerate(relax.basis):
+            for j, bj in enumerate(relax.basis):
+                word = Word(bi.letters + word_adjoint(bj).letters)
+                assert relax.entries[0][i][j] is normal_form(word, pres)
 
 
 class TestJointNumericalRange:

@@ -123,6 +123,11 @@ class TestRealify:
         with pytest.raises(ModelError, match="cost block 0: matrix is not Hermitian"):
             realify([stack])
 
+    def test_non_finite_rejected(self):
+        stack = np.array([np.eye(2), [[1.0, np.inf], [np.inf, 1.0]]], dtype=complex)
+        with pytest.raises(ModelError, match="constraint 0 block 0: matrix has a non-finite"):
+            realify([stack])
+
     def test_realified_model_structure(self):
         stack = np.array([[[1.0, 1j], [-1j, 1.0]], np.eye(2)])
         m = SDPModel.from_stacks(realify([stack]), [(SENSE_EQ, 1.0)])
@@ -277,12 +282,17 @@ class TestSDPAText:
         ("1\n2\n2 0\n1.0\n", 3, "block 2 has size 0"),
         ("1\n-1\n2\n1.0\n", 2, "block count -1 is below 1"),
         ("1\n0\n2\n1.0\n", 2, "block count 0 is below 1"),
+        ("1\n1\n2\n1.0\n0 1 1 2 nan\n", 5, "entry value 'nan' is not finite"),
+        ("1\n1\n2\n1.0\n1 1 2 2 -inf\n", 5, "entry value '-inf' is not finite"),
+        ("2\n1\n2\n1.0 NaN\n", 4, "right-hand side 'NaN' is not finite"),
+        ("1\n1\n2\n{inf}\n", 4, "right-hand side 'inf' is not finite"),
     ], ids=["too-short", "empty", "non-integer-header", "header-count", "negative-count",
             "block-size-count", "missing-rhs", "rhs-count", "bad-rhs", "entry-fields",
             "bad-entry-index", "bad-entry-value", "matno-high", "matno-negative",
             "fractional-block-size", "fractional-count", "fractional-matno",
             "fractional-index", "infinite-index", "zero-block-size",
-            "second-block-size-zero", "negative-block-count", "zero-block-count"])
+            "second-block-size-zero", "negative-block-count", "zero-block-count",
+            "nan-entry", "infinite-entry", "nan-rhs", "infinite-rhs"])
     def test_import_rejects_malformed_input(self, text, line, message):
         with pytest.raises(SDPAFormatError) as err:
             import_sdpa(text)
@@ -316,6 +326,24 @@ def shape_mismatch():
                     [LinearConstraint([np.eye(3)], SENSE_EQ, 1.0)])
 
 
+def nan_cost():
+    # max|C - C*| is NaN here, and NaN > tol is false
+    return SDPModel([Block(2)], [np.array([[1.0, np.nan], [np.nan, 1.0]])],
+                    [LinearConstraint([np.eye(2)], SENSE_EQ, 1.0)])
+
+
+def infinite_rhs():
+    return one_by_one(1.0, [(1.0, SENSE_EQ, 1.0), (1.0, SENSE_EQ, np.inf)])
+
+
+def infinite_hermitian_row():
+    # inf - inf in C - C*, which must not warn
+    H = np.array([[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]])
+    return SDPModel([Block(1), Block(2)], [np.eye(1), np.eye(2, dtype=complex)],
+                    [LinearConstraint([np.eye(1), np.eye(2, dtype=complex)], SENSE_EQ, 1.0),
+                     LinearConstraint([np.eye(1), H], SENSE_EQ, 1.0)])
+
+
 class TestReadPathChecks:
     """Every reader of a model's matrices rejects what validate rejects,
     with validate's message."""
@@ -324,7 +352,11 @@ class TestReadPathChecks:
         (bad_sense, "constraint 0: bad sense '<>'"),
         (matrix_count_mismatch, "constraint 0: matrix count mismatch"),
         (shape_mismatch, "constraint 0 block 0: shape (3, 3) does not match block size 2"),
-    ], ids=["bad-sense", "matrix-count", "shape"])
+        (nan_cost, "cost block 0: matrix has a non-finite entry"),
+        (infinite_rhs, "constraint 1: right-hand side inf is not finite"),
+        (infinite_hermitian_row, "constraint 1 block 1: matrix has a non-finite entry"),
+    ], ids=["bad-sense", "matrix-count", "shape", "nan-cost", "infinite-rhs",
+            "infinite-hermitian-row"])
     @pytest.mark.parametrize("read", [
         SDPModel.validate, SDPModel.stacks, solve, export_sdpa, to_equality_form,
     ], ids=["validate", "stacks", "solve", "export_sdpa", "to_equality_form"])

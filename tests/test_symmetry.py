@@ -443,8 +443,11 @@ class TestGroupFile:
         ("dim\n", 1, "malformed dim line"),
         ("# a comment\n1 0\n0 1\n", 2, "expected 'dim N' first"),
         ("dim 2\n# nothing else\n", None, "no group elements in file"),
+        ("# trivial\ndim 0\nelement\n", 2, "dim 0 is below 1"),
+        ("dim -1\nelement\n1\n", 1, "dim -1 is below 1"),
     ], ids=["short-element", "short-last-element", "empty-element", "empty-last-element",
-            "duplicate-dim", "malformed-dim", "bare-dim", "rows-before-dim", "no-elements"])
+            "duplicate-dim", "malformed-dim", "bare-dim", "rows-before-dim", "no-elements",
+            "dim-zero", "dim-negative"])
     def test_rejected_input_located(self, tmp_path, text, line, message):
         p = tmp_path / "bad.grp"
         p.write_text(text)
