@@ -65,7 +65,10 @@ from . import ipm
 
 BASIS_CAP = 2000
 CONSISTENCY_TOL = 1e-9
-RANK_TOL = 1e-9        # relative to the largest singular value
+# relative to the largest singular value in _restrict and the equality
+# basis; relative to the largest eigenvalue of the column-scaled Gram matrix
+# (a squared singular value) in RelaxationModel._representative
+RANK_TOL = 1e-9
 REPRESENT_TOL = 1e-8
 
 _UNIT = Polynomial.unit()
@@ -259,14 +262,24 @@ class RelaxationModel:
     def _representative(self, f: np.ndarray, what: str, n_rows: int | None = None
                         ) -> np.ndarray:
         """Least-norm coordinates c, on the first n_rows rows of P, of the
-        trace functional worth f . p at every parameter vector p: c = P z
-        with P^T P z = f, solved on the eigenvectors of the Gram matrix
-        P^T P whose eigenvalues exceed RANK_TOL times the largest."""
+        trace functional worth f . p at every parameter vector p.
+
+        With Q = P D, D scaling each column of P to unit norm, c = Q z with
+        Q^T Q z = D f, solved on the eigenvectors of the Gram matrix Q^T Q
+        whose eigenvalues exceed RANK_TOL times the largest.  The Gram
+        matrix squares P's condition number, so where that misses the
+        residual test c falls back to lstsq on P itself."""
         P = self._P[:n_rows]
-        lam, V = np.linalg.eigh(P.T @ P)
+        s = np.linalg.norm(P, axis=0)
+        s[s == 0.0] = 1.0
+        Q = P / s
+        lam, V = np.linalg.eigh(Q.T @ Q)
         keep = lam > RANK_TOL * lam.max(initial=0.0)
-        c = P @ (V[:, keep] @ ((V[:, keep].T @ f) / lam[keep]))
+        c = Q @ (V[:, keep] @ ((V[:, keep].T @ (f / s)) / lam[keep]))
         resid = np.abs(P.T @ c - f)
+        if np.max(resid, initial=0.0) > REPRESENT_TOL:
+            c = np.linalg.lstsq(P.T, f, rcond=None)[0]
+            resid = np.abs(P.T @ c - f)
         if np.max(resid, initial=0.0) > REPRESENT_TOL:
             root = self._roots[int(np.argmax(resid))]
             raise NotRepresentableError(
@@ -471,11 +484,8 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
         upper = [e for i, row in enumerate(mat) for e in row[i:]]
         slot, word, coeff = zip(*[(s, word_index[w], c) for s, e in enumerate(upper)
                                   for w, c in e.terms()])
-        # the terms of one slot are adjacent: sum each run, then add once
-        slot = np.array(slot)
-        starts = np.flatnonzero(np.diff(slot, prepend=-1))
         G = np.zeros((len(upper), len(roots)), dtype=complex)
-        G[slot[starts]] += np.add.reduceat(np.array(coeff)[:, None] * W[list(word)], starts)
+        np.add.at(G, np.array(slot), np.array(coeff)[:, None] * W[list(word)])
         P.append(_coords(G, n, real_mode))
     P = np.vstack(P)
 
