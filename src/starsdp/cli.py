@@ -101,6 +101,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "reason": result.solution.reason,
                 "iterations": result.solution.iterations,
                 "schur_dim": len(result.solution.y),
+                "lmi_blocks": [len(X) for X in result.solution.X],
                 "timings": result.solution.timings,
                 "wall_time": wall,
             })

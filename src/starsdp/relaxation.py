@@ -30,12 +30,30 @@ dual with y = q, so its Schur matrix has one row per free parameter, its
 dual slacks Z are the moment blocks at p, its X is a Gram (sum of squares)
 certificate of the bound, and the moments are read back exactly as W p.
 
-RelaxationModel.model states the same relaxation in row form, an SDP whose
-X are the moment blocks, derived on first access from the same P, p0 and
-N: its equality rows, an orthonormal basis of the complement of range(P N),
-hold the scalar equalities folded in, and the objective and inequalities
-are least-norm representatives on the rows of P.  Feasibility checks of
-given moments and the SDPA export read it; the solve does not.
+The blocks enter the LMI split into their term-sparsity components (Wang,
+Magron and Lasserre's TSSOS; Klep, Magron and Povh for the noncommutative
+case).  Each word's parameters belong to one root, and S, a set of roots,
+starts as the roots of the objective and the scalar constraints.  Basis
+indices i and j join when entry (i, j) uses a root in S, the connected
+components of that graph are the blocks' components, the roots of every
+in-component entry join S, and this repeats until S stops growing.  At the
+fixpoint an off-component entry uses no root in S, and a root outside S
+appears in off-component entries only.  So the LMI keeps one block per
+component on the parameters of S alone, and the split is exact: setting
+every dropped parameter to 0 extends a feasible point of the split LMI to a
+feasible point of the dense one, block diagonal up to a permutation, with
+the same objective, while every principal block of a feasible dense point is
+feasible for the split.  A component that no free parameter reaches is a
+constant matrix, dropped when it is psd and kept (making the LMI
+infeasible) when it is not.  The readout is that zero extension.
+
+RelaxationModel.model states the dense relaxation in row form, an SDP
+whose X are the whole moment blocks, derived on first access from the same
+P and from p0 and N over every parameter: its equality rows, an orthonormal
+basis of the complement of range(P N), hold the scalar equalities folded
+in, and the objective and inequalities are least-norm representatives on
+the rows of P.  Feasibility checks of given moments and the SDPA export
+read it; the solve does not.
 
 Soundness rule of thumb kept throughout: every emitted row must be implied
 by genuine moment vectors of the presented algebra, so the feasible set can
@@ -168,14 +186,19 @@ class RelaxationResult:
     NUMERICAL it is the last iterate's estimate and certifies nothing.
 
     solution is the solver's record of the moment LMI, which it takes as
-    its dual: y holds the free parameters q of p = p0 + N q, Z the moment
-    blocks at p followed by one 1x1 slack per scalar inequality, and X a
-    Gram (sum of squares) certificate of the bound, the moment and Gram
-    blocks Hermitian in complex mode.  Its status is the solver's own,
+    its dual: y holds the free parameters q of p = p0 + N q on the kept
+    parameters, Z the term-sparsity components of the moment blocks at p,
+    main block first, followed by one 1x1 slack per scalar inequality, and
+    X a Gram (sum of squares) certificate of the bound, block by block
+    over the same components, the moment and Gram blocks Hermitian in
+    complex mode.  Its status is the solver's own,
     where INFEASIBLE and UNBOUNDED are swapped.
 
-    moments and moment_matrix, the main block, are read from y and Z when
-    the solve ended OPTIMAL or MAX_ITER, and are empty otherwise."""
+    moments and moment_matrix, the whole main block, are the zero
+    extension of y and Z when the solve ended OPTIMAL or MAX_ITER, and are
+    empty otherwise: every dropped parameter is 0, each component's Z sits
+    at its indices, a dropped constant component keeps its value, and every
+    other entry is 0."""
 
     bound: float
     status: ipm.Status
@@ -204,11 +227,16 @@ class RelaxationModel:
     _W: np.ndarray = field(repr=False, default=None)   # params -> moments of _var_words
     _var_words: list[Word] = field(repr=False, default_factory=list)
     _roots: list[Word] = field(repr=False, default_factory=list)  # root word per param
-    _p0: np.ndarray = field(repr=False, default=None)  # params = _p0 + _N q
-    _N: np.ndarray = field(repr=False, default=None)
     _f: np.ndarray = field(repr=False, default=None)   # objective, times sense_factor
-    _ineq: list[tuple] = field(repr=False, default_factory=list)  # (g, sense, rhs): g.p sense rhs
+    _constraints: list[tuple] = field(repr=False, default_factory=list)  # (g, sense, rhs)
+    _keep: np.ndarray = field(repr=False, default=None)  # the params the LMI keeps
+    _p0: np.ndarray = field(repr=False, default=None)  # kept params = _p0 + _N q
+    _N: np.ndarray = field(repr=False, default=None)
     _lmi: SDPModel = field(repr=False, default=None)   # the LMI in q, as the solver's dual
+    # the main block's indices of each leading LMI block, and its dropped
+    # constant components
+    _parts: list[np.ndarray] = field(repr=False, default_factory=list)
+    _gamma0: np.ndarray = field(repr=False, default=None)
 
     @property
     def basis(self) -> list[Word]:
@@ -218,13 +246,30 @@ class RelaxationModel:
     def model(self) -> SDPModel:
         """The row form, X = the moment blocks (Hermitian when complex),
         built on first access and cached; the solve does not read it."""
-        U, sv, _ = np.linalg.svd(self._P @ self._N)
+        p0, N = self._parameters(np.arange(self.n_moment_vars))
+        U, sv, _ = np.linalg.svd(self._P @ N)
         Q = U[:, int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0:]
+        ineq = [(g, sense, rhs) for g, sense, rhs in self._constraints if sense != SENSE_EQ]
         data = [self._representative(self._f, "the objective"), Q]
-        data += [self._representative(g, "a scalar constraint") for g, _, _ in self._ineq]
-        rows = [(SENSE_EQ, float(r)) for r in Q.T @ (self._P @ self._p0)]
-        rows += [(sense, float(rhs)) for _, sense, rhs in self._ineq]
+        data += [self._representative(g, "a scalar constraint") for g, _, _ in ineq]
+        rows = [(SENSE_EQ, float(r)) for r in Q.T @ (self._P @ p0)]
+        rows += [(sense, float(rhs)) for _, sense, rhs in ineq]
         return SDPModel.from_stacks(self._stacks(np.column_stack(data)), rows)
+
+    def _parameters(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """p0 and N with {p0 + N q} the parameters, restricted to the columns
+        keep, that fix the unit moment to 1 when the problem normalizes and
+        meet the scalar equalities."""
+        p0, N = np.zeros(len(keep)), np.eye(len(keep))
+        if self.problem.normalization:
+            # the unit word is its own adjoint, a root on the line through 1
+            k = int(np.searchsorted(keep, self._roots.index(UNIT_WORD)))
+            p0[k] = 1.0
+            N = np.delete(N, k, axis=1)
+        eq = [(g[keep], rhs) for g, sense, rhs in self._constraints if sense == SENSE_EQ]
+        if eq:
+            p0, N = _restrict(np.array([g for g, _ in eq]), np.array([r for _, r in eq]), p0, N)
+        return p0, N
 
     def _stacks(self, columns: np.ndarray) -> list[np.ndarray]:
         """Per block, the stack of matrices whose coordinates are the columns."""
@@ -235,13 +280,16 @@ class RelaxationModel:
     def solve(self, options: ipm.SolverOptions | None = None) -> RelaxationResult:
         sol = ipm.solve(self._lmi, options)
         # min f.p = f.p0 + min (f N).q = f.p0 - max b.y with b = -f N
-        bound = self.sense_factor * (float(self._f @ self._p0) - sol.dual_value)
+        bound = self.sense_factor * (float(self._f[self._keep] @ self._p0) - sol.dual_value)
         moments = {}
         gamma = np.zeros((0, 0))
         if sol.status in (ipm.Status.OPTIMAL, ipm.Status.MAX_ITER):
-            values = self._W @ (self._p0 + self._N @ sol.y)
+            # the zero extension: every dropped parameter is 0
+            values = self._W[:, self._keep] @ (self._p0 + self._N @ sol.y)
             moments = {w: complex(v) for w, v in zip(self._var_words, values)}
-            gamma = sol.Z[0]
+            gamma = self._gamma0.copy()
+            for idx, Z in zip(self._parts, sol.Z):
+                gamma[idx[:, None], idx] = Z
         status = _DUAL_STATUS.get(sol.status, sol.status)
         if status in _DUAL_STATUS:
             bound = self.sense_factor * np.inf * (1 if status == ipm.Status.INFEASIBLE else -1)
@@ -281,7 +329,9 @@ class RelaxationModel:
             c = np.linalg.lstsq(P.T, f, rcond=None)[0]
             resid = np.abs(P.T @ c - f)
         if np.max(resid, initial=0.0) > REPRESENT_TOL:
-            root = self._roots[int(np.argmax(resid))]
+            # the worst root among the words of the functional itself
+            used = np.flatnonzero(f)
+            root = self._roots[int(used[np.argmax(resid[used])])]
             raise NotRepresentableError(
                 f"{what} involves {word_to_str(root, self.problem.presentation)}, "
                 f"which the level-{self.level} moment blocks do not determine; "
@@ -330,10 +380,11 @@ def _detect_real_mode(problem: ProblemFile) -> bool:
 
 
 def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
-                       ) -> tuple[list[Word], np.ndarray, list[Word]]:
+                       ) -> tuple[list[Word], np.ndarray, list[Word], np.ndarray]:
     """The variable words closed under single-term adjoints, sorted; the map
-    W from the real parameters to their moments; and the root word of each
-    parameter.
+    W from the real parameters to their moments; the root word of each
+    parameter; and the root of each parameter as an integer id, numbering
+    the roots that carry parameters.
 
     A state has omega(w*) = conj omega(w), so nf(w*) = c u ties the moments
     as y_w = conj(c) conj(y_u).  Following u from word to word either ends
@@ -374,6 +425,8 @@ def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
         else:
             seeds[w] = free if abs(C - 1.0) <= CONSISTENCY_TOL * max(1.0, abs(C)) else []
     roots = [w for w, seed in seeds.items() for _ in seed]
+    root_ids = np.array([k for k, seed in enumerate(filter(None, seeds.values())) for _ in seed],
+                        dtype=int)
 
     index = {w: k for k, w in enumerate(words)}
     W = np.zeros((len(words), len(roots)), dtype=complex)
@@ -390,7 +443,7 @@ def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
 
     for w in words:
         follow(w)
-    return words, W, roots
+    return words, W, roots, root_ids
 
 
 def _entry(left: tuple, weight: Polynomial, right: tuple, pres: Presentation) -> Polynomial:
@@ -414,6 +467,42 @@ def _restrict(E: np.ndarray, e: np.ndarray, p0: np.ndarray, N: np.ndarray
     if np.max(np.abs(E @ (N @ z) - rhs)) > REPRESENT_TOL * (1.0 + np.max(np.abs(rhs))):
         raise RelaxationError("the scalar equality constraints admit no moment vector")
     return p0 + N @ z, N @ Vt[r:].T
+
+
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The component of each of n nodes under the directed edges (i, j),
+    given in both directions, labelled by its least node: min-label
+    propagation with pointer jumping."""
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, i, label[j])
+        new = new[new]
+        if (new == label).all():
+            return label
+        label = new
+
+
+def _term_components(n: int, i: np.ndarray, j: np.ndarray, r: np.ndarray,
+                     seed: list[int], n_roots: int) -> tuple[np.ndarray, np.ndarray]:
+    """The term-sparsity fixpoint on n basis indices: their component labels
+    and the kept roots.  Per term of an upper-triangle entry, i and j are
+    the entry's row and column and r the term's root.  Indices join when an
+    entry between them uses a kept root; every root of an in-component
+    entry is kept, starting from seed."""
+    kept = np.zeros(n_roots, dtype=bool)
+    kept[seed] = True
+    kept[r[i == j]] = True      # a diagonal entry is always in-component
+    # every edge in both directions, as _components takes them
+    ii, jj, rr = np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([r, r])
+    while True:
+        use = kept[rr]
+        label = _components(n, ii[use], jj[use])
+        inside = label[i] == label[j]
+        kept[r[inside]] = True
+        # the components stand unless a newly kept root joins two of them
+        if not kept[r[~inside]].any():
+            return label, kept
 
 
 def build_relaxation(problem: ProblemFile, level: int | None = None) -> RelaxationModel:
@@ -473,30 +562,24 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
             var_words.add(w)
 
     real_mode = _detect_real_mode(problem)
-    words, W, roots = _moment_parameters(var_words, pres, real_mode)
+    words, W, roots, col_root = _moment_parameters(var_words, pres, real_mode)
     word_index = {w: k for k, w in enumerate(words)}
 
     # P: parameters to the coordinates of every block, via the upper
-    # triangles G p of the blocks
+    # triangles G p of the blocks; and each block's terms, as the
+    # upper-triangle slot and the word of each
     sizes = [len(b) for b in bases]
-    P = []
+    P, block_terms = [], []
     for mat, n in zip(entries, sizes):
         upper = [e for i, row in enumerate(mat) for e in row[i:]]
         slot, word, coeff = zip(*[(s, word_index[w], c) for s, e in enumerate(upper)
                                   for w, c in e.terms()])
+        slot, word = np.array(slot), np.array(word)
         G = np.zeros((len(upper), len(roots)), dtype=complex)
-        np.add.at(G, np.array(slot), np.array(coeff)[:, None] * W[list(word)])
+        np.add.at(G, slot, np.array(coeff)[:, None] * W[word])
         P.append(_coords(G, n, real_mode))
+        block_terms.append((slot, word))
     P = np.vstack(P)
-
-    # the parameters with the unit moment fixed to 1 when the problem
-    # normalizes: p = p0 + N q
-    p0, N = np.zeros(len(roots)), np.eye(len(roots))
-    if problem.normalization:
-        # the unit word is its own adjoint, a root on the line through 1
-        k = roots.index(UNIT_WORD)
-        p0[k] = 1.0
-        N = np.delete(N, k, axis=1)
 
     sense_factor = 1.0 if problem.sense == "minimize" else -1.0
     relax = RelaxationModel(
@@ -510,22 +593,63 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
     # NotRepresentableError at build, not when the row form is first read
     for v, what in [(f, "the objective")] + [(gk, "a scalar constraint") for gk in g]:
         relax._representative(v, what)
+    relax._f = f
+    relax._constraints = [(gk, sense, rhs) for gk, (_, sense, rhs) in zip(g, cons_nf)]
+
+    # term sparsity: the root id of every word's parameters (-1 for a word
+    # pinned to 0), then the components and the kept roots at their fixpoint,
+    # seeded by the objective and the scalar constraints, on one graph whose
+    # nodes are the basis indices of every block, block after block
+    nonzero = W != 0
+    word_root = np.where(nonzero.any(axis=1), col_root[nonzero.argmax(axis=1)], -1)
+    seed = [word_root[word_index[w]] for p in [obj_nf] + [p for p, _, _ in cons_nf]
+            for w in p.words()]
+    starts = np.cumsum([0] + sizes)
+    edges = []
+    for (slot, word), n, s in zip(block_terms, sizes, starts):
+        r = word_root[word]
+        i, j = _triu(n)
+        slot = slot[r >= 0]
+        edges.append((s + i[slot], s + j[slot], r[r >= 0]))
+    label, kept = _term_components(starts[-1], *map(np.concatenate, zip(*edges)),
+                                   [r for r in seed if r >= 0], int(col_root.max(initial=-1)) + 1)
+    keep = kept[col_root].nonzero()[0]
 
     # the LMI in q, the solver's dual: its slack Z = C - sum_k q_k A_k is the
     # moment blocks at p = p0 + N q when C = Gamma(p0), A_k = -Gamma(N e_k),
-    # and b = -f N.  Scalar equalities restrict p0 and N, and an inequality
-    # adds the 1x1 block +-(g.p - rhs).
-    eq = [k for k, (_, sense, _) in enumerate(cons_nf) if sense == SENSE_EQ]
-    if eq:
-        p0, N = _restrict(np.array([g[k] for k in eq]),
-                          np.array([cons_nf[k][2] for k in eq]), p0, N)
-    lmi = relax._stacks(np.column_stack([P @ p0, -(P @ N)]))
-    ineq = [(gk, sense, rhs) for gk, (_, sense, rhs) in zip(g, cons_nf) if sense != SENSE_EQ]
-    for gk, sense, rhs in ineq:
-        sign = 1.0 if sense == SENSE_GE else -1.0
-        lmi.append(sign * np.concatenate([[gk @ p0 - rhs], -(gk @ N)])[:, None, None])
-    relax._lmi = SDPModel.from_stacks(lmi, [(SENSE_EQ, float(bk)) for bk in -(f @ N)])
-    relax._p0, relax._N, relax._f, relax._ineq = p0, N, f, ineq
+    # and b = -f N, all over the kept parameters and with one block per
+    # component.  A component with every A_k = 0 is the constant Gamma(p0),
+    # dropped when it is psd.  Scalar equalities restrict p0 and N, and an
+    # inequality adds the 1x1 block +-(g.p - rhs).
+    p0, N = relax._parameters(keep)
+    # an off-component entry uses no kept parameter, so each block's stack
+    # over the kept parameters is block diagonal and every component is a
+    # principal submatrix of it
+    Pk = P[:, keep]
+    lmi, main = [], []          # main: the main block's indices per leading LMI block
+    gamma0 = np.zeros((sizes[0], sizes[0]), dtype=float if real_mode else complex)
+    for b, A in enumerate(relax._stacks(np.column_stack([Pk @ p0, -(Pk @ N)]))):
+        block = label[starts[b]:starts[b + 1]]
+        # a component's label is its least node
+        for c in (block == np.arange(starts[b], starts[b + 1])).nonzero()[0]:
+            idx = (block == block[c]).nonzero()[0]
+            Ac = A if len(idx) == len(block) else A[:, idx[:, None], idx]
+            C = Ac[0]
+            if not Ac[1:].any() and \
+                    np.linalg.eigvalsh(C)[0] >= -CONSISTENCY_TOL * max(1.0, np.abs(C).max()):
+                if b == 0:
+                    gamma0[idx[:, None], idx] = C
+                continue
+            lmi.append(Ac)
+            if b == 0:
+                main.append(idx)
+    for gk, sense, rhs in relax._constraints:
+        if sense != SENSE_EQ:
+            sign, gk = 1.0 if sense == SENSE_GE else -1.0, gk[keep]
+            lmi.append(sign * np.concatenate([[gk @ p0 - rhs], -(gk @ N)])[:, None, None])
+    relax._lmi = SDPModel.from_stacks(lmi, [(SENSE_EQ, float(bk)) for bk in -(f[keep] @ N)])
+    relax._keep, relax._p0, relax._N = keep, p0, N
+    relax._parts, relax._gamma0 = main, gamma0
     return relax
 
 

@@ -9,6 +9,8 @@ import pytest
 
 from starsdp import ipm
 from starsdp.cli import main
+from starsdp.problems import parse_problem_file
+from starsdp.relaxation import build_relaxation
 from starsdp.sdpmodel import export_sdpa_file, import_sdpa_file, to_equality_form
 from support import c3_rep, invariant_instance, write_group_file
 
@@ -52,12 +54,17 @@ class TestSolve:
         (row,) = doc["levels"]
         assert set(row) == {"level", "basis_size", "moment_variables",
                             "bound", "gap", "status", "reason", "iterations",
-                            "schur_dim", "timings", "wall_time"}
+                            "schur_dim", "lmi_blocks", "timings", "wall_time"}
         assert abs(row["bound"] + 0.25) < 1e-5
         assert row["status"] == "OPTIMAL" and row["reason"] == ""
         assert row["iterations"] >= 1
-        # the Schur matrix has one row per moment parameter but the unit
-        assert row["schur_dim"] == row["moment_variables"] - 1
+        # the Schur matrix has one row per parameter the term-sparsity split
+        # keeps but the unit: the moments of x^2 and x^4, on the even words
+        # {1, x^2} and the odd {x} of the main block and two 1x1 localizing
+        # components
+        relax = build_relaxation(parse_problem_file(LASSERRE))
+        assert row["schur_dim"] == len(relax._keep) - 1 == 2
+        assert row["lmi_blocks"] == [2, 1, 1, 1]
         assert set(row["timings"]) == {"schur", "newton", "step"}
         assert all(0.0 <= t <= row["wall_time"] for t in row["timings"].values())
 

@@ -9,12 +9,13 @@ import pytest
 
 import starsdp.relaxation as rx
 from starsdp.algebra import Polynomial, UNIT_WORD, Word, normal_form, poly_mul, word_adjoint
-from starsdp.problems import parse_problem, word_to_str
+from starsdp.problems import parse_problem, parse_problem_file, word_to_str
 from starsdp.oracles import (
     ConcreteRealization, chsh_tsirelson_realization, realize_moments, grid_min,
 )
 from starsdp.ipm import SolverOptions, Status, feasibility_check, solve
 from starsdp.sdpmodel import to_equality_form
+from support import random_involution_problem, reflection_realization
 
 TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-9)
 
@@ -563,22 +564,26 @@ basis = 1, x, z
 
 
 class TestMomentLMI:
-    @pytest.mark.parametrize("text, level, free, rows", [
-        (CHSH_TEXT, 3, 60, 265),
-        (LADDER_TEXT, 2, 45, 55),
+    @pytest.mark.parametrize("text, level, free, params, rows", [
+        (CHSH_TEXT, 3, 36, 61, 265),
+        (LADDER_TEXT, 2, 30, 46, 55),
     ], ids=["chsh-L3", "ladder-L2"])
-    def test_solver_works_on_free_parameters(self, text, level, free, rows):
+    def test_solver_works_on_free_parameters(self, text, level, free, params, rows):
         relax = rx.build_relaxation(parse_problem(text), level=level)
         res = relax.solve()
         assert res.status == Status.OPTIMAL
-        # one Schur row per parameter but the unit, against the row form's
-        # equality rows, which the model keeps
-        assert len(res.solution.y) == relax.n_moment_vars - 1 == free
+        # one Schur row per parameter the term-sparsity split keeps but the
+        # unit, against the row form's equality rows over every parameter
+        assert len(res.solution.y) == len(relax._keep) - 1 == free
+        assert relax.n_moment_vars == params
         assert len(relax.model.constraints) == rows
-        # the solver's dual slack is the main block at the moments read out
-        Z = res.solution.Z[0]
-        assert np.max(np.abs(relax.blocks_from_moments(res.moments)[0] - Z)) <= 1e-8
-        assert res.moment_matrix is Z
+        # the solver's dual slacks are the main block's components at the
+        # moments read out, and the moment matrix is that whole main block
+        gamma = relax.blocks_from_moments(res.moments)[0]
+        assert len(relax._parts) == 2
+        for idx, Z in zip(relax._parts, res.solution.Z):
+            assert np.max(np.abs(gamma[np.ix_(idx, idx)] - Z)) <= 1e-8
+        assert np.max(np.abs(res.moment_matrix - gamma)) <= 1e-8
 
     def test_solve_builds_no_row_form(self, chsh):
         relax = rx.build_relaxation(chsh, level=2)
@@ -636,6 +641,141 @@ class TestMomentLMI:
         assert res.status == Status.OPTIMAL
         assert abs(res.bound - 0.25) <= 1e-9
         assert len(res.solution.y) == relax.n_moment_vars - 2
+
+
+NEGATIVE_SQUARE_TEXT = """
+[generators]
+x selfadjoint
+y selfadjoint
+
+[relations]
+x^2 = -1
+y^2 = 1
+
+[objective]
+minimize y
+
+[options]
+level = 1
+"""
+
+
+def acceptance_draws():
+    """The 30 random problems of
+    test_acceptance.py::test_hierarchy_monotone_on_random_instances, drawn
+    in the same order from the same generator."""
+    rng = np.random.default_rng(404)
+    for trial in range(20):
+        k = int(rng.integers(1, 4))
+        yield random_involution_problem(rng, k, commuting=True,
+                                        max_deg=2 if trial % 2 == 0 else 4)
+    for trial in range(10):
+        k = int(rng.integers(2, 4))
+        problem = random_involution_problem(rng, k, commuting=False,
+                                            max_deg=2 if trial % 2 == 0 else 4)
+        for _ in range(3):
+            reflection_realization(problem.presentation, rng)
+        yield problem
+
+
+def assert_split_is_exact(relax, res):
+    """The zero extension of the split solution is feasible for the dense
+    relaxation's row form and worth the bound there, so the split loses
+    nothing: a dense point reaches the split optimum."""
+    assert res.status == Status.OPTIMAL
+    blocks = relax.blocks_from_moments(res.moments)
+    assert feasibility_check(relax.model, blocks).max_violation <= 1e-7
+    value = relax.evaluate(relax.problem.objective, res.moments)
+    assert abs(value - res.bound) <= 1e-7
+
+
+class TestTermSparsity:
+    @pytest.mark.parametrize("text, level, blocks, m", [
+        (CHSH_TEXT, 1, [4], 6),
+        (CHSH_TEXT, 2, [9, 4], 18),
+        (CHSH_TEXT, 3, [9, 16], 36),
+        (CHSH_TEXT, 4, [25, 16], 60),
+        (LADDER_TEXT, 1, [3], 6),
+        (LADDER_TEXT, 2, [7, 3], 30),
+        (LADDER_TEXT, 3, [7, 15], 126),
+    ], ids=["chsh-L1", "chsh-L2", "chsh-L3", "chsh-L4",
+            "ladder-L1", "ladder-L2", "ladder-L3"])
+    def test_block_sizes(self, text, level, blocks, m):
+        relax = rx.build_relaxation(parse_problem(text), level=level)
+        assert [b.size for b in relax._lmi.blocks] == blocks
+        assert len(relax._lmi.constraints) == m
+
+    @pytest.mark.parametrize("name", ["chsh", "lasserre_x4", "phased_involution"])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_problem_files_are_exact(self, name, level):
+        prob = parse_problem_file(str(PROBLEMS / f"{name}.csdp"))
+        if (name, level) == ("lasserre_x4", 1):
+            with pytest.raises(rx.NotRepresentableError):
+                rx.build_relaxation(prob, level=level)
+            return
+        relax = rx.build_relaxation(prob, level=level)
+        assert_split_is_exact(relax, relax.solve(TIGHT))
+
+    def test_acceptance_draws_are_exact(self):
+        splits = 0
+        for problem in acceptance_draws():
+            for level in (1, 2, 3):
+                if problem.objective.degree() > 2 * level:
+                    with pytest.raises(rx.NotRepresentableError):
+                        rx.build_relaxation(problem, level=level)
+                    continue
+                relax = rx.build_relaxation(problem, level=level)
+                assert_split_is_exact(relax, relax.solve(TIGHT))
+                splits += len(relax._keep) < relax.n_moment_vars
+        # 18 of the 90 levels split
+        assert splits >= 10
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_no_split_is_the_dense_lmi(self, level):
+        # u' = i*u ties every word to one phase of the next: nothing splits,
+        # and the LMI is the dense construction, bit for bit
+        relax = rx.build_relaxation(parse_problem_file(str(PROBLEMS / "phased_involution.csdp")),
+                                    level=level)
+        assert len(relax._keep) == relax.n_moment_vars
+        P = relax._P
+        p0, N = relax._parameters(np.arange(relax.n_moment_vars))
+        dense = relax._stacks(np.column_stack([P @ p0, -(P @ N)]))
+        got = relax._lmi.stacks()
+        assert len(got) == len(dense) == 1
+        assert got[0].dtype == dense[0].dtype and np.array_equal(got[0], dense[0])
+        assert [con.rhs for con in relax._lmi.constraints] == [float(b) for b in -(relax._f @ N)]
+
+    def test_non_psd_constant_component_is_kept(self):
+        # (x, x) is the constant -1, which nothing joins to the rest
+        relax = rx.build_relaxation(parse_problem(NEGATIVE_SQUARE_TEXT))
+        assert [b.size for b in relax._lmi.blocks] == [2, 1]
+        assert np.array_equal(relax._lmi.cost[1], [[-1.0]])
+        assert relax.solve().status == Status.INFEASIBLE
+
+    def test_psd_constant_components_are_dropped(self):
+        # CHSH at level 1 with a constant objective: every entry but the
+        # diagonal is off-component, and the unit diagonal is psd
+        text = CHSH_TEXT.replace("maximize A0*B0 + A1*B1 + A0*B1 - A1*B0", "maximize 1")
+        relax = rx.build_relaxation(parse_problem(text), level=1)
+        assert relax._lmi.blocks == [] and len(relax._keep) == 1
+        res = relax.solve()
+        assert res.status == Status.OPTIMAL and res.bound == 1.0
+        assert np.array_equal(res.moment_matrix, np.eye(5))
+
+    @pytest.mark.parametrize("constraint, blocks, bound", [
+        ("A0*B0 == 0.5", [9, 4], 2.79813333),
+        ("A0*B1 + A1*B0 <= 0.5", [9, 4, 1], TWO_SQRT2),
+    ], ids=["equality", "inequality"])
+    def test_scalar_constraints_keep_their_bounds(self, constraint, blocks, bound):
+        relax = rx.build_relaxation(parse_problem(CHSH_TEXT + f"[constraints]\n{constraint}\n"),
+                                    level=2)
+        assert [b.size for b in relax._lmi.blocks] == blocks
+        res = relax.solve(TIGHT)
+        assert_split_is_exact(relax, res)
+        dense = solve(to_equality_form(relax.model), TIGHT)
+        assert dense.status == Status.OPTIMAL
+        assert abs(res.bound + dense.primal_value) <= 1e-7
+        assert abs(res.bound - bound) <= 1e-7
 
 
 class TestGramRepresentative:
@@ -705,6 +845,16 @@ level = 2
         with pytest.raises(rx.NotRepresentableError) as err:
             rx.build_relaxation(replace(prob, objective=Polynomial.from_word(pres.word("z"))))
         assert str(err.value) == ("the objective involves z, which the level-1 moment "
+                                  "blocks do not determine; raise the level")
+
+    def test_rejection_names_a_word_of_the_polynomial(self):
+        # minimize y leaves its largest residual at z, which it does not
+        # involve; the message names y
+        prob = parse_problem(PARALLEL_COLUMNS_TEXT)
+        y = Polynomial.from_word(prob.presentation.word("y"))
+        with pytest.raises(rx.NotRepresentableError) as err:
+            rx.build_relaxation(replace(prob, objective=y))
+        assert str(err.value) == ("the objective involves y, which the level-1 moment "
                                   "blocks do not determine; raise the level")
 
     def test_small_relation_coefficient(self, monkeypatch):
