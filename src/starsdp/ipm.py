@@ -41,26 +41,30 @@ of k blocks of size n are (k, n, n) arrays, and their data one (1 + m, k,
 n, n) array, C and then the constraint matrices A_s, a view of the block's
 stack when k = 1.  A stack is complex when any of its data are, and a real
 block in a complex stack keeps a real iterate, returned as the real part
-of its view.  Cholesky factors, inverses, eigenvalues and
-products broadcast over the leading axis, and a stack flattened to k n^2
-entries behaves like one block for residuals, sum_k y_k A_ks and the
-certificates, so every per-iteration loop runs over the distinct sizes,
-not over the blocks.  One Newton solve works on the Schur complement
+of its view.  The data are made exactly Hermitian once, in place, so the
+residuals, dZ and the updated X and Z are too; only products need _sym.
+X and Z of a group are factored as one stack, one cholesky and one inv
+call on both.  Products broadcast over the leading axis, and a stack
+flattened to k n^2 entries behaves like one block for residuals,
+sum_k y_k A_ks and the certificates, so every per-iteration loop runs over
+the distinct sizes, not over the blocks.  One Newton solve works on the
+Schur complement
 
     M[k,l] = sum_b Re < A_kb, X_b A_lb inv(Z_b) >.
 
-With the Cholesky factors X = Lx Lx* and Z = Lz Lz* that each iteration
-takes anyway, M[k,l] = sum_b Re < F_kb, F_lb > for F_kb = inv(Lz_b) A_kb Lx_b,
-so each stack adds flat(F_s) @ flat(F_s)^T, which numpy computes as one SYRK:
-half the flops of a general product, and M comes out exactly symmetric.  It
-runs on the float views of complex stacks, since Re <A, T> is the dot
-product of the interleaved real and imaginary parts of A and T.  Beside the
-model's own data a solve holds three A-shaped arrays per stack: the copy of
-the constraint data that stacks() made, and two buffers, allocated once per
-solve, that receive inv(Lz) A_s and F_s in every iteration.  Fresh arrays of
-that size would be page-faulted in anew at every iteration.  The direction
-is recovered as dX = sym(G + X (sum_l dy_l A_l) inv(Z)).  The solution lists
-X and Z per block in the model's order, as views into the stacks.
+With the Cholesky factors X = Lx Lx* and Z = Lz Lz*, M[k,l] = sum_b
+Re < F_kb, F_lb > for F_kb = inv(Lz_b) A_kb Lx_b, so each stack adds
+flat(F_s) @ flat(F_s)^T, which numpy computes as one SYRK: half the flops
+of a general product, and M comes out exactly symmetric.  It runs on the
+float views of complex stacks, since Re <A, T> is the dot product of the
+interleaved real and imaginary parts of A and T.  Beside the model's own
+data a solve holds three A-shaped arrays per stack: the copy that stacks()
+made, and two buffers, allocated once per solve, that receive inv(Lz) A_s
+and F_s in every iteration; fresh arrays of that size would be
+page-faulted in anew at every iteration.  The direction is recovered as
+dX = sym(G + X (sum_l dy_l A_l) inv(Z)).  The solution lists X and Z per
+block in the model's order, as views into the stacks.  Solution.timings
+sums per phase the time between perf_counter reads at its boundaries.
 
 M = F F^T is positive semidefinite by construction, and definite while X, Z
 stay in the cone and the constraints are independent.  Neither holds
@@ -72,8 +76,9 @@ factor fails, the Newton system is solved through the eigendecomposition of
 M with the eigenvalues below 1e-15 * lambda_max dropped, the least-squares
 solution on the numerical range of M.  Any residual of that solve reappears
 as primal infeasibility of the direction, so it is refined away where it
-can be.  The step of tau adds a second right-hand side, solved as a second
-column with the same factor and refinement.
+can be.  A solve through the Cholesky factor is refined only when its
+residual is above rounding level, |r|_inf > 1e-15 |M|_inf |dy|_inf.  The
+step of tau adds a second right-hand side, solved as a second column.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sdpmodel import SDPModel, ModelError
+from .sdpmodel import SDPModel, ModelError, chunks
 
 
 STEP_FRACTION = 0.98    # share of the distance to the cone boundary a step takes
@@ -107,7 +112,7 @@ class SolverOptions:
     max_iter: int = 200
 
 
-@dataclass
+@dataclass(slots=True)                  # small: a solve keeps one per iteration
 class Iterate:
     iteration: int
     primal: float
@@ -115,6 +120,8 @@ class Iterate:
     mu: float
     primal_res: float
     dual_res: float
+    tau: float
+    kappa: float
 
 
 @dataclass
@@ -202,12 +209,17 @@ def _group(S, groups):
         dt = float if all(real[i] for i in g) else complex
         G.append(np.asarray(S[g[0]][:, None], dtype=dt) if len(g) == 1
                  else np.stack([S[i] for i in g], axis=1, dtype=dt))
+    for Gg in G:                        # exactly Hermitian, in place, by chunks
+        for P in chunks(Gg):
+            np.add(P, _ct(P), out=P)
+            P *= 0.5
     return real, [Gg[0] for Gg in G], [Gg[1:] for Gg in G]
 
 
 def _gather(blocks, groups, like):
-    """Per-block (n, n) arrays as one (k, n, n) stack per group, in like's dtypes."""
-    return [np.array([blocks[i] for i in g], dtype=L.dtype) for g, L in zip(groups, like)]
+    """Per-block (n, n) arrays as one Hermitian (k, n, n) stack per group."""
+    return [_sym(np.array([blocks[i] for i in g], dtype=L.dtype))
+            for g, L in zip(groups, like)]
 
 
 def _scatter(stacks, groups, real):
@@ -220,14 +232,14 @@ def _scatter(stacks, groups, real):
     return out
 
 
-def _apply(A, X):
-    """The vector (sum_b <A_kb, X_b>)_k, one matvec per stack."""
-    return sum(_flat(Ab) @ _rv(Xb).ravel() for Ab, Xb in zip(A, X))
+def _apply(Af, X):
+    """The vector (sum_b <A_kb, X_b>)_k, one matvec per flat stack _flat(A)."""
+    return sum(F @ _rv(Xb).ravel() for F, Xb in zip(Af, X))
 
 
-def _adjoint(A, y):
-    """The stacks sum_k y_k A_k, one vector-matrix product per stack."""
-    return [(y @ _flat(Ab)).view(Ab.dtype).reshape(Ab.shape[1:]) for Ab in A]
+def _adjoint(Af, y, like):
+    """The stacks sum_k y_k A_k, shaped as like, one product per flat stack."""
+    return [(y @ F).view(L.dtype).reshape(L.shape) for F, L in zip(Af, like)]
 
 
 def _schur(A, Lx, Lzi, work):
@@ -263,18 +275,6 @@ def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport
                              list(map(float, violations)), obj)
 
 
-def _timed(timings, phase):
-    """Decorator adding the seconds of each call to timings[phase]."""
-    def wrap(fn):
-        def run(*args):
-            t0 = time.perf_counter()
-            out = fn(*args)
-            timings[phase] += time.perf_counter() - t0
-            return out
-        return run
-    return wrap
-
-
 def _tril_inv(L):
     """The inverse of a lower triangular L, by halves: with L = [[P, 0],
     [Q, R]], inv(L) = [[inv(P), 0], [-inv(R) Q inv(P), inv(R)]], two GEMMs
@@ -299,16 +299,33 @@ def _psd_solver(M):
     matrix products per solve, with inv(L) from _tril_inv.  Otherwise M has
     lost rank to rounding or has dependent rows, and f returns the
     least-squares solution of least norm on the eigenvectors whose
-    eigenvalues exceed 1e-15 * lambda_max; M itself is not perturbed."""
+    eigenvalues exceed 1e-15 * lambda_max; M itself is not perturbed.  f
+    refines a column while its residual norm at least halves, at most three
+    times, unless L exists and |r|_inf <= 1e-15 |M|_inf |x|_inf."""
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         w, V = np.linalg.eigh(M)
         keep = w > 1e-15 * max(float(w[-1]), 0.0)
         V, w = V[:, keep], w[keep]
-        return lambda r: (V / w) @ (V.T @ r)
-    Li = _tril_inv(L)
-    return lambda r: Li.T @ (Li @ r)
+        once, floor = (lambda r: (V / w) @ (V.T @ r)), 0.0
+    else:
+        Li = _tril_inv(L)
+        once, floor = (lambda r: Li.T @ (Li @ r)), 1e-15 * np.abs(M).sum(axis=1).max(initial=0.0)
+
+    def solve(rhs):
+        x = once(rhs)
+        r = rhs - M @ x
+        todo = np.abs(r).max(axis=0, initial=0.0) > floor * np.abs(x).max(axis=0, initial=0.0)
+        for _ in range(3):
+            if not todo.any():
+                break
+            cand = x + once(r)
+            rc = rhs - M @ cand
+            todo &= np.sum(rc * rc, axis=0) < 0.25 * np.sum(r * r, axis=0)
+            x, r = np.where(todo, cand, x), np.where(todo, rc, r)
+        return x
+    return solve
 
 
 def _max_step(Lxi, dX, Lzi, dZ):
@@ -338,6 +355,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     N = sum(sizes)
     m = len(model.constraints)
     b = np.array([con.rhs for con in model.constraints], dtype=float)
+    Af = [_flat(Ag) for Ag in A]
     work = [(np.empty_like(Ag), np.empty_like(Ag)) for Ag in A]
 
     normC = max((float(np.linalg.norm(Cg, axis=(-2, -1)).max()) for Cg in C), default=0.0)
@@ -367,8 +385,8 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     pobj = dobj = relgap = pres = dres = 0.0
 
     for it in range(opts.max_iter + 1):
-        yA = _adjoint(A, y)
-        AX = _apply(A, X)
+        yA = _adjoint(Af, y, C)
+        AX = _apply(Af, X)
         cx = sum(_inner(C[i], X[i]) for i in range(ns))
         by = float(b @ y)
         rp = tau * b - AX
@@ -379,7 +397,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         pres = float(np.linalg.norm(rp)) / tau / bscale
         dres = np.sqrt(sum(_frob(R) ** 2 for R in Rd)) / tau / cscale
         relgap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
-        history.append(Iterate(it, pobj, dobj, mu, pres, dres))
+        history.append(Iterate(it, pobj, dobj, mu, pres, dres, tau, kappa))
 
         if pres <= opts.tol_feas and dres <= opts.tol_feas and relgap <= opts.tol_gap:
             status = Status.OPTIMAL
@@ -401,103 +419,85 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
                       f"{pres:.1e}, dual residual {dres:.1e}")
             break
 
+        # phase "schur": X and Z of a group factored and inverted as one stack
         t0 = time.perf_counter()
         try:
-            name = "X"
-            Lx = [np.linalg.cholesky(Xg) for Xg in X]
-            name = "Z"
-            Lz = [np.linalg.cholesky(Zg) for Zg in Z]
+            L = [np.linalg.cholesky(np.concatenate((Xg, Zg))) for Xg, Zg in zip(X, Z)]
         except np.linalg.LinAlgError:
-            status = Status.NUMERICAL
+            status, name = Status.NUMERICAL, "Z"
+            try:                        # factor X alone to name the one that failed
+                [np.linalg.cholesky(Xg) for Xg in X]
+            except np.linalg.LinAlgError:
+                name = "X"
             reason = f"the Cholesky factor of {name} failed at iteration {it}"
             break
-        Lxi, Lzi = [np.linalg.inv(L) for L in Lx], [np.linalg.inv(L) for L in Lz]
+        Li = [np.linalg.inv(Lg) for Lg in L]
+        Lx = [Lg[:len(Xg)] for Lg, Xg in zip(L, X)]
+        Lxi = [Lg[:len(Xg)] for Lg, Xg in zip(Li, X)]
+        Lzi = [Lg[len(Xg):] for Lg, Xg in zip(Li, X)]
         Zi = [_ct(li) @ li for li in Lzi]
         M = _schur(A, Lx, Lzi, work)
-        t1 = time.perf_counter()
-        timings["schur"] += t1 - t0
-        solve_once = _psd_solver(M)
+        timings["schur"] += (t1 := time.perf_counter()) - t0
+
+        # "newton": predictor, then corrector: target, Schur solve, direction
+        solve_M = _psd_solver(M)
         XRZi = [X[i] @ Rd[i] @ Zi[i] for i in range(ns)]
+        sXRZi = [_sym(T) for T in XRZi]
         # the gap row is written against the shifted cost Ct = (Z + Rd) / tau
         # = C - sum_k (y_k / tau) A_k, in dv = dy - dtau y / tau: with C
         # itself, terms of size y^T M y cancel to rounding noise once M is
         # ill-conditioned
         Ct = [(Z[i] + Rd[i]) / tau for i in range(ns)]
         DCt = [(X[i] + XRZi[i]) / tau for i in range(ns)]      # X Ct inv(Z)
-        u = _apply(A, DCt)
+        u = _apply(Af, DCt)
         bu = b - u
         CtDCt = sum(_inner(Ct[i], DCt[i]) for i in range(ns))
         rg_t = rg + float(y @ rp) / tau
-        timings["newton"] += time.perf_counter() - t1
-
-        @_timed(timings, "newton")
-        def schur_solve(rhs):
-            dy = solve_once(rhs)
-            # the Schur residual reappears as primal infeasibility of dX, so
-            # refine each column while its residual norm at least halves
-            r = rhs - M @ dy
-            for _ in range(3):
-                cand = dy + solve_once(r)
-                rc = rhs - M @ cand
-                better = np.sum(rc * rc, axis=0) < 0.25 * np.sum(r * r, axis=0)
-                if not better.any():
-                    break
-                dy, r = np.where(better, cand, dy), np.where(better, rc, r)
-            return dy
-
-        @_timed(timings, "newton")
-        def target(rho, nu, corr):
-            """G and the Schur right-hand side rho rp - A(G) of the step that
-            removes the share rho of the residuals and aims X Z at nu I."""
-            G = [-X[i] - rho * _sym(XRZi[i]) + nu * Zi[i]
+        # the predictor removes all residuals and aims X Z and tau kappa at 0
+        rho, nu, corr, nu_tk = 1.0, 0.0, None, -tau * kappa
+        for fraction in (1.0, STEP_FRACTION):
+            # G and the Schur right-hand side rho rp - A(G) of the step that
+            # removes the share rho of the residuals and aims X Z at nu I
+            G = [-X[i] - rho * sXRZi[i] + nu * Zi[i]
                  - (0.0 if corr is None else _sym(corr[i] @ Zi[i])) for i in range(ns)]
-            return G, rho * rp - _apply(A, G)
-
-        @_timed(timings, "newton")
-        def direction(rho, G, p, nu_tk):
-            """The step of target(rho, ...) that solves tau dkappa + kappa dtau
-            = nu_tk, from dv = p + dtau q with M p = rho rp - A(G)."""
+            r = rho * rp - _apply(Af, G)
+            if corr is None:            # M q = b + A(X Ct inv(Z)) rides along
+                p, q = solve_M(np.column_stack([r, b + u])).T
+            else:
+                p = solve_M(r)
+            # the step with tau dkappa + kappa dtau = nu_tk, dv = p + dtau q
             dtau = ((rho * rg_t + sum(_inner(Ct[i], G[i]) for i in range(ns))
                      - bu @ p + nu_tk / tau)
                     / (bu @ q + CtDCt + kappa / tau))
             dv = p + dtau * q
-            S = _adjoint(A, dv)
-            dZ = [_sym(rho * Rd[i] - S[i] + dtau * Ct[i]) for i in range(ns)]
+            S = _adjoint(Af, dv, C)
+            dZ = [rho * Rd[i] - S[i] + dtau * Ct[i] for i in range(ns)]
             dX = [_sym(G[i] + X[i] @ S[i] @ Zi[i] - dtau * DCt[i]) for i in range(ns)]
-            return dX, dv + dtau / tau * y, dZ, dtau, (nu_tk - kappa * dtau) / tau
-
-        @_timed(timings, "step")
-        def step_length(d, fraction):
-            """The full step if it stays inside the cones, else the fraction
-            of the longest step that does."""
-            dX, _, dZ, dtau, dkappa = d
+            dkappa = (nu_tk - kappa * dtau) / tau
+            timings["newton"] += (t2 := time.perf_counter()) - t1
+            # the full step if it stays inside the cones, else the fraction
+            # of the longest step that does
             limits = [_max_step(*args) for args in zip(Lxi, dX, Lzi, dZ)]
             limits += [-s / ds for s, ds in ((tau, dtau), (kappa, dkappa)) if ds < 0]
             longest = min(limits, default=np.inf)
-            return 1.0 if longest > 1.0 else fraction * longest
-
-        # M q = b + A(X Ct inv(Z)) rides along with the predictor's p as a
-        # second column of one refined solve
-        G, r = target(1.0, 0.0, None)
-        p, q = schur_solve(np.column_stack([r, b + u])).T
-        aff = direction(1.0, G, p, -tau * kappa)
-        dXa, _, dZa, dtau_a, dkappa_a = aff
-        a = step_length(aff, 1.0)
-        mu_aff = (sum(_inner(X[i] + a * dXa[i], Z[i] + a * dZa[i]) for i in range(ns))
-                  + (tau + a * dtau_a) * (kappa + a * dkappa_a)) / (N + 1)
-        sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0, 1e-8))
-        G, r = target(1.0 - sigma, sigma * mu, [dXa[i] @ dZa[i] for i in range(ns)])
-        d = direction(1.0 - sigma, G, schur_solve(r),
-                      sigma * mu - tau * kappa - dtau_a * dkappa_a)
-        alpha = step_length(d, STEP_FRACTION)
+            alpha = 1.0 if longest > 1.0 else fraction * longest
+            timings["step"] += (t1 := time.perf_counter()) - t2
+            if corr is None:
+                # the corrector aims at sigma mu, sigma from the predictor's
+                # reach, and takes out its second-order term dX dZ
+                mu_aff = (sum(_inner(X[i] + alpha * dX[i], Z[i] + alpha * dZ[i])
+                              for i in range(ns))
+                          + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (N + 1)
+                sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0, 1e-8))
+                rho, nu, corr = 1.0 - sigma, sigma * mu, [dX[i] @ dZ[i] for i in range(ns)]
+                nu_tk = sigma * mu - tau * kappa - dtau * dkappa
         if alpha < STEP_FLOOR:
             status = Status.NUMERICAL
             reason = f"step length {alpha:.1e} below {STEP_FLOOR:.0e} at iteration {it}"
             break
-        dX, dy, dZ, dtau, dkappa = d
-        X = [_sym(Xb + alpha * dXb) for Xb, dXb in zip(X, dX)]
-        Z = [_sym(Zb + alpha * dZb) for Zb, dZb in zip(Z, dZ)]
-        y = y + alpha * dy
+        X = [Xb + alpha * dXb for Xb, dXb in zip(X, dX)]
+        Z = [Zb + alpha * dZb for Zb, dZb in zip(Z, dZ)]
+        y = y + alpha * (dv + dtau / tau * y)
         tau += alpha * dtau
         kappa += alpha * dkappa
 

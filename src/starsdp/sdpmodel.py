@@ -23,8 +23,12 @@ import numpy as np
 SENSE_LE = "<="
 SENSE_GE = ">="
 SENSE_EQ = "=="
+SENSES = (SENSE_LE, SENSE_GE, SENSE_EQ)
 # Largest asymmetry (or off-diagonal entry of a diagonal block) validate accepts.
 VALIDATE_TOL = 1e-10
+# Entries of a stack one step of a pass over the whole stack reads, so that
+# its temporaries stay small next to the stack.
+CHUNK = 2 ** 13
 
 
 class ModelError(ValueError):
@@ -63,7 +67,7 @@ class SDPModel:
             for b, (blk, C) in enumerate(zip(self.blocks, self.cost)):
                 _check_sym(C, blk, f"cost block {b}")
             for k, con in enumerate(self.constraints):
-                if con.sense not in (SENSE_LE, SENSE_GE, SENSE_EQ):
+                if con.sense not in SENSES:
                     raise ModelError(f"constraint {k}: bad sense {con.sense!r}")
                 if not math.isfinite(con.rhs):
                     raise ModelError(f"constraint {k}: right-hand side {con.rhs} is not finite")
@@ -89,25 +93,55 @@ class SDPModel:
 
     def stacks(self) -> list[np.ndarray]:
         """Per block, the cost followed by every row's matrix, as one new
-        array, once validate has passed."""
-        self.validate()
-        return [np.array([C] + [con.matrices[b] for con in self.constraints])
-                for b, C in enumerate(self.cost)]
+        array, for a model that passes validate: counts, shapes, senses and
+        right-hand sides are checked before any array is built, symmetry
+        and finiteness once per stack after.  A model failing either goes
+        to validate, which names its first fault."""
+        shapes = [(blk.size, blk.size) for blk in self.blocks]
+        if not ([C.shape for C in self.cost] == shapes
+                and all(con.sense in SENSES and math.isfinite(con.rhs)
+                        and [A.shape for A in con.matrices] == shapes
+                        for con in self.constraints)):
+            self.validate()
+        S = [np.array([C] + [con.matrices[b] for con in self.constraints])
+             for b, C in enumerate(self.cost)]
+        with np.errstate(invalid="ignore"):
+            if any(_fault(P, blk) for Sb, blk in zip(S, self.blocks) for P in chunks(Sb)):
+                self.validate()
+        return S
+
+
+def chunks(S: np.ndarray):
+    """Consecutive slices of a stack along its first axis, of at most CHUNK
+    entries or one entry of that axis."""
+    step = max(1, CHUNK // math.prod(S.shape[1:]))
+    return (S[k:k + step] for k in range(0, len(S), step))
 
 
 def _check_sym(M: np.ndarray, blk: Block, where: str) -> None:
-    """Shape, symmetry and finiteness of one matrix.  A NaN or infinite
-    entry makes its entry of M - M* NaN or infinite, so the symmetry test
-    catches it at no extra cost; call under np.errstate(invalid="ignore")."""
+    """Shape, symmetry and finiteness of one matrix; call under
+    np.errstate(invalid="ignore")."""
     if M.shape != (blk.size, blk.size):
         raise ModelError(f"{where}: shape {M.shape} does not match block size {blk.size}")
-    if not np.max(np.abs(M - M.conj().T), initial=0.0) <= VALIDATE_TOL:
+    fault = _fault(M, blk)
+    if fault:
+        raise ModelError(f"{where}: {fault}")
+
+
+def _fault(M: np.ndarray, blk: Block) -> str:
+    """Why a matrix, or some matrix of a stack, is not Hermitian (and
+    diagonal in a diagonal block) within VALIDATE_TOL; "" when none is.  A
+    NaN or infinite entry makes its entry of M - M* NaN or infinite, so the
+    symmetry test catches it at no extra cost."""
+    D = np.conj(M.swapaxes(-1, -2))
+    if not np.max(np.abs(np.subtract(M, D, out=D)), initial=0.0) <= VALIDATE_TOL:
         if not np.isfinite(M).all():
-            raise ModelError(f"{where}: matrix has a non-finite entry")
-        kind = "Hermitian" if np.iscomplexobj(M) else "symmetric"
-        raise ModelError(f"{where}: matrix is not {kind}")
-    if blk.diagonal and np.max(np.abs(M - np.diag(np.diag(M))), initial=0.0) > VALIDATE_TOL:
-        raise ModelError(f"{where}: off-diagonal entries in a diagonal block")
+            return "matrix has a non-finite entry"
+        return f"matrix is not {'Hermitian' if np.iscomplexobj(M) else 'symmetric'}"
+    if blk.diagonal and np.max(np.abs(M[..., ~np.eye(blk.size, dtype=bool)]),
+                               initial=0.0) > VALIDATE_TOL:
+        return "off-diagonal entries in a diagonal block"
+    return ""
 
 
 def to_equality_form(model: SDPModel) -> SDPModel:

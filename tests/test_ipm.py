@@ -137,6 +137,18 @@ class TestCertificates:
         assert sol.reason.startswith("iteration limit 2 reached")
         assert solve(m).reason == ""
 
+    def test_failed_factor_is_named(self):
+        # X and Z of a size group are factored together; the reason still
+        # names X when any X stack fails, else Z
+        m = SDPModel([Block(2), Block(3)], [np.eye(2), np.eye(3)],
+                     [LinearConstraint([np.eye(2), np.eye(3)], SENSE_EQ, 1.0)])
+        good, bad = [np.eye(2), np.eye(3)], [-np.eye(2), np.eye(3)]
+        for X0, Z0, name in [(good, bad, "Z"), (bad, good, "X"),
+                             ([np.eye(2), -np.eye(3)], bad, "X")]:
+            sol = solve(m, start=(X0, np.zeros(1), Z0))
+            assert sol.status == Status.NUMERICAL
+            assert sol.reason == f"the Cholesky factor of {name} failed at iteration 0"
+
 
 class TestMultiBlockCertificates:
     """Certificates on models that to_equality_form gives a diagonal slack
@@ -511,6 +523,42 @@ class TestDegenerateEndgame:
         got = solver(M @ X2)
         assert got.shape == (4, 2)
         assert np.linalg.norm(got - X2) <= 1e-7 * np.linalg.norm(X2)
+
+    @staticmethod
+    def first_solve(M, rhs):
+        """The unrefined Cholesky solve, its residual and the rounding
+        level below which _psd_solver leaves a column unrefined."""
+        Li = _tril_inv(np.linalg.cholesky(M))
+        x = Li.T @ (Li @ rhs)
+        floor = 1e-15 * np.abs(M).sum(axis=1).max() * np.abs(x).max(axis=0)
+        return x, rhs - M @ x, floor
+
+    def test_refinement_skipped_at_rounding_level(self):
+        # a well-conditioned M: both columns' first residuals are at
+        # rounding level, so the first solve is returned as it is
+        rng = np.random.default_rng(31)
+        W = rng.normal(size=(30, 30))
+        M = W @ W.T + 30 * np.eye(30)
+        rhs = rng.normal(size=(30, 2))
+        x, r, floor = self.first_solve(M, rhs)
+        assert np.all(np.abs(r).max(axis=0) <= floor)
+        got = _psd_solver(M)(rhs)
+        assert np.array_equal(got, x)
+        want = np.linalg.solve(M, rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_refinement_runs_above_rounding_level(self):
+        # the Hilbert matrix of order 10, cond 1.6e13, with the solution of
+        # all ones: Cholesky succeeds, the first residual is above rounding
+        # level, and refinement must at least halve it
+        i = np.arange(10)
+        M = 1.0 / (i[:, None] + i + 1)
+        assert 1e13 < np.linalg.cond(M) < 1e14
+        rhs = M @ np.ones(10)
+        _, r, floor = self.first_solve(M, rhs)
+        assert np.abs(r).max() > floor
+        got = _psd_solver(M)(rhs)
+        assert np.linalg.norm(rhs - M @ got) <= 0.5 * np.linalg.norm(r)
 
 
 class TestTrilInv:

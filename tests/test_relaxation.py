@@ -629,6 +629,18 @@ class TestMomentLMI:
         assert res.solution.status == Status.UNBOUNDED
         assert "primal ray" in res.solution.reason
 
+    def test_infeasible_model_drives_tau_to_zero(self):
+        # the embedding's tau falls at every iteration while kappa stays
+        # away from 0, which is how the solve finds the ray
+        prob = parse_problem(INVOLUTION_TEXT + "[constraints]\nx >= 2\n")
+        res = rx.build_relaxation(prob, level=1).solve()
+        assert res.status == Status.INFEASIBLE
+        history = res.solution.history
+        assert history[0].tau == 1.0
+        assert all(b.tau < a.tau for a, b in zip(history, history[1:]))
+        assert history[-1].tau <= 1e-10
+        assert min(h.kappa for h in history) >= 1.0
+
     def test_inconsistent_equalities_rejected(self):
         prob = parse_problem(INVOLUTION_TEXT + "[constraints]\nx == 0.25\nx == 0.5\n")
         with pytest.raises(rx.RelaxationError, match="equality"):
@@ -973,3 +985,21 @@ minimize x*y + y*x + x
         v2 = rx.build_relaxation(prob, level=2).solve()
         assert v1.status == Status.OPTIMAL and v2.status == Status.OPTIMAL
         assert v1.bound <= v2.bound + 1e-7
+
+
+class TestIterationCeilings:
+    """Iterations to OPTIMAL at TIGHT, no more than the solver took when the
+    ceilings were set: a change in its rounding must not raise them
+    unnoticed."""
+
+    @pytest.mark.parametrize("text, level, ceiling", [
+        pytest.param(text, level, ceiling, id=f"{name}-L{level}")
+        for name, text, ceilings in [
+            ("phased-cycle", PHASED_ADJOINT_CYCLE_TEXT, (8, 10)),
+            ("chsh", (PROBLEMS / "chsh.csdp").read_text(), (4, 11, 10, 10)),
+            ("ladder", LADDER_TEXT, (4, 11, 11))]
+        for level, ceiling in enumerate(ceilings, start=1)])
+    def test_iterations(self, text, level, ceiling):
+        res = rx.build_relaxation(parse_problem(text), level=level).solve(TIGHT)
+        assert res.status == Status.OPTIMAL
+        assert res.solution.iterations <= ceiling
