@@ -68,17 +68,24 @@ sums per phase the time between perf_counter reads at its boundaries.
 
 M = F F^T is positive semidefinite by construction, and definite while X, Z
 stay in the cone and the constraints are independent.  Neither holds
-numerically to the end: a model written by hand or read from SDPA can have
-dependent rows, which make M singular (relaxations emit independent ones),
-and at a degenerate optimum X and Z lose rank together, which drives
-cond(M) past 1e16.  M is therefore never perturbed.  When its Cholesky
-factor fails, the Newton system is solved through the eigendecomposition of
-M with the eigenvalues below 1e-15 * lambda_max dropped, the least-squares
-solution on the numerical range of M.  Any residual of that solve reappears
-as primal infeasibility of the direction, so it is refined away where it
-can be.  A solve through the Cholesky factor is refined only when its
-residual is above rounding level, |r|_inf > 1e-15 |M|_inf |dy|_inf.  The
-step of tau adds a second right-hand side, solved as a second column.
+numerically to the end.  Dependent rows make M singular at every
+iteration: a model written by hand or read from SDPA can have them, and so
+can a relaxation, whose free parameters may include directions that no
+block sees (the free-root problem of the tests emits LMI rows of rank 43
+of 52 at level 3).  At a degenerate optimum X and Z lose rank together,
+which drives up cond(M).  M is therefore never perturbed.  With its
+Cholesky factor M = L L^T the Newton solve is dy = inv(L)^T inv(L) r; when
+that factor fails, the solve runs on the eigendecomposition of M with the
+eigenvalues below 1e-15 * lambda_max dropped, the least-norm solution on
+the numerical range of M.  Neither solve is refined.  dZ satisfies its
+equation for any dy, so what a solve leaves in M dy - r shows up only in
+the next iterate's primal residual, which is measured afresh and removed
+by the next step with the rest.  Refining either solve, up to three passes
+while the residual halved, changed no status and no iteration count on the
+benchmark's 412 solves, on 1,408 random involution relaxations at
+tolerance 1e-9 and on 242 solves of the test presentations, and moved no
+bound by more than 4.3e-12.  The step of tau adds a second right-hand
+side, solved as a second column.
 """
 
 from __future__ import annotations
@@ -299,41 +306,24 @@ def _psd_solver(M):
     matrix products per solve, with inv(L) from _tril_inv.  Otherwise M has
     lost rank to rounding or has dependent rows, and f returns the
     least-squares solution of least norm on the eigenvectors whose
-    eigenvalues exceed 1e-15 * lambda_max; M itself is not perturbed.  f
-    refines a column while its residual norm at least halves, at most three
-    times, unless L exists and |r|_inf <= 1e-15 |M|_inf |x|_inf."""
+    eigenvalues exceed 1e-15 * lambda_max; M itself is not perturbed.
+    Neither solve is refined (see the module docstring)."""
     try:
-        L = np.linalg.cholesky(M)
+        Li = _tril_inv(np.linalg.cholesky(M))
     except np.linalg.LinAlgError:
         w, V = np.linalg.eigh(M)
         keep = w > 1e-15 * max(float(w[-1]), 0.0)
         V, w = V[:, keep], w[keep]
-        once, floor = (lambda r: (V / w) @ (V.T @ r)), 0.0
-    else:
-        Li = _tril_inv(L)
-        once, floor = (lambda r: Li.T @ (Li @ r)), 1e-15 * np.abs(M).sum(axis=1).max(initial=0.0)
-
-    def solve(rhs):
-        x = once(rhs)
-        r = rhs - M @ x
-        todo = np.abs(r).max(axis=0, initial=0.0) > floor * np.abs(x).max(axis=0, initial=0.0)
-        for _ in range(3):
-            if not todo.any():
-                break
-            cand = x + once(r)
-            rc = rhs - M @ cand
-            todo &= np.sum(rc * rc, axis=0) < 0.25 * np.sum(r * r, axis=0)
-            x, r = np.where(todo, cand, x), np.where(todo, rc, r)
-        return x
-    return solve
+        return lambda r: (V / w) @ (V.T @ r)
+    return lambda r: Li.T @ (Li @ r)
 
 
-def _max_step(Lxi, dX, Lzi, dZ):
+def _max_step(Li, dX, dZ):
     """Largest a with X + a dX and Z + a dZ psd on every block of a stack,
-    where X = Lx Lx* and Lxi = inv(Lx), and Z likewise, from one eigvalsh
-    call on the X and Z stacks together.  Returns np.inf if neither
-    direction pushes against the boundary."""
-    W = np.concatenate([Lxi @ dX @ _ct(Lxi), Lzi @ dZ @ _ct(Lzi)])
+    where Li = inv(cholesky(concatenate((X, Z)))), from one triple product
+    and one eigvalsh call on the stacked directions.  Returns np.inf if
+    neither direction pushes against the boundary."""
+    W = Li @ np.concatenate([dX, dZ]) @ _ct(Li)
     lam = float(np.linalg.eigvalsh(_sym(W))[:, 0].min())
     if lam >= -1e-14:
         return np.inf
@@ -433,7 +423,6 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             break
         Li = [np.linalg.inv(Lg) for Lg in L]
         Lx = [Lg[:len(Xg)] for Lg, Xg in zip(L, X)]
-        Lxi = [Lg[:len(Xg)] for Lg, Xg in zip(Li, X)]
         Lzi = [Lg[len(Xg):] for Lg, Xg in zip(Li, X)]
         Zi = [_ct(li) @ li for li in Lzi]
         M = _schur(A, Lx, Lzi, work)
@@ -477,7 +466,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             timings["newton"] += (t2 := time.perf_counter()) - t1
             # the full step if it stays inside the cones, else the fraction
             # of the longest step that does
-            limits = [_max_step(*args) for args in zip(Lxi, dX, Lzi, dZ)]
+            limits = [_max_step(*args) for args in zip(Li, dX, dZ)]
             limits += [-s / ds for s, ds in ((tau, dtau), (kappa, dkappa)) if ds < 0]
             longest = min(limits, default=np.inf)
             alpha = 1.0 if longest > 1.0 else fraction * longest

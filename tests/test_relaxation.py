@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import starsdp.ipm as ipm
 import starsdp.relaxation as rx
 from starsdp.algebra import Polynomial, UNIT_WORD, Word, normal_form, poly_mul, word_adjoint
 from starsdp.problems import parse_problem, parse_problem_file, word_to_str
@@ -521,6 +522,28 @@ basis = 1, x, z
             res = relax.solve(TIGHT)
             assert res.status == Status.OPTIMAL
             assert abs(res.bound + 1.0) <= 1e-8
+
+    def test_free_root_solves_on_the_eigen_fallback(self, monkeypatch):
+        # at level 3 the LMI's 52 rows have rank 43: directions of q that no
+        # block sees make M singular at every iteration, so every Newton
+        # solve runs on the eigenvectors of M; the solve still ends OPTIMAL at -1
+        psd_solver, factored = ipm._psd_solver, []
+
+        def counting(M):
+            try:
+                np.linalg.cholesky(M)
+            except np.linalg.LinAlgError:
+                factored.append(False)
+            else:
+                factored.append(True)
+            return psd_solver(M)
+
+        monkeypatch.setattr(ipm, "_psd_solver", counting)
+        res = rx.build_relaxation(parse_problem(FREE_ROOT_TEXT), level=3).solve(TIGHT)
+        assert res.status == Status.OPTIMAL
+        assert res.solution.iterations <= 9
+        assert abs(res.bound + 1.0) <= 1e-8
+        assert factored and not any(factored)
 
     def test_phased_one_way_parameter_count(self):
         prob = parse_problem(PHASED_ONE_WAY_TEXT)
