@@ -41,7 +41,7 @@ of k blocks of size n are (k, n, n) arrays, and their data one (1 + m, k,
 n, n) array, C and then the constraint matrices A_s, a view of the block's
 stack when k = 1.  A stack is complex when any of its data are, and a real
 block in a complex stack keeps a real iterate, returned as the real part
-of its view.  The data are made exactly Hermitian once, in place, so the
+of its view.  stacks() returns the data exactly Hermitian, so the
 residuals, dZ and the updated X and Z are too; only products need _sym.
 X and Z of a group are factored as one stack, one cholesky and one inv
 call on both.  Products broadcast over the leading axis, and a stack
@@ -97,7 +97,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sdpmodel import SDPModel, ModelError, chunks
+from .sdpmodel import SDPModel, ModelError
 
 
 STEP_FRACTION = 0.98    # share of the distance to the cone boundary a step takes
@@ -216,10 +216,6 @@ def _group(S, groups):
         dt = float if all(real[i] for i in g) else complex
         G.append(np.asarray(S[g[0]][:, None], dtype=dt) if len(g) == 1
                  else np.stack([S[i] for i in g], axis=1, dtype=dt))
-    for Gg in G:                        # exactly Hermitian, in place, by chunks
-        for P in chunks(Gg):
-            np.add(P, _ct(P), out=P)
-            P *= 0.5
     return real, [Gg[0] for Gg in G], [Gg[1:] for Gg in G]
 
 
@@ -263,23 +259,24 @@ def _schur(A, Lx, Lzi, work):
 
 
 def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport:
-    """Report cone and linear residuals of a candidate block assignment."""
-    model.validate()
-    if len(X) != len(model.blocks):
+    """Report cone and linear residuals of a candidate block assignment, with
+    Re <A, X_b> of the cost and every row from one tensordot per stack."""
+    S = model.stacks()
+    if len(X) != len(S):
         raise ModelError("block count mismatch in feasibility check")
     X = [np.asarray(Xb, dtype=complex if np.iscomplexobj(Xb) else float) for Xb in X]
-    if any(Xb.shape != (blk.size, blk.size) for blk, Xb in zip(model.blocks, X)):
+    if any(Xb.shape != Sb.shape[1:] for Sb, Xb in zip(S, X)):
         raise ModelError("block shape mismatch in feasibility check")
     eigs = [np.linalg.eigvalsh(_sym(Xb))[0] for Xb in X]
     cons = model.constraints
-    r = np.array([sum(_inner(A, Xb) for A, Xb in zip(con.matrices, X)) - con.rhs
-                  for con in cons], dtype=float)
+    v = sum((np.tensordot(Sb, np.conj(Xb), 2).real for Sb, Xb in zip(S, X)),
+            np.zeros(1 + len(cons)))
+    r = v[1:] - np.array([con.rhs for con in cons], dtype=float)
     # +1 for <=, -1 for >=, 0 for ==
     s = np.array([(con.sense == "<=") - (con.sense == ">=") for con in cons], dtype=float)
     violations = np.where(s == 0, np.abs(r), np.maximum(s * r, 0.0))
-    obj = sum(_inner(C, Xb) for C, Xb in zip(model.cost, X))
-    return FeasibilityReport(list(map(float, eigs)), list(map(float, r)),
-                             list(map(float, violations)), obj)
+    return FeasibilityReport(list(map(float, eigs)), r.tolist(), violations.tolist(),
+                             float(v[0]))
 
 
 def _tril_inv(L):

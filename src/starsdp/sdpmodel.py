@@ -8,9 +8,11 @@ A model is the trace form
 where <A, X> = Re tr(A* X).  A block whose data are real is real
 symmetric, and one whose data are complex is Hermitian, with X_b Hermitian
 psd of the same size.  A model is built from, and read back as, one stack
-per block: the cost, then each row's matrix; every reader of the matrices
-goes through `stacks()`, which validates first.  Only the SDPA export, a
-real format, doubles a Hermitian block into its real image (realify).
+per block: the cost, then each row's matrix.  `stacks()` is the one read
+of the matrices, by the solver and `feasibility_check` alike: it checks
+the model and returns new stacks, made exactly Hermitian, (M + M*) / 2,
+in the pass that checks them; realify reads through it too.  Only the
+SDPA export, a real format, doubles a Hermitian block into its real image.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ SENSE_LE = "<="
 SENSE_GE = ">="
 SENSE_EQ = "=="
 SENSES = (SENSE_LE, SENSE_GE, SENSE_EQ)
-# Largest asymmetry (or off-diagonal entry of a diagonal block) validate accepts.
+# Largest asymmetry (or off-diagonal entry of a diagonal block) stacks() accepts.
 VALIDATE_TOL = 1e-10
-# Entries of a stack one step of a pass over the whole stack reads, so that
-# its temporaries stay small next to the stack.
+# Entries one step of a pass over a stack reads, so its temporaries stay small.
 CHUNK = 2 ** 13
 
 
@@ -61,20 +62,7 @@ class SDPModel:
     constraints: list[LinearConstraint]
 
     def validate(self) -> None:
-        if len(self.cost) != len(self.blocks):
-            raise ModelError("cost matrix count does not match block count")
-        with np.errstate(invalid="ignore"):     # inf - inf in _check_sym
-            for b, (blk, C) in enumerate(zip(self.blocks, self.cost)):
-                _check_sym(C, blk, f"cost block {b}")
-            for k, con in enumerate(self.constraints):
-                if con.sense not in SENSES:
-                    raise ModelError(f"constraint {k}: bad sense {con.sense!r}")
-                if not math.isfinite(con.rhs):
-                    raise ModelError(f"constraint {k}: right-hand side {con.rhs} is not finite")
-                if len(con.matrices) != len(self.blocks):
-                    raise ModelError(f"constraint {k}: matrix count mismatch")
-                for b, (blk, A) in enumerate(zip(self.blocks, con.matrices)):
-                    _check_sym(A, blk, f"constraint {k} block {b}")
+        self.stacks()
 
     def is_equality_only(self) -> bool:
         return all(c.sense == SENSE_EQ for c in self.constraints)
@@ -85,6 +73,10 @@ class SDPModel:
         """Block b's cost is stacks[b][0] and its part of row k is
         stacks[b][k], with rows[k - 1] = (sense, rhs).  The blocks default
         to dense ones sized by the stacks; pass them to mark a diagonal one."""
+        for b, A in enumerate(stacks):
+            if A.shape != (1 + len(rows),) + A.shape[-1:] * 2:
+                raise ModelError(f"block {b}: stack shape {A.shape} is not "
+                                 f"({1 + len(rows)}, n, n)")
         if blocks is None:
             blocks = [Block(A.shape[-1]) for A in stacks]
         return cls(list(blocks), [A[0] for A in stacks],
@@ -93,55 +85,66 @@ class SDPModel:
 
     def stacks(self) -> list[np.ndarray]:
         """Per block, the cost followed by every row's matrix, as one new
-        array, for a model that passes validate: counts, shapes, senses and
-        right-hand sides are checked before any array is built, symmetry
-        and finiteness once per stack after.  A model failing either goes
-        to validate, which names its first fault."""
-        shapes = [(blk.size, blk.size) for blk in self.blocks]
-        if not ([C.shape for C in self.cost] == shapes
-                and all(con.sense in SENSES and math.isfinite(con.rhs)
-                        and [A.shape for A in con.matrices] == shapes
-                        for con in self.constraints)):
-            self.validate()
+        float or complex array, exactly Hermitian (_hermitize).  Counts,
+        senses, right-hand sides and shapes are checked first, so a fault
+        among them is named before any matrix's, wherever it lies."""
+        if len(self.cost) != len(self.blocks):
+            raise ModelError("cost matrix count does not match block count")
+        _check_shapes(self.cost, self.blocks, "cost")
+        for k, con in enumerate(self.constraints):
+            if con.sense not in SENSES:
+                raise ModelError(f"constraint {k}: bad sense {con.sense!r}")
+            if not math.isfinite(con.rhs):
+                raise ModelError(f"constraint {k}: right-hand side {con.rhs} is not finite")
+            if len(con.matrices) != len(self.blocks):
+                raise ModelError(f"constraint {k}: matrix count mismatch")
+            _check_shapes(con.matrices, self.blocks, f"constraint {k}")
         S = [np.array([C] + [con.matrices[b] for con in self.constraints])
              for b, C in enumerate(self.cost)]
-        with np.errstate(invalid="ignore"):
-            if any(_fault(P, blk) for Sb, blk in zip(S, self.blocks) for P in chunks(Sb)):
-                self.validate()
+        S = [Sb.astype(complex if Sb.dtype.kind == "c" else float, copy=False) for Sb in S]
+        _hermitize(S, self.blocks)
         return S
 
 
-def chunks(S: np.ndarray):
-    """Consecutive slices of a stack along its first axis, of at most CHUNK
-    entries or one entry of that axis."""
-    step = max(1, CHUNK // math.prod(S.shape[1:]))
-    return (S[k:k + step] for k in range(0, len(S), step))
+def _check_shapes(matrices: list[np.ndarray], blocks: list[Block], where: str) -> None:
+    for b, (M, blk) in enumerate(zip(matrices, blocks)):
+        if M.shape != (blk.size, blk.size):
+            raise ModelError(f"{where} block {b}: shape {M.shape} does not match "
+                             f"block size {blk.size}")
 
 
-def _check_sym(M: np.ndarray, blk: Block, where: str) -> None:
-    """Shape, symmetry and finiteness of one matrix; call under
-    np.errstate(invalid="ignore")."""
-    if M.shape != (blk.size, blk.size):
-        raise ModelError(f"{where}: shape {M.shape} does not match block size {blk.size}")
-    fault = _fault(M, blk)
-    if fault:
-        raise ModelError(f"{where}: {fault}")
-
-
-def _fault(M: np.ndarray, blk: Block) -> str:
-    """Why a matrix, or some matrix of a stack, is not Hermitian (and
-    diagonal in a diagonal block) within VALIDATE_TOL; "" when none is.  A
-    NaN or infinite entry makes its entry of M - M* NaN or infinite, so the
-    symmetry test catches it at no extra cost."""
-    D = np.conj(M.swapaxes(-1, -2))
-    if not np.max(np.abs(np.subtract(M, D, out=D)), initial=0.0) <= VALIDATE_TOL:
-        if not np.isfinite(M).all():
-            return "matrix has a non-finite entry"
-        return f"matrix is not {'Hermitian' if np.iscomplexobj(M) else 'symmetric'}"
-    if blk.diagonal and np.max(np.abs(M[..., ~np.eye(blk.size, dtype=bool)]),
-                               initial=0.0) > VALIDATE_TOL:
-        return "off-diagonal entries in a diagonal block"
-    return ""
+def _hermitize(stacks: list[np.ndarray], blocks: list[Block]) -> None:
+    """Make every matrix exactly Hermitian, (M + M*) / 2 in place, in one
+    pass per stack by chunks, each checked first; ModelError names the first
+    matrix in model order (the costs, then row by row) that is not
+    Hermitian within VALIDATE_TOL, not diagonal in a diagonal block, or not
+    finite.  A NaN or infinite entry makes its entry of M - M* NaN or
+    infinite, so the symmetry test catches it at no extra cost."""
+    faults = []
+    for b, (S, blk) in enumerate(zip(stacks, blocks)):
+        n = S.shape[-1]
+        step = max(1, CHUNK // max(n * n, 1))
+        for k in range(0, len(S), step):
+            P = S[k:k + step]
+            D = np.conj(P.swapaxes(-1, -2))
+            with np.errstate(invalid="ignore"):     # inf - inf
+                asym = np.abs(P - D).max(axis=(-2, -1), initial=0.0)
+            bad = ~(asym <= VALIDATE_TOL)
+            if blk.diagonal:
+                off = np.abs(P[:, ~np.eye(n, dtype=bool)]).max(axis=-1, initial=0.0)
+                bad |= off > VALIDATE_TOL
+            if bad.any():
+                j, kind = int(bad.argmax()), "Hermitian" if np.iscomplexobj(S) else "symmetric"
+                faults.append((k + j, b, "matrix has a non-finite entry"
+                               if not np.isfinite(P[j]).all() else f"matrix is not {kind}"
+                               if not asym[j] <= VALIDATE_TOL else
+                               "off-diagonal entries in a diagonal block"))
+                break
+            np.add(P, D, out=P)
+            P *= 0.5
+    if faults:
+        k, b, fault = min(faults)
+        raise ModelError(f"{'cost' if k == 0 else f'constraint {k - 1}'} block {b}: {fault}")
 
 
 def to_equality_form(model: SDPModel) -> SDPModel:
@@ -167,17 +170,14 @@ def realify_matrix(A: np.ndarray) -> np.ndarray:
 
 
 def realify(stacks: list[np.ndarray]) -> list[np.ndarray]:
-    """The halved real images of per-block stacks of Hermitian matrices.
+    """The halved real images of per-block stacks of Hermitian matrices,
+    read through stacks() as a model's stacks are, which checks and copies.
 
     Blocks double in size and the images are halved, so that every trace
     value, hence the optimum of a model built from them, is preserved.
     """
-    with np.errstate(invalid="ignore"):
-        for b, A in enumerate(stacks):
-            for k, M in enumerate(A):
-                _check_sym(M, Block(A.shape[-1]), f"constraint {k - 1} block {b}" if k
-                           else f"cost block {b}")
-    return [realify_matrix(A) * 0.5 for A in stacks]
+    rows = [(SENSE_EQ, 0.0)] * (len(stacks[0]) - 1 if stacks else 0)
+    return [realify_matrix(A) * 0.5 for A in SDPModel.from_stacks(stacks, rows).stacks()]
 
 
 def _fmt(x: float) -> str:
@@ -196,7 +196,7 @@ def export_sdpa(model: SDPModel) -> str:
     stacks = model.stacks()
     if not model.is_equality_only():
         raise ModelError("export requires an equality-only model; apply to_equality_form first")
-    # stacks() has validated every matrix: take the image without realify's check
+    # stacks() has checked every matrix: take the image without realify's copy
     stacks = [realify_matrix(S) * 0.5 if np.iscomplexobj(S) else S for S in stacks]
     m = len(model.constraints)
     lines = [str(m), str(len(stacks))]

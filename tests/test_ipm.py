@@ -655,14 +655,41 @@ class TestFeasibilityReport:
         assert rep.violations[1] == pytest.approx(1.0)   # |2 - 3|
         assert rep.objective == pytest.approx(2.0)
 
+    def test_matches_its_definition(self):
+        # residual_k = sum_b Re vdot(A_kb, X_b) - rhs_k on a real, a Hermitian
+        # and a diagonal block, with a complex X that is not Hermitian
+        rng = np.random.default_rng(41)
+        blocks = [Block(3), Block(2), Block(2, diagonal=True)]
+
+        def draw():
+            B = rng.normal(size=(3, 3))
+            return [B + B.T, random_herm(rng, 2), np.diag(rng.normal(size=2))]
+
+        rows = [LinearConstraint(draw(), sense, float(rng.normal()))
+                for sense in (SENSE_LE, SENSE_GE, SENSE_EQ, SENSE_LE, SENSE_GE)]
+        m = SDPModel(blocks, draw(), rows)
+        X = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in (3, 2, 2)]
+        rep = feasibility_check(m, X)
+
+        def pair(mats):
+            return sum(np.vdot(A, Xb).real for A, Xb in zip(mats, X))
+
+        for con, r, v in zip(rows, rep.residuals, rep.violations):
+            value = pair(con.matrices) - con.rhs
+            violation = {SENSE_LE: max(value, 0.0), SENSE_GE: max(-value, 0.0),
+                         SENSE_EQ: abs(value)}[con.sense]
+            assert abs(r - value) <= 1e-12 and abs(v - violation) <= 1e-12
+        assert len(rep.residuals) == len(rep.violations) == len(rows)
+        assert abs(rep.objective - pair(m.cost)) <= 1e-12
+
     def test_block_count_mismatch(self):
         m = SDPModel([Block(2), Block(1)], [np.eye(2), np.eye(1)], [])
-        with pytest.raises(ModelError, match="block count mismatch"):
+        with pytest.raises(ModelError, match="^block count mismatch in feasibility check$"):
             feasibility_check(m, [np.eye(2)])
 
     def test_block_shape_mismatch(self):
         m = SDPModel([Block(2), Block(1)], [np.eye(2), np.eye(1)], [])
-        with pytest.raises(ModelError, match="block shape mismatch"):
+        with pytest.raises(ModelError, match="^block shape mismatch in feasibility check$"):
             feasibility_check(m, [np.eye(2), np.eye(2)])
 
     def test_negative_eigenvalue_counts(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from starsdp.ipm import solve
+from starsdp.ipm import feasibility_check, solve
 from starsdp.sdpmodel import (
     Block, LinearConstraint, SDPModel,
     ModelError, SDPAFormatError,
@@ -336,6 +336,13 @@ def infinite_rhs():
     return one_by_one(1.0, [(1.0, SENSE_EQ, 1.0), (1.0, SENSE_EQ, np.inf)])
 
 
+def nan_cost_and_bad_sense():
+    # two faults: the cost's entries, and the metadata of a later row
+    m = nan_cost()
+    m.constraints[0].sense = "<>"
+    return m
+
+
 def infinite_hermitian_row():
     # inf - inf in C - C*, which must not warn
     H = np.array([[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]])
@@ -355,8 +362,9 @@ class TestReadPathChecks:
         (nan_cost, "cost block 0: matrix has a non-finite entry"),
         (infinite_rhs, "constraint 1: right-hand side inf is not finite"),
         (infinite_hermitian_row, "constraint 1 block 1: matrix has a non-finite entry"),
+        (nan_cost_and_bad_sense, "constraint 0: bad sense '<>'"),
     ], ids=["bad-sense", "matrix-count", "shape", "nan-cost", "infinite-rhs",
-            "infinite-hermitian-row"])
+            "infinite-hermitian-row", "nan-cost-and-bad-sense"])
     @pytest.mark.parametrize("read", [
         SDPModel.validate, SDPModel.stacks, solve, export_sdpa, to_equality_form,
     ], ids=["validate", "stacks", "solve", "export_sdpa", "to_equality_form"])
@@ -364,3 +372,85 @@ class TestReadPathChecks:
         with pytest.raises(ModelError) as err:
             read(make())
         assert str(err.value) == message
+
+    def test_first_matrix_in_model_order_named(self):
+        # a row of block 0 and the cost of block 1 are both asymmetric: the
+        # costs come before the rows, whatever the block
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+        m = SDPModel([Block(2), Block(2)], [np.eye(2), bad],
+                     [LinearConstraint([bad, np.eye(2)], SENSE_EQ, 1.0)])
+        with pytest.raises(ModelError, match="^cost block 1: matrix is not symmetric$"):
+            m.stacks()
+
+
+class TestFromStacks:
+    @pytest.mark.parametrize("shapes, rows, message", [
+        ([(4, 2, 2)], 2, "block 0: stack shape (4, 2, 2) is not (3, n, n)"),
+        ([(4, 2, 2)], 4, "block 0: stack shape (4, 2, 2) is not (5, n, n)"),
+        ([(3, 2, 2), (4, 1, 1)], 2, "block 1: stack shape (4, 1, 1) is not (3, n, n)"),
+    ], ids=["longer", "shorter", "lengths-differ"])
+    def test_stack_length_must_match_rows(self, shapes, rows, message):
+        stacks = [np.array([np.eye(n)] * k) for k, n, _ in shapes]
+        with pytest.raises(ModelError) as err:
+            SDPModel.from_stacks(stacks, [(SENSE_EQ, 1.0)] * rows)
+        assert str(err.value) == message
+
+
+def nearly_hermitian_model():
+    """Equality rows on a real, a Hermitian and a diagonal block, every
+    matrix within 1e-12 of Hermitian but not exactly, and X = I interior
+    feasible with a positive definite cost."""
+    rng = np.random.default_rng(17)
+
+    def sym(n, dtype):
+        B = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if dtype is complex else 0)
+        B = (B + B.conj().T) / 2
+        B[0, -1] += 1e-12                   # off Hermitian by 1e-12
+        B[0, 0] += 1e-12j if dtype is complex else 0.0
+        return B
+
+    def diag(n):
+        D = np.diag(rng.normal(size=n))
+        D[0, 1] = 1e-12                     # off diagonal, and off symmetric
+        return D
+
+    def draw():
+        return [sym(3, float), sym(2, complex), diag(2)]
+
+    cost = [M + 4 * np.eye(len(M)) for M in draw()]
+    rows = [draw() for _ in range(4)]
+    return SDPModel([Block(3), Block(2), Block(2, diagonal=True)], cost,
+                    [LinearConstraint(A, SENSE_EQ, float(sum(np.trace(M).real for M in A)))
+                     for A in rows])
+
+
+class TestReadsLeaveTheModel:
+    """Reads copy the model's matrices and make the copies exactly
+    Hermitian; the model's own arrays are never written."""
+
+    def test_model_matrices_unchanged(self):
+        m = nearly_hermitian_model()
+        matrices = m.cost + [A for con in m.constraints for A in con.matrices]
+        before = [A.copy() for A in matrices]
+        X = [np.eye(b.size) for b in m.blocks]
+        for read in (SDPModel.stacks, SDPModel.validate, solve, export_sdpa, to_equality_form,
+                     lambda model: feasibility_check(model, X)):
+            read(m)
+            assert all(A.dtype == B.dtype and np.array_equal(A, B)
+                       for A, B in zip(matrices, before))
+
+    def test_stacks_are_exactly_hermitian(self):
+        m = nearly_hermitian_model()
+        assert not np.array_equal(m.cost[0], m.cost[0].T)
+        for S in m.stacks():
+            assert np.array_equal(S, S.conj().swapaxes(-1, -2))
+
+    def test_solve_equals_solve_of_exact_copy(self):
+        m = nearly_hermitian_model()
+        exact = SDPModel.from_stacks(m.stacks(), [(c.sense, c.rhs) for c in m.constraints],
+                                     m.blocks)
+        a, b = solve(m), solve(exact)
+        assert a.status == b.status and a.iterations == b.iterations
+        assert (a.primal_value, a.dual_value) == (b.primal_value, b.dual_value)
+        assert np.array_equal(a.y, b.y)
+        assert all(np.array_equal(P, Q) for P, Q in zip(a.X + a.Z, b.X + b.Z))
