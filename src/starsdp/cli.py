@@ -12,10 +12,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from . import ipm
 from .algebra import AlgebraError
@@ -64,6 +65,20 @@ def _parse_levels(spec: str) -> list[int]:
     return levels
 
 
+@contextmanager
+def _output_file(path: str, **kwargs):
+    """path opened for writing before the run that fills it, so that an
+    unwritable path fails at once; removed again if the run stops before
+    writing to it, so that a failed run leaves no empty file."""
+    with open(path, "w", encoding="utf-8", **kwargs) as f:
+        try:
+            yield f
+        finally:
+            if f.tell() == 0:
+                f.close()
+                os.remove(path)
+
+
 def _fmt_float(x: float | None) -> str:
     return "-" if x is None else f"{x:.8f}"
 
@@ -80,8 +95,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     rows = []
     failed = False
-    # opened before any level is solved, so an unwritable path fails at once
-    with open(args.export, "w", encoding="utf-8") if args.export else nullcontext() as export:
+    with _output_file(args.export) if args.export else nullcontext() as export:
         for level in levels:
             t0 = time.perf_counter()
             try:
@@ -154,9 +168,7 @@ def cmd_jnc(args: argparse.Namespace) -> int:
         # jnc_family returns its polynomials in normal form
         return complex(sum(c * moments.get(w, 0j) for w, c in poly.terms()))
 
-    # opened before any direction is solved, so an unwritable path fails at once
-    with (open(args.out, "w", newline="", encoding="utf-8") if args.out
-          else nullcontext(sys.stdout)) as out:
+    with _output_file(args.out, newline="") if args.out else nullcontext(sys.stdout) as out:
         supports = []
         for k in range(K):
             theta = 2.0 * math.pi * k / K

@@ -43,12 +43,12 @@ stack when k = 1.  A stack is complex when any of its data are, and a real
 block in a complex stack keeps a real iterate, returned as the real part
 of its view.  stacks() returns the data exactly Hermitian, so the
 residuals, dZ and the updated X and Z are too; only products need _sym.
-X and Z of a group are factored as one stack, one cholesky and one inv
-call on both.  Products broadcast over the leading axis, and a stack
-flattened to k n^2 entries behaves like one block for residuals,
-sum_k y_k A_ks and the certificates, so every per-iteration loop runs over
-the distinct sizes, not over the blocks.  One Newton solve works on the
-Schur complement
+X and Z of a group are held as one (2k, n, n) stack, X first, so one
+Cholesky call and one inverse serve both with no copy.  Products broadcast
+over the leading axis, and a stack flattened to k n^2 entries behaves like
+one block for residuals, sum_k y_k A_ks and the certificates, so every
+per-iteration loop runs over the distinct sizes, not over the blocks.  One
+Newton solve works on the Schur complement
 
     M[k,l] = sum_b Re < A_kb, X_b A_lb inv(Z_b) >.
 
@@ -61,10 +61,35 @@ interleaved real and imaginary parts of A and T.  Beside the model's own
 data a solve holds three A-shaped arrays per stack: the copy that stacks()
 made, and two buffers, allocated once per solve, that receive inv(Lz) A_s
 and F_s in every iteration; fresh arrays of that size would be
-page-faulted in anew at every iteration.  The direction is recovered as
-dX = sym(G + X (sum_l dy_l A_l) inv(Z)).  The solution lists X and Z per
+page-faulted in anew at every iteration.  The solution lists X and Z per
 block in the model's order, as views into the stacks.  Solution.timings
 sums per phase the time between perf_counter reads at its boundaries.
+
+The direction is the HKM one (Helmberg, Rendl, Vanderbei and Wolkowicz
+1996; Kojima, Shindoh and Hara 1997): dZ from its equation, then
+
+    dX = sym((nu I - corr - X dZ) inv(Z)) - X,
+
+with nu I the target of X Z and corr = dX dZ of the predictor, both 0 in
+the predictor.  The Schur right-hand side is tau b + A(X Rd inv(Z)) in the
+predictor, for the dual residual Rd, and rho tau b + sigma A(X) + rho A(X
+Rd inv(Z)) - nu A(inv(Z)) + A(corr inv(Z)) in the corrector, rho = 1 -
+sigma.  dZ holds dtau Ct, and Ct = (Z + Rd) / tau, so X dZ inv(Z) is
+summed from X Rd inv(Z), X (sum_l dv_l A_l) inv(Z) and X itself: X Z
+inv(Z) formed as a product carries cond(Z) times its rounding into dX,
+which near a degenerate optimum, cond(Z) about 1e9, left errors in A(dX)
+above the primal residual the step was to remove.
+
+On a model of one block size each iteration makes six LAPACK calls: the
+Cholesky factors of the X-Z stack and of M, the inverses of both factors,
+and the eigvalsh calls of the two step lengths.  They call numpy.linalg's
+gufuncs (_umath_linalg.cholesky_lo, inv and eigvalsh_lo) directly, under
+the error state numpy.linalg sets itself, where the gufunc raises the
+invalid flag exactly when LAPACK fails on a matrix of the stack.  The
+results are bit for bit those of numpy.linalg, without its checks and
+wrapping, which cost more than the call itself on a 3 x 3 block.  The rare
+paths, the eigen fallback of the Schur solve and the factor of X alone that
+names a failed one, keep the public calls.
 
 M = F F^T is positive semidefinite by construction, and definite while X, Z
 stay in the cone and the constraints are independent.  Neither holds
@@ -96,6 +121,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .sdpmodel import SDPModel, ModelError
 
@@ -193,8 +219,31 @@ def _inner(A, B):
     return float(np.vdot(A, B).real)
 
 
-def _frob(M):
-    return float(np.linalg.norm(M))
+def _dot(P, Q):
+    """Re <P, Q> summed over two lists of stacks."""
+    return sum(map(_inner, P, Q))
+
+
+def _lapack(gufunc):
+    """The LAPACK gufunc behind a numpy.linalg call, called on a stack as
+    numpy.linalg calls it: the gufunc raises the invalid flag exactly when
+    LAPACK fails on a matrix of the stack, which becomes LinAlgError, and
+    other flags are ignored.  Without numpy.linalg's checks and wrapping a
+    call costs about half as much on tiny blocks.  errstate as a decorator
+    sets the state per call, as its context manager does, in fewer calls."""
+    checked = np.errstate(all="ignore", invalid="raise")(gufunc)
+
+    def call(a):
+        try:
+            return checked(a)
+        except FloatingPointError:
+            raise LinAlgError(f"{gufunc.__name__} failed") from None
+    return call
+
+
+_cholesky = _lapack(_umath_linalg.cholesky_lo)
+_inv = _lapack(_umath_linalg.inv)
+_eigvalsh = _lapack(_umath_linalg.eigvalsh_lo)
 
 
 def _groups(sizes):
@@ -282,11 +331,11 @@ def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport
 def _tril_inv(L):
     """The inverse of a lower triangular L, by halves: with L = [[P, 0],
     [Q, R]], inv(L) = [[inv(P), 0], [-inv(R) Q inv(P), inv(R)]], two GEMMs
-    per level in place of a general LU solve, down to np.linalg.inv at
+    per level in place of a general LU solve, down to LAPACK's inverse at
     n <= 48."""
     n = len(L)
     if n <= 48:
-        return np.linalg.inv(L)
+        return _inv(L)
     h = n // 2
     Li = np.zeros_like(L)
     Pi, Ri = _tril_inv(L[:h, :h]), _tril_inv(L[h:, h:])
@@ -306,8 +355,8 @@ def _psd_solver(M):
     eigenvalues exceed 1e-15 * lambda_max; M itself is not perturbed.
     Neither solve is refined (see the module docstring)."""
     try:
-        Li = _tril_inv(np.linalg.cholesky(M))
-    except np.linalg.LinAlgError:
+        Li = _tril_inv(_cholesky(M))
+    except LinAlgError:
         w, V = np.linalg.eigh(M)
         keep = w > 1e-15 * max(float(w[-1]), 0.0)
         V, w = V[:, keep], w[keep]
@@ -321,7 +370,7 @@ def _max_step(Li, dX, dZ):
     and one eigvalsh call on the stacked directions.  Returns np.inf if
     neither direction pushes against the boundary."""
     W = Li @ np.concatenate([dX, dZ]) @ _ct(Li)
-    lam = float(np.linalg.eigvalsh(_sym(W))[:, 0].min())
+    lam = float(_eigvalsh(_sym(W))[:, 0].min())
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -353,16 +402,17 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     maxA = max(normsA, default=0.0) or 1.0     # a zero A scales no ray
     eta = max(1.0, np.sqrt(max(sizes, default=1)), normC, maxA)
 
+    # X and Z of a group as one (2k, n, n) stack, X first
     if start is not None:
-        X = _gather(start[0], groups, C)
+        XZ = [np.concatenate(XZg) for XZg in zip(_gather(start[0], groups, C),
+                                                 _gather(start[2], groups, C))]
         y = np.asarray(start[1], dtype=float).copy()
-        Z = _gather(start[2], groups, C)
     else:
         eye = [np.broadcast_to(np.eye(Cg.shape[-1], dtype=Cg.dtype), Cg.shape) for Cg in C]
-        X = [xi * I for I in eye]
+        XZ = [np.concatenate((xi * I, eta * I)) for I in eye]
         y = np.zeros(m)
-        Z = [eta * I for I in eye]
-    tau, kappa = 1.0, sum(_inner(X[i], Z[i]) for i in range(ns)) / max(N, 1)
+    ks = [len(g) for g in groups]
+    tau, kappa = 1.0, sum(_inner(S[:k], S[k:]) for S, k in zip(XZ, ks)) / max(N, 1)
 
     normb, normCF = float(np.linalg.norm(b)), np.sqrt(sum(_inner(Cg, Cg) for Cg in C))
     bscale, cscale = 1.0 + normb, 1.0 + normC
@@ -372,35 +422,40 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     pobj = dobj = relgap = pres = dres = 0.0
 
     for it in range(opts.max_iter + 1):
+        X = [S[:k] for S, k in zip(XZ, ks)]
+        Z = [S[k:] for S, k in zip(XZ, ks)]
         yA = _adjoint(Af, y, C)
         AX = _apply(Af, X)
-        cx = sum(_inner(C[i], X[i]) for i in range(ns))
+        cx = _dot(C, X)
         by = float(b @ y)
         rp = tau * b - AX
         Rd = [tau * C[i] - Z[i] - yA[i] for i in range(ns)]
         rg = kappa - by + cx
-        mu = (sum(_inner(X[i], Z[i]) for i in range(ns)) + tau * kappa) / (N + 1)
+        mu = (_dot(X, Z) + tau * kappa) / (N + 1)
         pobj, dobj = cx / tau, by / tau
-        pres = float(np.linalg.norm(rp)) / tau / bscale
-        dres = np.sqrt(sum(_frob(R) ** 2 for R in Rd)) / tau / cscale
+        pres = math.sqrt(rp @ rp) / tau / bscale
+        dres = math.sqrt(_dot(Rd, Rd)) / tau / cscale
         relgap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
         history.append(Iterate(it, pobj, dobj, mu, pres, dres, tau, kappa))
 
         if pres <= opts.tol_feas and dres <= opts.tol_feas and relgap <= opts.tol_gap:
             status = Status.OPTIMAL
             break
-        dual_ray = np.sqrt(sum(_frob(yA[i] + Z[i]) ** 2 for i in range(ns))) * normb
-        if by > 0 and dual_ray <= opts.tol_feas * by * maxA:
-            status = Status.INFEASIBLE
-            reason = (f"dual ray at iteration {it}, primal infeasible: |sum_k y_k A_k + Z| "
-                      f"/ max|A_k| = {dual_ray / (by * maxA):.1e} b.y / |b| with b.y > 0")
-            break
-        primal_ray = float(np.linalg.norm(AX)) * normCF
-        if cx < 0 and primal_ray <= opts.tol_feas * -cx * maxA:
-            status = Status.UNBOUNDED
-            reason = (f"primal ray at iteration {it}, dual infeasible: |A(X)| / max|A_k| "
-                      f"= {primal_ray / (-cx * maxA):.1e} |<C, X>| / |C| with <C, X> < 0")
-            break
+        if by > 0:
+            ray = [yA[i] + Z[i] for i in range(ns)]
+            dual_ray = math.sqrt(_dot(ray, ray)) * normb
+            if dual_ray <= opts.tol_feas * by * maxA:
+                status = Status.INFEASIBLE
+                reason = (f"dual ray at iteration {it}, primal infeasible: |sum_k y_k A_k + Z| "
+                          f"/ max|A_k| = {dual_ray / (by * maxA):.1e} b.y / |b| with b.y > 0")
+                break
+        if cx < 0:
+            primal_ray = math.sqrt(AX @ AX) * normCF
+            if primal_ray <= opts.tol_feas * -cx * maxA:
+                status = Status.UNBOUNDED
+                reason = (f"primal ray at iteration {it}, dual infeasible: |A(X)| / max|A_k| "
+                          f"= {primal_ray / (-cx * maxA):.1e} |<C, X>| / |C| with <C, X> < 0")
+                break
         if it == opts.max_iter:
             reason = (f"iteration limit {it} reached: gap {relgap:.1e}, primal residual "
                       f"{pres:.1e}, dual residual {dres:.1e}")
@@ -409,18 +464,18 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         # phase "schur": X and Z of a group factored and inverted as one stack
         t0 = time.perf_counter()
         try:
-            L = [np.linalg.cholesky(np.concatenate((Xg, Zg))) for Xg, Zg in zip(X, Z)]
-        except np.linalg.LinAlgError:
+            L = [_cholesky(S) for S in XZ]
+        except LinAlgError:
             status, name = Status.NUMERICAL, "Z"
             try:                        # factor X alone to name the one that failed
                 [np.linalg.cholesky(Xg) for Xg in X]
-            except np.linalg.LinAlgError:
+            except LinAlgError:
                 name = "X"
             reason = f"the Cholesky factor of {name} failed at iteration {it}"
             break
-        Li = [np.linalg.inv(Lg) for Lg in L]
-        Lx = [Lg[:len(Xg)] for Lg, Xg in zip(L, X)]
-        Lzi = [Lg[len(Xg):] for Lg, Xg in zip(Li, X)]
+        Li = [_inv(Lg) for Lg in L]
+        Lx = [Lg[:k] for Lg, k in zip(L, ks)]
+        Lzi = [Lg[k:] for Lg, k in zip(Li, ks)]
         Zi = [_ct(li) @ li for li in Lzi]
         M = _schur(A, Lx, Lzi, work)
         timings["schur"] += (t1 := time.perf_counter()) - t0
@@ -428,37 +483,44 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         # "newton": predictor, then corrector: target, Schur solve, direction
         solve_M = _psd_solver(M)
         XRZi = [X[i] @ Rd[i] @ Zi[i] for i in range(ns)]
-        sXRZi = [_sym(T) for T in XRZi]
+        AXRZi = _apply(Af, XRZi)
         # the gap row is written against the shifted cost Ct = (Z + Rd) / tau
         # = C - sum_k (y_k / tau) A_k, in dv = dy - dtau y / tau: with C
         # itself, terms of size y^T M y cancel to rounding noise once M is
         # ill-conditioned
         Ct = [(Z[i] + Rd[i]) / tau for i in range(ns)]
-        DCt = [(X[i] + XRZi[i]) / tau for i in range(ns)]      # X Ct inv(Z)
-        u = _apply(Af, DCt)
+        CtX, CtXRZi = _dot(Ct, X), _dot(Ct, XRZi)
+        u = (AX + AXRZi) / tau          # A(X Ct inv(Z))
         bu = b - u
-        CtDCt = sum(_inner(Ct[i], DCt[i]) for i in range(ns))
+        CtDCt = (CtX + CtXRZi) / tau    # <Ct, X Ct inv(Z)>
         rg_t = rg + float(y @ rp) / tau
+        rpR = rp + AXRZi
         # the predictor removes all residuals and aims X Z and tau kappa at 0
-        rho, nu, corr, nu_tk = 1.0, 0.0, None, -tau * kappa
+        rho, W, nu_tk = 1.0, None, -tau * kappa
         for fraction in (1.0, STEP_FRACTION):
-            # G and the Schur right-hand side rho rp - A(G) of the step that
-            # removes the share rho of the residuals and aims X Z at nu I
-            G = [-X[i] - rho * sXRZi[i] + nu * Zi[i]
-                 - (0.0 if corr is None else _sym(corr[i] @ Zi[i])) for i in range(ns)]
-            r = rho * rp - _apply(Af, G)
-            if corr is None:            # M q = b + A(X Ct inv(Z)) rides along
+            # the step that removes the share rho of the residuals and aims
+            # X Z at nu I: dX = sym((nu I - corr - X dZ) inv(Z)) - X, and with
+            # W = (corr - nu I) inv(Z), 0 in the predictor, the Schur
+            # right-hand side is r = A(X) + rho (rp + A(X Rd inv(Z))) + A(W)
+            # and CtG = <Ct, -X - rho X Rd inv(Z) - W>
+            r = AX + rho * rpR
+            CtG = -CtX - rho * CtXRZi
+            if W is None:               # M q = b + A(X Ct inv(Z)) rides along
                 p, q = solve_M(np.column_stack([r, b + u])).T
             else:
-                p = solve_M(r)
+                p = solve_M(r + _apply(Af, W))
+                CtG -= _dot(Ct, W)
             # the step with tau dkappa + kappa dtau = nu_tk, dv = p + dtau q
-            dtau = ((rho * rg_t + sum(_inner(Ct[i], G[i]) for i in range(ns))
-                     - bu @ p + nu_tk / tau)
+            dtau = ((rho * rg_t + CtG - bu @ p + nu_tk / tau)
                     / (bu @ q + CtDCt + kappa / tau))
             dv = p + dtau * q
             S = _adjoint(Af, dv, C)
             dZ = [rho * Rd[i] - S[i] + dtau * Ct[i] for i in range(ns)]
-            dX = [_sym(G[i] + X[i] @ S[i] @ Zi[i] - dtau * DCt[i]) for i in range(ns)]
+            # -X dZ inv(Z) with X Z inv(Z) = X taken exactly: a product
+            # through inv(Z) carries cond(Z) times its rounding into dX
+            c = dtau / tau
+            T = [X[i] @ S[i] @ Zi[i] - (rho + c) * XRZi[i] for i in range(ns)]
+            dX = [_sym(T[i] if W is None else T[i] - W[i]) - (1.0 + c) * X[i] for i in range(ns)]
             dkappa = (nu_tk - kappa * dtau) / tau
             timings["newton"] += (t2 := time.perf_counter()) - t1
             # the full step if it stays inside the cones, else the fraction
@@ -468,28 +530,29 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             longest = min(limits, default=np.inf)
             alpha = 1.0 if longest > 1.0 else fraction * longest
             timings["step"] += (t1 := time.perf_counter()) - t2
-            if corr is None:
+            if W is None:
                 # the corrector aims at sigma mu, sigma from the predictor's
                 # reach, and takes out its second-order term dX dZ
                 mu_aff = (sum(_inner(X[i] + alpha * dX[i], Z[i] + alpha * dZ[i])
                               for i in range(ns))
                           + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (N + 1)
                 sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0, 1e-8))
-                rho, nu, corr = 1.0 - sigma, sigma * mu, [dX[i] @ dZ[i] for i in range(ns)]
+                rho, nu = 1.0 - sigma, sigma * mu
+                W = [dX[i] @ dZ[i] @ Zi[i] - nu * Zi[i] for i in range(ns)]
                 nu_tk = sigma * mu - tau * kappa - dtau * dkappa
         if alpha < STEP_FLOOR:
             status = Status.NUMERICAL
             reason = f"step length {alpha:.1e} below {STEP_FLOOR:.0e} at iteration {it}"
             break
-        X = [Xb + alpha * dXb for Xb, dXb in zip(X, dX)]
-        Z = [Zb + alpha * dZb for Zb, dZb in zip(Z, dZ)]
+        XZ = [XZ[i] + alpha * np.concatenate((dX[i], dZ[i])) for i in range(ns)]
         y = y + alpha * (dv + dtau / tau * y)
         tau += alpha * dtau
         kappa += alpha * dkappa
 
+    XZ = [S / tau for S in XZ]
     return Solution(
-        X=_scatter([Xg / tau for Xg in X], groups, real), y=y / tau,
-        Z=_scatter([Zg / tau for Zg in Z], groups, real),
+        X=_scatter([S[:k] for S, k in zip(XZ, ks)], groups, real), y=y / tau,
+        Z=_scatter([S[k:] for S, k in zip(XZ, ks)], groups, real),
         primal_value=pobj, dual_value=dobj, gap=relgap,
         primal_res=pres, dual_res=dres, status=status, reason=reason,
         iterations=len(history) - 1, history=history, timings=timings,

@@ -224,6 +224,18 @@ class TestExitCodes:
         assert code == 1 and missing in err
         assert calls == [] and not out
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", LASSERRE, "--level", "1-2", "--export"],
+        ["jnc", LASSERRE, "--pair", "F0,1", "--level", "1", "--out"],
+    ], ids=["solve", "jnc"])
+    def test_failed_run_leaves_no_output_file(self, capsys, tmp_path, argv):
+        # level 1 cannot represent x^4: the run stops at its first solve,
+        # after the output file was opened and before anything was written
+        path = tmp_path / "out"
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 2 and "x^4" in err
+        assert not path.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["solve", CHSH, "--tol", "-1"], "--tol must be a positive finite number, got -1.0"),
         (["solve", CHSH, "--tol", "0"], "--tol must be a positive finite number, got 0.0"),

@@ -14,7 +14,8 @@ from starsdp.sdpmodel import (
 )
 from starsdp.ipm import (
     solve, SolverOptions, Status, feasibility_check,
-    _gather, _group, _groups, _max_step, _psd_solver, _schur, _tril_inv,
+    _cholesky, _eigvalsh, _gather, _group, _groups, _inv, _max_step, _psd_solver,
+    _schur, _tril_inv,
 )
 from starsdp.problems import parse_problem_file
 from starsdp.relaxation import build_relaxation
@@ -383,22 +384,43 @@ class TestGroupedBlocks:
             assert feasibility_check(m, sol.X).max_violation <= 1e-8
 
 
+def random_dense_models():
+    """Five 4 x 4 models with three random rows each."""
+    rng = np.random.default_rng(3)
+    for trial in range(5):
+        Q = rng.normal(size=(4, 4))
+        C = (Q + Q.T) / 2 + 4 * np.eye(4)
+        rows = []
+        for _ in range(3):
+            B = rng.normal(size=(4, 4))
+            rows.append(LinearConstraint([(B + B.T) / 2], SENSE_EQ,
+                                         float(rng.normal())))
+        yield SDPModel([Block(4)], [C], rows)
+
+
 class TestIterateInvariants:
     def test_mu_monotone(self):
-        rng = np.random.default_rng(3)
-        for trial in range(5):
-            Q = rng.normal(size=(4, 4))
-            C = (Q + Q.T) / 2 + 4 * np.eye(4)
-            rows = []
-            for _ in range(3):
-                B = rng.normal(size=(4, 4))
-                rows.append(LinearConstraint([(B + B.T) / 2], SENSE_EQ,
-                                             float(rng.normal())))
-            m = SDPModel([Block(4)], [C], rows)
+        for m in random_dense_models():
             sol = solve(m)
             mus = [h.mu for h in sol.history]
             for a, b in zip(mus, mus[1:]):
                 assert b <= a * (1 + 1e-9)
+
+    def test_step_solves_the_newton_system(self):
+        # a step of length alpha that solves the Newton system removes the
+        # share alpha rho of both residuals, tau b - A(X) and tau C - Z -
+        # sum_k y_k A_k: the two shrink by the same factor 1 - alpha rho
+        steps = 0
+        for m in random_dense_models():
+            history = solve(m).history
+            for a, b in zip(history, history[1:]):
+                if a.dual_res <= 1e-6:
+                    break
+                primal = (b.primal_res * b.tau) / (a.primal_res * a.tau)
+                dual = (b.dual_res * b.tau) / (a.dual_res * a.tau)
+                assert abs(primal - dual) <= 1e-8
+                steps += 1
+        assert steps >= 20
 
     def test_weak_duality_on_feasible_iterates(self):
         # from a primal-dual feasible start both residuals stay at zero, so
@@ -625,6 +647,51 @@ class TestStepLength:
     def test_no_boundary_in_reach(self):
         eye = np.array([np.eye(2)])
         assert _max_step(np.concatenate([eye, eye]), eye, 2 * eye) == np.inf
+
+
+class TestLapackCalls:
+    """The solver's direct LAPACK calls against numpy.linalg's."""
+
+    @pytest.mark.parametrize("psd", [random_psd, hermitian_psd], ids=["real", "complex"])
+    def test_bit_for_bit_numpy_linalg(self, psd):
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 3, 5, 8, 49):
+            S = np.array([psd(rng, n) for _ in range(4)])
+            L = np.linalg.cholesky(S)
+            assert np.array_equal(_cholesky(S), L)
+            assert np.array_equal(_inv(L), np.linalg.inv(L))
+            assert np.array_equal(_eigvalsh(S), np.linalg.eigvalsh(S))
+            assert np.array_equal(_cholesky(S[0]), L[0])
+
+    def test_failure_raises_without_warning(self):
+        rng = np.random.default_rng(47)
+        S = np.array([random_psd(rng, 3) for _ in range(3)])
+        S[1] = np.diag([1.0, -1.0, 1.0])                 # indefinite
+        singular = np.array([np.eye(3), np.diag([1.0, 0.0, 1.0])])
+        state = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                _cholesky(S)
+            with pytest.raises(np.linalg.LinAlgError):
+                _inv(singular)
+        # the error state is restored, and the other matrices still factor
+        assert np.geterr() == state
+        assert np.array_equal(_cholesky(S[[0, 2]]), np.linalg.cholesky(S[[0, 2]]))
+
+    def test_empty_stacks(self):
+        # a 0 x 0 Schur matrix, as a model without rows gives, and a group
+        # of no blocks
+        for shape in [(0, 0), (2, 0, 0), (0, 3, 3)]:
+            E = np.zeros(shape)
+            assert _cholesky(E).shape == _inv(E).shape == shape
+            assert _eigvalsh(E).shape == shape[:-1]
+        assert _psd_solver(np.zeros((0, 0)))(np.zeros(0)).shape == (0,)
+
+    def test_model_without_blocks(self):
+        sol = solve(SDPModel([], [], []))
+        assert sol.status == Status.OPTIMAL and sol.iterations == 0
+        assert sol.X == [] and sol.Z == [] and len(sol.y) == 0
 
 
 class TestFeasibilityReport:
