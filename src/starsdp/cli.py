@@ -14,9 +14,10 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 
 from . import ipm
 from .algebra import AlgebraError
@@ -68,15 +69,21 @@ def _parse_levels(spec: str) -> list[int]:
 @contextmanager
 def _output_file(path: str, **kwargs):
     """path opened for writing before the run that fills it, so that an
-    unwritable path fails at once; removed again if the run stops before
-    writing to it, so that a failed run leaves no empty file."""
+    unwritable path fails at once.  A run that succeeds always writes to
+    it, so a regular file still empty at the end means the run stopped
+    before writing, and it is removed: a failed run leaves no empty file.
+    A device or a pipe is never removed, and the cleanup never replaces
+    the run's own outcome."""
     with open(path, "w", encoding="utf-8", **kwargs) as f:
         try:
             yield f
         finally:
-            if f.tell() == 0:
-                f.close()
-                os.remove(path)
+            with suppress(OSError):
+                f.flush()
+                st = os.fstat(f.fileno())
+                if stat.S_ISREG(st.st_mode) and st.st_size == 0:
+                    f.close()
+                    os.remove(path)
 
 
 def _fmt_float(x: float | None) -> str:

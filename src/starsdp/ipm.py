@@ -229,13 +229,11 @@ def _lapack(gufunc):
     numpy.linalg calls it: the gufunc raises the invalid flag exactly when
     LAPACK fails on a matrix of the stack, which becomes LinAlgError, and
     other flags are ignored.  Without numpy.linalg's checks and wrapping a
-    call costs about half as much on tiny blocks.  errstate as a decorator
-    sets the state per call, as its context manager does, in fewer calls."""
-    checked = np.errstate(all="ignore", invalid="raise")(gufunc)
-
+    call costs about half as much on tiny blocks."""
     def call(a):
         try:
-            return checked(a)
+            with np.errstate(all="ignore", invalid="raise"):
+                return gufunc(a)
         except FloatingPointError:
             raise LinAlgError(f"{gufunc.__name__} failed") from None
     return call
@@ -412,9 +410,10 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         XZ = [np.concatenate((xi * I, eta * I)) for I in eye]
         y = np.zeros(m)
     ks = [len(g) for g in groups]
-    tau, kappa = 1.0, sum(_inner(S[:k], S[k:]) for S, k in zip(XZ, ks)) / max(N, 1)
+    tau, kappa = 1.0, _dot([S[:k] for S, k in zip(XZ, ks)],
+                           [S[k:] for S, k in zip(XZ, ks)]) / max(N, 1)
 
-    normb, normCF = float(np.linalg.norm(b)), np.sqrt(sum(_inner(Cg, Cg) for Cg in C))
+    normb, normCF = float(np.linalg.norm(b)), math.sqrt(_dot(C, C))
     bscale, cscale = 1.0 + normb, 1.0 + normC
     history: list[Iterate] = []
     timings = {"schur": 0.0, "newton": 0.0, "step": 0.0}
@@ -533,8 +532,8 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             if W is None:
                 # the corrector aims at sigma mu, sigma from the predictor's
                 # reach, and takes out its second-order term dX dZ
-                mu_aff = (sum(_inner(X[i] + alpha * dX[i], Z[i] + alpha * dZ[i])
-                              for i in range(ns))
+                mu_aff = (_dot([Xg + alpha * dXg for Xg, dXg in zip(X, dX)],
+                               [Zg + alpha * dZg for Zg, dZg in zip(Z, dZ)])
                           + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (N + 1)
                 sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0, 1e-8))
                 rho, nu = 1.0 - sigma, sigma * mu

@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import math
+import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from starsdp import ipm
+from starsdp import cli, ipm
 from starsdp.cli import main
 from starsdp.problems import parse_problem_file
 from starsdp.relaxation import build_relaxation
@@ -18,6 +20,16 @@ ROOT = Path(__file__).resolve().parent.parent
 CHSH = str(ROOT / "problems" / "chsh.csdp")
 LASSERRE = str(ROOT / "problems" / "lasserre_x4.csdp")
 PHASED = str(ROOT / "problems" / "phased_involution.csdp")
+
+# runs with an output file, each with its exit code: two that succeed and
+# two whose first level cannot represent x^4
+OUTPUT_RUNS = [
+    (["solve", CHSH, "--level", "1", "--export"], 0),
+    (["jnc", CHSH, "--pair", "F0,1", "--directions", "1", "--out"], 0),
+    (["solve", LASSERRE, "--level", "1-2", "--export"], 2),
+    (["jnc", LASSERRE, "--pair", "F0,1", "--level", "1", "--out"], 2),
+]
+OUTPUT_RUN_IDS = ["solve", "jnc", "solve-failed", "jnc-failed"]
 
 
 def run(capsys, *argv):
@@ -235,6 +247,38 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv, str(path))
         assert code == 2 and "x^4" in err
         assert not path.exists()
+
+    def test_jnc_solver_failure_leaves_no_output_file(self, capsys, monkeypatch, tmp_path):
+        # a direction that ends without a certificate stops the run through
+        # its exit code, not through an exception
+        monkeypatch.setattr(cli, "jnc_support",
+                            lambda *a, **k: SimpleNamespace(status=ipm.Status.NUMERICAL))
+        path = tmp_path / "out"
+        code, _, err = run(capsys, "jnc", CHSH, "--pair", "F0,1", "--out", str(path))
+        assert code == 3 and "NUMERICAL" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv, expected", OUTPUT_RUNS, ids=OUTPUT_RUN_IDS)
+    def test_output_to_a_device_is_never_removed(self, capsys, monkeypatch, argv, expected):
+        removed = []
+        monkeypatch.setattr(cli.os, "remove", removed.append)
+        code, _, _ = run(capsys, *argv, os.devnull)
+        assert code == expected and removed == []
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("argv, expected", OUTPUT_RUNS, ids=OUTPUT_RUN_IDS)
+    def test_output_to_a_pipe(self, capsys, argv, expected):
+        # a pipe cannot seek: the run's own exit code stands, and what a
+        # successful run writes arrives
+        r, w = os.pipe()
+        with os.fdopen(r, "rb") as reader:
+            try:
+                code, _, _ = run(capsys, *argv, f"/dev/fd/{w}")
+            finally:
+                os.close(w)
+            data = reader.read()
+        assert code == expected
+        assert bool(data) == (expected == 0)
 
     @pytest.mark.parametrize("argv, message", [
         (["solve", CHSH, "--tol", "-1"], "--tol must be a positive finite number, got -1.0"),
