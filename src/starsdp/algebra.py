@@ -12,10 +12,13 @@ rewriting to a fixpoint: the leftmost redex, the shortest left side there.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 COEFF_EPS = 1e-12
+_FLOAT_MAX = sys.float_info.max
 REWRITE_STEP_CAP = 10_000
 # Two normal forms count as equal when their coefficients agree within this.
 EQUAL_TOL = 1e-9
@@ -86,7 +89,8 @@ class Polynomial:
     """Finite complex combination of words, stored sparsely.
 
     Coefficients with magnitude below COEFF_EPS are pruned on construction,
-    so equality of polynomials is plain structural equality of the term maps.
+    so equality of polynomials is plain structural equality of the term maps,
+    and a coefficient that is not finite raises AlgebraError.
 
     Polynomials are shared, never copied: a presentation's normal-form
     cache hands out the same object for every lookup of a word, and the
@@ -101,8 +105,15 @@ class Polynomial:
         if terms:
             for w, c in terms.items():
                 c = complex(c)
-                if abs(c) >= COEFF_EPS:
-                    clean[w] = c
+                try:
+                    a = abs(c)
+                except OverflowError:       # finite parts, a modulus above the float range
+                    a = math.inf
+                if a < COEFF_EPS:
+                    continue
+                if not a <= _FLOAT_MAX:     # inf, or NaN, which fails both tests
+                    raise AlgebraError(f"coefficient {c} is not finite")
+                clean[w] = c
         self._terms = clean
 
     @staticmethod
@@ -125,6 +136,14 @@ class Polynomial:
         """Terms in storage order, unsorted: a read-only view, cheaper than
         terms() where the order does not matter or must be the stored one."""
         return self._terms.items()
+
+    def as_word(self) -> Word | None:
+        """The word w when self is 1*w up to COEFF_EPS, else None."""
+        if len(self._terms) == 1:
+            (w, c), = self._terms.items()
+            if abs(c - 1) <= COEFF_EPS:
+                return w
+        return None
 
     def words(self) -> list[Word]:
         return [w for w, _ in self.terms()]

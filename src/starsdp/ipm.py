@@ -123,7 +123,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .sdpmodel import SDPModel, ModelError
+from .sdpmodel import SDPModel, ModelError, SENSE_GE, SENSE_LE
 
 
 STEP_FRACTION = 0.98    # share of the distance to the cone boundary a step takes
@@ -296,7 +296,7 @@ def _schur(A, Lx, Lzi, work):
     """M[k, l] = sum_b Re <F_kb, F_lb> with F_kb = Lzi_b A_kb Lx_b, one SYRK
     per stack.  work holds two A-shaped buffers per stack, which receive
     Lzi A and F."""
-    m = len(A[0]) if A else 0
+    m = len(A[0])
     M = np.zeros((m, m))
     for Ab, Lxb, Lzib, (T, F) in zip(A, Lx, Lzi, work):
         np.matmul(Lzib, Ab, out=T)
@@ -320,7 +320,7 @@ def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport
             np.zeros(1 + len(cons)))
     r = v[1:] - np.array([con.rhs for con in cons], dtype=float)
     # +1 for <=, -1 for >=, 0 for ==
-    s = np.array([(con.sense == "<=") - (con.sense == ">=") for con in cons], dtype=float)
+    s = np.array([(con.sense == SENSE_LE) - (con.sense == SENSE_GE) for con in cons], dtype=float)
     violations = np.where(s == 0, np.abs(r), np.maximum(s * r, 0.0))
     return FeasibilityReport(list(map(float, eigs)), r.tolist(), violations.tolist(),
                              float(v[0]))
@@ -409,6 +409,10 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         eye = [np.broadcast_to(np.eye(Cg.shape[-1], dtype=Cg.dtype), Cg.shape) for Cg in C]
         XZ = [np.concatenate((xi * I, eta * I)) for I in eye]
         y = np.zeros(m)
+    if not groups:
+        # no cone, so no dual constraint: y = b is a dual ray unless b = 0,
+        # where X = () is optimal; either ends the solve at iteration 0
+        y = b.copy()
     ks = [len(g) for g in groups]
     tau, kappa = 1.0, _dot([S[:k] for S, k in zip(XZ, ks)],
                            [S[k:] for S, k in zip(XZ, ks)]) / max(N, 1)

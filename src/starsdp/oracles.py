@@ -15,6 +15,7 @@ import numpy as np
 from .algebra import (
     AlgebraError, Polynomial, Presentation, Word, normal_form,
 )
+from .sdpmodel import SENSE_GE, SENSE_LE
 
 RESIDUAL_TOL = 1e-9
 
@@ -154,9 +155,9 @@ def grid_min(pres: Presentation, objective: Polynomial,
     mask = np.ones(obj.shape, dtype=bool) if k else True
     for p, sense, rhs in (constraints or []):
         v = ev(p)
-        if sense == "<=":
+        if sense == SENSE_LE:
             mask = mask & (v <= rhs + 1e-12)
-        elif sense == ">=":
+        elif sense == SENSE_GE:
             mask = mask & (v >= rhs - 1e-12)
         else:
             mask = mask & (np.abs(v - rhs) <= 1e-9)

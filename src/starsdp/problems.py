@@ -15,10 +15,13 @@ starting a comment anywhere:
 Polynomials are sums of signed terms; a term is a `*` separated product of
 scalars and generator factors, `'` is the adjoint, `^k` a repeated factor,
 `1` the unit and `i` the imaginary scalar.  Example: 2*A0*B1 - A0'^2 + i*1.
+Every number must be finite.  Each line is read as one stream of tokens,
+so every error names the line and the column of the token at fault.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -30,9 +33,9 @@ from .algebra import (
     RewriteRule,
     Word,
     is_selfadjoint_poly,
-    normal_form,
     poly_mul,
 )
+from .sdpmodel import SENSES
 
 RESERVED = {"i", "1", "selfadjoint", "with", "minimize", "maximize",
             "true", "false", "normalization", "level", "basis"}
@@ -40,7 +43,7 @@ RESERVED = {"i", "1", "selfadjoint", "with", "minimize", "maximize",
 SECTIONS = ("generators", "relations", "commute", "objective",
             "constraints", "positive", "options")
 
-SENSES = ("<=", ">=", "==")
+_COMMUTE_FORM = "expected: {NAMES} with {NAMES}"
 
 
 class ProblemSyntaxError(ValueError):
@@ -68,57 +71,56 @@ class ProblemFile:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op><=|>=|==|=|[+\-*^'{},\[\]]))"
+    r"|(?P<op><=|>=|==|=|[+\-*^'{},\[\]])|(?P<comment>#)|(?P<bad>\S))"
 )
 
 
-def _tokenize(text: str, line_no: int):
-    """Tokens as (kind, value, col); kind in {num, ident, op}."""
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = pos + (len(text[pos:]) - len(stripped)) + 1
-            raise ProblemSyntaxError(f"unexpected character {stripped[0]!r}", line_no, col)
-        kind = m.lastgroup
-        out.append((kind, m.group(kind), m.start(kind) + 1))
-        pos = m.end()
-    return out
-
-
 class _TokenStream:
-    def __init__(self, tokens, line_no):
-        self.tokens = tokens
-        self.line = line_no
-        self.i = 0
+    """The tokens (kind, text, col) of one line up to a `#`, kind in {num,
+    ident, op}, then (None, None, col) at the column after them, which
+    next() never passes.  Numbers, names and symbols never share a text,
+    so a token's text alone identifies it."""
+
+    def __init__(self, text: str, line_no: int):
+        self.text, self.line, self.i, self.tokens = text, line_no, 0, []
+        for m in _TOKEN_RE.finditer(text):
+            kind, col = m.lastgroup, m.start(m.lastgroup) + 1
+            if kind == "comment":
+                break
+            if kind == "bad":
+                self.error(f"unexpected character {m[kind]!r}", col)
+            self.tokens.append((kind, m[kind], col))
+        last = self.tokens[-1] if self.tokens else (None, "", 1)
+        self.tokens.append((None, None, last[2] + len(last[1])))
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, 0)
+        return self.tokens[self.i]
 
     def next(self):
-        tok = self.peek()
-        self.i += 1
+        tok = self.tokens[self.i]
+        if tok[0] is not None:
+            self.i += 1
         return tok
 
+    def take(self, value) -> bool:
+        """Consume the next token if its text is value."""
+        if self.tokens[self.i][1] == value:
+            self.i += 1
+            return True
+        return False
+
     def done(self):
-        return self.i >= len(self.tokens)
+        return self.tokens[self.i][0] is None
 
     def col(self):
-        return self.peek()[2] if not self.done() else (
-            self.tokens[-1][2] + len(str(self.tokens[-1][1])) if self.tokens else 1
-        )
+        return self.tokens[self.i][2]
 
-    def error(self, msg):
-        raise ProblemSyntaxError(msg, self.line, self.col())
+    def error(self, msg, col=None):
+        raise ProblemSyntaxError(msg, self.line, col or self.col())
 
-    def expect_op(self, op):
-        kind, val, col = self.next()
-        if kind != "op" or val != op:
-            raise ProblemSyntaxError(f"expected {op!r}", self.line, col or 1)
+    def expect(self, value, msg):
+        if not self.take(value):
+            self.error(msg)
 
 
 def _parse_factor(ts: _TokenStream, pres: Presentation):
@@ -128,7 +130,7 @@ def _parse_factor(ts: _TokenStream, pres: Presentation):
     if kind == "num":
         return complex(float(val)), Word()
     if kind != "ident":
-        raise ProblemSyntaxError("expected a scalar or generator name", ts.line, col or 1)
+        ts.error("expected a scalar or generator name", col)
     if val == "i":
         return 1j, Word()
     try:
@@ -137,273 +139,244 @@ def _parse_factor(ts: _TokenStream, pres: Presentation):
         raise ProblemSyntaxError(f"unknown generator {val!r}", ts.line, col) from None
     w = Word(((idx, False),))
     while True:
-        kind, val, col = ts.peek()
-        if kind == "op" and val == "'":
-            ts.next()
+        if ts.take("'"):
             w = w.adjoint()
-        elif kind == "op" and val == "^":
-            ts.next()
+        elif ts.take("^"):
             kind, val, col = ts.next()
             if kind != "num" or not val.isdigit():
-                raise ProblemSyntaxError("exponent must be a nonnegative integer", ts.line, col or 1)
-            k = int(val)
-            base = w
-            w = Word()
-            for _ in range(k):
-                w = w.concat(base)
+                ts.error("exponent must be a nonnegative integer", col)
+            w = Word(w.letters * int(val))
         else:
             return 1.0 + 0j, w
 
 
 def _parse_poly_tokens(ts: _TokenStream, pres: Presentation) -> Polynomial:
+    """Signed terms up to the first token that cannot continue the sum; a
+    coefficient that is not finite is reported at its term."""
     result = Polynomial.zero()
     first = True
     while True:
-        sign = 1.0
-        kind, val, _ = ts.peek()
-        if kind == "op" and val in "+-":
-            ts.next()
-            sign = -1.0 if val == "-" else 1.0
-        elif not first:
+        sign = -1.0 if ts.take("-") else 1.0
+        if sign > 0 and not ts.take("+") and not first:
             break
         if ts.done():
             ts.error("expected a term")
-        coeff, word = _parse_factor(ts, pres)
-        term = Polynomial.from_word(word, sign * coeff)
-        while True:
-            kind, val, _ = ts.peek()
-            if kind == "op" and val == "*":
-                ts.next()
+        col = ts.col()
+        try:
+            coeff, word = _parse_factor(ts, pres)
+            term = Polynomial.from_word(word, sign * coeff)
+            while ts.take("*"):
                 c2, w2 = _parse_factor(ts, pres)
                 term = poly_mul(term, Polynomial.from_word(w2, c2))
-            else:
-                break
-        result = result + term
+            result = result + term
+        except AlgebraError as exc:
+            raise ProblemSyntaxError(str(exc), ts.line, col) from None
         first = False
-        kind, val, _ = ts.peek()
-        if kind is None or (kind == "op" and val not in "+-"):
-            break
     return result
 
 
-def parse_polynomial(text: str, pres: Presentation, line_no: int = 1) -> Polynomial:
-    ts = _TokenStream(_tokenize(text, line_no), line_no)
-    if ts.done():
-        raise ProblemSyntaxError("empty polynomial", line_no, 1)
+def _parse_poly_until(ts: _TokenStream, pres: Presentation, ends=(None,)) -> Polynomial:
+    """A polynomial followed by a token whose text is in ends, None for the
+    end of the line."""
     p = _parse_poly_tokens(ts, pres)
-    if not ts.done():
+    if ts.peek()[1] not in ends:
         ts.error("trailing input after polynomial")
     return p
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+def parse_polynomial(text: str, pres: Presentation, line_no: int = 1) -> Polynomial:
+    ts = _TokenStream(text, line_no)
+    if ts.done():
+        raise ProblemSyntaxError("empty polynomial", line_no, 1)
+    return _parse_poly_until(ts, pres)
+
+
+def _parse_selfadjoint(ts: _TokenStream, pres: Presentation, what: str,
+                       ends=(None,)) -> Polynomial:
+    """_parse_poly_until, and an error unless the polynomial is self-adjoint
+    up to rewriting."""
+    col = ts.col()
+    p = _parse_poly_until(ts, pres, ends)
+    if not is_selfadjoint_poly(p, pres):
+        ts.error(f"{what} is not self-adjoint after rewriting", col)
+    return p
+
+
+def _parse_number(ts: _TokenStream, msg: str, integer: bool = False) -> float:
+    """[+|-]NUMBER, finite and ending the line; else msg at the token at
+    fault.  An integer is written with digits only."""
+    sign = -1.0 if ts.take("-") else 1.0
+    if sign > 0:
+        ts.take("+")
+    kind, val, col = ts.next()
+    x = sign * float(val) if kind == "num" and (val.isdigit() or not integer) else math.nan
+    if not math.isfinite(x):
+        ts.error(msg, col)
+    if not ts.done():
+        ts.error(msg)
+    return x
 
 
 def _split_sections(text: str):
-    """Yield (section, line_no, content) for every nonempty declaration line."""
+    """Per section, the token streams of its declaration lines."""
     current = None
-    out = []
+    out: dict[str, list[_TokenStream]] = {name: [] for name in SECTIONS}
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            m = re.fullmatch(r"\[([A-Za-z]+)\]", line)
+        if raw.lstrip().startswith("["):
+            m = re.fullmatch(r"\s*\[([A-Za-z]+)\]\s*(?:#.*)?", raw)
             if not m:
                 raise ProblemSyntaxError("malformed section header", no, 1)
             current = m.group(1)
             if current not in SECTIONS:
                 raise ProblemSyntaxError(f"unknown section [{current}]", no, 1)
             continue
+        ts = _TokenStream(raw, no)
+        if ts.done():
+            continue
         if current is None:
-            raise ProblemSyntaxError("declaration outside any section", no, 1)
-        out.append((current, no, line))
+            ts.error("declaration outside any section")
+        out[current].append(ts)
     return out
 
 
-def _parse_generator_line(line, no):
-    parts = line.split()
-    if not parts or len(parts) > 2:
-        raise ProblemSyntaxError("expected: NAME [selfadjoint]", no, 1)
-    name = parts[0]
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-        raise ProblemSyntaxError(f"invalid generator name {name!r}", no, 1)
+def _parse_generator(ts: _TokenStream) -> Generator:
+    """NAME [selfadjoint]"""
+    kind, name, col = ts.next()
+    if kind != "ident":
+        ts.error(f"invalid generator name {name!r}", col)
     if name in RESERVED:
-        raise ProblemSyntaxError(f"generator name {name!r} is reserved", no, 1)
-    sa = False
-    if len(parts) == 2:
-        if parts[1] != "selfadjoint":
-            raise ProblemSyntaxError(f"unexpected token {parts[1]!r}", no, 1)
-        sa = True
-    return Generator(name, selfadjoint=sa)
+        ts.error(f"generator name {name!r} is reserved", col)
+    selfadjoint = ts.take("selfadjoint")
+    if not ts.done():               # len(ts.tokens) counts the end token
+        ts.error("expected: NAME [selfadjoint]" if len(ts.tokens) > 3
+                 else f"unexpected token {ts.peek()[1]!r}")
+    return Generator(name, selfadjoint=selfadjoint)
 
 
-def _parse_commute_line(line, no, by_name):
-    m = re.fullmatch(r"\{([^{}]*)\}\s+with\s+\{([^{}]*)\}", line)
-    if not m:
-        raise ProblemSyntaxError("expected: {NAMES} with {NAMES}", no, 1)
-    sides = []
-    for group in m.groups():
-        names = [n.strip() for n in group.split(",") if n.strip()]
-        if not names:
-            raise ProblemSyntaxError("empty commuting group", no, 1)
-        idxs = []
-        for n in names:
-            if n not in by_name:
-                raise ProblemSyntaxError(f"unknown generator {n!r}", no, 1)
-            idxs.append(by_name[n])
-        sides.append(idxs)
-    pairs = set()
-    for a in sides[0]:
-        for b in sides[1]:
-            if a != b:
-                pairs.add((min(a, b), max(a, b)))
-    return pairs
+def _parse_commute(ts: _TokenStream, by_name) -> set[tuple[int, int]]:
+    """{NAME, ...} with {NAME, ...}: every cross pair of distinct generators."""
+    sides: list[list[int]] = [[], []]
+    for k, side in enumerate(sides):
+        if k:
+            ts.expect("with", _COMMUTE_FORM)
+        col = ts.col()
+        ts.expect("{", _COMMUTE_FORM)
+        if ts.take("}"):
+            ts.error("empty commuting group", col)
+        while not side or ts.take(","):
+            kind, name, col = ts.next()
+            if kind in (None, "op"):
+                ts.error(_COMMUTE_FORM, col)
+            if name not in by_name:
+                ts.error(f"unknown generator {name!r}", col)
+            side.append(by_name[name])
+        ts.expect("}", _COMMUTE_FORM)
+    if not ts.done():
+        ts.error(_COMMUTE_FORM)
+    return {(min(a, b), max(a, b)) for a in sides[0] for b in sides[1] if a != b}
 
 
-def _parse_relation_line(line, no, pres):
-    ts = _TokenStream(_tokenize(line, no), no)
+def _parse_relation(ts: _TokenStream, pres: Presentation) -> RewriteRule:
+    """WORD = POLY"""
+    col = ts.col()
     lhs = _parse_poly_tokens(ts, pres)
-    ts.expect_op("=")
+    ts.expect("=", "expected '='")
     if ts.done():
         ts.error("missing right side of relation")
     rhs = _parse_poly_tokens(ts, pres)
     if not ts.done():
         ts.error("trailing input after relation")
-    terms = lhs.terms()
-    if len(terms) != 1 or abs(terms[0][1] - 1) > 1e-12 or terms[0][0].is_unit():
-        raise ProblemSyntaxError(
-            "relation left side must be a single word with coefficient 1", no, 1
-        )
+    word = lhs.as_word()
+    if word is None or word.is_unit():
+        ts.error("relation left side must be a single word with coefficient 1", col)
     try:
-        return RewriteRule(terms[0][0], rhs)
+        return RewriteRule(word, rhs)
     except AlgebraError as exc:
-        raise ProblemSyntaxError(str(exc), no, 1) from None
+        raise ProblemSyntaxError(str(exc), ts.line, col) from None
 
 
-def _parse_constraint_line(line, no, pres):
-    for sense in SENSES:
-        cut = line.find(sense)
-        if cut >= 0:
-            poly = parse_polynomial(line[:cut], pres, no)
-            rhs_text = line[cut + len(sense):].strip()
-            try:
-                rhs = float(rhs_text)
-            except ValueError:
-                raise ProblemSyntaxError(
-                    f"constraint bound must be a real number, got {rhs_text!r}", no, 1
-                ) from None
-            return poly, sense, rhs
-    raise ProblemSyntaxError("constraint needs one of <=, >=, ==", no, 1)
+def _parse_constraint(ts: _TokenStream, pres: Presentation):
+    """POLY (<=|>=|==) NUMBER"""
+    if not any(text in SENSES for _, text, _ in ts.tokens):
+        ts.error(f"constraint needs one of {', '.join(SENSES)}", ts.tokens[-1][2])
+    if ts.peek()[1] in SENSES:
+        ts.error("empty polynomial")
+    poly = _parse_selfadjoint(ts, pres, "constraint polynomial", SENSES)
+    sense = ts.next()[1]
+    rest = ts.text[ts.col() - 1:ts.tokens[-1][2] - 1]
+    return poly, sense, _parse_number(
+        ts, f"constraint bound must be a real number, got {rest!r}")
 
 
-def _parse_option_line(line, no, pres, pf: ProblemFile):
-    cut = line.find("=")
-    if cut < 0:
-        raise ProblemSyntaxError("expected: key = value", no, 1)
-    key = line[:cut].strip()
-    value = line[cut + 1:].strip()
+def _parse_option(ts: _TokenStream, pres: Presentation, pf: ProblemFile) -> None:
+    """normalization = true|false, level = INT or basis = POLY, ..."""
+    _, key, key_col = ts.next()
+    ts.expect("=", "expected: key = value")
     if key == "normalization":
-        if value not in ("true", "false"):
-            raise ProblemSyntaxError("normalization must be true or false", no, 1)
-        pf.normalization = value == "true"
+        _, val, col = ts.next()
+        if val not in ("true", "false") or not ts.done():
+            ts.error("normalization must be true or false", col)
+        pf.normalization = val == "true"
     elif key == "level":
-        try:
-            lvl = int(value)
-        except ValueError:
-            raise ProblemSyntaxError("level must be an integer", no, 1) from None
-        if lvl < 1:
-            raise ProblemSyntaxError("level must be a positive integer", no, 1)
-        pf.level = lvl
+        col = ts.col()
+        pf.level = int(_parse_number(ts, "level must be an integer", integer=True))
+        if pf.level < 1:
+            ts.error("level must be a positive integer", col)
     elif key == "basis":
         words = []
-        for chunk in value.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                raise ProblemSyntaxError("empty word in basis list", no, 1)
-            p = parse_polynomial(chunk, pres, no)
-            terms = p.terms()
-            if len(terms) != 1 or abs(terms[0][1] - 1) > 1e-12:
-                raise ProblemSyntaxError(
-                    "basis entries must be plain words with coefficient 1", no, 1
-                )
-            words.append(terms[0][0])
+        while not words or ts.take(","):
+            if ts.peek()[1] in (None, ","):
+                ts.error("empty word in basis list")
+            col = ts.col()
+            word = _parse_poly_until(ts, pres, (None, ",")).as_word()
+            if word is None:
+                ts.error("basis entries must be plain words with coefficient 1", col)
+            words.append(word)
         pf.basis_words = tuple(words)
     else:
-        raise ProblemSyntaxError(f"unknown option {key!r}", no, 1)
+        ts.error(f"unknown option {key!r}", key_col)
 
 
 def parse_problem(text: str, name: str = "<string>") -> ProblemFile:
     """Parse and validate a full problem file."""
-    lines = _split_sections(text)
+    sections = _split_sections(text)
 
     generators: list[Generator] = []
-    for section, no, line in lines:
-        if section == "generators":
-            g = _parse_generator_line(line, no)
-            if any(h.name == g.name for h in generators):
-                raise ProblemSyntaxError(f"duplicate generator {g.name!r}", no, 1)
-            generators.append(g)
+    for ts in sections["generators"]:
+        g = _parse_generator(ts)
+        if any(h.name == g.name for h in generators):
+            ts.error(f"duplicate generator {g.name!r}", ts.tokens[0][2])
+        generators.append(g)
     if not generators:
         raise ProblemSyntaxError("no generators declared", 1, 1)
     by_name = {g.name: i for i, g in enumerate(generators)}
     bare = Presentation(tuple(generators))
-
-    rules: list[RewriteRule] = []
-    commuting: set[tuple[int, int]] = set()
-    for section, no, line in lines:
-        if section == "relations":
-            rules.append(_parse_relation_line(line, no, bare))
-        elif section == "commute":
-            commuting |= _parse_commute_line(line, no, by_name)
+    rules = [_parse_relation(ts, bare) for ts in sections["relations"]]
+    commuting = set().union(*(_parse_commute(ts, by_name) for ts in sections["commute"]))
     try:
         pres = Presentation(tuple(generators), tuple(rules), frozenset(commuting))
     except AlgebraError as exc:
         if exc.rule is None:
             raise
-        rule_lines = [no for section, no, _ in lines if section == "relations"]
-        raise ProblemSyntaxError(str(exc), rule_lines[exc.rule], 1) from None
+        ts = sections["relations"][exc.rule]
+        raise ProblemSyntaxError(str(exc), ts.line, ts.tokens[0][2]) from None
 
-    objective = None
-    sense = None
-    pf = ProblemFile(pres, "minimize", Polynomial.zero(), name=name)
-    for section, no, line in lines:
-        if section == "objective":
-            if objective is not None:
-                raise ProblemSyntaxError("more than one objective", no, 1)
-            parts = line.split(None, 1)
-            if len(parts) != 2 or parts[0] not in ("minimize", "maximize"):
-                raise ProblemSyntaxError("expected: minimize POLY or maximize POLY", no, 1)
-            sense = parts[0]
-            col_shift = line.find(parts[1])
-            objective = parse_polynomial(parts[1], pres, no)
-            if not is_selfadjoint_poly(objective, pres):
-                raise ProblemSyntaxError(
-                    "objective is not self-adjoint after rewriting", no, col_shift + 1
-                )
-        elif section == "constraints":
-            poly, csense, rhs = _parse_constraint_line(line, no, pres)
-            if not is_selfadjoint_poly(poly, pres):
-                raise ProblemSyntaxError(
-                    "constraint polynomial is not self-adjoint after rewriting", no, 1
-                )
-            pf.constraints.append((poly, csense, rhs))
-        elif section == "positive":
-            poly = parse_polynomial(line, pres, no)
-            if not is_selfadjoint_poly(poly, pres):
-                raise ProblemSyntaxError(
-                    "declared-positive polynomial is not self-adjoint after rewriting", no, 1
-                )
-            pf.positives.append(poly)
-        elif section == "options":
-            _parse_option_line(line, no, pres, pf)
-
-    if objective is None:
+    if not sections["objective"]:
         raise ProblemSyntaxError("missing [objective] section", 1, 1)
-    pf.sense = sense
-    pf.objective = objective
+    ts, *more = sections["objective"]
+    sense = ts.peek()[1]
+    if not (ts.take("minimize") or ts.take("maximize")) or ts.done():
+        ts.error("expected: minimize POLY or maximize POLY")
+    objective = _parse_selfadjoint(ts, pres, "objective")
+    if more:
+        more[0].error("more than one objective")
+    pf = ProblemFile(
+        pres, sense, objective, name=name,
+        constraints=[_parse_constraint(ts, pres) for ts in sections["constraints"]],
+        positives=[_parse_selfadjoint(ts, pres, "declared-positive polynomial")
+                   for ts in sections["positive"]])
+    for ts in sections["options"]:
+        _parse_option(ts, pres, pf)
     return pf
 
 

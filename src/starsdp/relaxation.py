@@ -514,13 +514,12 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
     if problem.basis_words is not None:
         main_basis = []
         for w in problem.basis_words:
-            nf = normal_form(w, pres)
-            terms = nf.terms()
-            if len(terms) != 1 or abs(terms[0][1] - 1.0) > 1e-12:
+            nf = normal_form(w, pres).as_word()
+            if nf is None:
                 raise RelaxationError(
                     f"basis word {word_to_str(w, pres)} does not reduce to a "
                     "single unit-coefficient word")
-            main_basis.append(terms[0][0])
+            main_basis.append(nf)
         main_basis = sorted(set(main_basis))
         if UNIT_WORD not in main_basis:
             main_basis = sorted([UNIT_WORD] + main_basis)

@@ -96,6 +96,26 @@ class TestPolynomial:
         q = p.adjoint()
         assert q.coeff(word((1, True), (0, True))) == -1j
 
+    @pytest.mark.parametrize("c", [float("inf"), complex(1, float("-inf")), float("nan"),
+                                   complex(float("inf"), float("nan")), complex(1.5e308, 1.5e308)])
+    def test_non_finite_coefficient_rejected(self, c):
+        # complex arithmetic on inf gives NaN, which would otherwise be
+        # pruned as if it were small
+        with pytest.raises(AlgebraError, match="not finite"):
+            Polynomial({single(0): c})
+        big = Polynomial.from_word(single(0), 1e200)
+        with pytest.raises(AlgebraError, match="not finite"):
+            poly_mul(big, big)
+
+    def test_as_word(self):
+        w = word((0, False), (1, True))
+        assert Polynomial.from_word(w).as_word() == w
+        assert Polynomial.from_word(w, 1 + 1e-13).as_word() == w
+        assert Polynomial.unit().as_word() == UNIT_WORD
+        for p in [Polynomial.zero(), Polynomial.from_word(w, 2.0),
+                  Polynomial.from_word(w) + Polynomial.unit()]:
+            assert p.as_word() is None
+
 
 class TestRewriteRule:
     def test_rejects_unit_lhs(self):

@@ -693,6 +693,17 @@ class TestLapackCalls:
         assert sol.status == Status.OPTIMAL and sol.iterations == 0
         assert sol.X == [] and sol.Z == [] and len(sol.y) == 0
 
+    @pytest.mark.parametrize("rhs", [1.0, -2.0, 0.0])
+    def test_row_without_blocks(self, rhs):
+        # 0 = rhs: infeasible unless rhs = 0, with the dual ray y = rhs,
+        # since no cone constrains the dual
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(SDPModel([], [], [LinearConstraint([], SENSE_EQ, rhs)]))
+        assert sol.iterations == 0 and sol.X == [] and sol.Z == []
+        assert sol.status == (Status.OPTIMAL if rhs == 0 else Status.INFEASIBLE)
+        assert sol.y.tolist() == [rhs]
+
 
 class TestFeasibilityReport:
     def test_hermitian_candidate(self):

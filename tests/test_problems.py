@@ -185,6 +185,107 @@ class TestFileDiagnostics:
             parse_problem(text)
 
 
+
+GEN = "[generators]\nx selfadjoint\ny\n"
+OBJ = "[objective]\nminimize x\n"
+
+
+class TestMessages:
+    """One malformed line for every message the parser gives, with the
+    column of the token at fault."""
+
+    @pytest.mark.parametrize("text, line, col, message", [
+        (GEN + "[objective]\nminimize x @ 1\n", 5, 12, "unexpected character '@'"),
+        (GEN + "[relations]\nx^2 1\n" + OBJ, 5, 5, "expected '='"),
+        (GEN + "[objective]\nminimize x + *\n", 5, 14, "expected a scalar or generator name"),
+        (GEN + "[objective]\nmaximize x*z\n", 5, 12, "unknown generator 'z'"),
+        (GEN + "[objective]\nminimize x^y\n", 5, 12, "exponent must be a nonnegative integer"),
+        (GEN + "[objective]\nminimize x +\n", 5, 13, "expected a term"),
+        (GEN + OBJ + "[constraints]\n<= 1\n", 7, 1, "empty polynomial"),
+        (GEN + "[objective]\nminimize x y\n", 5, 12, "trailing input after polynomial"),
+        (GEN + "[objective\nminimize x\n", 4, 1, "malformed section header"),
+        (GEN + "[objectives]\nminimize x\n", 4, 1, "unknown section [objectives]"),
+        ("x selfadjoint\n" + OBJ, 1, 1, "declaration outside any section"),
+        ("[generators]\nx selfadjoint y\n" + OBJ, 2, 15, "expected: NAME [selfadjoint]"),
+        ("[generators]\n2x\n" + OBJ, 2, 1, "invalid generator name '2'"),
+        ("[generators]\nx selfadjoint\ni\n" + OBJ, 3, 1, "generator name 'i' is reserved"),
+        ("[generators]\nx hermitian\n" + OBJ, 2, 3, "unexpected token 'hermitian'"),
+        (GEN + "[commute]\n{x} and {y}\n" + OBJ, 5, 5, "expected: {NAMES} with {NAMES}"),
+        (GEN + "[commute]\n{x} with {}\n" + OBJ, 5, 10, "empty commuting group"),
+        (GEN + "[commute]\n{x} with {z}\n" + OBJ, 5, 11, "unknown generator 'z'"),
+        (GEN + "[relations]\nx^2 =\n" + OBJ, 5, 6, "missing right side of relation"),
+        (GEN + "[relations]\nx^2 = 1 1\n" + OBJ, 5, 9, "trailing input after relation"),
+        (GEN + "[relations]\n2*x = 1\n" + OBJ, 5, 1,
+         "relation left side must be a single word with coefficient 1"),
+        (GEN + "[relations]\ny = y^2\n" + OBJ, 5, 1,
+         "rewrite rule is not order-decreasing: right side word of degree 2 "
+         "does not precede the left side"),
+        (GEN + OBJ + "[constraints]\nx <= one\n", 7, 6,
+         "constraint bound must be a real number, got 'one'"),
+        (GEN + OBJ + "[constraints]\nx 1\n", 7, 4, "constraint needs one of <=, >=, =="),
+        (GEN + OBJ + "[options]\nlevel 2\n", 7, 7, "expected: key = value"),
+        (GEN + OBJ + "[options]\nnormalization = yes\n", 7, 17,
+         "normalization must be true or false"),
+        (GEN + OBJ + "[options]\nlevel = 1.5\n", 7, 9, "level must be an integer"),
+        (GEN + OBJ + "[options]\nlevel = 0\n", 7, 9, "level must be a positive integer"),
+        (GEN + OBJ + "[options]\nbasis = 1, , x\n", 7, 12, "empty word in basis list"),
+        (GEN + OBJ + "[options]\nbasis = 1, x, 2*x\n", 7, 15,
+         "basis entries must be plain words with coefficient 1"),
+        (GEN + OBJ + "[options]\ndepth = 2\n", 7, 1, "unknown option 'depth'"),
+        ("[generators]\nx selfadjoint\nx\n" + OBJ, 3, 1, "duplicate generator 'x'"),
+        ("[generators]\n" + "[objective]\nminimize 1\n", 1, 1, "no generators declared"),
+        (GEN + "[relations]\nx^2 = 1\nx^2 = x\n" + OBJ, 6, 1,
+         "left side x*x is rewritten two ways that disagree"),
+        (GEN + OBJ + "minimize x\n", 6, 1, "more than one objective"),
+        (GEN + "[objective]\nmaximise x\n", 5, 1, "expected: minimize POLY or maximize POLY"),
+        (GEN + "[objective]\nminimize y\n", 5, 10, "objective is not self-adjoint after rewriting"),
+        (GEN + OBJ + "[constraints]\ny <= 1\n", 7, 1,
+         "constraint polynomial is not self-adjoint after rewriting"),
+        (GEN + OBJ + "[positive]\ny\n", 7, 1,
+         "declared-positive polynomial is not self-adjoint after rewriting"),
+        (GEN, 1, 1, "missing [objective] section"),
+        # columns count from the start of the line, not of a polynomial
+        ("[generators]\nA0 selfadjoint\n[objective]\nmaximize A0*A9\n", 4, 13,
+         "unknown generator 'A9'"),
+        (GEN + "[objective]\n  minimize x   x\n", 5, 16, "trailing input after polynomial"),
+        (GEN + OBJ + "[options]\nbasis = 1, x y\n", 7, 14, "trailing input after polynomial"),
+    ])
+    def test_message_and_location(self, text, line, col, message):
+        with pytest.raises(ProblemSyntaxError) as err:
+            parse_problem(text)
+        assert str(err.value) == f"line {line}, col {col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("text, col, message", [
+        ("[objective]\nminimize 1e400*x\n", 10, "coefficient (inf+nanj) is not finite"),
+        ("[objective]\nminimize 1e200*1e200*x\n", 10, "coefficient (inf+0j) is not finite"),
+        ("[objective]\nminimize x - 1e308*x^2 - 1e308*x^2\n", 26,
+         "coefficient (-inf+0j) is not finite"),
+        ("[objective]\nminimize 1.5e308*x^2 + i*1.5e308*x^2\n", 24,
+         "coefficient (1.5e+308+1.5e+308j) is not finite"),
+        (OBJ + "[constraints]\nx <= inf\n", 6, "constraint bound must be a real number, got 'inf'"),
+        (OBJ + "[constraints]\nx <= 1e400\n", 6,
+         "constraint bound must be a real number, got '1e400'"),
+        (OBJ + "[constraints]\nx >= -nan\n", 7, "constraint bound must be a real number, got '-nan'"),
+    ], ids=["coefficient", "product", "sum", "modulus", "inf-bound", "overflowing-bound",
+            "nan-bound"])
+    def test_non_finite_number(self, text, col, message):
+        # before, 1e400*x parsed to 0 and a solve reported OPTIMAL 0.0
+        with pytest.raises(ProblemSyntaxError) as err:
+            parse_problem(GEN + text)
+        assert str(err.value) == f"line {err.value.line}, col {col}: {message}"
+        assert err.value.line == len((GEN + text).splitlines())
+
+    def test_comments_and_spacing(self):
+        text = ("[generators]  # names\nx selfadjoint#\n  y\n"
+                "[commute]\n{x}with{ y }\n"
+                "[objective]\nminimize x # the first\n"
+                "[constraints]\nx <= -2.5e0 # bound\n")
+        pf = parse_problem(text)
+        assert pf.presentation.commuting == {(0, 1)}
+        assert pf.constraints[0][1:] == ("<=", -2.5)
+
+
 class TestSectionsAndOptions:
     def test_constraints_and_positive(self):
         text = (
