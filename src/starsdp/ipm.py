@@ -100,17 +100,21 @@ block sees (the free-root problem of the tests emits LMI rows of rank 43
 of 52 at level 3).  At a degenerate optimum X and Z lose rank together,
 which drives up cond(M).  M is therefore never perturbed.  With its
 Cholesky factor M = L L^T the Newton solve is dy = inv(L)^T inv(L) r; when
-that factor fails, the solve runs on the eigendecomposition of M with the
-eigenvalues below 1e-15 * lambda_max dropped, the least-norm solution on
-the numerical range of M.  Neither solve is refined.  dZ satisfies its
-equation for any dy, so what a solve leaves in M dy - r shows up only in
-the next iterate's primal residual, which is measured afresh and removed
-by the next step with the rest.  Refining either solve, up to three passes
-while the residual halved, changed no status and no iteration count on the
-benchmark's 412 solves, on 1,408 random involution relaxations at
-tolerance 1e-9 and on 242 solves of the test presentations, and moved no
-bound by more than 4.3e-12.  The step of tau adds a second right-hand
-side, solved as a second column.
+that factor fails, or a squared pivot of it is at most eps times the
+largest diagonal entry of M, the size of the factor's own rounding, the
+solve runs on the eigendecomposition of M with the eigenvalues below
+1e-15 * lambda_max dropped, the least-norm solution on the numerical range
+of M.  Whether LAPACK returns a factor of such an M turns on the last bit
+of the data, and the factor solves nothing: with one, I3322's level-2
+solve at tolerance 1e-9 ended NUMERICAL.  Neither solve is refined.  dZ
+satisfies its equation for any dy, so what a solve leaves in M dy - r
+shows up only in the next iterate's primal residual, which is measured
+afresh and removed by the next step with the rest.  Refining either
+solve, up to three passes while the residual halved, changed no status
+and no iteration count on the benchmark's 412 solves, on 1,408 random
+involution relaxations at tolerance 1e-9 and on 242 solves of the test
+presentations, and moved no bound by more than 4.3e-12.  The step of tau
+adds a second right-hand side, solved as a second column.
 """
 
 from __future__ import annotations
@@ -128,6 +132,7 @@ from .sdpmodel import SDPModel, ModelError, SENSE_GE, SENSE_LE
 
 STEP_FRACTION = 0.98    # share of the distance to the cone boundary a step takes
 STEP_FLOOR = 1e-12      # a shorter step ends the solve NUMERICAL
+EPS = float(np.finfo(float).eps)
 
 
 class Status(enum.Enum):
@@ -346,14 +351,19 @@ def _psd_solver(M):
     """A solver x = f(r) for M x = r, M symmetric positive semidefinite, and
     r one right-hand side or a column of them.
 
-    When the Cholesky factor L of M exists, f applies inv(L)^T inv(L), two
-    matrix products per solve, with inv(L) from _tril_inv.  Otherwise M has
-    lost rank to rounding or has dependent rows, and f returns the
+    When the Cholesky factor L of M exists and its squared pivots exceed
+    eps * max(diag(M)), f applies inv(L)^T inv(L), two matrix products per
+    solve, with inv(L) from _tril_inv.  Otherwise M has lost rank to
+    rounding or has dependent rows, and f returns the
     least-squares solution of least norm on the eigenvectors whose
     eigenvalues exceed 1e-15 * lambda_max; M itself is not perturbed.
     Neither solve is refined (see the module docstring)."""
     try:
-        Li = _tril_inv(_cholesky(M))
+        L = _cholesky(M)
+        pivots = L.diagonal()
+        if pivots.size and pivots.min() ** 2 <= EPS * M.diagonal().max():
+            raise LinAlgError("a pivot at rounding level")
+        Li = _tril_inv(L)
     except LinAlgError:
         w, V = np.linalg.eigh(M)
         keep = w > 1e-15 * max(float(w[-1]), 0.0)

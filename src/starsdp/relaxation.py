@@ -15,20 +15,26 @@ these ties from word to word ends at a word whose adjoint is not a single
 term, which carries two real parameters (a free complex value), or runs
 into a cycle, u = w or a pair w, u most often, whose smallest word carries
 one (a real line through a phase, for an odd cycle) or two (for an even
-one), or none when the ties disagree.  The blocks are then one linear map
+one), or none when the ties disagree.  The moments of the words are then
+W p in the real parameters p, the blocks' upper triangles G p, and
 
-    P p = orthonormal coordinates of every block,
+    P p = orthonormal coordinates of every block.
 
-of the real parameters p, and the moments of the words are W p.
+An entry holds one moment, or a few, so G, P and W are held as index
+triplets (row, parameter, value), and neither P nor W is made dense on
+the way from the build to the solve.
 
 The relaxation is solved as a linear matrix inequality in p, as NPA and
-Lasserre's hierarchy state it: Gamma(p) = sum_k p_k H_k psd, where the H_k
-are the blocks whose coordinates are the columns of P.  The unit moment
-and the scalar equalities are eliminated first, p = p0 + N q, and each
-scalar inequality becomes a 1x1 block.  The solver takes this LMI as its
-dual with y = q, so its Schur matrix has one row per free parameter, its
-dual slacks Z are the moment blocks at p, its X is a Gram (sum of squares)
-certificate of the bound, and the moments are read back exactly as W p.
+Lasserre's hierarchy state it: Gamma(p) = sum_k p_k H_k psd, where H_k is
+the block G e_k, each entry written from G's triplets, never through
+coordinates.  The unit moment and the scalar equalities are eliminated
+first, p = p0 + N q, and each scalar inequality becomes a 1x1 block.  The
+solver takes this LMI as its dual with y = q, so its Schur matrix has one
+row per free parameter, its dual slacks Z are the moment blocks at p, its X
+is a Gram (sum of squares) certificate of the bound, and the moments are
+read back exactly as W p.  The objective and each scalar constraint must
+be trace pairings with the blocks, in the row space of P, which is checked
+on P^T P: diagonal, but for the columns that multi-term entries couple.
 
 The blocks enter the LMI split into their term-sparsity components (Wang,
 Magron and Lasserre's TSSOS; Klep, Magron and Povh for the noncommutative
@@ -48,12 +54,12 @@ constant matrix, dropped when it is psd and kept (making the LMI
 infeasible) when it is not.  The readout is that zero extension.
 
 RelaxationModel.model states the dense relaxation in row form, an SDP
-whose X are the whole moment blocks, derived on first access from the same
-P and from p0 and N over every parameter: its equality rows, an orthonormal
-basis of the complement of range(P N), hold the scalar equalities folded
-in, and the objective and inequalities are least-norm representatives on
-the rows of P.  Feasibility checks of given moments and the SDPA export
-read it; the solve does not.
+whose X are the whole moment blocks, derived on first access from P, made
+dense, and from p0 and N over every parameter: its equality rows, an
+orthonormal basis of the complement of range(P N), hold the scalar
+equalities folded in, and the objective and inequalities are least-norm
+representatives on the rows of P.  Feasibility checks of given moments and
+the SDPA export read it; the solve does not.
 
 Soundness rule of thumb kept throughout: every emitted row must be implied
 by genuine moment vectors of the presented algebra, so the feasible set can
@@ -85,7 +91,7 @@ BASIS_CAP = 2000
 CONSISTENCY_TOL = 1e-9
 # relative to the largest singular value in _restrict and the equality
 # basis; relative to the largest eigenvalue of the column-scaled Gram matrix
-# (a squared singular value) in RelaxationModel._representative
+# (a squared singular value) in RelaxationModel._gram_solve
 RANK_TOL = 1e-9
 REPRESENT_TOL = 1e-8
 
@@ -136,35 +142,15 @@ def generate_basis(pres: Presentation, level: int) -> list[Word]:
 # Orthonormal coordinates of a block of size n: the upper triangle in
 # np.triu_indices order, a diagonal entry with weight 1 and an off-diagonal
 # one as sqrt(2) Re, followed in complex mode by sqrt(2) Im of the strict
-# upper triangle.  The trace pairing of two blocks is then the dot product
-# of their coordinates.
+# upper triangle.
 
 def _n_coords(n: int, real_mode: bool) -> int:
     return n * (n + 1) // 2 if real_mode else n * n
 
 
-@functools.lru_cache(maxsize=64)
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n), computed once per recently used size, and
-    read-only because every caller shares it."""
-    i, j = np.triu_indices(n)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
-def _coords(V: np.ndarray, n: int, real_mode: bool) -> np.ndarray:
-    """Coordinates, along axis 0, of the blocks whose upper triangles run
-    along axis 0 of V."""
-    i, j = _triu(n)
-    re = (np.where(i == j, 1.0, math.sqrt(2.0)) * V.real.T).T
-    if real_mode:
-        return re
-    return np.concatenate([re, math.sqrt(2.0) * V[i != j].imag])
-
-
 def _matrices(C: np.ndarray, n: int, real_mode: bool) -> np.ndarray:
     """Blocks, stacked along axis 0, whose coordinates are the columns of C."""
-    i, j = _triu(n)
+    i, j = np.triu_indices(n)
     t = len(i)
     A = np.zeros((C.shape[1], n, n), dtype=float if real_mode else complex)
     A[:, i, j] = C[:t].T
@@ -223,8 +209,13 @@ class RelaxationModel:
     entries: list[list[list[Polynomial]]]
     n_moment_vars: int
     sense_factor: float                # +1 minimize, -1 maximize
-    _P: np.ndarray = field(repr=False, default=None)   # params -> block coordinates
-    _W: np.ndarray = field(repr=False, default=None)   # params -> moments of _var_words
+    # G: per term of an upper-triangle entry, (i, j, param, value), i <= j
+    # numbering the basis indices of every block, block after block
+    _G: tuple = field(repr=False, default=())
+    # W, the moments of _var_words, as the parameters of each word (one per
+    # column) and their coefficients, 0 past a word's own
+    _Wk: np.ndarray = field(repr=False, default=None)
+    _Wv: np.ndarray = field(repr=False, default=None)
     _var_words: list[Word] = field(repr=False, default_factory=list)
     _roots: list[Word] = field(repr=False, default_factory=list)  # root word per param
     _f: np.ndarray = field(repr=False, default=None)   # objective, times sense_factor
@@ -242,19 +233,49 @@ class RelaxationModel:
     def basis(self) -> list[Word]:
         return self.bases[0]
 
+    @property
+    def _W(self) -> np.ndarray:
+        """W made dense, words by parameters."""
+        W = np.zeros((len(self._var_words), self.n_moment_vars), dtype=complex)
+        np.add.at(W, (np.arange(len(W))[:, None], self._Wk), self._Wv)
+        return W
+
+    @property
+    def _P(self) -> np.ndarray:
+        """P made dense, coordinates by parameters, from G's terms."""
+        I, J, k, v = self._G
+        sizes = np.array([len(b) for b in self.bases])
+        starts = np.cumsum([0, *sizes])
+        b = np.searchsorted(starts, I, side="right") - 1
+        n, i, j = sizes[b], I - starts[b], J - starts[b]
+        counts = [_n_coords(m, self.real_mode) for m in sizes]
+        row = np.cumsum([0, *counts])[b] + i * n - i * (i - 1) // 2 + j - i
+        P = np.zeros((sum(counts), self.n_moment_vars))
+        np.add.at(P, (row, k), np.where(i == j, 1.0, math.sqrt(2.0)) * v.real)
+        if not self.real_mode:
+            # the strict upper triangle's Im after the block's n(n+1)/2 Re
+            off = i != j
+            np.add.at(P, ((row + n * (n + 1) // 2 - i - 1)[off], k[off]),
+                      math.sqrt(2.0) * v.imag[off])
+        return P
+
     @functools.cached_property
     def model(self) -> SDPModel:
         """The row form, X = the moment blocks (Hermitian when complex),
         built on first access and cached; the solve does not read it."""
         p0, N = self._parameters(np.arange(self.n_moment_vars))
-        U, sv, _ = np.linalg.svd(self._P @ N)
+        P = self._P
+        U, sv, _ = np.linalg.svd(P @ N)
         Q = U[:, int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0:]
         ineq = [(g, sense, rhs) for g, sense, rhs in self._constraints if sense != SENSE_EQ]
         data = [self._representative(self._f, "the objective"), Q]
         data += [self._representative(g, "a scalar constraint") for g, _, _ in ineq]
-        rows = [(SENSE_EQ, float(r)) for r in Q.T @ (self._P @ p0)]
+        rows = [(SENSE_EQ, float(r)) for r in Q.T @ (P @ p0)]
         rows += [(sense, float(rhs)) for _, sense, rhs in ineq]
-        return SDPModel.from_stacks(self._stacks(np.column_stack(data)), rows)
+        sizes = [len(b) for b in self.bases]
+        cuts = np.cumsum([_n_coords(n, self.real_mode) for n in sizes])[:-1]
+        return SDPModel.from_stacks([_matrices(C, n, self.real_mode) for C, n in
+                                     zip(np.split(np.column_stack(data), cuts), sizes)], rows)
 
     def _parameters(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """p0 and N with {p0 + N q} the parameters, restricted to the columns
@@ -271,12 +292,6 @@ class RelaxationModel:
             p0, N = _restrict(np.array([g for g, _ in eq]), np.array([r for _, r in eq]), p0, N)
         return p0, N
 
-    def _stacks(self, columns: np.ndarray) -> list[np.ndarray]:
-        """Per block, the stack of matrices whose coordinates are the columns."""
-        sizes = [len(b) for b in self.bases]
-        offsets = np.cumsum([_n_coords(n, self.real_mode) for n in sizes])[:-1]
-        return [_matrices(C, n, self.real_mode) for C, n in zip(np.split(columns, offsets), sizes)]
-
     def solve(self, options: ipm.SolverOptions | None = None) -> RelaxationResult:
         sol = ipm.solve(self._lmi, options)
         # min f.p = f.p0 + min (f N).q = f.p0 - max b.y with b = -f N
@@ -285,7 +300,9 @@ class RelaxationModel:
         gamma = np.zeros((0, 0))
         if sol.status in (ipm.Status.OPTIMAL, ipm.Status.MAX_ITER):
             # the zero extension: every dropped parameter is 0
-            values = self._W[:, self._keep] @ (self._p0 + self._N @ sol.y)
+            p = np.zeros(self.n_moment_vars)
+            p[self._keep] = self._p0 + self._N @ sol.y
+            values = (self._Wv * p[self._Wk]).sum(axis=1)
             moments = {w: complex(v) for w, v in zip(self._var_words, values)}
             gamma = self._gamma0.copy()
             for idx, Z in zip(self._parts, sol.Z):
@@ -305,29 +322,49 @@ class RelaxationModel:
                     f"{what} involves {word_to_str(w, self.problem.presentation)}, "
                     "which lies outside this moment structure; raise the level")
             o[index[w]] += c
-        return o @ self._W
+        f = np.zeros(self.n_moment_vars, dtype=complex)
+        np.add.at(f, self._Wk, o[:, None] * self._Wv)
+        return f
+
+    @functools.cached_property
+    def _gram_all(self) -> tuple:
+        return _gram(*self._G, self.n_moment_vars)
+
+    def _gram_solve(self, f: np.ndarray, main: bool = False) -> np.ndarray | None:
+        """x with P x the least-norm coordinates, on the rows of P of every
+        block or of the main block alone, of the trace functional worth f . p
+        at every parameter vector p; None where x misses the residual test.
+
+        With D scaling each column of P to unit norm, x = D z with
+        D P^T P D z = D f, solved on the eigenvectors of D P^T P D whose
+        eigenvalues exceed RANK_TOL times the largest: 1 for a column that
+        shares no entry with another, and those of a dense eigensolve on the
+        columns that multi-term entries couple.  The residual is
+        |P^T P x - f|."""
+        if main:
+            inside = self._G[0] < len(self.basis)
+            d, coupled, lam, V, (a, b, g) = _gram(*(x[inside] for x in self._G), len(f))
+        else:
+            d, coupled, lam, V, (a, b, g) = self._gram_all
+        alone = d > 0
+        alone[coupled] = False
+        top = max(lam.max(initial=0.0), float(alone.any()))
+        x = np.divide(f, d, out=np.zeros(len(f)), where=alone & (1.0 > RANK_TOL * top))
+        keep, s = lam > RANK_TOL * top, np.sqrt(d[coupled])
+        x[coupled] = (V[:, keep] @ ((V[:, keep].T @ (f[coupled] / s)) / lam[keep])) / s
+        resid = np.bincount(a, g * x[b], minlength=len(f)) - f
+        return x if np.max(np.abs(resid), initial=0.0) <= REPRESENT_TOL else None
 
     def _representative(self, f: np.ndarray, what: str, n_rows: int | None = None
                         ) -> np.ndarray:
         """Least-norm coordinates c, on the first n_rows rows of P, of the
-        trace functional worth f . p at every parameter vector p.
-
-        With Q = P D, D scaling each column of P to unit norm, c = Q z with
-        Q^T Q z = D f, solved on the eigenvectors of the Gram matrix Q^T Q
-        whose eigenvalues exceed RANK_TOL times the largest.  The Gram
-        matrix squares P's condition number, so where that misses the
-        residual test c falls back to lstsq on P itself."""
+        trace functional worth f . p at every parameter vector p: P x for
+        the x of _gram_solve, or lstsq on P where the Gram matrix, which
+        squares P's condition number, misses."""
         P = self._P[:n_rows]
-        s = np.linalg.norm(P, axis=0)
-        s[s == 0.0] = 1.0
-        Q = P / s
-        lam, V = np.linalg.eigh(Q.T @ Q)
-        keep = lam > RANK_TOL * lam.max(initial=0.0)
-        c = Q @ (V[:, keep] @ ((V[:, keep].T @ (f / s)) / lam[keep]))
+        x = self._gram_solve(f, n_rows is not None)
+        c = P @ x if x is not None else np.linalg.lstsq(P.T, f, rcond=None)[0]
         resid = np.abs(P.T @ c - f)
-        if np.max(resid, initial=0.0) > REPRESENT_TOL:
-            c = np.linalg.lstsq(P.T, f, rcond=None)[0]
-            resid = np.abs(P.T @ c - f)
         if np.max(resid, initial=0.0) > REPRESENT_TOL:
             # the worst root among the words of the functional itself
             used = np.flatnonzero(f)
@@ -380,9 +417,11 @@ def _detect_real_mode(problem: ProblemFile) -> bool:
 
 
 def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
-                       ) -> tuple[list[Word], np.ndarray, list[Word], np.ndarray]:
+                       ) -> tuple[list[Word], tuple, list[Word], np.ndarray]:
     """The variable words closed under single-term adjoints, sorted; the map
-    W from the real parameters to their moments; the root word of each
+    W from the real parameters to their moments, as each word's parameters
+    and their coefficients (a free root's two in complex mode, padded with
+    zero coefficients elsewhere); the root word of each
     parameter; and the root of each parameter as an integer id, numbering
     the roots that carry parameters.
 
@@ -428,22 +467,28 @@ def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
     root_ids = np.array([k for k, seed in enumerate(filter(None, seeds.values())) for _ in seed],
                         dtype=int)
 
+    # W as the parameters of each word and their coefficients: a root's
+    # own, and a follower's from its root r, W[w] = a conj^t(W[r])
     index = {w: k for k, w in enumerate(words)}
-    W = np.zeros((len(words), len(roots)), dtype=complex)
-    W[[index[w] for w in roots], range(len(roots))] = [v for seed in seeds.values() for v in seed]
+    rows = [index[w] for w, seed in seeds.items() for _ in seed]
+    cols = [c for seed in seeds.values() for c in range(len(seed))]
+    Wk = np.zeros((len(words), len(free)), dtype=int)
+    Wv = np.zeros((len(words), len(free)), dtype=complex)
+    Wk[rows, cols] = range(len(rows))
+    Wv[rows, cols] = [v for seed in seeds.values() for v in seed]
+    ties = {w: (index[w], 1.0, False) for w in seeds}
 
-    done = set(seeds)
-
-    def follow(w: Word) -> np.ndarray:
-        if w not in done:
+    def follow(w: Word) -> tuple[int, complex, bool]:
+        if w not in ties:
             u, c = adjoint[w]
-            W[index[w]] = c.conjugate() * np.conj(follow(u))
-            done.add(w)
-        return W[index[w]]
+            r, a, t = follow(u)
+            ties[w] = (r, c.conjugate() * a.conjugate(), not t)
+        return ties[w]
 
-    for w in words:
-        follow(w)
-    return words, W, roots, root_ids
+    r, a, t = map(np.array, zip(*[follow(w) for w in words]))
+    Wk, Wv = Wk[r], Wv[r]
+    Wv = np.where(t[:, None], Wv.conj(), Wv) * a[:, None]
+    return words, (Wk, Wv), roots, root_ids
 
 
 def _entry(left: tuple, weight: Polynomial, right: tuple, pres: Presentation) -> Polynomial:
@@ -467,6 +512,38 @@ def _restrict(E: np.ndarray, e: np.ndarray, p0: np.ndarray, N: np.ndarray
     if np.max(np.abs(E @ (N @ z) - rhs)) > REPRESENT_TOL * (1.0 + np.max(np.abs(rhs))):
         raise RelaxationError("the scalar equality constraints admit no moment vector")
     return p0 + N @ z, N @ Vt[r:].T
+
+
+def _gram(I: np.ndarray, J: np.ndarray, k: np.ndarray, v: np.ndarray, n: int) -> tuple:
+    """P^T P over n parameters from G's terms (i, j, param, value), sorted
+    by entry: the squared column norms d, the columns with a nonzero
+    off-diagonal entry, the eigenpairs of their block scaled to a unit
+    diagonal, and P^T P itself as triplets.  The coordinates of entry (i, j)
+    are its Re, and off the diagonal sqrt(2) Re and sqrt(2) Im, so two terms
+    of one entry add w Re(conj(v) v'), w = 1 on the diagonal and 2 off it."""
+    key = I * (J.max(initial=0) + 1) + J
+    first = np.searchsorted(key, key)
+    count = np.searchsorted(key, key, side="right") - first
+    # every ordered pair (t, u) of terms of one entry
+    t = np.repeat(np.arange(len(key)), count)
+    u = first[t] + np.arange(len(t)) - np.repeat(np.cumsum(count) - count, count)
+    a, b = k[t], k[u]
+    g = np.where(I[t] == J[t], 1.0, 2.0) * (v[t].conj() * v[u]).real
+    d = np.bincount(a[a == b], g[a == b], minlength=n)
+    off = a != b
+    coupled, lam, V = np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 0))
+    if off.any():
+        pair, inv = np.unique(a[off] * n + b[off], return_inverse=True)
+        coupled = np.unique(pair[np.bincount(inv, g[off]) != 0] // n)
+    if len(coupled):
+        at = np.full(n, -1)
+        at[coupled] = np.arange(len(coupled))
+        both = (at[a] >= 0) & (at[b] >= 0)
+        M = np.zeros((len(coupled), len(coupled)))
+        np.add.at(M, (at[a[both]], at[b[both]]), g[both])
+        s = np.sqrt(d[coupled])
+        lam, V = np.linalg.eigh(M / np.outer(s, s))
+    return d, coupled, lam, V, (a, b, g)
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -561,37 +638,38 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
             var_words.add(w)
 
     real_mode = _detect_real_mode(problem)
-    words, W, roots, col_root = _moment_parameters(var_words, pres, real_mode)
+    words, (Wk, Wv), roots, col_root = _moment_parameters(var_words, pres, real_mode)
     word_index = {w: k for k, w in enumerate(words)}
 
-    # P: parameters to the coordinates of every block, via the upper
-    # triangles G p of the blocks; and each block's terms, as the
-    # upper-triangle slot and the word of each
+    # every term of an upper-triangle entry (i, j), i and j numbering the
+    # basis indices of every block, block after block, with its word and
+    # coefficient; G is each term times its word's row of W, the imaginary
+    # part of a diagonal entry dropped, as Hermitian blocks drop it
     sizes = [len(b) for b in bases]
-    P, block_terms = [], []
-    for mat, n in zip(entries, sizes):
-        upper = [e for i, row in enumerate(mat) for e in row[i:]]
-        slot, word, coeff = zip(*[(s, word_index[w], c) for s, e in enumerate(upper)
-                                  for w, c in e.terms()])
-        slot, word = np.array(slot), np.array(word)
-        G = np.zeros((len(upper), len(roots)), dtype=complex)
-        np.add.at(G, slot, np.array(coeff)[:, None] * W[word])
-        P.append(_coords(G, n, real_mode))
-        block_terms.append((slot, word))
-    P = np.vstack(P)
+    starts = np.cumsum([0] + sizes)
+    I, J, word, coeff = map(np.array, zip(*[
+        (s + i, s + j, word_index[w], c) for mat, s in zip(entries, starts)
+        for i, row in enumerate(mat) for j in range(i, len(row)) for w, c in row[j].terms()]))
+    width = Wk.shape[1]
+    v = (coeff[:, None] * Wv[word]).ravel()
+    v = v.real if real_mode else np.where(np.repeat(I == J, width), v.real, v)
+    nz = v != 0
+    G = tuple(x[nz] for x in (np.repeat(I, width), np.repeat(J, width), Wk[word].ravel(), v))
 
     sense_factor = 1.0 if problem.sense == "minimize" else -1.0
     relax = RelaxationModel(
         problem=problem, level=d, real_mode=real_mode,
         bases=bases, weights=weights, entries=entries,
         n_moment_vars=len(roots), sense_factor=sense_factor,
-        _P=P, _W=W, _var_words=words, _roots=roots,
+        _G=G, _Wk=Wk, _Wv=Wv, _var_words=words, _roots=roots,
     )
     f = sense_factor * relax._functional(obj_nf, "the objective").real
     g = [relax._functional(p, "a scalar constraint").real for p, _, _ in cons_nf]
-    # NotRepresentableError at build, not when the row form is first read
+    # NotRepresentableError at build, not when the row form is first read;
+    # P is made dense only where the Gram matrix misses
     for v, what in [(f, "the objective")] + [(gk, "a scalar constraint") for gk in g]:
-        relax._representative(v, what)
+        if relax._gram_solve(v) is None:
+            relax._representative(v, what)
     relax._f = f
     relax._constraints = [(gk, sense, rhs) for gk, (_, sense, rhs) in zip(g, cons_nf)]
 
@@ -599,18 +677,11 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
     # pinned to 0), then the components and the kept roots at their fixpoint,
     # seeded by the objective and the scalar constraints, on one graph whose
     # nodes are the basis indices of every block, block after block
-    nonzero = W != 0
-    word_root = np.where(nonzero.any(axis=1), col_root[nonzero.argmax(axis=1)], -1)
+    word_root = np.where(Wv[:, 0] != 0, col_root[Wk[:, 0]], -1)
     seed = [word_root[word_index[w]] for p in [obj_nf] + [p for p, _, _ in cons_nf]
             for w in p.words()]
-    starts = np.cumsum([0] + sizes)
-    edges = []
-    for (slot, word), n, s in zip(block_terms, sizes, starts):
-        r = word_root[word]
-        i, j = _triu(n)
-        slot = slot[r >= 0]
-        edges.append((s + i[slot], s + j[slot], r[r >= 0]))
-    label, kept = _term_components(starts[-1], *map(np.concatenate, zip(*edges)),
+    r = word_root[word]
+    label, kept = _term_components(starts[-1], I[r >= 0], J[r >= 0], r[r >= 0],
                                    [r for r in seed if r >= 0], int(col_root.max(initial=-1)) + 1)
     keep = kept[col_root].nonzero()[0]
 
@@ -621,13 +692,30 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
     # dropped when it is psd.  Scalar equalities restrict p0 and N, and an
     # inequality adds the 1x1 block +-(g.p - rhs).
     p0, N = relax._parameters(keep)
+    # entry (i, j) of matrix k is the sum over the terms of G on kept
+    # parameters of value * T[param, k], T = [p0, -N]: one sum per entry,
+    # since G runs entry by entry
+    T = np.column_stack([p0, -N])
+    at = np.full(len(roots), -1)
+    at[keep] = np.arange(len(keep))
+    use = at[G[2]] >= 0
+    I, J, k, v = G[0][use], G[1][use], at[G[2][use]], G[3][use]
+    X = T[k].astype(v.dtype, copy=False)
+    X *= v[:, None]
+    first = np.flatnonzero(np.diff(I * starts[-1] + J, prepend=-1))
+    X, I, J = np.add.reduceat(X, first), I[first], J[first]
+    cuts = np.searchsorted(I, starts)
     # an off-component entry uses no kept parameter, so each block's stack
     # over the kept parameters is block diagonal and every component is a
     # principal submatrix of it
-    Pk = P[:, keep]
     lmi, main = [], []          # main: the main block's indices per leading LMI block
     gamma0 = np.zeros((sizes[0], sizes[0]), dtype=float if real_mode else complex)
-    for b, A in enumerate(relax._stacks(np.column_stack([Pk @ p0, -(Pk @ N)]))):
+    for b, n in enumerate(sizes):
+        e = slice(cuts[b], cuts[b + 1])
+        i, j = I[e] - starts[b], J[e] - starts[b]
+        A = np.zeros((T.shape[1], n, n), dtype=X.dtype)
+        A[:, i, j] = X[e].T
+        A[:, j, i] = np.conj(X[e], out=X[e]).T
         block = label[starts[b]:starts[b + 1]]
         # a component's label is its least node
         for c in (block == np.arange(starts[b], starts[b + 1])).nonzero()[0]:

@@ -551,6 +551,18 @@ class TestDegenerateEndgame:
         assert got.shape == (4, 2)
         assert np.linalg.norm(got - X2) <= 1e-7 * np.linalg.norm(X2)
 
+    def test_pivot_at_rounding_level_is_no_factor(self):
+        # the last pivot of this M is 2^-50, far under eps * 1e4, so its
+        # Cholesky factor, which LAPACK returns, carries nothing: the solve
+        # drops the direction e3 - e2, which that factor would blow up to
+        # 2^51, and stays exact on the range
+        M = np.array([[1e4, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 2.0 ** -50]])
+        assert np.diag(np.linalg.cholesky(M))[-1] ** 2 == 2.0 ** -50
+        solver = _psd_solver(M)
+        assert np.linalg.norm(solver(np.array([0.0, -1.0, 1.0]))) <= 1e-12
+        x = np.array([1.0, 2.0, 2.0])
+        assert np.linalg.norm(solver(M @ x) - x) <= 1e-12
+
     def test_cholesky_solve_is_li_t_li_rhs(self):
         # with L the Cholesky factor of M and Li = inv(L), the solve of
         # both columns is Li.T @ (Li @ rhs) exactly

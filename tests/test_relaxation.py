@@ -1,5 +1,7 @@
 """Relaxation construction and end-to-end bounds on hand-solved problems."""
 
+import cmath
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -768,17 +770,44 @@ class TestTermSparsity:
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_no_split_is_the_dense_lmi(self, level):
         # u' = i*u ties every word to one phase of the next: nothing splits,
-        # and the LMI is the dense construction, bit for bit
+        # and the LMI is the dense construction, bit for bit: the moment
+        # block G p at p = p0 and at p = -N e_k, where G's row (i, j) sums
+        # c W[w] over the terms c w of entry (i, j), Hermitian with a real
+        # diagonal
         relax = rx.build_relaxation(parse_problem_file(str(PROBLEMS / "phased_involution.csdp")),
                                     level=level)
         assert len(relax._keep) == relax.n_moment_vars
-        P = relax._P
+        W = dict(zip(relax._var_words, relax._W))
+        n = len(relax.basis)
+        i, j = np.triu_indices(n)
+        G = np.array([sum(c * W[w] for w, c in relax.entries[0][a][b].terms())
+                      for a, b in zip(i, j)])
         p0, N = relax._parameters(np.arange(relax.n_moment_vars))
-        dense = relax._stacks(np.column_stack([P @ p0, -(P @ N)]))
+        dense = np.zeros((1 + N.shape[1], n, n), dtype=complex)
+        dense[:, i, j] = (G @ np.column_stack([p0, -N])).T
+        dense[:, j, i] = dense[:, i, j].conj()
+        dense[:, range(n), range(n)] = dense[:, range(n), range(n)].real
         got = relax._lmi.stacks()
-        assert len(got) == len(dense) == 1
-        assert got[0].dtype == dense[0].dtype and np.array_equal(got[0], dense[0])
+        assert len(got) == 1
+        assert got[0].dtype == dense.dtype and np.array_equal(got[0], dense)
         assert [con.rhs for con in relax._lmi.constraints] == [float(b) for b in -(relax._f @ N)]
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_entries_are_exact_signs(self, chsh, level):
+        # each entry is a moment's coefficient, +-1, times p0 or -N, which
+        # select one parameter, so no rounding enters: a detour through
+        # coordinates, sqrt(2) then sqrt(1/2), reads -1.0000000000000002
+        for A in rx.build_relaxation(chsh, level=level)._lmi.stacks():
+            assert set(np.unique(A).tolist()) <= {0.0, 1.0, -1.0}
+
+    def test_entries_are_exact_phases(self):
+        # basis 1, u: nf(u') = i*u puts u's moment on the line through
+        # phi = sqrt(-i), entry (1, u) is i*u and (u, u) = nf(i*u^2) = 1
+        relax = rx.build_relaxation(
+            parse_problem_file(str(PROBLEMS / "phased_involution.csdp")), level=1)
+        [A] = relax._lmi.stacks()
+        e = -(1j * cmath.sqrt(-1j))
+        assert np.array_equal(A, [np.eye(2), [[0.0, e], [e.conjugate(), 0.0]]])
 
     def test_non_psd_constant_component_is_kept(self):
         # (x, x) is the constant -1, which nothing joins to the rest
@@ -811,6 +840,42 @@ class TestTermSparsity:
         assert dense.status == Status.OPTIMAL
         assert abs(res.bound + dense.primal_value) <= 1e-7
         assert abs(res.bound - bound) <= 1e-7
+
+
+class TestSparseBuild:
+    """G, P and W stay index triplets from the build to the solve: the LMI,
+    the representability check and the readout never make them dense."""
+
+    @pytest.fixture
+    def never_dense(self, monkeypatch):
+        def dense(relax):
+            raise AssertionError("P or W made dense")
+        monkeypatch.setattr(rx.RelaxationModel, "_P", property(dense))
+        monkeypatch.setattr(rx.RelaxationModel, "_W", property(dense))
+
+    @pytest.mark.parametrize("text, levels", [
+        (CHSH_TEXT, (1, 2, 3, 4)),
+        (LADDER_TEXT, (1, 2, 3)),
+        ((PROBLEMS / "lasserre_x4.csdp").read_text(), (2,)),
+        (CHSH_TEXT + "[constraints]\nA0*B0 == 0.5\nA0*B1 + A1*B0 <= 0.5\n", (2,)),
+    ], ids=["chsh", "ladder", "lasserre", "scalar-constraints"])
+    def test_solve_path_never_goes_dense(self, never_dense, text, levels):
+        for level in levels:
+            res = rx.build_relaxation(parse_problem(text), level=level).solve(TIGHT)
+            assert res.status == Status.OPTIMAL
+            assert res.moments
+
+    def test_warm_build_memory(self, chsh):
+        # CHSH L4 once its normal forms are cached; held dense, G (861 x
+        # 101, complex) and P alone would take 2.1 MB
+        rx.build_relaxation(chsh, level=4)
+        tracemalloc.start()
+        try:
+            rx.build_relaxation(chsh, level=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
 
 
 class TestGramRepresentative:
