@@ -94,10 +94,9 @@ names a failed one, keep the public calls.
 M = F F^T is positive semidefinite by construction, and definite while X, Z
 stay in the cone and the constraints are independent.  Neither holds
 numerically to the end.  Dependent rows make M singular at every
-iteration: a model written by hand or read from SDPA can have them, and so
-can a relaxation, whose free parameters may include directions that no
-block sees (the free-root problem of the tests emits LMI rows of rank 43
-of 52 at level 3).  At a degenerate optimum X and Z lose rank together,
+iteration: a model written by hand or read from SDPA can have them, though
+a relaxation drops the directions of its parameters that no block sees
+before the solve.  At a degenerate optimum X and Z lose rank together,
 which drives up cond(M).  M is therefore never perturbed.  With its
 Cholesky factor M = L L^T the Newton solve is dy = inv(L)^T inv(L) r; when
 that factor fails, or a squared pivot of it is at most eps times the

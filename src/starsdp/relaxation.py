@@ -27,14 +27,18 @@ the way from the build to the solve.
 The relaxation is solved as a linear matrix inequality in p, as NPA and
 Lasserre's hierarchy state it: Gamma(p) = sum_k p_k H_k psd, where H_k is
 the block G e_k, each entry written from G's triplets, never through
-coordinates.  The unit moment and the scalar equalities are eliminated
-first, p = p0 + N q, and each scalar inequality becomes a 1x1 block.  The
+coordinates.  The unit moment, the scalar equalities and ker P, the
+parameter directions that no block sees, are eliminated first, p = p0 + N q
+with p orthogonal to ker P, so that every row of the LMI is seen by some
+block, and each scalar inequality becomes a 1x1 block.  The
 solver takes this LMI as its dual with y = q, so its Schur matrix has one
 row per free parameter, its dual slacks Z are the moment blocks at p, its X
 is a Gram (sum of squares) certificate of the bound, and the moments are
 read back exactly as W p.  The objective and each scalar constraint must
-be trace pairings with the blocks, in the row space of P, which is checked
-on P^T P: diagonal, but for the columns that multi-term entries couple.
+be trace pairings with the blocks, functionals that vanish on ker P.  ker P
+is read once off P^T P, which is diagonal but for the columns that
+multi-term entries couple, and decides both this check and the
+elimination.
 
 The blocks enter the LMI split into their term-sparsity components (Wang,
 Magron and Lasserre's TSSOS; Klep, Magron and Povh for the noncommutative
@@ -91,7 +95,7 @@ BASIS_CAP = 2000
 CONSISTENCY_TOL = 1e-9
 # relative to the largest singular value in _restrict and the equality
 # basis; relative to the largest eigenvalue of the column-scaled Gram matrix
-# (a squared singular value) in RelaxationModel._gram_solve
+# (a squared singular value) in RelaxationModel._unseen
 RANK_TOL = 1e-9
 REPRESENT_TOL = 1e-8
 
@@ -268,8 +272,8 @@ class RelaxationModel:
         U, sv, _ = np.linalg.svd(P @ N)
         Q = U[:, int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0:]
         ineq = [(g, sense, rhs) for g, sense, rhs in self._constraints if sense != SENSE_EQ]
-        data = [self._representative(self._f, "the objective"), Q]
-        data += [self._representative(g, "a scalar constraint") for g, _, _ in ineq]
+        data = [self._representative(P, self._f, "the objective"), Q]
+        data += [self._representative(P, g, "a scalar constraint") for g, _, _ in ineq]
         rows = [(SENSE_EQ, float(r)) for r in Q.T @ (P @ p0)]
         rows += [(sense, float(rhs)) for _, sense, rhs in ineq]
         sizes = [len(b) for b in self.bases]
@@ -279,8 +283,8 @@ class RelaxationModel:
 
     def _parameters(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """p0 and N with {p0 + N q} the parameters, restricted to the columns
-        keep, that fix the unit moment to 1 when the problem normalizes and
-        meet the scalar equalities."""
+        keep, that fix the unit moment to 1 when the problem normalizes, meet
+        the scalar equalities and are orthogonal to ker P."""
         p0, N = np.zeros(len(keep)), np.eye(len(keep))
         if self.problem.normalization:
             # the unit word is its own adjoint, a root on the line through 1
@@ -288,6 +292,9 @@ class RelaxationModel:
             p0[k] = 1.0
             N = np.delete(N, k, axis=1)
         eq = [(g[keep], rhs) for g, sense, rhs in self._constraints if sense == SENSE_EQ]
+        # keep holds all of a direction of ker P or none of it: an entry
+        # that couples its parameters keeps all of their roots or none
+        eq += [(u, 0.0) for u in self._unseen[keep].T if u.any()]
         if eq:
             p0, N = _restrict(np.array([g for g, _ in eq]), np.array([r for _, r in eq]), p0, N)
         return p0, N
@@ -327,52 +334,38 @@ class RelaxationModel:
         return f
 
     @functools.cached_property
-    def _gram_all(self) -> tuple:
-        return _gram(*self._G, self.n_moment_vars)
+    def _unseen(self) -> np.ndarray:
+        """ker P as orthonormal columns: a unit vector per parameter in no
+        entry, and the eigenvectors of P^T P on the columns that multi-term
+        entries couple, scaled to a unit diagonal, whose eigenvalues are at
+        most RANK_TOL times the largest, scaled back and orthonormalized."""
+        d, coupled, lam, V = _gram(*self._G, self.n_moment_vars)
+        null = V[:, lam <= RANK_TOL * lam.max(initial=0.0)] / np.sqrt(d[coupled])[:, None]
+        lone = np.flatnonzero(d == 0)
+        K = np.zeros((self.n_moment_vars, len(lone) + null.shape[1]))
+        K[lone, np.arange(len(lone))] = 1.0
+        if null.size:
+            K[coupled, len(lone):] = np.linalg.qr(null)[0]
+        return K
 
-    def _gram_solve(self, f: np.ndarray, main: bool = False) -> np.ndarray | None:
-        """x with P x the least-norm coordinates, on the rows of P of every
-        block or of the main block alone, of the trace functional worth f . p
-        at every parameter vector p; None where x misses the residual test.
-
-        With D scaling each column of P to unit norm, x = D z with
-        D P^T P D z = D f, solved on the eigenvectors of D P^T P D whose
-        eigenvalues exceed RANK_TOL times the largest: 1 for a column that
-        shares no entry with another, and those of a dense eigensolve on the
-        columns that multi-term entries couple.  The residual is
-        |P^T P x - f|."""
-        if main:
-            inside = self._G[0] < len(self.basis)
-            d, coupled, lam, V, (a, b, g) = _gram(*(x[inside] for x in self._G), len(f))
-        else:
-            d, coupled, lam, V, (a, b, g) = self._gram_all
-        alone = d > 0
-        alone[coupled] = False
-        top = max(lam.max(initial=0.0), float(alone.any()))
-        x = np.divide(f, d, out=np.zeros(len(f)), where=alone & (1.0 > RANK_TOL * top))
-        keep, s = lam > RANK_TOL * top, np.sqrt(d[coupled])
-        x[coupled] = (V[:, keep] @ ((V[:, keep].T @ (f[coupled] / s)) / lam[keep])) / s
-        resid = np.bincount(a, g * x[b], minlength=len(f)) - f
-        return x if np.max(np.abs(resid), initial=0.0) <= REPRESENT_TOL else None
-
-    def _representative(self, f: np.ndarray, what: str, n_rows: int | None = None
-                        ) -> np.ndarray:
-        """Least-norm coordinates c, on the first n_rows rows of P, of the
-        trace functional worth f . p at every parameter vector p: P x for
-        the x of _gram_solve, or lstsq on P where the Gram matrix, which
-        squares P's condition number, misses."""
-        P = self._P[:n_rows]
-        x = self._gram_solve(f, n_rows is not None)
-        c = P @ x if x is not None else np.linalg.lstsq(P.T, f, rcond=None)[0]
-        resid = np.abs(P.T @ c - f)
+    def _check(self, f: np.ndarray, resid: np.ndarray, what: str) -> None:
+        """NotRepresentableError when resid, the size per parameter of the
+        part of f that no trace pairing reaches, exceeds REPRESENT_TOL,
+        naming the worst root among the words of the functional itself."""
         if np.max(resid, initial=0.0) > REPRESENT_TOL:
-            # the worst root among the words of the functional itself
             used = np.flatnonzero(f)
             root = self._roots[int(used[np.argmax(resid[used])])]
             raise NotRepresentableError(
                 f"{what} involves {word_to_str(root, self.problem.presentation)}, "
                 f"which the level-{self.level} moment blocks do not determine; "
                 "raise the level")
+
+    def _representative(self, P: np.ndarray, f: np.ndarray, what: str) -> np.ndarray:
+        """Least-norm coordinates c, on the rows of P (all of them, or the
+        main block's), of the trace functional worth f . p at every
+        parameter vector p."""
+        c = np.linalg.lstsq(P.T, f, rcond=None)[0]
+        self._check(f, np.abs(P.T @ c - f), what)
         return c
 
     def blocks_from_moments(self, moments: dict[Word, complex]) -> list[np.ndarray]:
@@ -517,10 +510,10 @@ def _restrict(E: np.ndarray, e: np.ndarray, p0: np.ndarray, N: np.ndarray
 def _gram(I: np.ndarray, J: np.ndarray, k: np.ndarray, v: np.ndarray, n: int) -> tuple:
     """P^T P over n parameters from G's terms (i, j, param, value), sorted
     by entry: the squared column norms d, the columns with a nonzero
-    off-diagonal entry, the eigenpairs of their block scaled to a unit
-    diagonal, and P^T P itself as triplets.  The coordinates of entry (i, j)
-    are its Re, and off the diagonal sqrt(2) Re and sqrt(2) Im, so two terms
-    of one entry add w Re(conj(v) v'), w = 1 on the diagonal and 2 off it."""
+    off-diagonal entry, and the eigenpairs of their block scaled to a unit
+    diagonal.  The coordinates of entry (i, j) are its Re, and off the
+    diagonal sqrt(2) Re and sqrt(2) Im, so two terms of one entry add
+    w Re(conj(v) v'), w = 1 on the diagonal and 2 off it."""
     key = I * (J.max(initial=0) + 1) + J
     first = np.searchsorted(key, key)
     count = np.searchsorted(key, key, side="right") - first
@@ -543,7 +536,7 @@ def _gram(I: np.ndarray, J: np.ndarray, k: np.ndarray, v: np.ndarray, n: int) ->
         np.add.at(M, (at[a[both]], at[b[both]]), g[both])
         s = np.sqrt(d[coupled])
         lam, V = np.linalg.eigh(M / np.outer(s, s))
-    return d, coupled, lam, V, (a, b, g)
+    return d, coupled, lam, V
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -665,11 +658,11 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
     )
     f = sense_factor * relax._functional(obj_nf, "the objective").real
     g = [relax._functional(p, "a scalar constraint").real for p, _, _ in cons_nf]
-    # NotRepresentableError at build, not when the row form is first read;
-    # P is made dense only where the Gram matrix misses
+    # NotRepresentableError at build, not when the row form is first read:
+    # a trace pairing with the blocks vanishes on ker P
+    K = relax._unseen
     for v, what in [(f, "the objective")] + [(gk, "a scalar constraint") for gk in g]:
-        if relax._gram_solve(v) is None:
-            relax._representative(v, what)
+        relax._check(v, np.abs(K @ (K.T @ v)), what)
     relax._f = f
     relax._constraints = [(gk, sense, rhs) for gk, (_, sense, rhs) in zip(g, cons_nf)]
 
@@ -753,7 +746,7 @@ def gram_representative(relax: RelaxationModel, poly: Polynomial | None = None
         raise NotRepresentableError(
             "polynomial is not a real form in the moment parameters")
     n = len(relax.basis)
-    c = relax._representative(f.real, "the polynomial", _n_coords(n, relax.real_mode))
+    c = relax._representative(relax._P[:_n_coords(n, relax.real_mode)], f.real, "the polynomial")
     return _matrices(c[:, None], n, relax.real_mode)[0]
 
 

@@ -525,27 +525,42 @@ basis = 1, x, z
             assert res.status == Status.OPTIMAL
             assert abs(res.bound + 1.0) <= 1e-8
 
-    def test_free_root_solves_on_the_eigen_fallback(self, monkeypatch):
-        # at level 3 the LMI's 52 rows have rank 43: directions of q that no
-        # block sees make M singular at every iteration, so every Newton
-        # solve runs on the eigenvectors of M; the solve still ends OPTIMAL at -1
-        psd_solver, factored = ipm._psd_solver, []
+    @pytest.mark.parametrize("text, level, m, bound", [
+        (FREE_ROOT_TEXT, 1, 4, -0.999999999999),
+        (FREE_ROOT_TEXT, 2, 15, -0.999999991772),
+        (FREE_ROOT_TEXT, 3, 43, -0.999999990320),
+        (FREE_ROOT_LOCALIZING_TEXT, 2, 16, -0.999999999008),
+        (FREE_ROOT_LOCALIZING_TEXT, 3, 45, -0.999999999625),
+        (PARALLEL_COLUMNS_TEXT, 1, 1, 0.0),
+    ], ids=["free-root-L1", "free-root-L2", "free-root-L3", "localizing-L2",
+            "localizing-L3", "parallel-columns"])
+    def test_unseen_directions_leave_the_lmi(self, monkeypatch, text, level, m, bound):
+        # directions of the parameters that no block sees are fixed to 0, so
+        # the LMI's m rows are independent and the Newton solves factor M by
+        # Cholesky, not on its eigendecomposition; only the last may fall
+        # back, where M at the degenerate optimum loses rank to rounding
+        # (localizing L3 does).  The bounds are those of the LMI that kept
+        # the directions, with dependent rows.
+        relax = rx.build_relaxation(parse_problem(text), level=level)
+        F = np.concatenate([S[1:].reshape(m, -1) for S in relax._lmi.stacks()], axis=1)
+        assert len(F) == m and np.linalg.matrix_rank(F) == m
+        psd_solver, eigh, paths = ipm._psd_solver, np.linalg.eigh, []
 
-        def counting(M):
-            try:
-                np.linalg.cholesky(M)
-            except np.linalg.LinAlgError:
-                factored.append(False)
-            else:
-                factored.append(True)
+        def solver(M):
+            paths.append("cholesky")
             return psd_solver(M)
 
-        monkeypatch.setattr(ipm, "_psd_solver", counting)
-        res = rx.build_relaxation(parse_problem(FREE_ROOT_TEXT), level=3).solve(TIGHT)
+        def fallback(M):
+            paths[-1] = "eigh"
+            return eigh(M)
+
+        monkeypatch.setattr(ipm, "_psd_solver", solver)
+        monkeypatch.setattr(np.linalg, "eigh", fallback)
+        res = relax.solve()
         assert res.status == Status.OPTIMAL
-        assert res.solution.iterations <= 9
-        assert abs(res.bound + 1.0) <= 1e-8
-        assert factored and not any(factored)
+        assert len(paths) == res.solution.iterations > 0
+        assert set(paths[:-1]) == {"cholesky"}
+        assert abs(res.bound - bound) <= 1e-8
 
     def test_phased_one_way_parameter_count(self):
         prob = parse_problem(PHASED_ONE_WAY_TEXT)
@@ -939,6 +954,11 @@ level = 2
         ky, kz = relax._roots.index(pres.word("y")), relax._roots.index(pres.word("z"))
         assert np.array_equal(P[:, ky], 2.0 * P[:, kz])
         assert np.linalg.matrix_rank(P.T @ P) == P.shape[1] - 1
+        # ker P is the one direction e_y - 2 e_z
+        K = relax._unseen
+        assert K.shape == (P.shape[1], 1)
+        assert np.allclose(np.abs(K[[ky, kz], 0]) * np.sqrt(5.0), [1.0, 2.0], atol=1e-12)
+        assert K[ky, 0] * K[kz, 0] < 0
         # 2 y + z = x*x sits at (x, x) alone
         M = rx.gram_representative(relax)
         assert np.max(np.abs(M - np.diag([0.0, 1.0]))) <= 1e-12
@@ -957,10 +977,23 @@ level = 2
         assert str(err.value) == ("the objective involves y, which the level-1 moment "
                                   "blocks do not determine; raise the level")
 
+    def test_scalar_constraint_on_an_unseen_direction(self):
+        # a scalar constraint must vanish on ker P, as the objective must:
+        # z alone is not determined by the blocks, 2 y + z = x*x is
+        with pytest.raises(rx.NotRepresentableError) as err:
+            rx.build_relaxation(parse_problem(PARALLEL_COLUMNS_TEXT + "[constraints]\nz >= 0\n"))
+        assert str(err.value) == ("a scalar constraint involves z, which the level-1 moment "
+                                  "blocks do not determine; raise the level")
+        text = PARALLEL_COLUMNS_TEXT + "[constraints]\n2*y + z >= 1\n"
+        res = rx.build_relaxation(parse_problem(text)).solve(TIGHT)
+        assert res.status == Status.OPTIMAL
+        assert abs(res.bound - 1.0) <= 1e-8
+
     def test_small_relation_coefficient(self, monkeypatch):
         # y enters P only through nf(x*x) = 1e-5 y, so P^T P = diag(1, 2, 1e-10):
-        # the column scaling keeps y, whose least-norm coordinate is 1e5 at
-        # (x, x), without the lstsq fallback
+        # the column scaling keeps y out of ker P, so the build accepts
+        # minimize y without calling lstsq, and its least-norm coordinate is
+        # 1e5 at (x, x)
         prob = parse_problem(SMALL_COEFFICIENT_TEXT)
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "lstsq", None)
@@ -972,14 +1005,14 @@ level = 2
         res = relax.solve(TIGHT)
         assert res.status == Status.OPTIMAL and abs(res.bound) <= 1e-7
 
-    def test_lstsq_fallback(self, chsh, monkeypatch):
-        # a rank cutoff that drops every direction of the Gram matrix leaves
-        # the representative to lstsq on P, which must still find it
-        relax = rx.build_relaxation(chsh, level=1)
-        expect = np.linalg.lstsq(relax._P.T, relax._f, rcond=None)[0]
-        monkeypatch.setattr(rx, "RANK_TOL", 2.0)
-        c = relax._representative(relax._f, "the objective")
-        assert np.max(np.abs(c - expect)) <= 1e-12
+    def test_representative_is_least_norm(self, chsh):
+        # the representative reproduces f and is the pseudoinverse's
+        # solution, the one of least norm
+        relax = rx.build_relaxation(chsh, level=2)
+        P, f = relax._P, relax._f
+        c = relax._representative(P, f, "the objective")
+        assert np.max(np.abs(P.T @ c - f)) <= 1e-12
+        assert np.max(np.abs(c - np.linalg.pinv(P.T) @ f)) <= 1e-12
 
     def test_unreachable_polynomial_rejected(self):
         text = """
