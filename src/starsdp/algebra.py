@@ -58,6 +58,7 @@ class Word:
         return len(self.letters)
 
     def adjoint(self) -> "Word":
+        """Reverse the letter sequence and toggle every star flag."""
         return Word(tuple((g, not s) for g, s in reversed(self.letters)))
 
     def concat(self, other: "Word") -> "Word":
@@ -74,11 +75,6 @@ class Word:
 
 
 UNIT_WORD = Word()
-
-
-def word_adjoint(w: Word) -> Word:
-    """Reverse the letter sequence and toggle every star flag."""
-    return w.adjoint()
 
 
 def single(gen_index: int, starred: bool = False) -> Word:

@@ -35,13 +35,13 @@ positive, so b.y > 0 or <C, X> < 0 and a ray appears.  Solution.reason
 says which test ended a solve that is not OPTIMAL; the solution is X, y
 and Z over tau.
 
-A solve reads the model once, through SDPModel.stacks(), and groups the
+A solve reads the model's own stacks, SDPModel.stacks(), and groups the
 blocks by size, in order of first appearance: X, Z and the other iterates
 of k blocks of size n are (k, n, n) arrays, and their data one (1 + m, k,
 n, n) array, C and then the constraint matrices A_s, a view of the block's
 stack when k = 1.  A stack is complex when any of its data are, and a real
 block in a complex stack keeps a real iterate, returned as the real part
-of its view.  stacks() returns the data exactly Hermitian, so the
+of its view.  A model holds its data exactly Hermitian, so the
 residuals, dZ and the updated X and Z are too; only products need _sym.
 X and Z of a group are held as one (2k, n, n) stack, X first, so one
 Cholesky call and one inverse serve both with no copy.  Products broadcast
@@ -58,9 +58,9 @@ flat(F_s) @ flat(F_s)^T, which numpy computes as one SYRK: half the flops
 of a general product, and M comes out exactly symmetric.  It runs on the
 float views of complex stacks, since Re <A, T> is the dot product of the
 interleaved real and imaginary parts of A and T.  Beside the model's own
-data a solve holds three A-shaped arrays per stack: the copy that stacks()
-made, and two buffers, allocated once per solve, that receive inv(Lz) A_s
-and F_s in every iteration; fresh arrays of that size would be
+data, which only a group of several blocks copies, a solve holds two
+A-shaped arrays per stack, allocated once per solve, that receive inv(Lz)
+A_s and F_s in every iteration; fresh arrays of that size would be
 page-faulted in anew at every iteration.  The solution lists X and Z per
 block in the model's order, as views into the stacks.  Solution.timings
 sums per phase the time between perf_counter reads at its boundaries.

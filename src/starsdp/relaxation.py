@@ -82,7 +82,7 @@ import numpy as np
 
 from .algebra import (
     Polynomial, Presentation, Word, UNIT_WORD,
-    is_normal_form, normal_form, word_adjoint,
+    is_normal_form, normal_form,
 )
 from .problems import ProblemFile, word_to_str, poly_to_str
 from .sdpmodel import SDPModel, SENSE_EQ, SENSE_GE
@@ -431,7 +431,7 @@ def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
     adjoint: dict[Word, tuple[Word, complex] | None] = {}
     for w in var_words:
         while w not in adjoint:
-            terms = normal_form(word_adjoint(w), pres).terms()
+            terms = normal_form(w.adjoint(), pres).terms()
             adjoint[w] = terms[0] if len(terms) == 1 else None
             w = terms[0][0] if len(terms) == 1 else w
     words = sorted(adjoint)
@@ -617,7 +617,7 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
     entries = []
     var_words: set[Word] = set()
     for basis, weight in zip(bases, weights):
-        adjoints = [word_adjoint(b).letters for b in basis]
+        adjoints = [b.adjoint().letters for b in basis]
         mat = [[_entry(b.letters, weight, a, pres) for a in adjoints] for b in basis]
         var_words.update(w for row in mat for e in row for w, _ in e.items())
         entries.append(mat)

@@ -7,11 +7,10 @@ A model is the trace form
 
 where <A, X> = Re tr(A* X).  A block whose data are real is real
 symmetric, and one whose data are complex is Hermitian, with X_b Hermitian
-psd of the same size.  A model is built from, and read back as, one stack
-per block: the cost, then each row's matrix.  `stacks()` is the one read
-of the matrices, by the solver and `feasibility_check` alike: it checks
-the model and returns new stacks, made exactly Hermitian, (M + M*) / 2,
-in the pass that checks them; realify reads through it too.  Only the
+psd of the same size.  A model is its data, one read-only stack per block:
+the cost, then each row's matrix, checked once, when the model is made,
+and made exactly Hermitian in the pass that checks them.  The solver and
+every other reader use the model's own stacks without a copy.  Only the
 SDPA export, a real format, doubles a Hermitian block into its real image.
 """
 
@@ -26,7 +25,7 @@ SENSE_LE = "<="
 SENSE_GE = ">="
 SENSE_EQ = "=="
 SENSES = (SENSE_LE, SENSE_GE, SENSE_EQ)
-# Largest asymmetry (or off-diagonal entry of a diagonal block) stacks() accepts.
+# Largest asymmetry (or off-diagonal entry of a diagonal block) a model accepts.
 VALIDATE_TOL = 1e-10
 # Entries one step of a pass over a stack reads, so its temporaries stay small.
 CHUNK = 2 ** 13
@@ -48,62 +47,79 @@ class Block:
     diagonal: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearConstraint:
     matrices: list[np.ndarray]
     sense: str
     rhs: float
 
 
-@dataclass
 class SDPModel:
-    blocks: list[Block]
-    cost: list[np.ndarray]
-    constraints: list[LinearConstraint]
+    """A checked block SDP: per block one read-only, exactly Hermitian
+    (1 + m, n, n) stack, the cost and then each row's matrix, of which
+    `cost` and the constraints' `matrices` are views."""
 
-    def validate(self) -> None:
-        self.stacks()
-
-    def is_equality_only(self) -> bool:
-        return all(c.sense == SENSE_EQ for c in self.constraints)
+    def __init__(self, blocks: list[Block], cost: list[np.ndarray],
+                 constraints: list[LinearConstraint]):
+        """Stacks the matrices into new arrays: the caller's are never written."""
+        _check(blocks, cost, constraints)
+        self._take([np.array([C] + [con.matrices[b] for con in constraints])
+                    for b, C in enumerate(cost)],
+                   [(con.sense, con.rhs) for con in constraints], blocks)
 
     @classmethod
     def from_stacks(cls, stacks: list[np.ndarray], rows: list[tuple[str, float]],
                     blocks: list[Block] | None = None) -> "SDPModel":
         """Block b's cost is stacks[b][0] and its part of row k is
         stacks[b][k], with rows[k - 1] = (sense, rhs).  The blocks default
-        to dense ones sized by the stacks; pass them to mark a diagonal one."""
+        to dense ones sized by the stacks; pass them to mark a diagonal one.
+        The model takes the arrays over, converted only to contiguous float
+        or complex, and makes them read-only."""
         for b, A in enumerate(stacks):
             if A.shape != (1 + len(rows),) + A.shape[-1:] * 2:
                 raise ModelError(f"block {b}: stack shape {A.shape} is not "
                                  f"({1 + len(rows)}, n, n)")
-        if blocks is None:
-            blocks = [Block(A.shape[-1]) for A in stacks]
-        return cls(list(blocks), [A[0] for A in stacks],
-                   [LinearConstraint([A[k] for A in stacks], sense, rhs)
-                    for k, (sense, rhs) in enumerate(rows, start=1)])
+        model = cls.__new__(cls)
+        model._take(stacks, rows, [Block(A.shape[-1]) for A in stacks]
+                    if blocks is None else blocks)
+        return model
+
+    def _take(self, stacks: list[np.ndarray], rows: list[tuple[str, float]],
+              blocks: list[Block]) -> None:
+        self._stacks = [np.ascontiguousarray(A, dtype=complex if np.iscomplexobj(A) else float)
+                        for A in stacks]
+        self.blocks, self.cost = list(blocks), [A[0] for A in self._stacks]
+        self.constraints = [LinearConstraint([A[k] for A in self._stacks], sense, rhs)
+                            for k, (sense, rhs) in enumerate(rows, start=1)]
+        _check(self.blocks, self.cost, self.constraints)
+        _hermitize(self._stacks, self.blocks)
+        for A in self._stacks + self.cost + [M for c in self.constraints for M in c.matrices]:
+            A.flags.writeable = False
+
+    def is_equality_only(self) -> bool:
+        return all(c.sense == SENSE_EQ for c in self.constraints)
 
     def stacks(self) -> list[np.ndarray]:
-        """Per block, the cost followed by every row's matrix, as one new
-        float or complex array, exactly Hermitian (_hermitize).  Counts,
-        senses, right-hand sides and shapes are checked first, so a fault
-        among them is named before any matrix's, wherever it lies."""
-        if len(self.cost) != len(self.blocks):
-            raise ModelError("cost matrix count does not match block count")
-        _check_shapes(self.cost, self.blocks, "cost")
-        for k, con in enumerate(self.constraints):
-            if con.sense not in SENSES:
-                raise ModelError(f"constraint {k}: bad sense {con.sense!r}")
-            if not math.isfinite(con.rhs):
-                raise ModelError(f"constraint {k}: right-hand side {con.rhs} is not finite")
-            if len(con.matrices) != len(self.blocks):
-                raise ModelError(f"constraint {k}: matrix count mismatch")
-            _check_shapes(con.matrices, self.blocks, f"constraint {k}")
-        S = [np.array([C] + [con.matrices[b] for con in self.constraints])
-             for b, C in enumerate(self.cost)]
-        S = [Sb.astype(complex if Sb.dtype.kind == "c" else float, copy=False) for Sb in S]
-        _hermitize(S, self.blocks)
-        return S
+        """Per block, the cost followed by every row's matrix: the model's
+        own arrays, in a new list."""
+        return list(self._stacks)
+
+
+def _check(blocks: list[Block], cost: list[np.ndarray],
+           constraints: list[LinearConstraint]) -> None:
+    """Counts, senses, right-hand sides and shapes, row by row, so that a
+    fault among them is named before any matrix's (_hermitize)."""
+    if len(cost) != len(blocks):
+        raise ModelError("cost matrix count does not match block count")
+    _check_shapes(cost, blocks, "cost")
+    for k, con in enumerate(constraints):
+        if con.sense not in SENSES:
+            raise ModelError(f"constraint {k}: bad sense {con.sense!r}")
+        if not math.isfinite(con.rhs):
+            raise ModelError(f"constraint {k}: right-hand side {con.rhs} is not finite")
+        if len(con.matrices) != len(blocks):
+            raise ModelError(f"constraint {k}: matrix count mismatch")
+        _check_shapes(con.matrices, blocks, f"constraint {k}")
 
 
 def _check_shapes(matrices: list[np.ndarray], blocks: list[Block], where: str) -> None:
@@ -114,12 +130,13 @@ def _check_shapes(matrices: list[np.ndarray], blocks: list[Block], where: str) -
 
 
 def _hermitize(stacks: list[np.ndarray], blocks: list[Block]) -> None:
-    """Make every matrix exactly Hermitian, (M + M*) / 2 in place, in one
-    pass per stack by chunks, each checked first; ModelError names the first
-    matrix in model order (the costs, then row by row) that is not
-    Hermitian within VALIDATE_TOL, not diagonal in a diagonal block, or not
-    finite.  A NaN or infinite entry makes its entry of M - M* NaN or
-    infinite, so the symmetry test catches it at no extra cost."""
+    """Make every matrix exactly Hermitian, (M + M*) / 2, or 0.5 M + 0.5 M*
+    where M + M* overflows, in place, in one pass per stack by chunks, each
+    checked first; ModelError names the first matrix in model order (the
+    costs, then row by row) that is not Hermitian within VALIDATE_TOL, not
+    diagonal in a diagonal block, or not finite.  A NaN or infinite entry
+    makes its entry of M - M* NaN or infinite, so the symmetry test catches
+    it at no extra cost.  A model's read-only stacks pass unwritten."""
     faults = []
     for b, (S, blk) in enumerate(zip(stacks, blocks)):
         n = S.shape[-1]
@@ -127,8 +144,9 @@ def _hermitize(stacks: list[np.ndarray], blocks: list[Block]) -> None:
         for k in range(0, len(S), step):
             P = S[k:k + step]
             D = np.conj(P.swapaxes(-1, -2))
-            with np.errstate(invalid="ignore"):     # inf - inf
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, max + max
                 asym = np.abs(P - D).max(axis=(-2, -1), initial=0.0)
+                H = (P + D) * 0.5
             bad = ~(asym <= VALIDATE_TOL)
             if blk.diagonal:
                 off = np.abs(P[:, ~np.eye(n, dtype=bool)]).max(axis=-1, initial=0.0)
@@ -140,8 +158,10 @@ def _hermitize(stacks: list[np.ndarray], blocks: list[Block]) -> None:
                                if not asym[j] <= VALIDATE_TOL else
                                "off-diagonal entries in a diagonal block"))
                 break
-            np.add(P, D, out=P)
-            P *= 0.5
+            if not np.isfinite(H).all():            # M + M* overflowed: halve first
+                H = 0.5 * P + 0.5 * D
+            if S.flags.writeable or not np.array_equal(P, H):
+                P[...] = H
     if faults:
         k, b, fault = min(faults)
         raise ModelError(f"{'cost' if k == 0 else f'constraint {k - 1}'} block {b}: {fault}")
@@ -171,13 +191,14 @@ def realify_matrix(A: np.ndarray) -> np.ndarray:
 
 def realify(stacks: list[np.ndarray]) -> list[np.ndarray]:
     """The halved real images of per-block stacks of Hermitian matrices,
-    read through stacks() as a model's stacks are, which checks and copies.
+    checked as a model's stacks are, on a copy: the input is not written.
 
     Blocks double in size and the images are halved, so that every trace
     value, hence the optimum of a model built from them, is preserved.
     """
     rows = [(SENSE_EQ, 0.0)] * (len(stacks[0]) - 1 if stacks else 0)
-    return [realify_matrix(A) * 0.5 for A in SDPModel.from_stacks(stacks, rows).stacks()]
+    checked = SDPModel.from_stacks([np.array(A) for A in stacks], rows).stacks()
+    return [realify_matrix(A) * 0.5 for A in checked]
 
 
 def _fmt(x: float) -> str:
@@ -193,11 +214,10 @@ def export_sdpa(model: SDPModel) -> str:
     block), right-hand sides, then `matno blkno i j value` entries with
     matno 0 for the cost and only the upper triangle stored, 1-based indices.
     """
-    stacks = model.stacks()
     if not model.is_equality_only():
         raise ModelError("export requires an equality-only model; apply to_equality_form first")
-    # stacks() has checked every matrix: take the image without realify's copy
-    stacks = [realify_matrix(S) * 0.5 if np.iscomplexobj(S) else S for S in stacks]
+    # the model has checked every matrix: take the image without realify's copy
+    stacks = [realify_matrix(S) * 0.5 if np.iscomplexobj(S) else S for S in model.stacks()]
     m = len(model.constraints)
     lines = [str(m), str(len(stacks))]
     lines.append(" ".join(str(-S.shape[-1] if b.diagonal else S.shape[-1])

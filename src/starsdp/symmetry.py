@@ -28,7 +28,7 @@ RANK_TOL = 1e-9
 SEED = 2010            # draws the generic commutant elements: reductions are deterministic
 CLUSTER_TOL = 1e-6     # relative gap below which eigenvalues coincide
 REBUILD_TOL = 1e-8     # data must be rebuilt from its blocks this closely
-PANEL = 2 ** 17        # entries of U M U* formed at once by GroupRep._conjugates
+PANEL = 2 ** 17        # entries a step of GroupRep._conjugates or its closure check forms
 
 
 class GroupError(Exception):
@@ -58,17 +58,22 @@ class GroupRep:
         for k, U in enumerate(mats):
             if U.shape != (d, d):
                 raise GroupError(f"element {k} is not {d}x{d}")
-            if np.linalg.norm(U @ U.conj().T - np.eye(d)) > UNITARY_TOL:
-                raise GroupError(f"element {k} is not unitary")
-        if not any(np.linalg.norm(U - np.eye(d)) <= UNITARY_TOL for U in mats):
+        E = self.elements = np.array(mats)
+        I = np.eye(d)
+        unitary = np.linalg.norm(E @ E.conj().swapaxes(1, 2) - I, axis=(1, 2)) <= UNITARY_TOL
+        if not unitary.all():
+            raise GroupError(f"element {int(unitary.argmin())} is not unitary")
+        if not np.any(np.linalg.norm(E - I, axis=(1, 2)) <= UNITARY_TOL):
             raise GroupError("representation does not contain the identity")
-        self.elements = np.array(mats)
-        for a, Ua in enumerate(mats):
-            for b, Ub in enumerate(mats):
-                if not np.any(np.linalg.norm(self.elements - Ua @ Ub, axis=(1, 2)) <= UNITARY_TOL):
-                    raise GroupError(
-                        f"product of elements {a} and {b} leaves the set; "
-                        "representation is not closed")
+        # squared distances of U_a U_b to every element, PANEL entries at once
+        F, step = E.reshape(len(E), -1), max(1, PANEL // E.size)
+        for a, Ua in enumerate(E):
+            for s in range(0, len(E), step):
+                D = (F - (Ua @ E[s:s + step]).reshape(-1, 1, F.shape[1])).view(float)
+                found = np.any(np.einsum("bcx,bcx->bc", D, D) <= UNITARY_TOL ** 2, axis=1)
+                if not found.all():
+                    raise GroupError(f"product of elements {a} and {s + int(found.argmin())} "
+                                     "leaves the set; representation is not closed")
 
     @property
     def dim(self) -> int:
@@ -277,8 +282,7 @@ def reduce_sdp(model: SDPModel, rep: GroupRep) -> ReducedSDP:
     """Block-diagonal SDP with the constraint rows of a one-block `model`
     whose data commute with `rep` to UNITARY_TOL.  ModelError if the blocks miss
     the commutant dimension of the character or fail to rebuild the data."""
-    stacks = model.stacks()
-    if len(stacks) != 1 or model.blocks[0].diagonal:
+    if len(model.blocks) != 1 or model.blocks[0].diagonal:
         raise ModelError("symmetry reduction expects a single dense block")
     d = model.blocks[0].size
     if rep.dim != d:
@@ -286,7 +290,7 @@ def reduce_sdp(model: SDPModel, rep: GroupRep) -> ReducedSDP:
             f"representation dimension {rep.dim} does not match block size {d}")
 
     # the objective, then every constraint, as one stack
-    (data,) = stacks
+    (data,) = model.stacks()
     names = ["objective"] + [f"constraint {k}" for k in range(1, len(data))]
     residual, element = rep.invariance_residual(data)
     bad = np.flatnonzero(residual > UNITARY_TOL)

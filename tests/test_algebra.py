@@ -22,7 +22,6 @@ from starsdp.algebra import (
     normal_form_word,
     poly_mul,
     single,
-    word_adjoint,
 )
 from starsdp.problems import parse_problem
 from support import reference_normal_form
@@ -47,14 +46,14 @@ def word(*letters):
 class TestWord:
     def test_adjoint_reverses_and_toggles(self):
         w = word((0, False), (1, True), (2, False))
-        assert word_adjoint(w) == word((2, True), (1, False), (0, True))
+        assert w.adjoint() == word((2, True), (1, False), (0, True))
 
     def test_adjoint_involution(self):
         w = word((3, True), (0, False))
-        assert word_adjoint(word_adjoint(w)) == w
+        assert w.adjoint().adjoint() == w
 
     def test_unit_adjoint(self):
-        assert word_adjoint(UNIT_WORD) == UNIT_WORD
+        assert UNIT_WORD.adjoint() == UNIT_WORD
 
     def test_order_degree_then_lex_star_breaks_ties(self):
         # degree dominates; within a degree, generator index, then star

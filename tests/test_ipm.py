@@ -325,6 +325,29 @@ class TestStackedAssembly:
         assert abs(s1.primal_value - s2.primal_value) <= 1e-9
 
 
+class TestSolveReadsTheModel:
+    """A size group of one block is a view of the model's own stack."""
+
+    @staticmethod
+    def check(model):
+        groups = _groups([b.size for b in model.blocks])
+        assert all(len(g) == 1 for g in groups)
+        _, C, A = _group(model.stacks(), groups)
+        for (i,), Cg, Ag in zip(groups, C, A):
+            assert np.shares_memory(Cg, model.cost[i])
+            assert np.shares_memory(Ag, model.constraints[-1].matrices[i])
+
+    def test_relaxation(self):
+        i3322 = Path(__file__).resolve().parent.parent / "problems" / "i3322.csdp"
+        lmi = build_relaxation(parse_problem_file(str(i3322)), level=1)._lmi
+        assert len(lmi.blocks) == 1
+        self.check(lmi)
+
+    def test_imported_sdpa(self):
+        rng = np.random.default_rng(21)
+        self.check(import_sdpa(export_sdpa(random_model(rng, [4, 2], 5))))
+
+
 def bounded_feasible_model(rng, sizes, m):
     """Positive definite cost and rows satisfied by a positive definite
     point, so the SDP has an optimum."""

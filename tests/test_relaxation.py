@@ -11,7 +11,7 @@ import pytest
 
 import starsdp.ipm as ipm
 import starsdp.relaxation as rx
-from starsdp.algebra import Polynomial, UNIT_WORD, Word, normal_form, poly_mul, word_adjoint
+from starsdp.algebra import Polynomial, UNIT_WORD, Word, normal_form, poly_mul
 from starsdp.problems import parse_problem, parse_problem_file, word_to_str
 from starsdp.oracles import (
     ConcreteRealization, chsh_tsirelson_realization, realize_moments, grid_min,
@@ -487,7 +487,7 @@ basis = 1, x, z
         pres = relax.problem.presentation
         rows = dict(zip(relax._var_words, relax._W))
         for w, row in rows.items():
-            terms = normal_form(Polynomial.from_word(word_adjoint(w)), pres).terms()
+            terms = normal_form(Polynomial.from_word(w.adjoint()), pres).terms()
             if len(terms) == 1:
                 u, c = terms[0]
                 assert np.max(np.abs(np.conj(row) - c * rows[u])) <= 1e-12
@@ -1044,7 +1044,7 @@ class TestEntryLookup:
             for i, bi in enumerate(basis):
                 left = poly_mul(Polynomial.from_word(bi), weight)
                 for j, bj in enumerate(basis):
-                    right = Polynomial.from_word(word_adjoint(bj))
+                    right = Polynomial.from_word(bj.adjoint())
                     assert mat[i][j] == normal_form(poly_mul(left, right), pres)
 
     @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.csdp")), ids=lambda p: p.stem)
@@ -1068,7 +1068,7 @@ class TestEntryLookup:
         pres = chsh.presentation
         for i, bi in enumerate(relax.basis):
             for j, bj in enumerate(relax.basis):
-                word = Word(bi.letters + word_adjoint(bj).letters)
+                word = Word(bi.letters + bj.adjoint().letters)
                 assert relax.entries[0][i][j] is normal_form(word, pres)
 
 

@@ -1,5 +1,7 @@
 """Trace-form model container, realification, SDPA text round-trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,43 +28,36 @@ def one_by_one(cost, rows):
 
 
 class TestValidation:
+    """A model checks its data when it is made."""
+
     def test_valid_model_passes(self):
-        one_by_one(1.0, [(1.0, SENSE_EQ, 1.0)]).validate()
+        m = one_by_one(1.0, [(1.0, SENSE_EQ, 1.0)])
+        assert [S.shape for S in m.stacks()] == [(2, 1, 1)]
 
-    def test_asymmetric_cost_rejected(self):
-        m = SDPModel([Block(2)], [np.array([[0.0, 1.0], [0.0, 0.0]])], [])
+    @pytest.mark.parametrize("blocks, cost", [
+        ([Block(2)], [np.array([[0.0, 1.0], [0.0, 0.0]])]),
+        ([Block(1), Block(2)], [np.eye(1)]),
+        ([Block(2, diagonal=True)], [np.array([[1.0, 0.5], [0.5, 1.0]])]),
+        ([Block(1)], [np.array([[1.0 + 1j]])]),
+    ], ids=["asymmetric-cost", "block-count", "off-diagonal-in-diagonal-block",
+            "complex-cost"])
+    def test_rejected(self, blocks, cost):
         with pytest.raises(ModelError):
-            m.validate()
-
-    def test_wrong_block_count_rejected(self):
-        m = SDPModel([Block(1), Block(2)], [np.eye(1)], [])
-        with pytest.raises(ModelError):
-            m.validate()
-
-    def test_offdiagonal_entry_in_diagonal_block_rejected(self):
-        m = SDPModel([Block(2, diagonal=True)],
-                     [np.array([[1.0, 0.5], [0.5, 1.0]])], [])
-        with pytest.raises(ModelError):
-            m.validate()
-
-    def test_complex_cost_rejected(self):
-        m = SDPModel([Block(1)], [np.array([[1.0 + 1j]])], [])
-        with pytest.raises(ModelError):
-            m.validate()
+            SDPModel(blocks, cost, [])
 
     def test_hermitian_data_pass(self):
         H = np.array([[1.0, 2j], [-2j, 3.0]])
-        SDPModel([Block(1), Block(2)], [np.eye(1), H],
-                 [LinearConstraint([np.eye(1), H @ H], SENSE_EQ, 1.0)]).validate()
+        m = SDPModel([Block(1), Block(2)], [np.eye(1), H],
+                     [LinearConstraint([np.eye(1), H @ H], SENSE_EQ, 1.0)])
+        assert np.array_equal(m.constraints[0].matrices[1], H @ H)
 
     def test_non_hermitian_row_named(self):
         # complex symmetric, not Hermitian, in block 1 of row 2
         H, S = np.array([[1.0, 2j], [-2j, 3.0]]), np.array([[1.0, 2j], [2j, 3.0]])
-        m = SDPModel([Block(1), Block(2)], [np.eye(1), H],
+        with pytest.raises(ModelError, match="constraint 1 block 1: matrix is not Hermitian"):
+            SDPModel([Block(1), Block(2)], [np.eye(1), H],
                      [LinearConstraint([np.eye(1), H], SENSE_EQ, 1.0),
                       LinearConstraint([np.eye(1), S], SENSE_EQ, 1.0)])
-        with pytest.raises(ModelError, match="constraint 1 block 1: matrix is not Hermitian"):
-            m.validate()
 
 
 class TestEqualityForm:
@@ -131,7 +126,6 @@ class TestRealify:
     def test_realified_model_structure(self):
         stack = np.array([[[1.0, 1j], [-1j, 1.0]], np.eye(2)])
         m = SDPModel.from_stacks(realify([stack]), [(SENSE_EQ, 1.0)])
-        m.validate()
         assert m.blocks[0].size == 4
         assert np.allclose(m.cost[0], realify_matrix(stack[0]) / 2)
 
@@ -313,74 +307,105 @@ class TestSDPAText:
 
 
 def bad_sense():
-    return one_by_one(1.0, [(1.0, "<>", 1.0)])
+    return [Block(1)], [np.eye(1)], [LinearConstraint([np.eye(1)], "<>", 1.0)]
 
 
 def matrix_count_mismatch():
-    return SDPModel([Block(1), Block(1)], [np.eye(1), np.eye(1)],
-                    [LinearConstraint([np.eye(1)], SENSE_EQ, 1.0)])
+    return ([Block(1), Block(1)], [np.eye(1), np.eye(1)],
+            [LinearConstraint([np.eye(1)], SENSE_EQ, 1.0)])
 
 
 def shape_mismatch():
-    return SDPModel([Block(2)], [np.eye(2)],
-                    [LinearConstraint([np.eye(3)], SENSE_EQ, 1.0)])
+    return [Block(2)], [np.eye(2)], [LinearConstraint([np.eye(3)], SENSE_EQ, 1.0)]
+
+
+NAN = np.array([[1.0, np.nan], [np.nan, 1.0]])
 
 
 def nan_cost():
     # max|C - C*| is NaN here, and NaN > tol is false
-    return SDPModel([Block(2)], [np.array([[1.0, np.nan], [np.nan, 1.0]])],
-                    [LinearConstraint([np.eye(2)], SENSE_EQ, 1.0)])
+    return [Block(2)], [NAN], [LinearConstraint([np.eye(2)], SENSE_EQ, 1.0)]
 
 
 def infinite_rhs():
-    return one_by_one(1.0, [(1.0, SENSE_EQ, 1.0), (1.0, SENSE_EQ, np.inf)])
+    return [Block(1)], [np.eye(1)], [LinearConstraint([np.eye(1)], SENSE_EQ, 1.0),
+                                     LinearConstraint([np.eye(1)], SENSE_EQ, np.inf)]
 
 
 def nan_cost_and_bad_sense():
     # two faults: the cost's entries, and the metadata of a later row
-    m = nan_cost()
-    m.constraints[0].sense = "<>"
-    return m
+    return [Block(2)], [NAN], [LinearConstraint([np.eye(2)], "<>", 1.0)]
 
 
 def infinite_hermitian_row():
     # inf - inf in C - C*, which must not warn
     H = np.array([[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]])
-    return SDPModel([Block(1), Block(2)], [np.eye(1), np.eye(2, dtype=complex)],
-                    [LinearConstraint([np.eye(1), np.eye(2, dtype=complex)], SENSE_EQ, 1.0),
-                     LinearConstraint([np.eye(1), H], SENSE_EQ, 1.0)])
+    return ([Block(1), Block(2)], [np.eye(1), np.eye(2, dtype=complex)],
+            [LinearConstraint([np.eye(1), np.eye(2, dtype=complex)], SENSE_EQ, 1.0),
+             LinearConstraint([np.eye(1), H], SENSE_EQ, 1.0)])
 
 
-class TestReadPathChecks:
-    """Every reader of a model's matrices rejects what validate rejects,
-    with validate's message."""
+def from_lists(blocks, cost, constraints):
+    return SDPModel(blocks, cost, constraints)
 
-    @pytest.mark.parametrize("make, message", [
-        (bad_sense, "constraint 0: bad sense '<>'"),
-        (matrix_count_mismatch, "constraint 0: matrix count mismatch"),
-        (shape_mismatch, "constraint 0 block 0: shape (3, 3) does not match block size 2"),
-        (nan_cost, "cost block 0: matrix has a non-finite entry"),
-        (infinite_rhs, "constraint 1: right-hand side inf is not finite"),
-        (infinite_hermitian_row, "constraint 1 block 1: matrix has a non-finite entry"),
-        (nan_cost_and_bad_sense, "constraint 0: bad sense '<>'"),
-    ], ids=["bad-sense", "matrix-count", "shape", "nan-cost", "infinite-rhs",
-            "infinite-hermitian-row", "nan-cost-and-bad-sense"])
-    @pytest.mark.parametrize("read", [
-        SDPModel.validate, SDPModel.stacks, solve, export_sdpa, to_equality_form,
-    ], ids=["validate", "stacks", "solve", "export_sdpa", "to_equality_form"])
-    def test_rejected(self, make, message, read):
-        with pytest.raises(ModelError) as err:
-            read(make())
+
+def from_stacks(blocks, cost, constraints):
+    stacks = [np.array([C] + [con.matrices[b] for con in constraints])
+              for b, C in enumerate(cost)]
+    return SDPModel.from_stacks(stacks, [(con.sense, con.rhs) for con in constraints], blocks)
+
+
+FAULTS = [
+    (bad_sense, "constraint 0: bad sense '<>'"),
+    (matrix_count_mismatch, "constraint 0: matrix count mismatch"),
+    (shape_mismatch, "constraint 0 block 0: shape (3, 3) does not match block size 2"),
+    (nan_cost, "cost block 0: matrix has a non-finite entry"),
+    (infinite_rhs, "constraint 1: right-hand side inf is not finite"),
+    (infinite_hermitian_row, "constraint 1 block 1: matrix has a non-finite entry"),
+    (nan_cost_and_bad_sense, "constraint 0: bad sense '<>'"),
+]
+FAULT_IDS = ["bad-sense", "matrix-count", "shape", "nan-cost", "infinite-rhs",
+             "infinite-hermitian-row", "nan-cost-and-bad-sense"]
+
+
+class TestConstructionChecks:
+    """Both constructors check a model when it is made, with one message
+    per fault: counts, senses, right-hand sides and shapes before any
+    matrix's entries.  A row's matrix count and shapes cannot be wrong in a
+    stack, which is one array per block."""
+
+    @pytest.mark.parametrize("construct, make, message", [
+        (construct, make, message) for construct in (from_lists, from_stacks)
+        for make, message in FAULTS
+        if construct is from_lists or make not in (matrix_count_mismatch, shape_mismatch)
+    ], ids=[f"SDPModel-{i}" for i in FAULT_IDS] + [
+        f"from_stacks-{i}" for i in FAULT_IDS if i not in ("matrix-count", "shape")])
+    def test_rejected(self, construct, make, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError) as err:
+                construct(*make())
         assert str(err.value) == message
 
     def test_first_matrix_in_model_order_named(self):
         # a row of block 0 and the cost of block 1 are both asymmetric: the
         # costs come before the rows, whatever the block
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        m = SDPModel([Block(2), Block(2)], [np.eye(2), bad],
-                     [LinearConstraint([bad, np.eye(2)], SENSE_EQ, 1.0)])
         with pytest.raises(ModelError, match="^cost block 1: matrix is not symmetric$"):
-            m.stacks()
+            SDPModel([Block(2), Block(2)], [np.eye(2), bad],
+                     [LinearConstraint([bad, np.eye(2)], SENSE_EQ, 1.0)])
+
+    def test_largest_finite_entries_kept(self):
+        # M + M* overflows to inf here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = SDPModel([Block(1)], [np.array([[1e308]])],
+                         [LinearConstraint([np.array([[-1e308]])], SENSE_EQ, 1.0)])
+            [S] = m.stacks()
+            assert S.tolist() == [[[1e308]], [[-1e308]]]
+            H = np.array([[1.7e308, 1e308 - 1e308j], [1e308 + 1e308j, -1.7e308]])
+            [S] = SDPModel.from_stacks([np.array([H])], []).stacks()
+            assert np.array_equal(S[0], H)
 
 
 class TestFromStacks:
@@ -395,8 +420,15 @@ class TestFromStacks:
             SDPModel.from_stacks(stacks, [(SENSE_EQ, 1.0)] * rows)
         assert str(err.value) == message
 
+    def test_takes_the_arrays_over(self):
+        stack = np.array([np.eye(2), [[0.0, 1.0], [1.0 + 1e-12, 0.0]]])
+        m = SDPModel.from_stacks([stack], [(SENSE_EQ, 1.0)])
+        [S] = m.stacks()
+        assert S is stack and not stack.flags.writeable
+        assert stack[1, 0, 1] == stack[1, 1, 0]
 
-def nearly_hermitian_model():
+
+def nearly_hermitian_data():
     """Equality rows on a real, a Hermitian and a diagonal block, every
     matrix within 1e-12 of Hermitian but not exactly, and X = I interior
     feasible with a positive definite cost."""
@@ -419,37 +451,62 @@ def nearly_hermitian_model():
 
     cost = [M + 4 * np.eye(len(M)) for M in draw()]
     rows = [draw() for _ in range(4)]
-    return SDPModel([Block(3), Block(2), Block(2, diagonal=True)], cost,
-                    [LinearConstraint(A, SENSE_EQ, float(sum(np.trace(M).real for M in A)))
-                     for A in rows])
+    return ([Block(3), Block(2), Block(2, diagonal=True)], cost,
+            [LinearConstraint(A, SENSE_EQ, float(sum(np.trace(M).real for M in A)))
+             for A in rows])
 
 
-class TestReadsLeaveTheModel:
-    """Reads copy the model's matrices and make the copies exactly
-    Hermitian; the model's own arrays are never written."""
+class TestTheModelIsItsData:
+    """A model stacks the caller's matrices into new arrays, made exactly
+    Hermitian; readers share those arrays, which nobody can write."""
 
-    def test_model_matrices_unchanged(self):
-        m = nearly_hermitian_model()
-        matrices = m.cost + [A for con in m.constraints for A in con.matrices]
+    def test_caller_matrices_unchanged(self):
+        blocks, cost, constraints = nearly_hermitian_data()
+        matrices = cost + [A for con in constraints for A in con.matrices]
         before = [A.copy() for A in matrices]
+        m = SDPModel(blocks, cost, constraints)
         X = [np.eye(b.size) for b in m.blocks]
-        for read in (SDPModel.stacks, SDPModel.validate, solve, export_sdpa, to_equality_form,
+        for read in (SDPModel.stacks, solve, export_sdpa, to_equality_form,
                      lambda model: feasibility_check(model, X)):
             read(m)
-            assert all(A.dtype == B.dtype and np.array_equal(A, B)
-                       for A, B in zip(matrices, before))
+        assert all(A.dtype == B.dtype and np.array_equal(A, B)
+                   for A, B in zip(matrices, before))
+        assert not np.array_equal(cost[0], cost[0].T)
 
     def test_stacks_are_exactly_hermitian(self):
-        m = nearly_hermitian_model()
-        assert not np.array_equal(m.cost[0], m.cost[0].T)
+        m = SDPModel(*nearly_hermitian_data())
         for S in m.stacks():
             assert np.array_equal(S, S.conj().swapaxes(-1, -2))
 
-    def test_solve_equals_solve_of_exact_copy(self):
-        m = nearly_hermitian_model()
-        exact = SDPModel.from_stacks(m.stacks(), [(c.sense, c.rhs) for c in m.constraints],
-                                     m.blocks)
-        a, b = solve(m), solve(exact)
+    def test_stacks_are_the_model(self):
+        m = SDPModel(*nearly_hermitian_data())
+        S = m.stacks()
+        assert all(A is B for A, B in zip(S, m.stacks())) and S is not m.stacks()
+        assert all(np.shares_memory(C, Sb) for C, Sb in zip(m.cost, S))
+        assert all(np.shares_memory(A, Sb) for con in m.constraints
+                   for A, Sb in zip(con.matrices, S))
+        eq = to_equality_form(m)
+        assert all(A is B for A, B in zip(eq.stacks(), S))
+
+    def test_writes_rejected(self):
+        m = SDPModel(*nearly_hermitian_data())
+        with pytest.raises(ValueError, match="read-only"):
+            m.cost[0][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.constraints[0].matrices[1][...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.stacks()[2][0] = 0.0
+
+    def test_solve_equals_solve_of_exact_data(self):
+        # the Hermitian parts of the caller's matrices give the same stacks
+        blocks, cost, constraints = nearly_hermitian_data()
+        exact = [[0.5 * M + 0.5 * M.conj().T for M in A]
+                 for A in [cost] + [con.matrices for con in constraints]]
+        e = SDPModel(blocks, exact[0], [LinearConstraint(A, con.sense, con.rhs)
+                                        for A, con in zip(exact[1:], constraints)])
+        m = SDPModel(blocks, cost, constraints)
+        assert all(np.array_equal(A, B) for A, B in zip(m.stacks(), e.stacks()))
+        a, b = solve(m), solve(e)
         assert a.status == b.status and a.iterations == b.iterations
         assert (a.primal_value, a.dual_value) == (b.primal_value, b.dual_value)
         assert np.array_equal(a.y, b.y)

@@ -44,8 +44,8 @@ BLOCK_CASES = {
 
 class TestGroupRep:
     def test_rejects_non_unitary(self):
-        with pytest.raises(GroupError, match="unitary"):
-            GroupRep([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])])
+        with pytest.raises(GroupError, match="^element 1 is not unitary$"):
+            GroupRep([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2) * 2])
 
     def test_rejects_missing_identity(self):
         with pytest.raises(GroupError, match="identity"):
