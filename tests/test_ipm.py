@@ -337,9 +337,12 @@ class TestSolveReadsTheModel:
             assert np.shares_memory(Cg, model.cost[i])
             assert np.shares_memory(Ag, model.constraints[-1].matrices[i])
 
-    def test_relaxation(self):
-        i3322 = Path(__file__).resolve().parent.parent / "problems" / "i3322.csdp"
-        lmi = build_relaxation(parse_problem_file(str(i3322)), level=1)._lmi
+    @pytest.mark.parametrize("name, level", [
+        ("chsh", 1), ("i3322", 1), ("i3322", 2), ("phased_involution", 2),
+    ], ids=["chsh-L1", "i3322-L1", "i3322-L2", "phased_involution-L2"])
+    def test_relaxation(self, name, level):
+        path = Path(__file__).resolve().parent.parent / "problems" / f"{name}.csdp"
+        lmi = build_relaxation(parse_problem_file(str(path)), level=level)._lmi
         assert len(lmi.blocks) == 1
         self.check(lmi)
 

@@ -407,6 +407,13 @@ class TestConstructionChecks:
             [S] = SDPModel.from_stacks([np.array([H])], []).stacks()
             assert np.array_equal(S[0], H)
 
+    def test_largest_finite_sdpa_entries_kept(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = import_sdpa("1\n1\n2\n1.0\n0 1 1 2 1e308\n1 1 1 1 1.0\n")
+            [S] = m.stacks()
+            assert S[0].tolist() == [[0.0, 1e308], [1e308, 0.0]]
+
 
 class TestFromStacks:
     @pytest.mark.parametrize("shapes, rows, message", [
@@ -426,6 +433,26 @@ class TestFromStacks:
         [S] = m.stacks()
         assert S is stack and not stack.flags.writeable
         assert stack[1, 0, 1] == stack[1, 1, 0]
+
+    @pytest.mark.parametrize("dtype, strided, kept, made", [
+        (np.float64, False, True, np.float64),
+        (np.complex128, False, True, np.complex128),
+        (np.int64, False, False, np.float64),
+        (np.float32, False, False, np.float64),
+        (np.complex64, False, False, np.complex128),
+        (np.float64, True, False, np.float64),
+    ], ids=["float64", "complex128", "int64", "float32", "complex64", "strided-float64"])
+    def test_converts_only_when_needed(self, dtype, strided, kept, made):
+        # a contiguous float or complex stack is taken over; anything else is
+        # converted to one, and the caller's array is left as it was
+        stack = np.array([np.eye(2), [[0, 1], [1, 0]]], dtype=dtype)
+        if strided:
+            stack = np.array([np.eye(4)] * 2)[:, ::2, ::2]
+        before = stack.copy()
+        [S] = SDPModel.from_stacks([stack], [(SENSE_EQ, 1.0)]).stacks()
+        assert (S is stack) == kept and S.dtype == made and S.flags.c_contiguous
+        assert np.array_equal(S, before) and not S.flags.writeable
+        assert stack.flags.writeable != kept and np.array_equal(stack, before)
 
 
 def nearly_hermitian_data():
@@ -460,18 +487,25 @@ class TestTheModelIsItsData:
     """A model stacks the caller's matrices into new arrays, made exactly
     Hermitian; readers share those arrays, which nobody can write."""
 
-    def test_caller_matrices_unchanged(self):
+    @pytest.mark.parametrize("read", [
+        SDPModel.stacks, solve, export_sdpa, to_equality_form,
+        lambda model: feasibility_check(model, [np.eye(b.size) for b in model.blocks]),
+        lambda model: realify(model.stacks()),
+    ], ids=["stacks", "solve", "export_sdpa", "to_equality_form", "feasibility_check",
+            "realify"])
+    def test_caller_matrices_unchanged(self, read):
+        # every reader works on the read-only stacks and leaves them as made
         blocks, cost, constraints = nearly_hermitian_data()
         matrices = cost + [A for con in constraints for A in con.matrices]
         before = [A.copy() for A in matrices]
         m = SDPModel(blocks, cost, constraints)
-        X = [np.eye(b.size) for b in m.blocks]
-        for read in (SDPModel.stacks, solve, export_sdpa, to_equality_form,
-                     lambda model: feasibility_check(model, X)):
-            read(m)
+        made = [S.copy() for S in m.stacks()]
+        read(m)
         assert all(A.dtype == B.dtype and np.array_equal(A, B)
                    for A, B in zip(matrices, before))
         assert not np.array_equal(cost[0], cost[0].T)
+        assert all(not S.flags.writeable and np.array_equal(S, B)
+                   for S, B in zip(m.stacks(), made))
 
     def test_stacks_are_exactly_hermitian(self):
         m = SDPModel(*nearly_hermitian_data())
@@ -488,14 +522,15 @@ class TestTheModelIsItsData:
         eq = to_equality_form(m)
         assert all(A is B for A, B in zip(eq.stacks(), S))
 
-    def test_writes_rejected(self):
+    @pytest.mark.parametrize("write", [
+        lambda m: m.cost[0].__setitem__((0, 0), 1.0),
+        lambda m: m.constraints[0].matrices[1].__setitem__(Ellipsis, 0.0),
+        lambda m: m.stacks()[2].__setitem__(0, 0.0),
+    ], ids=["cost", "row-matrix", "stack"])
+    def test_writes_rejected(self, write):
         m = SDPModel(*nearly_hermitian_data())
         with pytest.raises(ValueError, match="read-only"):
-            m.cost[0][0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            m.constraints[0].matrices[1][...] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            m.stacks()[2][0] = 0.0
+            write(m)
 
     def test_solve_equals_solve_of_exact_data(self):
         # the Hermitian parts of the caller's matrices give the same stacks

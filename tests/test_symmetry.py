@@ -58,10 +58,15 @@ class TestGroupRep:
         with pytest.raises(GroupError, match="closed"):
             GroupRep([np.eye(2), R])
 
-    def test_rejects_open_set_naming_the_first_pair(self):
-        # D16 without element 5; the pair is the one the per-element scan named
+    @pytest.mark.parametrize("products", [1, 5, None],
+                             ids=["one-product", "five-products", "default"])
+    def test_rejects_open_set_naming_the_first_pair(self, products, monkeypatch):
+        # D16 without element 5; the pair is the one the per-element scan
+        # named, however many products a chunk holds
         elements = list(dihedral_rep(16).elements)
         del elements[5]
+        if products is not None:
+            monkeypatch.setattr(symmetry, "PANEL", products * np.size(elements))
         with pytest.raises(GroupError, match="product of elements 1 and 27 leaves the set"):
             GroupRep(elements)
 
@@ -180,6 +185,15 @@ class TestReduceSDP:
                          [LinearConstraint([np.eye(b.size) for b in blocks], "==", 1.0)])
         with pytest.raises(ModelError, match="single dense block"):
             reduce_sdp(model, C3)
+
+    def test_reads_the_model_in_place(self):
+        # the reduction reads the model's read-only stacks, and writes neither
+        # them nor the caller's matrices
+        model = invariant_instance(C3, 3, np.random.default_rng(9))
+        before = [S.copy() for S in model.stacks()]
+        reduce_sdp(model, C3)
+        assert all(not S.flags.writeable and np.array_equal(S, B)
+                   for S, B in zip(model.stacks(), before))
 
     def test_reduced_matches_full_on_c3_instances(self):
         rng = np.random.default_rng(42)
