@@ -28,7 +28,7 @@ RANK_TOL = 1e-9
 SEED = 2010            # draws the generic commutant elements: reductions are deterministic
 CLUSTER_TOL = 1e-6     # relative gap below which eigenvalues coincide
 REBUILD_TOL = 1e-8     # data must be rebuilt from its blocks this closely
-PANEL = 2 ** 17        # entries a step of GroupRep._conjugates or its closure check forms
+PANEL = 2 ** 13        # entries a step of the group actions or the closure check forms
 
 
 class GroupError(Exception):
@@ -59,21 +59,16 @@ class GroupRep:
             if U.shape != (d, d):
                 raise GroupError(f"element {k} is not {d}x{d}")
         E = self.elements = np.array(mats)
+        finite = np.isfinite(E).all(axis=(1, 2))
+        if not finite.all():
+            raise GroupError(f"element {int(finite.argmin())} has a non-finite entry")
         I = np.eye(d)
         unitary = np.linalg.norm(E @ E.conj().swapaxes(1, 2) - I, axis=(1, 2)) <= UNITARY_TOL
         if not unitary.all():
             raise GroupError(f"element {int(unitary.argmin())} is not unitary")
         if not np.any(np.linalg.norm(E - I, axis=(1, 2)) <= UNITARY_TOL):
             raise GroupError("representation does not contain the identity")
-        # squared distances of U_a U_b to every element, PANEL entries at once
-        F, step = E.reshape(len(E), -1), max(1, PANEL // E.size)
-        for a, Ua in enumerate(E):
-            for s in range(0, len(E), step):
-                D = (F - (Ua @ E[s:s + step]).reshape(-1, 1, F.shape[1])).view(float)
-                found = np.any(np.einsum("bcx,bcx->bc", D, D) <= UNITARY_TOL ** 2, axis=1)
-                if not found.all():
-                    raise GroupError(f"product of elements {a} and {s + int(found.argmin())} "
-                                     "leaves the set; representation is not closed")
+        _check_distinct_and_closed(E)
 
     @property
     def dim(self) -> int:
@@ -87,27 +82,37 @@ class GroupRep:
         """The isotypic decomposition reduce_sdp uses, computed at first use."""
         return _irreducible_pieces(self, np.random.default_rng(SEED))
 
-    def _conjugates(self, M: np.ndarray):
-        """U M U* for a matrix or stack M (..., d, d), one chunk of elements
-        U at a time; a chunk holds at most PANEL entries unless one
-        element alone needs more."""
-        step = max(1, PANEL // M.size)
+    def _step(self) -> int:
+        """Elements per chunk of an action: all of them, or as many as fit
+        PANEL entries for one matrix.  It depends only on the group, so a
+        matrix gets the same sums alone as inside a stack."""
+        return min(len(self), max(1, PANEL // self.dim ** 2))
+
+    def _slices(self, M: np.ndarray) -> list[np.ndarray]:
+        """A matrix or stack M (..., d, d) as a stack (n, d, d) cut into
+        slices whose conjugates by one chunk of elements fit PANEL entries."""
+        M = np.asarray(M, dtype=complex).reshape(-1, self.dim, self.dim)
+        per = max(1, PANEL // (self._step() * self.dim ** 2))
+        return [M[m:m + per] for m in range(0, len(M), per)]
+
+    def _conjugates(self, S: np.ndarray):
+        """U S U* for a stack S (n, d, d), one chunk of elements U at a time."""
+        step = self._step()
         for s in range(0, len(self), step):
-            U = self.elements[s:s + step]
-            U = U.reshape(U.shape[:1] + (1,) * (M.ndim - 2) + U.shape[1:])
-            yield U @ M @ U.conj().swapaxes(-1, -2)
+            U = self.elements[s:s + step, None]
+            yield U @ S @ U.conj().swapaxes(-1, -2)
 
     def average(self, M: np.ndarray) -> np.ndarray:
         """Reynolds projection onto the commutant, of a matrix or a stack."""
-        M = np.asarray(M, dtype=complex)
-        return sum(UMU.sum(axis=0) for UMU in self._conjugates(M)) / len(self)
+        A = [sum(UMU.sum(axis=0) for UMU in self._conjugates(S)) for S in self._slices(M)]
+        return np.concatenate(A).reshape(np.shape(M)) / len(self)
 
     def invariance_residual(self, M: np.ndarray) -> tuple[float, int]:
         """Largest ||U M U* - M|| over the group and the first element that
         attains it; for a stack (n, d, d), one of each per matrix as arrays."""
-        M = np.asarray(M, dtype=complex)
-        r = np.concatenate([_frobenius(UMU - M) for UMU in self._conjugates(M)])
-        if M.ndim == 2:
+        r = np.hstack([np.concatenate([_frobenius(UMU - S) for UMU in self._conjugates(S)])
+                       for S in self._slices(M)])
+        if np.ndim(M) == 2:
             return float(r.max()), int(r.argmax())
         return r.max(axis=0), r.argmax(axis=0)
 
@@ -115,6 +120,60 @@ class GroupRep:
         """tr(Q* U Q) for every element U: the character of the action on
         the invariant span of the orthonormal columns of Q."""
         return self.elements.reshape(len(self), -1) @ (Q @ Q.conj().T).T.ravel()
+
+
+def _check_distinct_and_closed(E: np.ndarray) -> None:
+    """GroupError unless the unitaries E (|G|, d, d) are distinct and every
+    product U_a U_b lies within UNITARY_TOL of an element.
+
+    Each matrix gets the key <r, U> on its real entries (a real group's, or
+    the real and imaginary parts) for a fixed unit vector r.  Keys move by at
+    most the Frobenius distance, so a product is compared, as squared
+    distance, only with the elements whose sorted keys lie in its window:
+    O(|G|^2 d^3) of products, a row of a at a time, plus O(|G|^2 log |G|).
+    """
+    n, d, _ = E.shape
+    X = E if E.imag.any() else np.ascontiguousarray(E.real)
+    F = X.reshape(n, -1).view(float)
+    r = np.random.default_rng(SEED).standard_normal(F.shape[1])
+    r /= np.linalg.norm(r)
+    keys = F @ r
+    order = np.argsort(keys)
+    keys, F = keys[order], F[order]
+    # UNITARY_TOL, widened by twice the rounding of a key difference: a key
+    # is off by at most m eps ||U||_F (m = F.shape[1], ||U||_F = sqrt(d))
+    width = UNITARY_TOL + 4 * F.shape[1] * np.finfo(float).eps * np.sqrt(d)
+
+    # pairs of elements j apart in key order; the first pair i < j that coincides
+    first = n * n
+    for j in range(1, n):
+        near = np.flatnonzero(keys[j:] - keys[:-j] <= width)
+        if not near.size:
+            break
+        D = F[near + j] - F[near]
+        near = near[np.einsum("ij,ij->i", D, D) <= UNITARY_TOL ** 2]
+        a, b = order[near], order[near + j]
+        first = min([first, *(np.minimum(a, b) * n + np.maximum(a, b))])
+    if first < n * n:
+        raise GroupError("elements {} and {} coincide".format(*divmod(int(first), n)))
+
+    # the products of whole rows a, PANEL entries at once unless a row needs more
+    rows = max(1, PANEL // E.size)
+    for s in range(0, n, rows):
+        P = (X[s:s + rows, None] @ X).reshape(-1, d * d).view(float)
+        k = P @ r
+        lo = np.searchsorted(keys, k - width, "left")
+        hi = np.searchsorted(keys, k + width, "right")
+        D = P - F[np.minimum(lo, n - 1)]
+        found = (np.einsum("ij,ij->i", D, D) <= UNITARY_TOL ** 2) & (lo < hi)
+        for j in range(1, int((hi - lo).max())):
+            live = np.flatnonzero(~found & (lo + j < hi))
+            D = P[live] - F[lo[live] + j]
+            found[live[np.einsum("ij,ij->i", D, D) <= UNITARY_TOL ** 2]] = True
+        if not found.all():
+            a, b = divmod(int(found.argmin()), n)
+            raise GroupError(f"product of elements {s + a} and {b} "
+                             "leaves the set; representation is not closed")
 
 
 def _frobenius(D: np.ndarray) -> np.ndarray:
@@ -343,11 +402,14 @@ _GROUP_TOKEN = re.compile(r"[^\s,]+")
 
 
 def _parse_entry(tok: str, line_no: int) -> complex:
-    t = tok.replace("i", "j").replace("I", "j")
+    t = tok[:-1] + "j" if tok[-1] in "iI" else tok     # 0.5+0.5i; inf stays inf
     try:
-        return complex(t)
+        z = complex(t)
     except ValueError:
         raise GroupError(f"line {line_no}: bad matrix entry {tok!r}") from None
+    if not np.isfinite(z):
+        raise GroupError(f"line {line_no}: matrix entry {tok!r} is not finite")
+    return z
 
 
 def parse_group_file(path: str) -> GroupRep:
@@ -373,12 +435,13 @@ def parse_group_file(path: str) -> GroupRep:
         if not s or s.startswith("#") or s.startswith("*"):
             continue
         low = s.lower()
-        if low.startswith("dim"):
+        if low.split()[0] == "dim":
             if dim is not None:
                 raise GroupError(f"line {no}: duplicate dim line")
             try:
-                dim = int(s.split()[1])
-            except (IndexError, ValueError):
+                _, dim = s.split()
+                dim = int(dim)
+            except ValueError:
                 raise GroupError(f"line {no}: malformed dim line") from None
             if dim < 1:
                 raise GroupError(f"line {no}: dim {dim} is below 1")

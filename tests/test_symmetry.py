@@ -1,4 +1,6 @@
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +72,32 @@ class TestGroupRep:
         with pytest.raises(GroupError, match="product of elements 1 and 27 leaves the set"):
             GroupRep(elements)
 
+    @pytest.mark.parametrize("elements, message", [
+        ([0, 0, 1], "elements 0 and 1 coincide"),
+        ([1, 0, 1], "elements 0 and 2 coincide"),
+        ([0, 1, 1, 0], "elements 0 and 3 coincide"),
+    ], ids=["identity-twice", "swap-twice", "both-twice"])
+    def test_rejects_repeated_elements(self, elements, message):
+        # a multiset is no group: its average is no projection
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(GroupError, match=f"^{message}$"):
+            GroupRep([(np.eye(2), swap)[k] for k in elements])
+
+    def test_rejects_repeated_element_within_tolerance(self):
+        elements = list(dihedral_rep(6).elements)
+        elements.append(_rotated(elements[4], 0.3 * symmetry.UNITARY_TOL))
+        with pytest.raises(GroupError, match="^elements 4 and 12 coincide$"):
+            GroupRep(elements)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_element(self, entry):
+        U = np.eye(2, dtype=complex)
+        U[1, 0] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GroupError, match="^element 1 has a non-finite entry$"):
+                GroupRep([np.eye(2), U])
+
     def test_compares_by_identity(self):
         rep = dihedral_rep(4)
         assert rep == rep
@@ -103,6 +131,80 @@ class TestGroupRep:
         assert np.linalg.norm(A1 - A2) < 1e-12
         for U in C3.elements:
             assert np.linalg.norm(U @ A1 @ U.conj().T - A1) < 1e-12
+
+
+def _rotated(U, distance):
+    """U times a rotation in the plane of its first two coordinates, at
+    Frobenius distance `distance` from U."""
+    t = 2 * np.arcsin(distance / np.sqrt(8))
+    G = np.eye(len(U))
+    G[:2, :2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+    return U @ G
+
+
+def _first_open_pair(elements):
+    """The first pair (a, b) in row-major order whose product is farther than
+    UNITARY_TOL from every element, by a scan over all |G|^3 triples."""
+    E = np.array(elements, dtype=complex)
+    for a in range(len(E)):
+        for b in range(len(E)):
+            if not np.any(np.linalg.norm(E[a] @ E[b] - E, axis=(1, 2))
+                          <= symmetry.UNITARY_TOL):
+                return a, b
+    return None
+
+
+def _closure_verdict(elements):
+    """The pair GroupRep names as leaving the set, or None if it accepts."""
+    try:
+        GroupRep(elements)
+    except GroupError as err:
+        pair = re.fullmatch(r"product of elements (\d+) and (\d+) leaves the set; "
+                            r"representation is not closed", str(err))
+        assert pair, str(err)
+        return tuple(map(int, pair.groups()))
+    return None
+
+
+CLOSURE_CASES = {name: make for name, (make, _) in BLOCK_CASES.items()} | {
+    f"S{d}": lambda d=d: GroupRep([perm_matrix(p) for p in itertools.permutations(range(d))])
+    for d in (4, 5)}
+
+
+class TestClosureCheck:
+    """The keyed closure check against a scan over every triple."""
+
+    @staticmethod
+    def assert_each_removal_matches_scan(elements):
+        assert _closure_verdict(elements) is None
+        for k in range(1, len(elements)):      # element 0 is the identity
+            rest = elements[:k] + elements[k + 1:]
+            want = _first_open_pair(rest)
+            assert want is not None
+            assert _closure_verdict(rest) == want, k
+
+    @pytest.mark.parametrize("name", CLOSURE_CASES)
+    def test_each_element_removed(self, name):
+        self.assert_each_removal_matches_scan(list(CLOSURE_CASES[name]().elements))
+
+    @pytest.mark.parametrize("name", ["D12", "S4"])
+    def test_wide_key_windows(self, name, monkeypatch):
+        # at a tolerance of 0.5 a product's key window holds several
+        # elements, while distinct permutation matrices stay 2 or more apart
+        monkeypatch.setattr(symmetry, "UNITARY_TOL", 0.5)
+        self.assert_each_removal_matches_scan(list(CLOSURE_CASES[name]().elements))
+
+    @pytest.mark.parametrize("name", ["D16", "Q8 spin twice", "S4"])
+    def test_perturbed_element(self, name):
+        elements = list(CLOSURE_CASES[name]().elements)
+        for scale, closed in [(0.3, True), (10.0, False)]:
+            moved = list(elements)
+            moved[3] = _rotated(elements[3], scale * symmetry.UNITARY_TOL)
+            assert np.isclose(np.linalg.norm(moved[3] - elements[3]),
+                              scale * symmetry.UNITARY_TOL, rtol=1e-4, atol=0)
+            verdict = _closure_verdict(moved)
+            assert (verdict is None) == closed, (name, scale)
+            assert verdict == _first_open_pair(moved)
 
 
 class TestInvariantBasis:
@@ -354,10 +456,12 @@ class TestBatchedActions:
         rng = np.random.default_rng(23)
         M = _random_matrix(rep, rng)
         model = invariant_instance(rep, 3, np.random.default_rng(13))
-        # three elements per chunk for one 16 x 16 matrix, one for a stack
-        # of three or for the five data matrices of the model
+        # three elements per chunk, for one 16 x 16 matrix as for a stack,
+        # which is cut into slices of one matrix
         monkeypatch.setattr(symmetry, "PANEL", 3 * rep.dim ** 2)
-        chunks = list(rep._conjugates(M))
+        assert [S.shape for S in rep._slices(M)] == [(1, 16, 16)]
+        assert [S.shape for S in rep._slices(np.array([M, M, M]))] == [(1, 16, 16)] * 3
+        chunks = list(rep._conjugates(M[None]))
         assert len(chunks) == 11
         assert all(UMU.size <= symmetry.PANEL for UMU in chunks)
         self.assert_average_matches_loop(rep, M)
@@ -459,13 +563,23 @@ class TestGroupFile:
         ("dim 2\n# nothing else\n", None, "no group elements in file"),
         ("# trivial\ndim 0\nelement\n", 2, "dim 0 is below 1"),
         ("dim -1\nelement\n1\n", 1, "dim -1 is below 1"),
+        ("dim 2 junk\nelement\n1 0\n0 1\n", 1, "malformed dim line"),
+        ("dimension 2\nelement\n1 0\n0 1\n", 1, "expected 'dim N' first"),
+        ("dim 2\nelement\n1 0\n0 nan\n", 4, "matrix entry 'nan' is not finite"),
+        ("dim 2\nelement\n1 0\n0 1\nelement\n0 -1e999\n1 0\n", 6,
+         "matrix entry '-1e999' is not finite"),
+        ("dim 1\nelement\n1e400\n", 3, "matrix entry '1e400' is not finite"),
+        ("dim 2\nelement\n1 0\n0 inf\n", 4, "matrix entry 'inf' is not finite"),
+        ("dim 1\nelement\n1+nani\n", 3, "matrix entry '1+nani' is not finite"),
     ], ids=["short-element", "short-last-element", "empty-element", "empty-last-element",
             "duplicate-dim", "malformed-dim", "bare-dim", "rows-before-dim", "no-elements",
-            "dim-zero", "dim-negative"])
+            "dim-zero", "dim-negative", "dim-extra-token", "dim-longer-word", "nan-entry",
+            "inf-entry", "overflowing-entry", "inf-word", "nan-imaginary-part"])
     def test_rejected_input_located(self, tmp_path, text, line, message):
         p = tmp_path / "bad.grp"
         p.write_text(text)
-        with pytest.raises(GroupError) as err:
+        with warnings.catch_warnings(), pytest.raises(GroupError) as err:
+            warnings.simplefilter("error")
             parse_group_file(str(p))
         assert message in str(err.value)
         if line is None:
