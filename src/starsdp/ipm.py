@@ -41,14 +41,24 @@ of k blocks of size n are (k, n, n) arrays, and their data one (1 + m, k,
 n, n) array, C and then the constraint matrices A_s, a view of the block's
 stack when k = 1.  A stack is complex when any of its data are, and a real
 block in a complex stack keeps a real iterate, returned as the real part
-of its view.  A model holds its data exactly Hermitian, so the
-residuals, dZ and the updated X and Z are too; only products need _sym.
-X and Z of a group are held as one (2k, n, n) stack, X first, so one
-Cholesky call and one inverse serve both with no copy.  Products broadcast
-over the leading axis, and a stack flattened to k n^2 entries behaves like
-one block for residuals, sum_k y_k A_ks and the certificates, so every
-per-iteration loop runs over the distinct sizes, not over the blocks.  One
-Newton solve works on the Schur complement
+of its view.  A small model of several sizes is merged instead: its blocks,
+in model order, go on the diagonal of one (1 + m, 1, N, N) array, when the
+flops per iteration that the zeros off the blocks add, 4 m (N^3 - sum n^3)
++ m^2 (N^2 - sum n^2), stay within MERGE_FLOPS per size group saved.  The
+Cholesky factor, the inverse and every product of block-diagonal matrices
+keep exact zeros off the blocks, so a merged solve is the blockwise one up
+to rounding; xi, eta and the scales of the tests come from the size groups,
+so it starts at the blockwise start too.  A model holds its data exactly
+Hermitian, so the residuals, dZ and the updated X and Z are too; only
+products need _sym.  X and Z of a group are held as one (2k, n, n) stack,
+X first, so one Cholesky call and one inverse serve both with no copy, and
+the Newton direction (dX, dZ) is written into a second such stack,
+allocated once per solve, which the step length reads as it is and the
+update adds.  Products broadcast over the leading axis, and a stack
+flattened to k n^2 entries behaves like one block for residuals, sum_k y_k
+A_ks and the certificates, so each phase of an iteration is one loop over
+the groups, not over the blocks.  One Newton solve works on the Schur
+complement
 
     M[k,l] = sum_b Re < A_kb, X_b A_lb inv(Z_b) >.
 
@@ -58,9 +68,9 @@ flat(F_s) @ flat(F_s)^T, which numpy computes as one SYRK: half the flops
 of a general product, and M comes out exactly symmetric.  It runs on the
 float views of complex stacks, since Re <A, T> is the dot product of the
 interleaved real and imaginary parts of A and T.  Beside the model's own
-data, which only a group of several blocks copies, a solve holds two
-A-shaped arrays per stack, allocated once per solve, that receive inv(Lz)
-A_s and F_s in every iteration; fresh arrays of that size would be
+data, which only a group of several blocks or a merged one copies, a solve
+holds two A-shaped arrays per stack, allocated once per solve, that receive
+inv(Lz) A_s and F_s in every iteration; fresh arrays of that size would be
 page-faulted in anew at every iteration.  The solution lists X and Z per
 block in the model's order, as views into the stacks.  Solution.timings
 sums per phase the time between perf_counter reads at its boundaries.
@@ -80,16 +90,17 @@ inv(Z) formed as a product carries cond(Z) times its rounding into dX,
 which near a degenerate optimum, cond(Z) about 1e9, left errors in A(dX)
 above the primal residual the step was to remove.
 
-On a model of one block size each iteration makes six LAPACK calls: the
+On a model of one stack each iteration makes six LAPACK calls: the
 Cholesky factors of the X-Z stack and of M, the inverses of both factors,
 and the eigvalsh calls of the two step lengths.  They call numpy.linalg's
 gufuncs (_umath_linalg.cholesky_lo, inv and eigvalsh_lo) directly, under
 the error state numpy.linalg sets itself, where the gufunc raises the
-invalid flag exactly when LAPACK fails on a matrix of the stack.  The
-results are bit for bit those of numpy.linalg, without its checks and
-wrapping, which cost more than the call itself on a 3 x 3 block.  The rare
-paths, the eigen fallback of the Schur solve and the factor of X alone that
-names a failed one, keep the public calls.
+invalid flag exactly when LAPACK fails on a matrix of the stack; each
+factor and its inverse share one such state, entered once.  The results
+are bit for bit those of numpy.linalg, without its checks and wrapping,
+which cost more than the call itself on a 3 x 3 block.  The rare paths,
+the eigen fallback of the Schur solve and the factor of X alone that names
+a failed one, keep the public calls.
 
 M = F F^T is positive semidefinite by construction, and definite while X, Z
 stay in the cone and the constraints are independent.  Neither holds
@@ -120,6 +131,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -147,6 +159,18 @@ class SolverOptions:
     tol_gap: float = 1e-8
     tol_feas: float = 1e-8
     max_iter: int = 200
+
+    def __post_init__(self):
+        """ValueError naming the first field out of range: max_iter must be
+        an integer >= 0 and each tolerance a finite number >= 0."""
+        if (not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool)
+                or self.max_iter < 0):
+            raise ValueError(f"max_iter must be an integer >= 0, not {self.max_iter!r}")
+        for name in ("tol_gap", "tol_feas"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not (math.isfinite(value) and value >= 0)):
+                raise ValueError(f"{name} must be a finite number >= 0, not {value!r}")
 
 
 @dataclass(slots=True)                  # small: a solve keeps one per iteration
@@ -228,24 +252,43 @@ def _dot(P, Q):
     return sum(map(_inner, P, Q))
 
 
-def _lapack(gufunc):
-    """The LAPACK gufunc behind a numpy.linalg call, called on a stack as
-    numpy.linalg calls it: the gufunc raises the invalid flag exactly when
-    LAPACK fails on a matrix of the stack, which becomes LinAlgError, and
-    other flags are ignored.  Without numpy.linalg's checks and wrapping a
-    call costs about half as much on tiny blocks."""
-    def call(a):
+def _eigvalsh(a):
+    """The eigenvalues of a Hermitian stack by numpy.linalg's LAPACK gufunc,
+    called as numpy.linalg calls it: under this error state the gufunc
+    raises the invalid flag exactly when LAPACK fails on a matrix of the
+    stack, which becomes LinAlgError, and other flags are ignored.  Without
+    numpy.linalg's checks and wrapping a call costs about half as much on
+    tiny blocks."""
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            return _umath_linalg.eigvalsh_lo(a)
+    except FloatingPointError:
+        raise LinAlgError("eigvalsh_lo failed") from None
+
+
+def _factor(S):
+    """The Cholesky factor L of a stack and inv(L), both as numpy.linalg's
+    cholesky and inv compute them, under one error state (see _eigvalsh):
+    None when a factor fails, LinAlgError when an inverse does."""
+    with np.errstate(all="ignore", invalid="raise"):
         try:
-            with np.errstate(all="ignore", invalid="raise"):
-                return gufunc(a)
+            L = _umath_linalg.cholesky_lo(S)
         except FloatingPointError:
-            raise LinAlgError(f"{gufunc.__name__} failed") from None
-    return call
+            return None
+        try:
+            return L, _umath_linalg.inv(L)
+        except FloatingPointError:
+            raise LinAlgError("inv failed") from None
 
 
-_cholesky = _lapack(_umath_linalg.cholesky_lo)
-_inv = _lapack(_umath_linalg.inv)
-_eigvalsh = _lapack(_umath_linalg.eigvalsh_lo)
+# A model of several block sizes is solved as one block-diagonal matrix when
+# the flops per iteration that the zeros off its blocks add are at most
+# MERGE_FLOPS per size group saved (_merges).  At one BLAS thread a group
+# saved cost 80-150 us per iteration: merging was faster at 1.2e5 extra flops
+# (CHSH level 2, the Hermitian level 2 of three free involutions), broke even
+# near 2.3e5-4.6e5 on Hermitian data and 1e6 on real data, and was 10-60%
+# slower from 1.9e6 on (CHSH levels 3 and 4, the Hermitian level 3).
+MERGE_FLOPS = 2e5
 
 
 def _groups(sizes):
@@ -254,6 +297,21 @@ def _groups(sizes):
     for i, n in enumerate(sizes):
         groups.setdefault(n, []).append(i)
     return list(groups.values())
+
+
+def _merges(sizes, m):
+    """Whether a model of these block sizes and m rows is solved as one
+    block-diagonal matrix: when it has several sizes and the extra flops of
+    the merged Schur matrix and its factors, F = inv(Lz) A Lx on N x N in
+    place of each n x n block and the SYRK of F over N^2 entries, stay
+    within MERGE_FLOPS per size group saved."""
+    distinct = set(sizes)
+    if len(distinct) < 2:
+        return False
+    N = sum(sizes)
+    extra = (4 * m * (N ** 3 - sum(n ** 3 for n in sizes))
+             + m * m * (N * N - sum(n * n for n in sizes)))
+    return extra <= MERGE_FLOPS * (len(distinct) - 1)
 
 
 def _group(S, groups):
@@ -270,30 +328,67 @@ def _group(S, groups):
     return real, [Gg[0] for Gg in G], [Gg[1:] for Gg in G]
 
 
-def _gather(blocks, groups, like):
-    """Per-block (n, n) arrays as one Hermitian (k, n, n) stack per group."""
-    return [_sym(np.array([blocks[i] for i in g], dtype=L.dtype))
-            for g, L in zip(groups, like)]
+def _diagonal(S, places, real):
+    """The blocks' stacks S on the diagonal of one (1 + m, 1, N, N) array,
+    at their places, zero elsewhere: C and A as _group gives them."""
+    N = sum(len(Sb[0]) for Sb in S)
+    G = np.zeros((len(S[0]), 1, N, N), dtype=float if all(real) else complex)
+    for Sb, (_, _, s) in zip(S, places):
+        G[:, 0, s, s] = Sb
+    return [G[0]], [G[1:]]
 
 
-def _scatter(stacks, groups, real):
+def _places(groups, sizes):
+    """Per block in model order, its place in the groups' stacks: the
+    group, the index in its stack, and the rows and columns it takes there.
+    A group of one size stacks its blocks; a merged group, of several sizes,
+    puts them on the diagonal of its one matrix, in the group's order."""
+    places = [None] * len(sizes)
+    for g, grp in enumerate(groups):
+        merged = len({sizes[i] for i in grp}) > 1
+        o = 0
+        for j, i in enumerate(grp):
+            n = sizes[i]
+            places[i] = (g, 0, slice(o, o + n)) if merged else (g, j, slice(0, n))
+            o += n
+    return places
+
+
+def _gather(blocks, places, like):
+    """Per-block (n, n) arrays as one Hermitian stack per group, each
+    shaped and typed as like, its C, and zero off the blocks."""
+    out = [np.zeros_like(L) for L in like]
+    for B, (g, j, s) in zip(blocks, places):
+        out[g][j, s, s] = B
+    return [_sym(S) for S in out]
+
+
+def _scatter(stacks, places, real):
     """The blocks of the stacks in model order, as views; the real part of
     those marked real."""
-    out = [None] * sum(map(len, groups))
-    for S, g in zip(stacks, groups):
-        for j, i in enumerate(g):
-            out[i] = S[j].real if real[i] else S[j]
-    return out
+    return [stacks[g][j, s, s].real if r else stacks[g][j, s, s]
+            for (g, j, s), r in zip(places, real)]
 
 
-def _apply(Af, X):
-    """The vector (sum_b <A_kb, X_b>)_k, one matvec per flat stack _flat(A)."""
-    return sum(F @ _rv(Xb).ravel() for F, Xb in zip(Af, X))
-
-
-def _adjoint(Af, y, like):
-    """The stacks sum_k y_k A_k, shaped as like, one product per flat stack."""
-    return [(y @ F).view(L.dtype).reshape(L.shape) for F, L in zip(Af, like)]
+def _check_start(start, sizes, m):
+    """ModelError naming the first fault of a warm start (X, y, Z): a block
+    count, a block's shape or a non-finite entry, or y's length."""
+    X, y, Z = start
+    for name, blocks in (("X", X), ("Z", Z)):
+        if len(blocks) != len(sizes):
+            raise ModelError(f"start {name} has {len(blocks)} blocks, the model {len(sizes)}")
+        for b, (B, n) in enumerate(zip(blocks, sizes)):
+            B = np.asarray(B)
+            if B.shape != (n, n):
+                raise ModelError(f"start {name} block {b}: shape {B.shape} does not match "
+                                 f"block size {n}")
+            if not np.isfinite(B).all():
+                raise ModelError(f"start {name} block {b}: matrix has a non-finite entry")
+    y = np.asarray(y)
+    if y.shape != (m,):
+        raise ModelError(f"start y: shape {y.shape} does not match {m} constraints")
+    if not np.isfinite(y).all():
+        raise ModelError("start y has a non-finite entry")
 
 
 def _schur(A, Lx, Lzi, work):
@@ -334,10 +429,11 @@ def _tril_inv(L):
     """The inverse of a lower triangular L, by halves: with L = [[P, 0],
     [Q, R]], inv(L) = [[inv(P), 0], [-inv(R) Q inv(P), inv(R)]], two GEMMs
     per level in place of a general LU solve, down to LAPACK's inverse at
-    n <= 48."""
+    n <= 48.  Its caller sets the error state of _eigvalsh, under which a
+    failed inverse raises FloatingPointError."""
     n = len(L)
     if n <= 48:
-        return _inv(L)
+        return _umath_linalg.inv(L)
     h = n // 2
     Li = np.zeros_like(L)
     Pi, Ri = _tril_inv(L[:h, :h]), _tril_inv(L[h:, h:])
@@ -352,18 +448,21 @@ def _psd_solver(M):
 
     When the Cholesky factor L of M exists and its squared pivots exceed
     eps * max(diag(M)), f applies inv(L)^T inv(L), two matrix products per
-    solve, with inv(L) from _tril_inv.  Otherwise M has lost rank to
-    rounding or has dependent rows, and f returns the
+    solve, with inv(L) from _tril_inv; the factor and its inverse run under
+    one error state.  Otherwise M has lost rank to rounding or has
+    dependent rows, and f returns the
     least-squares solution of least norm on the eigenvectors whose
     eigenvalues exceed 1e-15 * lambda_max; M itself is not perturbed.
     Neither solve is refined (see the module docstring)."""
     try:
-        L = _cholesky(M)
-        pivots = L.diagonal()
-        if pivots.size and pivots.min() ** 2 <= EPS * M.diagonal().max():
-            raise LinAlgError("a pivot at rounding level")
-        Li = _tril_inv(L)
-    except LinAlgError:
+        with np.errstate(all="ignore", invalid="raise"):
+            L = _umath_linalg.cholesky_lo(M)
+            pivots = L.diagonal()
+            if pivots.size and (np.minimum.reduce(pivots) ** 2
+                                <= EPS * np.maximum.reduce(M.diagonal())):
+                raise LinAlgError("a pivot at rounding level")
+            Li = _tril_inv(L)
+    except (FloatingPointError, LinAlgError):
         w, V = np.linalg.eigh(M)
         keep = w > 1e-15 * max(float(w[-1]), 0.0)
         V, w = V[:, keep], w[keep]
@@ -371,13 +470,13 @@ def _psd_solver(M):
     return lambda r: Li.T @ (Li @ r)
 
 
-def _max_step(Li, dX, dZ):
+def _max_step(Li, D):
     """Largest a with X + a dX and Z + a dZ psd on every block of a stack,
-    where Li = inv(cholesky(concatenate((X, Z)))), from one triple product
-    and one eigvalsh call on the stacked directions.  Returns np.inf if
+    where Li = inv(cholesky(concatenate((X, Z)))) and D = concatenate((dX,
+    dZ)), from one triple product and one eigvalsh call.  Returns np.inf if
     neither direction pushes against the boundary."""
-    W = Li @ np.concatenate([dX, dZ]) @ _ct(Li)
-    lam = float(_eigvalsh(_sym(W))[:, 0].min())
+    W = Li @ D @ _ct(Li)
+    lam = float(np.minimum.reduce(_eigvalsh(_sym(W))[:, 0]))
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -385,68 +484,94 @@ def _max_step(Li, dX, dZ):
 
 def solve(model: SDPModel, options: SolverOptions | None = None,
           start: tuple[list[np.ndarray], np.ndarray, list[np.ndarray]] | None = None) -> Solution:
-    """Solve an equality-form block SDP.  Deterministic: identical inputs
-    give identical iterates and output."""
+    """Solve an equality-form block SDP, from the warm start (X, y, Z) if
+    given.  Deterministic: identical inputs give identical iterates and
+    output."""
     opts = options or SolverOptions()
-    sizes = [b.size for b in model.blocks]
-    groups = _groups(sizes)
-    real, C, A = _group(model.stacks(), groups)
     if not model.is_equality_only():
         raise ModelError("solver requires equality form; apply to_equality_form first")
-
-    ns = len(groups)
-    N = sum(sizes)
+    sizes = [b.size for b in model.blocks]
     m = len(model.constraints)
-    b = np.array([con.rhs for con in model.constraints], dtype=float)
-    Af = [_flat(Ag) for Ag in A]
-    work = [(np.empty_like(Ag), np.empty_like(Ag)) for Ag in A]
+    if start is not None:
+        _check_start(start, sizes, m)
+    stacks = model.stacks()
+    groups = _groups(sizes)
+    real, C, A = _group(stacks, groups)
 
+    N = sum(sizes)
+    b = np.array([con.rhs for con in model.constraints], dtype=float)
+    # the scales of the start and the tests, from the size groups, so a
+    # merged model starts where the unmerged one would
     normC = max((float(np.linalg.norm(Cg, axis=(-2, -1)).max()) for Cg in C), default=0.0)
     normsA = np.sqrt(sum((np.einsum("kbij,kbij->k", _rv(Ag), _rv(Ag)) for Ag in A),
                          np.zeros(m)))
-    xi = max(1.0, np.sqrt(max(sizes, default=1)),
-             np.max((1 + np.abs(b)) / (1 + normsA), initial=0.0))
-    maxA = max(normsA, default=0.0) or 1.0     # a zero A scales no ray
-    eta = max(1.0, np.sqrt(max(sizes, default=1)), normC, maxA)
+    xi = max(1.0, math.sqrt(max(sizes, default=1)),
+             np.maximum.reduce((1 + np.abs(b)) / (1 + normsA), initial=0.0))
+    maxA = np.maximum.reduce(normsA, initial=0.0) or 1.0  # a zero A scales no ray
+    eta = max(1.0, math.sqrt(max(sizes, default=1)), normC, maxA)
+    normb, normCF = math.sqrt(b @ b), math.sqrt(_dot(C, C))
+    bscale, cscale = 1.0 + normb, 1.0 + normC
 
-    # X and Z of a group as one (2k, n, n) stack, X first
-    if start is not None:
-        XZ = [np.concatenate(XZg) for XZg in zip(_gather(start[0], groups, C),
-                                                 _gather(start[2], groups, C))]
-        y = np.asarray(start[1], dtype=float).copy()
+    if _merges(sizes, m):
+        groups = [list(range(len(sizes)))]
+        places = _places(groups, sizes)
+        C, A = _diagonal(stacks, places, real)
     else:
-        eye = [np.broadcast_to(np.eye(Cg.shape[-1], dtype=Cg.dtype), Cg.shape) for Cg in C]
-        XZ = [np.concatenate((xi * I, eta * I)) for I in eye]
+        places = _places(groups, sizes)
+    ks = [len(Cg) for Cg in C]
+    Af = [_flat(Ag) for Ag in A]
+    work = [(np.empty_like(Ag), np.empty_like(Ag)) for Ag in A]
+    # X and Z of a group as one (2k, n, n) stack, X first, and the Newton
+    # direction (dX, dZ) likewise, written in place at every step
+    if start is not None:
+        XZ = [np.concatenate(XZg) for XZg in zip(_gather(start[0], places, C),
+                                                 _gather(start[2], places, C))]
+        y = np.array(start[1], dtype=float)
+    else:
+        XZ = []
+        for k, Cg in zip(ks, C):
+            n = Cg.shape[-1]
+            S = np.zeros((2 * k, n, n), dtype=Cg.dtype)
+            diagonals = S.reshape(2 * k, n * n)[:, ::n + 1]
+            diagonals[:k], diagonals[k:] = xi, eta
+            XZ.append(S)
         y = np.zeros(m)
+    D = [np.empty_like(S) for S in XZ]
     if not groups:
         # no cone, so no dual constraint: y = b is a dual ray unless b = 0,
         # where X = () is optimal; either ends the solve at iteration 0
         y = b.copy()
-    ks = [len(g) for g in groups]
     tau, kappa = 1.0, _dot([S[:k] for S, k in zip(XZ, ks)],
                            [S[k:] for S, k in zip(XZ, ks)]) / max(N, 1)
 
-    normb, normCF = float(np.linalg.norm(b)), math.sqrt(_dot(C, C))
-    bscale, cscale = 1.0 + normb, 1.0 + normC
     history: list[Iterate] = []
     timings = {"schur": 0.0, "newton": 0.0, "step": 0.0}
     status, reason = Status.MAX_ITER, ""
     pobj = dobj = relgap = pres = dres = 0.0
 
     for it in range(opts.max_iter + 1):
-        X = [S[:k] for S, k in zip(XZ, ks)]
-        Z = [S[k:] for S, k in zip(XZ, ks)]
-        yA = _adjoint(Af, y, C)
-        AX = _apply(Af, X)
-        cx = _dot(C, X)
+        # the residuals and their inner products, one pass over the groups
+        X, Z, yA, Rd = [], [], [], []
+        AX, cx, xz, rr = 0, 0.0, 0.0, 0.0
+        for S, k, Cg, F in zip(XZ, ks, C, Af):
+            Xg, Zg = S[:k], S[k:]
+            yAg = (y @ F).view(Cg.dtype).reshape(Cg.shape)
+            Rdg = tau * Cg - Zg - yAg
+            AX = AX + F @ _rv(Xg).ravel()
+            cx += _inner(Cg, Xg)
+            xz += _inner(Xg, Zg)
+            rr += _inner(Rdg, Rdg)
+            X.append(Xg)
+            Z.append(Zg)
+            yA.append(yAg)
+            Rd.append(Rdg)
         by = float(b @ y)
         rp = tau * b - AX
-        Rd = [tau * C[i] - Z[i] - yA[i] for i in range(ns)]
         rg = kappa - by + cx
-        mu = (_dot(X, Z) + tau * kappa) / (N + 1)
+        mu = (xz + tau * kappa) / (N + 1)
         pobj, dobj = cx / tau, by / tau
         pres = math.sqrt(rp @ rp) / tau / bscale
-        dres = math.sqrt(_dot(Rd, Rd)) / tau / cscale
+        dres = math.sqrt(rr) / tau / cscale
         relgap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
         history.append(Iterate(it, pobj, dobj, mu, pres, dres, tau, kappa))
 
@@ -454,8 +579,11 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             status = Status.OPTIMAL
             break
         if by > 0:
-            ray = [yA[i] + Z[i] for i in range(ns)]
-            dual_ray = math.sqrt(_dot(ray, ray)) * normb
+            rr = 0.0
+            for yAg, Zg in zip(yA, Z):
+                ray = yAg + Zg
+                rr += _inner(ray, ray)
+            dual_ray = math.sqrt(rr) * normb
             if dual_ray <= opts.tol_feas * by * maxA:
                 status = Status.INFEASIBLE
                 reason = (f"dual ray at iteration {it}, primal infeasible: |sum_k y_k A_k + Z| "
@@ -475,9 +603,17 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
 
         # phase "schur": X and Z of a group factored and inverted as one stack
         t0 = time.perf_counter()
-        try:
-            L = [_cholesky(S) for S in XZ]
-        except LinAlgError:
+        Li, Lx, Lzi, Zi = [], [], [], []
+        for S, k in zip(XZ, ks):
+            factors = _factor(S)
+            if factors is None:
+                break
+            L, Lig = factors
+            Li.append(Lig)
+            Lx.append(L[:k])
+            Lzi.append(Lig[k:])
+            Zi.append(_ct(Lig[k:]) @ Lig[k:])
+        if len(Li) < len(XZ):           # a factor failed
             status, name = Status.NUMERICAL, "Z"
             try:                        # factor X alone to name the one that failed
                 [np.linalg.cholesky(Xg) for Xg in X]
@@ -485,23 +621,25 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
                 name = "X"
             reason = f"the Cholesky factor of {name} failed at iteration {it}"
             break
-        Li = [_inv(Lg) for Lg in L]
-        Lx = [Lg[:k] for Lg, k in zip(L, ks)]
-        Lzi = [Lg[k:] for Lg, k in zip(Li, ks)]
-        Zi = [_ct(li) @ li for li in Lzi]
         M = _schur(A, Lx, Lzi, work)
         timings["schur"] += (t1 := time.perf_counter()) - t0
 
         # "newton": predictor, then corrector: target, Schur solve, direction
         solve_M = _psd_solver(M)
-        XRZi = [X[i] @ Rd[i] @ Zi[i] for i in range(ns)]
-        AXRZi = _apply(Af, XRZi)
         # the gap row is written against the shifted cost Ct = (Z + Rd) / tau
         # = C - sum_k (y_k / tau) A_k, in dv = dy - dtau y / tau: with C
         # itself, terms of size y^T M y cancel to rounding noise once M is
         # ill-conditioned
-        Ct = [(Z[i] + Rd[i]) / tau for i in range(ns)]
-        CtX, CtXRZi = _dot(Ct, X), _dot(Ct, XRZi)
+        XRZi, Ct = [], []
+        AXRZi, CtX, CtXRZi = 0, 0.0, 0.0
+        for Xg, Zg, Rdg, Zig, F in zip(X, Z, Rd, Zi, Af):
+            T = Xg @ Rdg @ Zig
+            Ctg = (Zg + Rdg) / tau
+            AXRZi = AXRZi + F @ _rv(T).ravel()
+            CtX += _inner(Ctg, Xg)
+            CtXRZi += _inner(Ctg, T)
+            XRZi.append(T)
+            Ct.append(Ctg)
         u = (AX + AXRZi) / tau          # A(X Ct inv(Z))
         bu = b - u
         CtDCt = (CtX + CtXRZi) / tau    # <Ct, X Ct inv(Z)>
@@ -520,51 +658,65 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             if W is None:               # M q = b + A(X Ct inv(Z)) rides along
                 p, q = solve_M(np.column_stack([r, b + u])).T
             else:
-                p = solve_M(r + _apply(Af, W))
-                CtG -= _dot(Ct, W)
+                p = solve_M(r + AW)
+                CtG -= CtW
             # the step with tau dkappa + kappa dtau = nu_tk, dv = p + dtau q
             dtau = ((rho * rg_t + CtG - bu @ p + nu_tk / tau)
                     / (bu @ q + CtDCt + kappa / tau))
             dv = p + dtau * q
-            S = _adjoint(Af, dv, C)
-            dZ = [rho * Rd[i] - S[i] + dtau * Ct[i] for i in range(ns)]
-            # -X dZ inv(Z) with X Z inv(Z) = X taken exactly: a product
-            # through inv(Z) carries cond(Z) times its rounding into dX
+            # dZ = rho Rd - sum_k dv_k A_k + dtau Ct, and -X dZ inv(Z) with
+            # X Z inv(Z) = X taken exactly: a product through inv(Z) carries
+            # cond(Z) times its rounding into dX
             c = dtau / tau
-            T = [X[i] @ S[i] @ Zi[i] - (rho + c) * XRZi[i] for i in range(ns)]
-            dX = [_sym(T[i] if W is None else T[i] - W[i]) - (1.0 + c) * X[i] for i in range(ns)]
+            for i, (Dg, k, Cg, F) in enumerate(zip(D, ks, C, Af)):
+                S = (dv @ F).view(Cg.dtype).reshape(Cg.shape)
+                dZ = np.subtract(rho * Rd[i], S, out=Dg[k:])
+                dZ += dtau * Ct[i]
+                T = X[i] @ S @ Zi[i] - (rho + c) * XRZi[i]
+                np.subtract(_sym(T if W is None else T - W[i]), (1.0 + c) * X[i], out=Dg[:k])
             dkappa = (nu_tk - kappa * dtau) / tau
             timings["newton"] += (t2 := time.perf_counter()) - t1
             # the full step if it stays inside the cones, else the fraction
             # of the longest step that does
-            limits = [_max_step(*args) for args in zip(Li, dX, dZ)]
-            limits += [-s / ds for s, ds in ((tau, dtau), (kappa, dkappa)) if ds < 0]
+            limits = list(map(_max_step, Li, D))
+            if dtau < 0:
+                limits.append(-tau / dtau)
+            if dkappa < 0:
+                limits.append(-kappa / dkappa)
             longest = min(limits, default=np.inf)
             alpha = 1.0 if longest > 1.0 else fraction * longest
             timings["step"] += (t1 := time.perf_counter()) - t2
             if W is None:
                 # the corrector aims at sigma mu, sigma from the predictor's
                 # reach, and takes out its second-order term dX dZ
-                mu_aff = (_dot([Xg + alpha * dXg for Xg, dXg in zip(X, dX)],
-                               [Zg + alpha * dZg for Zg, dZg in zip(Z, dZ)])
-                          + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (N + 1)
+                xz = 0.0
+                for S, Dg, k in zip(XZ, D, ks):
+                    P = S + alpha * Dg
+                    xz += _inner(P[:k], P[k:])
+                mu_aff = (xz + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (N + 1)
                 sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0, 1e-8))
                 rho, nu = 1.0 - sigma, sigma * mu
-                W = [dX[i] @ dZ[i] @ Zi[i] - nu * Zi[i] for i in range(ns)]
+                W, AW, CtW = [], 0, 0.0
+                for Dg, k, Zig, Ctg, F in zip(D, ks, Zi, Ct, Af):
+                    Wg = Dg[:k] @ Dg[k:] @ Zig - nu * Zig
+                    AW = AW + F @ _rv(Wg).ravel()
+                    CtW += _inner(Ctg, Wg)
+                    W.append(Wg)
                 nu_tk = sigma * mu - tau * kappa - dtau * dkappa
         if alpha < STEP_FLOOR:
             status = Status.NUMERICAL
             reason = f"step length {alpha:.1e} below {STEP_FLOOR:.0e} at iteration {it}"
             break
-        XZ = [XZ[i] + alpha * np.concatenate((dX[i], dZ[i])) for i in range(ns)]
+        for S, Dg in zip(XZ, D):
+            S += alpha * Dg
         y = y + alpha * (dv + dtau / tau * y)
         tau += alpha * dtau
         kappa += alpha * dkappa
 
     XZ = [S / tau for S in XZ]
     return Solution(
-        X=_scatter([S[:k] for S, k in zip(XZ, ks)], groups, real), y=y / tau,
-        Z=_scatter([S[k:] for S, k in zip(XZ, ks)], groups, real),
+        X=_scatter([S[:k] for S, k in zip(XZ, ks)], places, real), y=y / tau,
+        Z=_scatter([S[k:] for S, k in zip(XZ, ks)], places, real),
         primal_value=pobj, dual_value=dobj, gap=relgap,
         primal_res=pres, dual_res=dres, status=status, reason=reason,
         iterations=len(history) - 1, history=history, timings=timings,

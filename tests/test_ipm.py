@@ -14,8 +14,8 @@ from starsdp.sdpmodel import (
 )
 from starsdp.ipm import (
     solve, SolverOptions, Status, feasibility_check,
-    _cholesky, _eigvalsh, _gather, _group, _groups, _inv, _max_step, _psd_solver,
-    _schur, _tril_inv,
+    _eigvalsh, _factor, _gather, _group, _groups, _max_step, _merges, _places,
+    _psd_solver, _schur, _tril_inv,
 )
 from starsdp.problems import parse_problem_file
 from starsdp.relaxation import build_relaxation
@@ -150,6 +150,26 @@ class TestCertificates:
             assert sol.status == Status.NUMERICAL
             assert sol.reason == f"the Cholesky factor of {name} failed at iteration 0"
 
+    @pytest.mark.parametrize("sizes", [[2, 3], [3, 3], [30, 40]],
+                             ids=["merged", "one size", "two sizes"])
+    def test_failed_factor_keeps_the_error_state(self, sizes):
+        # the factor runs under numpy.linalg's own error state, so a failed
+        # one raises no warning, ends the solve NUMERICAL and leaves the
+        # caller's state, here one that ignores invalid operations
+        m = SDPModel([Block(n) for n in sizes], [np.eye(n) for n in sizes],
+                     [LinearConstraint([np.eye(n) for n in sizes], SENSE_EQ, 1.0)])
+        good = [np.eye(n) for n in sizes]
+        bad = [-np.eye(sizes[0])] + good[1:]
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="warn",
+                                                    under="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            state = np.geterr()
+            for X0, Z0, name in [(good, bad, "Z"), (bad, good, "X")]:
+                sol = solve(m, start=(X0, np.zeros(1), Z0))
+                assert sol.status == Status.NUMERICAL
+                assert sol.reason == f"the Cholesky factor of {name} failed at iteration 0"
+                assert np.geterr() == state
+
 
 class TestMultiBlockCertificates:
     """Certificates on models that to_equality_form gives a diagonal slack
@@ -249,16 +269,18 @@ class TestStackedAssembly:
 
     def check(self, model, seed):
         rng = np.random.default_rng(seed)
-        groups = _groups([b.size for b in model.blocks])
-        real, _, A = _group(model.stacks(), groups)
+        sizes = [b.size for b in model.blocks]
+        groups = _groups(sizes)
+        real, C, A = _group(model.stacks(), groups)
+        places = _places(groups, sizes)
 
         def psd(b, blk):
             return random_psd(rng, blk.size, blk.diagonal) if real[b] else hermitian_psd(rng, blk.size)
 
         X = [psd(b, blk) for b, blk in enumerate(model.blocks)]
         Z = [psd(b, blk) for b, blk in enumerate(model.blocks)]
-        Lx = [np.linalg.cholesky(S) for S in _gather(X, groups, A)]
-        Lzi = [np.linalg.inv(np.linalg.cholesky(S)) for S in _gather(Z, groups, A)]
+        Lx = [np.linalg.cholesky(S) for S in _gather(X, places, C)]
+        Lzi = [np.linalg.inv(np.linalg.cholesky(S)) for S in _gather(Z, places, C)]
         # the buffers' contents must not matter
         work = [(np.full_like(Ag, np.nan), np.full_like(Ag, np.nan)) for Ag in A]
         got = _schur(A, Lx, Lzi, work)
@@ -408,6 +430,142 @@ class TestGroupedBlocks:
             assert abs(sol.primal_value - want) <= 1e-8
             assert sol.X[0].dtype == float and sol.X[1].dtype == complex
             assert feasibility_check(m, sol.X).max_violation <= 1e-8
+
+
+def coupled_model(rng, m=4):
+    """A real 3 x 3, a Hermitian 2 x 2 and a real 1 x 1 block that every
+    row couples, with a positive definite cost and a positive definite
+    feasible point, so the SDP has an optimum."""
+    sizes, draws = [3, 2, 1], [random_sym, random_herm, random_sym]
+    X0 = [random_psd(rng, 3), hermitian_psd(rng, 2), random_psd(rng, 1)]
+    rows = []
+    for _ in range(m):
+        Ak = [draw(rng, n) for draw, n in zip(draws, sizes)]
+        rows.append(LinearConstraint(Ak, SENSE_EQ,
+                                     float(sum(np.vdot(A, X).real for A, X in zip(Ak, X0)))))
+    cost = [random_psd(rng, 3), hermitian_psd(rng, 2), random_psd(rng, 1)]
+    return SDPModel([Block(n) for n in sizes], cost, rows)
+
+
+class TestMergedBlocks:
+    """A small model of several block sizes is solved as one block-diagonal
+    matrix, and the solution comes back block by block."""
+
+    @staticmethod
+    def stacks_of(sol):
+        """The solver's own X-Z stacks, which the returned blocks view."""
+        return [X.base for X in sol.X]
+
+    def test_rule_sides(self):
+        # the benchmark's multi-size LMIs: CHSH level 2 and the Hermitian
+        # ladder's level 2 merge; CHSH levels 3-4 and the ladder's level 3
+        # keep one stack per size; a model of one size has nothing to merge
+        assert _merges([9, 4], 18) and _merges([7, 3], 30) and _merges([4, 3], 3)
+        assert not _merges([9, 16], 36) and not _merges([25, 16], 60)
+        assert not _merges([7, 15], 126)
+        assert not _merges([3, 3, 3], 5) and not _merges([], 0)
+
+    def test_blocks_come_back_in_model_order(self, monkeypatch):
+        model = coupled_model(np.random.default_rng(51))
+        assert _merges([3, 2, 1], 4)
+        sol = solve(model, TIGHT)
+        assert sol.status == Status.OPTIMAL, sol.reason
+        for got in (sol.X, sol.Z):
+            assert [B.shape for B in got] == [(3, 3), (2, 2), (1, 1)]
+            assert [B.dtype for B in got] == [float, complex, float]
+        assert feasibility_check(model, sol.X).max_violation <= 1e-8
+        # X and Z are views of one complex (2, 6, 6) stack, exactly zero
+        # off the diagonal blocks
+        XZ = self.stacks_of(sol)[0]
+        assert all(S is XZ for S in self.stacks_of(sol) + [Z.base for Z in sol.Z])
+        assert XZ.shape == (2, 6, 6) and XZ.dtype == complex
+        off = np.ones((6, 6), dtype=bool)
+        for s in (slice(0, 3), slice(3, 5), slice(5, 6)):
+            off[s, s] = False
+        assert np.count_nonzero(XZ[:, off]) == 0
+        # the blockwise solve, up to rounding
+        monkeypatch.setattr("starsdp.ipm._merges", lambda sizes, m: False)
+        blockwise = solve(model, TIGHT)
+        assert len({id(S) for S in self.stacks_of(blockwise)}) == 3
+        assert blockwise.status == sol.status and blockwise.iterations == sol.iterations
+        assert (abs(blockwise.primal_value - sol.primal_value)
+                <= 1e-12 * (1 + abs(sol.primal_value)))
+
+    def test_warm_start(self):
+        model = coupled_model(np.random.default_rng(53))
+        cold = solve(model, TIGHT)
+        X0 = [np.eye(3), np.eye(2, dtype=complex), np.eye(1)]
+        Z0 = [2.0 * B for B in X0]
+        warm = solve(model, TIGHT, start=(X0, np.zeros(4), Z0))
+        assert cold.status == warm.status == Status.OPTIMAL
+        assert abs(warm.primal_value - cold.primal_value) <= 1e-7 * (1 + abs(cold.primal_value))
+        assert [B.dtype for B in warm.X] == [float, complex, float]
+
+    def test_other_side_keeps_a_stack_per_size(self):
+        # sizes 9 and 16 with 36 rows, the shape of CHSH level 3
+        model = bounded_feasible_model(np.random.default_rng(55), [9, 16, 9], 36)
+        assert not _merges([9, 16, 9], 36)
+        sol = solve(model)
+        assert sol.status == Status.OPTIMAL, sol.reason
+        stacks = self.stacks_of(sol)
+        assert stacks[0] is stacks[2] and stacks[0].shape == (4, 9, 9)
+        assert stacks[1].shape == (2, 16, 16)
+
+
+class TestStart:
+    """A warm start is checked before any work, its faults named."""
+
+    MODEL = SDPModel([Block(2), Block(1)], [np.eye(2), np.eye(1)],
+                     [LinearConstraint([np.eye(2), np.eye(1)], SENSE_EQ, 1.0)])
+
+    @pytest.mark.parametrize("X, y, Z, message", [
+        ([np.eye(2)], [0.0], [np.eye(2), np.eye(1)], "start X has 1 blocks, the model 2"),
+        ([np.eye(2), np.eye(1)], [0.0], [np.eye(2), np.eye(1), np.eye(1)],
+         "start Z has 3 blocks, the model 2"),
+        ([np.eye(2), np.eye(2)], [0.0], [np.eye(2), np.eye(1)],
+         "start X block 1: shape (2, 2) does not match block size 1"),
+        ([np.eye(2), np.eye(1)], [0.0], [np.ones(2), np.eye(1)],
+         "start Z block 0: shape (2,) does not match block size 2"),
+        ([np.eye(2), np.eye(1)], [0.0, 0.0], [np.eye(2), np.eye(1)],
+         "start y: shape (2,) does not match 1 constraints"),
+        ([np.eye(2), np.eye(1)], [np.nan], [np.eye(2), np.eye(1)],
+         "start y has a non-finite entry"),
+        ([np.diag([1.0, np.nan]), np.eye(1)], [0.0], [np.eye(2), np.eye(1)],
+         "start X block 0: matrix has a non-finite entry"),
+        ([np.eye(2), np.eye(1)], [0.0], [np.eye(2), np.full((1, 1), np.inf)],
+         "start Z block 1: matrix has a non-finite entry"),
+    ], ids=["X count", "Z count", "X shape", "Z shape", "y length", "y nan", "X nan", "Z inf"])
+    def test_fault_is_named(self, X, y, Z, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError) as err:
+                solve(self.MODEL, start=(X, np.array(y), Z))
+        assert str(err.value) == message
+
+    def test_good_start(self):
+        sol = solve(self.MODEL, start=([np.eye(2), np.eye(1)], np.zeros(1),
+                                       [np.eye(2), np.eye(1)]))
+        assert sol.status == Status.OPTIMAL
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"max_iter": -1}, "max_iter"), ({"max_iter": 2.5}, "max_iter"),
+        ({"max_iter": True}, "max_iter"), ({"max_iter": None}, "max_iter"),
+        ({"tol_gap": float("nan")}, "tol_gap"), ({"tol_gap": -1e-9}, "tol_gap"),
+        ({"tol_feas": float("inf")}, "tol_feas"), ({"tol_feas": -np.inf}, "tol_feas"),
+        ({"tol_feas": "1e-8"}, "tol_feas"),
+    ])
+    def test_bad_value_is_named(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            SolverOptions(**kwargs)
+
+    def test_limits_are_allowed(self):
+        # no iteration: the start itself is reported, with its reason
+        sol = solve(pin_entry_model(2, np.eye(2), 0, 0, 1.0),
+                    SolverOptions(tol_gap=0, tol_feas=0.0, max_iter=np.int64(0)))
+        assert sol.status == Status.MAX_ITER and sol.iterations == 0
+        assert sol.reason.startswith("iteration limit 0 reached")
 
 
 def random_dense_models():
@@ -680,11 +838,11 @@ class TestStepLength:
             if trial == 5:
                 D[0] = np.array([np.eye(4)] * 3)      # X is not pushed out
             want = min(separate(Li[:3], D[0]), separate(Li[3:], D[1]))
-            assert _max_step(Li, D[0], D[1]) == want
+            assert _max_step(Li, np.concatenate(D)) == want
 
     def test_no_boundary_in_reach(self):
         eye = np.array([np.eye(2)])
-        assert _max_step(np.concatenate([eye, eye]), eye, 2 * eye) == np.inf
+        assert _max_step(np.concatenate([eye, eye]), np.concatenate([eye, 2 * eye])) == np.inf
 
 
 class TestLapackCalls:
@@ -696,33 +854,35 @@ class TestLapackCalls:
         for n in (1, 2, 3, 5, 8, 49):
             S = np.array([psd(rng, n) for _ in range(4)])
             L = np.linalg.cholesky(S)
-            assert np.array_equal(_cholesky(S), L)
-            assert np.array_equal(_inv(L), np.linalg.inv(L))
+            got, Li = _factor(S)
+            assert np.array_equal(got, L)
+            assert np.array_equal(Li, np.linalg.inv(L))
             assert np.array_equal(_eigvalsh(S), np.linalg.eigvalsh(S))
-            assert np.array_equal(_cholesky(S[0]), L[0])
+            assert np.array_equal(_factor(S[0])[0], L[0])
 
     def test_failure_raises_without_warning(self):
         rng = np.random.default_rng(47)
         S = np.array([random_psd(rng, 3) for _ in range(3)])
         S[1] = np.diag([1.0, -1.0, 1.0])                 # indefinite
-        singular = np.array([np.eye(3), np.diag([1.0, 0.0, 1.0])])
         state = np.geterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError):
-                _cholesky(S)
-            with pytest.raises(np.linalg.LinAlgError):
-                _inv(singular)
+            assert _factor(S) is None
+            # the Schur matrix's factor fails under the same error state,
+            # and the solve falls back to the eigendecomposition
+            x = _psd_solver(S[1])(np.array([1.0, 0.0, 0.0]))
+        assert np.allclose(x, [1.0, 0.0, 0.0])
         # the error state is restored, and the other matrices still factor
         assert np.geterr() == state
-        assert np.array_equal(_cholesky(S[[0, 2]]), np.linalg.cholesky(S[[0, 2]]))
+        assert np.array_equal(_factor(S[[0, 2]])[0], np.linalg.cholesky(S[[0, 2]]))
 
     def test_empty_stacks(self):
         # a 0 x 0 Schur matrix, as a model without rows gives, and a group
         # of no blocks
         for shape in [(0, 0), (2, 0, 0), (0, 3, 3)]:
             E = np.zeros(shape)
-            assert _cholesky(E).shape == _inv(E).shape == shape
+            L, Li = _factor(E)
+            assert L.shape == Li.shape == shape
             assert _eigvalsh(E).shape == shape[:-1]
         assert _psd_solver(np.zeros((0, 0)))(np.zeros(0)).shape == (0,)
 
