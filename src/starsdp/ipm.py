@@ -356,10 +356,11 @@ def _places(groups, sizes):
 
 def _gather(blocks, places, like):
     """Per-block (n, n) arrays as one Hermitian stack per group, each
-    shaped and typed as like, its C, and zero off the blocks."""
+    shaped and typed as like, its C, and zero off the blocks; a real stack
+    takes their real parts, whose imaginary parts _check_start found zero."""
     out = [np.zeros_like(L) for L in like]
     for B, (g, j, s) in zip(blocks, places):
-        out[g][j, s, s] = B
+        out[g][j, s, s] = B if np.iscomplexobj(out[g]) else np.real(B)
     return [_sym(S) for S in out]
 
 
@@ -370,20 +371,24 @@ def _scatter(stacks, places, real):
             for (g, j, s), r in zip(places, real)]
 
 
-def _check_start(start, sizes, m):
+def _check_start(start, stacks, m):
     """ModelError naming the first fault of a warm start (X, y, Z): a block
-    count, a block's shape or a non-finite entry, or y's length."""
+    count, a block's shape, a non-finite entry or a nonzero imaginary part
+    where the model's block (its stack in stacks) is real, or y's length."""
     X, y, Z = start
     for name, blocks in (("X", X), ("Z", Z)):
-        if len(blocks) != len(sizes):
-            raise ModelError(f"start {name} has {len(blocks)} blocks, the model {len(sizes)}")
-        for b, (B, n) in enumerate(zip(blocks, sizes)):
-            B = np.asarray(B)
+        if len(blocks) != len(stacks):
+            raise ModelError(f"start {name} has {len(blocks)} blocks, the model {len(stacks)}")
+        for b, (B, S) in enumerate(zip(blocks, stacks)):
+            B, n = np.asarray(B), S.shape[-1]
             if B.shape != (n, n):
                 raise ModelError(f"start {name} block {b}: shape {B.shape} does not match "
                                  f"block size {n}")
             if not np.isfinite(B).all():
                 raise ModelError(f"start {name} block {b}: matrix has a non-finite entry")
+            if not np.iscomplexobj(S) and np.imag(B).any():
+                raise ModelError(f"start {name} block {b}: matrix has a nonzero imaginary "
+                                 "part where the model's block is real")
     y = np.asarray(y)
     if y.shape != (m,):
         raise ModelError(f"start y: shape {y.shape} does not match {m} constraints")
@@ -492,9 +497,9 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         raise ModelError("solver requires equality form; apply to_equality_form first")
     sizes = [b.size for b in model.blocks]
     m = len(model.constraints)
-    if start is not None:
-        _check_start(start, sizes, m)
     stacks = model.stacks()
+    if start is not None:
+        _check_start(start, stacks, m)
     groups = _groups(sizes)
     real, C, A = _group(stacks, groups)
 

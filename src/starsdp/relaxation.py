@@ -238,13 +238,6 @@ class RelaxationModel:
         return self.bases[0]
 
     @property
-    def _W(self) -> np.ndarray:
-        """W made dense, words by parameters."""
-        W = np.zeros((len(self._var_words), self.n_moment_vars), dtype=complex)
-        np.add.at(W, (np.arange(len(W))[:, None], self._Wk), self._Wv)
-        return W
-
-    @property
     def _P(self) -> np.ndarray:
         """P made dense, coordinates by parameters, from G's terms."""
         I, J, k, v = self._G

@@ -27,7 +27,9 @@ SENSE_EQ = "=="
 SENSES = (SENSE_LE, SENSE_GE, SENSE_EQ)
 # Largest asymmetry (or off-diagonal entry of a diagonal block) a model accepts.
 VALIDATE_TOL = 1e-10
-# Entries one step of a pass over a stack reads, so its temporaries stay small.
+# Entries one step of a pass over a stack reads or forms (here, and in the group
+# actions and closure check of symmetry), so its temporaries stay small and
+# page-fault-free: at 2**14 or 2**15 the group actions page-fault.
 CHUNK = 2 ** 13
 
 

@@ -7,7 +7,8 @@ eigenspaces of a generic commutant element are irreducible subspaces,
 grouped into isotypic classes by their characters, with the copies in a
 class aligned by averaged intertwiners.  A class holding m copies gives one
 m x m block, and every constraint row is kept as it is.  The decomposition
-depends only on the group, so each GroupRep computes it once and keeps it.
+depends only on the group, so each GroupRep computes it once and keeps it,
+in real arithmetic for a group it holds real.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ import numpy as np
 from .sdpmodel import SDPModel, ModelError
 # not called here; bench/tracing.py wraps it under this module's name
 from .sdpmodel import realify  # noqa: F401
-from . import ipm
+from . import ipm, sdpmodel
 
 UNITARY_TOL = 1e-8
 RANK_TOL = 1e-9
 SEED = 2010            # draws the generic commutant elements: reductions are deterministic
 CLUSTER_TOL = 1e-6     # relative gap below which eigenvalues coincide
 REBUILD_TOL = 1e-8     # data must be rebuilt from its blocks this closely
-PANEL = 2 ** 13        # entries a step of the group actions or the closure check forms
 
 
 class GroupError(Exception):
@@ -46,7 +46,8 @@ class InvarianceError(Exception):
 class GroupRep:
     """Finite collection of unitaries closed under multiplication, given as
     a sequence of d x d matrices or a (|G|, d, d) array and held as one
-    (|G|, d, d) complex stack, each check holding to UNITARY_TOL."""
+    (|G|, d, d) stack, each check holding to UNITARY_TOL: float64 when every
+    imaginary part is below 1e-12, which decides the group's arithmetic."""
 
     elements: np.ndarray
 
@@ -58,10 +59,11 @@ class GroupRep:
         for k, U in enumerate(mats):
             if U.shape != (d, d):
                 raise GroupError(f"element {k} is not {d}x{d}")
-        E = self.elements = np.array(mats)
+        E = np.array(mats)
         finite = np.isfinite(E).all(axis=(1, 2))
         if not finite.all():
             raise GroupError(f"element {int(finite.argmin())} has a non-finite entry")
+        E = self.elements = E.real.copy() if np.abs(E.imag).max() < 1e-12 else E
         I = np.eye(d)
         unitary = np.linalg.norm(E @ E.conj().swapaxes(1, 2) - I, axis=(1, 2)) <= UNITARY_TOL
         if not unitary.all():
@@ -84,15 +86,15 @@ class GroupRep:
 
     def _step(self) -> int:
         """Elements per chunk of an action: all of them, or as many as fit
-        PANEL entries for one matrix.  It depends only on the group, so a
+        CHUNK entries for one matrix.  It depends only on the group, so a
         matrix gets the same sums alone as inside a stack."""
-        return min(len(self), max(1, PANEL // self.dim ** 2))
+        return min(len(self), max(1, sdpmodel.CHUNK // self.dim ** 2))
 
     def _slices(self, M: np.ndarray) -> list[np.ndarray]:
         """A matrix or stack M (..., d, d) as a stack (n, d, d) cut into
-        slices whose conjugates by one chunk of elements fit PANEL entries."""
-        M = np.asarray(M, dtype=complex).reshape(-1, self.dim, self.dim)
-        per = max(1, PANEL // (self._step() * self.dim ** 2))
+        slices whose conjugates by one chunk of elements fit CHUNK entries."""
+        M = np.asarray(M).reshape(-1, self.dim, self.dim)
+        per = max(1, sdpmodel.CHUNK // (self._step() * self.dim ** 2))
         return [M[m:m + per] for m in range(0, len(M), per)]
 
     def _conjugates(self, S: np.ndarray):
@@ -133,8 +135,7 @@ def _check_distinct_and_closed(E: np.ndarray) -> None:
     O(|G|^2 d^3) of products, a row of a at a time, plus O(|G|^2 log |G|).
     """
     n, d, _ = E.shape
-    X = E if E.imag.any() else np.ascontiguousarray(E.real)
-    F = X.reshape(n, -1).view(float)
+    F = E.reshape(n, -1).view(float)
     r = np.random.default_rng(SEED).standard_normal(F.shape[1])
     r /= np.linalg.norm(r)
     keys = F @ r
@@ -157,10 +158,10 @@ def _check_distinct_and_closed(E: np.ndarray) -> None:
     if first < n * n:
         raise GroupError("elements {} and {} coincide".format(*divmod(int(first), n)))
 
-    # the products of whole rows a, PANEL entries at once unless a row needs more
-    rows = max(1, PANEL // E.size)
+    # the products of whole rows a, CHUNK entries at once unless a row needs more
+    rows = max(1, sdpmodel.CHUNK // E.size)
     for s in range(0, n, rows):
-        P = (X[s:s + rows, None] @ X).reshape(-1, d * d).view(float)
+        P = (E[s:s + rows, None] @ E).reshape(-1, d * d).view(float)
         k = P @ r
         lo = np.searchsorted(keys, k - width, "left")
         hi = np.searchsorted(keys, k + width, "right")
@@ -214,7 +215,7 @@ def invariant_basis(rep: GroupRep) -> InvariantBasis:
     so 1/2 separates them; a real group gives a real basis."""
     d = rep.dim
     P = rep.average(np.eye(d * d).reshape(-1, d, d)).reshape(d * d, -1).T
-    w, V = np.linalg.eigh(np.real_if_close((P + P.conj().T) / 2))
+    w, V = np.linalg.eigh((P + P.conj().T) / 2)
     return InvariantBasis(rep, list(V[:, w > 0.5].T.reshape(-1, d, d)))
 
 
@@ -237,8 +238,7 @@ def _isotypic_classes(rep: GroupRep, S: np.ndarray, real: bool,
         R = rng.standard_normal((S.shape[1],) * 2)
         if not real:
             R = R + 1j * rng.standard_normal(R.shape)
-        M = rep.average(S @ R @ S.conj().T)
-        return np.real(M) if real else M
+        return rep.average(S @ R @ S.conj().T)
 
     H = S.conj().T @ generic_commutant() @ S
     w, V = np.linalg.eigh((H + H.conj().T) / 2)
@@ -314,8 +314,7 @@ def _irreducible_pieces(rep: GroupRep, rng: np.random.Generator) -> list[tuple[l
     """(aligned copies, count) per reduced block; count 2 marks a block that
     also stands for its complex-conjugate class."""
     I = np.eye(rep.dim)
-    imag = rep.elements.imag
-    if max(imag.max(), -imag.min()) >= 1e-12:
+    if np.iscomplexobj(rep.elements):
         return [(copies, 1) for _, copies in _isotypic_classes(rep, I, False, rng)]
     pieces, rest = [], []
     for chi, copies in _isotypic_classes(rep, I, True, rng):

@@ -51,3 +51,10 @@ def test_first_operation_of_each_workload(workloads, name):
     if name == "symmetry-reduce":
         load.solve_references()
     assert load.check([out]) == [None]
+
+
+def test_symmetry_workload_groups_are_real(workloads):
+    """The permutation groups of symmetry-reduce hold float64 elements, so
+    their actions on the workload's real data run in real arithmetic."""
+    for label, make in workloads.SymmetryReduce.groups:
+        assert make().elements.dtype.name == "float64", label

@@ -547,6 +547,51 @@ class TestStart:
                                        [np.eye(2), np.eye(1)]))
         assert sol.status == Status.OPTIMAL
 
+    # a real 2 x 2 block alone, beside a Hermitian 3 x 3 block (merged into
+    # one complex matrix) and beside a Hermitian 2 x 2 block (one complex stack)
+    REAL_BESIDE = {
+        "alone": SDPModel([Block(2)], [np.eye(2)],
+                          [LinearConstraint([np.eye(2)], SENSE_EQ, 1.0)]),
+        **{f"beside-hermitian-{n}": SDPModel(
+            [Block(2), Block(n)],
+            [np.eye(2), np.eye(n) + 0.25j * (np.eye(n, k=1) - np.eye(n, k=-1))],
+            [LinearConstraint([np.eye(2), np.eye(n)], SENSE_EQ, 1.0)]) for n in (3, 2)},
+    }
+
+    @staticmethod
+    def eye_start(model):
+        return [np.eye(b.size) for b in model.blocks]
+
+    @pytest.mark.parametrize("name", REAL_BESIDE)
+    @pytest.mark.parametrize("which", ["X", "Z"])
+    def test_imaginary_part_in_real_block_is_named(self, name, which):
+        model = self.REAL_BESIDE[name]
+        assert _merges([b.size for b in model.blocks], 1) == (name == "beside-hermitian-3")
+        X, Z = self.eye_start(model), self.eye_start(model)
+        (X if which == "X" else Z)[0] = np.array([[1.0, 1j], [-1j, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError) as err:
+                solve(model, start=(X, np.zeros(1), Z))
+        assert str(err.value) == (f"start {which} block 0: matrix has a nonzero imaginary "
+                                  "part where the model's block is real")
+
+    @pytest.mark.parametrize("name", REAL_BESIDE)
+    def test_complex_typed_real_start_is_its_real_part(self, name):
+        model = self.REAL_BESIDE[name]
+        X = [np.array([[1.0, 0.5], [0.5, 2.0]])] + self.eye_start(model)[1:]
+        want = solve(model, TIGHT, start=(X, np.zeros(1), self.eye_start(model)))
+        X[0] = X[0].astype(complex)
+        Z = [B.astype(complex) for B in self.eye_start(model)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve(model, TIGHT, start=(X, np.zeros(1), Z))
+        assert got.status == want.status == Status.OPTIMAL
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.y, want.y)
+        assert all(np.array_equal(a, b) for a, b in zip(got.X + got.Z, want.X + want.Z))
+        assert not np.iscomplexobj(got.X[0])
+
 
 class TestSolverOptions:
     @pytest.mark.parametrize("kwargs, field", [

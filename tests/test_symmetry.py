@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from starsdp import ipm, symmetry
+from starsdp import ipm, sdpmodel, symmetry
 from starsdp.sdpmodel import (
     Block, LinearConstraint, SDPModel, ModelError, export_sdpa, to_equality_form,
 )
@@ -17,7 +17,7 @@ from starsdp.symmetry import (
 
 from support import (
     c3_rep, cyclic_two_orbits, dihedral_rep, invariant_instance, perm_matrix,
-    power_rep, q8_rep, q8_spin_twice,
+    power_rep, q8_rep, q8_spin_twice, write_group_file,
 )
 
 C3 = c3_rep()
@@ -68,7 +68,7 @@ class TestGroupRep:
         elements = list(dihedral_rep(16).elements)
         del elements[5]
         if products is not None:
-            monkeypatch.setattr(symmetry, "PANEL", products * np.size(elements))
+            monkeypatch.setattr(sdpmodel, "CHUNK", products * np.size(elements))
         with pytest.raises(GroupError, match="product of elements 1 and 27 leaves the set"):
             GroupRep(elements)
 
@@ -458,17 +458,82 @@ class TestBatchedActions:
         model = invariant_instance(rep, 3, np.random.default_rng(13))
         # three elements per chunk, for one 16 x 16 matrix as for a stack,
         # which is cut into slices of one matrix
-        monkeypatch.setattr(symmetry, "PANEL", 3 * rep.dim ** 2)
+        monkeypatch.setattr(sdpmodel, "CHUNK", 3 * rep.dim ** 2)
         assert [S.shape for S in rep._slices(M)] == [(1, 16, 16)]
         assert [S.shape for S in rep._slices(np.array([M, M, M]))] == [(1, 16, 16)] * 3
         chunks = list(rep._conjugates(M[None]))
         assert len(chunks) == 11
-        assert all(UMU.size <= symmetry.PANEL for UMU in chunks)
+        assert all(UMU.size <= sdpmodel.CHUNK for UMU in chunks)
         self.assert_average_matches_loop(rep, M)
         self.assert_residuals_match_loop(
             rep, [M, rep.average(M), _random_matrix(rep, rng)])
         red = reduce_sdp(model, rep)
         assert sorted(b.size for b in red.model.blocks) == BLOCK_CASES["D16"][1]
+
+
+# groups that are real, held float64, and those held complex128
+REAL_CASES = [name for name in BLOCK_CASES if name not in ("diag(1,i,-1,-i)", "Q8 spin twice")]
+
+
+class TestArithmetic:
+    """GroupRep decides once whether a group is real: its elements are held
+    float64 when every imaginary part is below 1e-12, complex128 otherwise,
+    and the actions keep real data under a real group real."""
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_element_dtype(self, name):
+        rep = BLOCK_CASES[name][0]()
+        assert rep.elements.dtype == (np.float64 if name in REAL_CASES else np.complex128)
+
+    def test_group_file_of_permutations_is_real(self, tmp_path):
+        # every entry parses as a complex number with a zero imaginary part
+        p = tmp_path / "c3.grp"
+        write_group_file(p, C3)
+        rep = parse_group_file(str(p))
+        assert rep.elements.dtype == np.float64
+        assert np.array_equal(rep.elements, C3.elements)
+
+    def test_complex_group_file_stays_complex(self, tmp_path):
+        p = tmp_path / "spin.grp"
+        write_group_file(p, q8_spin_twice())
+        assert parse_group_file(str(p)).elements.dtype == np.complex128
+
+    @pytest.mark.parametrize("noise, dtype", [(5e-13, np.float64), (5e-11, np.complex128)])
+    def test_imaginary_noise(self, noise, dtype):
+        # noise below 1e-12 is dropped: the clean group's reduction to the
+        # last bit; above it the group is complex, with the same optimum to
+        # the solver's accuracy
+        rng = np.random.default_rng(31)
+        clean = cyclic_two_orbits(3)
+        noisy = GroupRep(clean.elements
+                         + 1j * noise * rng.uniform(-1, 1, clean.elements.shape))
+        assert noisy.elements.dtype == dtype
+        model = invariant_instance(clean, 3, rng)
+        want, got = reduce_sdp(model, clean), reduce_sdp(model, noisy)
+        full = ipm.solve(want.model, TIGHT)
+        small = ipm.solve(got.model, TIGHT)
+        assert full.status == small.status == ipm.Status.OPTIMAL
+        if dtype == np.float64:
+            assert np.array_equal(noisy.elements, clean.elements)
+            assert got.block_summary() == want.block_summary() == "2 real, 2 Hermitian"
+            assert export_sdpa(got.model) == export_sdpa(want.model)
+            assert small.primal_value == full.primal_value
+        else:
+            assert got.block_summary() == "2 Hermitian, 2 Hermitian, 2 Hermitian"
+            assert abs(small.primal_value - full.primal_value) <= 1e-7
+
+    @pytest.mark.parametrize("name", REAL_CASES)
+    def test_real_actions_stay_real(self, name):
+        rep = BLOCK_CASES[name][0]()
+        rng = np.random.default_rng(41)
+        mats = [rng.standard_normal((rep.dim, rep.dim)) for _ in range(3)]
+        mats.append(rep.average(mats[0]))
+        assert rep.average(np.array(mats)).dtype == np.float64
+        assert rep.invariance_residual(np.array(mats))[0].dtype == np.float64
+        for M in mats:
+            TestBatchedActions.assert_average_matches_loop(rep, M)
+        TestBatchedActions.assert_residuals_match_loop(rep, mats)
+        assert all(B.dtype == np.float64 for B in invariant_basis(rep).mats)
 
 
 class TestKeptDecomposition:
