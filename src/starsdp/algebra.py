@@ -48,30 +48,49 @@ class Generator:
     selfadjoint: bool = False
 
 
-@dataclass(frozen=True)
-class Word:
-    """An immutable product of generator letters; the empty word is the unit."""
+class Word(tuple):
+    """An immutable product of generator letters; the empty word is the unit.
 
-    letters: tuple[Letter, ...] = ()
+    A Word is the tuple of its letters, so it hashes and tests equality as
+    that tuple does, natively, and equals the plain tuple of the same
+    letters.  Words order by degree, then letter-wise."""
+
+    __slots__ = ()
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(self)
 
     def degree(self) -> int:
-        return len(self.letters)
+        return len(self)
 
     def adjoint(self) -> "Word":
         """Reverse the letter sequence and toggle every star flag."""
-        return Word(tuple((g, not s) for g, s in reversed(self.letters)))
+        return Word([(g, not s) for g, s in reversed(self)])
 
     def concat(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word(self + other)
 
     def is_unit(self) -> bool:
-        return not self.letters
+        return not self
 
     def key(self):
-        return (len(self.letters), self.letters)
+        return (len(self), tuple(self))
 
     def __lt__(self, other: "Word") -> bool:
-        return self.key() < other.key()
+        return len(self) < len(other) or len(self) == len(other) and tuple.__lt__(self, other)
+
+    def __le__(self, other: "Word") -> bool:
+        return len(self) < len(other) or len(self) == len(other) and tuple.__le__(self, other)
+
+    def __gt__(self, other: "Word") -> bool:
+        return len(self) > len(other) or len(self) == len(other) and tuple.__gt__(self, other)
+
+    def __ge__(self, other: "Word") -> bool:
+        return len(self) > len(other) or len(self) == len(other) and tuple.__ge__(self, other)
+
+    def __repr__(self) -> str:
+        return f"Word(letters={tuple(self)!r})"
 
 
 UNIT_WORD = Word()
@@ -233,8 +252,11 @@ class RewriteRule:
 class Presentation:
     """Generators, explicit rewrite rules and commuting generator pairs.
 
-    Treated as immutable after construction; a private normal-form cache is
-    the only mutable state.
+    Treated as immutable after construction.  Its only mutable state is two
+    private caches: the normal form of each word rewritten so far, and the
+    relaxation's hierarchies (relaxation.Hierarchy), one per level, main
+    basis, kept positives and real mode, so that every problem sharing the
+    presentation shares them.
     """
 
     generators: tuple[Generator, ...]
@@ -258,6 +280,7 @@ class Presentation:
                         raise AlgebraError("rule references unknown generator")
         self._by_name = {g.name: i for i, g in enumerate(self.generators)}
         self._nf_cache = {}
+        self._hierarchies = {}
         # One table from left sides to right sides: implicit rules first,
         # then the explicit ones; the first rule for a left side is kept.
         table: dict[tuple[Letter, ...], Polynomial] = {}
@@ -307,7 +330,7 @@ def _find_redex(letters: tuple[Letter, ...], pres: Presentation):
 
 def is_normal_form(w: Word, pres: Presentation) -> bool:
     """True when the word contains no rewritable subword."""
-    return _find_redex(w.letters, pres) is None
+    return _find_redex(w, pres) is None
 
 
 def normal_form_word(w: Word, pres: Presentation) -> Polynomial:
@@ -325,7 +348,7 @@ def normal_form_word(w: Word, pres: Presentation) -> Polynomial:
             for u, c in hit._terms.items():
                 acc[u] = acc.get(u, 0j) + coeff * c
             continue
-        redex = _find_redex(word.letters, pres)
+        redex = _find_redex(word, pres)
         if redex is None:
             acc[word] = acc.get(word, 0j) + coeff
             continue
@@ -335,10 +358,10 @@ def normal_form_word(w: Word, pres: Presentation) -> Polynomial:
                 f"rewriting exceeded {REWRITE_STEP_CAP} steps on a word of degree {w.degree()}"
             )
         pos, length, repl = redex
-        prefix = word.letters[:pos]
-        suffix = word.letters[pos + length :]
+        prefix = word[:pos]
+        suffix = word[pos + length :]
         for rw, rc in repl._terms.items():
-            stack.append((Word(prefix + rw.letters + suffix), coeff * rc))
+            stack.append((Word(prefix + rw + suffix), coeff * rc))
     result = Polynomial(acc)
     pres._nf_cache[w] = result
     return result

@@ -124,6 +124,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "schur_dim": len(result.solution.y),
                 "lmi_blocks": [len(X) for X in result.solution.X],
                 "timings": result.solution.timings,
+                "build_timings": relax.timings,
                 "wall_time": wall,
             })
             if result.status != ipm.Status.OPTIMAL:

@@ -57,6 +57,21 @@ feasible for the split.  A component that no free parameter reaches is a
 constant matrix, dropped when it is psd and kept (making the LMI
 infeasible) when it is not.  The readout is that zero extension.
 
+A build runs in two stages, since a level is fixed by the algebra, its
+positives and the level, and the objective is only a functional on the
+blocks.  The first, a Hierarchy, reads no objective: the bases and their
+weights, the entries, the closed word set with its moment parameters and W,
+G and ker P.  A presentation keeps one hierarchy per key: the level, the
+main basis when the problem lists its words (the level fixes a generated
+one), the normal forms of the kept positives, and the real mode, which the
+objective and the constraints take part in.  Its arrays are read-only and
+its lists are never mutated, so every relaxation of it shares them.  The
+second stage, Hierarchy.relax, runs on every build: the functionals of the
+objective and the scalar constraints and their check on ker P, term
+sparsity, p0 and N, and the LMI.  A word of the objective or a constraint
+outside the hierarchy's word set gets a hierarchy of its own, not stored,
+with that word added and numbered as if it had been among the entries'.
+
 RelaxationModel.model states the dense relaxation in row form, an SDP
 whose X are the whole moment blocks, derived on first access from P, made
 dense, and from p0 and N over every parameter: its equality rows, an
@@ -75,6 +90,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -95,7 +111,7 @@ BASIS_CAP = 2000
 CONSISTENCY_TOL = 1e-9
 # relative to the largest singular value in _restrict and the equality
 # basis; relative to the largest eigenvalue of the column-scaled Gram matrix
-# (a squared singular value) in RelaxationModel._unseen
+# (a squared singular value) in _kernel
 RANK_TOL = 1e-9
 REPRESENT_TOL = 1e-8
 
@@ -131,7 +147,7 @@ def generate_basis(pres: Presentation, level: int) -> list[Word]:
         nxt = []
         for w in frontier:
             for letter in alphabet:
-                cand = Word(w.letters + (letter,))
+                cand = Word(w + (letter,))
                 if is_normal_form(cand, pres):
                     nxt.append(cand)
         frontier = nxt
@@ -213,6 +229,7 @@ class RelaxationModel:
     entries: list[list[list[Polynomial]]]
     n_moment_vars: int
     sense_factor: float                # +1 minimize, -1 maximize
+    # _G to _unseen are the hierarchy's, shared with every relaxation of it.
     # G: per term of an upper-triangle entry, (i, j, param, value), i <= j
     # numbering the basis indices of every block, block after block
     _G: tuple = field(repr=False, default=())
@@ -221,7 +238,12 @@ class RelaxationModel:
     _Wk: np.ndarray = field(repr=False, default=None)
     _Wv: np.ndarray = field(repr=False, default=None)
     _var_words: list[Word] = field(repr=False, default_factory=list)
+    _word_index: dict[Word, int] = field(repr=False, default_factory=dict)
     _roots: list[Word] = field(repr=False, default_factory=list)  # root word per param
+    _unseen: np.ndarray = field(repr=False, default=None)   # ker P, see _kernel
+    # the seconds spent making the hierarchy, 0.0 when it was reused, and
+    # in the rest of the build
+    timings: dict[str, float] = field(repr=False, default_factory=dict)
     _f: np.ndarray = field(repr=False, default=None)   # objective, times sense_factor
     _constraints: list[tuple] = field(repr=False, default_factory=list)  # (g, sense, rhs)
     _keep: np.ndarray = field(repr=False, default=None)  # the params the LMI keeps
@@ -314,7 +336,7 @@ class RelaxationModel:
 
     def _functional(self, p: Polynomial, what: str) -> np.ndarray:
         """Complex f with omega(p) = f . params."""
-        index = {w: k for k, w in enumerate(self._var_words)}
+        index = self._word_index
         o = np.zeros(len(index), dtype=complex)
         for w, c in p.terms():
             if w not in index:
@@ -325,21 +347,6 @@ class RelaxationModel:
         f = np.zeros(self.n_moment_vars, dtype=complex)
         np.add.at(f, self._Wk, o[:, None] * self._Wv)
         return f
-
-    @functools.cached_property
-    def _unseen(self) -> np.ndarray:
-        """ker P as orthonormal columns: a unit vector per parameter in no
-        entry, and the eigenvectors of P^T P on the columns that multi-term
-        entries couple, scaled to a unit diagonal, whose eigenvalues are at
-        most RANK_TOL times the largest, scaled back and orthonormalized."""
-        d, coupled, lam, V = _gram(*self._G, self.n_moment_vars)
-        null = V[:, lam <= RANK_TOL * lam.max(initial=0.0)] / np.sqrt(d[coupled])[:, None]
-        lone = np.flatnonzero(d == 0)
-        K = np.zeros((self.n_moment_vars, len(lone) + null.shape[1]))
-        K[lone, np.arange(len(lone))] = 1.0
-        if null.size:
-            K[coupled, len(lone):] = np.linalg.qr(null)[0]
-        return K
 
     def _check(self, f: np.ndarray, resid: np.ndarray, what: str) -> None:
         """NotRepresentableError when resid, the size per parameter of the
@@ -402,9 +409,22 @@ def _detect_real_mode(problem: ProblemFile) -> bool:
     return all(_coeffs_real(p) for p in problem.positives)
 
 
-def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
+def _adjoint_closure(words, pres: Presentation,
+                     adjoint: dict[Word, tuple[Word, complex] | None]) -> dict:
+    """adjoint extended, in place, by every word reached from words through
+    single-term adjoints: w maps to (u, c) when nf(w*) = c u, else to None."""
+    for w in words:
+        while w not in adjoint:
+            terms = normal_form(w.adjoint(), pres).terms()
+            adjoint[w] = terms[0] if len(terms) == 1 else None
+            w = terms[0][0] if len(terms) == 1 else w
+    return adjoint
+
+
+def _moment_parameters(adjoint: dict[Word, tuple[Word, complex] | None], real_mode: bool
                        ) -> tuple[list[Word], tuple, list[Word], np.ndarray]:
-    """The variable words closed under single-term adjoints, sorted; the map
+    """The words of adjoint, a set closed under single-term adjoints
+    (_adjoint_closure), sorted; the map
     W from the real parameters to their moments, as each word's parameters
     and their coefficients (a free root's two in complex mode, padded with
     zero coefficients elsewhere); the root word of each
@@ -421,12 +441,6 @@ def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
     |C| != 1; for even k a free root when C = 1, zero otherwise.  Every other
     word's row of W is conj(c) conj(row of u).  In real mode a free root
     keeps only its real part, and a line only a real phi, which is then 1."""
-    adjoint: dict[Word, tuple[Word, complex] | None] = {}
-    for w in var_words:
-        while w not in adjoint:
-            terms = normal_form(w.adjoint(), pres).terms()
-            adjoint[w] = terms[0] if len(terms) == 1 else None
-            w = terms[0][0] if len(terms) == 1 else w
     words = sorted(adjoint)
 
     free = [1.0] if real_mode else [1.0, 1j]
@@ -477,13 +491,13 @@ def _moment_parameters(var_words: set[Word], pres: Presentation, real_mode: bool
     return words, (Wk, Wv), roots, root_ids
 
 
-def _entry(left: tuple, weight: Polynomial, right: tuple, pres: Presentation) -> Polynomial:
-    """nf(left * weight * right) for the letters of a basis word and of an
-    adjoint one: for the unit weight the presentation's cached normal form
-    itself, otherwise the normal form of sum_t c_t left w_t right."""
+def _entry(left: Word, weight: Polynomial, right: Word, pres: Presentation) -> Polynomial:
+    """nf(left * weight * right) for a basis word and an adjoint one: for
+    the unit weight the presentation's cached normal form itself, otherwise
+    the normal form of sum_t c_t left w_t right."""
     if weight == _UNIT:
         return normal_form(Word(left + right), pres)
-    return normal_form(Polynomial({Word(left + w.letters + right): c
+    return normal_form(Polynomial({Word(left + w + right): c
                                    for w, c in weight.items()}), pres)
 
 
@@ -568,12 +582,175 @@ def _term_components(n: int, i: np.ndarray, j: np.ndarray, r: np.ndarray,
             return label, kept
 
 
-def build_relaxation(problem: ProblemFile, level: int | None = None) -> RelaxationModel:
-    pres = problem.presentation
-    d = problem.level if level is None else level
-    if d < 0:
-        raise RelaxationError("level must be nonnegative")
+def _kernel(G: tuple, n: int) -> np.ndarray:
+    """ker P over n parameters as orthonormal columns: a unit vector per
+    parameter in no entry, and the eigenvectors of P^T P on the columns that
+    multi-term entries couple, scaled to a unit diagonal, whose eigenvalues
+    are at most RANK_TOL times the largest, scaled back and orthonormalized."""
+    d, coupled, lam, V = _gram(*G, n)
+    null = V[:, lam <= RANK_TOL * lam.max(initial=0.0)] / np.sqrt(d[coupled])[:, None]
+    lone = np.flatnonzero(d == 0)
+    K = np.zeros((n, len(lone) + null.shape[1]))
+    K[lone, np.arange(len(lone))] = 1.0
+    if null.size:
+        K[coupled, len(lone):] = np.linalg.qr(null)[0]
+    return K
 
+
+class Hierarchy:
+    """The first stage of a relaxation, which no objective enters: the
+    blocks' bases, weights and entries, the closed word set adjoint with its
+    moment parameters (W, their roots and root ids), G and ker P, and the
+    edges term sparsity runs on.  relax() is the second stage.
+
+    Every array is read-only, and no list or dict is mutated once made, so
+    that every relaxation of the hierarchy shares them."""
+
+    def __init__(self, level: int, real_mode: bool, bases: list[list[Word]],
+                 weights: list[Polynomial], entries: list, adjoint: dict):
+        self.level, self.real_mode = level, real_mode
+        self.bases, self.weights, self.entries, self.adjoint = bases, weights, entries, adjoint
+        self.words, (self.Wk, self.Wv), self.roots, self.root_ids = \
+            _moment_parameters(adjoint, real_mode)
+        self.word_index = {w: k for k, w in enumerate(self.words)}
+
+        # every term of an upper-triangle entry (i, j), i and j numbering the
+        # basis indices of every block, block after block, with its word and
+        # coefficient; G is each term times its word's row of W, the
+        # imaginary part of a diagonal entry dropped, as Hermitian blocks
+        # drop it
+        self.starts = np.cumsum([0] + [len(b) for b in bases])
+        I, J, word, coeff = map(np.array, zip(*[
+            (s + i, s + j, self.word_index[w], c) for mat, s in zip(entries, self.starts)
+            for i, row in enumerate(mat) for j in range(i, len(row)) for w, c in row[j].terms()]))
+        width = self.Wk.shape[1]
+        v = (coeff[:, None] * self.Wv[word]).ravel()
+        v = v.real if real_mode else np.where(np.repeat(I == J, width), v.real, v)
+        nz = v != 0
+        self.G = tuple(x[nz] for x in (np.repeat(I, width), np.repeat(J, width),
+                                       self.Wk[word].ravel(), v))
+        self.unseen = _kernel(self.G, len(self.roots))
+
+        # term sparsity's edges: the terms of upper-triangle entries on a
+        # root, with the root id of their word's parameters (-1 for a word
+        # pinned to 0)
+        self.word_root = np.where(self.Wv[:, 0] != 0, self.root_ids[self.Wk[:, 0]], -1)
+        r = self.word_root[word]
+        self.edges = (I[r >= 0], J[r >= 0], r[r >= 0])
+        self.n_roots = int(self.root_ids.max(initial=-1)) + 1
+        for a in (self.Wk, self.Wv, self.root_ids, self.starts, *self.G, self.unseen,
+                  self.word_root, *self.edges):
+            a.flags.writeable = False
+
+    def extended(self, words: list[Word], pres: Presentation) -> "Hierarchy":
+        """The hierarchy on the same blocks whose word set also holds words,
+        numbered as if they had been among the entries' words."""
+        return Hierarchy(self.level, self.real_mode, self.bases, self.weights, self.entries,
+                         _adjoint_closure(words, pres, dict(self.adjoint)))
+
+    def relax(self, problem: ProblemFile, objective: Polynomial,
+              constraints: list[tuple[Polynomial, str, float]]) -> RelaxationModel:
+        """The second stage: the relaxation of the problem's sense of
+        objective under the scalar constraints, both in normal form and on
+        words of this hierarchy.  Their functionals and their check on ker P,
+        the term-sparsity fixpoint seeded by their roots, p0 and N, and the
+        LMI."""
+        sense_factor = 1.0 if problem.sense == "minimize" else -1.0
+        relax = RelaxationModel(
+            problem=problem, level=self.level, real_mode=self.real_mode,
+            bases=self.bases, weights=self.weights, entries=self.entries,
+            n_moment_vars=len(self.roots), sense_factor=sense_factor,
+            _G=self.G, _Wk=self.Wk, _Wv=self.Wv, _var_words=self.words,
+            _word_index=self.word_index, _roots=self.roots, _unseen=self.unseen,
+        )
+        f = sense_factor * relax._functional(objective, "the objective").real
+        g = [relax._functional(p, "a scalar constraint").real for p, _, _ in constraints]
+        # NotRepresentableError at build, not when the row form is first read:
+        # a trace pairing with the blocks vanishes on ker P
+        K = self.unseen
+        for v, what in [(f, "the objective")] + [(gk, "a scalar constraint") for gk in g]:
+            relax._check(v, np.abs(K @ (K.T @ v)), what)
+        relax._f = f
+        relax._constraints = [(gk, sense, rhs) for gk, (_, sense, rhs) in zip(g, constraints)]
+
+        # term sparsity: the components and the kept roots at their fixpoint,
+        # seeded by the objective and the scalar constraints, on one graph
+        # whose nodes are the basis indices of every block, block after block
+        seed = [self.word_root[self.word_index[w]]
+                for p in [objective] + [p for p, _, _ in constraints] for w in p.words()]
+        starts = self.starts
+        label, kept = _term_components(starts[-1], *self.edges, [r for r in seed if r >= 0],
+                                       self.n_roots)
+        keep = kept[self.root_ids].nonzero()[0]
+
+        # the LMI in q, the solver's dual: its slack Z = C - sum_k q_k A_k is the
+        # moment blocks at p = p0 + N q when C = Gamma(p0), A_k = -Gamma(N e_k),
+        # and b = -f N, all over the kept parameters and with one block per
+        # component.  A component with every A_k = 0 is the constant Gamma(p0),
+        # dropped when it is psd.  Scalar equalities restrict p0 and N, and an
+        # inequality adds the 1x1 block +-(g.p - rhs).
+        p0, N = relax._parameters(keep)
+        # entry (i, j) of matrix k is the sum over the terms of G on kept
+        # parameters of value * T[param, k], T = [p0, -N]: one sum per entry,
+        # since G runs entry by entry
+        T = np.column_stack([p0, -N])
+        at = np.full(len(self.roots), -1)
+        at[keep] = np.arange(len(keep))
+        G = self.G
+        use = at[G[2]] >= 0
+        I, J, k, v = G[0][use], G[1][use], at[G[2][use]], G[3][use]
+        X = T[k].astype(v.dtype, copy=False)
+        X *= v[:, None]
+        first = np.flatnonzero(np.diff(I * starts[-1] + J, prepend=-1))
+        X, I, J = np.add.reduceat(X, first), I[first], J[first]
+        cuts = np.searchsorted(I, starts)
+        # an off-component entry uses no kept parameter, so each block's stack
+        # over the kept parameters is block diagonal and every component is a
+        # principal submatrix of it
+        lmi, main = [], []          # main: the main block's indices per leading LMI block
+        sizes = np.diff(starts)
+        gamma0 = np.zeros((sizes[0], sizes[0]), dtype=float if self.real_mode else complex)
+        for b, n in enumerate(sizes):
+            e = slice(cuts[b], cuts[b + 1])
+            i, j = I[e] - starts[b], J[e] - starts[b]
+            A = np.zeros((T.shape[1], n, n), dtype=X.dtype)
+            A[:, i, j] = X[e].T
+            A[:, j, i] = np.conj(X[e], out=X[e]).T
+            block = label[starts[b]:starts[b + 1]]
+            # a component's label is its least node
+            for c in (block == np.arange(starts[b], starts[b + 1])).nonzero()[0]:
+                idx = (block == block[c]).nonzero()[0]
+                Ac = A if len(idx) == len(block) else A[:, idx[:, None], idx]
+                C = Ac[0]
+                if not Ac[1:].any() and \
+                        np.linalg.eigvalsh(C)[0] >= -CONSISTENCY_TOL * max(1.0, np.abs(C).max()):
+                    if b == 0:
+                        gamma0[idx[:, None], idx] = C
+                    continue
+                lmi.append(Ac)
+                if b == 0:
+                    main.append(idx)
+        for gk, sense, rhs in relax._constraints:
+            if sense != SENSE_EQ:
+                sign, gk = 1.0 if sense == SENSE_GE else -1.0, gk[keep]
+                lmi.append(sign * np.concatenate([[gk @ p0 - rhs], -(gk @ N)])[:, None, None])
+        relax._lmi = SDPModel.from_stacks(lmi, [(SENSE_EQ, float(bk)) for bk in -(f[keep] @ N)])
+        relax._keep, relax._p0, relax._N = keep, p0, N
+        relax._parts, relax._gamma0 = main, gamma0
+        return relax
+
+
+def _hierarchy(problem: ProblemFile, d: int) -> tuple[Hierarchy, float]:
+    """The problem's level-d hierarchy, from its presentation's store or
+    made and stored there, and the seconds spent making it (0.0 when it was
+    stored).  The positives' warnings fire either way.
+
+    The key is what the first stage reads besides the presentation: the
+    level, the main basis when basis_words gives it (the level fixes a
+    generated one), the normal forms of the kept positives, and the real
+    mode, which the objective and the constraints take part in."""
+    pres = problem.presentation
+    main_basis = None
     if problem.basis_words is not None:
         main_basis = []
         for w in problem.basis_words:
@@ -583,146 +760,63 @@ def build_relaxation(problem: ProblemFile, level: int | None = None) -> Relaxati
                     f"basis word {word_to_str(w, pres)} does not reduce to a "
                     "single unit-coefficient word")
             main_basis.append(nf)
-        main_basis = sorted(set(main_basis))
-        if UNIT_WORD not in main_basis:
-            main_basis = sorted([UNIT_WORD] + main_basis)
-    else:
-        main_basis = generate_basis(pres, d)
+        main_basis = sorted(set(main_basis) | {UNIT_WORD})
 
-    bases = [main_basis]
-    weights = [Polynomial.unit()]
+    positives, notes = [], []
     for p in problem.positives:
         nf = normal_form(p, pres)
         if not nf.terms():
-            warnings.warn("a declared positive reduces to zero; skipping",
-                          RelaxationWarning)
+            notes.append("a declared positive reduces to zero; skipping")
             continue
         dp = d - math.ceil(nf.degree() / 2)
         if dp < 0:
-            warnings.warn(
-                f"positive {poly_to_str(nf, pres)} needs level "
-                f">= {math.ceil(nf.degree() / 2)}; no localizing block added",
-                RelaxationWarning)
+            notes.append(f"positive {poly_to_str(nf, pres)} needs level "
+                         f">= {math.ceil(nf.degree() / 2)}; no localizing block added")
             continue
-        bases.append([w for w in main_basis if w.degree() <= dp])
-        weights.append(nf)
-
-    entries = []
-    var_words: set[Word] = set()
-    for basis, weight in zip(bases, weights):
-        adjoints = [b.adjoint().letters for b in basis]
-        mat = [[_entry(b.letters, weight, a, pres) for a in adjoints] for b in basis]
-        var_words.update(w for row in mat for e in row for w, _ in e.items())
-        entries.append(mat)
-
-    obj_nf = normal_form(problem.objective, pres)
-    cons_nf = [(normal_form(p, pres), s, r) for p, s, r in problem.constraints]
-    for w, _ in obj_nf.terms():
-        var_words.add(w)
-    for p, _, _ in cons_nf:
-        for w, _ in p.terms():
-            var_words.add(w)
-
+        positives.append((nf, dp))
     real_mode = _detect_real_mode(problem)
-    words, (Wk, Wv), roots, col_root = _moment_parameters(var_words, pres, real_mode)
-    word_index = {w: k for k, w in enumerate(words)}
+    key = (d, None if main_basis is None else tuple(main_basis),
+           tuple(tuple(nf.terms()) for nf, _ in positives), real_mode)
 
-    # every term of an upper-triangle entry (i, j), i and j numbering the
-    # basis indices of every block, block after block, with its word and
-    # coefficient; G is each term times its word's row of W, the imaginary
-    # part of a diagonal entry dropped, as Hermitian blocks drop it
-    sizes = [len(b) for b in bases]
-    starts = np.cumsum([0] + sizes)
-    I, J, word, coeff = map(np.array, zip(*[
-        (s + i, s + j, word_index[w], c) for mat, s in zip(entries, starts)
-        for i, row in enumerate(mat) for j in range(i, len(row)) for w, c in row[j].terms()]))
-    width = Wk.shape[1]
-    v = (coeff[:, None] * Wv[word]).ravel()
-    v = v.real if real_mode else np.where(np.repeat(I == J, width), v.real, v)
-    nz = v != 0
-    G = tuple(x[nz] for x in (np.repeat(I, width), np.repeat(J, width), Wk[word].ravel(), v))
+    hier = pres._hierarchies.get(key)
+    start = time.perf_counter()
+    if hier is None and main_basis is None:
+        main_basis = generate_basis(pres, d)
+    for note in notes:
+        warnings.warn(note, RelaxationWarning)
+    if hier is not None:
+        return hier, 0.0
+    bases = [main_basis] + [[w for w in main_basis if w.degree() <= dp] for _, dp in positives]
+    weights = [Polynomial.unit()] + [nf for nf, _ in positives]
+    entries = []
+    for basis, weight in zip(bases, weights):
+        adjoints = [b.adjoint() for b in basis]
+        entries.append([[_entry(b, weight, a, pres) for a in adjoints] for b in basis])
+    words = {w for mat in entries for row in mat for e in row for w, _ in e.items()}
+    hier = Hierarchy(d, real_mode, bases, weights, entries, _adjoint_closure(words, pres, {}))
+    pres._hierarchies[key] = hier
+    return hier, time.perf_counter() - start
 
-    sense_factor = 1.0 if problem.sense == "minimize" else -1.0
-    relax = RelaxationModel(
-        problem=problem, level=d, real_mode=real_mode,
-        bases=bases, weights=weights, entries=entries,
-        n_moment_vars=len(roots), sense_factor=sense_factor,
-        _G=G, _Wk=Wk, _Wv=Wv, _var_words=words, _roots=roots,
-    )
-    f = sense_factor * relax._functional(obj_nf, "the objective").real
-    g = [relax._functional(p, "a scalar constraint").real for p, _, _ in cons_nf]
-    # NotRepresentableError at build, not when the row form is first read:
-    # a trace pairing with the blocks vanishes on ker P
-    K = relax._unseen
-    for v, what in [(f, "the objective")] + [(gk, "a scalar constraint") for gk in g]:
-        relax._check(v, np.abs(K @ (K.T @ v)), what)
-    relax._f = f
-    relax._constraints = [(gk, sense, rhs) for gk, (_, sense, rhs) in zip(g, cons_nf)]
 
-    # term sparsity: the root id of every word's parameters (-1 for a word
-    # pinned to 0), then the components and the kept roots at their fixpoint,
-    # seeded by the objective and the scalar constraints, on one graph whose
-    # nodes are the basis indices of every block, block after block
-    word_root = np.where(Wv[:, 0] != 0, col_root[Wk[:, 0]], -1)
-    seed = [word_root[word_index[w]] for p in [obj_nf] + [p for p, _, _ in cons_nf]
-            for w in p.words()]
-    r = word_root[word]
-    label, kept = _term_components(starts[-1], I[r >= 0], J[r >= 0], r[r >= 0],
-                                   [r for r in seed if r >= 0], int(col_root.max(initial=-1)) + 1)
-    keep = kept[col_root].nonzero()[0]
-
-    # the LMI in q, the solver's dual: its slack Z = C - sum_k q_k A_k is the
-    # moment blocks at p = p0 + N q when C = Gamma(p0), A_k = -Gamma(N e_k),
-    # and b = -f N, all over the kept parameters and with one block per
-    # component.  A component with every A_k = 0 is the constant Gamma(p0),
-    # dropped when it is psd.  Scalar equalities restrict p0 and N, and an
-    # inequality adds the 1x1 block +-(g.p - rhs).
-    p0, N = relax._parameters(keep)
-    # entry (i, j) of matrix k is the sum over the terms of G on kept
-    # parameters of value * T[param, k], T = [p0, -N]: one sum per entry,
-    # since G runs entry by entry
-    T = np.column_stack([p0, -N])
-    at = np.full(len(roots), -1)
-    at[keep] = np.arange(len(keep))
-    use = at[G[2]] >= 0
-    I, J, k, v = G[0][use], G[1][use], at[G[2][use]], G[3][use]
-    X = T[k].astype(v.dtype, copy=False)
-    X *= v[:, None]
-    first = np.flatnonzero(np.diff(I * starts[-1] + J, prepend=-1))
-    X, I, J = np.add.reduceat(X, first), I[first], J[first]
-    cuts = np.searchsorted(I, starts)
-    # an off-component entry uses no kept parameter, so each block's stack
-    # over the kept parameters is block diagonal and every component is a
-    # principal submatrix of it
-    lmi, main = [], []          # main: the main block's indices per leading LMI block
-    gamma0 = np.zeros((sizes[0], sizes[0]), dtype=float if real_mode else complex)
-    for b, n in enumerate(sizes):
-        e = slice(cuts[b], cuts[b + 1])
-        i, j = I[e] - starts[b], J[e] - starts[b]
-        A = np.zeros((T.shape[1], n, n), dtype=X.dtype)
-        A[:, i, j] = X[e].T
-        A[:, j, i] = np.conj(X[e], out=X[e]).T
-        block = label[starts[b]:starts[b + 1]]
-        # a component's label is its least node
-        for c in (block == np.arange(starts[b], starts[b + 1])).nonzero()[0]:
-            idx = (block == block[c]).nonzero()[0]
-            Ac = A if len(idx) == len(block) else A[:, idx[:, None], idx]
-            C = Ac[0]
-            if not Ac[1:].any() and \
-                    np.linalg.eigvalsh(C)[0] >= -CONSISTENCY_TOL * max(1.0, np.abs(C).max()):
-                if b == 0:
-                    gamma0[idx[:, None], idx] = C
-                continue
-            lmi.append(Ac)
-            if b == 0:
-                main.append(idx)
-    for gk, sense, rhs in relax._constraints:
-        if sense != SENSE_EQ:
-            sign, gk = 1.0 if sense == SENSE_GE else -1.0, gk[keep]
-            lmi.append(sign * np.concatenate([[gk @ p0 - rhs], -(gk @ N)])[:, None, None])
-    relax._lmi = SDPModel.from_stacks(lmi, [(SENSE_EQ, float(bk)) for bk in -(f[keep] @ N)])
-    relax._keep, relax._p0, relax._N = keep, p0, N
-    relax._parts, relax._gamma0 = main, gamma0
+def build_relaxation(problem: ProblemFile, level: int | None = None) -> RelaxationModel:
+    start = time.perf_counter()
+    d = problem.level if level is None else level
+    if d < 0:
+        raise RelaxationError("level must be nonnegative")
+    hier, seconds = _hierarchy(problem, d)
+    pres = problem.presentation
+    objective = normal_form(problem.objective, pres)
+    constraints = [(normal_form(p, pres), s, r) for p, s, r in problem.constraints]
+    # a word outside the blocks' word set gets its parameters on a hierarchy
+    # of its own, which is not stored
+    outside = [w for p in [objective] + [p for p, _, _ in constraints]
+               for w, _ in p.items() if w not in hier.word_index]
+    if outside:
+        t = time.perf_counter()
+        hier = hier.extended(outside, pres)
+        seconds += time.perf_counter() - t
+    relax = hier.relax(problem, objective, constraints)
+    relax.timings = {"hierarchy": seconds, "relax": time.perf_counter() - start - seconds}
     return relax
 
 

@@ -181,10 +181,13 @@ def _frobenius(D: np.ndarray) -> np.ndarray:
     """Frobenius norms over the last two axes, each summed as
     np.linalg.norm sums one matrix.  g and its inverse have equal residuals
     in exact arithmetic, so the first worst element depends on the rounding;
-    this keeps it the same as in a loop over the elements."""
+    this keeps it the same as in a loop over the elements.  As there, real
+    data sum their squares alone, complex data the two halves'."""
     v = D.reshape(D.shape[:-2] + (1, -1))
     t = v.swapaxes(-1, -2)
-    return np.sqrt((v.real @ t.real + v.imag @ t.imag)[..., 0, 0])
+    if np.iscomplexobj(v):
+        return np.sqrt((v.real @ t.real + v.imag @ t.imag)[..., 0, 0])
+    return np.sqrt((v @ t)[..., 0, 0])
 
 
 @dataclass

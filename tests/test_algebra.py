@@ -61,6 +61,27 @@ class TestWord:
         assert single(0) < single(0, True)
         assert single(0, True) < single(1)
         assert single(3) < word((0, False), (0, False))
+        # every comparison, not only <, ranks degree first, where a plain
+        # tuple compares letter-wise
+        long, short = word((0, False), (0, False)), single(3)
+        assert long > short and long >= short and not long <= short
+        assert short <= short and short >= short and not short < short
+        assert sorted([long, short, UNIT_WORD]) == [UNIT_WORD, short, long]
+
+    def test_word_is_the_tuple_of_its_letters(self):
+        # a Word hashes and tests equality natively, as its letters' tuple:
+        # it equals that tuple and finds its dict entries, which is sound
+        # because a tuple of letters and a Word of them name one word
+        letters = ((0, False), (1, True))
+        w = Word(letters)
+        assert w == letters and hash(w) == hash(letters)
+        assert {letters: 1}[w] == 1 and {w: 1}[letters] == 1
+        assert type(w.letters) is tuple and w.letters == letters
+        assert w.degree() == 2 and UNIT_WORD.is_unit() and not w.is_unit()
+        assert w.concat(single(2)) == Word(letters + ((2, False),))
+        assert type(w.concat(w)) is Word and type(w.adjoint()) is Word
+        assert repr(w) == "Word(letters=((0, False), (1, True)))"
+        assert Word.__hash__ is tuple.__hash__ and Word.__eq__ is tuple.__eq__
 
 
 class TestPolynomial:

@@ -66,7 +66,8 @@ class TestSolve:
         (row,) = doc["levels"]
         assert set(row) == {"level", "basis_size", "moment_variables",
                             "bound", "gap", "status", "reason", "iterations",
-                            "schur_dim", "lmi_blocks", "timings", "wall_time"}
+                            "schur_dim", "lmi_blocks", "timings", "build_timings",
+                            "wall_time"}
         assert abs(row["bound"] + 0.25) < 1e-5
         assert row["status"] == "OPTIMAL" and row["reason"] == ""
         assert row["iterations"] >= 1
@@ -79,6 +80,8 @@ class TestSolve:
         assert row["lmi_blocks"] == [2, 1, 1, 1]
         assert set(row["timings"]) == {"schur", "newton", "step"}
         assert all(0.0 <= t <= row["wall_time"] for t in row["timings"].values())
+        assert set(row["build_timings"]) == {"hierarchy", "relax"}
+        assert all(0.0 <= t <= row["wall_time"] for t in row["build_timings"].values())
 
     def test_infeasible_level_reports_its_reason(self, capsys, tmp_path):
         # |x| <= 1 for an involution, so x >= 2 leaves no moment matrix

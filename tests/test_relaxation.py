@@ -12,7 +12,7 @@ import pytest
 import starsdp.ipm as ipm
 import starsdp.relaxation as rx
 from starsdp.algebra import Polynomial, UNIT_WORD, Word, normal_form, poly_mul
-from starsdp.problems import parse_problem, parse_problem_file, word_to_str
+from starsdp.problems import parse_polynomial, parse_problem, parse_problem_file, word_to_str
 from starsdp.oracles import (
     ConcreteRealization, chsh_tsirelson_realization, realize_moments, grid_min,
 )
@@ -891,9 +891,11 @@ class TestSparseBuild:
             assert res.moments
 
     def test_warm_build_memory(self, chsh):
-        # CHSH L4 once its normal forms are cached; held dense, G (861 x
-        # 101, complex) and P alone would take 2.1 MB
+        # CHSH L4 once its normal forms are cached, its hierarchy made
+        # again; held dense, G (861 x 101, complex) and P alone would take
+        # 2.1 MB
         rx.build_relaxation(chsh, level=4)
+        chsh.presentation._hierarchies.clear()
         tracemalloc.start()
         try:
             rx.build_relaxation(chsh, level=4)
@@ -901,6 +903,123 @@ class TestSparseBuild:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2 ** 20
+
+
+def lmi_bytes(relax):
+    """The LMI's stacks and right-hand sides, _keep, _p0 and _N, bit for bit."""
+    arrays = [*relax._lmi.stacks(), np.array([c.rhs for c in relax._lmi.constraints]),
+              relax._keep, relax._p0, relax._N]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def fresh(text, **changes):
+    """A freshly parsed problem, with changes as dataclasses.replace takes them."""
+    return replace(parse_problem(text), **changes)
+
+
+class TestTwoStageBuild:
+    """One hierarchy per presentation and key, many objectives: a build on a
+    reused hierarchy gives the LMI a fresh parse gives, bit for bit."""
+
+    @pytest.mark.parametrize("text, objective", [
+        (CHSH_TEXT, "A0*B0 + A1 - A0*A1 - A1*A0 + 2*B1"),
+        (LADDER_TEXT, "2*i*x*z - 2*i*z*x + y"),
+        (LASSERRE_TEXT, "x^3 + 2*x^2"),
+        (FREE_ROOT_LOCALIZING_TEXT, "x*a + a'*x"),
+    ], ids=["chsh", "ladder", "localizing", "free-root"])
+    def test_objectives_share_the_hierarchy(self, text, objective):
+        prob = parse_problem(text)
+        other = replace(prob, objective=parse_polynomial(objective, prob.presentation))
+        for level in (1, 2, 3):
+            if level == 1 and text is LASSERRE_TEXT:
+                continue
+            first = rx.build_relaxation(prob, level=level)
+            second = rx.build_relaxation(other, level=level)
+            assert first.timings["hierarchy"] > 0.0 and second.timings["hierarchy"] == 0.0
+            shared = [*first._G, first._Wk, first._Wv, first._unseen]
+            assert all(a is b for a, b in zip(shared, [*second._G, second._Wk, second._Wv,
+                                                       second._unseen]))
+            assert second.entries is first.entries and second._var_words is first._var_words
+            for a in shared:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0
+            assert lmi_bytes(first) == lmi_bytes(rx.build_relaxation(parse_problem(text), level))
+            assert lmi_bytes(second) == lmi_bytes(rx.build_relaxation(
+                fresh(text, objective=other.objective), level))
+        assert len(prob.presentation._hierarchies) == (2 if text is LASSERRE_TEXT else 3)
+
+    def test_each_key_part_is_its_own_entry(self):
+        prob = parse_problem(CHSH_TEXT)
+        pres = prob.presentation
+        imaginary = parse_polynomial("i*A0*A1 - i*A1*A0 + A0*B0", pres)
+        positive = [parse_polynomial("1 - A0*B0", pres)]
+        basis = (UNIT_WORD, *map(pres.word, ("A0", "A1", "B0", "B1")), pres.word("A0", "B0"))
+        variants = [({}, 1), ({}, 2), (dict(positives=positive), 2),
+                    (dict(basis_words=basis), 2), (dict(objective=imaginary), 2)]
+        for k, (changes, level) in enumerate(variants, start=1):
+            relax = rx.build_relaxation(replace(prob, **changes), level=level)
+            assert len(pres._hierarchies) == k
+            assert relax.real_mode == ("objective" not in changes)
+            assert lmi_bytes(relax) == lmi_bytes(
+                rx.build_relaxation(fresh(CHSH_TEXT, **changes), level=level))
+        # each again, now from the store
+        for changes, level in variants:
+            relax = rx.build_relaxation(replace(prob, **changes), level=level)
+            assert relax.timings["hierarchy"] == 0.0
+        assert len(pres._hierarchies) == len(variants)
+
+    @pytest.mark.parametrize("text, objective, basis, level", [
+        # b is in no entry, and nf(b') = a ties its moment to a's
+        (ONE_WAY_TEXT, "b + b'", ("a",), 1),
+        # level 0 sees the unit alone; u* = 2 u pins u to 0
+        (SCALED_ADJOINT_TEXT, "u + u'", None, 0),
+        # x^4 is in no entry and the level-1 blocks do not determine it
+        (QUARTIC_TEXT, "x^4 - x^2", None, 1),
+    ], ids=["tied", "pinned", "not-representable"])
+    def test_objective_words_outside_the_blocks(self, text, objective, basis, level):
+        # a build whose objective leaves the blocks' word set makes its own
+        # hierarchy, numbered as a fresh parse numbers it, and stores none
+        prob = parse_problem(text)
+        pres = prob.presentation
+        if basis:
+            prob = replace(prob, basis_words=(UNIT_WORD, *map(pres.word, basis)))
+        rx.build_relaxation(replace(prob, objective=Polynomial.unit()), level=level)
+        outside = replace(prob, objective=parse_polynomial(objective, pres))
+        ref = replace(outside, presentation=parse_problem(text).presentation)
+        try:
+            want = rx.build_relaxation(ref, level=level)
+        except rx.NotRepresentableError as e:
+            with pytest.raises(rx.NotRepresentableError) as err:
+                rx.build_relaxation(outside, level=level)
+            assert str(err.value) == str(e)
+        else:
+            relax = rx.build_relaxation(outside, level=level)
+            assert relax.timings["hierarchy"] > 0.0
+            assert lmi_bytes(relax) == lmi_bytes(want)
+            res, ref_res = relax.solve(TIGHT), want.solve(TIGHT)
+            assert res.status == ref_res.status == Status.OPTIMAL
+            assert (res.solution.iterations, res.bound) == \
+                (ref_res.solution.iterations, ref_res.bound)
+        assert len(pres._hierarchies) == 1
+
+    def test_positive_warnings_fire_on_a_reused_build(self):
+        prob = parse_problem(QUARTIC_TEXT + "[positive]\nx^6\nx - x\n")
+        for hierarchy in ("made", "reused"):
+            with pytest.warns(rx.RelaxationWarning) as record:
+                relax = rx.build_relaxation(prob)
+            assert [str(w.message) for w in record] == [
+                "positive x^6 needs level >= 3; no localizing block added",
+                "a declared positive reduces to zero; skipping"]
+            assert (relax.timings["hierarchy"] == 0.0) == (hierarchy == "reused")
+
+    def test_timings(self):
+        relax = rx.build_relaxation(parse_problem(CHSH_TEXT), level=2)
+        again = rx.build_relaxation(relax.problem, level=2)
+        for r in (relax, again):
+            assert set(r.timings) == {"hierarchy", "relax"}
+            assert all(t >= 0.0 for t in r.timings.values())
+        assert relax.timings["hierarchy"] > 0.0 and again.timings["hierarchy"] == 0.0
 
 
 class TestGramRepresentative:

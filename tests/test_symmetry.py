@@ -536,6 +536,21 @@ class TestArithmetic:
         assert all(B.dtype == np.float64 for B in invariant_basis(rep).mats)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_frobenius_is_norm_per_matrix(dtype):
+    # bit for bit the norm of each matrix alone, on a 4-d stack of the
+    # shape the group actions give and on a single matrix
+    rng = np.random.default_rng(43)
+    D = rng.standard_normal((5, 3, 16, 16)).astype(dtype)
+    if dtype == np.complex128:
+        D += 1j * rng.standard_normal(D.shape)
+    r = symmetry._frobenius(D)
+    assert r.dtype == np.float64 and r.shape == (5, 3)
+    assert [float(x) for x in r.ravel()] == [
+        float(np.linalg.norm(M)) for M in D.reshape(-1, 16, 16)]
+    assert float(symmetry._frobenius(D[0, 0])) == float(np.linalg.norm(D[0, 0]))
+
+
 class TestKeptDecomposition:
     """reduce_sdp computes a group's isotypic decomposition once per GroupRep."""
 
