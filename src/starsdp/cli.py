@@ -221,7 +221,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     print(f"m = {red.commutant_dim}")
     print(f"reduced blocks {red.block_summary()}; "
-          f"{len(red.model.constraints)} constraints")
+          f"{len(red.model.rhs)} constraints")
 
     out_path = args.out or (args.sdpa_file + ".reduced.dat-s")
     export_sdpa_file(red.model, out_path)

@@ -52,13 +52,15 @@ so it starts at the blockwise start too.  A model holds its data exactly
 Hermitian, so the residuals, dZ and the updated X and Z are too; only
 products need _sym.  X and Z of a group are held as one (2k, n, n) stack,
 X first, so one Cholesky call and one inverse serve both with no copy, and
-the Newton direction (dX, dZ) is written into a second such stack,
-allocated once per solve, which the step length reads as it is and the
-update adds.  Products broadcast over the leading axis, and a stack
-flattened to k n^2 entries behaves like one block for residuals, sum_k y_k
-A_ks and the certificates, so each phase of an iteration is one loop over
-the groups, not over the blocks.  One Newton solve works on the Schur
-complement
+the Newton direction (dX, dZ) is written into a second such stack, which
+the step length reads as it is and the update adds.  Products broadcast
+over the leading axis, and a stack flattened to k n^2 entries behaves like
+one block for residuals, sum_k y_k A_ks and the certificates.  So a solve
+makes one workspace per group, once (_Work): the views of X, Z, dX and dZ
+and the float view of X flattened, C, the rows as one float matrix F and
+the Schur buffers; each phase of an iteration is one pass over the
+workspaces, and its sums over the groups start from the first group's
+term.  One Newton solve works on the Schur complement
 
     M[k,l] = sum_b Re < A_kb, X_b A_lb inv(Z_b) >.
 
@@ -68,9 +70,9 @@ flat(F_s) @ flat(F_s)^T, which numpy computes as one SYRK: half the flops
 of a general product, and M comes out exactly symmetric.  It runs on the
 float views of complex stacks, since Re <A, T> is the dot product of the
 interleaved real and imaginary parts of A and T.  Beside the model's own
-data, which only a group of several blocks or a merged one copies, a solve
-holds two A-shaped arrays per stack, allocated once per solve, that receive
-inv(Lz) A_s and F_s in every iteration; fresh arrays of that size would be
+data, which only a group of several blocks or a merged one copies, the
+Schur buffers are two A-shaped arrays per stack that receive inv(Lz) A_s
+and F_s in every iteration; fresh arrays of that size would be
 page-faulted in anew at every iteration.  The solution lists X and Z per
 block in the model's order, as views into the stacks.  Solution.timings
 sums per phase the time between perf_counter reads at its boundaries.
@@ -109,12 +111,13 @@ iteration: a model written by hand or read from SDPA can have them, though
 a relaxation drops the directions of its parameters that no block sees
 before the solve.  At a degenerate optimum X and Z lose rank together,
 which drives up cond(M).  M is therefore never perturbed.  With its
-Cholesky factor M = L L^T the Newton solve is dy = inv(L)^T inv(L) r; when
+Cholesky factor M = L L^T the Newton solve is dy = inv(L)^T inv(L) r, two
+products with the pair (inv(L)^T, inv(L)) that _psd_solver returns; when
 that factor fails, or a squared pivot of it is at most eps times the
 largest diagonal entry of M, the size of the factor's own rounding, the
 solve runs on the eigendecomposition of M with the eigenvalues below
 1e-15 * lambda_max dropped, the least-norm solution on the numerical range
-of M.  Whether LAPACK returns a factor of such an M turns on the last bit
+of M, with the pair (V / w, V^T).  Whether LAPACK returns a factor of such an M turns on the last bit
 of the data, and the factor solves nothing: with one, I3322's level-2
 solve at tolerance 1e-9 ended NUMERICAL.  Neither solve is refined.  dZ
 satisfies its equation for any dy, so what a solve leaves in M dy - r
@@ -240,16 +243,6 @@ def _flat(S):
     of a complex stack."""
     R = _rv(S)
     return R.reshape(len(R), math.prod(R.shape[1:]))
-
-
-def _inner(A, B):
-    """Re <A, B>, summed over a whole stack."""
-    return float(np.vdot(A, B).real)
-
-
-def _dot(P, Q):
-    """Re <P, Q> summed over two lists of stacks."""
-    return sum(map(_inner, P, Q))
 
 
 def _eigvalsh(a):
@@ -396,16 +389,33 @@ def _check_start(start, stacks, m):
         raise ModelError("start y has a non-finite entry")
 
 
-def _schur(A, Lx, Lzi, work):
+class _Work:
+    """One size group's arrays in a solve, made once (see the module
+    docstring): T and G receive inv(Lz) A and F, with g the matrix view of
+    G.  Each iteration sets its own arrays on it, yA = sum_k y_k A_k to W."""
+
+    __slots__ = ("k", "S", "X", "Z", "x", "D", "dX", "dZ", "C", "A", "F", "T", "G", "g",
+                 "yA", "Rd", "Li", "Lx", "Lzi", "Zi", "XRZi", "Ct", "W")
+
+    def __init__(self, S, C, A):
+        self.k = k = len(C)
+        self.S, self.X, self.Z, self.x = S, S[:k], S[k:], _rv(S[:k]).reshape(-1)
+        self.D = np.empty_like(S)
+        self.dX, self.dZ = self.D[:k], self.D[k:]
+        self.C, self.A, self.F = C, A, _flat(A)
+        self.T, self.G = np.empty_like(A), np.empty_like(A)
+        self.g = _flat(self.G)
+
+
+def _schur(work):
     """M[k, l] = sum_b Re <F_kb, F_lb> with F_kb = Lzi_b A_kb Lx_b, one SYRK
-    per stack.  work holds two A-shaped buffers per stack, which receive
-    Lzi A and F."""
-    m = len(A[0])
-    M = np.zeros((m, m))
-    for Ab, Lxb, Lzib, (T, F) in zip(A, Lx, Lzi, work):
-        np.matmul(Lzib, Ab, out=T)
-        Ff = _flat(np.matmul(T, Lxb, out=F))
-        M += Ff @ Ff.T                  # numpy's SYRK: exactly symmetric
+    per group, summed from the first group's."""
+    M = None
+    for w in work:
+        np.matmul(w.Lzi, w.A, out=w.T)
+        np.matmul(w.T, w.Lx, out=w.G)
+        Mg = w.g @ w.g.T                # numpy's SYRK: exactly symmetric
+        M = Mg if M is None else M + Mg
     return M
 
 
@@ -419,12 +429,11 @@ def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport
     if any(Xb.shape != Sb.shape[1:] for Sb, Xb in zip(S, X)):
         raise ModelError("block shape mismatch in feasibility check")
     eigs = [np.linalg.eigvalsh(_sym(Xb))[0] for Xb in X]
-    cons = model.constraints
     v = sum((np.tensordot(Sb, np.conj(Xb), 2).real for Sb, Xb in zip(S, X)),
-            np.zeros(1 + len(cons)))
-    r = v[1:] - np.array([con.rhs for con in cons], dtype=float)
+            np.zeros(1 + len(model.rhs)))
+    r = v[1:] - model.rhs
     # +1 for <=, -1 for >=, 0 for ==
-    s = np.array([(con.sense == SENSE_LE) - (con.sense == SENSE_GE) for con in cons], dtype=float)
+    s = np.array([(sense == SENSE_LE) - (sense == SENSE_GE) for sense in model.senses], dtype=float)
     violations = np.where(s == 0, np.abs(r), np.maximum(s * r, 0.0))
     return FeasibilityReport(list(map(float, eigs)), r.tolist(), violations.tolist(),
                              float(v[0]))
@@ -448,17 +457,17 @@ def _tril_inv(L):
 
 
 def _psd_solver(M):
-    """A solver x = f(r) for M x = r, M symmetric positive semidefinite, and
-    r one right-hand side or a column of them.
+    """The pair (P, Q) whose solve x = P @ (Q @ r) of M x = r serves M
+    symmetric positive semidefinite, and r one right-hand side or a column
+    of them.
 
     When the Cholesky factor L of M exists and its squared pivots exceed
-    eps * max(diag(M)), f applies inv(L)^T inv(L), two matrix products per
-    solve, with inv(L) from _tril_inv; the factor and its inverse run under
-    one error state.  Otherwise M has lost rank to rounding or has
-    dependent rows, and f returns the
-    least-squares solution of least norm on the eigenvectors whose
-    eigenvalues exceed 1e-15 * lambda_max; M itself is not perturbed.
-    Neither solve is refined (see the module docstring)."""
+    eps * max(diag(M)), the pair is (inv(L)^T, inv(L)), with inv(L) from
+    _tril_inv; the factor and its inverse run under one error state.
+    Otherwise M has lost rank to rounding or has dependent rows, and the
+    pair (V / w, V^T) gives the least-squares solution of least norm on the
+    eigenvectors V whose eigenvalues w exceed 1e-15 * lambda_max; M itself
+    is not perturbed.  Neither solve is refined (see the module docstring)."""
     try:
         with np.errstate(all="ignore", invalid="raise"):
             L = _umath_linalg.cholesky_lo(M)
@@ -471,8 +480,8 @@ def _psd_solver(M):
         w, V = np.linalg.eigh(M)
         keep = w > 1e-15 * max(float(w[-1]), 0.0)
         V, w = V[:, keep], w[keep]
-        return lambda r: (V / w) @ (V.T @ r)
-    return lambda r: Li.T @ (Li @ r)
+        return V / w, V.T
+    return Li.T, Li
 
 
 def _max_step(Li, D):
@@ -496,7 +505,8 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     if not model.is_equality_only():
         raise ModelError("solver requires equality form; apply to_equality_form first")
     sizes = [b.size for b in model.blocks]
-    m = len(model.constraints)
+    b = model.rhs
+    m = len(b)
     stacks = model.stacks()
     if start is not None:
         _check_start(start, stacks, m)
@@ -504,7 +514,6 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     real, C, A = _group(stacks, groups)
 
     N = sum(sizes)
-    b = np.array([con.rhs for con in model.constraints], dtype=float)
     # the scales of the start and the tests, from the size groups, so a
     # merged model starts where the unmerged one would
     normC = max((float(np.linalg.norm(Cg, axis=(-2, -1)).max()) for Cg in C), default=0.0)
@@ -514,7 +523,8 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
              np.maximum.reduce((1 + np.abs(b)) / (1 + normsA), initial=0.0))
     maxA = np.maximum.reduce(normsA, initial=0.0) or 1.0  # a zero A scales no ray
     eta = max(1.0, math.sqrt(max(sizes, default=1)), normC, maxA)
-    normb, normCF = math.sqrt(b @ b), math.sqrt(_dot(C, C))
+    normb = math.sqrt(b @ b)
+    normCF = math.sqrt(sum(float(np.vdot(Cg, Cg).real) for Cg in C))
     bscale, cscale = 1.0 + normb, 1.0 + normC
 
     if _merges(sizes, m):
@@ -523,9 +533,6 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         C, A = _diagonal(stacks, places, real)
     else:
         places = _places(groups, sizes)
-    ks = [len(Cg) for Cg in C]
-    Af = [_flat(Ag) for Ag in A]
-    work = [(np.empty_like(Ag), np.empty_like(Ag)) for Ag in A]
     # X and Z of a group as one (2k, n, n) stack, X first, and the Newton
     # direction (dX, dZ) likewise, written in place at every step
     if start is not None:
@@ -534,20 +541,21 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         y = np.array(start[1], dtype=float)
     else:
         XZ = []
-        for k, Cg in zip(ks, C):
-            n = Cg.shape[-1]
+        for Cg in C:
+            k, n = Cg.shape[:2]
             S = np.zeros((2 * k, n, n), dtype=Cg.dtype)
             diagonals = S.reshape(2 * k, n * n)[:, ::n + 1]
             diagonals[:k], diagonals[k:] = xi, eta
             XZ.append(S)
         y = np.zeros(m)
-    D = [np.empty_like(S) for S in XZ]
-    if not groups:
+    work = [_Work(S, Cg, Ag) for S, Cg, Ag in zip(XZ, C, A)]
+    AX0 = None                          # each sum over the groups starts from the first's
+    if not work:
         # no cone, so no dual constraint: y = b is a dual ray unless b = 0,
         # where X = () is optimal; either ends the solve at iteration 0
-        y = b.copy()
-    tau, kappa = 1.0, _dot([S[:k] for S, k in zip(XZ, ks)],
-                           [S[k:] for S, k in zip(XZ, ks)]) / max(N, 1)
+        y, AX0 = b.copy(), np.zeros(m)
+    tau = 1.0
+    kappa = sum(float(np.vdot(w.X, w.Z).real) for w in work) / max(N, 1)
 
     history: list[Iterate] = []
     timings = {"schur": 0.0, "newton": 0.0, "step": 0.0}
@@ -556,20 +564,15 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
 
     for it in range(opts.max_iter + 1):
         # the residuals and their inner products, one pass over the groups
-        X, Z, yA, Rd = [], [], [], []
-        AX, cx, xz, rr = 0, 0.0, 0.0, 0.0
-        for S, k, Cg, F in zip(XZ, ks, C, Af):
-            Xg, Zg = S[:k], S[k:]
-            yAg = (y @ F).view(Cg.dtype).reshape(Cg.shape)
-            Rdg = tau * Cg - Zg - yAg
-            AX = AX + F @ _rv(Xg).ravel()
-            cx += _inner(Cg, Xg)
-            xz += _inner(Xg, Zg)
-            rr += _inner(Rdg, Rdg)
-            X.append(Xg)
-            Z.append(Zg)
-            yA.append(yAg)
-            Rd.append(Rdg)
+        AX, cx, xz, rr = AX0, 0.0, 0.0, 0.0
+        for w in work:
+            w.yA = (y @ w.F).view(w.C.dtype).reshape(w.C.shape)
+            w.Rd = tau * w.C - w.Z - w.yA
+            AXg = w.F @ w.x
+            AX = AXg if AX is None else AX + AXg
+            cx += float(np.vdot(w.C, w.X).real)
+            xz += float(np.vdot(w.X, w.Z).real)
+            rr += float(np.vdot(w.Rd, w.Rd).real)
         by = float(b @ y)
         rp = tau * b - AX
         rg = kappa - by + cx
@@ -585,9 +588,9 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             break
         if by > 0:
             rr = 0.0
-            for yAg, Zg in zip(yA, Z):
-                ray = yAg + Zg
-                rr += _inner(ray, ray)
+            for w in work:
+                ray = w.yA + w.Z
+                rr += float(np.vdot(ray, ray).real)
             dual_ray = math.sqrt(rr) * normb
             if dual_ray <= opts.tol_feas * by * maxA:
                 status = Status.INFEASIBLE
@@ -608,50 +611,46 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
 
         # phase "schur": X and Z of a group factored and inverted as one stack
         t0 = time.perf_counter()
-        Li, Lx, Lzi, Zi = [], [], [], []
-        for S, k in zip(XZ, ks):
-            factors = _factor(S)
+        for w in work:
+            factors = _factor(w.S)
             if factors is None:
                 break
-            L, Lig = factors
-            Li.append(Lig)
-            Lx.append(L[:k])
-            Lzi.append(Lig[k:])
-            Zi.append(_ct(Lig[k:]) @ Lig[k:])
-        if len(Li) < len(XZ):           # a factor failed
+            L, w.Li = factors
+            w.Lx, w.Lzi = L[:w.k], w.Li[w.k:]
+            w.Zi = _ct(w.Lzi) @ w.Lzi
+        if factors is None:             # a factor failed
             status, name = Status.NUMERICAL, "Z"
             try:                        # factor X alone to name the one that failed
-                [np.linalg.cholesky(Xg) for Xg in X]
+                [np.linalg.cholesky(w.X) for w in work]
             except LinAlgError:
                 name = "X"
             reason = f"the Cholesky factor of {name} failed at iteration {it}"
             break
-        M = _schur(A, Lx, Lzi, work)
+        M = _schur(work)
         timings["schur"] += (t1 := time.perf_counter()) - t0
 
         # "newton": predictor, then corrector: target, Schur solve, direction
-        solve_M = _psd_solver(M)
+        P, Q = _psd_solver(M)
         # the gap row is written against the shifted cost Ct = (Z + Rd) / tau
         # = C - sum_k (y_k / tau) A_k, in dv = dy - dtau y / tau: with C
         # itself, terms of size y^T M y cancel to rounding noise once M is
         # ill-conditioned
-        XRZi, Ct = [], []
-        AXRZi, CtX, CtXRZi = 0, 0.0, 0.0
-        for Xg, Zg, Rdg, Zig, F in zip(X, Z, Rd, Zi, Af):
-            T = Xg @ Rdg @ Zig
-            Ctg = (Zg + Rdg) / tau
-            AXRZi = AXRZi + F @ _rv(T).ravel()
-            CtX += _inner(Ctg, Xg)
-            CtXRZi += _inner(Ctg, T)
-            XRZi.append(T)
-            Ct.append(Ctg)
+        AXRZi, CtX, CtXRZi = None, 0.0, 0.0
+        for w in work:
+            w.XRZi = w.X @ w.Rd @ w.Zi
+            w.Ct = (w.Z + w.Rd) / tau
+            AXRZg = w.F @ _rv(w.XRZi).ravel()
+            AXRZi = AXRZg if AXRZi is None else AXRZi + AXRZg
+            CtX += float(np.vdot(w.Ct, w.X).real)
+            CtXRZi += float(np.vdot(w.Ct, w.XRZi).real)
         u = (AX + AXRZi) / tau          # A(X Ct inv(Z))
         bu = b - u
         CtDCt = (CtX + CtXRZi) / tau    # <Ct, X Ct inv(Z)>
         rg_t = rg + float(y @ rp) / tau
         rpR = rp + AXRZi
-        # the predictor removes all residuals and aims X Z and tau kappa at 0
-        rho, W, nu_tk = 1.0, None, -tau * kappa
+        # the predictor removes all residuals and aims X Z and tau kappa at
+        # 0; AW, A(W) of the corrector's W, is None until then
+        rho, AW, nu_tk = 1.0, None, -tau * kappa
         for fraction in (1.0, STEP_FRACTION):
             # the step that removes the share rho of the residuals and aims
             # X Z at nu I: dX = sym((nu I - corr - X dZ) inv(Z)) - X, and with
@@ -660,10 +659,10 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             # and CtG = <Ct, -X - rho X Rd inv(Z) - W>
             r = AX + rho * rpR
             CtG = -CtX - rho * CtXRZi
-            if W is None:               # M q = b + A(X Ct inv(Z)) rides along
-                p, q = solve_M(np.column_stack([r, b + u])).T
+            if AW is None:              # M q = b + A(X Ct inv(Z)) rides along
+                p, q = (P @ (Q @ np.column_stack([r, b + u]))).T
             else:
-                p = solve_M(r + AW)
+                p = P @ (Q @ (r + AW))
                 CtG -= CtW
             # the step with tau dkappa + kappa dtau = nu_tk, dv = p + dtau q
             dtau = ((rho * rg_t + CtG - bu @ p + nu_tk / tau)
@@ -673,17 +672,17 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             # X Z inv(Z) = X taken exactly: a product through inv(Z) carries
             # cond(Z) times its rounding into dX
             c = dtau / tau
-            for i, (Dg, k, Cg, F) in enumerate(zip(D, ks, C, Af)):
-                S = (dv @ F).view(Cg.dtype).reshape(Cg.shape)
-                dZ = np.subtract(rho * Rd[i], S, out=Dg[k:])
-                dZ += dtau * Ct[i]
-                T = X[i] @ S @ Zi[i] - (rho + c) * XRZi[i]
-                np.subtract(_sym(T if W is None else T - W[i]), (1.0 + c) * X[i], out=Dg[:k])
+            for w in work:
+                S = (dv @ w.F).view(w.C.dtype).reshape(w.C.shape)
+                np.subtract(rho * w.Rd, S, out=w.dZ)
+                w.dZ += dtau * w.Ct
+                T = w.X @ S @ w.Zi - (rho + c) * w.XRZi
+                np.subtract(_sym(T if AW is None else T - w.W), (1.0 + c) * w.X, out=w.dX)
             dkappa = (nu_tk - kappa * dtau) / tau
             timings["newton"] += (t2 := time.perf_counter()) - t1
             # the full step if it stays inside the cones, else the fraction
             # of the longest step that does
-            limits = list(map(_max_step, Li, D))
+            limits = [_max_step(w.Li, w.D) for w in work]
             if dtau < 0:
                 limits.append(-tau / dtau)
             if dkappa < 0:
@@ -691,37 +690,37 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             longest = min(limits, default=np.inf)
             alpha = 1.0 if longest > 1.0 else fraction * longest
             timings["step"] += (t1 := time.perf_counter()) - t2
-            if W is None:
+            if AW is None:
                 # the corrector aims at sigma mu, sigma from the predictor's
                 # reach, and takes out its second-order term dX dZ
                 xz = 0.0
-                for S, Dg, k in zip(XZ, D, ks):
-                    P = S + alpha * Dg
-                    xz += _inner(P[:k], P[k:])
+                for w in work:
+                    Sa = w.S + alpha * w.D
+                    xz += float(np.vdot(Sa[:w.k], Sa[w.k:]).real)
                 mu_aff = (xz + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (N + 1)
                 sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0, 1e-8))
                 rho, nu = 1.0 - sigma, sigma * mu
-                W, AW, CtW = [], 0, 0.0
-                for Dg, k, Zig, Ctg, F in zip(D, ks, Zi, Ct, Af):
-                    Wg = Dg[:k] @ Dg[k:] @ Zig - nu * Zig
-                    AW = AW + F @ _rv(Wg).ravel()
-                    CtW += _inner(Ctg, Wg)
-                    W.append(Wg)
+                CtW = 0.0
+                for w in work:
+                    w.W = w.dX @ w.dZ @ w.Zi - nu * w.Zi
+                    AWg = w.F @ _rv(w.W).ravel()
+                    AW = AWg if AW is None else AW + AWg
+                    CtW += float(np.vdot(w.Ct, w.W).real)
                 nu_tk = sigma * mu - tau * kappa - dtau * dkappa
         if alpha < STEP_FLOOR:
             status = Status.NUMERICAL
             reason = f"step length {alpha:.1e} below {STEP_FLOOR:.0e} at iteration {it}"
             break
-        for S, Dg in zip(XZ, D):
-            S += alpha * Dg
+        for w in work:
+            w.S += alpha * w.D
         y = y + alpha * (dv + dtau / tau * y)
         tau += alpha * dtau
         kappa += alpha * dkappa
 
-    XZ = [S / tau for S in XZ]
+    XZ = [w.S / tau for w in work]
     return Solution(
-        X=_scatter([S[:k] for S, k in zip(XZ, ks)], places, real), y=y / tau,
-        Z=_scatter([S[k:] for S, k in zip(XZ, ks)], places, real),
+        X=_scatter([S[:w.k] for S, w in zip(XZ, work)], places, real), y=y / tau,
+        Z=_scatter([S[w.k:] for S, w in zip(XZ, work)], places, real),
         primal_value=pobj, dual_value=dobj, gap=relgap,
         primal_res=pres, dual_res=dres, status=status, reason=reason,
         iterations=len(history) - 1, history=history, timings=timings,

@@ -16,6 +16,7 @@ SDPA export, a real format, doubles a Hermitian block into its real image.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,7 +60,8 @@ class LinearConstraint:
 class SDPModel:
     """A checked block SDP: per block one read-only, exactly Hermitian
     (1 + m, n, n) stack, the cost and then each row's matrix, of which
-    `cost` and the constraints' `matrices` are views."""
+    `cost` is a view; the rows' senses as a tuple and their right-hand
+    sides as one read-only float array, `rhs`."""
 
     def __init__(self, blocks: list[Block], cost: list[np.ndarray],
                  constraints: list[LinearConstraint]):
@@ -90,16 +92,24 @@ class SDPModel:
               blocks: list[Block]) -> None:
         self._stacks = [np.ascontiguousarray(A, dtype=complex if np.iscomplexobj(A) else float)
                         for A in stacks]
-        self.blocks, self.cost = list(blocks), [A[0] for A in self._stacks]
-        self.constraints = [LinearConstraint([A[k] for A in self._stacks], sense, rhs)
-                            for k, (sense, rhs) in enumerate(rows, start=1)]
-        _check(self.blocks, self.cost, self.constraints)
+        self.blocks = list(blocks)
+        self.senses = tuple(sense for sense, _ in rows)
+        self.rhs = np.array([rhs for _, rhs in rows], dtype=float)
+        _check_arrays(self.blocks, self._stacks, self.senses, self.rhs)
         _hermitize(self._stacks, self.blocks)
-        for A in self._stacks + self.cost + [M for c in self.constraints for M in c.matrices]:
+        for A in self._stacks + [self.rhs]:
             A.flags.writeable = False
+        self.cost = [A[0] for A in self._stacks]
+
+    @functools.cached_property
+    def constraints(self) -> list[LinearConstraint]:
+        """The rows as constraints, made on first access: their matrices are
+        read-only views of the stacks."""
+        return [LinearConstraint([A[k] for A in self._stacks], sense, rhs)
+                for k, (sense, rhs) in enumerate(zip(self.senses, self.rhs.tolist()), start=1)]
 
     def is_equality_only(self) -> bool:
-        return all(c.sense == SENSE_EQ for c in self.constraints)
+        return all(sense == SENSE_EQ for sense in self.senses)
 
     def stacks(self) -> list[np.ndarray]:
         """Per block, the cost followed by every row's matrix: the model's
@@ -115,13 +125,30 @@ def _check(blocks: list[Block], cost: list[np.ndarray],
         raise ModelError("cost matrix count does not match block count")
     _check_shapes(cost, blocks, "cost")
     for k, con in enumerate(constraints):
-        if con.sense not in SENSES:
-            raise ModelError(f"constraint {k}: bad sense {con.sense!r}")
-        if not math.isfinite(con.rhs):
-            raise ModelError(f"constraint {k}: right-hand side {con.rhs} is not finite")
+        _check_row(k, con.sense, con.rhs)
         if len(con.matrices) != len(blocks):
             raise ModelError(f"constraint {k}: matrix count mismatch")
         _check_shapes(con.matrices, blocks, f"constraint {k}")
+
+
+def _check_arrays(blocks: list[Block], stacks: list[np.ndarray], senses: tuple[str, ...],
+                  rhs: np.ndarray) -> None:
+    """_check on a model's arrays, with its messages and fault order: the
+    stacks' count and sizes, then the first row with a bad sense or a
+    right-hand side that is not finite."""
+    if len(stacks) != len(blocks):
+        raise ModelError("cost matrix count does not match block count")
+    _check_shapes([S[0] for S in stacks], blocks, "cost")
+    if not (set(senses) <= set(SENSES) and np.isfinite(rhs).all()):
+        for k, (sense, r) in enumerate(zip(senses, rhs)):
+            _check_row(k, sense, r)
+
+
+def _check_row(k: int, sense: str, rhs: float) -> None:
+    if sense not in SENSES:
+        raise ModelError(f"constraint {k}: bad sense {sense!r}")
+    if not math.isfinite(rhs):
+        raise ModelError(f"constraint {k}: right-hand side {rhs} is not finite")
 
 
 def _check_shapes(matrices: list[np.ndarray], blocks: list[Block], where: str) -> None:
@@ -138,7 +165,9 @@ def _hermitize(stacks: list[np.ndarray], blocks: list[Block]) -> None:
     costs, then row by row) that is not Hermitian within VALIDATE_TOL, not
     diagonal in a diagonal block, or not finite.  A NaN or infinite entry
     makes its entry of M - M* NaN or infinite, so the symmetry test catches
-    it at no extra cost.  A model's read-only stacks pass unwritten."""
+    it at no extra cost.  A chunk of a dense block that is already exactly
+    Hermitian and finite, as a relaxation writes its stacks and as a model's
+    read-only stacks are, passes after those two tests, unwritten."""
     faults = []
     for b, (S, blk) in enumerate(zip(stacks, blocks)):
         n = S.shape[-1]
@@ -146,6 +175,8 @@ def _hermitize(stacks: list[np.ndarray], blocks: list[Block]) -> None:
         for k in range(0, len(S), step):
             P = S[k:k + step]
             D = np.conj(P.swapaxes(-1, -2))
+            if not blk.diagonal and (P == D).all() and np.isfinite(P).all():
+                continue
             with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, max + max
                 asym = np.abs(P - D).max(axis=(-2, -1), initial=0.0)
                 H = (P + D) * 0.5
@@ -172,15 +203,15 @@ def _hermitize(stacks: list[np.ndarray], blocks: list[Block]) -> None:
 def to_equality_form(model: SDPModel) -> SDPModel:
     """Convert inequalities to equalities with one shared diagonal slack block."""
     stacks, blocks = model.stacks(), list(model.blocks)
-    ineq = [k for k, c in enumerate(model.constraints) if c.sense != SENSE_EQ]
+    ineq = [k for k, sense in enumerate(model.senses) if sense != SENSE_EQ]
     if ineq:
         j = np.arange(len(ineq))
-        S = np.zeros((1 + len(model.constraints), len(ineq), len(ineq)))
-        S[[1 + k for k in ineq], j, j] = [1.0 if model.constraints[k].sense == SENSE_LE else -1.0
+        S = np.zeros((1 + len(model.rhs), len(ineq), len(ineq)))
+        S[[1 + k for k in ineq], j, j] = [1.0 if model.senses[k] == SENSE_LE else -1.0
                                           for k in ineq]
         stacks.append(S)
         blocks.append(Block(len(ineq), diagonal=True))
-    return SDPModel.from_stacks(stacks, [(SENSE_EQ, c.rhs) for c in model.constraints], blocks)
+    return SDPModel.from_stacks(stacks, [(SENSE_EQ, r) for r in model.rhs.tolist()], blocks)
 
 
 def realify_matrix(A: np.ndarray) -> np.ndarray:
@@ -220,11 +251,11 @@ def export_sdpa(model: SDPModel) -> str:
         raise ModelError("export requires an equality-only model; apply to_equality_form first")
     # the model has checked every matrix: take the image without realify's copy
     stacks = [realify_matrix(S) * 0.5 if np.iscomplexobj(S) else S for S in model.stacks()]
-    m = len(model.constraints)
+    m = len(model.rhs)
     lines = [str(m), str(len(stacks))]
     lines.append(" ".join(str(-S.shape[-1] if b.diagonal else S.shape[-1])
                           for b, S in zip(model.blocks, stacks)))
-    lines.append(" ".join(_fmt(c.rhs) for c in model.constraints) if m else "")
+    lines.append(" ".join(map(_fmt, model.rhs.tolist())) if m else "")
     for matno in range(1 + m):
         for bno, S in enumerate(stacks, start=1):
             A = S[matno]

@@ -394,7 +394,7 @@ def reduce_sdp(model: SDPModel, rep: GroupRep) -> ReducedSDP:
             f"blocks with residual {rebuilt[bad[0]]:.3e}")
 
     n_real = sum(not np.iscomplexobj(Ds) for Ds in reduced)
-    out = SDPModel.from_stacks(reduced, [(con.sense, con.rhs) for con in model.constraints])
+    out = SDPModel.from_stacks(reduced, list(zip(model.senses, model.rhs.tolist())))
     return ReducedSDP(
         original=model, rep=rep, bases=bases, weights=weights,
         real_blocks=n_real, model=out, commutant_dim=commutant_dim)

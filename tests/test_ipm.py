@@ -15,7 +15,7 @@ from starsdp.sdpmodel import (
 from starsdp.ipm import (
     solve, SolverOptions, Status, feasibility_check,
     _eigvalsh, _factor, _gather, _group, _groups, _max_step, _merges, _places,
-    _psd_solver, _schur, _tril_inv,
+    _psd_solver, _schur, _tril_inv, _Work,
 )
 from starsdp.problems import parse_problem_file
 from starsdp.relaxation import build_relaxation
@@ -281,9 +281,14 @@ class TestStackedAssembly:
         Z = [psd(b, blk) for b, blk in enumerate(model.blocks)]
         Lx = [np.linalg.cholesky(S) for S in _gather(X, places, C)]
         Lzi = [np.linalg.inv(np.linalg.cholesky(S)) for S in _gather(Z, places, C)]
-        # the buffers' contents must not matter
-        work = [(np.full_like(Ag, np.nan), np.full_like(Ag, np.nan)) for Ag in A]
-        got = _schur(A, Lx, Lzi, work)
+        work = [_Work(np.empty((2 * len(Cg),) + Cg.shape[1:], Cg.dtype), Cg, Ag)
+                for Cg, Ag in zip(C, A)]
+        for w, Lxg, Lzig in zip(work, Lx, Lzi):
+            w.Lx, w.Lzi = Lxg, Lzig
+            # the buffers' contents must not matter
+            w.T.fill(np.nan)
+            w.G.fill(np.nan)
+        got = _schur(work)
         want = self.per_pair_schur(model, X, Z)
         assert got.dtype == float
         assert np.array_equal(got, got.T)
@@ -771,12 +776,12 @@ class TestDegenerateEndgame:
         x = V[:, :3] @ rng.normal(size=3)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(M)
-        solver = _psd_solver(M)
-        got = solver(M @ x)
+        P, Q = _psd_solver(M)
+        got = P @ (Q @ (M @ x))
         assert np.linalg.norm(got - x) <= 1e-7 * np.linalg.norm(x)
         # two right-hand sides at once, as the predictor solves them
         X2 = np.column_stack([x, V[:, :3] @ rng.normal(size=3)])
-        got = solver(M @ X2)
+        got = P @ (Q @ (M @ X2))
         assert got.shape == (4, 2)
         assert np.linalg.norm(got - X2) <= 1e-7 * np.linalg.norm(X2)
 
@@ -787,20 +792,22 @@ class TestDegenerateEndgame:
         # 2^51, and stays exact on the range
         M = np.array([[1e4, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 2.0 ** -50]])
         assert np.diag(np.linalg.cholesky(M))[-1] ** 2 == 2.0 ** -50
-        solver = _psd_solver(M)
-        assert np.linalg.norm(solver(np.array([0.0, -1.0, 1.0]))) <= 1e-12
+        P, Q = _psd_solver(M)
+        assert np.linalg.norm(P @ (Q @ np.array([0.0, -1.0, 1.0]))) <= 1e-12
         x = np.array([1.0, 2.0, 2.0])
-        assert np.linalg.norm(solver(M @ x) - x) <= 1e-12
+        assert np.linalg.norm(P @ (Q @ (M @ x)) - x) <= 1e-12
 
     def test_cholesky_solve_is_li_t_li_rhs(self):
-        # with L the Cholesky factor of M and Li = inv(L), the solve of
-        # both columns is Li.T @ (Li @ rhs) exactly
+        # with L the Cholesky factor of M and Li = inv(L), the pair is
+        # (Li.T, Li), so the solve of both columns is Li.T @ (Li @ rhs)
         rng = np.random.default_rng(31)
         W = rng.normal(size=(30, 30))
         M = W @ W.T + 30 * np.eye(30)
         rhs = rng.normal(size=(30, 2))
         Li = _tril_inv(np.linalg.cholesky(M))
-        got = _psd_solver(M)(rhs)
+        P, Q = _psd_solver(M)
+        assert np.array_equal(P, Li.T) and np.array_equal(Q, Li)
+        got = P @ (Q @ rhs)
         assert np.array_equal(got, Li.T @ (Li @ rhs))
         want = np.linalg.solve(M, rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -915,7 +922,8 @@ class TestLapackCalls:
             assert _factor(S) is None
             # the Schur matrix's factor fails under the same error state,
             # and the solve falls back to the eigendecomposition
-            x = _psd_solver(S[1])(np.array([1.0, 0.0, 0.0]))
+            P, Q = _psd_solver(S[1])
+            x = P @ (Q @ np.array([1.0, 0.0, 0.0]))
         assert np.allclose(x, [1.0, 0.0, 0.0])
         # the error state is restored, and the other matrices still factor
         assert np.geterr() == state
@@ -929,7 +937,8 @@ class TestLapackCalls:
             L, Li = _factor(E)
             assert L.shape == Li.shape == shape
             assert _eigvalsh(E).shape == shape[:-1]
-        assert _psd_solver(np.zeros((0, 0)))(np.zeros(0)).shape == (0,)
+        P, Q = _psd_solver(np.zeros((0, 0)))
+        assert (P @ (Q @ np.zeros(0))).shape == (0,)
 
     def test_model_without_blocks(self):
         sol = solve(SDPModel([], [], []))

@@ -345,6 +345,21 @@ def infinite_hermitian_row():
              LinearConstraint([np.eye(1), H], SENSE_EQ, 1.0)])
 
 
+def infinite_diagonal():
+    # exactly symmetric: inf == inf, so only the finiteness test sees it
+    return [Block(2)], [np.eye(2)], [LinearConstraint([np.diag([1.0, np.inf])], SENSE_EQ, 1.0)]
+
+
+def nan_diagonal():
+    return [Block(2)], [np.eye(2)], [LinearConstraint([np.diag([np.nan, 1.0])], SENSE_EQ, 1.0)]
+
+
+def symmetric_off_diagonal_in_diagonal_block():
+    # exactly symmetric, which a diagonal block still rejects
+    return ([Block(1), Block(2, diagonal=True)], [np.eye(1), np.eye(2)],
+            [LinearConstraint([np.eye(1), np.ones((2, 2))], SENSE_EQ, 1.0)])
+
+
 def from_lists(blocks, cost, constraints):
     return SDPModel(blocks, cost, constraints)
 
@@ -363,9 +378,14 @@ FAULTS = [
     (infinite_rhs, "constraint 1: right-hand side inf is not finite"),
     (infinite_hermitian_row, "constraint 1 block 1: matrix has a non-finite entry"),
     (nan_cost_and_bad_sense, "constraint 0: bad sense '<>'"),
+    (infinite_diagonal, "constraint 0 block 0: matrix has a non-finite entry"),
+    (nan_diagonal, "constraint 0 block 0: matrix has a non-finite entry"),
+    (symmetric_off_diagonal_in_diagonal_block,
+     "constraint 0 block 1: off-diagonal entries in a diagonal block"),
 ]
 FAULT_IDS = ["bad-sense", "matrix-count", "shape", "nan-cost", "infinite-rhs",
-             "infinite-hermitian-row", "nan-cost-and-bad-sense"]
+             "infinite-hermitian-row", "nan-cost-and-bad-sense", "infinite-diagonal",
+             "nan-diagonal", "symmetric-off-diagonal"]
 
 
 class TestConstructionChecks:
@@ -546,3 +566,83 @@ class TestTheModelIsItsData:
         assert (a.primal_value, a.dual_value) == (b.primal_value, b.dual_value)
         assert np.array_equal(a.y, b.y)
         assert all(np.array_equal(P, Q) for P, Q in zip(a.X + a.Z, b.X + b.Z))
+
+
+def mixed_senses_model():
+    """A real, a Hermitian and a diagonal block under rows of every sense."""
+    blocks, cost, constraints = nearly_hermitian_data()
+
+    def diagonal(A):
+        return A[:2] + [np.diag(np.diag(A[2]))]
+
+    senses = [SENSE_LE, SENSE_EQ, SENSE_GE, SENSE_EQ]
+    return SDPModel(blocks, diagonal(cost),
+                    [LinearConstraint(diagonal(con.matrices), sense, con.rhs)
+                     for con, sense in zip(constraints, senses)])
+
+
+def stacked_model():
+    m = mixed_senses_model()
+    return SDPModel.from_stacks([S.copy() for S in m.stacks()],
+                                list(zip(m.senses, m.rhs.tolist())), m.blocks)
+
+
+def reduced_model():
+    from starsdp.symmetry import reduce_sdp
+    from support import dihedral_rep, invariant_instance
+    rep = dihedral_rep(4)
+    return reduce_sdp(invariant_instance(rep, 3, np.random.default_rng(3)), rep).model
+
+
+class TestRowsAsArrays:
+    """A model holds its rows as the senses and one read-only float array of
+    right-hand sides; `constraints` is made from them on first access."""
+
+    @pytest.mark.parametrize("make", [
+        mixed_senses_model,
+        stacked_model,
+        lambda: to_equality_form(mixed_senses_model()),
+        lambda: import_sdpa(export_sdpa(to_equality_form(mixed_senses_model()))),
+        reduced_model,
+    ], ids=["SDPModel", "from_stacks", "to_equality_form", "import_sdpa", "reduce_sdp"])
+    def test_constraints_are_the_eager_rows(self, make):
+        m = make()
+        S = m.stacks()
+        assert m.rhs.dtype == float and m.rhs.shape == (len(S[0]) - 1,)
+        assert not m.rhs.flags.writeable and isinstance(m.senses, tuple)
+        eager = [LinearConstraint([Sb[k] for Sb in S], sense, rhs)
+                 for k, (sense, rhs) in enumerate(zip(m.senses, m.rhs.tolist()), start=1)]
+        cons = m.constraints
+        assert cons is m.constraints and len(cons) == len(eager)
+        for c, e in zip(cons, eager):
+            assert (c.sense, c.rhs) == (e.sense, e.rhs) and type(c.rhs) is float
+            assert all(np.array_equal(A, B) and np.shares_memory(A, Sb)
+                       and not A.flags.writeable
+                       for A, B, Sb in zip(c.matrices, e.matrices, S))
+
+    def test_rhs_is_read_only(self):
+        m = mixed_senses_model()
+        assert m.senses == (SENSE_LE, SENSE_EQ, SENSE_GE, SENSE_EQ)
+        with pytest.raises(ValueError, match="read-only"):
+            m.rhs[0] = 0.0
+
+    def test_readers_use_the_arrays(self, monkeypatch):
+        # the solve of a relaxation and of a reduced model, and every reader
+        # of a model, run without `constraints`
+        from pathlib import Path
+        from starsdp.problems import parse_problem_file
+        from starsdp.relaxation import build_relaxation
+
+        def unread(model):
+            raise AssertionError("SDPModel.constraints was read")
+
+        monkeypatch.setattr(SDPModel, "constraints", property(unread))
+        chsh = Path(__file__).resolve().parent.parent / "problems" / "chsh.csdp"
+        res = build_relaxation(parse_problem_file(str(chsh)), level=2).solve()
+        assert res.status.name == "OPTIMAL" and abs(res.bound - 2 * np.sqrt(2)) <= 1e-6
+        assert solve(reduced_model()).status.name == "OPTIMAL"
+        m = mixed_senses_model()
+        eq = to_equality_form(m)
+        assert import_sdpa(export_sdpa(eq)).senses == eq.senses
+        assert solve(eq).status.name == "OPTIMAL"
+        assert feasibility_check(m, [np.eye(b.size) for b in m.blocks]).max_violation >= 0.0
