@@ -123,6 +123,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "iterations": result.solution.iterations,
                 "schur_dim": len(result.solution.y),
                 "lmi_blocks": [len(X) for X in result.solution.X],
+                # the stacks the solver ran on: a merged one holds several sizes
+                "solver_stacks": [[len(result.solution.X[i]) for i in g]
+                                  for g in result.solution.groups],
                 "timings": result.solution.timings,
                 "build_timings": relax.timings,
                 "wall_time": wall,

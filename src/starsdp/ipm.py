@@ -27,7 +27,8 @@ How a solve ends is read from the iterate alone:
   UNBOUNDED   <C, X> < 0 and |A(X)| / a <= tol_feas |<C, X>| / |C|: X is
               a primal ray, the dual has no feasible point.
   NUMERICAL   a Cholesky factor of X or Z fails, or the step length falls
-              below STEP_FLOOR.
+              below STEP_FLOOR; the reason adds tau, kappa and mu at the
+              end and the length of the last step taken.
   MAX_ITER    none of these within max_iter iterations.
 Here a = max_k |A_k|, so the ray tests do not change when A, b or C is
 scaled.  On an infeasible model tau falls toward 0 while kappa stays
@@ -205,6 +206,9 @@ class Solution:
     # seconds in "schur" (factor X, Z, assemble M), "newton" (Schur solves,
     # direction recovery) and "step" (step lengths)
     timings: dict[str, float] = field(default_factory=dict)
+    # per stack the solve ran on, the model indices of its blocks: one size,
+    # or several when the model was merged
+    groups: list[list[int]] = field(default_factory=list)
 
 
 @dataclass
@@ -533,8 +537,8 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         C, A = _diagonal(stacks, places, real)
     else:
         places = _places(groups, sizes)
-    # X and Z of a group as one (2k, n, n) stack, X first, and the Newton
-    # direction (dX, dZ) likewise, written in place at every step
+    # X and Z of a group as one (2k, n, n) stack, X first; its workspace
+    # holds the Newton direction (dX, dZ) likewise, written in place
     if start is not None:
         XZ = [np.concatenate(XZg) for XZg in zip(_gather(start[0], places, C),
                                                  _gather(start[2], places, C))]
@@ -549,10 +553,11 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
             XZ.append(S)
         y = np.zeros(m)
     work = [_Work(S, Cg, Ag) for S, Cg, Ag in zip(XZ, C, A)]
-    AX0 = None                          # each sum over the groups starts from the first's
+    AX0 = None                          # sums over the groups start from the first's
     if not work:
-        # no cone, so no dual constraint: y = b is a dual ray unless b = 0,
-        # where X = () is optimal; either ends the solve at iteration 0
+        # no cone, so A(X) = 0 and no dual constraint: y = b is a dual ray
+        # unless b = 0, where X = () is optimal; either ends the solve at
+        # iteration 0
         y, AX0 = b.copy(), np.zeros(m)
     tau = 1.0
     kappa = sum(float(np.vdot(w.X, w.Z).real) for w in work) / max(N, 1)
@@ -561,6 +566,7 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     timings = {"schur": 0.0, "newton": 0.0, "step": 0.0}
     status, reason = Status.MAX_ITER, ""
     pobj = dobj = relgap = pres = dres = 0.0
+    step = None                         # the length of the last step taken
 
     for it in range(opts.max_iter + 1):
         # the residuals and their inner products, one pass over the groups
@@ -716,6 +722,11 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         y = y + alpha * (dv + dtau / tau * y)
         tau += alpha * dtau
         kappa += alpha * dkappa
+        step = alpha
+
+    if status == Status.NUMERICAL:      # lost accuracy or an ill-posed problem?
+        reason += (f"; tau {tau:.1e}, kappa {kappa:.1e}, mu {mu:.1e}, last step "
+                   + ("none" if step is None else f"{step:.1e}"))
 
     XZ = [w.S / tau for w in work]
     return Solution(
@@ -723,5 +734,5 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
         Z=_scatter([S[w.k:] for S, w in zip(XZ, work)], places, real),
         primal_value=pobj, dual_value=dobj, gap=relgap,
         primal_res=pres, dual_res=dres, status=status, reason=reason,
-        iterations=len(history) - 1, history=history, timings=timings,
+        iterations=len(history) - 1, history=history, timings=timings, groups=groups,
     )

@@ -66,8 +66,8 @@ class TestSolve:
         (row,) = doc["levels"]
         assert set(row) == {"level", "basis_size", "moment_variables",
                             "bound", "gap", "status", "reason", "iterations",
-                            "schur_dim", "lmi_blocks", "timings", "build_timings",
-                            "wall_time"}
+                            "schur_dim", "lmi_blocks", "solver_stacks", "timings",
+                            "build_timings", "wall_time"}
         assert abs(row["bound"] + 0.25) < 1e-5
         assert row["status"] == "OPTIMAL" and row["reason"] == ""
         assert row["iterations"] >= 1
@@ -78,10 +78,22 @@ class TestSolve:
         relax = build_relaxation(parse_problem_file(LASSERRE))
         assert row["schur_dim"] == len(relax._keep) - 1 == 2
         assert row["lmi_blocks"] == [2, 1, 1, 1]
+        assert row["solver_stacks"] == [[2, 1, 1, 1]]      # merged
         assert set(row["timings"]) == {"schur", "newton", "step"}
         assert all(0.0 <= t <= row["wall_time"] for t in row["timings"].values())
         assert set(row["build_timings"]) == {"hierarchy", "relax"}
         assert all(0.0 <= t <= row["wall_time"] for t in row["build_timings"].values())
+
+    def test_solver_stacks(self, capsys):
+        # level 2's 9 and 4 blocks are solved as one block-diagonal stack;
+        # at level 4 the zeros off 25 and 16 would cost more than a stack each
+        code, out, _ = run(capsys, "solve", CHSH, "--level", "2-4", "--json")
+        assert code == 0
+        rows = {row["level"]: row for row in json.loads(out)["levels"]}
+        assert rows[2]["lmi_blocks"] == [9, 4] and rows[2]["solver_stacks"] == [[9, 4]]
+        assert rows[4]["lmi_blocks"] == [25, 16] and rows[4]["solver_stacks"] == [[25], [16]]
+        for row in rows.values():
+            assert sorted(sum(row["solver_stacks"], [])) == sorted(row["lmi_blocks"])
 
     def test_infeasible_level_reports_its_reason(self, capsys, tmp_path):
         # |x| <= 1 for an involution, so x >= 2 leaves no moment matrix

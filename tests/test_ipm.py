@@ -17,13 +17,14 @@ from starsdp.ipm import (
     _eigvalsh, _factor, _gather, _group, _groups, _max_step, _merges, _places,
     _psd_solver, _schur, _tril_inv, _Work,
 )
-from starsdp.problems import parse_problem_file
+from starsdp.problems import parse_problem, parse_problem_file
 from starsdp.relaxation import build_relaxation
 
 from starsdp.symmetry import reduce_sdp
 from support import (
     dihedral_rep, invariant_instance, random_involution_problem, reflection_realization,
 )
+from test_algebra import SCAN_ORDER_TEXT
 
 TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-9)
 
@@ -143,16 +144,33 @@ class TestCertificates:
         # names X when any X stack fails, else Z
         m = SDPModel([Block(2), Block(3)], [np.eye(2), np.eye(3)],
                      [LinearConstraint([np.eye(2), np.eye(3)], SENSE_EQ, 1.0)])
+        # kappa = <X, Z> / 5 and mu = (<X, Z> + kappa) / 6 at the start
         good, bad = [np.eye(2), np.eye(3)], [-np.eye(2), np.eye(3)]
-        for X0, Z0, name in [(good, bad, "Z"), (bad, good, "X"),
-                             ([np.eye(2), -np.eye(3)], bad, "X")]:
+        for X0, Z0, name, kappa in [(good, bad, "Z", "2.0e-01"), (bad, good, "X", "2.0e-01"),
+                                    ([np.eye(2), -np.eye(3)], bad, "X", "-1.0e+00")]:
             sol = solve(m, start=(X0, np.zeros(1), Z0))
             assert sol.status == Status.NUMERICAL
-            assert sol.reason == f"the Cholesky factor of {name} failed at iteration 0"
+            assert sol.reason == (f"the Cholesky factor of {name} failed at iteration 0; "
+                                  f"tau 1.0e+00, kappa {kappa}, mu {kappa}, last step none")
 
-    @pytest.mark.parametrize("sizes", [[2, 3], [3, 3], [30, 40]],
+    def test_numerical_reason_reads_the_last_iterate(self):
+        # tau and kappa fall to 0 together on SCAN_ORDER_TEXT at level 1,
+        # which ends NUMERICAL; the reason gives the last iterate's values
+        problem = parse_problem(SCAN_ORDER_TEXT)
+        sol = build_relaxation(problem, level=1).solve().solution
+        last = sol.history[-1]
+        assert sol.status == Status.NUMERICAL and last.iteration == sol.iterations
+        head, tail = sol.reason.split("; ")
+        assert head == f"the Cholesky factor of X failed at iteration {sol.iterations}"
+        values = tail.split(", ")
+        assert values[:3] == [f"tau {last.tau:.1e}", f"kappa {last.kappa:.1e}",
+                              f"mu {last.mu:.1e}"]
+        assert values[3].startswith("last step ") and 0 < float(values[3][10:]) <= 1
+
+    @pytest.mark.parametrize("sizes, kappa", [([2, 3], "2.0e-01"), ([3, 3], "0.0e+00"),
+                                              ([30, 40], "1.4e-01")],
                              ids=["merged", "one size", "two sizes"])
-    def test_failed_factor_keeps_the_error_state(self, sizes):
+    def test_failed_factor_keeps_the_error_state(self, sizes, kappa):
         # the factor runs under numpy.linalg's own error state, so a failed
         # one raises no warning, ends the solve NUMERICAL and leaves the
         # caller's state, here one that ignores invalid operations
@@ -167,7 +185,8 @@ class TestCertificates:
             for X0, Z0, name in [(good, bad, "Z"), (bad, good, "X")]:
                 sol = solve(m, start=(X0, np.zeros(1), Z0))
                 assert sol.status == Status.NUMERICAL
-                assert sol.reason == f"the Cholesky factor of {name} failed at iteration 0"
+                assert sol.reason == (f"the Cholesky factor of {name} failed at iteration 0; "
+                                      f"tau 1.0e+00, kappa {kappa}, mu {kappa}, last step none")
                 assert np.geterr() == state
 
 
@@ -488,10 +507,12 @@ class TestMergedBlocks:
         for s in (slice(0, 3), slice(3, 5), slice(5, 6)):
             off[s, s] = False
         assert np.count_nonzero(XZ[:, off]) == 0
+        assert sol.groups == [[0, 1, 2]]
         # the blockwise solve, up to rounding
         monkeypatch.setattr("starsdp.ipm._merges", lambda sizes, m: False)
         blockwise = solve(model, TIGHT)
         assert len({id(S) for S in self.stacks_of(blockwise)}) == 3
+        assert blockwise.groups == [[0], [1], [2]]
         assert blockwise.status == sol.status and blockwise.iterations == sol.iterations
         assert (abs(blockwise.primal_value - sol.primal_value)
                 <= 1e-12 * (1 + abs(sol.primal_value)))
@@ -515,6 +536,7 @@ class TestMergedBlocks:
         stacks = self.stacks_of(sol)
         assert stacks[0] is stacks[2] and stacks[0].shape == (4, 9, 9)
         assert stacks[1].shape == (2, 16, 16)
+        assert sol.groups == [[0, 2], [1]]
 
 
 class TestStart:
