@@ -45,7 +45,7 @@ red = reduce_sdp(model, rep)
 print(f"commutant algebra     dim {red.commutant_dim}, "
       f"{red.reduced_dim} symmetric coordinates")
 print(f"reduced blocks        {red.block_summary()}; "
-      f"{len(red.model.constraints)} constraint rows")
+      f"{len(red.model.rhs)} constraint rows")
 
 opts = ipm.SolverOptions(tol_gap=1e-9, tol_feas=1e-9)
 full = ipm.solve(model, options=opts)
