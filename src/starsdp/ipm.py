@@ -118,17 +118,18 @@ that factor fails, or a squared pivot of it is at most eps times the
 largest diagonal entry of M, the size of the factor's own rounding, the
 solve runs on the eigendecomposition of M with the eigenvalues below
 1e-15 * lambda_max dropped, the least-norm solution on the numerical range
-of M, with the pair (V / w, V^T).  Whether LAPACK returns a factor of such an M turns on the last bit
-of the data, and the factor solves nothing: with one, I3322's level-2
-solve at tolerance 1e-9 ended NUMERICAL.  Neither solve is refined.  dZ
-satisfies its equation for any dy, so what a solve leaves in M dy - r
-shows up only in the next iterate's primal residual, which is measured
-afresh and removed by the next step with the rest.  Refining either
-solve, up to three passes while the residual halved, changed no status
-and no iteration count on the benchmark's 412 solves, on 1,408 random
-involution relaxations at tolerance 1e-9 and on 242 solves of the test
-presentations, and moved no bound by more than 4.3e-12.  The step of tau
-adds a second right-hand side, solved as a second column.
+of M, with the pair (V / w, V^T).  Whether LAPACK returns a factor of such
+an M turns on the last bit of the data, and the factor solves nothing:
+with one, I3322's level-2 solve at tolerance 1e-9 ended NUMERICAL.
+Neither solve is refined.  dZ satisfies its equation for any dy, so what a
+solve leaves in M dy - r shows up only in the next iterate's primal
+residual, which is measured afresh and removed by the next step with the
+rest.  Refining either solve, up to three passes while the residual
+halved, changed no status and no iteration count on the benchmark's 412
+solves, on 1,408 random involution relaxations at tolerance 1e-9 and on
+242 solves of the test presentations, and moved no bound by more than
+4.3e-12.  The step of tau adds a second right-hand side, solved as a
+second column.
 """
 
 from __future__ import annotations
@@ -437,7 +438,7 @@ def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport
             np.zeros(1 + len(model.rhs)))
     r = v[1:] - model.rhs
     # +1 for <=, -1 for >=, 0 for ==
-    s = np.array([(sense == SENSE_LE) - (sense == SENSE_GE) for sense in model.senses], dtype=float)
+    s = np.array([(c == SENSE_LE) - (c == SENSE_GE) for c in model.senses], dtype=float)
     violations = np.where(s == 0, np.abs(r), np.maximum(s * r, 0.0))
     return FeasibilityReport(list(map(float, eigs)), r.tolist(), violations.tolist(),
                              float(v[0]))
