@@ -36,32 +36,32 @@ positive, so b.y > 0 or <C, X> < 0 and a ray appears.  Solution.reason
 says which test ended a solve that is not OPTIMAL; the solution is X, y
 and Z over tau.
 
-A solve reads the model's own stacks, SDPModel.stacks(), and groups the
-blocks by size, in order of first appearance: X, Z and the other iterates
-of k blocks of size n are (k, n, n) arrays, and their data one (1 + m, k,
-n, n) array, C and then the constraint matrices A_s, a view of the block's
-stack when k = 1.  A stack is complex when any of its data are, and a real
-block in a complex stack keeps a real iterate, returned as the real part
-of its view.  A small model of several sizes is merged instead: its blocks,
+A solve reads the model's own stacks, SDPModel.stacks(), in the layout
+that _layout alone decides.  It groups the blocks by size, in order of
+first appearance: X, Z and the other iterates of k blocks of size n are
+(k, n, n) arrays, and their data one (1 + m, k, n, n) array, C and then
+the constraint matrices A_s, built once, a view of the block's own stack
+when k = 1.  A small model of several sizes is merged instead: its blocks,
 in model order, go on the diagonal of one (1 + m, 1, N, N) array, when the
 flops per iteration that the zeros off the blocks add, 4 m (N^3 - sum n^3)
-+ m^2 (N^2 - sum n^2), stay within MERGE_FLOPS per size group saved.  The
-Cholesky factor, the inverse and every product of block-diagonal matrices
-keep exact zeros off the blocks, so a merged solve is the blockwise one up
-to rounding; xi, eta and the scales of the tests come from the size groups,
-so it starts at the blockwise start too.  A model holds its data exactly
-Hermitian, so the residuals, dZ and the updated X and Z are too; only
-products need _sym.  X and Z of a group are held as one (2k, n, n) stack,
-X first, so one Cholesky call and one inverse serve both with no copy, and
-the Newton direction (dX, dZ) is written into a second such stack, which
-the step length reads as it is and the update adds.  Products broadcast
-over the leading axis, and a stack flattened to k n^2 entries behaves like
-one block for residuals, sum_k y_k A_ks and the certificates.  So a solve
-makes one workspace per group, once (_Work): the views of X, Z, dX and dZ
-and the float view of X flattened, C, the rows as one float matrix F and
-the Schur buffers; each phase of an iteration is one pass over the
-workspaces, and its sums over the groups start from the first group's
-term.  One Newton solve works on the Schur complement
++ m^2 (N^2 - sum n^2), stay within MERGE_FLOPS per size group saved.  A
+stack is complex when any of its data are; a real block in it keeps a real
+iterate, returned as the real part of its view.  Factors, inverses and
+products of block-diagonal matrices keep exact zeros off the blocks, so a
+merged solve is the blockwise one up to rounding; max_b |C_b| is taken
+block by block, |A_k| and |C| from the stacks solved.  A model holds its
+data exactly Hermitian, so the residuals, dZ and the updated X and Z are
+too; only products need _sym.  X and Z of a group are held as one (2k, n,
+n) stack, X first, so one Cholesky call and one inverse serve both with no
+copy, and the Newton direction (dX, dZ) is written into a second such
+stack, which the step length reads as it is and the update adds.  Products
+broadcast over the leading axis, and a stack flattened to k n^2 entries
+behaves like one block for residuals, sum_k y_k A_ks and the certificates.
+So a solve makes one workspace per group, once (_Work): the views of X, Z,
+dX and dZ and the float view of X flattened, C, the rows as one float
+matrix F and the Schur buffers; each phase of an iteration is one pass
+over the workspaces, and its sums over the groups start from the first
+group's term.  One Newton solve works on the Schur complement
 
     M[k,l] = sum_b Re < A_kb, X_b A_lb inv(Z_b) >.
 
@@ -135,6 +135,7 @@ second column.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
 import time
@@ -281,7 +282,7 @@ def _factor(S):
 
 # A model of several block sizes is solved as one block-diagonal matrix when
 # the flops per iteration that the zeros off its blocks add are at most
-# MERGE_FLOPS per size group saved (_merges).  At one BLAS thread a group
+# MERGE_FLOPS per size group saved (_layout).  At one BLAS thread a group
 # saved cost 80-150 us per iteration: merging was faster at 1.2e5 extra flops
 # (CHSH level 2, the Hermitian level 2 of three free involutions), broke even
 # near 2.3e5-4.6e5 on Hermitian data and 1e6 on real data, and was 10-60%
@@ -289,67 +290,44 @@ def _factor(S):
 MERGE_FLOPS = 2e5
 
 
-def _groups(sizes):
-    """Block indices grouped by size, in order of first appearance."""
+def _layout(sizes, m):
+    """The stacks of a solve of a model with these block sizes and m rows:
+    per stack its blocks' model indices, and per block its place (g, j, s),
+    the stack, the index there and the rows and columns it takes.  Blocks
+    are grouped by size in order of first appearance, at (g, j, 0:n),
+    unless the model has several sizes and the extra flops of one merged
+    matrix, F = inv(Lz) A Lx on N x N in place of each n x n block and the
+    SYRK of F over N^2 entries, stay within MERGE_FLOPS per size group
+    saved: then each block is at (0, 0, o:o+n) of one stack, in model order."""
     groups: dict[int, list[int]] = {}
     for i, n in enumerate(sizes):
         groups.setdefault(n, []).append(i)
-    return list(groups.values())
-
-
-def _merges(sizes, m):
-    """Whether a model of these block sizes and m rows is solved as one
-    block-diagonal matrix: when it has several sizes and the extra flops of
-    the merged Schur matrix and its factors, F = inv(Lz) A Lx on N x N in
-    place of each n x n block and the SYRK of F over N^2 entries, stay
-    within MERGE_FLOPS per size group saved."""
-    distinct = set(sizes)
-    if len(distinct) < 2:
-        return False
     N = sum(sizes)
     extra = (4 * m * (N ** 3 - sum(n ** 3 for n in sizes))
              + m * m * (N * N - sum(n * n for n in sizes)))
-    return extra <= MERGE_FLOPS * (len(distinct) - 1)
-
-
-def _group(S, groups):
-    """Per block whether its stack in S (the cost, then the rows) is real,
-    and per group C and A, the first entry and the rest of one (1 + m, k,
-    n, n) array: float, or complex when any of its blocks is not real, and
-    a view of the block's own stack for a group of one block of that dtype."""
-    real = [not np.iscomplexobj(Sb) for Sb in S]
-    G = []
-    for g in groups:
-        dt = float if all(real[i] for i in g) else complex
-        G.append(np.asarray(S[g[0]][:, None], dtype=dt) if len(g) == 1
-                 else np.stack([S[i] for i in g], axis=1, dtype=dt))
-    return real, [Gg[0] for Gg in G], [Gg[1:] for Gg in G]
-
-
-def _diagonal(S, places, real):
-    """The blocks' stacks S on the diagonal of one (1 + m, 1, N, N) array,
-    at their places, zero elsewhere: C and A as _group gives them."""
-    N = sum(len(Sb[0]) for Sb in S)
-    G = np.zeros((len(S[0]), 1, N, N), dtype=float if all(real) else complex)
-    for Sb, (_, _, s) in zip(S, places):
-        G[:, 0, s, s] = Sb
-    return [G[0]], [G[1:]]
-
-
-def _places(groups, sizes):
-    """Per block in model order, its place in the groups' stacks: the
-    group, the index in its stack, and the rows and columns it takes there.
-    A group of one size stacks its blocks; a merged group, of several sizes,
-    puts them on the diagonal of its one matrix, in the group's order."""
+    if len(groups) > 1 and extra <= MERGE_FLOPS * (len(groups) - 1):
+        return [list(range(len(sizes)))], [
+            (0, 0, slice(o, o + n)) for o, n in zip(itertools.accumulate(sizes, initial=0), sizes)]
     places = [None] * len(sizes)
-    for g, grp in enumerate(groups):
-        merged = len({sizes[i] for i in grp}) > 1
-        o = 0
+    for g, grp in enumerate(groups.values()):
         for j, i in enumerate(grp):
-            n = sizes[i]
-            places[i] = (g, 0, slice(o, o + n)) if merged else (g, j, slice(0, n))
-            o += n
-    return places
+            places[i] = (g, j, slice(0, sizes[i]))
+    return list(groups.values()), places
+
+
+def _stack(stacks, grp, places):
+    """The cost and rows of the blocks grp at their places, one (1 + m, k,
+    n, n) array: a view of the block's own stack when grp is one block,
+    else new, complex when any of its blocks is, and zero off the blocks."""
+    if len(grp) == 1:
+        return stacks[grp[0]][:, None]
+    _, k, s = places[grp[-1]]
+    G = np.zeros((len(stacks[grp[0]]), k + 1, s.stop, s.stop),
+                 dtype=complex if any(np.iscomplexobj(stacks[i]) for i in grp) else float)
+    for i in grp:
+        _, j, s = places[i]
+        G[:, j, s, s] = stacks[i]
+    return G
 
 
 def _gather(blocks, places, like):
@@ -372,7 +350,8 @@ def _scatter(stacks, places, real):
 def _check_start(start, stacks, m):
     """ModelError naming the first fault of a warm start (X, y, Z): a block
     count, a block's shape, a non-finite entry or a nonzero imaginary part
-    where the model's block (its stack in stacks) is real, or y's length."""
+    where the model's block (its stack in stacks) is real, or y's length, a
+    non-finite entry or a nonzero imaginary part."""
     X, y, Z = start
     for name, blocks in (("X", X), ("Z", Z)):
         if len(blocks) != len(stacks):
@@ -392,6 +371,8 @@ def _check_start(start, stacks, m):
         raise ModelError(f"start y: shape {y.shape} does not match {m} constraints")
     if not np.isfinite(y).all():
         raise ModelError("start y has a non-finite entry")
+    if np.imag(y).any():
+        raise ModelError("start y has a nonzero imaginary part")
 
 
 class _Work:
@@ -433,6 +414,9 @@ def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport
     X = [np.asarray(Xb, dtype=complex if np.iscomplexobj(Xb) else float) for Xb in X]
     if any(Xb.shape != Sb.shape[1:] for Sb, Xb in zip(S, X)):
         raise ModelError("block shape mismatch in feasibility check")
+    for b, Xb in enumerate(X):
+        if not np.isfinite(Xb).all():
+            raise ModelError(f"block {b}: matrix has a non-finite entry")
     eigs = [np.linalg.eigvalsh(_sym(Xb))[0] for Xb in X]
     v = sum((np.tensordot(Sb, np.conj(Xb), 2).real for Sb, Xb in zip(S, X)),
             np.zeros(1 + len(model.rhs)))
@@ -515,13 +499,15 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     stacks = model.stacks()
     if start is not None:
         _check_start(start, stacks, m)
-    groups = _groups(sizes)
-    real, C, A = _group(stacks, groups)
+    groups, places = _layout(sizes, m)
+    G = [_stack(stacks, grp, places) for grp in groups]
+    C, A = [Gg[0] for Gg in G], [Gg[1:] for Gg in G]
+    real = [not np.iscomplexobj(S) for S in stacks]
 
     N = sum(sizes)
-    # the scales of the start and the tests, from the size groups, so a
-    # merged model starts where the unmerged one would
-    normC = max((float(np.linalg.norm(Cg, axis=(-2, -1)).max()) for Cg in C), default=0.0)
+    # the scales of the start and the tests
+    normC = max((float(np.linalg.norm(S[:1], axis=(-2, -1)).max()) for S in stacks),
+                default=0.0)
     normsA = np.sqrt(sum((np.einsum("kbij,kbij->k", _rv(Ag), _rv(Ag)) for Ag in A),
                          np.zeros(m)))
     xi = max(1.0, math.sqrt(max(sizes, default=1)),
@@ -532,18 +518,12 @@ def solve(model: SDPModel, options: SolverOptions | None = None,
     normCF = math.sqrt(sum(float(np.vdot(Cg, Cg).real) for Cg in C))
     bscale, cscale = 1.0 + normb, 1.0 + normC
 
-    if _merges(sizes, m):
-        groups = [list(range(len(sizes)))]
-        places = _places(groups, sizes)
-        C, A = _diagonal(stacks, places, real)
-    else:
-        places = _places(groups, sizes)
     # X and Z of a group as one (2k, n, n) stack, X first; its workspace
     # holds the Newton direction (dX, dZ) likewise, written in place
     if start is not None:
         XZ = [np.concatenate(XZg) for XZg in zip(_gather(start[0], places, C),
                                                  _gather(start[2], places, C))]
-        y = np.array(start[1], dtype=float)
+        y = np.array(np.real(start[1]), dtype=float)
     else:
         XZ = []
         for Cg in C:

@@ -241,14 +241,17 @@ def _fmt(x: float) -> str:
 def export_sdpa(model: SDPModel) -> str:
     """Serialize to sparse SDPA (.dat-s) text.
 
-    Requires an equality-only model.  SDPA is a real format, so a Hermitian
-    block is written as its realify image, twice its size.  Line order:
-    constraint count, block count, block sizes (negative marks a diagonal
-    block), right-hand sides, then `matno blkno i j value` entries with
-    matno 0 for the cost and only the upper triangle stored, 1-based indices.
+    Requires an equality-only model with a block, as SDPA does.  SDPA is a
+    real format, so a Hermitian block is written as its realify image, twice
+    its size.  Line order: constraint count, block count, block sizes
+    (negative marks a diagonal block), right-hand sides, then
+    `matno blkno i j value` entries with matno 0 for the cost and only the
+    upper triangle stored, 1-based indices.
     """
     if not model.is_equality_only():
         raise ModelError("export requires an equality-only model; apply to_equality_form first")
+    if not model.blocks:
+        raise ModelError("export requires at least one block, which SDPA needs")
     # the model has checked every matrix: take the image without realify's copy
     stacks = [realify_matrix(S) * 0.5 if np.iscomplexobj(S) else S for S in model.stacks()]
     m = len(model.rhs)

@@ -14,8 +14,8 @@ from starsdp.sdpmodel import (
 )
 from starsdp.ipm import (
     solve, SolverOptions, Status, feasibility_check,
-    _eigvalsh, _factor, _gather, _group, _groups, _max_step, _merges, _places,
-    _psd_solver, _schur, _tril_inv, _Work,
+    MERGE_FLOPS, _eigvalsh, _factor, _gather, _layout, _max_step, _psd_solver, _schur,
+    _stack, _tril_inv, _Work,
 )
 from starsdp.problems import parse_problem, parse_problem_file
 from starsdp.relaxation import build_relaxation
@@ -287,35 +287,45 @@ class TestStackedAssembly:
         return M
 
     def check(self, model, seed):
+        """On the solve's own layout, and on one stack per size."""
         rng = np.random.default_rng(seed)
-        sizes = [b.size for b in model.blocks]
-        groups = _groups(sizes)
-        real, C, A = _group(model.stacks(), groups)
-        places = _places(groups, sizes)
+        stacks = model.stacks()
 
         def psd(b, blk):
-            return random_psd(rng, blk.size, blk.diagonal) if real[b] else hermitian_psd(rng, blk.size)
+            return (hermitian_psd(rng, blk.size) if np.iscomplexobj(stacks[b])
+                    else random_psd(rng, blk.size, blk.diagonal))
 
         X = [psd(b, blk) for b, blk in enumerate(model.blocks)]
         Z = [psd(b, blk) for b, blk in enumerate(model.blocks)]
-        Lx = [np.linalg.cholesky(S) for S in _gather(X, places, C)]
-        Lzi = [np.linalg.inv(np.linalg.cholesky(S)) for S in _gather(Z, places, C)]
-        work = [_Work(np.empty((2 * len(Cg),) + Cg.shape[1:], Cg.dtype), Cg, Ag)
-                for Cg, Ag in zip(C, A)]
-        for w, Lxg, Lzig in zip(work, Lx, Lzi):
-            w.Lx, w.Lzi = Lxg, Lzig
-            # the buffers' contents must not matter
-            w.T.fill(np.nan)
-            w.G.fill(np.nan)
-        got = _schur(work)
         want = self.per_pair_schur(model, X, Z)
-        assert got.dtype == float
-        assert np.array_equal(got, got.T)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for merge_flops in (MERGE_FLOPS, -1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("starsdp.ipm.MERGE_FLOPS", merge_flops)
+                groups, places = _layout([b.size for b in model.blocks], len(model.rhs))
+            G = [_stack(stacks, grp, places) for grp in groups]
+            C, A = [Gg[0] for Gg in G], [Gg[1:] for Gg in G]
+            Lx = [np.linalg.cholesky(S) for S in _gather(X, places, C)]
+            Lzi = [np.linalg.inv(np.linalg.cholesky(S)) for S in _gather(Z, places, C)]
+            work = [_Work(np.empty((2 * len(Cg),) + Cg.shape[1:], Cg.dtype), Cg, Ag)
+                    for Cg, Ag in zip(C, A)]
+            for w, Lxg, Lzig in zip(work, Lx, Lzi):
+                w.Lx, w.Lzi = Lxg, Lzig
+                # the buffers' contents must not matter
+                w.T.fill(np.nan)
+                w.G.fill(np.nan)
+            got = _schur(work)
+            assert got.dtype == float
+            assert np.array_equal(got, got.T)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_repeated_interleaved_sizes(self):
-        model = random_model(np.random.default_rng(9), [3, 1, 3, 1, 1, 2], 7)
-        assert _groups([b.size for b in model.blocks]) == [[0, 2], [1, 3, 4], [5]]
+        sizes = [3, 1, 3, 1, 1, 2]
+        model = random_model(np.random.default_rng(9), sizes, 7)
+        # merged at 7 rows, grouped by size in order of first appearance at 300
+        assert _layout(sizes, 7)[0] == [[0, 1, 2, 3, 4, 5]]
+        assert _layout(sizes, 300) == ([[0, 2], [1, 3, 4], [5]], [
+            (0, 0, slice(0, 3)), (1, 0, slice(0, 1)), (0, 1, slice(0, 3)),
+            (1, 1, slice(0, 1)), (1, 2, slice(0, 1)), (2, 0, slice(0, 2))])
         self.check(model, 10)
 
     def test_single_constraint(self):
@@ -372,16 +382,16 @@ class TestStackedAssembly:
 
 
 class TestSolveReadsTheModel:
-    """A size group of one block is a view of the model's own stack."""
+    """A stack of one block is a view of the model's own stack."""
 
     @staticmethod
     def check(model):
-        groups = _groups([b.size for b in model.blocks])
+        groups, places = _layout([b.size for b in model.blocks], len(model.rhs))
         assert all(len(g) == 1 for g in groups)
-        _, C, A = _group(model.stacks(), groups)
-        for (i,), Cg, Ag in zip(groups, C, A):
-            assert np.shares_memory(Cg, model.cost[i])
-            assert np.shares_memory(Ag, model.constraints[-1].matrices[i])
+        for (i,) in groups:
+            G = _stack(model.stacks(), [i], places)
+            assert np.shares_memory(G[0], model.cost[i])
+            assert np.shares_memory(G[1:], model.constraints[-1].matrices[i])
 
     @pytest.mark.parametrize("name, level", [
         ("chsh", 1), ("i3322", 1), ("i3322", 2), ("phased_involution", 2),
@@ -392,7 +402,9 @@ class TestSolveReadsTheModel:
         assert len(lmi.blocks) == 1
         self.check(lmi)
 
-    def test_imported_sdpa(self):
+    def test_imported_sdpa(self, monkeypatch):
+        # a 4 and a 2 block with 5 rows would merge; unmerged, each is a stack of one
+        monkeypatch.setattr("starsdp.ipm.MERGE_FLOPS", -1)
         rng = np.random.default_rng(21)
         self.check(import_sdpa(export_sdpa(random_model(rng, [4, 2], 5))))
 
@@ -471,6 +483,43 @@ def coupled_model(rng, m=4):
     return SDPModel([Block(n) for n in sizes], cost, rows)
 
 
+def merges(sizes, m):
+    """Whether _layout puts blocks of several sizes on one stack."""
+    return any(len({sizes[i] for i in g}) > 1 for g in _layout(sizes, m)[0])
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_layout_places_each_block_once(seed):
+    # up to 6 blocks of up to 3 sizes in 1-5, and 1-40 rows: the seeds give
+    # one-block, one-size, merged and one-stack-per-size layouts
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(1, 6, size=int(rng.integers(1, 4)))
+    sizes = rng.choice(pool, size=int(rng.integers(1, 7))).tolist()
+    m = int(rng.integers(1, 41))
+    groups, places = _layout(sizes, m)
+    assert sorted(i for g in groups for i in g) == list(range(len(sizes)))
+    assert len(places) == len(sizes)
+    for g, grp in enumerate(groups):
+        assert all(places[i][0] == g and places[i][2].stop - places[i][2].start == sizes[i]
+                   for i in grp)
+        # no two blocks share an (index, row) cell of the stack
+        cells = [(places[i][1], r) for i in grp
+                 for r in range(places[i][2].start, places[i][2].stop)]
+        assert len(cells) == len(set(cells))
+        if len({sizes[i] for i in grp}) > 1:
+            # merged: one matrix, the slices tiling 0..N in model order
+            assert grp == list(range(len(sizes)))
+            starts = [places[i][2].start for i in grp]
+            stops = [places[i][2].stop for i in grp]
+            assert starts == [0] + stops[:-1] and stops[-1] == sum(sizes)
+            assert all(places[i][1] == 0 for i in grp)
+        else:
+            assert [places[i][1:] for i in grp] == [(j, slice(0, sizes[grp[0]]))
+                                                     for j in range(len(grp))]
+    model = bounded_feasible_model(rng, sizes, m)
+    assert solve(model, SolverOptions(max_iter=0)).groups == groups
+
+
 class TestMergedBlocks:
     """A small model of several block sizes is solved as one block-diagonal
     matrix, and the solution comes back block by block."""
@@ -484,14 +533,14 @@ class TestMergedBlocks:
         # the benchmark's multi-size LMIs: CHSH level 2 and the Hermitian
         # ladder's level 2 merge; CHSH levels 3-4 and the ladder's level 3
         # keep one stack per size; a model of one size has nothing to merge
-        assert _merges([9, 4], 18) and _merges([7, 3], 30) and _merges([4, 3], 3)
-        assert not _merges([9, 16], 36) and not _merges([25, 16], 60)
-        assert not _merges([7, 15], 126)
-        assert not _merges([3, 3, 3], 5) and not _merges([], 0)
+        assert merges([9, 4], 18) and merges([7, 3], 30) and merges([4, 3], 3)
+        assert not merges([9, 16], 36) and not merges([25, 16], 60)
+        assert not merges([7, 15], 126)
+        assert not merges([3, 3, 3], 5) and not merges([], 0)
 
     def test_blocks_come_back_in_model_order(self, monkeypatch):
         model = coupled_model(np.random.default_rng(51))
-        assert _merges([3, 2, 1], 4)
+        assert merges([3, 2, 1], 4)
         sol = solve(model, TIGHT)
         assert sol.status == Status.OPTIMAL, sol.reason
         for got in (sol.X, sol.Z):
@@ -509,7 +558,7 @@ class TestMergedBlocks:
         assert np.count_nonzero(XZ[:, off]) == 0
         assert sol.groups == [[0, 1, 2]]
         # the blockwise solve, up to rounding
-        monkeypatch.setattr("starsdp.ipm._merges", lambda sizes, m: False)
+        monkeypatch.setattr("starsdp.ipm.MERGE_FLOPS", -1)
         blockwise = solve(model, TIGHT)
         assert len({id(S) for S in self.stacks_of(blockwise)}) == 3
         assert blockwise.groups == [[0], [1], [2]]
@@ -530,7 +579,7 @@ class TestMergedBlocks:
     def test_other_side_keeps_a_stack_per_size(self):
         # sizes 9 and 16 with 36 rows, the shape of CHSH level 3
         model = bounded_feasible_model(np.random.default_rng(55), [9, 16, 9], 36)
-        assert not _merges([9, 16, 9], 36)
+        assert not merges([9, 16, 9], 36)
         sol = solve(model)
         assert sol.status == Status.OPTIMAL, sol.reason
         stacks = self.stacks_of(sol)
@@ -557,11 +606,14 @@ class TestStart:
          "start y: shape (2,) does not match 1 constraints"),
         ([np.eye(2), np.eye(1)], [np.nan], [np.eye(2), np.eye(1)],
          "start y has a non-finite entry"),
+        ([np.eye(2), np.eye(1)], [1j], [np.eye(2), np.eye(1)],
+         "start y has a nonzero imaginary part"),
         ([np.diag([1.0, np.nan]), np.eye(1)], [0.0], [np.eye(2), np.eye(1)],
          "start X block 0: matrix has a non-finite entry"),
         ([np.eye(2), np.eye(1)], [0.0], [np.eye(2), np.full((1, 1), np.inf)],
          "start Z block 1: matrix has a non-finite entry"),
-    ], ids=["X count", "Z count", "X shape", "Z shape", "y length", "y nan", "X nan", "Z inf"])
+    ], ids=["X count", "Z count", "X shape", "Z shape", "y length", "y nan", "y imaginary",
+            "X nan", "Z inf"])
     def test_fault_is_named(self, X, y, Z, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -573,6 +625,15 @@ class TestStart:
         sol = solve(self.MODEL, start=([np.eye(2), np.eye(1)], np.zeros(1),
                                        [np.eye(2), np.eye(1)]))
         assert sol.status == Status.OPTIMAL
+
+    def test_complex_typed_real_y_is_its_real_part(self):
+        X, Z = [np.eye(2), np.eye(1)], [np.eye(2), np.eye(1)]
+        want = solve(self.MODEL, start=(X, np.array([0.25]), Z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve(self.MODEL, start=(X, np.array([0.25 + 0j]), Z))
+        assert got.status == want.status == Status.OPTIMAL
+        assert got.history == want.history and np.array_equal(got.y, want.y)
 
     # a real 2 x 2 block alone, beside a Hermitian 3 x 3 block (merged into
     # one complex matrix) and beside a Hermitian 2 x 2 block (one complex stack)
@@ -593,7 +654,7 @@ class TestStart:
     @pytest.mark.parametrize("which", ["X", "Z"])
     def test_imaginary_part_in_real_block_is_named(self, name, which):
         model = self.REAL_BESIDE[name]
-        assert _merges([b.size for b in model.blocks], 1) == (name == "beside-hermitian-3")
+        assert merges([b.size for b in model.blocks], 1) == (name == "beside-hermitian-3")
         X, Z = self.eye_start(model), self.eye_start(model)
         (X if which == "X" else Z)[0] = np.array([[1.0, 1j], [-1j, 2.0]])
         with warnings.catch_warnings():
@@ -1043,6 +1104,16 @@ class TestFeasibilityReport:
         m = SDPModel([Block(2), Block(1)], [np.eye(2), np.eye(1)], [])
         with pytest.raises(ModelError, match="^block shape mismatch in feasibility check$"):
             feasibility_check(m, [np.eye(2), np.eye(2)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block(self, bad):
+        # not a NaN max_violation, which passes every "> tol" test
+        m = SDPModel([Block(2), Block(1)], [np.eye(2), np.eye(1)],
+                     [LinearConstraint([np.eye(2), np.eye(1)], SENSE_EQ, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="^block 1: matrix has a non-finite entry$"):
+                feasibility_check(m, [np.eye(2), np.full((1, 1), bad)])
 
     def test_negative_eigenvalue_counts(self):
         m = SDPModel([Block(2)], [np.eye(2)], [])

@@ -191,6 +191,12 @@ class TestSDPAText:
         with pytest.raises(ModelError):
             export_sdpa(m)
 
+    def test_model_without_blocks_rejected(self):
+        # SDPA needs a block: the text "0\n0\n\n\n" would not import
+        m = SDPModel([], [], [LinearConstraint([], SENSE_EQ, 0.0)])
+        with pytest.raises(ModelError, match="^export requires at least one block"):
+            export_sdpa(m)
+
     def test_round_trip_random_model(self):
         rng = np.random.default_rng(11)
         blocks = [Block(3), Block(2, diagonal=True)]
