@@ -8,6 +8,8 @@ swaps b a -> a b and b* a* -> a* b* for each commuting pair a < b, and the
 explicit rules.  A left side has one right side; a later rule for it must
 agree with it after rewriting.  Normal forms are computed by leftmost-innermost
 rewriting to a fixpoint: the leftmost redex, the shortest left side there.
+A presentation's candidate automorphisms are the signed generator
+permutations that keep its flags, its commuting pairs and its rules.
 """
 
 from __future__ import annotations
@@ -252,11 +254,12 @@ class RewriteRule:
 class Presentation:
     """Generators, explicit rewrite rules and commuting generator pairs.
 
-    Treated as immutable after construction.  Its only mutable state is two
-    private caches: the normal form of each word rewritten so far, and the
+    Treated as immutable after construction.  Its only mutable state is
+    three private caches: the normal form of each word rewritten so far, the
     relaxation's hierarchies (relaxation.Hierarchy), one per level, main
     basis, kept positives and real mode, so that every problem sharing the
-    presentation shares them.
+    presentation shares them, and its candidate automorphisms, found on the
+    first call of automorphisms().
     """
 
     generators: tuple[Generator, ...]
@@ -281,6 +284,7 @@ class Presentation:
         self._by_name = {g.name: i for i, g in enumerate(self.generators)}
         self._nf_cache = {}
         self._hierarchies = {}
+        self._automorphisms = None
         # One table from left sides to right sides: implicit rules first,
         # then the explicit ones; the first rule for a left side is kept.
         table: dict[tuple[Letter, ...], Polynomial] = {}
@@ -311,6 +315,18 @@ class Presentation:
     def word(self, *names: str) -> Word:
         """Convenience: build an unstarred word from generator names."""
         return Word(tuple((self.index(n), False) for n in names))
+
+    def automorphisms(self) -> list[tuple[int, ...]]:
+        """The candidate automorphisms, found on first call and kept: the
+        signed generator permutations g -> s_g g_pi(g) that keep each
+        selfadjoint flag, map commuting pairs onto commuting pairs and map
+        every explicit rule lhs -> rhs to one with nf(sigma(lhs)) =
+        nf(sigma(rhs)).  Each is the tuple of s_g (pi(g) + 1), the identity
+        first.  The search assigns images generator by generator and checks
+        a rule as soon as its generators have theirs."""
+        if self._automorphisms is None:
+            self._automorphisms = _signed_permutations(self)
+        return self._automorphisms
 
 
 def _find_redex(letters: tuple[Letter, ...], pres: Presentation):
@@ -381,3 +397,72 @@ def normal_form(p: Polynomial | Word, pres: Presentation) -> Polynomial:
 def is_selfadjoint_poly(p: Polynomial, pres: Presentation) -> bool:
     """Whether p equals its adjoint up to rewriting, coefficient-wise."""
     return normal_form(p, pres).close_to(normal_form(p.adjoint(), pres), EQUAL_TOL)
+
+
+def signed_word(sigma: tuple[int, ...], w: Word) -> tuple[Word, int]:
+    """(u, c) with sigma(w) = c u for a signed generator permutation, the
+    tuple of s_g (pi(g) + 1): each letter g or g* becomes g_pi(g) or
+    g_pi(g)*, and c is the product of the letters' signs."""
+    c, letters = 1, []
+    for g, s in w:
+        t = sigma[g]
+        if t < 0:
+            c = -c
+        letters.append((abs(t) - 1, s))
+    return Word(letters), c
+
+
+def apply_signed(sigma: tuple[int, ...], p: Polynomial) -> Polynomial:
+    """sigma(p) for a signed generator permutation, word by word."""
+    out: dict[Word, complex] = {}
+    for w, c in p._terms.items():
+        u, sign = signed_word(sigma, w)
+        out[u] = sign * c
+    return Polynomial(out)
+
+
+def _signed_permutations(pres: Presentation) -> list[tuple[int, ...]]:
+    """Presentation.automorphisms, by depth-first search over the images of
+    generators 0, 1, ...; the images in increasing order, + before -, so
+    the identity comes first."""
+    n = len(pres.generators)
+    flags = [g.selfadjoint for g in pres.generators]
+    pairs = pres.commuting
+    # each rule with its generators, checked when the last of them has an
+    # image; a rule's verdict depends on those images alone, so it is kept
+    due: list[list[tuple[RewriteRule, tuple[int, ...]]]] = [[] for _ in range(n)]
+    for rule in pres.rules:
+        gens = tuple(sorted({g for w in (rule.lhs, *rule.rhs.words()) for g, _ in w}))
+        due[gens[-1]].append((rule, gens))
+    found: list[tuple[int, ...]] = []
+    sigma = [0] * n
+    used = [False] * n
+    verdicts: dict[tuple, bool] = {}
+
+    def holds(rule: RewriteRule, gens: tuple[int, ...]) -> bool:
+        key = (id(rule), *(sigma[g] for g in gens))
+        if key not in verdicts:
+            verdicts[key] = normal_form(
+                apply_signed(sigma, Polynomial.from_word(rule.lhs)), pres).close_to(
+                normal_form(apply_signed(sigma, rule.rhs), pres), EQUAL_TOL)
+        return verdicts[key]
+
+    def extend(g: int) -> None:
+        if g == n:
+            found.append(tuple(sigma))
+            return
+        for h in range(n):
+            if used[h] or flags[h] != flags[g] or any(
+                    ((a, g) in pairs) != ((min(b, h), max(b, h)) in pairs)
+                    for a, b in enumerate(abs(t) - 1 for t in sigma[:g])):
+                continue
+            used[h] = True
+            for s in (h + 1, -h - 1):
+                sigma[g] = s
+                if all(holds(rule, gens) for rule, gens in due[g]):
+                    extend(g + 1)
+            used[h] = False
+        sigma[g] = 0
+
+    extend(0)
+    return found

@@ -122,6 +122,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "reason": result.solution.reason,
                 "iterations": result.solution.iterations,
                 "schur_dim": len(result.solution.y),
+                # the order of the group of signed generator permutations that
+                # fix the problem, and the LMI's rows before its restriction
+                # to the parameters the group leaves invariant
+                "symmetry": relax.symmetry,
                 "lmi_blocks": [len(X) for X in result.solution.X],
                 # the stacks the solver ran on: a merged one holds several sizes
                 "solver_stacks": [[len(result.solution.X[i]) for i in g]

@@ -417,7 +417,9 @@ def feasibility_check(model: SDPModel, X: list[np.ndarray]) -> FeasibilityReport
     for b, Xb in enumerate(X):
         if not np.isfinite(Xb).all():
             raise ModelError(f"block {b}: matrix has a non-finite entry")
-    eigs = [np.linalg.eigvalsh(_sym(Xb))[0] for Xb in X]
+    # halved before adding, as sdpmodel._hermitize does where M + M* overflows:
+    # a finite entry near the float limit keeps a finite eigenvalue
+    eigs = [np.linalg.eigvalsh(0.5 * Xb + 0.5 * _ct(Xb))[0] for Xb in X]
     v = sum((np.tensordot(Sb, np.conj(Xb), 2).real for Sb, Xb in zip(S, X)),
             np.zeros(1 + len(model.rhs)))
     r = v[1:] - model.rhs

@@ -1,4 +1,4 @@
-"""Symmetry reduction of SDPs under a finite unitary group representation.
+"""Symmetry reduction of real SDPs under a finite unitary group representation.
 
 If every data matrix commutes with the action (invariance), an optimal
 solution can be chosen inside the commutant algebra.  reduce_sdp block
@@ -268,7 +268,8 @@ def _isotypic_classes(rep: GroupRep, S: np.ndarray, real: bool,
 
 def _lift(rep: GroupRep, bases: list[np.ndarray], blocks: list[np.ndarray]) -> np.ndarray:
     """Real d x d matrix with reduced blocks `blocks` (weights included);
-    blocks that are stacks (n, m_i, m_i) give a stack (n, d, d)."""
+    blocks that are stacks (n, m_i, m_i) give a stack (n, d, d).  The real
+    part is kept, which is why reduce_sdp takes real data only."""
     M = sum(P @ B @ P.conj().T for P, B in zip(bases, blocks))
     return np.real(rep.average(M))
 
@@ -341,8 +342,12 @@ def _irreducible_pieces(rep: GroupRep, rng: np.random.Generator) -> list[tuple[l
 
 def reduce_sdp(model: SDPModel, rep: GroupRep) -> ReducedSDP:
     """Block-diagonal SDP with the constraint rows of a one-block `model`
-    whose data commute with `rep` to UNITARY_TOL.  ModelError if the blocks miss
-    the commutant dimension of the character or fail to rebuild the data."""
+    whose data are real and commute with `rep` to UNITARY_TOL.  The data must
+    be real because the reduced variable is lifted back as the real part of
+    the group average (_lift), which is feasible with equal value for real
+    data only; ModelError names the first Hermitian matrix with a nonzero
+    imaginary part, and also reports blocks that miss the commutant
+    dimension of the character or fail to rebuild the data."""
     if len(model.blocks) != 1 or model.blocks[0].diagonal:
         raise ModelError("symmetry reduction expects a single dense block")
     d = model.blocks[0].size
@@ -353,6 +358,11 @@ def reduce_sdp(model: SDPModel, rep: GroupRep) -> ReducedSDP:
     # the objective, then every constraint, as one stack
     (data,) = model.stacks()
     names = ["objective"] + [f"constraint {k}" for k in range(1, len(data))]
+    if np.iscomplexobj(data):
+        bad = np.flatnonzero(np.abs(data.imag).max(axis=(-2, -1)) > 0)
+        if bad.size:
+            raise ModelError(f"symmetry reduction expects real data: the {names[bad[0]]} "
+                             "is Hermitian with a nonzero imaginary part")
     residual, element = rep.invariance_residual(data)
     bad = np.flatnonzero(residual > UNITARY_TOL)
     if bad.size:

@@ -66,8 +66,8 @@ class TestSolve:
         (row,) = doc["levels"]
         assert set(row) == {"level", "basis_size", "moment_variables",
                             "bound", "gap", "status", "reason", "iterations",
-                            "schur_dim", "lmi_blocks", "solver_stacks", "timings",
-                            "build_timings", "wall_time"}
+                            "schur_dim", "symmetry", "lmi_blocks", "solver_stacks",
+                            "timings", "build_timings", "wall_time"}
         assert abs(row["bound"] + 0.25) < 1e-5
         assert row["status"] == "OPTIMAL" and row["reason"] == ""
         assert row["iterations"] >= 1
@@ -77,6 +77,8 @@ class TestSolve:
         # components
         relax = build_relaxation(parse_problem_file(LASSERRE))
         assert row["schur_dim"] == len(relax._keep) - 1 == 2
+        # x -> -x fixes the problem but moves none of those even moments
+        assert row["symmetry"] == {"order": 2, "rows": 2}
         assert row["lmi_blocks"] == [2, 1, 1, 1]
         assert row["solver_stacks"] == [[2, 1, 1, 1]]      # merged
         assert set(row["timings"]) == {"schur", "newton", "step"}
@@ -94,6 +96,20 @@ class TestSolve:
         assert rows[4]["lmi_blocks"] == [25, 16] and rows[4]["solver_stacks"] == [[25], [16]]
         for row in rows.values():
             assert sorted(sum(row["solver_stacks"], [])) == sorted(row["lmi_blocks"])
+
+    @pytest.mark.parametrize("path, level, order, rows, schur_dim", [
+        (CHSH, 2, 16, 18, 4),
+        (str(ROOT / "problems" / "i3322.csdp"), 1, 1, 21, 21),
+    ], ids=["chsh-L2", "i3322-L1"])
+    def test_symmetry(self, capsys, path, level, order, rows, schur_dim):
+        # CHSH's signed permutations of A0, A1, B0, B1 that fix its objective
+        # leave 4 of the 18 rows; I3322's projectors admit no sign, and no
+        # permutation of them fixes its objective
+        code, out, _ = run(capsys, "solve", path, "--level", str(level), "--json")
+        assert code == 0
+        (row,) = json.loads(out)["levels"]
+        assert row["symmetry"] == {"order": order, "rows": rows}
+        assert row["schur_dim"] == schur_dim
 
     def test_infeasible_level_reports_its_reason(self, capsys, tmp_path):
         # |x| <= 1 for an involution, so x >= 2 leaves no moment matrix

@@ -1054,6 +1054,17 @@ class TestFeasibilityReport:
         assert rep.residuals[0] == pytest.approx(np.trace(A @ X).real - 0.5, abs=1e-12)
         assert rep.min_eigenvalues[0] == pytest.approx(np.linalg.eigvalsh(X)[0], abs=1e-12)
 
+    def test_huge_finite_candidate(self):
+        # [[1, 1e308], [1e308, 1]] + its transpose overflows; halved first,
+        # its least eigenvalue 1 - 1e308 stays finite and fails any tolerance
+        m = SDPModel([Block(2)], [np.eye(2)], [LinearConstraint([np.eye(2)], SENSE_EQ, 2.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = feasibility_check(m, [np.array([[1.0, 1e308], [1e308, 1.0]])])
+        assert rep.min_eigenvalues[0] == pytest.approx(-1e308, rel=1e-12)
+        assert rep.max_violation == pytest.approx(1e308, rel=1e-12)
+        assert rep.residuals == [0.0] and rep.objective == 2.0
+
     def test_reports_violations_by_sense(self):
         m = SDPModel(
             [Block(2)], [np.eye(2)],

@@ -11,7 +11,9 @@ import pytest
 
 import starsdp.ipm as ipm
 import starsdp.relaxation as rx
-from starsdp.algebra import Polynomial, UNIT_WORD, Word, normal_form, poly_mul
+from starsdp.algebra import (
+    Polynomial, Presentation, UNIT_WORD, Word, apply_signed, normal_form, poly_mul,
+)
 from starsdp.problems import parse_polynomial, parse_problem, parse_problem_file, word_to_str
 from starsdp.oracles import (
     ConcreteRealization, chsh_tsirelson_realization, realize_moments, grid_min,
@@ -255,6 +257,12 @@ minimize y
 basis = 1, x
 """
 
+CHSH_OBJECTIVE = "A0*B0 + A1*B1 + A0*B1 - A1*B0"
+
+# two of CHSH's four correlators: the swap A0 <-> A1, B0 <-> B1 exchanges
+# their term-sparsity components
+TWO_CORRELATORS_TEXT = CHSH_TEXT.replace(CHSH_OBJECTIVE, "A0*B0 + A1*B1")
+
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 TWO_SQRT2 = 2.0 * np.sqrt(2.0)
@@ -263,6 +271,19 @@ TWO_SQRT2 = 2.0 * np.sqrt(2.0)
 @pytest.fixture(scope="module")
 def chsh():
     return parse_problem(CHSH_TEXT)
+
+
+def trivial_group(pres):
+    """The identity alone, in place of a presentation's candidate
+    automorphisms."""
+    return [tuple(range(1, len(pres.generators) + 1))]
+
+
+@pytest.fixture
+def unreduced(monkeypatch):
+    """Presentations parsed under this fixture find only the identity, so
+    their relaxations keep every free parameter."""
+    monkeypatch.setattr(Presentation, "automorphisms", trivial_group)
 
 
 def moment_rows(relax):
@@ -614,17 +635,20 @@ basis = 1, x, z
 
 
 class TestMomentLMI:
-    @pytest.mark.parametrize("text, level, free, params, rows", [
-        (CHSH_TEXT, 3, 36, 61, 265),
-        (LADDER_TEXT, 2, 30, 46, 55),
+    @pytest.mark.parametrize("text, level, free, m, params, rows", [
+        (CHSH_TEXT, 3, 36, 6, 61, 265),
+        (LADDER_TEXT, 2, 30, 10, 46, 55),
     ], ids=["chsh-L3", "ladder-L2"])
-    def test_solver_works_on_free_parameters(self, text, level, free, params, rows):
+    def test_solver_works_on_free_parameters(self, text, level, free, m, params, rows):
         relax = rx.build_relaxation(parse_problem(text), level=level)
         res = relax.solve()
         assert res.status == Status.OPTIMAL
-        # one Schur row per parameter the term-sparsity split keeps but the
-        # unit, against the row form's equality rows over every parameter
-        assert len(res.solution.y) == len(relax._keep) - 1 == free
+        # the term-sparsity split keeps free parameters but the unit, the
+        # problem's symmetry group leaves m invariant directions of them, one
+        # Schur row each, against the row form's equality rows over every
+        # parameter
+        assert len(relax._keep) - 1 == relax.symmetry["rows"] == free
+        assert len(res.solution.y) == m
         assert relax.n_moment_vars == params
         assert len(relax.model.constraints) == rows
         # the solver's dual slacks are the main block's components at the
@@ -752,19 +776,23 @@ def assert_split_is_exact(relax, res):
 
 
 class TestTermSparsity:
-    @pytest.mark.parametrize("text, level, blocks, m", [
-        (CHSH_TEXT, 1, [4], 6),
-        (CHSH_TEXT, 2, [9, 4], 18),
-        (CHSH_TEXT, 3, [9, 16], 36),
-        (CHSH_TEXT, 4, [25, 16], 60),
-        (LADDER_TEXT, 1, [3], 6),
-        (LADDER_TEXT, 2, [7, 3], 30),
-        (LADDER_TEXT, 3, [7, 15], 126),
+    @pytest.mark.parametrize("text, level, blocks, free, m", [
+        (CHSH_TEXT, 1, [4], 6, 1),
+        (CHSH_TEXT, 2, [9, 4], 18, 4),
+        (CHSH_TEXT, 3, [9, 16], 36, 6),
+        (CHSH_TEXT, 4, [25, 16], 60, 11),
+        (LADDER_TEXT, 1, [3], 6, 2),
+        (LADDER_TEXT, 2, [7, 3], 30, 10),
+        (LADDER_TEXT, 3, [7, 15], 126, 42),
     ], ids=["chsh-L1", "chsh-L2", "chsh-L3", "chsh-L4",
             "ladder-L1", "ladder-L2", "ladder-L3"])
-    def test_block_sizes(self, text, level, blocks, m):
+    def test_block_sizes(self, text, level, blocks, free, m):
+        # term sparsity keeps free parameters but the unit; the LMI's m rows
+        # are the directions among them that the symmetry group leaves
+        # invariant
         relax = rx.build_relaxation(parse_problem(text), level=level)
         assert [b.size for b in relax._lmi.blocks] == blocks
+        assert len(relax._keep) - 1 == relax.symmetry["rows"] == free
         assert len(relax._lmi.constraints) == m
 
     @pytest.mark.parametrize("name", ["chsh", "lasserre_x4", "phased_involution"])
@@ -818,12 +846,28 @@ class TestTermSparsity:
         assert [con.rhs for con in relax._lmi.constraints] == [float(b) for b in -(relax._f @ N)]
 
     @pytest.mark.parametrize("level", [1, 2])
-    def test_entries_are_exact_signs(self, chsh, level):
+    def test_entries_are_exact_signs(self, unreduced, level):
         # each entry is a moment's coefficient, +-1, times p0 or -N, which
         # select one parameter, so no rounding enters: a detour through
         # coordinates, sqrt(2) then sqrt(1/2), reads -1.0000000000000002
+        chsh = parse_problem(CHSH_TEXT)
         for A in rx.build_relaxation(chsh, level=level)._lmi.stacks():
             assert set(np.unique(A).tolist()) <= {0.0, 1.0, -1.0}
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_reduced_entries_are_exact_orbit_weights(self, chsh, level):
+        # with the symmetry group, N Q holds each signed orbit of parameters
+        # scaled to unit length, so row k's entries are +-1 times the one
+        # weight 1/sqrt(orbit size) of column k of N Q, again with no rounding
+        relax = rx.build_relaxation(chsh, level=level)
+        weight = np.abs(relax._N).max(axis=0)
+        assert np.array_equal(weight, 1.0 / np.sqrt(np.count_nonzero(relax._N, axis=0)))
+        stacks = relax._lmi.stacks()
+        for A in stacks:
+            assert set(np.unique(A[0]).tolist()) <= {0.0, 1.0, -1.0}
+        for k, w in enumerate(weight, start=1):
+            seen = set().union(*(np.unique(np.abs(A[k])).tolist() for A in stacks))
+            assert seen == {0.0, w}
 
     def test_entries_are_exact_phases(self):
         # basis 1, u: nf(u') = i*u puts u's moment on the line through
@@ -1253,3 +1297,168 @@ class TestIterationCeilings:
         res = rx.build_relaxation(parse_problem(text), level=level).solve(TIGHT)
         assert res.status == Status.OPTIMAL
         assert res.solution.iterations <= ceiling
+
+
+def text_cases():
+    """Every problem file at levels 1-3 and every *_TEXT presentation of this
+    module at levels 1-2 (the phased adjoint cycle's level 3 takes seconds)."""
+    cases = [pytest.param(f.read_text(), (1, 2, 3), id=f.stem)
+             for f in sorted(PROBLEMS.glob("*.csdp"))]
+    cases += [pytest.param(text, (1, 2), id=name) for name, text in sorted(globals().items())
+              if name.endswith("_TEXT") and isinstance(text, str)]
+    return cases
+
+
+def unreduced_build(monkeypatch, problem, level):
+    """The problem's relaxation with the trivial group, on a hierarchy of its
+    own, or the error its build raises."""
+    with monkeypatch.context() as m:
+        m.setattr(Presentation, "automorphisms", trivial_group)
+        m.setattr(problem.presentation, "_hierarchies", {})
+        return build_or_error(problem, level)
+
+
+def build_or_error(problem, level):
+    try:
+        return rx.build_relaxation(problem, level=level)
+    except rx.RelaxationError as e:
+        return e
+
+
+def assert_same_outcome(reduced, unreduced):
+    """Equal statuses, and bounds within 1e-8 relative; a build whose group
+    is trivial has the unreduced LMI bit for bit, so its solve is not
+    repeated."""
+    if isinstance(unreduced, Exception):
+        assert type(reduced) is type(unreduced) and str(reduced) == str(unreduced)
+        return
+    assert reduced.symmetry["rows"] == unreduced.symmetry["rows"] == len(unreduced._lmi.rhs)
+    assert unreduced.symmetry["order"] == 1
+    if reduced.symmetry["order"] == 1:
+        assert lmi_bytes(reduced) == lmi_bytes(unreduced)
+        return
+    a, b = reduced.solve(TIGHT), unreduced.solve(TIGHT)
+    assert a.status == b.status
+    assert a.bound == b.bound or abs(a.bound - b.bound) <= 1e-8 * max(1.0, abs(b.bound))
+
+
+def fixing(problem):
+    """The candidate automorphisms that fix the problem's objective."""
+    pres = problem.presentation
+    objective = normal_form(problem.objective, pres)
+    return [s for s in pres.automorphisms()
+            if normal_form(apply_signed(s, objective), pres).close_to(objective)]
+
+
+def assert_invariant(problem, moments):
+    """omega(sigma(w)) = omega(w) for every moment word w and every
+    candidate sigma that fixes the objective."""
+    pres = problem.presentation
+    for sigma in fixing(problem):
+        for w, value in moments.items():
+            (u, c), = normal_form(apply_signed(sigma, Polynomial.from_word(w)), pres).items()
+            assert abs(c * moments[u] - value) <= 1e-8, (sigma, w)
+
+
+class TestSymmetryAdapted:
+    """Each relaxation is solved over the parameters that its symmetry group,
+    the signed generator permutations fixing the problem, leaves invariant."""
+
+    @pytest.mark.parametrize("text, level, order", [
+        (CHSH_TEXT, 1, 16),
+        (LADDER_TEXT, 1, 6),
+        ((PROBLEMS / "lasserre_x4.csdp").read_text(), 2, 2),
+        ((PROBLEMS / "i3322.csdp").read_text(), 1, 1),
+        (CHSH_TEXT.replace(CHSH_OBJECTIVE, "A0 + 2*A1 + 3*B0 + 5*B1"), 1, 1),
+        # a positive or a scalar constraint that breaks a symmetry shrinks
+        # the group: 1 - A0 keeps A0, A0*B0 <= 0.5 keeps its product
+        (CHSH_TEXT + "[positive]\n1 - A0\n", 1, 2),
+        (CHSH_TEXT + "[constraints]\nA0*B0 <= 0.5\n", 1, 4),
+    ], ids=["chsh", "ladder", "lasserre_x4", "i3322", "asymmetric", "positive",
+            "constraint"])
+    def test_group_order(self, text, level, order):
+        relax = rx.build_relaxation(parse_problem(text), level=level)
+        assert relax.symmetry["order"] == order
+
+    def test_candidates(self):
+        # CHSH: the 8 permutations that keep the parties' commutation, each
+        # with 16 signs; I3322's projectors admit no sign, and K3,3 has 72
+        # automorphisms
+        chsh = parse_problem(CHSH_TEXT).presentation
+        i3322 = parse_problem_file(str(PROBLEMS / "i3322.csdp")).presentation
+        assert len(chsh.automorphisms()) == 128 and len(i3322.automorphisms()) == 72
+        for pres in (chsh, i3322):
+            assert pres.automorphisms()[0] == tuple(range(1, len(pres.generators) + 1))
+            assert pres.automorphisms() is pres.automorphisms()
+        assert all(t > 0 for sigma in i3322.automorphisms() for t in sigma)
+
+    def test_actions_are_checked_on_the_blocks(self, monkeypatch):
+        # swapping an involution with a projector fixes x + y but is no
+        # automorphism: (x, x) is the unit and (y, y) the moment of y, so G's
+        # triplets are not mapped onto themselves and the swap is dropped
+        text = ("[generators]\nx selfadjoint\ny selfadjoint\n[relations]\n"
+                "x^2 = 1\ny^2 = y\n[objective]\nminimize x + y\n")
+        monkeypatch.setattr(Presentation, "automorphisms", lambda self: [(1, 2), (2, 1)])
+        for level in (1, 2):
+            relax = rx.build_relaxation(parse_problem(text), level=level)
+            assert relax.symmetry["order"] == 1
+            assert relax.solve(TIGHT).status == Status.OPTIMAL
+
+    def test_equality_keeps_n_orthonormal(self, monkeypatch):
+        # a scalar equality restricts N off the coordinates, so Q is read off
+        # the SVD: N Q keeps orthonormal columns, and the bound is the
+        # unreduced one
+        problem = parse_problem(CHSH_TEXT + "[constraints]\nA0*B0 + A1*B1 == 1.4\n")
+        relax = rx.build_relaxation(problem, level=2)
+        assert relax.symmetry["order"] > 1 and len(relax._lmi.rhs) < relax.symmetry["rows"]
+        assert np.allclose(relax._N.T @ relax._N, np.eye(relax._N.shape[1]), atol=1e-12)
+        assert_same_outcome(relax, unreduced_build(monkeypatch, problem, 2))
+
+    @pytest.mark.parametrize("text, levels", text_cases())
+    def test_reduced_solve_matches_unreduced(self, monkeypatch, text, levels):
+        for level in levels:
+            problem = parse_problem(text)
+            assert_same_outcome(build_or_error(problem, level),
+                                unreduced_build(monkeypatch, problem, level))
+
+    def test_symmetric_pool_problems(self, monkeypatch):
+        # the benchmark's 200 random involution problems at seed 404: 77 have
+        # a group, sign flips and swaps of the generators the objective
+        # leaves out
+        monkeypatch.syspath_prepend(str(PROBLEMS.parent / "bench"))
+        pool = __import__("workloads").HierarchyPool(404).pool
+        symmetric = 0
+        for problem, _ in pool:
+            builds = [build_or_error(problem, level) for level in (1, 2)]
+            if all(isinstance(r, Exception) or r.symmetry["order"] == 1 for r in builds):
+                continue
+            symmetric += 1
+            for level, reduced in zip((1, 2), builds):
+                assert_same_outcome(reduced, unreduced_build(monkeypatch, problem, level))
+        assert symmetric == 77
+
+    @pytest.mark.parametrize("text, level", [
+        (CHSH_TEXT, 2), (LADDER_TEXT, 2), (TWO_CORRELATORS_TEXT, 2),
+    ], ids=["chsh-L2", "ladder-L2", "two-correlators-L2"])
+    def test_moments_are_invariant(self, text, level):
+        problem = parse_problem(text)
+        res = rx.build_relaxation(problem, level=level).solve(TIGHT)
+        assert res.status == Status.OPTIMAL
+        assert len(fixing(problem)) > 1
+        assert_invariant(problem, res.moments)
+
+    def test_group_permutes_components(self, monkeypatch):
+        # maximize A0*B0 + A1*B1 at level 1: term sparsity keeps the
+        # components {A0, B0} and {A1, B1}, and the unit's is a constant;
+        # the swap A0 <-> A1, B0 <-> B1 exchanges the two, which leaves one
+        # row of two
+        problem = parse_problem(TWO_CORRELATORS_TEXT)
+        relax = rx.build_relaxation(problem, level=1)
+        assert [b.size for b in relax._lmi.blocks] == [2, 2]
+        assert relax.symmetry["rows"] == 2 and len(relax._lmi.rhs) == 1
+        res = relax.solve(TIGHT)
+        assert res.status == Status.OPTIMAL and abs(res.bound - 2.0) <= 1e-8
+        Z0, Z1 = res.solution.Z
+        assert np.allclose(np.linalg.eigvalsh(Z0), np.linalg.eigvalsh(Z1), atol=1e-9)
+        assert_invariant(problem, res.moments)
+        assert_same_outcome(relax, unreduced_build(monkeypatch, problem, 1))

@@ -387,6 +387,22 @@ class TestReduceSDP:
         X = red.expand(small)
         assert ipm.feasibility_check(model, [X]).max_violation <= 1e-7
 
+    def test_hermitian_data_is_rejected(self):
+        # a C3-invariant Hermitian objective: the reduction lifts back real
+        # parts, so it must refuse the data up front and name the matrix,
+        # not fail to rebuild it
+        rep = cyclic_two_orbits(3)
+        rng = np.random.default_rng(31)
+        H = rep.average(_random_matrix(rep, rng))
+        H = (H + H.conj().T) / 2 + 3.0 * np.eye(rep.dim)
+        assert np.abs(H.imag).max() > 0.1
+        model = SDPModel([Block(rep.dim)], [H], [LinearConstraint([np.eye(rep.dim)], "==", 1.0)])
+        with pytest.raises(ModelError, match="expects real data: the objective is Hermitian"):
+            reduce_sdp(model, rep)
+        model = SDPModel([Block(rep.dim)], [np.eye(rep.dim)], [LinearConstraint([H], "==", 1.0)])
+        with pytest.raises(ModelError, match="the constraint 1 is Hermitian"):
+            reduce_sdp(model, rep)
+
     def test_inequality_senses_survive(self):
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         rep = GroupRep([np.eye(2), swap])
