@@ -8,8 +8,8 @@ swaps b a -> a b and b* a* -> a* b* for each commuting pair a < b, and the
 explicit rules.  A left side has one right side; a later rule for it must
 agree with it after rewriting.  Normal forms are computed by leftmost-innermost
 rewriting to a fixpoint: the leftmost redex, the shortest left side there.
-A presentation's candidate automorphisms are the signed generator
-permutations that keep its flags, its commuting pairs and its rules.
+symmetry_chain searches the signed generator permutations that keep a
+presentation's flags, commuting pairs and rules and fix given polynomials.
 """
 
 from __future__ import annotations
@@ -17,13 +17,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 COEFF_EPS = 1e-12
 _FLOAT_MAX = sys.float_info.max
 REWRITE_STEP_CAP = 10_000
 # Two normal forms count as equal when their coefficients agree within this.
 EQUAL_TOL = 1e-9
+# the images symmetry_chain tries per call, at most; its search is
+# exponential only where a check waits for many generators
+SEARCH_NODES = 20_000
 
 # A letter is (generator index, starred flag).  In the term order used
 # throughout, words compare by degree, then letter-wise by generator index
@@ -254,12 +257,11 @@ class RewriteRule:
 class Presentation:
     """Generators, explicit rewrite rules and commuting generator pairs.
 
-    Treated as immutable after construction.  Its only mutable state is
-    three private caches: the normal form of each word rewritten so far, the
+    Treated as immutable after construction.  Its only mutable state is two
+    private caches: the normal form of each word rewritten so far, and the
     relaxation's hierarchies (relaxation.Hierarchy), one per level, main
     basis, kept positives and real mode, so that every problem sharing the
-    presentation shares them, and its candidate automorphisms, found on the
-    first call of automorphisms().
+    presentation shares them.
     """
 
     generators: tuple[Generator, ...]
@@ -284,7 +286,6 @@ class Presentation:
         self._by_name = {g.name: i for i, g in enumerate(self.generators)}
         self._nf_cache = {}
         self._hierarchies = {}
-        self._automorphisms = None
         # One table from left sides to right sides: implicit rules first,
         # then the explicit ones; the first rule for a left side is kept.
         table: dict[tuple[Letter, ...], Polynomial] = {}
@@ -315,18 +316,6 @@ class Presentation:
     def word(self, *names: str) -> Word:
         """Convenience: build an unstarred word from generator names."""
         return Word(tuple((self.index(n), False) for n in names))
-
-    def automorphisms(self) -> list[tuple[int, ...]]:
-        """The candidate automorphisms, found on first call and kept: the
-        signed generator permutations g -> s_g g_pi(g) that keep each
-        selfadjoint flag, map commuting pairs onto commuting pairs and map
-        every explicit rule lhs -> rhs to one with nf(sigma(lhs)) =
-        nf(sigma(rhs)).  Each is the tuple of s_g (pi(g) + 1), the identity
-        first.  The search assigns images generator by generator and checks
-        a rule as soon as its generators have theirs."""
-        if self._automorphisms is None:
-            self._automorphisms = _signed_permutations(self)
-        return self._automorphisms
 
 
 def _find_redex(letters: tuple[Letter, ...], pres: Presentation):
@@ -421,48 +410,151 @@ def apply_signed(sigma: tuple[int, ...], p: Polynomial) -> Polynomial:
     return Polynomial(out)
 
 
-def _signed_permutations(pres: Presentation) -> list[tuple[int, ...]]:
-    """Presentation.automorphisms, by depth-first search over the images of
-    generators 0, 1, ...; the images in increasing order, + before -, so
-    the identity comes first."""
+def symmetry_chain(pres: Presentation, fixed: list[Polynomial], weights: list[Polynomial],
+                   accept: Callable[[tuple[int, ...]], bool]) -> tuple[list[tuple[int, ...]], int]:
+    """Generators of the group H of signed generator permutations sigma,
+    g -> s_g g_pi(g), each the tuple of s_g (pi(g) + 1), that keep each
+    selfadjoint flag, map commuting pairs onto commuting pairs, map every
+    explicit rule lhs -> rhs to one with nf(sigma(lhs)) = nf(sigma(rhs)), fix
+    each polynomial of fixed, map each of weights onto one of weights (all in
+    normal form), and that accept takes; and H's order.
+
+    H is searched as a Schreier-Sims chain, never listed.  The generators
+    are put in a base order, those of fixed first.  For each base point b,
+    from the last, the signed images of b that the generators found so far
+    do not reach are searched for, depth first over the later points' images
+    with the earlier points fixed.  Each check runs as soon as its
+    generators have images, and a polynomial of fixed is also checked term
+    by term when no rule has two terms on its right side.  The first
+    completion that accept takes is a new generator; one that it refuses
+    sends the search on to the next completion.  So each image of a base
+    point is searched once at most, and H's order is the product of the
+    base points' orbits.
+
+    The order is exact when the conditions define a group, as they do under
+    confluent rewriting, and no search is cut.  A call that has tried
+    SEARCH_NODES images finds no more generators: a check on a word of
+    many generators, such as a fixed polynomial of one long word, can
+    leave the search without a verdict until its last level.  The order is
+    then a lower bound, since each base point's orbit is taken under
+    elements that fix the earlier points, and every generator found is
+    still an element of H."""
     n = len(pres.generators)
+    first = dict.fromkeys(g for p in fixed for w in p.words() for g, _ in w)
+    base = list(first) + [g for g in range(n) if g not in first]
+    place = {g: i for i, g in enumerate(base)}
     flags = [g.selfadjoint for g in pres.generators]
     pairs = pres.commuting
-    # each rule with its generators, checked when the last of them has an
-    # image; a rule's verdict depends on those images alone, so it is kept
-    due: list[list[tuple[RewriteRule, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for rule in pres.rules:
-        gens = tuple(sorted({g for w in (rule.lhs, *rule.rhs.words()) for g, _ in w}))
-        due[gens[-1]].append((rule, gens))
-    found: list[tuple[int, ...]] = []
-    sigma = [0] * n
-    used = [False] * n
+
+    def gens_of(*polys: Polynomial) -> tuple[int, ...]:
+        return tuple(sorted({g for p in polys for w in p.words() for g, _ in w}))
+
+    def keeps_rule(sigma, rule):
+        return normal_form(apply_signed(sigma, Polynomial.from_word(rule.lhs)), pres).close_to(
+            normal_form(apply_signed(sigma, rule.rhs), pres), EQUAL_TOL)
+
+    def keeps_term(sigma, p, w, c):
+        # sigma(c w) = c d nf(u); where that is one term it must be p's
+        u, d = signed_word(sigma, w)
+        image = normal_form_word(u, pres)._terms
+        if len(image) != 1:
+            return True
+        (v, e), = image.items()
+        return abs(p.coeff(v) - c * d * e) <= EQUAL_TOL
+
+    def keeps_poly(sigma, p):
+        return normal_form(apply_signed(sigma, p), pres).close_to(p, EQUAL_TOL)
+
+    def keeps_weight(sigma, x):
+        image = normal_form(apply_signed(sigma, x), pres)
+        return any(image.close_to(y, EQUAL_TOL) for y in weights)
+
+    # a term check holds for every element of H when each word goes to one
+    # term, as it does when no rule has two terms on its right side; a word
+    # sent to several terms could add to another word's image
+    monomial = all(len(r.rhs.items()) <= 1 for r in pres.rules)
+    # each check with its generators, due at the last of them in base order,
+    # the rules last since fixed prunes more; a verdict depends on the
+    # generators' images alone and is kept
+    due: list[list[tuple[int, tuple[int, ...], Callable]]] = [[] for _ in range(n)]
+    checks = []
+    for p in fixed:
+        if monomial:
+            checks += [(gens_of(Polynomial.from_word(w)), keeps_term, p, w, c)
+                       for w, c in p.items()]
+        checks.append((gens_of(p), keeps_poly, p))
+    checks += [(gens_of(x), keeps_weight, x) for x in weights]
+    checks += [(gens_of(Polynomial.from_word(r.lhs), r.rhs), keeps_rule, r) for r in pres.rules]
+    for key, (gens, *test) in enumerate(checks):
+        if gens:
+            due[max(place[g] for g in gens)].append((key, gens, test))
     verdicts: dict[tuple, bool] = {}
+    sigma, used = [0] * n, [False] * n
+    budget = [SEARCH_NODES]
 
-    def holds(rule: RewriteRule, gens: tuple[int, ...]) -> bool:
-        key = (id(rule), *(sigma[g] for g in gens))
-        if key not in verdicts:
-            verdicts[key] = normal_form(
-                apply_signed(sigma, Polynomial.from_word(rule.lhs)), pres).close_to(
-                normal_form(apply_signed(sigma, rule.rhs), pres), EQUAL_TOL)
-        return verdicts[key]
+    def holds(i: int) -> bool:
+        for key, gens, (test, *args) in due[i]:
+            k = (key, *(sigma[g] for g in gens))
+            if k not in verdicts:
+                verdicts[k] = test(sigma, *args)
+            if not verdicts[k]:
+                return False
+        return True
 
-    def extend(g: int) -> None:
-        if g == n:
-            found.append(tuple(sigma))
-            return
-        for h in range(n):
-            if used[h] or flags[h] != flags[g] or any(
-                    ((a, g) in pairs) != ((min(b, h), max(b, h)) in pairs)
-                    for a, b in enumerate(abs(t) - 1 for t in sigma[:g])):
-                continue
-            used[h] = True
-            for s in (h + 1, -h - 1):
-                sigma[g] = s
-                if all(holds(rule, gens) for rule, gens in due[g]):
-                    extend(g + 1)
-            used[h] = False
+    def images(i: int) -> list[int]:
+        # the signed images open to base point i, its own first
+        g, done = base[i], base[:i]
+        return [t for h in [g] + [h for h in range(n) if h != g]
+                if not used[h] and flags[h] == flags[g] and all(
+                    ((min(a, g), max(a, g)) in pairs)
+                    == ((min(abs(sigma[a]) - 1, h), max(abs(sigma[a]) - 1, h)) in pairs)
+                    for a in done)
+                for t in (h + 1, -h - 1)]
+
+    def complete(i: int) -> tuple[int, ...] | None:
+        if i == n:
+            found = tuple(sigma)
+            return found if accept(found) else None
+        g = base[i]
+        for t in images(i):
+            if budget[0] <= 0:
+                break
+            budget[0] -= 1
+            sigma[g], used[abs(t) - 1] = t, True
+            found = complete(i + 1) if holds(i) else None
+            used[abs(t) - 1] = False
+            if found is not None:
+                sigma[g] = 0
+                return found
         sigma[g] = 0
+        return None
 
-    extend(0)
-    return found
+    def orbit(t: int, gens: list[tuple[int, ...]]) -> set[int]:
+        seen, todo = {t}, [t]
+        while todo:
+            t = todo.pop()
+            for s in gens:
+                u = s[t - 1] if t > 0 else -s[-t - 1]
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        return seen
+
+    generators: list[tuple[int, ...]] = []
+    order = 1
+    for i in range(n - 1, -1, -1):
+        g = base[i]
+        for j, h in enumerate(base):
+            sigma[h], used[h] = (h + 1, True) if j < i else (0, False)
+        reached = orbit(g + 1, generators)
+        for t in images(i):
+            if t in reached:
+                continue
+            sigma[g], used[abs(t) - 1] = t, True
+            found = complete(i + 1) if holds(i) else None
+            used[abs(t) - 1] = False
+            if found is not None:
+                generators.append(found)
+                reached = orbit(g + 1, generators)
+        order *= len(reached)
+    return generators, order

@@ -60,37 +60,40 @@ infeasible) when it is not.  The readout is that zero extension.
 Last, the LMI keeps only the directions that the problem's symmetry group
 leaves invariant, de Klerk's reduction in the moment frame (Riener,
 Theobald, Andren and Lasserre, Math. Oper. Res. 2013; Ioannou and Rosset,
-2021).  The presentation's candidate automorphisms, signed generator
-permutations g -> +-g_pi (Presentation.automorphisms), act on the words,
-and each that maps every basis word and root to +-1 times a word of the
+2021).  A signed generator permutation g -> +-g_pi acts on the words, and
+one that maps every basis word and root to +-1 times a word of the
 hierarchy induces a signed permutation S of the parameters with
 Gamma(S p) = E Pi Gamma(p) Pi^T E: the blocks permuted among equal weights
 and their bases by signed permutations, checked on G's triplets.  The
-elements that fix f, each scalar constraint's g and the kept parameters
-map the LMI's feasible set onto itself and keep its objective, both
-convex, so the group average of an optimum is an invariant optimum: with
-V their signed orbit indicators, p = p0 + N Q y for Q an orthonormal
-basis of range(N^T V), and the bound is unchanged.  Q scales each signed
-orbit to unit length when N selects coordinates, so the reduced solve
-follows the full one, whose iterates stay invariant from its invariant
-start, with the same residual norms.  A trivial group leaves N as it is.
+group of those that keep the presentation, fix the objective and each
+scalar constraint and map the kept parameters onto themselves is searched
+for per build as a chain of generators (algebra.symmetry_chain), never
+listed.  Its elements map the LMI's feasible set onto itself and keep its
+objective, both convex, so the group average of an optimum is an
+invariant optimum: with V the signed orbit indicators of its generators,
+p = p0 + N Q y for Q an orthonormal basis of range(N^T V), and the bound
+is unchanged.  Q scales each signed orbit to unit length when N selects
+coordinates, so the reduced solve follows the full one, whose iterates
+stay invariant from its invariant start, with the same residual norms.  A
+trivial group leaves N as it is.
 
 A build runs in two stages, since a level is fixed by the algebra, its
 positives and the level, and the objective is only a functional on the
 blocks.  The first, a Hierarchy, reads no objective: the bases and their
 weights, the entries, the closed word set with its moment parameters and W,
-G, ker P and the group's signed permutations of the parameters.  A
-presentation keeps one hierarchy per key: the level, the main basis when
-the problem lists its words (the level fixes a generated one), the normal
-forms of the kept positives, and the real mode, which the objective and the
-constraints take part in.  Its arrays are read-only and its lists are never
-mutated, so every relaxation of it shares them.  The second stage,
-Hierarchy.relax, runs on every build: the functionals of the objective and
-the scalar constraints and their check on ker P, term sparsity, p0 and N,
-the elements that fix the functionals and Q, and the LMI.  A word of the
+G and ker P.  A presentation keeps one hierarchy per key: the level, the
+main basis when the problem lists its words (the level fixes a generated
+one), the normal forms of the kept positives, and the real mode, which the
+objective and the constraints take part in.  Its arrays are read-only and
+its lists are never mutated, so every relaxation of it shares them; it
+also keeps each symmetry action it has read off and the orbits found per
+objective and scalar constraints.  The second stage, Hierarchy.relax, runs
+on every build: the functionals of the objective and the scalar
+constraints and their check on ker P, term sparsity, p0 and N, the
+symmetry group that fixes them and Q, and the LMI.  A word of the
 objective or a constraint outside the hierarchy's word set gets a hierarchy
-of its own, not stored and with the trivial group, with that word added and
-numbered as if it had been among the entries'.
+of its own, not stored, with that word added and numbered as if it had
+been among the entries'.
 
 RelaxationModel.model states the dense relaxation in row form, an SDP
 whose X are the whole moment blocks, derived on first access from P, made
@@ -118,7 +121,7 @@ import numpy as np
 
 from .algebra import (
     Polynomial, Presentation, Word, UNIT_WORD,
-    apply_signed, is_normal_form, normal_form, normal_form_word, signed_word,
+    apply_signed, is_normal_form, normal_form, normal_form_word, signed_word, symmetry_chain,
 )
 from .problems import ProblemFile, word_to_str, poly_to_str
 from .sdpmodel import SDPModel, SENSE_EQ, SENSE_GE
@@ -652,75 +655,36 @@ def _aggregate(key: np.ndarray, v: np.ndarray, tol: float) -> tuple[np.ndarray, 
     return key[nz], total[nz]
 
 
-def _compose(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Every product S_a S_b of rows of a and rows of b, a's rows outer: the
-    signed permutations (S p)_k = sign_k p_perm_k."""
-    (pa, sa), (pb, sb) = a, b
-    rows = np.arange(len(pb))[None, :, None]
-    perm = pb[rows, pa[:, None, :]]
-    sign = sa[:, None, :] * sb[rows, pa[:, None, :]]
-    return perm.reshape(-1, pa.shape[1]), sign.reshape(-1, pa.shape[1])
+def _action(hier: "Hierarchy", sigma: tuple[int, ...], pres: Presentation
+            ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The signed permutation (perm, sign) of the moment parameters, (S p)_k
+    = sign_k p_perm_k, that a signed generator permutation sigma induces,
+    or None when S maps some block's moment matrix to no signed permutation
+    of a block's: Gamma(S p) = E Pi Gamma(p) Pi^T E, blocks permuted among
+    equal weights.
 
-
-def _identity(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The trivial group on n parameters, as _group holds its elements:
-    int32 permutations and int8 signs, one row each."""
-    return np.arange(n, dtype=np.int32)[None], np.ones((1, n), dtype=np.int8)
-
-
-def _group(hier: "Hierarchy", pres: Presentation) -> tuple[np.ndarray, np.ndarray]:
-    """The signed permutations (perm, sign) of the moment parameters, one
-    row per element and the identity first, (S p)_k = sign_k p_perm_k, that
-    the presentation's candidate automorphisms induce and that map every
-    block's moment matrix to a signed permutation of a block's:
-    Gamma(S p) = E Pi Gamma(p) Pi^T E, blocks permuted by equal weights.
-
-    A candidate sigma sends basis word gamma_i to e_i gamma_beta(i), and a
-    state omega to omega o sigma, whose parameters are S p: a root word r
-    goes to nf(sigma(r)) = c u, so its moment to c W[u] p, read off on r's
-    own parameters.  Its action is kept when every basis word and root
-    goes to +-1 times a word of the hierarchy, S is a signed permutation,
-    and it maps G's triplets onto themselves, which also makes the action
-    sound where the rewriting is not confluent.  The candidates are
-    factored through a chain: those fixing generators 0..g-1 that move g,
-    one per image of g, so only their actions are read off the words, and
-    every element is a product of one of each, computed on the arrays."""
-    elements = _identity(len(hier.roots))
-    cands = pres.automorphisms()
-    if len(cands) == 1:
-        return elements
-    # one candidate per generator it moves first and that generator's image,
-    # among those that send the localizing weights onto each other
-    chain: dict[int, dict[int, tuple]] = {}
-    for sigma in cands:
-        to = [0]
-        for weight in hier.weights[1:]:
-            image = normal_form(apply_signed(sigma, weight), pres)
-            to.append(next((b for b, w in enumerate(hier.weights)
-                            if b and w.close_to(image, GROUP_TOL)), -1))
-        g = next((g for g, t in enumerate(sigma) if t != g + 1), None)
-        if g is not None and -1 not in to and len(set(to)) == len(to):
-            chain.setdefault(g, {}).setdefault(sigma[g], (sigma, to))
-
-    # the words whose images give an action: the main basis (each a word of
-    # the hierarchy), then each root once; the actions of every chain member
-    # at once, one row each
+    sigma sends basis word gamma_i to e_i gamma_beta(i), and a state omega
+    to omega o sigma, whose parameters are S p: a root word r goes to
+    nf(sigma(r)) = c u, so its moment to c W[u] p, read off on r's own
+    parameters.  The action is kept when every basis word and root goes to
+    +-1 times a word of the hierarchy, S is a signed permutation, and it
+    maps G's triplets onto themselves, which also makes it sound where the
+    rewriting is not confluent."""
+    to = [0]
+    for weight in hier.weights[1:]:
+        image = normal_form(apply_signed(sigma, weight), pres)
+        to.append(next((b for b, w in enumerate(hier.weights)
+                        if b and w.close_to(image, GROUP_TOL)), -1))
+    if -1 in to or len(set(to)) != len(to):
+        return None
+    # the words whose images give the action: the main basis (each a word
+    # of the hierarchy), then each root once
     main = hier.bases[0]
     roots = list(dict.fromkeys(hier.roots))
-    words = main + roots
-    reps, levels, images = [], [], []
-    for g in sorted(chain):
-        for sigma, to in chain[g].values():
-            image = [_signed_image(sigma, w, hier.word_index, pres) for w in words]
-            if None not in image:
-                reps.append(to)
-                levels.append(g)
-                images.append(image)
-    if not reps:
-        return elements
-    u, c = np.moveaxis(np.array(images), -1, 0)
-    to, levels = np.array(reps), np.array(levels)
+    image = [_signed_image(sigma, w, hier.word_index, pres) for w in main + roots]
+    if None in image:
+        return None
+    u, c = np.array(image).T
 
     # the signed node map beta, eps over the blocks, block b sent to to[b]
     basis_at = np.full(len(hier.words), -1)
@@ -728,71 +692,77 @@ def _group(hier: "Hierarchy", pres: Presentation) -> tuple[np.ndarray, np.ndarra
     sizes = np.diff(hier.starts)
     block = np.repeat(np.arange(len(sizes)), sizes)
     offset = np.arange(hier.starts[-1]) - hier.starts[block]
-    b0, to = basis_at[u[:, offset]], to[:, block]
-    ok = ((b0 >= 0) & (b0 < sizes[to])).all(axis=1)
-    beta, eps = hier.starts[to] + b0, c[:, offset]
+    b0, to = basis_at[u[offset]], np.array(to)[block]
+    if not ((b0 >= 0) & (b0 < sizes[to])).all():
+        return None
+    beta, eps = hier.starts[to] + b0, c[offset]
 
     # S off W: a parameter of root r takes the real part of its own
     # coefficient's conjugate times c W[u], which must be +-1 on one parameter
-    of_root = np.array([len(main) + roots.index(r) for r in hier.roots], dtype=int)
+    root_at = {r: len(main) + i for i, r in enumerate(roots)}
+    of_root = np.array([root_at[r] for r in hier.roots], dtype=int)
     root_words = np.array([hier.word_index[r] for r in hier.roots], dtype=int)
     n_params = len(hier.roots)
     is_own = (hier.Wk[root_words] == np.arange(n_params)[:, None]) & (hier.Wv[root_words] != 0)
     own = np.conj(hier.Wv[root_words, is_own.argmax(axis=1)])
-    u, c = u[:, of_root], c[:, of_root]
-    M = ((own * c)[..., None] * hier.Wv[u]).real
-    j = np.abs(M).argmax(axis=-1)[..., None]
-    top = np.take_along_axis(M, j, -1)[..., 0]
-    perm = np.take_along_axis(hier.Wk[u], j, -1)[..., 0].astype(np.int32)
+    u, c = u[of_root], c[of_root]
+    M = ((own * c)[:, None] * hier.Wv[u]).real
+    j = np.abs(M).argmax(axis=-1)[:, None]
+    top = np.take_along_axis(M, j, -1)[:, 0]
+    perm = np.take_along_axis(hier.Wk[u], j, -1)[:, 0].astype(np.int32)
     sign = np.sign(top).astype(np.int8)
-    ok &= (np.abs(np.abs(top) - 1.0) <= GROUP_TOL).all(axis=1)
-    ok &= (np.abs(M).sum(axis=-1) - np.abs(top) <= GROUP_TOL).all(axis=1)
-    ok &= (np.sort(perm, axis=1) == np.arange(n_params)).all(axis=1)
+    if not ((np.abs(np.abs(top) - 1.0) <= GROUP_TOL).all()
+            and (np.abs(M).sum(axis=-1) - np.abs(top) <= GROUP_TOL).all()
+            and (np.sort(perm) == np.arange(n_params)).all()):
+        return None
 
-    # G's triplets under each action, moved to the upper triangle, must be
-    # G's own: both summed per entry and parameter, the members' in one
-    # aggregation keyed by the member too
+    # G's triplets under the action, moved to the upper triangle, must be
+    # G's own, both summed per entry and parameter
     I, J, k, v = hier.G
     n = hier.starts[-1]
-    span = n * n * n_params
     tol = GROUP_TOL * max(1.0, np.abs(v).max(initial=0.0))
     want, want_total = _aggregate((I * n + J) * n_params + k, v, tol)
-    Ib, Jb = beta[:, I], beta[:, J]
-    w = eps[:, I] * eps[:, J] * sign[:, k] * v
+    Ib, Jb = beta[I], beta[J]
+    w = eps[I] * eps[J] * sign[k] * v
     swap = Ib > Jb
     if np.iscomplexobj(w):
         w = np.where(swap, np.conj(w), w)
-    key = (np.where(swap, Jb, Ib) * n + np.where(swap, Ib, Jb)) * n_params + perm[:, k]
-    key, total = _aggregate((key + span * np.arange(len(key))[:, None]).ravel(), w.ravel(), tol)
-    member = key // span
-    ok &= np.bincount(member, minlength=len(ok)) == len(want)
-    kept = ok[member]
-    key, total = (key[kept] % span).reshape(-1, len(want)), total[kept].reshape(-1, len(want))
-    ok[ok] = (key == want).all(axis=1) & (np.abs(total - want_total) <= tol).all(axis=1)
-
-    for g in sorted(set(levels[ok].tolist()), reverse=True):
-        kept = ok & (levels == g)
-        elements = _compose(elements, (np.vstack([elements[0][:1], perm[kept]]),
-                                       np.vstack([elements[1][:1], sign[kept]])))
-    return elements
+    key, total = _aggregate((np.where(swap, Jb, Ib) * n + np.where(swap, Ib, Jb)) * n_params
+                            + perm[k], w, tol)
+    if len(key) != len(want) or (key != want).any() or (np.abs(total - want_total) > tol).any():
+        return None
+    for a in (perm, sign):
+        a.flags.writeable = False
+    return perm, sign
 
 
 def _invariant_columns(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """The signed orbit indicators V, one column per orbit, that span the
-    vectors p with p_k = sign_k p_perm_k for every row (perm, sign) of a
-    group.  Index k is tied to the least index of its orbit, min perm[:, k],
-    with the sign of an element that sends it there; an orbit where two
-    such elements disagree holds only p = 0 and has no column.  Were the
-    rows no group, the columns would split orbits, but they would still
-    span every invariant vector, so the restriction would stay sound."""
+    vectors p with p_k = sign_k p_perm_k for every row (perm, sign), the
+    generators of a group.  Each index is tied to the least index of its
+    orbit, found by relaxing both ways along every generator to a fixpoint,
+    with the sign the ties compose to; an orbit where two ties disagree
+    holds only p = 0 and has no column."""
     n = perm.shape[1]
-    root = perm.min(axis=0)
-    there = perm == root
-    rel = sign[there.argmax(axis=0), np.arange(n)]
-    kept = ~np.isin(root, root[(there & (sign != rel)).any(axis=0)])
-    roots, col = np.unique(root[kept], return_inverse=True)
-    V = np.zeros((n, len(roots)))
-    V[kept.nonzero()[0], col] = rel[kept]
+    root, rel = np.arange(n), np.ones(n, dtype=np.int8)
+    while True:
+        last = root.copy()
+        for p, s in zip(perm, sign):
+            # p_k = s_k p_(perm k): k takes perm k's root, or perm k takes k's
+            take = root[p] < root
+            root[take], rel[take] = root[p][take], (s * rel[p])[take]
+            take = root < root[p]
+            root[p[take]], rel[p[take]] = root[take], (s * rel)[take]
+        if (root == last).all():
+            break
+    conflict = np.zeros(n, dtype=bool)
+    for p, s in zip(perm, sign):
+        conflict[root[rel != s * rel[p]]] = True
+    kept = ~conflict[root]
+    is_root = np.zeros(n, dtype=bool)
+    is_root[root[kept]] = True
+    V = np.zeros((n, int(is_root.sum())))
+    V[kept.nonzero()[0], (np.cumsum(is_root) - 1)[root[kept]]] = rel[kept]
     return V
 
 
@@ -812,17 +782,19 @@ def _invariant_directions(N: np.ndarray, V: np.ndarray) -> np.ndarray:
 class Hierarchy:
     """The first stage of a relaxation, which no objective enters: the
     blocks' bases, weights and entries, the closed word set adjoint with its
-    moment parameters (W, their roots and root ids), G and ker P, the edges
-    term sparsity runs on, and the group: the signed permutations of the
-    parameters that pres's candidate automorphisms induce (_group), the
-    identity alone when pres is None.  relax() is the second stage.
+    moment parameters (W, their roots and root ids), G and ker P, and the
+    edges term sparsity runs on.  relax() is the second stage.
 
     Every array is read-only, and no list or dict is mutated once made, so
-    that every relaxation of the hierarchy shares them."""
+    that every relaxation of the hierarchy shares them.  The exceptions are
+    two caches of the symmetry search: _actions keeps the action on the
+    parameters (_action) of each signed generator permutation that a search
+    offers, and _orbits the search's result (_symmetry) per objective and
+    scalar constraints, which fix the kept parameters and the functionals
+    it reads."""
 
     def __init__(self, level: int, real_mode: bool, bases: list[list[Word]],
-                 weights: list[Polynomial], entries: list, adjoint: dict,
-                 pres: Presentation | None):
+                 weights: list[Polynomial], entries: list, adjoint: dict):
         self.level, self.real_mode = level, real_mode
         self.bases, self.weights, self.entries, self.adjoint = bases, weights, entries, adjoint
         self.words, (self.Wk, self.Wv), self.roots, self.root_ids = \
@@ -853,17 +825,49 @@ class Hierarchy:
         r = self.word_root[word]
         self.edges = (I[r >= 0], J[r >= 0], r[r >= 0])
         self.n_roots = int(self.root_ids.max(initial=-1)) + 1
-        self.group = _identity(len(self.roots)) if pres is None else _group(self, pres)
+        self._actions: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray] | None] = {}
+        self._orbits: dict[tuple, tuple[int, np.ndarray | None]] = {}
         for a in (self.Wk, self.Wv, self.root_ids, self.starts, *self.G, self.unseen,
-                  self.word_root, *self.edges, *self.group):
+                  self.word_root, *self.edges):
             a.flags.writeable = False
 
     def extended(self, words: list[Word], pres: Presentation) -> "Hierarchy":
         """The hierarchy on the same blocks whose word set also holds words,
-        numbered as if they had been among the entries' words.  It is made
-        for one build and not stored, so it searches no group."""
+        numbered as if they had been among the entries' words."""
         return Hierarchy(self.level, self.real_mode, self.bases, self.weights, self.entries,
-                         _adjoint_closure(words, pres, dict(self.adjoint)), None)
+                         _adjoint_closure(words, pres, dict(self.adjoint)))
+
+    def _symmetry(self, pres: Presentation, polys: list[Polynomial], F: np.ndarray,
+                  keep: np.ndarray) -> tuple[int, np.ndarray | None]:
+        """The order of the group of signed generator permutations that fix
+        polys, the objective and the scalar constraints, and the signed orbit
+        indicators V of the kept parameters under it, None when it moves
+        none.  The search fixes the polynomials' Hermitian parts, whose
+        functionals are F's rows; an action is taken when it fixes F within
+        GROUP_TOL and maps the kept parameters, off which F vanishes, onto
+        themselves."""
+        at = np.full(len(self.roots), -1)
+        at[keep] = np.arange(len(keep))
+        tol = GROUP_TOL * max(1.0, np.abs(F).max(initial=0.0))
+
+        def accept(sigma: tuple[int, ...]) -> bool:
+            if sigma not in self._actions:
+                self._actions[sigma] = _action(self, sigma, pres)
+            action = self._actions[sigma]
+            return action is not None and (at[action[0][keep]] >= 0).all() and \
+                np.abs(F[:, action[0]] - action[1] * F).max(initial=0.0) <= tol
+
+        hermitian = [normal_form(p + p.adjoint(), pres) for p in polys]
+        chain, order = symmetry_chain(pres, hermitian, self.weights[1:], accept)
+        if not chain:
+            return order, None
+        perm, sign = (np.array(a) for a in zip(*(self._actions[s] for s in chain)))
+        perm, sign = at[perm[:, keep]], sign[:, keep]
+        if ((perm == np.arange(len(keep))) & (sign == 1)).all():
+            return order, None
+        V = _invariant_columns(perm, sign)
+        V.flags.writeable = False
+        return order, V
 
     def relax(self, problem: ProblemFile, objective: Polynomial,
               constraints: list[tuple[Polynomial, str, float]]) -> RelaxationModel:
@@ -912,23 +916,18 @@ class Hierarchy:
         # an optimum in their invariant subspace: N becomes N Q, Q a basis of
         # range(N^T V) for their signed orbit indicators V.  p0 is invariant
         # already: the point of its affine set, which is invariant, nearest
-        # the unit moment's vector, or 0 without normalization.  f and g
-        # vanish off the kept parameters, which each element that fixes them
-        # must map onto themselves.  An element fixes them when it does so
-        # exactly: one that rounding hides is only left out, which is sound.
+        # the unit moment's vector, or 0 without normalization.
+        polys = [objective] + [p for p, _, _ in constraints]
+        key = tuple(frozenset(p.items()) for p in polys)
+        if key not in self._orbits:
+            self._orbits[key] = self._symmetry(problem.presentation, polys, np.array([f, *g]),
+                                               keep)
+        order, V = self._orbits[key]
+        relax.symmetry = {"order": order, "rows": N.shape[1]}
+        if V is not None:
+            N = N @ _invariant_directions(N, V)
         at = np.full(len(self.roots), -1)
         at[keep] = np.arange(len(keep))
-        perm, sign = self.group
-        F = np.array([f, *g])
-        fixed = (F[:, perm] == sign * F[:, None]).all(axis=(0, 2))
-        relax.symmetry = {"order": 1, "rows": N.shape[1]}
-        if fixed[1:].any():         # not the identity alone, row 0
-            perm, sign = at[perm[np.ix_(fixed, keep)]], sign[np.ix_(fixed, keep)]
-            fixed = (perm >= 0).all(axis=1)
-            perm, sign = perm[fixed], sign[fixed]
-            relax.symmetry["order"] = len(perm)
-            if ((perm != np.arange(len(keep))) | (sign != 1)).any():
-                N = N @ _invariant_directions(N, _invariant_columns(perm, sign))
         # entry (i, j) of matrix k is the sum over the terms of G on kept
         # parameters of value * T[param, k], T = [p0, -N]: one sum per entry,
         # since G runs entry by entry
@@ -1030,8 +1029,7 @@ def _hierarchy(problem: ProblemFile, d: int) -> tuple[Hierarchy, float]:
         adjoints = [b.adjoint() for b in basis]
         entries.append([[_entry(b, weight, a, pres) for a in adjoints] for b in basis])
     words = {w for mat in entries for row in mat for e in row for w, _ in e.items()}
-    hier = Hierarchy(d, real_mode, bases, weights, entries, _adjoint_closure(words, pres, {}),
-                     pres)
+    hier = Hierarchy(d, real_mode, bases, weights, entries, _adjoint_closure(words, pres, {}))
     pres._hierarchies[key] = hier
     return hier, time.perf_counter() - start
 

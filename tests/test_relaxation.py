@@ -1,6 +1,8 @@
 """Relaxation construction and end-to-end bounds on hand-solved problems."""
 
 import cmath
+import itertools
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -12,7 +14,7 @@ import pytest
 import starsdp.ipm as ipm
 import starsdp.relaxation as rx
 from starsdp.algebra import (
-    Polynomial, Presentation, UNIT_WORD, Word, apply_signed, normal_form, poly_mul,
+    Polynomial, UNIT_WORD, Word, apply_signed, normal_form, poly_mul, symmetry_chain,
 )
 from starsdp.problems import parse_polynomial, parse_problem, parse_problem_file, word_to_str
 from starsdp.oracles import (
@@ -273,17 +275,17 @@ def chsh():
     return parse_problem(CHSH_TEXT)
 
 
-def trivial_group(pres):
-    """The identity alone, in place of a presentation's candidate
-    automorphisms."""
-    return [tuple(range(1, len(pres.generators) + 1))]
+def trivial_group(pres, fixed, weights, accept):
+    """The identity alone, in place of a build's symmetry search: no
+    generators, order 1."""
+    return [], 1
 
 
 @pytest.fixture
 def unreduced(monkeypatch):
-    """Presentations parsed under this fixture find only the identity, so
-    their relaxations keep every free parameter."""
-    monkeypatch.setattr(Presentation, "automorphisms", trivial_group)
+    """Relaxations built under this fixture find only the identity, so they
+    keep every free parameter."""
+    monkeypatch.setattr(rx, "symmetry_chain", trivial_group)
 
 
 def moment_rows(relax):
@@ -1313,7 +1315,7 @@ def unreduced_build(monkeypatch, problem, level):
     """The problem's relaxation with the trivial group, on a hierarchy of its
     own, or the error its build raises."""
     with monkeypatch.context() as m:
-        m.setattr(Presentation, "automorphisms", trivial_group)
+        m.setattr(rx, "symmetry_chain", trivial_group)
         m.setattr(problem.presentation, "_hierarchies", {})
         return build_or_error(problem, level)
 
@@ -1342,12 +1344,48 @@ def assert_same_outcome(reduced, unreduced):
     assert a.bound == b.bound or abs(a.bound - b.bound) <= 1e-8 * max(1.0, abs(b.bound))
 
 
+def signed_permutations(pres):
+    """Every signed generator permutation, listed, that keeps the selfadjoint
+    flags, the commuting pairs and the rules: the brute force that
+    symmetry_chain's search must agree with on small presentations."""
+    n, pairs = len(pres.generators), pres.commuting
+    found = []
+    for pi in itertools.permutations(range(n)):
+        if any(pres.generators[g].selfadjoint != pres.generators[pi[g]].selfadjoint
+               or ((min(a, g), max(a, g)) in pairs)
+               != ((min(pi[a], pi[g]), max(pi[a], pi[g])) in pairs)
+               for g in range(n) for a in range(g)):
+            continue
+        for signs in itertools.product((1, -1), repeat=n):
+            sigma = tuple(s * (h + 1) for s, h in zip(signs, pi))
+            if all(normal_form(apply_signed(sigma, Polynomial.from_word(r.lhs)), pres).close_to(
+                    normal_form(apply_signed(sigma, r.rhs), pres)) for r in pres.rules):
+                found.append(sigma)
+    return found
+
+
 def fixing(problem):
-    """The candidate automorphisms that fix the problem's objective."""
+    """The signed generator permutations, listed, that keep the presentation
+    and fix the objective's Hermitian part."""
     pres = problem.presentation
     objective = normal_form(problem.objective, pres)
-    return [s for s in pres.automorphisms()
+    objective = normal_form(objective + objective.adjoint(), pres)
+    return [s for s in signed_permutations(pres)
             if normal_form(apply_signed(s, objective), pres).close_to(objective)]
+
+
+def closure(gens):
+    """The group that signed generator permutations generate, listed."""
+    n = len(gens[0])
+    group, todo = {tuple(range(1, n + 1))}, [tuple(range(1, n + 1))]
+    while todo:
+        a = todo.pop()
+        for b in gens:
+            c = tuple(b[t - 1] if t > 0 else -b[-t - 1] for t in a)
+            if c not in group:
+                group.add(c)
+                todo.append(c)
+    return group
 
 
 def assert_invariant(problem, moments):
@@ -1380,29 +1418,129 @@ class TestSymmetryAdapted:
         relax = rx.build_relaxation(parse_problem(text), level=level)
         assert relax.symmetry["order"] == order
 
-    def test_candidates(self):
-        # CHSH: the 8 permutations that keep the parties' commutation, each
-        # with 16 signs; I3322's projectors admit no sign, and K3,3 has 72
-        # automorphisms
-        chsh = parse_problem(CHSH_TEXT).presentation
-        i3322 = parse_problem_file(str(PROBLEMS / "i3322.csdp")).presentation
-        assert len(chsh.automorphisms()) == 128 and len(i3322.automorphisms()) == 72
-        for pres in (chsh, i3322):
-            assert pres.automorphisms()[0] == tuple(range(1, len(pres.generators) + 1))
-            assert pres.automorphisms() is pres.automorphisms()
-        assert all(t > 0 for sigma in i3322.automorphisms() for t in sigma)
+    @pytest.mark.parametrize("text, objective", [
+        (CHSH_TEXT, None), (CHSH_TEXT, CHSH_OBJECTIVE), (LADDER_TEXT, None),
+        ((PROBLEMS / "lasserre_x4.csdp").read_text(), None),
+    ], ids=["chsh", "chsh-objective", "ladder", "lasserre_x4"])
+    def test_chain_generates_the_listed_group(self, text, objective):
+        # the search's generators generate exactly the brute force's list,
+        # of the order it reports: CHSH keeps 128 signed permutations, 8
+        # permutations with 16 signs each, and 16 of them fix its objective
+        problem = parse_problem(text)
+        pres = problem.presentation
+        listed = fixing(problem) if objective else signed_permutations(pres)
+        fixed = []
+        if objective:
+            f = normal_form(problem.objective, pres)
+            fixed = [normal_form(f + f.adjoint(), pres)]
+        gens, order = symmetry_chain(pres, fixed, [], lambda sigma: True)
+        assert order == len(listed)
+        assert closure(gens) == set(listed) if gens else len(listed) == 1
+        if text == CHSH_TEXT:
+            assert order == (16 if objective else 128)
+
+    def test_i3322_search(self):
+        # I3322's projectors admit no sign, and K3,3 has 72 automorphisms,
+        # which the search finds without listing them: 46,080 signed
+        # permutations keep the flags
+        pres = parse_problem_file(str(PROBLEMS / "i3322.csdp")).presentation
+        start = time.perf_counter()
+        gens, order = symmetry_chain(pres, [], [], lambda sigma: True)
+        assert time.perf_counter() - start < 1.0
+        assert order == 72 and len(closure(gens)) == 72
+        assert all(t > 0 for sigma in gens for t in sigma)
+
+    def test_search_is_cut_at_its_node_budget(self):
+        # a fixed polynomial of one long word is checked only when all its
+        # generators have images, so the failing searches below the first
+        # base point would try about 645,000 completions each; the budget
+        # stops them, and the generators found still fix the polynomial, of
+        # a group whose order is a lower bound on the true 256 (the
+        # reversal and the 128 sign flips of even parity)
+        word, back = ("*".join(f"x{i}" for i in seq) for seq in (range(8), range(7, -1, -1)))
+        text = ("[generators]\n" + "".join(f"x{i} selfadjoint\n" for i in range(8))
+                + "[relations]\n" + "".join(f"x{i}^2 = 1\n" for i in range(8))
+                + f"[objective]\nmaximize {word} + {back}\n")
+        problem = parse_problem(text)
+        pres = problem.presentation
+        f = normal_form(problem.objective, pres)
+        start = time.perf_counter()
+        gens, order = symmetry_chain(pres, [f], [], lambda sigma: True)
+        assert time.perf_counter() - start < 5.0
+        assert 1 < order <= 256 and 256 % order == 0
+        assert len(closure(gens)) == order
+        assert all(normal_form(apply_signed(s, f), pres).close_to(f) for s in gens)
 
     def test_actions_are_checked_on_the_blocks(self, monkeypatch):
         # swapping an involution with a projector fixes x + y but is no
-        # automorphism: (x, x) is the unit and (y, y) the moment of y, so G's
-        # triplets are not mapped onto themselves and the swap is dropped
+        # automorphism: (x, x) is the unit and (y, y) the moment of y.  With
+        # the rules hidden from the search, the swap reaches the action,
+        # whose check on G's triplets drops it
         text = ("[generators]\nx selfadjoint\ny selfadjoint\n[relations]\n"
                 "x^2 = 1\ny^2 = y\n[objective]\nminimize x + y\n")
-        monkeypatch.setattr(Presentation, "automorphisms", lambda self: [(1, 2), (2, 1)])
         for level in (1, 2):
-            relax = rx.build_relaxation(parse_problem(text), level=level)
-            assert relax.symmetry["order"] == 1
+            problem = parse_problem(text)
+            offered = []
+            monkeypatch.setattr(problem.presentation, "rules", ())
+            monkeypatch.setattr(rx, "_action", lambda hier, sigma, pres, act=rx._action:
+                                offered.append(sigma) or act(hier, sigma, pres))
+            relax = rx.build_relaxation(problem, level=level)
+            assert offered == [(2, 1)] and relax.symmetry["order"] == 1
             assert relax.solve(TIGHT).status == Status.OPTIMAL
+            monkeypatch.undo()
+
+    def test_refused_generator_is_replaced(self, monkeypatch):
+        # a generator whose action is refused sends the search on to the next
+        # completion with the same image, so CHSH keeps its order 16.  The
+        # refused one is the generator found last, for the first base point,
+        # whose coset holds the two elements of the stabilizer below it
+        problem = parse_problem(CHSH_TEXT)
+        found = []
+
+        def chain(*args, search=rx.symmetry_chain):
+            found.append(search(*args)[0])
+            return search(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(rx, "symmetry_chain", chain)
+            first = rx.build_relaxation(problem, level=1)
+        sigma, offered = found[0][-1], []
+
+        def action(hier, s, pres, act=rx._action):
+            offered.append(s)
+            return None if s == sigma else act(hier, s, pres)
+
+        monkeypatch.setattr(rx, "_action", action)
+        monkeypatch.setattr(problem.presentation, "_hierarchies", {})
+        relax = rx.build_relaxation(problem, level=1)
+        assert sigma in offered and offered[-1] != sigma
+        assert relax.symmetry == first.symmetry == {"order": 16, "rows": 6}
+        assert len(relax._lmi.rhs) == len(first._lmi.rhs) == 1
+
+    @pytest.mark.parametrize("objective, order, rows", [
+        (" + ".join(f"x{i}*x{(i + 1) % 8} + x{(i + 1) % 8}*x{i}" for i in range(8)), 32,
+         [(28, 4), (1400, 104)]),
+        (" + ".join(f"x{i}*x{j} + x{j}*x{i}" for i in range(8) for j in range(i + 1, 8)),
+         80640, [(28, 1), (1400, 5)]),
+        ("x0*x7 + x7*x0", 2 * 2 * 720 * 64, [(1, 1), (2, 2)]),
+    ], ids=["cycle", "all-pairs", "one-pair"])
+    def test_eight_free_involutions(self, objective, order, rows):
+        # 8! 2^8 = 10,321,920 signed permutations keep the presentation; the
+        # search finds the group that fixes the objective from a few
+        # generators: the cycle's dihedral group times the global sign, all
+        # of S8 times it, and for x0 x7 the swap, their two signs and every
+        # signed permutation of the other six, whose parameters term
+        # sparsity drops.  Levels 1-2 build in about 0.3 s
+        text = ("[generators]\n" + "".join(f"x{i} selfadjoint\n" for i in range(8))
+                + "[relations]\n" + "".join(f"x{i}^2 = 1\n" for i in range(8))
+                + f"[objective]\nmaximize {objective}\n")
+        problem = parse_problem(text)
+        start = time.perf_counter()
+        for level, (free, m) in zip((1, 2), rows):
+            relax = rx.build_relaxation(problem, level=level)
+            assert relax.symmetry == {"order": order, "rows": free}
+            assert len(relax._lmi.rhs) == m
+        assert time.perf_counter() - start < 10.0
 
     def test_equality_keeps_n_orthonormal(self, monkeypatch):
         # a scalar equality restricts N off the coordinates, so Q is read off
