@@ -9,7 +9,8 @@ explicit rules.  A left side has one right side; a later rule for it must
 agree with it after rewriting.  Normal forms are computed by leftmost-innermost
 rewriting to a fixpoint: the leftmost redex, the shortest left side there.
 symmetry_chain searches the signed generator permutations that keep a
-presentation's flags, commuting pairs and rules and fix given polynomials.
+presentation's flags, commuting pairs and rules and fix given polynomials,
+each possibly composed with the conjugation of every coefficient.
 """
 
 from __future__ import annotations
@@ -401,23 +402,38 @@ def signed_word(sigma: tuple[int, ...], w: Word) -> tuple[Word, int]:
     return Word(letters), c
 
 
-def apply_signed(sigma: tuple[int, ...], p: Polynomial) -> Polynomial:
-    """sigma(p) for a signed generator permutation, word by word."""
+def conjugates(sigma: tuple[int, ...], pres: Presentation) -> bool:
+    """Whether sigma, as symmetry_chain gives it, conjugates coefficients:
+    an entry past the generators' that is negative."""
+    return len(sigma) > len(pres.generators) and sigma[-1] < 0
+
+
+def apply_signed(sigma: tuple[int, ...], p: Polynomial, conj: bool = False) -> Polynomial:
+    """sigma(p) for a signed generator permutation, word by word, each
+    coefficient conjugated when conj."""
     out: dict[Word, complex] = {}
     for w, c in p._terms.items():
         u, sign = signed_word(sigma, w)
-        out[u] = sign * c
+        out[u] = sign * (c.conjugate() if conj else c)
     return Polynomial(out)
 
 
 def symmetry_chain(pres: Presentation, fixed: list[Polynomial], weights: list[Polynomial],
-                   accept: Callable[[tuple[int, ...]], bool]) -> tuple[list[tuple[int, ...]], int]:
+                   accept: Callable[[tuple[int, ...]], bool], antiunitary: bool = False
+                   ) -> tuple[list[tuple[int, ...]], int]:
     """Generators of the group H of signed generator permutations sigma,
     g -> s_g g_pi(g), each the tuple of s_g (pi(g) + 1), that keep each
     selfadjoint flag, map commuting pairs onto commuting pairs, map every
     explicit rule lhs -> rhs to one with nf(sigma(lhs)) = nf(sigma(rhs)), fix
     each polynomial of fixed, map each of weights onto one of weights (all in
     normal form), and that accept takes; and H's order.
+
+    When antiunitary, an element may also conjugate every coefficient, the
+    antilinear sigma(sum c_w w) = sum conj(c_w) sigma(w): its tuple holds one
+    more entry, n + 1 or -(n + 1) when it conjugates, the image of a virtual
+    point that is the first base point.  Every check reads it, and the
+    elements that fix it, searched first, are the unitary subgroup, as
+    without it.
 
     H is searched as a Schreier-Sims chain, never listed.  The generators
     are put in a base order, those of fixed first.  For each base point b,
@@ -441,33 +457,40 @@ def symmetry_chain(pres: Presentation, fixed: list[Polynomial], weights: list[Po
     still an element of H."""
     n = len(pres.generators)
     first = dict.fromkeys(g for p in fixed for w in p.words() for g, _ in w)
-    base = list(first) + [g for g in range(n) if g not in first]
+    base = [n] * antiunitary + list(first) + [g for g in range(n) if g not in first]
     place = {g: i for i, g in enumerate(base)}
-    flags = [g.selfadjoint for g in pres.generators]
+    # the virtual point's flag, None, admits only itself as its image
+    flags = [g.selfadjoint for g in pres.generators] + [None] * antiunitary
     pairs = pres.commuting
 
     def gens_of(*polys: Polynomial) -> tuple[int, ...]:
-        return tuple(sorted({g for p in polys for w in p.words() for g, _ in w}))
+        return tuple(sorted({g for p in polys for w in p.words() for g, _ in w})) + \
+            (n,) * antiunitary
+
+    def image(sigma, p):
+        return normal_form(apply_signed(sigma, p, conjugates(sigma, pres)), pres)
 
     def keeps_rule(sigma, rule):
-        return normal_form(apply_signed(sigma, Polynomial.from_word(rule.lhs)), pres).close_to(
-            normal_form(apply_signed(sigma, rule.rhs), pres), EQUAL_TOL)
+        return image(sigma, Polynomial.from_word(rule.lhs)).close_to(
+            image(sigma, rule.rhs), EQUAL_TOL)
 
     def keeps_term(sigma, p, w, c):
-        # sigma(c w) = c d nf(u); where that is one term it must be p's
+        # sigma(c w) = c d nf(u), c conjugated by a conjugating sigma; where
+        # that is one term it must be p's
         u, d = signed_word(sigma, w)
-        image = normal_form_word(u, pres)._terms
-        if len(image) != 1:
+        terms = normal_form_word(u, pres)._terms
+        if len(terms) != 1:
             return True
-        (v, e), = image.items()
+        (v, e), = terms.items()
+        c = c.conjugate() if conjugates(sigma, pres) else c
         return abs(p.coeff(v) - c * d * e) <= EQUAL_TOL
 
     def keeps_poly(sigma, p):
-        return normal_form(apply_signed(sigma, p), pres).close_to(p, EQUAL_TOL)
+        return image(sigma, p).close_to(p, EQUAL_TOL)
 
     def keeps_weight(sigma, x):
-        image = normal_form(apply_signed(sigma, x), pres)
-        return any(image.close_to(y, EQUAL_TOL) for y in weights)
+        y = image(sigma, x)
+        return any(y.close_to(z, EQUAL_TOL) for z in weights)
 
     # a term check holds for every element of H when each word goes to one
     # term, as it does when no rule has two terms on its right side; a word
@@ -476,7 +499,7 @@ def symmetry_chain(pres: Presentation, fixed: list[Polynomial], weights: list[Po
     # each check with its generators, due at the last of them in base order,
     # the rules last since fixed prunes more; a verdict depends on the
     # generators' images alone and is kept
-    due: list[list[tuple[int, tuple[int, ...], Callable]]] = [[] for _ in range(n)]
+    due: list[list[tuple[int, tuple[int, ...], Callable]]] = [[] for _ in base]
     checks = []
     for p in fixed:
         if monomial:
@@ -489,7 +512,7 @@ def symmetry_chain(pres: Presentation, fixed: list[Polynomial], weights: list[Po
         if gens:
             due[max(place[g] for g in gens)].append((key, gens, test))
     verdicts: dict[tuple, bool] = {}
-    sigma, used = [0] * n, [False] * n
+    sigma, used = [0] * len(base), [False] * len(base)
     budget = [SEARCH_NODES]
 
     def holds(i: int) -> bool:
@@ -504,7 +527,7 @@ def symmetry_chain(pres: Presentation, fixed: list[Polynomial], weights: list[Po
     def images(i: int) -> list[int]:
         # the signed images open to base point i, its own first
         g, done = base[i], base[:i]
-        return [t for h in [g] + [h for h in range(n) if h != g]
+        return [t for h in [g] + [h for h in range(len(base)) if h != g]
                 if not used[h] and flags[h] == flags[g] and all(
                     ((min(a, g), max(a, g)) in pairs)
                     == ((min(abs(sigma[a]) - 1, h), max(abs(sigma[a]) - 1, h)) in pairs)
@@ -512,7 +535,7 @@ def symmetry_chain(pres: Presentation, fixed: list[Polynomial], weights: list[Po
                 for t in (h + 1, -h - 1)]
 
     def complete(i: int) -> tuple[int, ...] | None:
-        if i == n:
+        if i == len(base):
             found = tuple(sigma)
             return found if accept(found) else None
         g = base[i]
@@ -542,7 +565,7 @@ def symmetry_chain(pres: Presentation, fixed: list[Polynomial], weights: list[Po
 
     generators: list[tuple[int, ...]] = []
     order = 1
-    for i in range(n - 1, -1, -1):
+    for i in range(len(base) - 1, -1, -1):
         g = base[i]
         for j, h in enumerate(base):
             sigma[h], used[h] = (h + 1, True) if j < i else (0, False)

@@ -127,6 +127,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 # to the parameters the group leaves invariant
                 "symmetry": relax.symmetry,
                 "lmi_blocks": [len(X) for X in result.solution.X],
+                # per LMI block, whether it was solved real: every block in
+                # real mode, and in complex mode one that a conjugating
+                # symmetry makes real
+                "lmi_real": [X.dtype.kind == "f" for X in result.solution.X],
                 # the stacks the solver ran on: a merged one holds several sizes
                 "solver_stacks": [[len(result.solution.X[i]) for i in g]
                                   for g in result.solution.groups],

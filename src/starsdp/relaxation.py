@@ -77,6 +77,17 @@ coordinates, so the reduced solve follows the full one, whose iterates
 stay invariant from its invariant start, with the same residual norms.  A
 trivial group leaves N as it is.
 
+In complex mode an element may also conjugate every coefficient.  It sends
+omega to conj o omega o sigma, so a root's moment is read off conj(c W[u])
+and G's triplets are compared after conj(v): its action on p is again a
+signed permutation, with Gamma(S p) = E Pi conj(Gamma(p)) Pi^T E, and V and
+Q are found as before.  Where the search's conjugating generator maps a
+component onto itself as J v = E Pi conj(v) with J^2 = I, J is a real
+structure that commutes with every invariant LMI matrix A (Gatermann and
+Parrilo, J. Pure Appl. Algebra 2004), so U* A U is real for U a basis of
+J's fixed vectors: the component is solved real, and its Z is lifted back
+as U Z U* before the moments and the moment matrix are read out.
+
 A build runs in two stages, since a level is fixed by the algebra, its
 positives and the level, and the objective is only a functional on the
 blocks.  The first, a Hierarchy, reads no objective: the bases and their
@@ -121,7 +132,8 @@ import numpy as np
 
 from .algebra import (
     Polynomial, Presentation, Word, UNIT_WORD,
-    apply_signed, is_normal_form, normal_form, normal_form_word, signed_word, symmetry_chain,
+    apply_signed, conjugates, is_normal_form, normal_form, normal_form_word, signed_word,
+    symmetry_chain,
 )
 from .problems import ProblemFile, word_to_str, poly_to_str
 from .sdpmodel import SDPModel, SENSE_EQ, SENSE_GE
@@ -219,18 +231,18 @@ class RelaxationResult:
     solution is the solver's record of the moment LMI, which it takes as
     its dual: y holds the coordinates of p = p0 + N Q y on the kept
     parameters in the invariant directions Q, Z the term-sparsity
-    components of the moment blocks at p,
-    main block first, followed by one 1x1 slack per scalar inequality, and
-    X a Gram (sum of squares) certificate of the bound, block by block
-    over the same components, the moment and Gram blocks Hermitian in
-    complex mode.  Its status is the solver's own,
-    where INFEASIBLE and UNBOUNDED are swapped.
+    components of the moment blocks at p, main block first, followed by one
+    1x1 slack per scalar inequality, and X a Gram (sum of squares)
+    certificate of the bound, block by block over the same components, the
+    moment and Gram blocks Hermitian in complex mode unless a component
+    was solved real in a basis U, where Z is U* Z U.  Its status is the
+    solver's own, where INFEASIBLE and UNBOUNDED are swapped.
 
     moments and moment_matrix, the whole main block, are the zero
     extension of y and Z when the solve ended OPTIMAL or MAX_ITER, and are
-    empty otherwise: every dropped parameter is 0, each component's Z sits
-    at its indices, a dropped constant component keeps its value, and every
-    other entry is 0."""
+    empty otherwise: every dropped parameter is 0, each component's Z,
+    lifted back as U Z U*, sits at its indices, a dropped constant
+    component keeps its value, and every other entry is 0."""
 
     bound: float
     status: ipm.Status
@@ -281,6 +293,8 @@ class RelaxationModel:
     # constant components
     _parts: list[np.ndarray] = field(repr=False, default_factory=list)
     _gamma0: np.ndarray = field(repr=False, default=None)
+    # per leading LMI block, the basis U it was solved real in, else None
+    _lifts: list[np.ndarray | None] = field(repr=False, default_factory=list)
     # the order of the symmetry group the LMI is restricted by, and the
     # LMI's rows (free parameters) before the restriction
     symmetry: dict[str, int] = field(repr=False, default_factory=dict)
@@ -357,8 +371,8 @@ class RelaxationModel:
             values = (self._Wv * p[self._Wk]).sum(axis=1)
             moments = {w: complex(v) for w, v in zip(self._var_words, values)}
             gamma = self._gamma0.copy()
-            for idx, Z in zip(self._parts, sol.Z):
-                gamma[idx[:, None], idx] = Z
+            for idx, U, Z in zip(self._parts, self._lifts, sol.Z):
+                gamma[idx[:, None], idx] = Z if U is None else U @ Z @ U.conj().T
         status = _DUAL_STATUS.get(sol.status, sol.status)
         if status in _DUAL_STATUS:
             bound = self.sense_factor * np.inf * (1 if status == ipm.Status.INFEASIBLE else -1)
@@ -564,7 +578,8 @@ def _gram(I: np.ndarray, J: np.ndarray, k: np.ndarray, v: np.ndarray, n: int) ->
     coupled, lam, V = np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 0))
     if off.any():
         pair, inv = np.unique(a[off] * n + b[off], return_inverse=True)
-        coupled = np.unique(pair[np.bincount(inv, g[off]) != 0] // n)
+        coupled = np.flatnonzero(np.bincount(pair[np.bincount(inv, g[off]) != 0] // n,
+                                             minlength=n))
     if len(coupled):
         at = np.full(n, -1)
         at[coupled] = np.arange(len(coupled))
@@ -656,23 +671,27 @@ def _aggregate(key: np.ndarray, v: np.ndarray, tol: float) -> tuple[np.ndarray, 
 
 
 def _action(hier: "Hierarchy", sigma: tuple[int, ...], pres: Presentation
-            ) -> tuple[np.ndarray, np.ndarray] | None:
+            ) -> tuple[np.ndarray, ...] | None:
     """The signed permutation (perm, sign) of the moment parameters, (S p)_k
     = sign_k p_perm_k, that a signed generator permutation sigma induces,
-    or None when S maps some block's moment matrix to no signed permutation
-    of a block's: Gamma(S p) = E Pi Gamma(p) Pi^T E, blocks permuted among
-    equal weights.
+    followed when sigma conjugates by the signed node map (beta, eps) on
+    the basis indices of every block, or None when S maps some block's
+    moment matrix to no signed permutation of a block's: Gamma(S p) = E Pi Gamma(p) Pi^T E, blocks
+    permuted among equal weights, and E Pi conj(Gamma(p)) Pi^T E when sigma
+    conjugates.
 
     sigma sends basis word gamma_i to e_i gamma_beta(i), and a state omega
-    to omega o sigma, whose parameters are S p: a root word r goes to
-    nf(sigma(r)) = c u, so its moment to c W[u] p, read off on r's own
-    parameters.  The action is kept when every basis word and root goes to
-    +-1 times a word of the hierarchy, S is a signed permutation, and it
-    maps G's triplets onto themselves, which also makes it sound where the
-    rewriting is not confluent."""
+    to omega o sigma, whose parameters are S p, or to conj o omega o sigma
+    when sigma conjugates: a root word r goes to nf(sigma(r)) = c u, so its
+    moment to c W[u] p, or conj(c W[u] p), read off on r's own parameters.
+    The action is kept when every basis word and root goes to +-1 times a
+    word of the hierarchy, S is a signed permutation, and it maps G's
+    triplets, conjugated when sigma conjugates, onto themselves, which also
+    makes it sound where the rewriting is not confluent."""
+    conj = conjugates(sigma, pres)
     to = [0]
     for weight in hier.weights[1:]:
-        image = normal_form(apply_signed(sigma, weight), pres)
+        image = normal_form(apply_signed(sigma, weight, conj), pres)
         to.append(next((b for b, w in enumerate(hier.weights)
                         if b and w.close_to(image, GROUP_TOL)), -1))
     if -1 in to or len(set(to)) != len(to):
@@ -698,7 +717,8 @@ def _action(hier: "Hierarchy", sigma: tuple[int, ...], pres: Presentation
     beta, eps = hier.starts[to] + b0, c[offset]
 
     # S off W: a parameter of root r takes the real part of its own
-    # coefficient's conjugate times c W[u], which must be +-1 on one parameter
+    # coefficient's conjugate times c W[u], or c conj(W[u]), which must be +-1
+    # on one parameter
     root_at = {r: len(main) + i for i, r in enumerate(roots)}
     of_root = np.array([root_at[r] for r in hier.roots], dtype=int)
     root_words = np.array([hier.word_index[r] for r in hier.roots], dtype=int)
@@ -706,7 +726,7 @@ def _action(hier: "Hierarchy", sigma: tuple[int, ...], pres: Presentation
     is_own = (hier.Wk[root_words] == np.arange(n_params)[:, None]) & (hier.Wv[root_words] != 0)
     own = np.conj(hier.Wv[root_words, is_own.argmax(axis=1)])
     u, c = u[of_root], c[of_root]
-    M = ((own * c)[:, None] * hier.Wv[u]).real
+    M = ((own * c)[:, None] * (np.conj(hier.Wv[u]) if conj else hier.Wv[u])).real
     j = np.abs(M).argmax(axis=-1)[:, None]
     top = np.take_along_axis(M, j, -1)[:, 0]
     perm = np.take_along_axis(hier.Wk[u], j, -1)[:, 0].astype(np.int32)
@@ -723,7 +743,7 @@ def _action(hier: "Hierarchy", sigma: tuple[int, ...], pres: Presentation
     tol = GROUP_TOL * max(1.0, np.abs(v).max(initial=0.0))
     want, want_total = _aggregate((I * n + J) * n_params + k, v, tol)
     Ib, Jb = beta[I], beta[J]
-    w = eps[I] * eps[J] * sign[k] * v
+    w = eps[I] * eps[J] * sign[k] * (np.conj(v) if conj else v)
     swap = Ib > Jb
     if np.iscomplexobj(w):
         w = np.where(swap, np.conj(w), w)
@@ -731,9 +751,10 @@ def _action(hier: "Hierarchy", sigma: tuple[int, ...], pres: Presentation
                             + perm[k], w, tol)
     if len(key) != len(want) or (key != want).any() or (np.abs(total - want_total) > tol).any():
         return None
-    for a in (perm, sign):
+    for a in (perm, sign, beta, eps):
         a.flags.writeable = False
-    return perm, sign
+    # only a conjugating element's node map is read, by _real_basis
+    return (perm, sign, beta, eps) if conj else (perm, sign)
 
 
 def _invariant_columns(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -779,6 +800,30 @@ def _invariant_directions(N: np.ndarray, V: np.ndarray) -> np.ndarray:
     return U[:, :int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0]
 
 
+def _real_basis(beta: np.ndarray, eps: np.ndarray, nodes: np.ndarray) -> np.ndarray | None:
+    """The unitary U whose columns are fixed vectors of the antiunitary
+    J v = E Pi conj(v), (J v)_i = eps_i conj(v_beta(i)), on the basis
+    indices nodes of one component, or None unless J maps them onto
+    themselves with J^2 = I: beta an involution there with eps equal on each
+    swapped pair.  Column i is (e_i + eps e_j) / sqrt(2) for the first i of a
+    pair i, j = beta(i), i (e_i - eps e_j) / sqrt(2) for the second, and e_i,
+    or i e_i when eps_i = -1, for a fixed index; U* A U is real for every A
+    that commutes with J."""
+    at = np.full(len(beta), -1)
+    at[nodes] = np.arange(len(nodes))
+    b, e = at[beta[nodes]], eps[nodes]
+    i = np.arange(len(nodes))
+    if (b < 0).any() or (b[b] != i).any() or (e != e[b]).any():
+        return None
+    r = math.sqrt(0.5)
+    U = np.zeros((len(i), len(i)), dtype=complex)
+    U[i, i] = np.where(i == b, np.where(e > 0, 1.0, 1j), np.where(i < b, r, -1j * r * e))
+    U[b[i < b], i[i < b]] = r * e[i < b]
+    U[b[i > b], i[i > b]] = 1j * r
+    U.flags.writeable = False
+    return U
+
+
 class Hierarchy:
     """The first stage of a relaxation, which no objective enters: the
     blocks' bases, weights and entries, the closed word set adjoint with its
@@ -791,7 +836,7 @@ class Hierarchy:
     parameters (_action) of each signed generator permutation that a search
     offers, and _orbits the search's result (_symmetry) per objective and
     scalar constraints, which fix the kept parameters and the functionals
-    it reads."""
+    it reads, with the real basis of each component that relax finds."""
 
     def __init__(self, level: int, real_mode: bool, bases: list[list[Word]],
                  weights: list[Polynomial], entries: list, adjoint: dict):
@@ -825,8 +870,8 @@ class Hierarchy:
         r = self.word_root[word]
         self.edges = (I[r >= 0], J[r >= 0], r[r >= 0])
         self.n_roots = int(self.root_ids.max(initial=-1)) + 1
-        self._actions: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray] | None] = {}
-        self._orbits: dict[tuple, tuple[int, np.ndarray | None]] = {}
+        self._actions: dict[tuple[int, ...], tuple[np.ndarray, ...] | None] = {}
+        self._orbits: dict[tuple, tuple] = {}
         for a in (self.Wk, self.Wv, self.root_ids, self.starts, *self.G, self.unseen,
                   self.word_root, *self.edges):
             a.flags.writeable = False
@@ -838,14 +883,16 @@ class Hierarchy:
                          _adjoint_closure(words, pres, dict(self.adjoint)))
 
     def _symmetry(self, pres: Presentation, polys: list[Polynomial], F: np.ndarray,
-                  keep: np.ndarray) -> tuple[int, np.ndarray | None]:
-        """The order of the group of signed generator permutations that fix
-        polys, the objective and the scalar constraints, and the signed orbit
-        indicators V of the kept parameters under it, None when it moves
-        none.  The search fixes the polynomials' Hermitian parts, whose
-        functionals are F's rows; an action is taken when it fixes F within
-        GROUP_TOL and maps the kept parameters, off which F vanishes, onto
-        themselves."""
+                  keep: np.ndarray) -> tuple[int, np.ndarray | None, tuple | None, dict]:
+        """The order of the group of signed generator permutations, in
+        complex mode also composed with conjugation, that fix polys, the
+        objective and the scalar constraints; the signed orbit indicators V
+        of the kept parameters under it, None when it moves none; the node
+        map (beta, eps) of its conjugating generator, None without one; and
+        an empty cache of the real bases (_real_basis) that relax fills.
+        The search fixes the polynomials' Hermitian parts, whose functionals
+        are F's rows; an action is taken when it fixes F within GROUP_TOL and
+        maps the kept parameters, off which F vanishes, onto themselves."""
         at = np.full(len(self.roots), -1)
         at[keep] = np.arange(len(keep))
         tol = GROUP_TOL * max(1.0, np.abs(F).max(initial=0.0))
@@ -858,16 +905,17 @@ class Hierarchy:
                 np.abs(F[:, action[0]] - action[1] * F).max(initial=0.0) <= tol
 
         hermitian = [normal_form(p + p.adjoint(), pres) for p in polys]
-        chain, order = symmetry_chain(pres, hermitian, self.weights[1:], accept)
-        if not chain:
-            return order, None
-        perm, sign = (np.array(a) for a in zip(*(self._actions[s] for s in chain)))
-        perm, sign = at[perm[:, keep]], sign[:, keep]
-        if ((perm == np.arange(len(keep))) & (sign == 1)).all():
-            return order, None
-        V = _invariant_columns(perm, sign)
-        V.flags.writeable = False
-        return order, V
+        chain, order = symmetry_chain(pres, hermitian, self.weights[1:], accept,
+                                      not self.real_mode)
+        J = next((self._actions[s][2:] for s in chain if conjugates(s, pres)), None)
+        V = None
+        if chain:
+            perm, sign = (np.array(a) for a in zip(*(self._actions[s][:2] for s in chain)))
+            perm, sign = at[perm[:, keep]], sign[:, keep]
+            if not ((perm == np.arange(len(keep))) & (sign == 1)).all():
+                V = _invariant_columns(perm, sign)
+                V.flags.writeable = False
+        return order, V, J, {}
 
     def relax(self, problem: ProblemFile, objective: Polynomial,
               constraints: list[tuple[Polynomial, str, float]]) -> RelaxationModel:
@@ -922,7 +970,7 @@ class Hierarchy:
         if key not in self._orbits:
             self._orbits[key] = self._symmetry(problem.presentation, polys, np.array([f, *g]),
                                                keep)
-        order, V = self._orbits[key]
+        order, V, conj, real_bases = self._orbits[key]
         relax.symmetry = {"order": order, "rows": N.shape[1]}
         if V is not None:
             N = N @ _invariant_directions(N, V)
@@ -943,7 +991,7 @@ class Hierarchy:
         # an off-component entry uses no kept parameter, so each block's stack
         # over the kept parameters is block diagonal and every component is a
         # principal submatrix of it
-        lmi, main = [], []          # main: the main block's indices per leading LMI block
+        lmi, main, lifts = [], [], []   # the main block's indices and U per leading LMI block
         sizes = np.diff(starts)
         gamma0 = np.zeros((sizes[0], sizes[0]), dtype=float if self.real_mode else complex)
         for b, n in enumerate(sizes):
@@ -963,16 +1011,30 @@ class Hierarchy:
                     if b == 0:
                         gamma0[idx[:, None], idx] = C
                     continue
+                # a component that the conjugating generator maps onto itself
+                # with J^2 = I is real in a basis U of J's fixed vectors
+                U = None
+                if conj is not None:
+                    if block[c] not in real_bases:
+                        real_bases[block[c]] = _real_basis(*conj, starts[b] + idx)
+                    U = real_bases[block[c]]
+                if U is not None:
+                    R = U.conj().T @ Ac @ U
+                    if np.abs(R.imag).max() <= GROUP_TOL * max(1.0, np.abs(Ac).max()):
+                        Ac = R.real
+                    else:
+                        U = None
                 lmi.append(Ac)
                 if b == 0:
                     main.append(idx)
+                    lifts.append(U)
         for gk, sense, rhs in relax._constraints:
             if sense != SENSE_EQ:
                 sign, gk = 1.0 if sense == SENSE_GE else -1.0, gk[keep]
                 lmi.append(sign * np.concatenate([[gk @ p0 - rhs], -(gk @ N)])[:, None, None])
         relax._lmi = SDPModel.from_stacks(lmi, [(SENSE_EQ, float(bk)) for bk in -(f[keep] @ N)])
         relax._keep, relax._p0, relax._N = keep, p0, N
-        relax._parts, relax._gamma0 = main, gamma0
+        relax._parts, relax._lifts, relax._gamma0 = main, lifts, gamma0
         return relax
 
 

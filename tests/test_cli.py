@@ -66,7 +66,7 @@ class TestSolve:
         (row,) = doc["levels"]
         assert set(row) == {"level", "basis_size", "moment_variables",
                             "bound", "gap", "status", "reason", "iterations",
-                            "schur_dim", "symmetry", "lmi_blocks", "solver_stacks",
+                            "schur_dim", "symmetry", "lmi_blocks", "lmi_real", "solver_stacks",
                             "timings", "build_timings", "wall_time"}
         assert abs(row["bound"] + 0.25) < 1e-5
         assert row["status"] == "OPTIMAL" and row["reason"] == ""
@@ -80,6 +80,7 @@ class TestSolve:
         # x -> -x fixes the problem but moves none of those even moments
         assert row["symmetry"] == {"order": 2, "rows": 2}
         assert row["lmi_blocks"] == [2, 1, 1, 1]
+        assert row["lmi_real"] == [True] * 4
         assert row["solver_stacks"] == [[2, 1, 1, 1]]      # merged
         assert set(row["timings"]) == {"schur", "newton", "step"}
         assert all(0.0 <= t <= row["wall_time"] for t in row["timings"].values())
@@ -110,6 +111,24 @@ class TestSolve:
         (row,) = json.loads(out)["levels"]
         assert row["symmetry"] == {"order": order, "rows": rows}
         assert row["schur_dim"] == schur_dim
+
+    def test_lmi_real(self, capsys, tmp_path):
+        # the ladder's conjugating symmetry makes both blocks real at level
+        # 3, on 28 rows of 126 (order 12); the phased involution has none
+        # and stays Hermitian
+        p = tmp_path / "ladder.csdp"
+        p.write_text("[generators]\nx selfadjoint\ny selfadjoint\nz selfadjoint\n"
+                     "[relations]\nx^2 = 1\ny^2 = 1\nz^2 = 1\n[objective]\n"
+                     "maximize i*x*y - i*y*x + i*y*z - i*z*y + i*z*x - i*x*z\n")
+        code, out, _ = run(capsys, "solve", str(p), "--level", "3", "--json")
+        assert code == 0
+        (row,) = json.loads(out)["levels"]
+        assert row["symmetry"] == {"order": 12, "rows": 126} and row["schur_dim"] == 28
+        assert row["lmi_blocks"] == [7, 15] and row["lmi_real"] == [True, True]
+        assert abs(row["bound"] - 3.0 * math.sqrt(3.0)) <= 1e-6
+        code, out, _ = run(capsys, "solve", PHASED, "--level", "1-2", "--json")
+        assert code == 0
+        assert [row["lmi_real"] for row in json.loads(out)["levels"]] == [[False], [False]]
 
     def test_infeasible_level_reports_its_reason(self, capsys, tmp_path):
         # |x| <= 1 for an involution, so x >= 2 leaves no moment matrix

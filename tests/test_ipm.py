@@ -530,12 +530,14 @@ class TestMergedBlocks:
         return [X.base for X in sol.X]
 
     def test_rule_sides(self):
-        # the benchmark's multi-size LMIs: CHSH level 2 and the Hermitian
-        # ladder's level 2 merge; CHSH levels 3-4 and the ladder's level 3
-        # keep one stack per size; a model of one size has nothing to merge
+        # the benchmark's multi-size LMIs, with their rows before and after
+        # the symmetry restriction: CHSH level 2 and the ladder's level 2
+        # merge; CHSH levels 3-4 and the ladder's level 3 keep one stack per
+        # size; a model of one size has nothing to merge
         assert merges([9, 4], 18) and merges([7, 3], 30) and merges([4, 3], 3)
+        assert merges([9, 4], 4) and merges([7, 3], 8)
         assert not merges([9, 16], 36) and not merges([25, 16], 60)
-        assert not merges([7, 15], 126)
+        assert not merges([7, 15], 126) and not merges([7, 15], 28)
         assert not merges([3, 3, 3], 5) and not merges([], 0)
 
     def test_blocks_come_back_in_model_order(self, monkeypatch):

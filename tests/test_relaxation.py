@@ -2,6 +2,9 @@
 
 import cmath
 import itertools
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -102,6 +105,10 @@ z^2 = 1
 [objective]
 maximize i*x*y - i*y*x + i*y*z - i*z*y + i*z*x - i*x*z
 """
+
+# 1 - x keeps x, so of the ladder's group only the swap y <-> z composed
+# with conjugation remains, which makes the localizing block real as well
+LADDER_LOCALIZING_TEXT = LADDER_TEXT + "[positive]\n1 - x\n"
 
 INVOLUTION_TEXT = """
 [generators]
@@ -275,7 +282,7 @@ def chsh():
     return parse_problem(CHSH_TEXT)
 
 
-def trivial_group(pres, fixed, weights, accept):
+def trivial_group(pres, fixed, weights, accept, antiunitary=False):
     """The identity alone, in place of a build's symmetry search: no
     generators, order 1."""
     return [], 1
@@ -639,7 +646,7 @@ basis = 1, x, z
 class TestMomentLMI:
     @pytest.mark.parametrize("text, level, free, m, params, rows", [
         (CHSH_TEXT, 3, 36, 6, 61, 265),
-        (LADDER_TEXT, 2, 30, 10, 46, 55),
+        (LADDER_TEXT, 2, 30, 8, 46, 55),
     ], ids=["chsh-L3", "ladder-L2"])
     def test_solver_works_on_free_parameters(self, text, level, free, m, params, rows):
         relax = rx.build_relaxation(parse_problem(text), level=level)
@@ -654,10 +661,12 @@ class TestMomentLMI:
         assert relax.n_moment_vars == params
         assert len(relax.model.constraints) == rows
         # the solver's dual slacks are the main block's components at the
-        # moments read out, and the moment matrix is that whole main block
+        # moments read out, in the basis U of a component solved real, and
+        # the moment matrix is that whole main block
         gamma = relax.blocks_from_moments(res.moments)[0]
         assert len(relax._parts) == 2
-        for idx, Z in zip(relax._parts, res.solution.Z):
+        for idx, U, Z in zip(relax._parts, relax._lifts, res.solution.Z):
+            Z = Z if U is None else U @ Z @ U.conj().T
             assert np.max(np.abs(gamma[np.ix_(idx, idx)] - Z)) <= 1e-8
         assert np.max(np.abs(res.moment_matrix - gamma)) <= 1e-8
 
@@ -784,8 +793,8 @@ class TestTermSparsity:
         (CHSH_TEXT, 3, [9, 16], 36, 6),
         (CHSH_TEXT, 4, [25, 16], 60, 11),
         (LADDER_TEXT, 1, [3], 6, 2),
-        (LADDER_TEXT, 2, [7, 3], 30, 10),
-        (LADDER_TEXT, 3, [7, 15], 126, 42),
+        (LADDER_TEXT, 2, [7, 3], 30, 8),
+        (LADDER_TEXT, 3, [7, 15], 126, 28),
     ], ids=["chsh-L1", "chsh-L2", "chsh-L3", "chsh-L4",
             "ladder-L1", "ladder-L2", "ladder-L3"])
     def test_block_sizes(self, text, level, blocks, free, m):
@@ -1327,10 +1336,18 @@ def build_or_error(problem, level):
         return e
 
 
-def assert_same_outcome(reduced, unreduced):
-    """Equal statuses, and bounds within 1e-8 relative; a build whose group
-    is trivial has the unreduced LMI bit for bit, so its solve is not
-    repeated."""
+# minimize a + a' is unbounded below, and with the one-way rule b' = i*a
+# the solver ends NUMERICAL on it instead of UNBOUNDED (ROADMAP items 9 and
+# 14): the bound is the last iterate's estimate, certifies nothing and
+# differs between two LMIs of the same relaxation, so only the status is
+# compared
+EXPECTED_NUMERICAL = (PHASED_ONE_WAY_TEXT,)
+
+
+def assert_same_outcome(reduced, unreduced, numerical=False):
+    """Equal statuses, and bounds within 1e-8 relative (assert_same_solve);
+    a build whose group is trivial has the unreduced LMI bit for bit, so its
+    solve is not repeated."""
     if isinstance(unreduced, Exception):
         assert type(reduced) is type(unreduced) and str(reduced) == str(unreduced)
         return
@@ -1339,15 +1356,26 @@ def assert_same_outcome(reduced, unreduced):
     if reduced.symmetry["order"] == 1:
         assert lmi_bytes(reduced) == lmi_bytes(unreduced)
         return
-    a, b = reduced.solve(TIGHT), unreduced.solve(TIGHT)
+    assert_same_solve(reduced, unreduced, numerical)
+
+
+def assert_same_solve(first, second, numerical=False):
+    """Both relaxations solved at TIGHT: equal statuses, and bounds within
+    1e-8 relative; both NUMERICAL, with the bounds not compared, for an
+    input of EXPECTED_NUMERICAL."""
+    a, b = first.solve(TIGHT), second.solve(TIGHT)
+    if numerical:
+        assert a.status == b.status == Status.NUMERICAL
+        return
     assert a.status == b.status
     assert a.bound == b.bound or abs(a.bound - b.bound) <= 1e-8 * max(1.0, abs(b.bound))
 
 
-def signed_permutations(pres):
+def signed_permutations(pres, conj=False):
     """Every signed generator permutation, listed, that keeps the selfadjoint
-    flags, the commuting pairs and the rules: the brute force that
-    symmetry_chain's search must agree with on small presentations."""
+    flags, the commuting pairs and the rules, composed with conjugation when
+    conj: the brute force that symmetry_chain's search must agree with on
+    small presentations."""
     n, pairs = len(pres.generators), pres.commuting
     found = []
     for pi in itertools.permutations(range(n)):
@@ -1359,19 +1387,20 @@ def signed_permutations(pres):
         for signs in itertools.product((1, -1), repeat=n):
             sigma = tuple(s * (h + 1) for s, h in zip(signs, pi))
             if all(normal_form(apply_signed(sigma, Polynomial.from_word(r.lhs)), pres).close_to(
-                    normal_form(apply_signed(sigma, r.rhs), pres)) for r in pres.rules):
+                    normal_form(apply_signed(sigma, r.rhs, conj), pres)) for r in pres.rules):
                 found.append(sigma)
     return found
 
 
-def fixing(problem):
+def fixing(problem, conj=False):
     """The signed generator permutations, listed, that keep the presentation
-    and fix the objective's Hermitian part."""
+    and fix the objective's Hermitian part, composed with conjugation when
+    conj."""
     pres = problem.presentation
     objective = normal_form(problem.objective, pres)
     objective = normal_form(objective + objective.adjoint(), pres)
-    return [s for s in signed_permutations(pres)
-            if normal_form(apply_signed(s, objective), pres).close_to(objective)]
+    return [s for s in signed_permutations(pres, conj)
+            if normal_form(apply_signed(s, objective, conj), pres).close_to(objective)]
 
 
 def closure(gens):
@@ -1388,14 +1417,15 @@ def closure(gens):
     return group
 
 
-def assert_invariant(problem, moments):
+def assert_invariant(problem, moments, conj=False):
     """omega(sigma(w)) = omega(w) for every moment word w and every
-    candidate sigma that fixes the objective."""
+    candidate sigma that fixes the objective, or conj omega(w) for every
+    one that fixes it composed with conjugation when conj."""
     pres = problem.presentation
-    for sigma in fixing(problem):
+    for sigma in fixing(problem, conj):
         for w, value in moments.items():
             (u, c), = normal_form(apply_signed(sigma, Polynomial.from_word(w)), pres).items()
-            assert abs(c * moments[u] - value) <= 1e-8, (sigma, w)
+            assert abs(c * moments[u] - (np.conj(value) if conj else value)) <= 1e-8, (sigma, w)
 
 
 class TestSymmetryAdapted:
@@ -1404,7 +1434,7 @@ class TestSymmetryAdapted:
 
     @pytest.mark.parametrize("text, level, order", [
         (CHSH_TEXT, 1, 16),
-        (LADDER_TEXT, 1, 6),
+        (LADDER_TEXT, 1, 12),
         ((PROBLEMS / "lasserre_x4.csdp").read_text(), 2, 2),
         ((PROBLEMS / "i3322.csdp").read_text(), 1, 1),
         (CHSH_TEXT.replace(CHSH_OBJECTIVE, "A0 + 2*A1 + 3*B0 + 5*B1"), 1, 1),
@@ -1557,7 +1587,8 @@ class TestSymmetryAdapted:
         for level in levels:
             problem = parse_problem(text)
             assert_same_outcome(build_or_error(problem, level),
-                                unreduced_build(monkeypatch, problem, level))
+                                unreduced_build(monkeypatch, problem, level),
+                                text in EXPECTED_NUMERICAL)
 
     def test_symmetric_pool_problems(self, monkeypatch):
         # the benchmark's 200 random involution problems at seed 404: 77 have
@@ -1600,3 +1631,151 @@ class TestSymmetryAdapted:
         assert np.allclose(np.linalg.eigvalsh(Z0), np.linalg.eigvalsh(Z1), atol=1e-9)
         assert_invariant(problem, res.moments)
         assert_same_outcome(relax, unreduced_build(monkeypatch, problem, 1))
+
+
+def unitary_build(monkeypatch, problem, level):
+    """The problem's relaxation with the conjugation bit off, the search
+    offering signed generator permutations alone, on a hierarchy of its
+    own, or the error its build raises."""
+    with monkeypatch.context() as m:
+        m.setattr(rx, "symmetry_chain", lambda *args: symmetry_chain(*args[:4]))
+        m.setattr(problem.presentation, "_hierarchies", {})
+        return build_or_error(problem, level)
+
+
+def hermitian_build(monkeypatch, problem, level):
+    """The problem's relaxation on the same group and invariant directions,
+    with every block kept Hermitian, on a hierarchy of its own."""
+    with monkeypatch.context() as m:
+        m.setattr(rx, "_real_basis", lambda beta, eps, nodes: None)
+        m.setattr(problem.presentation, "_hierarchies", {})
+        return rx.build_relaxation(problem, level=level)
+
+
+def complex_cases():
+    """Every complex-mode *_TEXT presentation of this module at levels 1-2,
+    and phased_involution.csdp at levels 1-3."""
+    cases = [pytest.param(text, (1, 2), id=name) for name, text in sorted(globals().items())
+             if name.endswith("_TEXT") and isinstance(text, str)
+             and not rx._detect_real_mode(parse_problem(text))]
+    return cases + [pytest.param((PROBLEMS / "phased_involution.csdp").read_text(), (1, 2, 3),
+                                 id="phased_involution")]
+
+
+class TestAntiunitary:
+    """In complex mode the group may also conjugate coefficients; a block
+    that such an element maps onto itself as an involution is solved real
+    in a basis of its fixed vectors."""
+
+    def test_chain_generates_the_listed_group(self):
+        # the ladder's shift and global sign (order 6) and the three swaps
+        # composed with conjugation, each with the global sign: the
+        # conjugating elements carry -4 past the three generators
+        problem = parse_problem(LADDER_TEXT)
+        pres = problem.presentation
+        f = normal_form(problem.objective, pres)
+        gens, order = symmetry_chain(pres, [normal_form(f + f.adjoint(), pres)], [],
+                                     lambda sigma: True, True)
+        listed = {s + (4,) for s in fixing(problem)} | {s + (-4,) for s in fixing(problem, True)}
+        assert order == len(listed) == 12
+        assert closure(gens) == listed
+
+    def test_moments_are_conjugate_invariant(self):
+        problem = parse_problem(LADDER_TEXT)
+        res = rx.build_relaxation(problem, level=2).solve(TIGHT)
+        assert res.status == Status.OPTIMAL
+        assert len(fixing(problem, conj=True)) == 6
+        assert_invariant(problem, res.moments, conj=True)
+        assert_invariant(problem, res.moments)
+
+    @pytest.mark.parametrize("text, levels", complex_cases())
+    def test_bit_keeps_the_outcome(self, monkeypatch, text, levels):
+        # an element that conjugates doubles the order and can only shrink
+        # the LMI's rows; without one the LMI is the unitary search's, bit
+        # for bit
+        for level in levels:
+            problem = parse_problem(text)
+            on, off = build_or_error(problem, level), unitary_build(monkeypatch, problem, level)
+            if isinstance(off, Exception):
+                assert type(on) is type(off) and str(on) == str(off)
+                continue
+            assert on.symmetry["rows"] == off.symmetry["rows"]
+            if on.symmetry["order"] == off.symmetry["order"]:
+                assert lmi_bytes(on) == lmi_bytes(off)
+                continue
+            assert on.symmetry["order"] == 2 * off.symmetry["order"]
+            assert len(on._lmi.rhs) <= len(off._lmi.rhs)
+            assert_same_solve(on, off, text in EXPECTED_NUMERICAL)
+
+    @pytest.mark.parametrize("level, rows", [(1, 2), (2, 8), (3, 28)])
+    def test_ladder_blocks_are_real(self, monkeypatch, level, rows):
+        # x fixed, y <-> z and conjugation maps each component onto itself
+        # as an involution, so every block is real in the basis U of its
+        # fixed vectors: U* A U of the Hermitian stack, with an imaginary
+        # part at rounding level, and Z lifts back as U Z U*
+        problem = parse_problem(LADDER_TEXT)
+        relax = rx.build_relaxation(problem, level=level)
+        herm = hermitian_build(monkeypatch, problem, level)
+        real, hermitian = relax._lmi.stacks(), herm._lmi.stacks()
+        assert len(relax._lifts) == len(real) == len(hermitian) and len(relax._lmi.rhs) == rows
+        for R, A, U in zip(real, hermitian, relax._lifts):
+            assert R.dtype == float and A.dtype == complex
+            assert np.allclose(U.conj().T @ U, np.eye(len(U)), atol=1e-15)
+            B = U.conj().T @ A @ U
+            assert np.abs(B.imag).max() <= 1e-15 * np.abs(A).max()
+            assert np.abs(B.real - R).max() <= 1e-15 * np.abs(A).max()
+        assert herm._lifts == [None] * len(hermitian)
+        a, b = relax.solve(TIGHT), herm.solve(TIGHT)
+        assert a.status == b.status == Status.OPTIMAL
+        assert a.solution.iterations == b.solution.iterations
+        assert abs(a.bound - b.bound) <= 1e-9
+        assert np.linalg.eigvalsh(a.moment_matrix)[0] >= -1e-12
+        assert np.abs(a.moment_matrix - b.moment_matrix).max() <= 1e-7
+
+    def test_real_mode_never_conjugates(self, monkeypatch):
+        # a real-mode build never asks the search for the conjugation bit
+        # and solves no block in a new basis, so its group, order and LMI
+        # are the unitary search's, bit for bit: CHSH L1-L4, I3322 L1-L2
+        # and 20 of the benchmark's pool problems at L1-L2
+        monkeypatch.syspath_prepend(str(PROBLEMS.parent / "bench"))
+        pool = [problem for problem, _ in __import__("workloads").HierarchyPool(404).pool[:20]]
+        cases = [(parse_problem_file(str(PROBLEMS / "chsh.csdp")), (1, 2, 3, 4)),
+                 (parse_problem_file(str(PROBLEMS / "i3322.csdp")), (1, 2))]
+        cases += [(problem, (1, 2)) for problem in pool]
+        asked = []
+
+        def chain(*args):
+            asked.append(args[4])
+            return symmetry_chain(*args)
+
+        for problem, levels in cases:
+            for level in levels:
+                with monkeypatch.context() as m:
+                    m.setattr(rx, "symmetry_chain", chain)
+                    m.setattr(problem.presentation, "_hierarchies", {})
+                    relax = build_or_error(problem, level)
+                off = unitary_build(monkeypatch, problem, level)
+                if isinstance(off, Exception):
+                    assert type(relax) is type(off)
+                    continue
+                assert relax.real_mode and relax._lifts == [None] * len(relax._parts)
+                assert relax.symmetry == off.symmetry and lmi_bytes(relax) == lmi_bytes(off)
+        assert asked and not any(asked)
+
+
+def test_build_leaves_numpy_ma_unimported():
+    # numpy.ma costs about 1 MB of peak RSS; a plain np.unique imports it
+    code = ("import sys\n"
+            "from starsdp import build_relaxation, parse_problem_file\n"
+            "from starsdp.problems import parse_problem\n"
+            "build_relaxation(parse_problem_file('problems/chsh.csdp'), 2).solve()\n"
+            f"build_relaxation(parse_problem({LADDER_TEXT!r}), 2).solve()\n"
+            "print('numpy.ma' in sys.modules)\n")
+    root = PROBLEMS.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
