@@ -92,27 +92,30 @@ A build runs in two stages, since a level is fixed by the algebra, its
 positives and the level, and the objective is only a functional on the
 blocks.  The first, a Hierarchy, reads no objective: the bases and their
 weights, the entries, the closed word set with its moment parameters and W,
-G and ker P.  A presentation keeps one hierarchy per key: the level, the
-main basis when the problem lists its words (the level fixes a generated
-one), the normal forms of the kept positives, and the real mode, which the
+G and ker P, and the functionals, representability checks and dense P read
+off them.  A presentation keeps one hierarchy per key: the level, the main
+basis when the problem lists its words (the level fixes a generated one),
+the normal forms of the kept positives, and the real mode, which the
 objective and the constraints take part in.  Its arrays are read-only and
-its lists are never mutated, so every relaxation of it shares them; it
-also keeps each symmetry action it has read off and the orbits found per
+its lists are never mutated, so every relaxation of it shares them; it also
+keeps each symmetry action it has read off and the orbits found per
 objective and scalar constraints.  The second stage, Hierarchy.relax, runs
 on every build: the functionals of the objective and the scalar
 constraints and their check on ker P, term sparsity, p0 and N, the
-symmetry group that fixes them and Q, and the LMI.  A word of the
-objective or a constraint outside the hierarchy's word set gets a hierarchy
-of its own, not stored, with that word added and numbered as if it had
-been among the entries'.
+symmetry group that fixes them and Q, and the LMI, from which it makes the
+RelaxationModel in one call.  A relaxation holds its hierarchy, the moment
+frame, as hier, beside those arrays of its own, and reads the frame there.
+A word of the objective or a constraint outside the hierarchy's word set
+gets a hierarchy of its own, not stored, with that word added and numbered
+as if it had been among the entries'.
 
 RelaxationModel.model states the dense relaxation in row form, an SDP
-whose X are the whole moment blocks, derived on first access from P, made
-dense, and from p0 and N over every parameter: its equality rows, an
-orthonormal basis of the complement of range(P N), hold the scalar
-equalities folded in, and the objective and inequalities are least-norm
-representatives on the rows of P.  Feasibility checks of given moments and
-the SDPA export read it; the solve does not.
+whose X are the whole moment blocks, derived on first access from P, which
+the hierarchy makes dense there, and from p0 and N over every parameter:
+its equality rows, an orthonormal basis of the complement of range(P N),
+hold the scalar equalities folded in, and the objective and inequalities
+are least-norm representatives on the rows of P.  Feasibility checks of
+given moments and the SDPA export read it; the solve does not.
 
 Soundness rule of thumb kept throughout: every emitted row must be implied
 by genuine moment vectors of the presented algebra, so the feasible set can
@@ -259,104 +262,63 @@ _DUAL_STATUS = {ipm.Status.INFEASIBLE: ipm.Status.UNBOUNDED,
 
 @dataclass
 class RelaxationModel:
+    """A relaxation: its hierarchy, the moment frame that every relaxation of
+    it shares, and the objective stage's own arrays."""
+
     problem: ProblemFile
-    level: int
-    real_mode: bool
-    bases: list[list[Word]]            # per block, main block first
-    weights: list[Polynomial]          # block weight polynomials, unit first
-    entries: list[list[list[Polynomial]]]
-    n_moment_vars: int
+    hier: Hierarchy = field(repr=False)
     sense_factor: float                # +1 minimize, -1 maximize
-    # _G to _unseen are the hierarchy's, shared with every relaxation of it.
-    # G: per term of an upper-triangle entry, (i, j, param, value), i <= j
-    # numbering the basis indices of every block, block after block
-    _G: tuple = field(repr=False, default=())
-    # W, the moments of _var_words, as the parameters of each word (one per
-    # column) and their coefficients, 0 past a word's own
-    _Wk: np.ndarray = field(repr=False, default=None)
-    _Wv: np.ndarray = field(repr=False, default=None)
-    _var_words: list[Word] = field(repr=False, default_factory=list)
-    _word_index: dict[Word, int] = field(repr=False, default_factory=dict)
-    _roots: list[Word] = field(repr=False, default_factory=list)  # root word per param
-    _unseen: np.ndarray = field(repr=False, default=None)   # ker P, see _kernel
-    # the seconds spent making the hierarchy, 0.0 when it was reused, and
-    # in the rest of the build
-    timings: dict[str, float] = field(repr=False, default_factory=dict)
-    _f: np.ndarray = field(repr=False, default=None)   # objective, times sense_factor
-    _constraints: list[tuple] = field(repr=False, default_factory=list)  # (g, sense, rhs)
-    _keep: np.ndarray = field(repr=False, default=None)  # the params the LMI keeps
+    _f: np.ndarray = field(repr=False)   # objective, times sense_factor
+    _constraints: list[tuple] = field(repr=False)  # (g, sense, rhs)
+    _keep: np.ndarray = field(repr=False)  # the params the LMI keeps
     # kept params = _p0 + _N y, _N the restriction N Q to the invariant directions
-    _p0: np.ndarray = field(repr=False, default=None)
-    _N: np.ndarray = field(repr=False, default=None)
-    _lmi: SDPModel = field(repr=False, default=None)   # the LMI in y, as the solver's dual
+    _p0: np.ndarray = field(repr=False)
+    _N: np.ndarray = field(repr=False)
+    _lmi: SDPModel = field(repr=False)   # the LMI in y, as the solver's dual
     # the main block's indices of each leading LMI block, and its dropped
     # constant components
-    _parts: list[np.ndarray] = field(repr=False, default_factory=list)
-    _gamma0: np.ndarray = field(repr=False, default=None)
+    _parts: list[np.ndarray] = field(repr=False)
+    _gamma0: np.ndarray = field(repr=False)
     # per leading LMI block, the basis U it was solved real in, else None
-    _lifts: list[np.ndarray | None] = field(repr=False, default_factory=list)
+    _lifts: list[np.ndarray | None] = field(repr=False)
     # the order of the symmetry group the LMI is restricted by, and the
     # LMI's rows (free parameters) before the restriction
-    symmetry: dict[str, int] = field(repr=False, default_factory=dict)
+    symmetry: dict[str, int] = field(repr=False)
+    # the seconds build_relaxation spent making the hierarchy, 0.0 when it
+    # was reused, and in the rest of the build
+    timings: dict[str, float] = field(repr=False, default_factory=dict)
 
     @property
     def basis(self) -> list[Word]:
-        return self.bases[0]
+        return self.hier.bases[0]
 
     @property
-    def _P(self) -> np.ndarray:
-        """P made dense, coordinates by parameters, from G's terms."""
-        I, J, k, v = self._G
-        sizes = np.array([len(b) for b in self.bases])
-        starts = np.cumsum([0, *sizes])
-        b = np.searchsorted(starts, I, side="right") - 1
-        n, i, j = sizes[b], I - starts[b], J - starts[b]
-        counts = [_n_coords(m, self.real_mode) for m in sizes]
-        row = np.cumsum([0, *counts])[b] + i * n - i * (i - 1) // 2 + j - i
-        P = np.zeros((sum(counts), self.n_moment_vars))
-        np.add.at(P, (row, k), np.where(i == j, 1.0, math.sqrt(2.0)) * v.real)
-        if not self.real_mode:
-            # the strict upper triangle's Im after the block's n(n+1)/2 Re
-            off = i != j
-            np.add.at(P, ((row + n * (n + 1) // 2 - i - 1)[off], k[off]),
-                      math.sqrt(2.0) * v.imag[off])
-        return P
+    def entries(self) -> list[list[list[Polynomial]]]:
+        return self.hier.entries
+
+    @property
+    def n_moment_vars(self) -> int:
+        return len(self.hier.roots)
 
     @functools.cached_property
     def model(self) -> SDPModel:
         """The row form, X = the moment blocks (Hermitian when complex),
         built on first access and cached; the solve does not read it."""
-        p0, N = self._parameters(np.arange(self.n_moment_vars))
-        P = self._P
+        hier, pres = self.hier, self.problem.presentation
+        p0, N = _parameters(hier, np.arange(self.n_moment_vars), self.problem.normalization,
+                            self._constraints)
+        P = hier._P
         U, sv, _ = np.linalg.svd(P @ N)
         Q = U[:, int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0:]
         ineq = [(g, sense, rhs) for g, sense, rhs in self._constraints if sense != SENSE_EQ]
-        data = [self._representative(P, self._f, "the objective"), Q]
-        data += [self._representative(P, g, "a scalar constraint") for g, _, _ in ineq]
+        data = [hier._representative(P, self._f, "the objective", pres), Q]
+        data += [hier._representative(P, g, "a scalar constraint", pres) for g, _, _ in ineq]
         rows = [(SENSE_EQ, float(r)) for r in Q.T @ (P @ p0)]
         rows += [(sense, float(rhs)) for _, sense, rhs in ineq]
-        sizes = [len(b) for b in self.bases]
-        cuts = np.cumsum([_n_coords(n, self.real_mode) for n in sizes])[:-1]
-        return SDPModel.from_stacks([_matrices(C, n, self.real_mode) for C, n in
+        sizes = [len(b) for b in hier.bases]
+        cuts = np.cumsum([_n_coords(n, hier.real_mode) for n in sizes])[:-1]
+        return SDPModel.from_stacks([_matrices(C, n, hier.real_mode) for C, n in
                                      zip(np.split(np.column_stack(data), cuts), sizes)], rows)
-
-    def _parameters(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """p0 and N with {p0 + N q} the parameters, restricted to the columns
-        keep, that fix the unit moment to 1 when the problem normalizes, meet
-        the scalar equalities and are orthogonal to ker P."""
-        p0, N = np.zeros(len(keep)), np.eye(len(keep))
-        if self.problem.normalization:
-            # the unit word is its own adjoint, a root on the line through 1
-            k = int(np.searchsorted(keep, self._roots.index(UNIT_WORD)))
-            p0[k] = 1.0
-            N = np.delete(N, k, axis=1)
-        eq = [(g[keep], rhs) for g, sense, rhs in self._constraints if sense == SENSE_EQ]
-        # keep holds all of a direction of ker P or none of it: an entry
-        # that couples its parameters keeps all of their roots or none
-        eq += [(u, 0.0) for u in self._unseen[keep].T if u.any()]
-        if eq:
-            p0, N = _restrict(np.array([g for g, _ in eq]), np.array([r for _, r in eq]), p0, N)
-        return p0, N
 
     def solve(self, options: ipm.SolverOptions | None = None) -> RelaxationResult:
         sol = ipm.solve(self._lmi, options)
@@ -366,51 +328,18 @@ class RelaxationModel:
         gamma = np.zeros((0, 0))
         if sol.status in (ipm.Status.OPTIMAL, ipm.Status.MAX_ITER):
             # the zero extension: every dropped parameter is 0
+            hier = self.hier
             p = np.zeros(self.n_moment_vars)
             p[self._keep] = self._p0 + self._N @ sol.y
-            values = (self._Wv * p[self._Wk]).sum(axis=1)
-            moments = {w: complex(v) for w, v in zip(self._var_words, values)}
+            values = (hier.Wv * p[hier.Wk]).sum(axis=1)
+            moments = {w: complex(v) for w, v in zip(hier.words, values)}
             gamma = self._gamma0.copy()
             for idx, U, Z in zip(self._parts, self._lifts, sol.Z):
                 gamma[idx[:, None], idx] = Z if U is None else U @ Z @ U.conj().T
         status = _DUAL_STATUS.get(sol.status, sol.status)
         if status in _DUAL_STATUS:
             bound = self.sense_factor * np.inf * (1 if status == ipm.Status.INFEASIBLE else -1)
-        return RelaxationResult(bound, status, sol, moments, gamma, self.level)
-
-    def _functional(self, p: Polynomial, what: str) -> np.ndarray:
-        """Complex f with omega(p) = f . params."""
-        index = self._word_index
-        o = np.zeros(len(index), dtype=complex)
-        for w, c in p.terms():
-            if w not in index:
-                raise NotRepresentableError(
-                    f"{what} involves {word_to_str(w, self.problem.presentation)}, "
-                    "which lies outside this moment structure; raise the level")
-            o[index[w]] += c
-        f = np.zeros(self.n_moment_vars, dtype=complex)
-        np.add.at(f, self._Wk, o[:, None] * self._Wv)
-        return f
-
-    def _check(self, f: np.ndarray, resid: np.ndarray, what: str) -> None:
-        """NotRepresentableError when resid, the size per parameter of the
-        part of f that no trace pairing reaches, exceeds REPRESENT_TOL,
-        naming the worst root among the words of the functional itself."""
-        if np.max(resid, initial=0.0) > REPRESENT_TOL:
-            used = np.flatnonzero(f)
-            root = self._roots[int(used[np.argmax(resid[used])])]
-            raise NotRepresentableError(
-                f"{what} involves {word_to_str(root, self.problem.presentation)}, "
-                f"which the level-{self.level} moment blocks do not determine; "
-                "raise the level")
-
-    def _representative(self, P: np.ndarray, f: np.ndarray, what: str) -> np.ndarray:
-        """Least-norm coordinates c, on the rows of P (all of them, or the
-        main block's), of the trace functional worth f . p at every
-        parameter vector p."""
-        c = np.linalg.lstsq(P.T, f, rcond=None)[0]
-        self._check(f, np.abs(P.T @ c - f), what)
-        return c
+        return RelaxationResult(bound, status, sol, moments, gamma, self.hier.level)
 
     def blocks_from_moments(self, moments: dict[Word, complex]) -> list[np.ndarray]:
         """Candidate solver blocks from a word-moment assignment, e.g. one
@@ -425,15 +354,36 @@ class RelaxationModel:
             return sum(c * moments[w] for w, c in e.terms())
 
         out = []
-        for mat in self.entries:
+        for mat in self.hier.entries:
             G = np.array([[value(e) for e in row] for row in mat], dtype=complex)
             G = (G + G.conj().T) / 2
-            out.append(np.real(G) if self.real_mode else G)
+            out.append(np.real(G) if self.hier.real_mode else G)
         return out
 
     def evaluate(self, poly: Polynomial, moments: dict[Word, complex]) -> complex:
         p = normal_form(poly, self.problem.presentation)
         return sum(c * moments.get(w, 0j) for w, c in p.terms())
+
+
+def _parameters(hier: "Hierarchy", keep: np.ndarray, normalization: bool,
+                constraints: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """p0 and N with {p0 + N q} the parameters of hier, restricted to the
+    columns keep, that fix the unit moment to 1 when normalization holds,
+    meet the scalar equalities among constraints, (g, sense, rhs) with g a
+    functional on the parameters, and are orthogonal to ker P."""
+    p0, N = np.zeros(len(keep)), np.eye(len(keep))
+    if normalization:
+        # the unit word is its own adjoint, a root on the line through 1
+        k = int(np.searchsorted(keep, hier.roots.index(UNIT_WORD)))
+        p0[k] = 1.0
+        N = np.delete(N, k, axis=1)
+    eq = [(g[keep], rhs) for g, sense, rhs in constraints if sense == SENSE_EQ]
+    # keep holds all of a direction of ker P or none of it: an entry
+    # that couples its parameters keeps all of their roots or none
+    eq += [(u, 0.0) for u in hier.unseen[keep].T if u.any()]
+    if eq:
+        p0, N = _restrict(np.array([g for g, _ in eq]), np.array([r for _, r in eq]), p0, N)
+    return p0, N
 
 
 def _coeffs_real(p: Polynomial) -> bool:
@@ -828,7 +778,9 @@ class Hierarchy:
     """The first stage of a relaxation, which no objective enters: the
     blocks' bases, weights and entries, the closed word set adjoint with its
     moment parameters (W, their roots and root ids), G and ker P, and the
-    edges term sparsity runs on.  relax() is the second stage.
+    edges term sparsity runs on, with the functionals and the checks that
+    read them.  relax() is the second stage, and every relaxation it makes
+    holds this hierarchy.
 
     Every array is read-only, and no list or dict is mutated once made, so
     that every relaxation of the hierarchy shares them.  The exceptions are
@@ -875,6 +827,59 @@ class Hierarchy:
         for a in (self.Wk, self.Wv, self.root_ids, self.starts, *self.G, self.unseen,
                   self.word_root, *self.edges):
             a.flags.writeable = False
+
+    @property
+    def _P(self) -> np.ndarray:
+        """P made dense, coordinates by parameters, from G's terms."""
+        I, J, k, v = self.G
+        sizes = np.diff(self.starts)
+        b = np.searchsorted(self.starts, I, side="right") - 1
+        n, i, j = sizes[b], I - self.starts[b], J - self.starts[b]
+        counts = [_n_coords(m, self.real_mode) for m in sizes]
+        row = np.cumsum([0, *counts])[b] + i * n - i * (i - 1) // 2 + j - i
+        P = np.zeros((sum(counts), len(self.roots)))
+        np.add.at(P, (row, k), np.where(i == j, 1.0, math.sqrt(2.0)) * v.real)
+        if not self.real_mode:
+            # the strict upper triangle's Im after the block's n(n+1)/2 Re
+            off = i != j
+            np.add.at(P, ((row + n * (n + 1) // 2 - i - 1)[off], k[off]),
+                      math.sqrt(2.0) * v.imag[off])
+        return P
+
+    def _functional(self, p: Polynomial, what: str, pres: Presentation) -> np.ndarray:
+        """Complex f with omega(p) = f . params."""
+        index = self.word_index
+        o = np.zeros(len(index), dtype=complex)
+        for w, c in p.terms():
+            if w not in index:
+                raise NotRepresentableError(
+                    f"{what} involves {word_to_str(w, pres)}, "
+                    "which lies outside this moment structure; raise the level")
+            o[index[w]] += c
+        f = np.zeros(len(self.roots), dtype=complex)
+        np.add.at(f, self.Wk, o[:, None] * self.Wv)
+        return f
+
+    def _check(self, f: np.ndarray, resid: np.ndarray, what: str, pres: Presentation) -> None:
+        """NotRepresentableError when resid, the size per parameter of the
+        part of f that no trace pairing reaches, exceeds REPRESENT_TOL,
+        naming the worst root among the words of the functional itself."""
+        if np.max(resid, initial=0.0) > REPRESENT_TOL:
+            used = np.flatnonzero(f)
+            root = self.roots[int(used[np.argmax(resid[used])])]
+            raise NotRepresentableError(
+                f"{what} involves {word_to_str(root, pres)}, "
+                f"which the level-{self.level} moment blocks do not determine; "
+                "raise the level")
+
+    def _representative(self, P: np.ndarray, f: np.ndarray, what: str,
+                        pres: Presentation) -> np.ndarray:
+        """Least-norm coordinates c, on the rows of P (all of them, or the
+        main block's), of the trace functional worth f . p at every
+        parameter vector p."""
+        c = np.linalg.lstsq(P.T, f, rcond=None)[0]
+        self._check(f, np.abs(P.T @ c - f), what, pres)
+        return c
 
     def extended(self, words: list[Word], pres: Presentation) -> "Hierarchy":
         """The hierarchy on the same blocks whose word set also holds words,
@@ -925,22 +930,15 @@ class Hierarchy:
         the term-sparsity fixpoint seeded by their roots, p0 and N, and the
         LMI."""
         sense_factor = 1.0 if problem.sense == "minimize" else -1.0
-        relax = RelaxationModel(
-            problem=problem, level=self.level, real_mode=self.real_mode,
-            bases=self.bases, weights=self.weights, entries=self.entries,
-            n_moment_vars=len(self.roots), sense_factor=sense_factor,
-            _G=self.G, _Wk=self.Wk, _Wv=self.Wv, _var_words=self.words,
-            _word_index=self.word_index, _roots=self.roots, _unseen=self.unseen,
-        )
-        f = sense_factor * relax._functional(objective, "the objective").real
-        g = [relax._functional(p, "a scalar constraint").real for p, _, _ in constraints]
+        pres = problem.presentation
+        f = sense_factor * self._functional(objective, "the objective", pres).real
+        g = [self._functional(p, "a scalar constraint", pres).real for p, _, _ in constraints]
         # NotRepresentableError at build, not when the row form is first read:
         # a trace pairing with the blocks vanishes on ker P
         K = self.unseen
         for v, what in [(f, "the objective")] + [(gk, "a scalar constraint") for gk in g]:
-            relax._check(v, np.abs(K @ (K.T @ v)), what)
-        relax._f = f
-        relax._constraints = [(gk, sense, rhs) for gk, (_, sense, rhs) in zip(g, constraints)]
+            self._check(v, np.abs(K @ (K.T @ v)), what, pres)
+        scalar = [(gk, sense, rhs) for gk, (_, sense, rhs) in zip(g, constraints)]
 
         # term sparsity: the components and the kept roots at their fixpoint,
         # seeded by the objective and the scalar constraints, on one graph
@@ -958,7 +956,7 @@ class Hierarchy:
         # component.  A component with every A_k = 0 is the constant Gamma(p0),
         # dropped when it is psd.  Scalar equalities restrict p0 and N, and an
         # inequality adds the 1x1 block +-(g.p - rhs).
-        p0, N = relax._parameters(keep)
+        p0, N = _parameters(self, keep, problem.normalization, scalar)
         # the symmetries that fix f, each g and the kept parameters map the
         # feasible set onto itself, so averaging an optimum over them gives
         # an optimum in their invariant subspace: N becomes N Q, Q a basis of
@@ -968,10 +966,9 @@ class Hierarchy:
         polys = [objective] + [p for p, _, _ in constraints]
         key = tuple(frozenset(p.items()) for p in polys)
         if key not in self._orbits:
-            self._orbits[key] = self._symmetry(problem.presentation, polys, np.array([f, *g]),
-                                               keep)
+            self._orbits[key] = self._symmetry(pres, polys, np.array([f, *g]), keep)
         order, V, conj, real_bases = self._orbits[key]
-        relax.symmetry = {"order": order, "rows": N.shape[1]}
+        symmetry = {"order": order, "rows": N.shape[1]}
         if V is not None:
             N = N @ _invariant_directions(N, V)
         at = np.full(len(self.roots), -1)
@@ -1028,14 +1025,14 @@ class Hierarchy:
                 if b == 0:
                     main.append(idx)
                     lifts.append(U)
-        for gk, sense, rhs in relax._constraints:
+        for gk, sense, rhs in scalar:
             if sense != SENSE_EQ:
                 sign, gk = 1.0 if sense == SENSE_GE else -1.0, gk[keep]
                 lmi.append(sign * np.concatenate([[gk @ p0 - rhs], -(gk @ N)])[:, None, None])
-        relax._lmi = SDPModel.from_stacks(lmi, [(SENSE_EQ, float(bk)) for bk in -(f[keep] @ N)])
-        relax._keep, relax._p0, relax._N = keep, p0, N
-        relax._parts, relax._lifts, relax._gamma0 = main, lifts, gamma0
-        return relax
+        return RelaxationModel(
+            problem, self, sense_factor, _f=f, _constraints=scalar, _keep=keep, _p0=p0, _N=N,
+            _lmi=SDPModel.from_stacks(lmi, [(SENSE_EQ, float(bk)) for bk in -(f[keep] @ N)]),
+            _parts=main, _gamma0=gamma0, _lifts=lifts, symmetry=symmetry)
 
 
 def _hierarchy(problem: ProblemFile, d: int) -> tuple[Hierarchy, float]:
@@ -1126,20 +1123,22 @@ def gram_representative(relax: RelaxationModel, poly: Polynomial | None = None
     cannot be reached from this basis."""
     p = normal_form(poly if poly is not None else relax.problem.objective,
                     relax.problem.presentation)
-    f = relax._functional(p, "the polynomial")
+    hier, pres = relax.hier, relax.problem.presentation
+    f = hier._functional(p, "the polynomial", pres)
     if np.max(np.abs(f.imag), initial=0.0) > REPRESENT_TOL:
         raise NotRepresentableError(
             "polynomial is not a real form in the moment parameters")
     n = len(relax.basis)
-    c = relax._representative(relax._P[:_n_coords(n, relax.real_mode)], f.real, "the polynomial")
-    return _matrices(c[:, None], n, relax.real_mode)[0]
+    c = hier._representative(hier._P[:_n_coords(n, hier.real_mode)], f.real, "the polynomial",
+                             pres)
+    return _matrices(c[:, None], n, hier.real_mode)[0]
 
 
 def expand_gram(relax: RelaxationModel, M: np.ndarray) -> Polynomial:
     """Re-expand a representative: sum_ij M_ij gamma_j gamma_i-adjoint in
     normal form, matching the pairing tr(M Gamma).  The normal form of
     gamma_j gamma_i-adjoint is the main block's entry (j, i)."""
-    gamma = relax.entries[0]
+    gamma = relax.hier.entries[0]
     total = Polynomial.zero()
     for (i, j), c in np.ndenumerate(M):
         if abs(c) >= 1e-15:

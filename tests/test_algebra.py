@@ -283,7 +283,10 @@ minimize x
 
 
 def presentations_under_test():
-    texts = [(f.name, f.read_text()) for f in sorted((ROOT / "problems").glob("*.csdp"))]
+    # chained_bell4's 16 letters take seconds at degree 4; chained_bell3 has
+    # the same rules on 12
+    texts = [(f.name, f.read_text()) for f in sorted((ROOT / "problems").glob("*.csdp"))
+             if f.stem != "chained_bell4"]
     texts.append(("SCAN_ORDER_TEXT", SCAN_ORDER_TEXT))
     texts += [(name, getattr(test_relaxation, name))
               for name in dir(test_relaxation) if name.endswith("_TEXT")]

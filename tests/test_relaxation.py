@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import os
+import re
 import subprocess
 import sys
 import time
@@ -273,6 +274,9 @@ CHSH_OBJECTIVE = "A0*B0 + A1*B1 + A0*B1 - A1*B0"
 TWO_CORRELATORS_TEXT = CHSH_TEXT.replace(CHSH_OBJECTIVE, "A0*B0 + A1*B1")
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+# chained_bell4 at level 3 takes seconds to build and minutes to solve
+# without its symmetry; CI solves it under a time bound instead
+SLOW_FILE_LEVELS = {("chained_bell4", 3)}
 
 TWO_SQRT2 = 2.0 * np.sqrt(2.0)
 
@@ -297,9 +301,9 @@ def unreduced(monkeypatch):
 
 def moment_rows(relax):
     """Each moment word's row of W over the parameters, summed from its
-    triplets _Wk, _Wv."""
+    triplets Wk, Wv."""
     rows = {}
-    for w, k, v in zip(relax._var_words, relax._Wk, relax._Wv):
+    for w, k, v in zip(relax.hier.words, relax.hier.Wk, relax.hier.Wv):
         rows[w] = np.zeros(relax.n_moment_vars, dtype=complex)
         np.add.at(rows[w], k, v)
     return rows
@@ -334,7 +338,7 @@ class TestBasis:
 class TestCHSHStructure:
     def test_block_and_variable_counts(self, chsh):
         relax = rx.build_relaxation(chsh, level=1)
-        assert relax.real_mode
+        assert relax.hier.real_mode
         assert [b.size for b in relax.model.blocks] == [5]
         assert relax.n_moment_vars == 11
         assert len(relax.model.constraints) == 5
@@ -362,7 +366,7 @@ class TestCHSHStructure:
         relax = rx.build_relaxation(chsh, level=1)
         res = relax.solve()
         real = chsh_tsirelson_realization(chsh.presentation)
-        moments = realize_moments(real, relax._var_words)
+        moments = realize_moments(real, relax.hier.words)
         blocks = relax.blocks_from_moments(moments)
         rep = feasibility_check(relax.model, blocks)
         assert rep.max_violation <= 1e-7
@@ -434,7 +438,7 @@ basis = 1, x, x^2
         violations = []
         for x in (1.0, -1.0):
             real = ConcreteRealization(prob.presentation, {"x": np.array([[x]])}, np.ones(1))
-            blocks = relax.blocks_from_moments(realize_moments(real, relax._var_words))
+            blocks = relax.blocks_from_moments(realize_moments(real, relax.hier.words))
             violations.append(feasibility_check(relax.model, blocks).max_violation)
         assert violations[0] <= 1e-9
         assert violations[1] > 1e-3
@@ -444,7 +448,7 @@ class TestComplexMode:
     def test_phase_relation_forces_complex_line(self):
         prob = parse_problem(PHASED_TEXT)
         relax = rx.build_relaxation(prob, level=1)
-        assert not relax.real_mode
+        assert not relax.hier.real_mode
         res = relax.solve()
         assert res.status == Status.OPTIMAL
         assert abs(res.bound + np.sqrt(2.0)) <= 1e-6
@@ -468,7 +472,7 @@ class TestComplexMode:
             prob.presentation,
             {"u": np.exp(-1j * np.pi / 4.0) * sz},
             np.array([0.0, 1.0]))
-        moments = realize_moments(real, relax._var_words)
+        moments = realize_moments(real, relax.hier.words)
         blocks = relax.blocks_from_moments(moments)
         rep = feasibility_check(relax.model, blocks)
         assert rep.max_violation <= 1e-8
@@ -509,7 +513,7 @@ basis = 1, x, z
             prob.presentation,
             {"x": np.zeros((1, 1)), "y": -np.ones((1, 1)), "z": np.ones((1, 1))},
             np.array([1.0]))
-        moments = realize_moments(real, relax._var_words)
+        moments = realize_moments(real, relax.hier.words)
         rep = feasibility_check(relax.model, relax.blocks_from_moments(moments))
         assert rep.max_violation <= 1e-9
         assert relax.evaluate(prob.objective, moments).real == pytest.approx(-1.0)
@@ -521,7 +525,8 @@ basis = 1, x, z
         + [("scaled", SCALED_ADJOINT_TEXT), ("one-way", ONE_WAY_TEXT),
            ("phased-one-way", PHASED_ONE_WAY_TEXT), ("cycle", ADJOINT_CYCLE_TEXT),
            ("phased-cycle", PHASED_ADJOINT_CYCLE_TEXT)]
-        for level in (1, 2, 3) if (name, level) != ("lasserre_x4", 1)])
+        for level in (1, 2, 3)
+        if (name, level) != ("lasserre_x4", 1) and (name, level) not in SLOW_FILE_LEVELS])
     def test_moments_follow_the_adjoint_pairing(self, text, level):
         relax = rx.build_relaxation(parse_problem(text), level=level)
         pres = relax.problem.presentation
@@ -532,16 +537,16 @@ basis = 1, x, z
                 u, c = terms[0]
                 assert np.max(np.abs(np.conj(row) - c * rows[u])) <= 1e-12
             # a moment depends on the parameters of one root only
-            assert len({relax._roots[k] for k in np.flatnonzero(row)}) <= 1
-        for k, root in enumerate(relax._roots):
+            assert len({relax.hier.roots[k] for k in np.flatnonzero(row)}) <= 1
+        for k, root in enumerate(relax.hier.roots):
             assert rows[root][k] != 0
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_scaled_adjoint_leaves_no_parameter(self, level):
         relax = rx.build_relaxation(parse_problem(SCALED_ADJOINT_TEXT), level=level)
         u = relax.problem.presentation.word("u")
-        assert u not in relax._roots
-        assert not np.any(relax._Wv[relax._var_words.index(u)])
+        assert u not in relax.hier.roots
+        assert not np.any(relax.hier.Wv[relax.hier.words.index(u)])
         res = relax.solve()
         assert res.status == Status.OPTIMAL
         assert abs(res.bound) <= 1e-9
@@ -558,8 +563,8 @@ basis = 1, x, z
         prob = parse_problem(FREE_ROOT_TEXT)
         for level, params in [(1, 6), (2, 19)]:
             relax = rx.build_relaxation(prob, level=level)
-            assert relax.real_mode
-            assert prob.presentation.word("a") in relax._roots
+            assert relax.hier.real_mode
+            assert prob.presentation.word("a") in relax.hier.roots
             assert relax.n_moment_vars == params
             res = relax.solve(TIGHT)
             assert res.status == Status.OPTIMAL
@@ -619,8 +624,8 @@ basis = 1, x, z
             relax = rx.build_relaxation(parse_problem(text), level=level)
             pres = relax.problem.presentation
             rows = {word_to_str(w, pres): row for w, row in moment_rows(relax).items()}
-            k = relax._roots.index(pres.word("a", "b"))
-            assert relax._roots.count(pres.word("a", "b")) == 1
+            k = relax.hier.roots.index(pres.word("a", "b"))
+            assert relax.hier.roots.count(pres.word("a", "b")) == 1
             for w, value in [("a*b", phi), ("a'*b", np.conj(phi)), ("b*a", np.conj(phi))]:
                 assert np.flatnonzero(rows[w]).tolist() == [k]
                 assert abs(rows[w][k] - value) <= 1e-15
@@ -846,7 +851,8 @@ class TestTermSparsity:
         i, j = np.triu_indices(n)
         G = np.array([sum(c * W[w] for w, c in relax.entries[0][a][b].terms())
                       for a, b in zip(i, j)])
-        p0, N = relax._parameters(np.arange(relax.n_moment_vars))
+        p0, N = rx._parameters(relax.hier, np.arange(relax.n_moment_vars),
+                               relax.problem.normalization, relax._constraints)
         dense = np.zeros((1 + N.shape[1], n, n), dtype=complex)
         dense[:, i, j] = (G @ np.column_stack([p0, -N])).T
         dense[:, j, i] = dense[:, i, j].conj()
@@ -929,9 +935,9 @@ class TestSparseBuild:
 
     @pytest.fixture
     def never_dense(self, monkeypatch):
-        def dense(relax):
+        def dense(hier):
             raise AssertionError("P made dense")
-        monkeypatch.setattr(rx.RelaxationModel, "_P", property(dense))
+        monkeypatch.setattr(rx.Hierarchy, "_P", property(dense))
 
     @pytest.mark.parametrize("text, levels", [
         (CHSH_TEXT, (1, 2, 3, 4)),
@@ -991,10 +997,11 @@ class TestTwoStageBuild:
             first = rx.build_relaxation(prob, level=level)
             second = rx.build_relaxation(other, level=level)
             assert first.timings["hierarchy"] > 0.0 and second.timings["hierarchy"] == 0.0
-            shared = [*first._G, first._Wk, first._Wv, first._unseen]
-            assert all(a is b for a, b in zip(shared, [*second._G, second._Wk, second._Wv,
-                                                       second._unseen]))
-            assert second.entries is first.entries and second._var_words is first._var_words
+            assert second.hier is first.hier
+            # every array of the hierarchy, G's and the edges' among them
+            shared = [a for v in vars(first.hier).values()
+                      for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+            assert len(shared) >= 13
             for a in shared:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
@@ -1015,7 +1022,7 @@ class TestTwoStageBuild:
         for k, (changes, level) in enumerate(variants, start=1):
             relax = rx.build_relaxation(replace(prob, **changes), level=level)
             assert len(pres._hierarchies) == k
-            assert relax.real_mode == ("objective" not in changes)
+            assert relax.hier.real_mode == ("objective" not in changes)
             assert lmi_bytes(relax) == lmi_bytes(
                 rx.build_relaxation(fresh(CHSH_TEXT, **changes), level=level))
         # each again, now from the store
@@ -1134,12 +1141,12 @@ level = 2
         prob = parse_problem(PARALLEL_COLUMNS_TEXT)
         relax = rx.build_relaxation(prob)
         pres = prob.presentation
-        P = relax._P
-        ky, kz = relax._roots.index(pres.word("y")), relax._roots.index(pres.word("z"))
+        P = relax.hier._P
+        ky, kz = relax.hier.roots.index(pres.word("y")), relax.hier.roots.index(pres.word("z"))
         assert np.array_equal(P[:, ky], 2.0 * P[:, kz])
         assert np.linalg.matrix_rank(P.T @ P) == P.shape[1] - 1
         # ker P is the one direction e_y - 2 e_z
-        K = relax._unseen
+        K = relax.hier.unseen
         assert K.shape == (P.shape[1], 1)
         assert np.allclose(np.abs(K[[ky, kz], 0]) * np.sqrt(5.0), [1.0, 2.0], atol=1e-12)
         assert K[ky, 0] * K[kz, 0] < 0
@@ -1182,7 +1189,7 @@ level = 2
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "lstsq", None)
             relax = rx.build_relaxation(prob)
-        P = relax._P
+        P = relax.hier._P
         assert np.allclose(np.sort(np.linalg.eigvalsh(P.T @ P)), [1e-10, 1.0, 2.0], rtol=1e-12)
         M = rx.gram_representative(relax)
         assert np.max(np.abs(M - np.diag([0.0, 1e5]))) <= 1e-12 * 1e5
@@ -1193,8 +1200,8 @@ level = 2
         # the representative reproduces f and is the pseudoinverse's
         # solution, the one of least norm
         relax = rx.build_relaxation(chsh, level=2)
-        P, f = relax._P, relax._f
-        c = relax._representative(P, f, "the objective")
+        P, f = relax.hier._P, relax._f
+        c = relax.hier._representative(P, f, "the objective", chsh.presentation)
         assert np.max(np.abs(P.T @ c - f)) <= 1e-12
         assert np.max(np.abs(c - np.linalg.pinv(P.T) @ f)) <= 1e-12
 
@@ -1224,7 +1231,7 @@ class TestEntryLookup:
     @staticmethod
     def assert_entries_match(relax):
         pres = relax.problem.presentation
-        for basis, weight, mat in zip(relax.bases, relax.weights, relax.entries):
+        for basis, weight, mat in zip(relax.hier.bases, relax.hier.weights, relax.hier.entries):
             for i, bi in enumerate(basis):
                 left = poly_mul(Polynomial.from_word(bi), weight)
                 for j, bj in enumerate(basis):
@@ -1244,7 +1251,7 @@ class TestEntryLookup:
     @pytest.mark.parametrize("level", [1, 2])
     def test_localizing_block_and_multi_term_relation(self, level):
         relax = rx.build_relaxation(parse_problem(FREE_ROOT_LOCALIZING_TEXT), level=level)
-        assert len(relax.bases) == 2 and len(relax.weights[1]) == 3
+        assert len(relax.hier.bases) == 2 and len(relax.hier.weights[1]) == 3
         self.assert_entries_match(relax)
 
     def test_main_block_shares_the_cached_normal_forms(self, chsh):
@@ -1311,9 +1318,11 @@ class TestIterationCeilings:
 
 
 def text_cases():
-    """Every problem file at levels 1-3 and every *_TEXT presentation of this
-    module at levels 1-2 (the phased adjoint cycle's level 3 takes seconds)."""
-    cases = [pytest.param(f.read_text(), (1, 2, 3), id=f.stem)
+    """Every problem file at levels 1-3 but SLOW_FILE_LEVELS, and every
+    *_TEXT presentation of this module at levels 1-2 (the phased adjoint
+    cycle's level 3 takes seconds)."""
+    cases = [pytest.param(f.read_text(), tuple(d for d in (1, 2, 3)
+                                               if (f.stem, d) not in SLOW_FILE_LEVELS), id=f.stem)
              for f in sorted(PROBLEMS.glob("*.csdp"))]
     cases += [pytest.param(text, (1, 2), id=name) for name, text in sorted(globals().items())
               if name.endswith("_TEXT") and isinstance(text, str)]
@@ -1758,7 +1767,7 @@ class TestAntiunitary:
                 if isinstance(off, Exception):
                     assert type(relax) is type(off)
                     continue
-                assert relax.real_mode and relax._lifts == [None] * len(relax._parts)
+                assert relax.hier.real_mode and relax._lifts == [None] * len(relax._parts)
                 assert relax.symmetry == off.symmetry and lmi_bytes(relax) == lmi_bytes(off)
         assert asked and not any(asked)
 
@@ -1779,3 +1788,156 @@ def test_build_leaves_numpy_ma_unimported():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def chained_bell_value(n):
+    """The quantum maximum 2n cos(pi/(2n)) of the chained Bell inequality
+    with n settings per party, which every level reaches."""
+    return 2 * n * np.cos(np.pi / (2 * n))
+
+
+def wehner_realization(pres, n):
+    """Wehner's optimal strategy for the chained Bell inequality: the
+    maximally entangled pair of qubits Phi+ with A_i = R(2 i theta) (x) I and
+    B_j = I (x) R((2 j + 1) theta), R(t) = cos t Z + sin t X and
+    theta = pi/(2n): each term of the chain, the closing -A0 B_(n-1)
+    included, is worth cos(theta)."""
+    theta = np.pi / (2 * n)
+    Z, X, I2 = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+
+    def R(t):
+        return np.cos(t) * Z + np.sin(t) * X
+
+    mats = {f"A{i}": np.kron(R(2 * i * theta), I2) for i in range(n)}
+    mats.update({f"B{j}": np.kron(I2, R((2 * j + 1) * theta)) for j in range(n)})
+    psi = np.zeros(4)
+    psi[0] = psi[3] = np.sqrt(0.5)
+    return ConcreteRealization(pres, mats, psi)
+
+
+class TestChainedBell:
+    """problems/chained_bell3.csdp and chained_bell4.csdp: 2n involutions,
+    a group of order 8n fixing the objective, and the value 2n cos(pi/(2n))
+    at every level."""
+
+    @pytest.mark.parametrize("n, order, rows, m", [
+        (3, 24, (15, 111), (2, 13)),
+        (4, 32, (28, 400), (3, 34)),
+    ], ids=["n3", "n4"])
+    def test_levels_reach_the_quantum_value(self, n, order, rows, m):
+        problem = parse_problem_file(str(PROBLEMS / f"chained_bell{n}.csdp"))
+        value = chained_bell_value(n)
+        real = wehner_realization(problem.presentation, n)
+        bounds = []
+        for level, free, schur_dim in zip((1, 2), rows, m):
+            relax = rx.build_relaxation(problem, level=level)
+            assert relax.symmetry == {"order": order, "rows": free}
+            res = relax.solve()
+            assert res.status == Status.OPTIMAL
+            assert len(res.solution.y) == schur_dim
+            assert abs(res.bound - value) <= 1e-7 * value
+            bounds.append(res.bound)
+            # Wehner's strategy is feasible and worth the value, which the
+            # default tolerance's bound may miss by a few 1e-8
+            moments = realize_moments(real, relax.hier.words)
+            rep = feasibility_check(relax.model, relax.blocks_from_moments(moments))
+            assert rep.max_violation <= 1e-12
+            achieved = relax.evaluate(problem.objective, moments)
+            assert abs(achieved - value) <= 1e-12 * value
+            assert achieved.real <= res.bound + 1e-7 * value
+        assert bounds[1] <= bounds[0]
+
+
+def rewritten(text, rng, order=None):
+    """The problem file text written another way, the same problem in exact
+    arithmetic: its relations, its commute lines and the two sides of each
+    (and the names within a side), and its objective's terms shuffled, and
+    its generator declarations reordered, each party (a side of a commute
+    line, or a generator on no side) kept contiguous, or put in order, a
+    list of generator names.  Comment lines are dropped; other sections are
+    kept as they are."""
+    sections, name = {}, None
+    for line in text.splitlines():
+        line = line.split("#")[0].strip()
+        if line.startswith("["):
+            name = line
+            sections[name] = []
+        elif line:
+            sections[name].append(line)
+
+    def shuffled(items):
+        return [items[k] for k in rng.permutation(len(items))]
+
+    commute = []
+    for line in sections.get("[commute]", []):
+        sides = [shuffled([g.strip() for g in side.strip(" {}").split(",")])
+                 for side in line.split("with")]
+        commute.append(" with ".join("{" + ", ".join(side) + "}" for side in shuffled(sides)))
+    if "[commute]" in sections:
+        sections["[commute]"] = shuffled(commute)
+    if "[relations]" in sections:
+        sections["[relations]"] = shuffled(sections["[relations]"])
+
+    declared = {line.split()[0]: line for line in sections["[generators]"]}
+    if order is None:
+        parties = []
+        for line in sections.get("[commute]", []):
+            for side in line.split("with"):
+                party = [g.strip() for g in side.strip(" {}").split(",")]
+                if not any(g in p for p in parties for g in party):
+                    parties.append(party)
+        parties += [[g] for g in declared if not any(g in p for p in parties)]
+        order = [g for party in shuffled(parties) for g in shuffled(party)]
+    sections["[generators]"] = [declared[g] for g in order]
+
+    [objective] = sections["[objective]"]
+    sense, poly = objective.split(None, 1)
+    terms = [t.replace(" ", "") for t in re.findall(r"[+-]?[^+-]+", poly)]
+    terms = [t if t[0] in "+-" else "+" + t for t in shuffled(terms)]
+    body = " ".join(f"{t[0]} {t[1:]}" for t in terms)
+    sections["[objective]"] = [f"{sense} {body[2:] if body[0] == '+' else '-' + body[2:]}"]
+    return "".join(f"{name}\n" + "".join(f"{line}\n" for line in lines) + "\n"
+                   for name, lines in sections.items())
+
+
+# the rewriting orients a commutation toward the earlier generator, so with
+# the parties' declarations interleaved A0*B0*A1 rewrites to B0*A0*A1 while
+# the equal A0*A1*B0 is also a normal word: the swap rules are not confluent,
+# the relaxation grows and the group it keeps shrinks (ROADMAP items 9 and
+# 10; a FOUND line of CHANGES.md)
+INTERLEAVED = pytest.mark.xfail(
+    strict=True, reason="interleaved declarations make the commutation rules non-confluent, "
+    "so the relaxation grows and the group shrinks (CHANGES.md FOUND, ROADMAP item 9)")
+
+
+class TestRewrittenProblemFiles:
+    """Metamorphic: a problem file written another way, with its relations,
+    commute lines and objective's terms shuffled and its parties declared in
+    another order, solves to the same status, the same bound within 1e-8
+    relative and the same symmetry."""
+
+    @staticmethod
+    def assert_same_problem(text, other, level):
+        first = build_or_error(parse_problem(text), level)
+        second = build_or_error(parse_problem(other), level)
+        if isinstance(first, Exception):
+            assert type(second) is type(first)
+            return
+        assert second.symmetry == first.symmetry
+        assert_same_solve(first, second)
+
+    @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.csdp")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_problem_files(self, path, level):
+        text = path.read_text()
+        for seed in (0, 1):
+            self.assert_same_problem(text, rewritten(text, np.random.default_rng(seed)), level)
+
+    @pytest.mark.parametrize("name, order", [
+        pytest.param("chsh", ["A1", "B0", "B1", "A0"], marks=INTERLEAVED, id="chsh"),
+        pytest.param("chained_bell3", ["A1", "B0", "A2", "B1", "A0", "B2"], marks=INTERLEAVED,
+                     id="chained_bell3"),
+    ])
+    def test_interleaved_parties(self, name, order):
+        text = (PROBLEMS / f"{name}.csdp").read_text()
+        self.assert_same_problem(text, rewritten(text, np.random.default_rng(0), order), 3)
