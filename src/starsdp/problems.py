@@ -17,10 +17,20 @@ scalars and generator factors, `'` is the adjoint, `^k` a repeated factor,
 `1` the unit and `i` the imaginary scalar.  Example: 2*A0*B1 - A0'^2 + i*1.
 Every number must be finite.  Each line is read as one stream of tokens,
 so every error names the line and the column of the token at fault.
+
+The generators are numbered party by party: a party is a class of
+generators joined by pairs that do not commute, the parties come in the
+order of their first declared generator, and each keeps its declaration
+order.  A swap rule points toward the earlier generator.  A swap overlap
+z*y*x that does not resolve needs x and z in one party and y between
+them, in this order as in the declared one, so the order adds no such
+overlap; and where generators commute exactly across parties, as in a
+Bell scenario, it leaves none, however the declarations interleave.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -337,6 +347,16 @@ def _parse_option(ts: _TokenStream, pres: Presentation, pf: ProblemFile) -> None
         ts.error(f"unknown option {key!r}", key_col)
 
 
+def _by_party(n: int, commuting: set[tuple[int, int]]) -> list[int]:
+    """The generators 0..n-1 party by party (see the module docstring)."""
+    first = list(range(n))              # per generator, its party's first
+    for a, b in itertools.combinations(range(n), 2):
+        if (a, b) not in commuting:
+            low, high = sorted((first[a], first[b]))
+            first = [low if f == high else f for f in first]
+    return sorted(range(n), key=lambda g: (first[g], g))
+
+
 def parse_problem(text: str, name: str = "<string>") -> ProblemFile:
     """Parse and validate a full problem file."""
     sections = _split_sections(text)
@@ -350,9 +370,13 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemFile:
     if not generators:
         raise ProblemSyntaxError("no generators declared", 1, 1)
     by_name = {g.name: i for i, g in enumerate(generators)}
+    commuting = set().union(*(_parse_commute(ts, by_name) for ts in sections["commute"]))
+    order = _by_party(len(generators), commuting)
+    at = {g: i for i, g in enumerate(order)}
+    generators = [generators[g] for g in order]
+    commuting = {(min(at[a], at[b]), max(at[a], at[b])) for a, b in commuting}
     bare = Presentation(tuple(generators))
     rules = [_parse_relation(ts, bare) for ts in sections["relations"]]
-    commuting = set().union(*(_parse_commute(ts, by_name) for ts in sections["commute"]))
     try:
         pres = Presentation(tuple(generators), tuple(rules), frozenset(commuting))
     except AlgebraError as exc:

@@ -7,10 +7,11 @@ A model is the trace form
 
 where <A, X> = Re tr(A* X).  A block whose data are real is real
 symmetric, and one whose data are complex is Hermitian, with X_b Hermitian
-psd of the same size.  A model is its data, one read-only stack per block:
-the cost, then each row's matrix, checked once, when the model is made,
-and made exactly Hermitian in the pass that checks them.  The solver and
-every other reader use the model's own stacks without a copy.  Only the
+psd of the same size; a slack, or an entry of an SDPA diagonal block, is
+a 1x1 block of its own.  A model is its data, one read-only stack per
+block: the cost, then each row's matrix, checked once, when the model is
+made, and made exactly Hermitian in the pass that checks them.  The solver
+and every other reader use the model's own stacks without a copy.  Only the
 SDPA export, a real format, doubles a Hermitian block into its real image.
 """
 
@@ -26,7 +27,7 @@ SENSE_LE = "<="
 SENSE_GE = ">="
 SENSE_EQ = "=="
 SENSES = (SENSE_LE, SENSE_GE, SENSE_EQ)
-# Largest asymmetry (or off-diagonal entry of a diagonal block) a model accepts.
+# Largest asymmetry a model accepts.
 VALIDATE_TOL = 1e-10
 # Entries one step of a pass over a stack reads or forms (here, and in the group
 # actions and closure check of symmetry), so its temporaries stay small and
@@ -47,7 +48,6 @@ class SDPAFormatError(ValueError):
 @dataclass(frozen=True)
 class Block:
     size: int
-    diagonal: bool = False
 
 
 @dataclass(frozen=True)
@@ -65,38 +65,48 @@ class SDPModel:
 
     def __init__(self, blocks: list[Block], cost: list[np.ndarray],
                  constraints: list[LinearConstraint]):
-        """Stacks the matrices into new arrays: the caller's are never written."""
-        _check(blocks, cost, constraints)
+        """Checks the counts and shapes, row by row, then stacks the
+        matrices into new arrays: the caller's are never written."""
+        if len(cost) != len(blocks):
+            raise ModelError("cost matrix count does not match block count")
+        _check_shapes(cost, blocks, "cost")
+        for k, con in enumerate(constraints):
+            if len(con.matrices) != len(blocks):
+                raise ModelError(f"constraint {k}: matrix count mismatch")
+            _check_shapes(con.matrices, blocks, f"constraint {k}")
         self._take([np.array([C] + [con.matrices[b] for con in constraints])
                     for b, C in enumerate(cost)],
-                   [(con.sense, con.rhs) for con in constraints], blocks)
+                   [(con.sense, con.rhs) for con in constraints])
 
     @classmethod
-    def from_stacks(cls, stacks: list[np.ndarray], rows: list[tuple[str, float]],
-                    blocks: list[Block] | None = None) -> "SDPModel":
+    def from_stacks(cls, stacks: list[np.ndarray], rows: list[tuple[str, float]]) -> "SDPModel":
         """Block b's cost is stacks[b][0] and its part of row k is
-        stacks[b][k], with rows[k - 1] = (sense, rhs).  The blocks default
-        to dense ones sized by the stacks; pass them to mark a diagonal one.
-        The model takes the arrays over, converted only to contiguous float
-        or complex, and makes them read-only."""
-        for b, A in enumerate(stacks):
+        stacks[b][k], with rows[k - 1] = (sense, rhs); each block's size is
+        its stack's.  The model takes the arrays over, converted only to
+        contiguous float or complex, and makes them read-only."""
+        model = cls.__new__(cls)
+        model._take(stacks, rows)
+        return model
+
+    def _take(self, stacks: list[np.ndarray], rows: list[tuple[str, float]]) -> None:
+        """Both constructors' check: the stacks' shapes, the first row with a
+        bad sense or a right-hand side that is not finite, then _hermitize."""
+        self._stacks = [np.ascontiguousarray(A, dtype=complex if np.iscomplexobj(A) else float)
+                        for A in stacks]
+        for b, A in enumerate(self._stacks):
             if A.shape != (1 + len(rows),) + A.shape[-1:] * 2:
                 raise ModelError(f"block {b}: stack shape {A.shape} is not "
                                  f"({1 + len(rows)}, n, n)")
-        model = cls.__new__(cls)
-        model._take(stacks, rows, [Block(A.shape[-1]) for A in stacks]
-                    if blocks is None else blocks)
-        return model
-
-    def _take(self, stacks: list[np.ndarray], rows: list[tuple[str, float]],
-              blocks: list[Block]) -> None:
-        self._stacks = [np.ascontiguousarray(A, dtype=complex if np.iscomplexobj(A) else float)
-                        for A in stacks]
-        self.blocks = list(blocks)
+        self.blocks = [Block(A.shape[-1]) for A in self._stacks]
         self.senses = tuple(sense for sense, _ in rows)
         self.rhs = np.array([rhs for _, rhs in rows], dtype=float)
-        _check_arrays(self.blocks, self._stacks, self.senses, self.rhs)
-        _hermitize(self._stacks, self.blocks)
+        if not (set(self.senses) <= set(SENSES) and np.isfinite(self.rhs).all()):
+            for k, (sense, rhs) in enumerate(zip(self.senses, self.rhs)):
+                if sense not in SENSES:
+                    raise ModelError(f"constraint {k}: bad sense {sense!r}")
+                if not math.isfinite(rhs):
+                    raise ModelError(f"constraint {k}: right-hand side {rhs} is not finite")
+        _hermitize(self._stacks)
         for A in self._stacks + [self.rhs]:
             A.flags.writeable = False
         self.cost = [A[0] for A in self._stacks]
@@ -117,40 +127,6 @@ class SDPModel:
         return list(self._stacks)
 
 
-def _check(blocks: list[Block], cost: list[np.ndarray],
-           constraints: list[LinearConstraint]) -> None:
-    """Counts, senses, right-hand sides and shapes, row by row, so that a
-    fault among them is named before any matrix's (_hermitize)."""
-    if len(cost) != len(blocks):
-        raise ModelError("cost matrix count does not match block count")
-    _check_shapes(cost, blocks, "cost")
-    for k, con in enumerate(constraints):
-        _check_row(k, con.sense, con.rhs)
-        if len(con.matrices) != len(blocks):
-            raise ModelError(f"constraint {k}: matrix count mismatch")
-        _check_shapes(con.matrices, blocks, f"constraint {k}")
-
-
-def _check_arrays(blocks: list[Block], stacks: list[np.ndarray], senses: tuple[str, ...],
-                  rhs: np.ndarray) -> None:
-    """_check on a model's arrays, with its messages and fault order: the
-    stacks' count and sizes, then the first row with a bad sense or a
-    right-hand side that is not finite."""
-    if len(stacks) != len(blocks):
-        raise ModelError("cost matrix count does not match block count")
-    _check_shapes([S[0] for S in stacks], blocks, "cost")
-    if not (set(senses) <= set(SENSES) and np.isfinite(rhs).all()):
-        for k, (sense, r) in enumerate(zip(senses, rhs)):
-            _check_row(k, sense, r)
-
-
-def _check_row(k: int, sense: str, rhs: float) -> None:
-    if sense not in SENSES:
-        raise ModelError(f"constraint {k}: bad sense {sense!r}")
-    if not math.isfinite(rhs):
-        raise ModelError(f"constraint {k}: right-hand side {rhs} is not finite")
-
-
 def _check_shapes(matrices: list[np.ndarray], blocks: list[Block], where: str) -> None:
     for b, (M, blk) in enumerate(zip(matrices, blocks)):
         if M.shape != (blk.size, blk.size):
@@ -158,38 +134,33 @@ def _check_shapes(matrices: list[np.ndarray], blocks: list[Block], where: str) -
                              f"block size {blk.size}")
 
 
-def _hermitize(stacks: list[np.ndarray], blocks: list[Block]) -> None:
+def _hermitize(stacks: list[np.ndarray]) -> None:
     """Make every matrix exactly Hermitian, (M + M*) / 2, or 0.5 M + 0.5 M*
     where M + M* overflows, in place, in one pass per stack by chunks, each
     checked first; ModelError names the first matrix in model order (the
-    costs, then row by row) that is not Hermitian within VALIDATE_TOL, not
-    diagonal in a diagonal block, or not finite.  A NaN or infinite entry
-    makes its entry of M - M* NaN or infinite, so the symmetry test catches
-    it at no extra cost.  A chunk of a dense block that is already exactly
-    Hermitian and finite, as a relaxation writes its stacks and as a model's
-    read-only stacks are, passes after those two tests, unwritten."""
+    costs, then row by row) that is not Hermitian within VALIDATE_TOL or
+    not finite.  A NaN or infinite entry makes its entry of M - M* NaN or
+    infinite, so the symmetry test catches it at no extra cost.  A chunk
+    that is already exactly Hermitian and finite, as a relaxation writes
+    its stacks and as a model's read-only stacks are, passes after those
+    two tests, unwritten."""
     faults = []
-    for b, (S, blk) in enumerate(zip(stacks, blocks)):
+    for b, S in enumerate(stacks):
         n = S.shape[-1]
         step = max(1, CHUNK // max(n * n, 1))
         for k in range(0, len(S), step):
             P = S[k:k + step]
             D = np.conj(P.swapaxes(-1, -2))
-            if not blk.diagonal and (P == D).all() and np.isfinite(P).all():
+            if (P == D).all() and np.isfinite(P).all():
                 continue
             with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, max + max
                 asym = np.abs(P - D).max(axis=(-2, -1), initial=0.0)
                 H = (P + D) * 0.5
             bad = ~(asym <= VALIDATE_TOL)
-            if blk.diagonal:
-                off = np.abs(P[:, ~np.eye(n, dtype=bool)]).max(axis=-1, initial=0.0)
-                bad |= off > VALIDATE_TOL
             if bad.any():
                 j, kind = int(bad.argmax()), "Hermitian" if np.iscomplexobj(S) else "symmetric"
                 faults.append((k + j, b, "matrix has a non-finite entry"
-                               if not np.isfinite(P[j]).all() else f"matrix is not {kind}"
-                               if not asym[j] <= VALIDATE_TOL else
-                               "off-diagonal entries in a diagonal block"))
+                               if not np.isfinite(P[j]).all() else f"matrix is not {kind}"))
                 break
             if not np.isfinite(H).all():            # M + M* overflowed: halve first
                 H = 0.5 * P + 0.5 * D
@@ -201,17 +172,14 @@ def _hermitize(stacks: list[np.ndarray], blocks: list[Block]) -> None:
 
 
 def to_equality_form(model: SDPModel) -> SDPModel:
-    """Convert inequalities to equalities with one shared diagonal slack block."""
-    stacks, blocks = model.stacks(), list(model.blocks)
+    """Convert inequalities to equalities with one 1x1 slack block per
+    inequality row, in row order, after the model's blocks."""
     ineq = [k for k, sense in enumerate(model.senses) if sense != SENSE_EQ]
-    if ineq:
-        j = np.arange(len(ineq))
-        S = np.zeros((1 + len(model.rhs), len(ineq), len(ineq)))
-        S[[1 + k for k in ineq], j, j] = [1.0 if model.senses[k] == SENSE_LE else -1.0
-                                          for k in ineq]
-        stacks.append(S)
-        blocks.append(Block(len(ineq), diagonal=True))
-    return SDPModel.from_stacks(stacks, [(SENSE_EQ, r) for r in model.rhs.tolist()], blocks)
+    S = np.zeros((len(ineq), 1 + len(model.rhs), 1, 1))
+    S[range(len(ineq)), [1 + k for k in ineq], 0, 0] = [
+        1.0 if model.senses[k] == SENSE_LE else -1.0 for k in ineq]
+    return SDPModel.from_stacks(model.stacks() + list(S),
+                                [(SENSE_EQ, r) for r in model.rhs.tolist()])
 
 
 def realify_matrix(A: np.ndarray) -> np.ndarray:
@@ -243,10 +211,9 @@ def export_sdpa(model: SDPModel) -> str:
 
     Requires an equality-only model with a block, as SDPA does.  SDPA is a
     real format, so a Hermitian block is written as its realify image, twice
-    its size.  Line order: constraint count, block count, block sizes
-    (negative marks a diagonal block), right-hand sides, then
-    `matno blkno i j value` entries with matno 0 for the cost and only the
-    upper triangle stored, 1-based indices.
+    its size.  Line order: constraint count, block count, block sizes,
+    right-hand sides, then `matno blkno i j value` entries with matno 0 for
+    the cost and only the upper triangle stored, 1-based indices.
     """
     if not model.is_equality_only():
         raise ModelError("export requires an equality-only model; apply to_equality_form first")
@@ -256,8 +223,7 @@ def export_sdpa(model: SDPModel) -> str:
     stacks = [realify_matrix(S) * 0.5 if np.iscomplexobj(S) else S for S in model.stacks()]
     m = len(model.rhs)
     lines = [str(m), str(len(stacks))]
-    lines.append(" ".join(str(-S.shape[-1] if b.diagonal else S.shape[-1])
-                          for b, S in zip(model.blocks, stacks)))
+    lines.append(" ".join(str(S.shape[-1]) for S in stacks))
     lines.append(" ".join(map(_fmt, model.rhs.tolist())) if m else "")
     for matno in range(1 + m):
         for bno, S in enumerate(stacks, start=1):
@@ -287,8 +253,9 @@ def _int(tok: str) -> int:
 def import_sdpa(text: str) -> SDPModel:
     """Parse sparse SDPA text back into a model (all constraints equalities).
 
-    Tolerates comment lines starting with * or " and brace or comma
-    punctuation inside the header vectors.
+    A diagonal block, of negative size -s, is read as s consecutive 1x1
+    blocks.  Tolerates comment lines starting with * or " and brace or
+    comma punctuation inside the header vectors.
     """
     rows = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -319,7 +286,6 @@ def import_sdpa(text: str) -> SDPModel:
     sizes = ints(rows[2], nblocks)
     if 0 in sizes:
         raise SDPAFormatError(f"block {sizes.index(0) + 1} has size 0", rows[2][0])
-    blocks = [Block(abs(s), diagonal=s < 0) for s in sizes]
     if m > 0:
         if len(rows) < 4:
             raise SDPAFormatError("missing right-hand side line", rows[-1][0])
@@ -339,7 +305,8 @@ def import_sdpa(text: str) -> SDPModel:
         rhs = []
         entry_rows = rows[3:]
 
-    stacks = [np.zeros((1 + m, b.size, b.size)) for b in blocks]
+    # per SDPA block, its (1 + m, s, s) stack, or for size -s its s 1x1 stacks
+    data = [np.zeros((1 + m, s, s)) if s > 0 else np.zeros((-s, 1 + m, 1, 1)) for s in sizes]
     for no, s in entry_rows:
         toks = _clean_numbers(s)
         if len(toks) != 5:
@@ -355,16 +322,20 @@ def import_sdpa(text: str) -> SDPModel:
             raise SDPAFormatError(f"matrix number {matno} out of range", no)
         if not (1 <= bno <= nblocks):
             raise SDPAFormatError(f"block number {bno} out of range", no)
-        n = blocks[bno - 1].size
+        n = abs(sizes[bno - 1])
         if not (1 <= i <= n and 1 <= j <= n):
             raise SDPAFormatError(f"index ({i},{j}) outside block of size {n}", no)
-        if blocks[bno - 1].diagonal and i != j:
+        if sizes[bno - 1] > 0:
+            target = data[bno - 1][matno]
+            target[i - 1, j - 1] = val
+            target[j - 1, i - 1] = val
+        elif i == j:
+            data[bno - 1][i - 1, matno] = val
+        else:
             raise SDPAFormatError(
                 f"off-diagonal entry ({i},{j}) in diagonal block {bno}", no)
-        target = stacks[bno - 1][matno]
-        target[i - 1, j - 1] = val
-        target[j - 1, i - 1] = val
-    return SDPModel.from_stacks(stacks, [(SENSE_EQ, r) for r in rhs], blocks)
+    stacks = [S for A, s in zip(data, sizes) for S in (A if s < 0 else [A])]
+    return SDPModel.from_stacks(stacks, [(SENSE_EQ, r) for r in rhs])
 
 
 def import_sdpa_file(path: str) -> SDPModel:

@@ -348,7 +348,7 @@ def reduce_sdp(model: SDPModel, rep: GroupRep) -> ReducedSDP:
     data only; ModelError names the first Hermitian matrix with a nonzero
     imaginary part, and also reports blocks that miss the commutant
     dimension of the character or fail to rebuild the data."""
-    if len(model.blocks) != 1 or model.blocks[0].diagonal:
+    if len(model.blocks) != 1:
         raise ModelError("symmetry reduction expects a single dense block")
     d = model.blocks[0].size
     if rep.dim != d:

@@ -58,10 +58,10 @@ class TestAnalytic:
         assert sol.status == Status.OPTIMAL
         assert abs(sol.primal_value - 2.0) <= 1e-7
 
-    def test_two_blocks_and_diagonal_block(self):
-        # min x + 2 y with x = 3 (1x1 block), y = 4 (diagonal 1x1)
+    def test_two_1x1_blocks(self):
+        # min x + 2 y with x = 3 and y = 4, each a 1x1 block
         m = SDPModel(
-            [Block(1), Block(1, diagonal=True)],
+            [Block(1), Block(1)],
             [np.array([[1.0]]), np.array([[2.0]])],
             [
                 LinearConstraint([np.array([[1.0]]), np.zeros((1, 1))], SENSE_EQ, 3.0),
@@ -191,8 +191,8 @@ class TestCertificates:
 
 
 class TestMultiBlockCertificates:
-    """Certificates on models that to_equality_form gives a diagonal slack
-    block, so sum_k y_k A_k is checked on two blocks."""
+    """Certificates on models that to_equality_form gives 1x1 slack blocks,
+    so sum_k y_k A_k is checked on every block."""
 
     E00 = np.diag([1.0, 0.0])
     I2 = np.eye(2)
@@ -216,7 +216,7 @@ class TestMultiBlockCertificates:
                     [Block(2)], [cost * np.eye(2)],
                     [LinearConstraint([A], sense, rhs) for A, sense, rhs in rows]))
                 slacks = sum(sense != SENSE_EQ for _, sense, _ in rows)
-                assert [b.size for b in m.blocks] == [2, slacks] and m.blocks[1].diagonal
+                assert [b.size for b in m.blocks] == [2] + [1] * slacks
                 sol = solve(m)
                 case = f"{name} with cost {cost}"
                 assert sol.status == Status.INFEASIBLE, f"{case}: {sol.reason}"
@@ -232,13 +232,11 @@ class TestMultiBlockCertificates:
         m = to_equality_form(SDPModel(
             [Block(2)], [-np.diag([1.0, 0.0])],
             [LinearConstraint([np.diag([1.0, -1.0])], SENSE_GE, 0.0)]))
-        assert [b.size for b in m.blocks] == [2, 1] and m.blocks[1].diagonal
+        assert [b.size for b in m.blocks] == [2, 1]
         assert solve(m).status == Status.UNBOUNDED
 
 
-def random_psd(rng, n, diagonal=False):
-    if diagonal:
-        return np.diag(rng.uniform(0.5, 2.0, size=n))
+def random_psd(rng, n):
     W = rng.normal(size=(n, n))
     return W @ W.T + n * np.eye(n)
 
@@ -293,7 +291,7 @@ class TestStackedAssembly:
 
         def psd(b, blk):
             return (hermitian_psd(rng, blk.size) if np.iscomplexobj(stacks[b])
-                    else random_psd(rng, blk.size, blk.diagonal))
+                    else random_psd(rng, blk.size))
 
         X = [psd(b, blk) for b, blk in enumerate(model.blocks)]
         Z = [psd(b, blk) for b, blk in enumerate(model.blocks)]
@@ -335,7 +333,7 @@ class TestStackedAssembly:
         # 100 rows on a 41x41 block, the size of CHSH level 4
         self.check(random_model(np.random.default_rng(3), [41], 100), 4)
 
-    def test_diagonal_slack_block(self):
+    def test_slack_blocks(self):
         rng = np.random.default_rng(5)
         senses = [SENSE_LE, SENSE_EQ, SENSE_GE, SENSE_LE, SENSE_EQ]
         model = SDPModel(
@@ -343,8 +341,7 @@ class TestStackedAssembly:
             [LinearConstraint([random_sym(rng, 4), random_sym(rng, 3)], sense, 1.0)
              for sense in senses])
         model = to_equality_form(model)
-        assert [(b.size, b.diagonal) for b in model.blocks] == \
-            [(4, False), (3, False), (3, True)]
+        assert [b.size for b in model.blocks] == [4, 3, 1, 1, 1]
         self.check(model, 6)
 
     def test_realified_hermitian_block(self):
@@ -1083,18 +1080,18 @@ class TestFeasibilityReport:
 
     def test_matches_its_definition(self):
         # residual_k = sum_b Re vdot(A_kb, X_b) - rhs_k on a real, a Hermitian
-        # and a diagonal block, with a complex X that is not Hermitian
+        # and two 1x1 blocks, with a complex X that is not Hermitian
         rng = np.random.default_rng(41)
-        blocks = [Block(3), Block(2), Block(2, diagonal=True)]
+        blocks = [Block(3), Block(2), Block(1), Block(1)]
 
         def draw():
             B = rng.normal(size=(3, 3))
-            return [B + B.T, random_herm(rng, 2), np.diag(rng.normal(size=2))]
+            return [B + B.T, random_herm(rng, 2)] + list(rng.normal(size=(2, 1, 1)))
 
         rows = [LinearConstraint(draw(), sense, float(rng.normal()))
                 for sense in (SENSE_LE, SENSE_GE, SENSE_EQ, SENSE_LE, SENSE_GE)]
         m = SDPModel(blocks, draw(), rows)
-        X = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in (3, 2, 2)]
+        X = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in (3, 2, 1, 1)]
         rep = feasibility_check(m, X)
 
         def pair(mats):

@@ -314,6 +314,35 @@ class TestSectionsAndOptions:
         assert parse_problem(text).normalization is False
 
 
+class TestPartyOrder:
+    """The generators are numbered party by party: classes joined by pairs
+    that do not commute, in the order of their first declared generator,
+    each in declaration order."""
+
+    @pytest.mark.parametrize("declared, commute, numbered", [
+        ("A1 B0 B1 A0", ["{A0, A1} with {B0, B1}"], "A1 A0 B0 B1"),
+        ("A1 B0 C0 A0 B1 C1", ["{A0, A1} with {B0, B1, C0, C1}", "{B0, B1} with {C0, C1}"],
+         "A1 A0 B0 B1 C0 C1"),
+        ("x y z", [], "x y z"),
+        ("z x y", ["{x} with {y, z}", "{y} with {z}"], "z x y"),
+        ("a c b", ["{a} with {b}"], "a c b"),
+    ], ids=["chsh-interleaved", "three-parties", "one-party", "all-commuting",
+            "chain-through-c"])
+    def test_numbering(self, declared, commute, numbered):
+        text = ("[generators]\n" + "".join(f"{g} selfadjoint\n" for g in declared.split())
+                + "[commute]\n" + "".join(f"{line}\n" for line in commute)
+                + "[objective]\nminimize 1\n")
+        pres = parse_problem(text).presentation
+        assert [g.name for g in pres.generators] == numbered.split()
+        names = [g.name for g in pres.generators]
+        pairs = {frozenset((names[a], names[b])) for a, b in pres.commuting}
+        want = set()
+        for line in commute:
+            left, right = (side.strip(" {}").split(", ") for side in line.split(" with "))
+            want |= {frozenset((x, y)) for x in left for y in right}
+        assert pairs == want
+
+
 def random_poly(rng, pres, max_terms=5, max_deg=3, complex_ok=True):
     terms = {}
     n = len(pres.generators)

@@ -25,7 +25,7 @@ from starsdp.oracles import (
     ConcreteRealization, chsh_tsirelson_realization, realize_moments, grid_min,
 )
 from starsdp.ipm import SolverOptions, Status, feasibility_check, solve
-from starsdp.sdpmodel import to_equality_form
+from starsdp.sdpmodel import SDPModel, to_equality_form
 from support import random_involution_problem, reflection_realization
 
 TIGHT = SolverOptions(tol_gap=1e-9, tol_feas=1e-9)
@@ -1900,16 +1900,6 @@ def rewritten(text, rng, order=None):
                    for name, lines in sections.items())
 
 
-# the rewriting orients a commutation toward the earlier generator, so with
-# the parties' declarations interleaved A0*B0*A1 rewrites to B0*A0*A1 while
-# the equal A0*A1*B0 is also a normal word: the swap rules are not confluent,
-# the relaxation grows and the group it keeps shrinks (ROADMAP items 9 and
-# 10; a FOUND line of CHANGES.md)
-INTERLEAVED = pytest.mark.xfail(
-    strict=True, reason="interleaved declarations make the commutation rules non-confluent, "
-    "so the relaxation grows and the group shrinks (CHANGES.md FOUND, ROADMAP item 9)")
-
-
 class TestRewrittenProblemFiles:
     """Metamorphic: a problem file written another way, with its relations,
     commute lines and objective's terms shuffled and its parties declared in
@@ -1934,10 +1924,94 @@ class TestRewrittenProblemFiles:
             self.assert_same_problem(text, rewritten(text, np.random.default_rng(seed)), level)
 
     @pytest.mark.parametrize("name, order", [
-        pytest.param("chsh", ["A1", "B0", "B1", "A0"], marks=INTERLEAVED, id="chsh"),
-        pytest.param("chained_bell3", ["A1", "B0", "A2", "B1", "A0", "B2"], marks=INTERLEAVED,
+        pytest.param("chsh", ["A1", "B0", "B1", "A0"], id="chsh"),
+        pytest.param("chained_bell3", ["A1", "B0", "A2", "B1", "A0", "B2"],
                      id="chained_bell3"),
     ])
     def test_interleaved_parties(self, name, order):
+        # the parser declares the generators party by party, so the
+        # commutation rules of interleaved declarations stay confluent
         text = (PROBLEMS / f"{name}.csdp").read_text()
         self.assert_same_problem(text, rewritten(text, np.random.default_rng(0), order), 3)
+
+
+def pool_problem(i):
+    """The i-th problem of the benchmark's hierarchy pool (seed 404): the
+    first 20 are commuting involution problems, drawn as the acceptance
+    test's random instances are."""
+    rng = np.random.default_rng(404)
+    for trial in range(i + 1):
+        problem = random_involution_problem(rng, int(rng.integers(1, 4)), True,
+                                            2 if trial % 2 == 0 else 4)
+    return problem
+
+
+def haar_unitary(rng, n, complex_):
+    """A Haar random orthogonal matrix, or unitary when complex_ (QR of a
+    Gaussian matrix, with R's diagonal made positive)."""
+    G = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0)
+    Q, R = np.linalg.qr(G)
+    return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+
+
+def rewritten_lmis(lmi, rng):
+    """The LMI written five other ways, each the same SDP in exact
+    arithmetic: its rows permuted, its blocks permuted, each block under a
+    Haar orthogonal (unitary, for a Hermitian block) congruence, one row
+    duplicated, and a 1x1 block appended with cost 1 and no row entries."""
+    S, rows = lmi.stacks(), list(zip(lmi.senses, lmi.rhs.tolist()))
+    p = rng.permutation(len(rows))
+    yield "rows", SDPModel.from_stacks([np.concatenate([A[:1], A[1:][p]]) for A in S],
+                                       [rows[k] for k in p])
+    yield "blocks", SDPModel.from_stacks([S[b] for b in rng.permutation(len(S))], rows)
+    Q = [haar_unitary(rng, A.shape[-1], np.iscomplexobj(A)) for A in S]
+    yield "congruence", SDPModel.from_stacks([U.conj().T @ A @ U for U, A in zip(Q, S)], rows)
+    k = int(rng.integers(len(rows)))
+    yield "duplicate", SDPModel.from_stacks([np.concatenate([A, A[1 + k:2 + k]]) for A in S],
+                                            rows + [rows[k]])
+    E = np.zeros((1 + len(rows), 1, 1))
+    E[0] = 1.0
+    yield "1x1 block", SDPModel.from_stacks(S + [E], rows)
+
+
+class TestRewrittenLMIs:
+    """Metamorphic, on the SDP side: a relaxation's LMI written another way
+    solves at TIGHT to the same status and a bound within 1e-8 relative."""
+
+    CASES = ([("chsh", d) for d in (1, 2, 3)] + [("lasserre_x4", d) for d in (2, 3)]
+             + [("i3322", 1)] + [("chained_bell3", d) for d in (1, 2)]
+             + [("ladder", d) for d in (1, 2, 3)]
+             + [(f"pool {i}", d) for i in range(10) for d in (1, 2)])
+
+    @staticmethod
+    def problem(name):
+        if name == "ladder":
+            return parse_problem(LADDER_TEXT)
+        if name.startswith("pool"):
+            return pool_problem(int(name.split()[1]))
+        return parse_problem_file(str(PROBLEMS / f"{name}.csdp"))
+
+    @pytest.mark.parametrize("name, level", CASES, ids=[f"{n} L{d}" for n, d in CASES])
+    def test_same_solve(self, name, level):
+        relax = rx.build_relaxation(self.problem(name), level)
+        base = relax.solve(TIGHT)
+        # the bound is an affine function of the LMI's dual value
+        scale = 1e-8 * max(1.0, abs(base.bound))
+        for kind, lmi in rewritten_lmis(relax._lmi, np.random.default_rng(level)):
+            sol = solve(lmi, TIGHT)
+            assert sol.status == base.solution.status, kind
+            assert abs(sol.dual_value - base.solution.dual_value) <= scale, kind
+
+    @pytest.mark.xfail(strict=True, reason="the solver does not scale the rows: I3322 L2 "
+                       "with row k and b_k scaled by 10^u ends NUMERICAL (CHANGES.md FOUND; "
+                       "ROADMAP item 4)")
+    def test_scaled_rows(self):
+        lmi = rx.build_relaxation(parse_problem_file(str(PROBLEMS / "i3322.csdp")), 2)._lmi
+        statuses = []
+        for seed in range(4):
+            u = 10.0 ** np.random.default_rng(seed).uniform(-1.0, 1.0, size=len(lmi.rhs))
+            scaled = SDPModel.from_stacks(
+                [np.concatenate([A[:1], A[1:] * u[:, None, None]]) for A in lmi.stacks()],
+                list(zip(lmi.senses, (lmi.rhs * u).tolist())))
+            statuses.append(solve(scaled, TIGHT).status)
+        assert statuses == [Status.OPTIMAL] * 4

@@ -37,10 +37,8 @@ class TestValidation:
     @pytest.mark.parametrize("blocks, cost", [
         ([Block(2)], [np.array([[0.0, 1.0], [0.0, 0.0]])]),
         ([Block(1), Block(2)], [np.eye(1)]),
-        ([Block(2, diagonal=True)], [np.array([[1.0, 0.5], [0.5, 1.0]])]),
         ([Block(1)], [np.array([[1.0 + 1j]])]),
-    ], ids=["asymmetric-cost", "block-count", "off-diagonal-in-diagonal-block",
-            "complex-cost"])
+    ], ids=["asymmetric-cost", "block-count", "complex-cost"])
     def test_rejected(self, blocks, cost):
         with pytest.raises(ModelError):
             SDPModel(blocks, cost, [])
@@ -61,7 +59,7 @@ class TestValidation:
 
 
 class TestEqualityForm:
-    def test_inequalities_get_one_shared_slack_block(self):
+    def test_inequalities_get_one_slack_block_each(self):
         m = one_by_one(1.0, [
             (1.0, SENSE_LE, 2.0),
             (1.0, SENSE_GE, 0.5),
@@ -69,16 +67,11 @@ class TestEqualityForm:
         ])
         eq = to_equality_form(m)
         assert eq.is_equality_only()
-        assert len(eq.blocks) == 2
-        slack = eq.blocks[-1]
-        assert slack.diagonal and slack.size == 2
-        # <= row gets +1 slack, >= row gets -1, == row gets none
-        s0 = eq.constraints[0].matrices[-1]
-        s1 = eq.constraints[1].matrices[-1]
-        s2 = eq.constraints[2].matrices[-1]
-        assert s0[0, 0] == 1.0 and s1[1, 1] == -1.0
-        assert np.all(s2 == 0.0)
-        assert np.all(eq.cost[-1] == 0.0)
+        assert [b.size for b in eq.blocks] == [1, 1, 1]
+        # in row order: the <= row's slack gets +1, the >= row's -1, and
+        # the == row none
+        slacks = [S[:, 0, 0].tolist() for S in eq.stacks()[1:]]
+        assert slacks == [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0]]
 
     def test_equality_model_unchanged(self):
         m = one_by_one(1.0, [(1.0, SENSE_EQ, 1.0)])
@@ -168,23 +161,26 @@ class TestSDPAText:
         assert entries == ["0 1 1 1 1", "1 1 1 1 1"]
 
     def test_golden_text(self):
-        # a real, a Hermitian (written as its halved 4x4 image) and a
-        # diagonal block; upper triangles row by row, zeros skipped
+        # a real, a Hermitian (written as its halved 4x4 image) and two 1x1
+        # blocks; upper triangles row by row, zeros skipped
         real = np.array([[[1.0, 0.5], [0.5, 0.0]], [[0.0, -2.0], [-2.0, 3.0]]])
         herm = np.array([[[2.0, 1j], [-1j, 0.0]],
                          [[1.0, 0.25 - 0.5j], [0.25 + 0.5j, -1.0]]])
-        diag = np.array([np.diag([0.0, 0.1]), np.diag([-1.0, 0.0])])
-        m = SDPModel.from_stacks([real, herm, diag], [(SENSE_EQ, 1.5)],
-                                 [Block(2), Block(2), Block(2, diagonal=True)])
-        assert export_sdpa(m) == (
-            "1\n3\n2 4 -2\n1.5\n"
-            "0 1 1 1 1\n0 1 1 2 0.5\n"
-            "0 2 1 1 1\n0 2 1 4 -0.5\n0 2 2 3 0.5\n0 2 3 3 1\n"
-            "0 3 2 2 0.10000000000000001\n"
-            "1 1 1 2 -2\n1 1 2 2 3\n"
-            "1 2 1 1 0.5\n1 2 1 2 0.125\n1 2 1 4 0.25\n1 2 2 2 -0.5\n"
-            "1 2 2 3 -0.25\n1 2 3 3 0.5\n1 2 3 4 0.125\n1 2 4 4 -0.5\n"
-            "1 3 1 1 -1\n")
+        one, two = np.array([[[0.0]], [[-1.0]]]), np.array([[[0.1]], [[0.0]]])
+        m = SDPModel.from_stacks([real, herm, one, two], [(SENSE_EQ, 1.5)])
+        entries = ("0 1 1 1 1\n0 1 1 2 0.5\n"
+                   "0 2 1 1 1\n0 2 1 4 -0.5\n0 2 2 3 0.5\n0 2 3 3 1\n"
+                   "{} 0.10000000000000001\n"
+                   "1 1 1 2 -2\n1 1 2 2 3\n"
+                   "1 2 1 1 0.5\n1 2 1 2 0.125\n1 2 1 4 0.25\n1 2 2 2 -0.5\n"
+                   "1 2 2 3 -0.25\n1 2 3 3 0.5\n1 2 3 4 0.125\n1 2 4 4 -0.5\n"
+                   "1 3 1 1 -1\n")
+        text = "1\n4\n2 4 1 1\n1.5\n" + entries.format("0 4 1 1")
+        assert export_sdpa(m) == text
+        # the same model written with one diagonal block of size -2 reads
+        # back as the two 1x1 blocks, whose export is the text above
+        diagonal = "1\n3\n2 4 -2\n1.5\n" + entries.format("0 3 2 2")
+        assert export_sdpa(import_sdpa(diagonal)) == text
 
     def test_inequality_export_rejected(self):
         m = one_by_one(1.0, [(1.0, SENSE_LE, 1.0)])
@@ -199,11 +195,10 @@ class TestSDPAText:
 
     def test_round_trip_random_model(self):
         rng = np.random.default_rng(11)
-        blocks = [Block(3), Block(2, diagonal=True)]
+        blocks = [Block(3), Block(1), Block(1)]
         def rand_mats():
             A = rng.normal(size=(3, 3))
-            D = np.diag(rng.normal(size=2))
-            return [(A + A.T) / 2, D]
+            return [(A + A.T) / 2] + list(rng.normal(size=(2, 1, 1)))
         m = SDPModel(
             blocks=blocks,
             cost=rand_mats(),
@@ -213,7 +208,7 @@ class TestSDPAText:
             ],
         )
         m2 = import_sdpa(export_sdpa(m))
-        assert [ (b.size, b.diagonal) for b in m2.blocks ] == [(3, False), (2, True)]
+        assert m2.blocks == m.blocks
         for Cb, Cb2 in zip(m.cost, m2.cost):
             assert np.allclose(Cb, Cb2, atol=1e-14)
         assert len(m2.constraints) == 4
@@ -236,7 +231,7 @@ class TestSDPAText:
 1 2 1 1 2.0
 """
         m = import_sdpa(text)
-        assert [(b.size, b.diagonal) for b in m.blocks] == [(3, False), (2, True)]
+        assert [b.size for b in m.blocks] == [3, 1, 1]
         assert m.cost[0][0, 0] == 1.5
         assert m.constraints[0].matrices[0][0, 1] == -0.5
         assert m.constraints[0].matrices[0][1, 0] == -0.5
@@ -254,9 +249,11 @@ class TestSDPAText:
             import_sdpa(text)
 
     def test_import_rejects_entry_outside_diagonal(self):
-        text = "0\n1\n-2\n0 1 1 2 1.0\n"
-        with pytest.raises(SDPAFormatError):
+        text = "0\n2\n1 -2\n0 2 2 2 1.0\n0 2 1 2 1.0\n"
+        with pytest.raises(SDPAFormatError) as err:
             import_sdpa(text)
+        assert err.value.line == 5
+        assert str(err.value) == "line 5: off-diagonal entry (1,2) in diagonal block 2"
 
     @pytest.mark.parametrize("text, line, message", [
         ("1\n1\n", 2, "file too short"),
@@ -301,8 +298,8 @@ class TestSDPAText:
 
     def test_integral_float_fields_accepted(self):
         m = import_sdpa("1.0\n1e0\n-2.0\n1.0\n0 1.0 2 2.0 1.5\n")
-        assert [(b.size, b.diagonal) for b in m.blocks] == [(2, True)]
-        assert m.cost[0][1, 1] == 1.5 and m.constraints[0].rhs == 1.0
+        assert [b.size for b in m.blocks] == [1, 1]
+        assert m.cost[1][0, 0] == 1.5 and m.constraints[0].rhs == 1.0
 
     def test_seventeen_digit_fidelity(self):
         v = 1.0 / 3.0
@@ -360,12 +357,6 @@ def nan_diagonal():
     return [Block(2)], [np.eye(2)], [LinearConstraint([np.diag([np.nan, 1.0])], SENSE_EQ, 1.0)]
 
 
-def symmetric_off_diagonal_in_diagonal_block():
-    # exactly symmetric, which a diagonal block still rejects
-    return ([Block(1), Block(2, diagonal=True)], [np.eye(1), np.eye(2)],
-            [LinearConstraint([np.eye(1), np.ones((2, 2))], SENSE_EQ, 1.0)])
-
-
 def from_lists(blocks, cost, constraints):
     return SDPModel(blocks, cost, constraints)
 
@@ -373,7 +364,7 @@ def from_lists(blocks, cost, constraints):
 def from_stacks(blocks, cost, constraints):
     stacks = [np.array([C] + [con.matrices[b] for con in constraints])
               for b, C in enumerate(cost)]
-    return SDPModel.from_stacks(stacks, [(con.sense, con.rhs) for con in constraints], blocks)
+    return SDPModel.from_stacks(stacks, [(con.sense, con.rhs) for con in constraints])
 
 
 FAULTS = [
@@ -386,12 +377,10 @@ FAULTS = [
     (nan_cost_and_bad_sense, "constraint 0: bad sense '<>'"),
     (infinite_diagonal, "constraint 0 block 0: matrix has a non-finite entry"),
     (nan_diagonal, "constraint 0 block 0: matrix has a non-finite entry"),
-    (symmetric_off_diagonal_in_diagonal_block,
-     "constraint 0 block 1: off-diagonal entries in a diagonal block"),
 ]
 FAULT_IDS = ["bad-sense", "matrix-count", "shape", "nan-cost", "infinite-rhs",
              "infinite-hermitian-row", "nan-cost-and-bad-sense", "infinite-diagonal",
-             "nan-diagonal", "symmetric-off-diagonal"]
+             "nan-diagonal"]
 
 
 class TestConstructionChecks:
@@ -482,9 +471,9 @@ class TestFromStacks:
 
 
 def nearly_hermitian_data():
-    """Equality rows on a real, a Hermitian and a diagonal block, every
-    matrix within 1e-12 of Hermitian but not exactly, and X = I interior
-    feasible with a positive definite cost."""
+    """Equality rows on a real, a Hermitian and two 1x1 blocks, every
+    matrix of the first two within 1e-12 of Hermitian but not exactly, and
+    X = I interior feasible with a positive definite cost."""
     rng = np.random.default_rng(17)
 
     def sym(n, dtype):
@@ -494,17 +483,12 @@ def nearly_hermitian_data():
         B[0, 0] += 1e-12j if dtype is complex else 0.0
         return B
 
-    def diag(n):
-        D = np.diag(rng.normal(size=n))
-        D[0, 1] = 1e-12                     # off diagonal, and off symmetric
-        return D
-
     def draw():
-        return [sym(3, float), sym(2, complex), diag(2)]
+        return [sym(3, float), sym(2, complex)] + list(rng.normal(size=(2, 1, 1)))
 
     cost = [M + 4 * np.eye(len(M)) for M in draw()]
     rows = [draw() for _ in range(4)]
-    return ([Block(3), Block(2), Block(2, diagonal=True)], cost,
+    return ([Block(3), Block(2), Block(1), Block(1)], cost,
             [LinearConstraint(A, SENSE_EQ, float(sum(np.trace(M).real for M in A)))
              for A in rows])
 
@@ -575,22 +559,17 @@ class TestTheModelIsItsData:
 
 
 def mixed_senses_model():
-    """A real, a Hermitian and a diagonal block under rows of every sense."""
+    """A real, a Hermitian and two 1x1 blocks under rows of every sense."""
     blocks, cost, constraints = nearly_hermitian_data()
-
-    def diagonal(A):
-        return A[:2] + [np.diag(np.diag(A[2]))]
-
     senses = [SENSE_LE, SENSE_EQ, SENSE_GE, SENSE_EQ]
-    return SDPModel(blocks, diagonal(cost),
-                    [LinearConstraint(diagonal(con.matrices), sense, con.rhs)
-                     for con, sense in zip(constraints, senses)])
+    return SDPModel(blocks, cost, [LinearConstraint(con.matrices, sense, con.rhs)
+                                   for con, sense in zip(constraints, senses)])
 
 
 def stacked_model():
     m = mixed_senses_model()
     return SDPModel.from_stacks([S.copy() for S in m.stacks()],
-                                list(zip(m.senses, m.rhs.tolist())), m.blocks)
+                                list(zip(m.senses, m.rhs.tolist())))
 
 
 def reduced_model():

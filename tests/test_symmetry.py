@@ -280,8 +280,8 @@ class TestReduceSDP:
         with pytest.raises(ModelError, match="dimension"):
             reduce_sdp(model, C3)
 
-    @pytest.mark.parametrize("blocks", [[Block(6), Block(1)], [Block(6, diagonal=True)]],
-                             ids=["two-blocks", "diagonal"])
+    @pytest.mark.parametrize("blocks", [[Block(6), Block(1)], [Block(1)] * 6],
+                             ids=["two-blocks", "six-1x1-blocks"])
     def test_rejects_anything_but_one_dense_block(self, blocks):
         model = SDPModel(blocks, [np.eye(b.size) for b in blocks],
                          [LinearConstraint([np.eye(b.size) for b in blocks], "==", 1.0)])
